@@ -8,18 +8,17 @@ so the full bound-state count is
     N(alpha) = N_0 + 2 sum_{m >= 1} N_m,
     N_m = #{ eigenvalues of (-d^2/dt^2 - alpha G) below -m^2 }.
 
-N_m is nonincreasing in m and vanishes once m^2 exceeds the lowest
-eigenvalue's magnitude mu_1, which caps the scan. Two cross-checks are
-built in: the one-Dirichlet-condition sandwich (imposing u(t=0) = 0 in the
-m = 0 channel removes at most one state) and the coupling-constant duality
-against the quadratic-form companion spectrum.
+N_m is nonincreasing in m, so the scan stops at the first empty channel;
+mu_1, the lowest eigenvalue's magnitude, is an opt-in diagnostic
+(channel_cutoff). Two cross-checks are built in: the one-Dirichlet-condition
+sandwich (imposing u(t=0) = 0 in the m = 0 channel removes at most one
+state) and the coupling-constant duality against the quadratic-form
+companion spectrum.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,53 +122,39 @@ def total_count(P, alpha: float, *, engine: str = "pruefer",
                 with_dirichlet: bool = True, **kw) -> ChannelBreakdown:
     """Count all bound states of the plane problem at coupling alpha.
 
-    Channels are independent; with RADCOUNT_THREADS > 1 they run in a thread
-    pool (the assembly order is fixed, so results do not depend on it).
+    Channels are counted m = 0, 1, 2, ... up to the first empty one, m = 0
+    included (N_m is nonincreasing in m). The scan ends: a channel with
+    m^2 >= alpha * g_max is below the spectrum and costs no integration.
+    extras["m_scan"] is that first empty channel; channel_cutoff gives mu_1.
     """
     G = _as_log(P)
     eps = threshold_eps(G, alpha)
     if eps <= 0.0:
         return ChannelBreakdown(alpha, {0: 0}, 0, 0, 0, engine,
                                 flags=("zero-potential",))
-    m_scan, mu1 = channel_cutoff(P, alpha, engine=engine)
     flags: set[str] = set()
     uncertainty = 0
-    per: dict[int, int] = {}
-
-    def one(m: int) -> CountResult:
-        return channel_count(G, alpha, m, engine=engine, **kw)
-
-    threads = int(os.environ.get("RADCOUNT_THREADS", "1") or "1")
-    ms = list(range(0, m_scan + 1))
-    if threads > 1 and len(ms) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, ms))
-    else:
-        results = []
-        for m in ms:
-            r = one(m)
-            results.append(r)
-            if m > 0 and r.count == 0:
-                break  # N_m is nonincreasing in m
     total = 0
-    for m, r in zip(ms, results):
+    per: dict[int, int] = {}
+    m = 0
+    while True:
+        r = channel_count(G, alpha, m, engine=engine, **kw)
         per[m] = r.count
         weight = 1 if m == 0 else 2
         total += weight * r.count
         uncertainty += weight * r.uncertainty
         flags.update(r.flags)
-    for m in range(len(results), m_scan + 1):
-        per[m] = 0
-    m_max = max((m for m, v in per.items() if v > 0), default=0)
+        if r.count == 0:
+            break
+        m += 1
     dir_count = 0
     if with_dirichlet:
         rd = count_below(G, alpha, -eps, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                          engine=engine, **kw)
         dir_count = rd.count
         flags.update(rd.flags)
-    return ChannelBreakdown(alpha, per, m_max, total, dir_count, engine,
-                            uncertainty, tuple(sorted(flags)),
-                            {"mu_1": mu1, "m_scan": m_scan})
+    return ChannelBreakdown(alpha, per, max(m - 1, 0), total, dir_count, engine,
+                            uncertainty, tuple(sorted(flags)), {"m_scan": m})
 
 
 def sandwich_check(P, alpha: float, *, engine: str = "pruefer",

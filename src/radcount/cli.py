@@ -104,7 +104,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
         "eig_tol": args.eig_tol,
         "threshold_frac": 1e-9,
         "seed": args.seed,
-        "threads": int(os.environ.get("RADCOUNT_THREADS", "1")),
         "budget_seconds": args.budget_seconds,
     }
     skip = set(cfg) | {"cmd", "func", "sub"}

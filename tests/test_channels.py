@@ -15,6 +15,7 @@ from radcount import (
     bs_duality_check,
     channel_count,
     channel_cutoff,
+    count_below,
     eigenvalues_below,
     sandwich_check,
     to_log,
@@ -139,19 +140,34 @@ def test_zero_potential_breakdown(catalog):
     assert "zero-potential" in b.flags
 
 
-def test_thread_pool_matches_serial(catalog, monkeypatch):
-    P = catalog["gaussian"]
-    serial = total_count(P, 80.0)
-    monkeypatch.setenv("RADCOUNT_THREADS", "4")
-    pooled = total_count(P, 80.0)
-    assert pooled.total == serial.total
-    assert pooled.per_channel == serial.per_channel
-    assert pooled.radial_dirichlet_count == serial.radial_dirichlet_count
-
-
 def test_breakdown_dataclass_shape(catalog):
-    b = total_count(catalog["annulus"], 30.0)
+    P = catalog["annulus"]
+    b = total_count(P, 30.0)
     assert isinstance(b, ChannelBreakdown)
     assert b.total == b.per_channel[0] + b.nonradial
     assert b.extras["m_scan"] >= b.m_max
-    assert b.extras["mu_1"] > 0.0
+    assert channel_cutoff(P, 30.0)[1] > 0.0
+
+
+@pytest.mark.parametrize("name, alpha, calls, total, per", [
+    ("counterexample", 5.0, 3, 2, {0: 2, 1: 0}),
+    ("square-well", 200.0, 13, 51,
+     {0: 5, 1: 4, 2: 4, 3: 3, 4: 3, 5: 2, 6: 2, 7: 2, 8: 1, 9: 1, 10: 1,
+      11: 0}),
+], ids=["slowtail-5", "disk-200"])
+def test_total_count_work(catalog, monkeypatch, name, alpha, calls, total,
+                          per):
+    # one count per channel up to the first empty one, plus the Dirichlet
+    # count; no bisection for the lowest eigenvalue
+    seen = []
+
+    def counting(*args, **kw):
+        seen.append(args)
+        return count_below(*args, **kw)
+
+    monkeypatch.setattr("radcount.channels.count_below", counting)
+    b = total_count(catalog[name], alpha)
+    assert len(seen) == calls
+    assert b.total == total
+    assert b.per_channel == per
+    assert b.extras["m_scan"] == max(per)

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from radcount import BoundaryMode, count_below, eigenvalues_below, to_log
+from radcount import spectral1d
 from radcount.potentials import LogPotential
 from radcount.spectral1d import (
     GridSpec,
+    StepControl,
     bs_spectrum,
     count_below_fd,
     count_below_pruefer,
@@ -215,3 +217,104 @@ def test_counting_domain_pads_with_energy():
     assert near[0] <= deep[0] and near[1] >= deep[1]
     half = counting_domain(G, 1.0, -0.5, BoundaryMode.HALF_LINE_DIRICHLET)
     assert half[0] == 0.0
+
+
+# The generic Cash-Karp loop the unrolled phase kernel replaced, kept as the
+# reference it must match bit for bit: stages as lists, sums by sum().
+_CK_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+)
+_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
+_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+
+
+def _phase_rhs(g_scalar, alpha, E, t, th):
+    s = math.sin(th)
+    c = math.cos(th)
+    return c * c + (E + alpha * g_scalar(t)) * s * s
+
+
+def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
+    flags = []
+    pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
+    th = theta0
+    steps = 0
+    for lo, hi in zip(pieces, pieces[1:]):
+        t = lo
+        w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
+        h = min(ctrl.h_max, hi - lo, 0.25 / math.sqrt(1.0 + abs(w_mid)))
+        while t < hi:
+            if steps >= ctrl.max_steps:
+                raise RuntimeError(
+                    f"phase integration exceeded {ctrl.max_steps} steps "
+                    f"(alpha={alpha}, E={E})")
+            h_cap = 0.25 / math.sqrt(1.0 + abs(E) + alpha * g_scalar(t))
+            h = min(h, h_cap, hi - t, ctrl.h_max)
+            if h < ctrl.h_min:
+                h = ctrl.h_min
+                flags.append("step-floor")
+            k = [0.0] * 6
+            k[0] = _phase_rhs(g_scalar, alpha, E, t, th)
+            for i in range(1, 6):
+                y = th + h * sum(_CK_A[i][j] * k[j] for j in range(i))
+                k[i] = _phase_rhs(g_scalar, alpha, E, t + _CK_C[i] * h, y)
+            th5 = th + h * sum(_CK_B5[i] * k[i] for i in range(6))
+            th4 = th + h * sum(_CK_B4[i] * k[i] for i in range(6))
+            err = abs(th5 - th4)
+            steps += 1
+            if err <= ctrl.phase_tol or h <= ctrl.h_min:
+                t += h
+                th = th5
+            fac = 0.9 * (ctrl.phase_tol / (err + 1e-300)) ** 0.2
+            h *= min(5.0, max(0.2, fac))
+    return th, steps, flags
+
+
+@pytest.mark.parametrize("name, alpha, m, mode, step", [
+    ("square-well", 3200.0, 0, BoundaryMode.WHOLE_LINE, StepControl()),
+    ("square-well", 3200.0, 40, BoundaryMode.WHOLE_LINE, StepControl()),
+    ("counterexample", 5.0, 0, BoundaryMode.WHOLE_LINE, StepControl()),
+    ("gaussian", 40.0, 0, BoundaryMode.WHOLE_LINE, StepControl()),
+    ("bump", 40.0, 0, BoundaryMode.HALF_LINE_DIRICHLET, StepControl()),
+    ("bump", 40.0, 0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0, StepControl()),
+    ("square-well", 200.0, 0, BoundaryMode.WHOLE_LINE,
+     StepControl(h_min=0.05)),
+], ids=["disk-3200", "disk-3200-m40", "slowtail-5", "gaussian", "bump-half",
+        "bump-dirichlet-at-0", "disk-step-floor"])
+def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
+                                           alpha, m, mode, step):
+    G = to_log(catalog[name], strict=False)
+    E = -(m * m + threshold_eps(G, alpha))
+    kernel = spectral1d._integrate_phase
+    pairs = []
+
+    def both(*args):
+        pairs.append((kernel(*args), _generic_integrate_phase(*args)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(spectral1d, "_integrate_phase", both)
+    count_below_pruefer(G, alpha, E, mode, step=step)
+    assert len(pairs) == (2 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+                          else 1)
+    for got, want in pairs:
+        assert got == want   # theta, steps and flags, exactly
+    floored = any("step-floor" in got[2] for got, _ in pairs)
+    assert floored == (step != StepControl())
+
+
+def test_phase_kernel_step_budget_matches_generic_loop(catalog):
+    G = to_log(catalog["square-well"])
+    args = (G.eval_scalar, 200.0, -1.0, -20.0, 10.0, 0.5, G.breakpoints,
+            StepControl(max_steps=10))
+    with pytest.raises(RuntimeError) as got:
+        spectral1d._integrate_phase(*args)
+    with pytest.raises(RuntimeError) as want:
+        _generic_integrate_phase(*args)
+    assert str(got.value) == str(want.value)
+    assert "exceeded 10 steps" in str(got.value)
