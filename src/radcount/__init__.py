@@ -16,6 +16,7 @@ from .potentials import (
     catalog_kinds,
     integral_J,
     integral_logweight,
+    integral_logweight_grid,
     load_bundled,
     load_spec,
     make_catalog_potential,
@@ -75,6 +76,7 @@ __all__ = [
     "empirical_constant",
     "integral_J",
     "integral_logweight",
+    "integral_logweight_grid",
     "load_bundled",
     "load_spec",
     "make_catalog_potential",

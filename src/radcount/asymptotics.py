@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import CHAD_FACTOR
 from .channels import total_count
-from .potentials import RadialPotential, integral_J, integral_logweight, to_log
+from .potentials import RadialPotential, integral_logweight, to_log
 from .spectral1d import BoundaryMode, GridSpec, bs_spectrum
 from .weakseq import WeakVerdict, delta_estimates, quasinorm_weak, zeta_sequence
 
@@ -192,8 +192,7 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
 
 def weyl_coefficient(P: RadialPotential) -> float:
     """Predicted limit of N/alpha: half of int r F dr."""
-    j, _ = integral_J(P)
-    return j / 2.0
+    return to_log(P, strict=False).j_value / 2.0
 
 
 def _tail_rows(T: SweepTable, tail: int | None) -> list[SweepRow]:

@@ -10,6 +10,14 @@ of the dyadic block sequence.  `empirical_constant` inverts the last one:
 given measured counts it reports the smallest constant that would have
 made the bound hold on the given set.
 
+J is read from `to_log(P, strict=False).j_value`, cached on the potential.
+`bound_chad_min_over_R` takes the log weight W(R) = int G |t - ln R| dt
+for its whole radius grid from one split of the line at the grid's
+log-span [a, b] (`integral_logweight_grid`): past b the piece is
+R1 + (b - s) R0 with s = ln R, before a it is L1 + (s - a) L0, and only
+[a, b] within the support is integrated per radius.  A divergent log
+weight is thus detected once per grid, not once per radius.
+
 A bound evaluates to +inf when its defining integral diverges; that is a
 legitimate report ("this bound says nothing here"), not an error.
 """
@@ -22,7 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import total_count
-from .potentials import RadialPotential, integral_J, integral_logweight, to_log
+from .potentials import (RadialPotential, integral_logweight,
+                         integral_logweight_grid, to_log)
 from .weakseq import ZetaSequence, quasinorm_weak, zeta_sequence
 
 __all__ = [
@@ -47,11 +56,16 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"need finite alpha > 0, got {alpha}")
 
 
+def _j(P: RadialPotential) -> float:
+    """int r F dr, cached on P by the change of variables."""
+    return to_log(P, strict=False).j_value
+
+
 def bound_chad(P: RadialPotential, alpha: float, R: float = 1.0) -> float:
     """1 + alpha * int r F |ln(r/R)| dr + (2/sqrt 3) * alpha * int r F dr."""
     _check_alpha(alpha)
     w, _ = integral_logweight(P, R)
-    j, _ = integral_J(P)
+    j = _j(P)
     if math.isinf(w) or math.isinf(j):
         return math.inf
     return 1.0 + alpha * w + CHAD_FACTOR * alpha * j
@@ -65,7 +79,7 @@ def bound_chad_sharp(P: RadialPotential, alpha: float) -> float:
     """
     _check_alpha(alpha)
     w, _ = integral_logweight(P, 1.0)
-    j, _ = integral_J(P)
+    j = _j(P)
     if math.isinf(w) or math.isinf(j):
         return math.inf
     return 1.0 + alpha * w + alpha * j
@@ -78,7 +92,7 @@ def default_R_grid() -> np.ndarray:
 def bound_chad_min_over_R(P: RadialPotential, alpha: float,
                           R_grid: Sequence[float] | None = None
                           ) -> tuple[float, float]:
-    """Minimum of bound_chad over a geometric grid of reference radii.
+    """Minimum of bound_chad over a grid of reference radii.
 
     Returns (value, argmin R).  The argmin is nan when every grid value is
     infinite (divergent log-weighted integral for every R).
@@ -86,12 +100,8 @@ def bound_chad_min_over_R(P: RadialPotential, alpha: float,
     _check_alpha(alpha)
     grid = np.asarray(default_R_grid() if R_grid is None else R_grid,
                       dtype=float)
-    if grid.size == 0 or np.any(~(grid > 0.0)):
-        raise ValueError("R grid must be nonempty and positive")
-    j, _ = integral_J(P)
-    if math.isinf(j):
-        return math.inf, math.nan
-    vals = np.array([bound_chad(P, alpha, float(r)) for r in grid])
+    w, _ = integral_logweight_grid(P, grid)
+    vals = 1.0 + alpha * w + CHAD_FACTOR * alpha * _j(P)
     k = int(np.argmin(vals))
     if math.isinf(vals[k]):
         return math.inf, math.nan
@@ -101,8 +111,7 @@ def bound_chad_min_over_R(P: RadialPotential, alpha: float,
 def bound_lt_nonradial(P: RadialPotential, alpha: float) -> float:
     """alpha * int r F dr; bounds the total count of the m != 0 channels."""
     _check_alpha(alpha)
-    j, _ = integral_J(P)
-    return alpha * j
+    return alpha * _j(P)
 
 
 def bound_weak(P: RadialPotential, alpha: float, C: float = 1.0, *,
@@ -116,12 +125,12 @@ def bound_weak(P: RadialPotential, alpha: float, C: float = 1.0, *,
     _check_alpha(alpha)
     if not (C > 0.0 and math.isfinite(C)):
         raise ValueError(f"need finite C > 0, got {C}")
-    j, _ = integral_J(P)
-    if math.isinf(j):
+    G = to_log(P, strict=False)
+    if math.isinf(G.j_value):
         return math.inf
     if z is None:
-        z = zeta_sequence(to_log(P, strict=False), K)
-    return 1.0 + alpha * (j + C * quasinorm_weak(z.values))
+        z = zeta_sequence(G, K)
+    return 1.0 + alpha * (G.j_value + C * quasinorm_weak(z.values))
 
 
 @dataclass
@@ -205,10 +214,11 @@ def empirical_constant(P_set: Sequence[RadialPotential],
     """
     best = 0.0
     for i, P in enumerate(P_set):
-        j, _ = integral_J(P)
+        G = to_log(P, strict=False)
+        j = G.j_value
         if math.isinf(j):
             continue  # the right side is infinite for every C
-        q = quasinorm_weak(zeta_sequence(to_log(P, strict=False), K).values)
+        q = quasinorm_weak(zeta_sequence(G, K).values)
         for k, alpha in enumerate(alpha_set):
             _check_alpha(alpha)
             if counts is not None:

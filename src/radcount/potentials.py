@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .quadrature import integrate_line, integrate_to_infinity
+from .quadrature import integrate_interval, integrate_line, integrate_to_infinity
 
 __all__ = [
     "PotentialSpecError",
@@ -48,6 +48,7 @@ __all__ = [
     "to_log",
     "integral_J",
     "integral_logweight",
+    "integral_logweight_grid",
     "save_spec",
     "load_spec",
     "bundled_spec_names",
@@ -504,13 +505,13 @@ class LogPotential:
     j_value: float
     j_err: float
     _g_vec: Callable = field(compare=False, repr=False, default=None)
-    _g_scalar: Callable = field(compare=False, repr=False, default=None)
+    # G(t) for one float t: the profile's own evaluator, called directly by
+    # the phase kernel and the block integrands (no method frame in between)
+    eval_scalar: Callable[[float], float] = field(compare=False, repr=False,
+                                                 default=None)
 
     def eval(self, t) -> np.ndarray:
         return self._g_vec(np.asarray(t, dtype=float))
-
-    def eval_scalar(self, t: float) -> float:
-        return self._g_scalar(t)
 
 
 def _scan_max(g_vec, lo: float, hi: float,
@@ -559,9 +560,7 @@ def to_log(P: RadialPotential, tail_tol: float = 1e-10, *,
                           0.0, 0.0, 0.0, 0.0, prof.g_vec, prof.g_scalar)
         P._log_cache[key] = lp
         return lp
-    r_lo, r_hi = prof.support_r
-    t_lo = -math.inf if r_lo <= 0.0 else math.log(r_lo)
-    t_hi = math.inf if math.isinf(r_hi) else math.log(r_hi)
+    t_lo, t_hi = _t_support(prof)
     breaks = prof.t_breaks
     j_val, j_err = integrate_line(prof.g_scalar, t_lo, t_hi, points=breaks,
                                   epsabs=epsabs, epsrel=epsrel,
@@ -620,17 +619,92 @@ def to_log(P: RadialPotential, tail_tol: float = 1e-10, *,
 # weighted integrals
 
 
+def _t_support(prof: _Profile) -> tuple[float, float]:
+    r_lo, r_hi = prof.support_r
+    return (-math.inf if r_lo <= 0.0 else math.log(r_lo),
+            math.inf if math.isinf(r_hi) else math.log(r_hi))
+
+
 def integral_J(P: RadialPotential, *, epsabs: float = 1e-10,
                epsrel: float = 1e-8) -> tuple[float, float]:
-    """int_0^inf r F(r) dr, computed as int_R G dt. (inf, inf) if divergent."""
+    """int_0^inf r F(r) dr, computed as int_R G dt. (inf, inf) if divergent.
+
+    `to_log(P, ...).j_value` holds the same integral at the default
+    tolerances, cached on P.
+    """
     prof = P._prof
     if prof.is_zero:
         return 0.0, 0.0
-    r_lo, r_hi = prof.support_r
-    t_lo = -math.inf if r_lo <= 0.0 else math.log(r_lo)
-    t_hi = math.inf if math.isinf(r_hi) else math.log(r_hi)
+    t_lo, t_hi = _t_support(prof)
     return integrate_line(prof.g_scalar, t_lo, t_hi, points=prof.t_breaks,
                           epsabs=epsabs, epsrel=epsrel, name=f"J[{P.kind}]")
+
+
+def integral_logweight_grid(P: RadialPotential, R_grid, *,
+                            epsabs: float = 1e-10, epsrel: float = 1e-8
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """W(R) = int_R G(t) |t - ln R| dt for every R in R_grid.
+
+    Returns (values, errors) in grid order.  One split of the line at the
+    log-span [a, b] of the grid serves every s = ln R.  Past b,
+    |t - s| = (t - b) + (b - s), so that piece is R1 + (b - s) R0 with
+    R1 = int_{t>b} G (t - b) and R0 = int_{t>b} G; before a it is
+    L1 + (s - a) L0 in the same way.  Only [a, b] is integrated once per
+    radius, with s as a breakpoint.  The outer integrals carry the
+    divergence sentinel, so it runs once for the whole grid, and an
+    infinite R1 or L1 makes every value infinite.
+
+    [a, b] is clipped to the support, where W is affine in s: a radius off
+    the support takes the middle integral at the nearest end s' plus
+    |s - s'| times the middle's mass.  Equal radii share one integral.
+    """
+    R = np.asarray(R_grid, dtype=float)
+    if R.ndim != 1 or R.size == 0 or not np.all(np.isfinite(R) & (R > 0.0)):
+        raise ValueError(f"need finite R > 0 on a nonempty grid, got {R_grid!r}")
+    prof = P._prof
+    if prof.is_zero:
+        return np.zeros(R.size), np.zeros(R.size)
+    g, breaks = prof.g_scalar, prof.t_breaks
+    t_lo, t_hi = _t_support(prof)
+    s = np.log(R)
+    a, b = (min(max(float(x), t_lo), t_hi) for x in (s.min(), s.max()))
+
+    def piece(f, lo: float, hi: float) -> tuple[float, float]:
+        if not lo < hi:
+            return 0.0, 0.0
+        return integrate_line(f, lo, hi, points=[p for p in breaks
+                                                 if lo < p < hi],
+                              epsabs=epsabs, epsrel=epsrel,
+                              name=f"logweight[{P.kind}]")
+
+    vals, errs = np.zeros(R.size), np.zeros(R.size)
+    for f, lo, hi, weight in ((lambda t: g(t) * (t - b), b, t_hi, 1.0),
+                              (lambda t: g(t) * (a - t), t_lo, a, 1.0),
+                              (g, b, t_hi, b - s), (g, t_lo, a, s - a)):
+        if not np.any(weight):
+            continue  # R0 and L0 only enter at radii away from the ends
+        v, e = piece(f, lo, hi)
+        if math.isinf(v):
+            return np.full(R.size, math.inf), np.full(R.size, math.inf)
+        vals += weight * v
+        errs += weight * e
+    if a < b:
+        pts = [p for p in breaks if a < p < b]
+        inner = np.clip(s, a, b)
+        u, where = np.unique(inner, return_inverse=True)
+        mid = np.array([integrate_interval(lambda t: g(t) * abs(t - ui), a, b,
+                                           points=pts + [ui], epsabs=epsabs,
+                                           epsrel=epsrel)
+                        for ui in u.tolist()])
+        vals += mid[where, 0]
+        errs += mid[where, 1]
+        off = np.abs(s - inner)
+        if off.any():
+            m0, m0_err = integrate_interval(g, a, b, points=pts,
+                                            epsabs=epsabs, epsrel=epsrel)
+            vals += off * m0
+            errs += off * m0_err
+    return vals, errs
 
 
 def integral_logweight(P: RadialPotential, R: float = 1.0, *,
@@ -638,25 +712,13 @@ def integral_logweight(P: RadialPotential, R: float = 1.0, *,
                        epsrel: float = 1e-8) -> tuple[float, float]:
     """int_0^inf r F(r) |ln(r/R)| dr = int_R G(t) |t - ln R| dt.
 
-    Divergent integrals come back as (inf, inf); the weight grows so slowly
-    that this relies on the non-geometric-tail sentinel, not a magnitude cap.
+    The one-point case of `integral_logweight_grid`: the line is split at
+    s = ln R into int_{t>s} G (t - s) and int_{t<s} G (s - t).  Divergent
+    integrals come back as (inf, inf); the weight grows so slowly that this
+    relies on the non-geometric-tail sentinel, not a magnitude cap.
     """
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ValueError(f"need finite R > 0, got {R}")
-    prof = P._prof
-    if prof.is_zero:
-        return 0.0, 0.0
-    lnR = math.log(R)
-    r_lo, r_hi = prof.support_r
-    t_lo = -math.inf if r_lo <= 0.0 else math.log(r_lo)
-    t_hi = math.inf if math.isinf(r_hi) else math.log(r_hi)
-
-    def f(t: float) -> float:
-        return prof.g_scalar(t) * abs(t - lnR)
-
-    pts = tuple(prof.t_breaks) + (lnR,)
-    return integrate_line(f, t_lo, t_hi, points=pts, epsabs=epsabs,
-                          epsrel=epsrel, name=f"logweight[{P.kind}]")
+    vals, errs = integral_logweight_grid(P, [R], epsabs=epsabs, epsrel=epsrel)
+    return float(vals[0]), float(errs[0])
 
 
 # ---------------------------------------------------------------------------

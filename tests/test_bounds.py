@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radcount import bound_report, empirical_constant, total_count
+from radcount import (bound_report, empirical_constant, load_bundled,
+                      make_catalog_potential, quadrature, total_count)
 from radcount.bounds import (
     CHAD_FACTOR,
     bound_chad,
@@ -20,6 +23,8 @@ from radcount.bounds import (
     bound_weak,
     default_R_grid,
 )
+from radcount.potentials import integral_logweight_grid
+from radcount.quadrature import integrate_line
 
 J_CEX = 0.04890051066524585   # plain integral of the slow-tail profile
 
@@ -168,3 +173,115 @@ def test_empirical_constant_impossible_pair(catalog):
     # a profile with no block mass cannot absorb an excess count at any C
     c = empirical_constant([catalog["zero"]], [50.0], counts=[[5]])
     assert c == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the log weight over a radius grid against the per-radius integral
+
+
+def _logweight_reference(P, R):
+    """int G(t) |t - ln R| dt as one integral over the whole support, the
+    way each radius was computed before the grid split."""
+    prof = P._prof
+    if prof.is_zero:
+        return 0.0, 0.0
+    lnR = math.log(R)
+    r_lo, r_hi = prof.support_r
+    t_lo = -math.inf if r_lo <= 0.0 else math.log(r_lo)
+    t_hi = math.inf if math.isinf(r_hi) else math.log(r_hi)
+    return integrate_line(lambda t: prof.g_scalar(t) * abs(t - lnR),
+                          t_lo, t_hi, points=tuple(prof.t_breaks) + (lnR,))
+
+
+def _assert_grid_matches_reference(P, grid):
+    w, err = integral_logweight_grid(P, grid)
+    ref = [_logweight_reference(P, float(R)) for R in grid]
+    w_ref = np.array([v for v, _ in ref])
+    err_ref = np.array([e for _, e in ref])
+    assert w.shape == err.shape == (len(grid),)
+    np.testing.assert_array_equal(np.isinf(w), np.isinf(w_ref))
+    fin = np.isfinite(w_ref)
+    # stated errors, a relative floor, and an absolute one for profiles
+    # whose values are down in the subnormal range
+    tol = np.maximum(1e-9 * np.abs(w_ref[fin]), err_ref[fin] + err[fin])
+    tol += 1e-300
+    assert np.all(np.abs(w[fin] - w_ref[fin]) <= tol), (
+        P.kind, np.max(np.abs(w[fin] - w_ref[fin]) - tol))
+    return w, w_ref
+
+
+def test_logweight_grid_matches_per_radius_integral(catalog):
+    for name, P in catalog.items():
+        w, w_ref = _assert_grid_matches_reference(P, default_R_grid())
+        assert np.argmin(w) == np.argmin(w_ref), name
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ("gaussian", [1.0]),
+    ("annulus", [0.5]),
+    ("counterexample-damped-strong", [1.0]),
+    ("gaussian", [5.0, 0.01, 1.0, 5.0, 0.3, 0.01]),
+    ("square-well", [0.9, 0.05, 0.3, 0.05, 0.6]),
+    ("square-well", list(np.geomspace(0.02, 0.95, 9))),
+    ("annulus", list(np.geomspace(2.5, 400.0, 7))),
+    ("counterexample", [3.0, 1e-2]),
+])
+def test_logweight_grid_shapes(catalog, spec, grid):
+    """A one-point grid, an unsorted grid with duplicates, a grid inside
+    the square-well support and one right of the annulus support."""
+    w, _ = _assert_grid_matches_reference(catalog[spec], grid)
+    for i, R in enumerate(grid):
+        # equal radii get equal values, in grid order
+        assert w[i] == w[grid.index(R)]
+
+
+def test_logweight_grid_rejects_bad_radii(catalog):
+    P = catalog["square-well"]
+    for bad in ([], [1.0, 0.0], [1.0, -2.0], [math.inf], [math.nan]):
+        with pytest.raises(ValueError):
+            integral_logweight_grid(P, bad)
+
+
+def test_min_over_R_pins_the_strong_damping_argmin(catalog):
+    # W decreases in R beyond the support start ln r0 > ln 1000, so the
+    # grid's last radius wins
+    P = catalog["counterexample-damped-strong"]
+    val, arg = bound_chad_min_over_R(P, 50.0)
+    assert arg == 1000.0
+    assert math.isfinite(val)
+    assert bound_report(P, 100.0).chad_min_arg == 1000.0
+
+
+def test_min_over_R_runs_the_divergence_sentinel_once(monkeypatch):
+    # one squaring-phase classification for the whole grid; the per-radius
+    # loop ran it once per radius, 64 times
+    calls = []
+    squaring = quadrature._squaring_phase
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return squaring(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_squaring_phase", counted)
+    P = load_bundled("counterexample-damped")   # nothing cached yet
+    val, arg = bound_chad_min_over_R(P, 50.0)
+    assert val == math.inf and math.isnan(arg)
+    assert 1 <= len(calls) <= 2
+
+
+@st.composite
+def _tabulated_profiles(draw):
+    n = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    r0 = draw(st.sampled_from([0.0, 0.1, 0.7]))
+    rs = list(r0 + np.cumsum(steps) - steps[0])
+    fs = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    return make_catalog_potential("tabulated", {"r": rs, "f": fs})
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=_tabulated_profiles(),
+       logR=st.lists(st.floats(math.log(1e-3), math.log(1e3)),
+                     min_size=1, max_size=6))
+def test_logweight_grid_property_tabulated(P, logR):
+    _assert_grid_matches_reference(P, [math.exp(x) for x in logR])

@@ -124,6 +124,14 @@ def test_to_log_window_covers_mass(catalog):
             assert lo <= G.g_argmax <= hi
 
 
+def test_eval_scalar_is_the_profile_evaluator(catalog):
+    # the phase kernel calls it six times per RK step, with no method
+    # frame in between
+    for P in catalog.values():
+        G = to_log(P, strict=False)
+        assert G.eval_scalar is P._prof.g_scalar
+
+
 def test_counterexample_truncation_flag(catalog):
     G = to_log(catalog["counterexample"], strict=False)
     assert G.truncated
