@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import CHAD_FACTOR
+from .bounds import _chad, _weak, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
 from .spectral1d import BoundaryMode, GridSpec, bs_spectrum
@@ -137,12 +137,14 @@ def alpha_grid(alpha_min: float, alpha_max: float,
 
 def sweep(P: RadialPotential, alphas: Sequence[float], *,
           engine: str = "pruefer", C: float = 1.0, K: int = 200,
-          R: float = 1.0, budget_seconds: float | None = None) -> SweepTable:
+          budget_seconds: float | None = None) -> SweepTable:
     """Count and bound over an ascending alpha grid.
 
-    Every bound is affine in alpha, so its integrals are computed once and
-    reused across rows.  A budget, when given, is checked before each row;
-    rows past the cutoff are skipped with a note rather than an error.
+    Every bound is affine in alpha, so its integrals (J, the log weight at
+    R = 1 and the K-window quasinorm) are computed once, and each row
+    applies the `bounds` formulas at its alpha.  A budget, when given, is
+    checked before each row; rows past the cutoff are skipped with a note
+    rather than an error.
     """
     alphas = sorted(float(a) for a in alphas)
     if not alphas:
@@ -150,7 +152,7 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
     t0 = time.monotonic()
     G = to_log(P, strict=False)
     j = G.j_value
-    w1, _ = integral_logweight(P, R)
+    w1, _ = integral_logweight(P, 1.0)
     if math.isinf(j):
         q = math.inf
     else:
@@ -159,16 +161,6 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
     if G.truncated:
         notes.append("domain truncated at the working cap; counts are for "
                      "the truncated potential")
-
-    def row_bounds(a: float) -> tuple[float, float, float, float]:
-        if math.isinf(j) or math.isinf(w1):
-            chad = chad_sharp = math.inf
-        else:
-            chad = 1.0 + a * w1 + CHAD_FACTOR * a * j
-            chad_sharp = 1.0 + a * w1 + a * j
-        lt = a * j
-        weak = math.inf if math.isinf(j) else 1.0 + a * (j + C * q)
-        return chad, chad_sharp, lt, weak
 
     table = SweepTable(P.kind, P.description, j,
                        weyl_coefficient(P), engine)
@@ -180,10 +172,11 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
                          f"{len(alphas) - len(table.rows)} rows skipped")
             break
         b = total_count(P, a, engine=engine)
-        chad, chad_sharp, lt, weak = row_bounds(a)
         table.rows.append(SweepRow(a, b.total, b.total / a,
                                    b.radial_dirichlet_count, b.nonradial,
-                                   chad, chad_sharp, lt, weak,
+                                   _chad(a, w1, j), _chad(a, w1, j, 1.0),
+                                   bound_lt_nonradial(P, a),
+                                   _weak(a, j, q, C),
                                    uncertainty=b.uncertainty,
                                    flags=b.flags))
     table.notes = tuple(notes)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,14 +61,22 @@ def _j(P: RadialPotential) -> float:
     return to_log(P, strict=False).j_value
 
 
+def _chad(alpha, w, j, factor: float = CHAD_FACTOR):
+    """1 + alpha * w + factor * alpha * j from the log weight w (a float or
+    an array over radii) and J; factor 1 with w = W(1) is chad_sharp.  Every
+    term is nonnegative, so a divergent integral gives +inf unguarded."""
+    return 1.0 + alpha * w + factor * alpha * j
+
+
+def _weak(alpha: float, j: float, q: float, C: float) -> float:
+    """1 + alpha * (J + C * q) from J and the window quasinorm q."""
+    return 1.0 + alpha * (j + C * q)
+
+
 def bound_chad(P: RadialPotential, alpha: float, R: float = 1.0) -> float:
     """1 + alpha * int r F |ln(r/R)| dr + (2/sqrt 3) * alpha * int r F dr."""
     _check_alpha(alpha)
-    w, _ = integral_logweight(P, R)
-    j = _j(P)
-    if math.isinf(w) or math.isinf(j):
-        return math.inf
-    return 1.0 + alpha * w + CHAD_FACTOR * alpha * j
+    return _chad(alpha, integral_logweight(P, R)[0], _j(P))
 
 
 def bound_chad_sharp(P: RadialPotential, alpha: float) -> float:
@@ -78,11 +86,7 @@ def bound_chad_sharp(P: RadialPotential, alpha: float) -> float:
     prefactor lowered to 1, so it is never the weaker of the two.
     """
     _check_alpha(alpha)
-    w, _ = integral_logweight(P, 1.0)
-    j = _j(P)
-    if math.isinf(w) or math.isinf(j):
-        return math.inf
-    return 1.0 + alpha * w + alpha * j
+    return _chad(alpha, integral_logweight(P, 1.0)[0], _j(P), 1.0)
 
 
 def default_R_grid() -> np.ndarray:
@@ -100,8 +104,7 @@ def bound_chad_min_over_R(P: RadialPotential, alpha: float,
     _check_alpha(alpha)
     grid = np.asarray(default_R_grid() if R_grid is None else R_grid,
                       dtype=float)
-    w, _ = integral_logweight_grid(P, grid)
-    vals = 1.0 + alpha * w + CHAD_FACTOR * alpha * _j(P)
+    vals = _chad(alpha, integral_logweight_grid(P, grid)[0], _j(P))
     k = int(np.argmin(vals))
     if math.isinf(vals[k]):
         return math.inf, math.nan
@@ -130,7 +133,7 @@ def bound_weak(P: RadialPotential, alpha: float, C: float = 1.0, *,
         return math.inf
     if z is None:
         z = zeta_sequence(G, K)
-    return 1.0 + alpha * (G.j_value + C * quasinorm_weak(z.values))
+    return _weak(alpha, G.j_value, quasinorm_weak(z.values), C)
 
 
 @dataclass
@@ -178,10 +181,13 @@ class BoundReport:
 def bound_report(P: RadialPotential, alpha: float, *, R: float = 1.0,
                  C: float = 1.0, R_grid: Sequence[float] | None = None,
                  K: int = 200) -> BoundReport:
-    """Evaluate every bound at one coupling."""
+    """Evaluate every bound at one coupling; at R = 1 one log weight serves
+    both chad and chad_sharp."""
     _check_alpha(alpha)
-    chad = bound_chad(P, alpha, R)
-    sharp = bound_chad_sharp(P, alpha)
+    w_R = integral_logweight(P, R)[0]
+    w_1 = w_R if R == 1.0 else integral_logweight(P, 1.0)[0]
+    j = _j(P)
+    chad, sharp = _chad(alpha, w_R, j), _chad(alpha, w_1, j, 1.0)
     cmin, carg = bound_chad_min_over_R(P, alpha, R_grid)
     lt = bound_lt_nonradial(P, alpha)
     weak = bound_weak(P, alpha, C, K=K)

@@ -28,7 +28,6 @@ from .spectral1d import (
     BoundaryMode,
     CountResult,
     GridSpec,
-    StepControl,
     bs_spectrum,
     count_below,
     count_below_fd,

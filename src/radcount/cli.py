@@ -236,7 +236,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_sweep(args) -> int:
     P = _load_potential(args.spec)
     grid = alpha_grid(args.alpha_min, args.alpha_max, args.per_decade)
-    T = sweep(P, grid, engine=args.method, C=args.C,
+    T = sweep(P, grid, engine=args.method, C=args.C, K=args.K,
               budget_seconds=args.budget_seconds)
     body = T.as_dict()
     if T.rows:

@@ -27,7 +27,7 @@ the bound states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -286,19 +286,26 @@ def _sturm_pass(a: list[float]) -> tuple[int, bool]:
     return neg, hit_zero
 
 
-def _fd_blocks(G, alpha: float, A: float, B: float, h: float,
-               mode: BoundaryMode) -> list[np.ndarray]:
-    """Diagonals h^2*(2/h^2 - alpha G(t_i)) for each Dirichlet block."""
-    n = int(round((B - A) / h))
-    ts = A + h * np.arange(1, n)
-    gv = np.asarray(G.eval(ts), dtype=float)
-    base = 2.0 - (h * h) * (alpha * gv)
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
-        k0 = int(round(-A / h))  # node index of t = 0 in 0..n
-        if not 0 < k0 < n:
-            return [base]
-        return [base[: k0 - 1], base[k0:]]
-    return [base]
+def _line_grid(A: float, B: float, h: float, n_cap: int, mode: BoundaryMode
+               ) -> tuple[float, float, float, int, int | None, bool]:
+    """Uniform grid of n intervals on [A, B], h near the target, n capped.
+
+    In the Dirichlet-at-0 mode with 0 inside, [A, B] is shifted so t = 0 is
+    node k0 of 0..n; k0 is None when there is no interior node at 0.
+    Returns (A, B, h, n, k0, capped)."""
+    n = max(int(math.ceil((B - A) / h)), 8)
+    capped = n > n_cap
+    if capped:
+        n = n_cap
+    h = (B - A) / n
+    k0 = None
+    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and A < 0.0 < B:
+        k = round(-A / h)
+        A = -k * h
+        B = A + n * h
+        if 0 < k < n:
+            k0 = k
+    return A, B, h, n, k0, capped
 
 
 def count_below_fd(G, alpha: float, E: float,
@@ -324,22 +331,16 @@ def count_below_fd(G, alpha: float, E: float,
     if h is None:
         h = min(1e-3 * (B - A),
                 1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
-    n = max(int(math.ceil((B - A) / h)), 8)
-    if n > grid.n_cap:
-        n = grid.n_cap
+    A, B, h, n, k0, capped = _line_grid(A, B, h, grid.n_cap, mode)
+    if capped:
         flags.append("grid-coarsened")
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and A < 0.0 < B:
-        # snap so t = 0 lands on a node
-        h = (B - A) / n
-        k0 = round(-A / h)
-        A = -k0 * h
-        B = A + n * h
-    else:
-        h = (B - A) / n
-    blocks = _fd_blocks(G, alpha, A, B, h, mode)
+    gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
+    # diagonals h^2*(2/h^2 - alpha G(t_i)), one per Dirichlet block
+    base = 2.0 - (h * h) * (alpha * gv)
+    blocks = [base] if k0 is None else [base[: k0 - 1], base[k0:]]
 
-    def total_at(energy: float) -> tuple[int, bool]:
-        c = 0
+    def counts_at(energy: float) -> tuple[list[int], bool]:
+        counts = []
         zero_hit = False
         for blk in blocks:
             arr = (blk - (h * h) * energy)
@@ -347,12 +348,13 @@ def count_below_fd(G, alpha: float, E: float,
             if hz:
                 # retry once with an ulp-scale shift of the pivots
                 shift = 4.0 * np.finfo(float).eps * float(np.max(np.abs(arr)))
-                cnt, hz2 = _sturm_pass((arr + shift).tolist())
+                cnt, _ = _sturm_pass((arr + shift).tolist())
                 zero_hit = True
-            c += cnt
-        return c, zero_hit
+            counts.append(cnt)
+        return counts, zero_hit
 
-    count, zero_hit = total_at(E)
+    per_block, zero_hit = counts_at(E)
+    count = sum(per_block)
     uncertainty = 0
     if zero_hit:
         flags.append("pivot-shift")
@@ -360,15 +362,12 @@ def count_below_fd(G, alpha: float, E: float,
     if near_threshold_check:
         delta = threshold_eps(G, alpha)
         if delta > 0.0:
-            lo, _ = total_at(E - delta)
-            hi, _ = total_at(E + delta)
+            lo = sum(counts_at(E - delta)[0])
+            hi = sum(counts_at(E + delta)[0])
             if lo != hi:
                 flags.append("near-threshold")
                 uncertainty = max(uncertainty, abs(hi - lo))
-    sides = {}
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and len(blocks) == 2:
-        sides = {"left": _sturm_pass((blocks[0] - h * h * E).tolist())[0],
-                 "right": _sturm_pass((blocks[1] - h * h * E).tolist())[0]}
+    sides = dict(zip(("left", "right"), per_block)) if k0 is not None else {}
     return CountResult(count, "fd", E, mode.value, (A, B), h, len(blocks),
                        uncertainty, tuple(flags),
                        {"n_nodes": sum(len(b) for b in blocks), **sides})
@@ -462,41 +461,22 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     h = grid.h
     if h is None:
         h = (B - A) / min(max(4000, 40 * n_max), grid.n_cap)
-    n = max(int(math.ceil((B - A) / h)), 8)
-    if n > grid.n_cap:
-        n = grid.n_cap
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and A < 0.0 < B:
-        h = (B - A) / n
-        k0 = round(-A / h)
-        A = -k0 * h
-        B = A + n * h
-    else:
-        h = (B - A) / n
-    ts = A + h * np.arange(1, n)
-    gv = np.asarray(G.eval(ts), dtype=float)
-    keep = np.ones(len(ts), dtype=bool)
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
-        k0 = int(round(-A / h))
-        if 0 < k0 < n:
-            keep[k0 - 1] = False  # Dirichlet node at t = 0
-    gv = gv[keep]
+    A, B, h, n, k0, _ = _line_grid(A, B, h, grid.n_cap, mode)
+    gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
+    if k0 is not None:
+        gv = np.delete(gv, k0 - 1)  # Dirichlet node at t = 0
     m = len(gv)
     meta = {"domain": (A, B), "h": h, "n_nodes": m}
     lam = np.zeros(n_max)
     if not np.any(gv > 0.0) or m < 3:
         return lam, meta
-    # K in lower banded form; constant tridiagonal, Dirichlet blocks appear
-    # automatically because the dropped node decouples the two sides only
-    # through entries we never formed.
+    # K in lower banded form: constant tridiagonal, with the one coupling
+    # across the dropped node zeroed so the two sides are Dirichlet blocks
     ab = np.zeros((2, m))
     ab[0, :] = 2.0 / h
     ab[1, :-1] = -1.0 / h
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
-        k0 = int(round(-A / h))
-        if 0 < k0 < n:
-            # couplings into the removed node vanish
-            if k0 - 2 >= 0:
-                ab[1, k0 - 2] = 0.0
+    if k0 is not None and k0 >= 2:
+        ab[1, k0 - 2] = 0.0
     L = cholesky_banded(ab, lower=True)
     diag_m = h * gv
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from radcount import __version__
+from radcount.bounds import bound_weak
 from radcount.cli import main
 
 
@@ -145,6 +146,19 @@ def test_sweep_writes_csv_and_json(capsys, tmp_path):
     assert rep["weyl"]["verdict"] == "weyl-holds"
     assert len(rep["rows"]) == len(rep["ratio_deltas"]) + 1
     assert out == ""          # everything went to the files
+
+
+def test_sweep_K_reaches_weak_bound(capsys, catalog):
+    # on this slow tail the quasinorm of a one-block window differs from
+    # the K = 200 one, so the column shows which window was used
+    P = catalog["counterexample-damped"]
+    code, doc = run_json(capsys, "sweep", "--spec", "counterexample-damped",
+                         "--alpha-min", "10", "--alpha-max", "10",
+                         "--K", "1")
+    assert code == 0
+    weak = doc["report"]["rows"][0]["weak_bound"]
+    assert weak == bound_weak(P, 10.0, K=1)
+    assert weak != bound_weak(P, 10.0, K=200)
 
 
 def test_verify_passes_on_trivial_profile(capsys):

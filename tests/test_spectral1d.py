@@ -180,18 +180,48 @@ def test_eigenvalues_below_respects_n_max():
 
 def test_bs_duality_on_shared_grid(catalog):
     # inertia identity: #{lambda_n > 1/alpha} equals the Dirichlet count
-    # on the same grid, exactly
-    G = to_log(catalog["square-well"])
-    lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                            n_max=24)
-    for alpha in (7.0, 31.0, 90.0):
-        want = int(np.sum(lam > 1.0 / alpha))
-        got = count_below_fd(G, alpha, -1e-12,
-                             BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                             domain=meta["domain"],
-                             grid=GridSpec(h=meta["h"]),
-                             near_threshold_check=False)
-        assert got.count == want, alpha
+    # on the same grid, exactly; the fd count must rebuild that grid node
+    # for node, with t = 0 an interior node
+    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        if G.g_max <= 0.0:
+            continue
+        lam, meta = bs_spectrum(G, mode, n_max=24)
+        A, B = meta["domain"]
+        h = meta["h"]
+        n = round((B - A) / h)
+        k0 = -A / h
+        assert abs(k0 - round(k0)) < 1e-9, name
+        assert 0 < round(k0) < n, name
+        for alpha in (7.0, 31.0, 90.0):
+            want = int(np.sum(lam > 1.0 / alpha))
+            assert want < len(lam), (name, alpha)
+            got = count_below_fd(G, alpha, -1e-12, mode,
+                                 domain=meta["domain"], grid=GridSpec(h=h),
+                                 near_threshold_check=False)
+            assert got.count == want, (name, alpha)
+            assert got.domain == meta["domain"], (name, alpha)
+            assert got.h == h, (name, alpha)
+            assert got.extras["n_nodes"] == meta["n_nodes"], (name, alpha)
+
+
+def test_fd_side_counts_split_at_origin(catalog):
+    # the left/right counts of the Dirichlet-at-0 split add up to the
+    # count, and exist only when the window straddles t = 0
+    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    for name in ("square-well", "gaussian", "annulus"):
+        G = to_log(catalog[name])
+        for alpha in (20.0, 80.0, 300.0):
+            E = -1e-3 * alpha * G.g_max
+            c = count_below_fd(G, alpha, E, mode)
+            assert c.count > 0, (name, alpha)
+            assert c.extras["left"] + c.extras["right"] == c.count, (
+                name, alpha)
+            for dom in ((0.0, 6.0), (-6.0, 0.0), (0.5, 6.0)):
+                c = count_below_fd(G, alpha, E, mode, domain=dom)
+                assert "left" not in c.extras, (name, alpha, dom)
+                assert "right" not in c.extras, (name, alpha, dom)
 
 
 def test_bs_spectrum_grid_stability(catalog):
