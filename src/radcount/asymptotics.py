@@ -26,7 +26,8 @@ from .bounds import _chad, _weak, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
 from .spectral1d import BoundaryMode, GridSpec, bs_spectrum
-from .weakseq import WeakVerdict, delta_estimates, quasinorm_weak, zeta_sequence
+from .weakseq import (WeakVerdict, ZetaSequence, delta_estimates,
+                      quasinorm_weak, zeta_sequence)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -137,12 +138,14 @@ def alpha_grid(alpha_min: float, alpha_max: float,
 
 def sweep(P: RadialPotential, alphas: Sequence[float], *,
           engine: str = "pruefer", C: float = 1.0, K: int = 200,
-          budget_seconds: float | None = None) -> SweepTable:
+          budget_seconds: float | None = None,
+          z: ZetaSequence | None = None) -> SweepTable:
     """Count and bound over an ascending alpha grid.
 
     Every bound is affine in alpha, so its integrals (J, the log weight at
     R = 1 and the K-window quasinorm) are computed once, and each row
-    applies the `bounds` formulas at its alpha.  A budget, when given, is
+    applies the `bounds` formulas at its alpha; z, when given, stands in
+    for zeta_sequence(G, K), as in `bound_weak`.  A budget, when given, is
     checked before each row; rows past the cutoff are skipped with a note
     rather than an error.
     """
@@ -156,7 +159,8 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
     if math.isinf(j):
         q = math.inf
     else:
-        q = quasinorm_weak(zeta_sequence(G, K).values)
+        z = z if z is not None else zeta_sequence(G, K)
+        q = quasinorm_weak(z.values)
     notes = []
     if G.truncated:
         notes.append("domain truncated at the working cap; counts are for "

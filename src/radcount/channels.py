@@ -186,9 +186,15 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
 
 
 def bs_duality_check(P, alpha: float, *, n_max: int = 48,
-                     grid: GridSpec | None = None) -> dict:
+                     grid: GridSpec | None = None,
+                     spectra: dict | None = None) -> dict:
     """Compare #{lambda_n > 1/alpha} with the direct count on one shared
-    grid, where the identity is exact by matrix inertia."""
+    grid, where the identity is exact by matrix inertia.
+
+    The companion spectrum does not depend on alpha. spectra, when given,
+    is a dict shared by the checks of one potential: the spectrum is kept
+    there under (counting window, n_max, grid) and reused by a later check
+    whose key matches. Every check runs its own direct count."""
     G = _as_log(P)
     eps = threshold_eps(G, alpha)
     if eps <= 0.0:
@@ -196,8 +202,14 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
                 "ok": True, "flags": ["zero-potential"]}
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
     dom = counting_domain(G, alpha, -eps, mode)
-    lam, meta = bs_spectrum(G, mode, domain=dom, grid=grid or GridSpec(),
-                            n_max=n_max)
+    grid = grid or GridSpec()
+    key = (dom, n_max, grid)
+    if spectra is not None and key in spectra:
+        lam, meta = spectra[key]
+    else:
+        lam, meta = bs_spectrum(G, mode, domain=dom, grid=grid, n_max=n_max)
+        if spectra is not None:
+            spectra[key] = lam, meta
     thr = 1.0 / alpha
     if np.all(lam > thr):
         raise ValueError(

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import alpha_grid, limit_estimates, sweep, weyl_verdict
-from .bounds import (bound_chad, bound_report, bound_chad_sharp,
-                     bound_lt_nonradial)
+from .bounds import _chad, bound_lt_nonradial, bound_report
 from .channels import bs_duality_check, sandwich_check, total_count
 from .potentials import (PotentialSpecError, RadialPotential,
                          bundled_spec_names, integral_J, integral_logweight,
@@ -236,13 +235,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_sweep(args) -> int:
     P = _load_potential(args.spec)
     grid = alpha_grid(args.alpha_min, args.alpha_max, args.per_decade)
+    z = zeta_sequence(to_log(P, strict=False), args.K)
     T = sweep(P, grid, engine=args.method, C=args.C, K=args.K,
-              budget_seconds=args.budget_seconds)
+              budget_seconds=args.budget_seconds, z=z)
     body = T.as_dict()
     if T.rows:
         upper, lower = limit_estimates(T)
         body["tail_estimates"] = {"upper": upper, "lower": lower}
-        v = classify(zeta_sequence(to_log(P, strict=False), args.K))
+        v = classify(z)
         body["weyl"] = weyl_verdict(P, T, v)
     if args.csv:
         T.write_csv(args.csv)
@@ -299,17 +299,21 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
             tmom, _ = integrate_line(lambda t: t * prof.g_scalar(t),
                                      max(t_lo, 0.0), t_hi, points=pts)
 
+    # alpha-independent inputs of the per-alpha checks: the log weight at
+    # R = 1 of both chad bounds, and the companion spectra
+    w1, _ = integral_logweight(P, 1.0)
+    spectra: dict = {}
     for a in alphas:
         eps = threshold_eps(G, a)
         b = total_count(P, a)
         s = sandwich_check(P, a, breakdown=b)
         add("sandwich", s["ok"], alpha=a, diff=s["difference"])
-        d = bs_duality_check(P, a)
+        d = bs_duality_check(P, a, spectra=spectra)
         add("duality", d["ok"], alpha=a,
             count_spectrum=d["count_spectrum"],
             count_direct=d["count_direct"])
-        sharp = bound_chad_sharp(P, a)
-        chad1 = bound_chad(P, a, 1.0)
+        sharp = _chad(a, w1, j, 1.0)
+        chad1 = _chad(a, w1, j)
         ok_chain = (b.total <= sharp + 1e-9) and (sharp <= chad1 + 1e-9)
         add("bound-validity", ok_chain, alpha=a, N=b.total,
             chad_sharp=sharp, chad=chad1)

@@ -7,7 +7,11 @@ Two independent engines with no shared discretization machinery:
     (monotone) crossings of multiples of pi, and on the whole line the
     decaying-solution boundary conditions are a left initial phase
     atan(1/kappa) plus an exact rule for one extra zero beyond the right
-    endpoint. Integration is an adaptive Cash-Karp RK45 on the scalar phase.
+    endpoint. Integration is an adaptive Cash-Karp RK45 on the scaled
+    (Pryce) phase, theta' = S cos^2 theta + ((E + alpha G)/S) sin^2 theta
+    with S = sqrt(max(1, |E + alpha G|)) reset at every step: it has the
+    same zeros and turns at an even rate over an oscillation, so a step can
+    cover about one radian. The plain phase goes in and comes out.
 
   * count_below_fd: three-point finite differences on a uniform grid and a
     Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
@@ -131,52 +135,73 @@ _B41, _B43, _B44, _B45, _B46 = (2825 / 27648, 18575 / 48384, 13525 / 55296,
                                 277 / 14336, 1 / 4)
 
 
+def _rescale_phase(th: float, r: float) -> float:
+    """Phase after the scale is multiplied by r: tan theta -> r tan theta in
+    the same branch [k pi - pi/2, k pi + pi/2), so multiples of pi stay."""
+    k = math.floor(th / math.pi + 0.5)
+    phi = th - k * math.pi
+    return k * math.pi + math.atan2(r * math.sin(phi), math.cos(phi))
+
+
 def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
                      theta0: float, breaks, ctrl: StepControl
                      ) -> tuple[float, int, list[str]]:
     """Advance the phase from a to b; returns (theta(b), steps, flags).
 
-    The stages are written out with every sum in tableau order; g(t) is
-    evaluated once per step, for the step cap and the first stage."""
+    theta0 and theta(b) are unscaled (u = rho sin theta, u' = rho cos theta).
+    Inside, the phase is scaled: u = rho sin(theta)/sqrt(S) and
+    u' = rho sqrt(S) cos(theta) with S = sqrt(max(1, |w|)), w = E + alpha g,
+    held constant over a step, so theta' = S cos^2 + (w/S) sin^2 turns at
+    about sqrt(w) on both halves of an oscillation. S is reset from g(t) at
+    each step start, which rescales theta (_rescale_phase), and the step is
+    capped at 1/S, about one radian of phase. The stages are written out
+    with every sum in tableau order; g(t) is evaluated once per step, for
+    the scale and the first stage."""
     flags: list[str] = []
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
     tol, h_min, h_max = ctrl.phase_tol, ctrl.h_min, ctrl.h_max
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    cap_base = 1.0 + abs(E)
     th = theta0
+    S = iS = 1.0
     steps = 0
     for lo, hi in zip(pieces, pieces[1:]):
         t = lo
         w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
-        h = min(h_max, hi - lo, 0.25 / sqrt(1.0 + abs(w_mid)))
+        h = min(h_max, hi - lo, 1.0 / sqrt(max(1.0, abs(w_mid))))
         while t < hi:
             if steps >= ctrl.max_steps:
                 raise RuntimeError(
                     f"phase integration exceeded {ctrl.max_steps} steps "
                     f"(alpha={alpha}, E={E})")
-            ag = alpha * g_scalar(t)
-            h = min(h, 0.25 / sqrt(cap_base + ag), hi - t, h_max)
+            w = E + alpha * g_scalar(t)
+            aw = abs(w)
+            S_new = sqrt(aw) if aw > 1.0 else 1.0
+            if S_new != S:
+                th = _rescale_phase(th, S_new / S)
+                S = S_new
+                iS = 1.0 / S
+            h = min(h, iS, hi - t, h_max)
             if h < h_min:
                 h = h_min
                 flags.append("step-floor")
             s, c = sin(th), cos(th)
-            k1 = c * c + (E + ag) * s * s
+            k1 = S * c * c + w * iS * s * s
             y = th + h * (_A21 * k1)
             s, c = sin(y), cos(y)
-            k2 = c * c + (E + alpha * g_scalar(t + _C2 * h)) * s * s
+            k2 = S * c * c + (E + alpha * g_scalar(t + _C2 * h)) * iS * s * s
             y = th + h * (_A31 * k1 + _A32 * k2)
             s, c = sin(y), cos(y)
-            k3 = c * c + (E + alpha * g_scalar(t + _C3 * h)) * s * s
+            k3 = S * c * c + (E + alpha * g_scalar(t + _C3 * h)) * iS * s * s
             y = th + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
             s, c = sin(y), cos(y)
-            k4 = c * c + (E + alpha * g_scalar(t + _C4 * h)) * s * s
+            k4 = S * c * c + (E + alpha * g_scalar(t + _C4 * h)) * iS * s * s
             y = th + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
             s, c = sin(y), cos(y)
-            k5 = c * c + (E + alpha * g_scalar(t + _C5 * h)) * s * s
+            k5 = S * c * c + (E + alpha * g_scalar(t + _C5 * h)) * iS * s * s
             y = th + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
                           + _A65 * k5)
             s, c = sin(y), cos(y)
-            k6 = c * c + (E + alpha * g_scalar(t + _C6 * h)) * s * s
+            k6 = S * c * c + (E + alpha * g_scalar(t + _C6 * h)) * iS * s * s
             th5 = th + h * (_B51 * k1 + _B53 * k3 + _B54 * k4 + _B56 * k6)
             th4 = th + h * (_B41 * k1 + _B43 * k3 + _B44 * k4 + _B45 * k5
                             + _B46 * k6)
@@ -187,6 +212,8 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
                 th = th5
             fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
             h *= min(5.0, max(0.2, fac))
+    if S != 1.0:
+        th = _rescale_phase(th, 1.0 / S)
     return th, steps, flags
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.special import jn_zeros, jv, jvp
 
 from radcount import (
+    BoundaryMode,
     ChannelBreakdown,
     bs_duality_check,
     channel_count,
@@ -21,7 +22,8 @@ from radcount import (
     to_log,
     total_count,
 )
-from radcount.spectral1d import GridSpec
+from radcount import channels
+from radcount.spectral1d import GridSpec, counting_domain, threshold_eps
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -124,6 +126,36 @@ def test_duality_exact_on_shared_grid(catalog):
             assert rep["count_spectrum"] == rep["count_direct"]
 
 
+def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
+    # the companion spectrum does not depend on alpha: checks that share a
+    # dict solve it once per (counting window, n_max, grid), each runs its
+    # own direct count, and the reports equal those of unshared checks
+    P = catalog["square-well"]
+    want = [bs_duality_check(P, a) for a in (10.0, 50.0)]
+    solved, direct = [], []
+
+    def spy(calls, fn):
+        def wrapped(*args, **kw):
+            calls.append(kw.get("n_max"))
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr("radcount.channels.bs_spectrum",
+                        spy(solved, channels.bs_spectrum))
+    monkeypatch.setattr("radcount.channels.count_below_fd",
+                        spy(direct, channels.count_below_fd))
+    spectra = {}
+    got = [bs_duality_check(P, a, spectra=spectra) for a in (10.0, 50.0)]
+    assert got == want
+    assert solved == [48] and len(direct) == 2
+    G = to_log(P, strict=False)
+    window = counting_domain(G, 10.0, -threshold_eps(G, 10.0),
+                             BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
+    assert list(spectra) == [(window, 48, GridSpec())]
+    bs_duality_check(P, 10.0, n_max=24, spectra=spectra)
+    assert solved == [48, 24] and len(direct) == 3
+
+
 def test_nonradial_empty_below_coupling_one_over_j(catalog):
     # the nonradial count is bounded by alpha * J, so alpha * J < 1
     # forces every m != 0 channel to be empty
@@ -171,3 +203,19 @@ def test_total_count_work(catalog, monkeypatch, name, alpha, calls, total,
     assert b.total == total
     assert b.per_channel == per
     assert b.extras["m_scan"] == max(per)
+
+
+def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
+    # the work of the phase engine at disk alpha=3200: 53 counts (m = 0..51
+    # and the Dirichlet count) take 69370 RK steps in all
+    seen = []
+
+    def counting(*args, **kw):
+        seen.append(count_below(*args, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr("radcount.channels.count_below", counting)
+    b = total_count(catalog["square-well"], 3200.0)
+    assert b.total == 806 and b.uncertainty == 0 and not b.flags
+    assert len(seen) == 53
+    assert sum(r.steps for r in seen) == 69370

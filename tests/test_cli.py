@@ -1,4 +1,5 @@
 """Command-line surface, exercised in process through main()."""
+import importlib
 import json
 
 import pytest
@@ -159,6 +160,52 @@ def test_sweep_K_reaches_weak_bound(capsys, catalog):
     weak = doc["report"]["rows"][0]["weak_bound"]
     assert weak == bound_weak(P, 10.0, K=1)
     assert weak != bound_weak(P, 10.0, K=200)
+
+
+def _count_calls(monkeypatch, name, modules):
+    # one shared spy for a function bound by name in several modules
+    calls = []
+    real = getattr(importlib.import_module(modules[0]), name)
+
+    def spy(*args, **kw):
+        calls.append(args[1:])
+        return real(*args, **kw)
+
+    for mod in modules:
+        monkeypatch.setattr(f"{mod}.{name}", spy)
+    return calls
+
+
+def test_sweep_computes_one_zeta_sequence(capsys, monkeypatch):
+    # the block sequence serves both the weak_bound column and the verdict
+    calls = _count_calls(monkeypatch, "zeta_sequence",
+                         ["radcount.weakseq", "radcount.asymptotics",
+                          "radcount.bounds", "radcount.cli"])
+    code, doc = run_json(capsys, "sweep", "--spec", "gaussian",
+                         "--alpha-min", "5", "--alpha-max", "20",
+                         "--per-decade", "2")
+    assert code == 0
+    assert calls == [(200,)]
+    assert "weyl" in doc["report"]
+
+
+def test_verify_integrates_log_weight_and_solves_spectrum_once(
+        capsys, monkeypatch):
+    # W(1) and the companion spectrum do not depend on alpha, and at the
+    # default alphas 10 and 50 the duality window is the same
+    weights = _count_calls(monkeypatch, "integral_logweight",
+                           ["radcount.potentials", "radcount.bounds",
+                            "radcount.asymptotics", "radcount.cli"])
+    spectra = _count_calls(monkeypatch, "bs_spectrum",
+                           ["radcount.spectral1d", "radcount.channels",
+                            "radcount.asymptotics"])
+    code, doc = run_json(capsys, "verify", "--spec", "square-well",
+                         "--n-random", "2")
+    assert code == 0 and doc["report"]["ok"] is True
+    assert weights == [(1.0,)]
+    assert len(spectra) == 1
+    duality = [c for c in doc["report"]["checks"] if c["name"] == "duality"]
+    assert [c["alpha"] for c in duality] == [10.0, 50.0]
 
 
 def test_verify_passes_on_trivial_profile(capsys):

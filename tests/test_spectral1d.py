@@ -249,8 +249,10 @@ def test_counting_domain_pads_with_energy():
     assert half[0] == 0.0
 
 
-# The generic Cash-Karp loop the unrolled phase kernel replaced, kept as the
-# reference it must match bit for bit: stages as lists, sums by sum().
+# Generic Cash-Karp loops, stages as lists and sums by sum().  The scaled
+# one is the reference the unrolled phase kernel must match bit for bit.
+# The plain one integrates theta' = cos^2 + w sin^2, which has the same
+# zeros, and is an accuracy oracle for the scaled phase.
 _CK_A = (
     (),
     (1 / 5,),
@@ -264,10 +266,61 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
-def _phase_rhs(g_scalar, alpha, E, t, th):
-    s = math.sin(th)
-    c = math.cos(th)
-    return c * c + (E + alpha * g_scalar(t)) * s * s
+def _ck_step(rhs, t, th, h):
+    k = [0.0] * 6
+    k[0] = rhs(t, th)
+    for i in range(1, 6):
+        y = th + h * sum(_CK_A[i][j] * k[j] for j in range(i))
+        k[i] = rhs(t + _CK_C[i] * h, y)
+    th5 = th + h * sum(_CK_B5[i] * k[i] for i in range(6))
+    th4 = th + h * sum(_CK_B4[i] * k[i] for i in range(6))
+    return th5, abs(th5 - th4)
+
+
+def _rescale(th, r):
+    # tan theta -> r tan theta, in the branch around the nearest k pi
+    k = math.floor(th / math.pi + 0.5)
+    phi = th - k * math.pi
+    return k * math.pi + math.atan2(r * math.sin(phi), math.cos(phi))
+
+
+def _generic_scaled_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
+    flags = []
+    pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
+    th = theta0
+    S = 1.0
+    steps = 0
+
+    def rhs(t, y):
+        s = math.sin(y)
+        c = math.cos(y)
+        return S * c * c + (E + alpha * g_scalar(t)) * (1.0 / S) * s * s
+
+    for lo, hi in zip(pieces, pieces[1:]):
+        t = lo
+        w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
+        h = min(ctrl.h_max, hi - lo, 1.0 / math.sqrt(max(1.0, abs(w_mid))))
+        while t < hi:
+            if steps >= ctrl.max_steps:
+                raise RuntimeError(
+                    f"phase integration exceeded {ctrl.max_steps} steps "
+                    f"(alpha={alpha}, E={E})")
+            S_new = math.sqrt(max(1.0, abs(E + alpha * g_scalar(t))))
+            if S_new != S:
+                th = _rescale(th, S_new / S)
+                S = S_new
+            h = min(h, 1.0 / S, hi - t, ctrl.h_max)
+            if h < ctrl.h_min:
+                h = ctrl.h_min
+                flags.append("step-floor")
+            th5, err = _ck_step(rhs, t, th, h)
+            steps += 1
+            if err <= ctrl.phase_tol or h <= ctrl.h_min:
+                t += h
+                th = th5
+            fac = 0.9 * (ctrl.phase_tol / (err + 1e-300)) ** 0.2
+            h *= min(5.0, max(0.2, fac))
+    return _rescale(th, 1.0 / S), steps, flags
 
 
 def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
@@ -275,6 +328,12 @@ def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
     th = theta0
     steps = 0
+
+    def rhs(t, y):
+        s = math.sin(y)
+        c = math.cos(y)
+        return c * c + (E + alpha * g_scalar(t)) * s * s
+
     for lo, hi in zip(pieces, pieces[1:]):
         t = lo
         w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
@@ -289,14 +348,7 @@ def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
             if h < ctrl.h_min:
                 h = ctrl.h_min
                 flags.append("step-floor")
-            k = [0.0] * 6
-            k[0] = _phase_rhs(g_scalar, alpha, E, t, th)
-            for i in range(1, 6):
-                y = th + h * sum(_CK_A[i][j] * k[j] for j in range(i))
-                k[i] = _phase_rhs(g_scalar, alpha, E, t + _CK_C[i] * h, y)
-            th5 = th + h * sum(_CK_B5[i] * k[i] for i in range(6))
-            th4 = th + h * sum(_CK_B4[i] * k[i] for i in range(6))
-            err = abs(th5 - th4)
+            th5, err = _ck_step(rhs, t, th, h)
             steps += 1
             if err <= ctrl.phase_tol or h <= ctrl.h_min:
                 t += h
@@ -325,7 +377,7 @@ def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
     pairs = []
 
     def both(*args):
-        pairs.append((kernel(*args), _generic_integrate_phase(*args)))
+        pairs.append((kernel(*args), _generic_scaled_phase(*args)))
         return pairs[-1][0]
 
     monkeypatch.setattr(spectral1d, "_integrate_phase", both)
@@ -344,7 +396,51 @@ def test_phase_kernel_step_budget_matches_generic_loop(catalog):
             StepControl(max_steps=10))
     with pytest.raises(RuntimeError) as got:
         spectral1d._integrate_phase(*args)
-    with pytest.raises(RuntimeError) as want:
-        _generic_integrate_phase(*args)
-    assert str(got.value) == str(want.value)
+    for reference in (_generic_scaled_phase, _generic_integrate_phase):
+        with pytest.raises(RuntimeError) as want:
+            reference(*args)
+        assert str(got.value) == str(want.value)
     assert "exceeded 10 steps" in str(got.value)
+
+
+@pytest.mark.parametrize("name, integrated", [
+    ("square-well", 42), ("annulus", 45), ("gaussian", 36), ("bump", 48),
+    ("counterexample", 21), ("counterexample-damped", 21),
+    ("counterexample-damped-strong", 21),
+])
+def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
+                                          integrated):
+    # the scaled phase has the zeros of the plain one: over every mode,
+    # alpha in {3, 25, 200, 3200} and channel m in {0, 1, 3, 10, 40} the
+    # counts and flags agree, and every final phase agrees to 1e-7, well
+    # inside the 1e-6 near-node margin
+    G = to_log(catalog[name], strict=False)
+    kernel = spectral1d._integrate_phase
+    n_integrated = 0
+    for mode in BoundaryMode:
+        for alpha in (3.0, 25.0, 200.0, 3200.0):
+            for m in (0, 1, 3, 10, 40):
+                E = -(m * m + threshold_eps(G, alpha))
+                runs = []
+                for phase in (kernel, _generic_integrate_phase):
+                    thetas = []
+
+                    def spy(*args, phase=phase, thetas=thetas):
+                        out = phase(*args)
+                        thetas.append(out[0])
+                        return out
+
+                    monkeypatch.setattr(spectral1d, "_integrate_phase", spy)
+                    runs.append((count_below_pruefer(G, alpha, E, mode),
+                                 thetas))
+                (got, th_got), (want, th_want) = runs
+                case = (mode.value, alpha, m)
+                assert got.count == want.count, case
+                assert got.uncertainty == want.uncertainty, case
+                assert got.flags == want.flags, case
+                assert got.extras.get("left") == want.extras.get("left"), case
+                assert len(th_got) == len(th_want), case
+                for a, b in zip(th_got, th_want):
+                    assert abs(a - b) <= 1e-7, (case, a, b)
+                n_integrated += bool(th_got)
+    assert n_integrated == integrated
