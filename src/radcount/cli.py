@@ -388,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="dyadic block sequence and verdict")
     _add_common(p)
     p.add_argument("--K", type=int, default=200)
-    p.add_argument("--json", action="store_true",
-                   help="accepted for symmetry; output is always JSON")
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("count1d", help="one line-operator count")

@@ -11,7 +11,11 @@ Two independent engines with no shared discretization machinery:
     (Pryce) phase, theta' = S cos^2 theta + ((E + alpha G)/S) sin^2 theta
     with S = sqrt(max(1, |E + alpha G|)) reset at every step: it has the
     same zeros and turns at an even rate over an oscillation, so a step can
-    cover about one radian. The plain phase goes in and comes out.
+    cover about one radian. The plain phase goes in and comes out. The
+    kernel runs only where the count is decided. On the whole line it starts
+    left of the first allowed point, where the decaying phase is pinned: a
+    phase error there contracts by exp(-2 int sqrt(-w)). Beyond the support
+    of G, w = E is constant, and that stretch is mapped in closed form.
 
   * count_below_fd: three-point finite differences on a uniform grid and a
     Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
@@ -156,7 +160,8 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
     each step start, which rescales theta (_rescale_phase), and the step is
     capped at 1/S, about one radian of phase. The stages are written out
     with every sum in tableau order; g(t) is evaluated once per step, for
-    the scale and the first stage."""
+    the scale and the first stage. The last step of a piece lands exactly on
+    the piece end and is never counted as floored."""
     flags: list[str] = []
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
     tol, h_min, h_max = ctrl.phase_tol, ctrl.h_min, ctrl.h_max
@@ -180,8 +185,11 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
                 th = _rescale_phase(th, S_new / S)
                 S = S_new
                 iS = 1.0 / S
-            h = min(h, iS, hi - t, h_max)
-            if h < h_min:
+            h = min(h, iS, h_max)
+            last = h >= hi - t   # this step ends the piece, exactly on hi
+            if last:
+                h = hi - t
+            elif h < h_min:
                 h = h_min
                 flags.append("step-floor")
             s, c = sin(th), cos(th)
@@ -208,13 +216,67 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
             err = abs(th5 - th4)
             steps += 1
             if err <= tol or h <= h_min:
-                t += h
+                t = hi if last else t + h
                 th = th5
             fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
             h *= min(5.0, max(0.2, fac))
     if S != 1.0:
         th = _rescale_phase(th, 1.0 / S)
     return th, steps, flags
+
+
+def _lead_in(G, alpha: float, E: float, A: float, B: float,
+             ctrl: StepControl) -> tuple[float, float]:
+    """(t0, theta0): where the whole-line pass starts, and its phase.
+
+    Left of the first allowed point t1 (w = E + alpha G >= 0), moving right
+    multiplies a phase error by at most exp(-2 int sqrt(-w)). So the pass
+    can start at the latest t0 with int_{t0}^{t1} sqrt(-w) >= L, where
+    exp(-2L) = phase_tol/100, at the local WKB phase atan2(1, sqrt(-w(t0)))
+    of the decaying solution. G is scanned once from A to its argmax, every
+    breakpoint included, at a spacing of at most 1/(4 S_top): a pocket
+    missed between two scan points turns the scaled phase by at most 1/4
+    rad, and the decaying phase lies in (0, pi/2), so it cannot make a
+    zero. Each cell counts at the smaller of its two end values. Without
+    such a t0 (always when kappa (B - A) < L) the pass starts at A at
+    atan2(1, kappa)."""
+    kappa = math.sqrt(-E)
+    start = A, math.atan2(1.0, kappa)
+    L = 0.5 * math.log(100.0 / ctrl.phase_tol)
+    t_end = min(B, G.g_argmax)
+    if kappa * (B - A) < L or not t_end > A:
+        return start
+    S_top = math.sqrt(max(1.0, alpha * G.g_max + E))
+    ts = np.linspace(A, t_end, int(math.ceil(4.0 * S_top * (t_end - A))) + 1)
+    ts = np.union1d(ts, [p for p in G.breakpoints if A < p < t_end])
+    w = E + alpha * np.asarray(G.eval(ts), dtype=float)
+    allowed = np.flatnonzero(w >= 0.0)
+    if allowed.size == 0 or allowed[0] == 0:
+        return start
+    i1 = allowed[0]
+    q = np.sqrt(np.maximum(-w[: i1 + 1], 0.0))
+    cells = np.minimum(q[:-1], q[1:]) * np.diff(ts[: i1 + 1])
+    to_t1 = np.cumsum(cells[::-1])[::-1]   # int_{ts[j]}^{t1}, j < i1
+    far = np.flatnonzero(to_t1 >= L)
+    if far.size == 0:
+        return start
+    j = far[-1]
+    return float(ts[j]), math.atan2(1.0, float(q[j]))
+
+
+def _zero_tail(theta: float, kappa: float, d: float) -> float:
+    """Phase after a stretch of length d on which G = 0, so w = -kappa^2.
+
+    (u, u') maps exactly to (u + u' tanh(kappa d)/kappa,
+    kappa u tanh(kappa d) + u') over cosh(kappa d). Zeros cross upward, so
+    the phase stays in the branch [k pi - beta, k pi + pi - beta],
+    beta = atan2(1, kappa), that it starts in; atan2 returns it there."""
+    beta = math.atan2(1.0, kappa)
+    k = math.floor((theta + beta) / math.pi)
+    phi = theta - k * math.pi
+    T = math.tanh(kappa * d)
+    s, c = math.sin(phi), math.cos(phi)
+    return k * math.pi + math.atan2(s + c * T / kappa, kappa * s * T + c)
 
 
 def _zeros_from_phase(theta_end: float, kappa: float, tail: bool
@@ -249,6 +311,14 @@ def count_below_pruefer(G, alpha: float, E: float,
     truncated=True counts the Dirichlet problem on [A, B] itself (phase
     starts at 0, no tail rule); the default counts the problem on the full
     line/half-line, treating [A, B] as a window that contains the potential.
+
+    The RK kernel integrates only where the count is decided. On the whole
+    line (truncated=False) it starts at the lead-in start of _lead_in: the
+    latest point left of the first allowed point with
+    int sqrt(-w) >= L = ln(100/phase_tol)/2 up to it, at the local WKB phase,
+    or at A when there is none. In every mode and pass it stops at the end
+    of the support of G; the rest of the pass, where G = 0, is mapped
+    exactly (_zero_tail), and the count is read at B as before.
     """
     _validate(alpha, E)
     mode = BoundaryMode(mode)
@@ -259,20 +329,26 @@ def count_below_pruefer(G, alpha: float, E: float,
         return CountResult(0, "pruefer", E, mode.value, (A, B),
                            flags=tuple(flags + ["below-spectrum"]))
 
-    def one_pass(g_scalar, a, b, theta0, breaks):
-        th, n, fl = _integrate_phase(g_scalar, alpha, E, a, b, theta0,
+    def one_pass(g_scalar, a, b, theta0, breaks, t_zero):
+        # G = 0 from t_zero on: RK up to there, the exact map over the rest
+        z = min(max(a, t_zero), b)
+        th, n, fl = _integrate_phase(g_scalar, alpha, E, a, z, theta0,
                                      breaks, step)
+        if z < b:
+            th = _zero_tail(th, kappa, b - z)
         c, u, fl2 = _zeros_from_phase(th, kappa, tail=not truncated)
         return c, u, fl + fl2, th, n
 
     steps = 0
     extras: dict = {}
+    t_lo, t_hi = G.t_support
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
         gs = G.eval_scalar
-        right, u1, f1, th_r, n1 = one_pass(gs, 0.0, B, 0.0, G.breakpoints)
+        right, u1, f1, th_r, n1 = one_pass(gs, 0.0, B, 0.0, G.breakpoints,
+                                           t_hi)
         left_breaks = [-b for b in G.breakpoints]
         left, u2, f2, th_l, n2 = one_pass(lambda s: gs(-s), 0.0, -A, 0.0,
-                                          left_breaks)
+                                          left_breaks, -t_lo)
         count = left + right
         uncertainty = u1 + u2
         flags += f1 + f2
@@ -281,11 +357,12 @@ def count_below_pruefer(G, alpha: float, E: float,
     else:
         if mode == BoundaryMode.HALF_LINE_DIRICHLET:
             a, theta0 = 0.0, 0.0
+        elif truncated:
+            a, theta0 = A, 0.0
         else:
-            a = A
-            theta0 = 0.0 if truncated else math.atan2(1.0, kappa)
+            a, theta0 = _lead_in(G, alpha, E, A, B, step)
         count, uncertainty, fl, th, steps = one_pass(
-            G.eval_scalar, a, B, theta0, G.breakpoints)
+            G.eval_scalar, a, B, theta0, G.breakpoints, t_hi)
         flags += fl
         extras = {"theta_end": th}
     return CountResult(count, "pruefer", E, mode.value, (A, B), None, steps,

@@ -207,7 +207,8 @@ def test_total_count_work(catalog, monkeypatch, name, alpha, calls, total,
 
 def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
     # the work of the phase engine at disk alpha=3200: 53 counts (m = 0..51
-    # and the Dirichlet count) take 69370 RK steps in all
+    # and the Dirichlet count) take 29400 RK steps in all, the kernel
+    # running only from the lead-in start to the support end t = 0
     seen = []
 
     def counting(*args, **kw):
@@ -218,4 +219,11 @@ def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
     b = total_count(catalog["square-well"], 3200.0)
     assert b.total == 806 and b.uncertainty == 0 and not b.flags
     assert len(seen) == 53
-    assert sum(r.steps for r in seen) == 69370
+    assert sum(r.steps for r in seen) == 29400
+
+
+def test_annulus_3200_has_no_step_floor(catalog):
+    # the last step of every piece lands on the piece end, so a rounding
+    # residue before a breakpoint is no floored step
+    b = total_count(catalog["annulus"], 3200.0)
+    assert (b.total, b.uncertainty, b.flags) == (2415, 0, ())

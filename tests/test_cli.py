@@ -247,6 +247,15 @@ def test_bad_tolerance_exits_2():
     assert e.value.code == 2
 
 
+def test_seq_has_no_json_flag(capsys):
+    # seq always writes JSON; the flag that said so is gone
+    with pytest.raises(SystemExit) as e:
+        main(["seq", "--spec", "zero", "--json"])
+    assert e.value.code == 2
+    code, doc = run_json(capsys, "seq", "--spec", "zero")
+    assert code == 0 and "json" not in doc["config"]
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as e:
         main([])

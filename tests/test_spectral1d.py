@@ -28,18 +28,31 @@ from radcount.spectral1d import (
 E_HALF_BOX10 = -4.62419408632978   # root of k cot k = -kappa, depth 10
 
 
-def box_G(depth: float = 10.0, lo: float = 0.0, hi: float = 1.0):
-    """A LogPotential stub: G = depth * indicator(lo, hi)."""
+def boxes_G(*boxes):
+    """A LogPotential stub: G = the sum of depth * indicator(lo, hi) over
+    disjoint boxes (depth, lo, hi); the first deepest box holds the max."""
     def g_vec(t):
         t = np.asarray(t, dtype=float)
-        return np.where((t >= lo) & (t < hi), depth, 0.0)
+        out = np.zeros_like(t)
+        for depth, lo, hi in boxes:
+            out += np.where((t >= lo) & (t < hi), depth, 0.0)
+        return out
 
     def g_scalar(t):
-        return depth if lo <= t < hi else 0.0
+        return sum((d for d, lo, hi in boxes if lo <= t < hi), 0.0)
 
-    return LogPotential(None, 1e-10, (lo, hi), (lo, hi), (lo, hi), False,
-                        depth, 0.5 * (lo + hi), depth * (hi - lo), 0.0,
+    top = max(boxes, key=lambda b: b[0])
+    lo, hi = min(b[1] for b in boxes), max(b[2] for b in boxes)
+    breaks = tuple(sorted({x for b in boxes for x in b[1:]}))
+    return LogPotential(None, 1e-10, (lo, hi), breaks, (lo, hi), False,
+                        top[0], 0.5 * (top[1] + top[2]),
+                        sum(d * (b - a) for d, a, b in boxes), 0.0,
                         g_vec, g_scalar)
+
+
+def box_G(depth: float = 10.0, lo: float = 0.0, hi: float = 1.0):
+    """A LogPotential stub: G = depth * indicator(lo, hi)."""
+    return boxes_G((depth, lo, hi))
 
 
 def box_count_oracle(depth: float, length: float, E: float) -> int:
@@ -252,7 +265,8 @@ def test_counting_domain_pads_with_energy():
 # Generic Cash-Karp loops, stages as lists and sums by sum().  The scaled
 # one is the reference the unrolled phase kernel must match bit for bit.
 # The plain one integrates theta' = cos^2 + w sin^2, which has the same
-# zeros, and is an accuracy oracle for the scaled phase.
+# zeros, and is an accuracy oracle for the scaled phase.  Both land the
+# last step of a piece exactly on the piece end, as the kernel does.
 _CK_A = (
     (),
     (1 / 5,),
@@ -309,14 +323,17 @@ def _generic_scaled_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
             if S_new != S:
                 th = _rescale(th, S_new / S)
                 S = S_new
-            h = min(h, 1.0 / S, hi - t, ctrl.h_max)
-            if h < ctrl.h_min:
+            h = min(h, 1.0 / S, ctrl.h_max)
+            last = h >= hi - t
+            if last:
+                h = hi - t
+            elif h < ctrl.h_min:
                 h = ctrl.h_min
                 flags.append("step-floor")
             th5, err = _ck_step(rhs, t, th, h)
             steps += 1
             if err <= ctrl.phase_tol or h <= ctrl.h_min:
-                t += h
+                t = hi if last else t + h
                 th = th5
             fac = 0.9 * (ctrl.phase_tol / (err + 1e-300)) ** 0.2
             h *= min(5.0, max(0.2, fac))
@@ -344,14 +361,17 @@ def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
                     f"phase integration exceeded {ctrl.max_steps} steps "
                     f"(alpha={alpha}, E={E})")
             h_cap = 0.25 / math.sqrt(1.0 + abs(E) + alpha * g_scalar(t))
-            h = min(h, h_cap, hi - t, ctrl.h_max)
-            if h < ctrl.h_min:
+            h = min(h, h_cap, ctrl.h_max)
+            last = h >= hi - t
+            if last:
+                h = hi - t
+            elif h < ctrl.h_min:
                 h = ctrl.h_min
                 flags.append("step-floor")
             th5, err = _ck_step(rhs, t, th, h)
             steps += 1
             if err <= ctrl.phase_tol or h <= ctrl.h_min:
-                t += h
+                t = hi if last else t + h
                 th = th5
             fac = 0.9 * (ctrl.phase_tol / (err + 1e-300)) ** 0.2
             h *= min(5.0, max(0.2, fac))
@@ -390,6 +410,18 @@ def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
     assert floored == (step != StepControl())
 
 
+def test_last_step_lands_on_the_piece_end():
+    # -0.2 + (0.15 + 0.2) falls short of 0.15 by an ulp; the one step that
+    # covers the piece must end on 0.15 itself, with no second step for the
+    # residue and no step-floor (pi/4 is the fixed phase of w = -1)
+    a, b = -0.2, 0.15
+    assert a + (b - a) < b
+    th, steps, flags = spectral1d._integrate_phase(
+        lambda t: 0.0, 1.0, -1.0, a, b, math.pi / 4, (), StepControl())
+    assert (steps, flags) == (1, [])
+    assert th == pytest.approx(math.pi / 4, abs=1e-15)
+
+
 def test_phase_kernel_step_budget_matches_generic_loop(catalog):
     G = to_log(catalog["square-well"])
     args = (G.eval_scalar, 200.0, -1.0, -20.0, 10.0, 0.5, G.breakpoints,
@@ -403,6 +435,29 @@ def test_phase_kernel_step_budget_matches_generic_loop(catalog):
     assert "exceeded 10 steps" in str(got.value)
 
 
+def _final_phases(monkeypatch, G, alpha, E, mode, kernel=None):
+    """count_below_pruefer with the final phase of each pass recorded: the
+    phase the RK kernel returns, mapped over the zero-potential tail when
+    the pass has one.  kernel, when given, stands in for the RK kernel."""
+    kernel = kernel or spectral1d._integrate_phase
+    tail = spectral1d._zero_tail
+    thetas = []
+
+    def spy_kernel(*args):
+        out = kernel(*args)
+        thetas.append(out[0])
+        return out
+
+    def spy_tail(*args):
+        thetas[-1] = tail(*args)
+        return thetas[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral1d, "_integrate_phase", spy_kernel)
+        mp.setattr(spectral1d, "_zero_tail", spy_tail)
+        return count_below_pruefer(G, alpha, E, mode), thetas
+
+
 @pytest.mark.parametrize("name, integrated", [
     ("square-well", 42), ("annulus", 45), ("gaussian", 36), ("bump", 48),
     ("counterexample", 21), ("counterexample-damped", 21),
@@ -412,8 +467,9 @@ def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
                                           integrated):
     # the scaled phase has the zeros of the plain one: over every mode,
     # alpha in {3, 25, 200, 3200} and channel m in {0, 1, 3, 10, 40} the
-    # counts and flags agree, and every final phase agrees to 1e-7, well
-    # inside the 1e-6 near-node margin
+    # counts and flags agree, and the final phase of every pass, after the
+    # closed-form zero-potential tail, agrees to 1e-7, well inside the 1e-6
+    # near-node margin
     G = to_log(catalog[name], strict=False)
     kernel = spectral1d._integrate_phase
     n_integrated = 0
@@ -421,18 +477,8 @@ def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
         for alpha in (3.0, 25.0, 200.0, 3200.0):
             for m in (0, 1, 3, 10, 40):
                 E = -(m * m + threshold_eps(G, alpha))
-                runs = []
-                for phase in (kernel, _generic_integrate_phase):
-                    thetas = []
-
-                    def spy(*args, phase=phase, thetas=thetas):
-                        out = phase(*args)
-                        thetas.append(out[0])
-                        return out
-
-                    monkeypatch.setattr(spectral1d, "_integrate_phase", spy)
-                    runs.append((count_below_pruefer(G, alpha, E, mode),
-                                 thetas))
+                runs = [_final_phases(monkeypatch, G, alpha, E, mode, phase)
+                        for phase in (kernel, _generic_integrate_phase)]
                 (got, th_got), (want, th_want) = runs
                 case = (mode.value, alpha, m)
                 assert got.count == want.count, case
@@ -444,3 +490,148 @@ def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
                     assert abs(a - b) <= 1e-7, (case, a, b)
                 n_integrated += bool(th_got)
     assert n_integrated == integrated
+
+
+def _window_path(G, alpha, E, mode):
+    """The phase count with neither the lead-in start nor the closed-form
+    tail: every pass starts at its window end (the whole line at
+    atan2(1, kappa)) and the RK kernel runs through to B.  Returns the
+    count, uncertainty, flags, side counts and the final phase per pass, in
+    the order count_below_pruefer runs its passes."""
+    A, B = counting_domain(G, alpha, E, mode)
+    kappa = math.sqrt(-E)
+    gs, breaks = G.eval_scalar, G.breakpoints
+
+    def one(g, a, b, theta0, brk):
+        th, _, fl = spectral1d._integrate_phase(g, alpha, E, a, b, theta0,
+                                                brk, StepControl())
+        c, u, fl2 = spectral1d._zeros_from_phase(th, kappa, tail=True)
+        return c, u, fl + fl2, th
+
+    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
+        passes = [one(gs, 0.0, B, 0.0, breaks),
+                  one(lambda s: gs(-s), 0.0, -A, 0.0, [-b for b in breaks])]
+    elif mode == BoundaryMode.HALF_LINE_DIRICHLET:
+        passes = [one(gs, 0.0, B, 0.0, breaks)]
+    else:
+        passes = [one(gs, A, B, math.atan2(1.0, kappa), breaks)]
+    flags = ["domain-truncated"] if G.truncated else []
+    for p in passes:
+        flags += p[2]
+    sides = ((passes[1][0], passes[0][0]) if len(passes) == 2
+             else (None, None))
+    return (sum(p[0] for p in passes), sum(p[1] for p in passes),
+            tuple(flags), sides, [p[3] for p in passes])
+
+
+def _assert_matches_window_path(monkeypatch, G, alpha, E, mode, case):
+    got, thetas = _final_phases(monkeypatch, G, alpha, E, mode)
+    count, unc, flags, (left, right), want = _window_path(G, alpha, E, mode)
+    assert got.count == count, case
+    assert got.uncertainty == unc, case
+    assert got.flags == flags, case
+    assert got.extras.get("left") == left, case
+    assert got.extras.get("right") == right, case
+    assert len(thetas) == len(want), case
+    for a, b in zip(thetas, want):
+        assert abs(a - b) <= 1e-8, (case, a, b)
+    return got
+
+
+@pytest.mark.parametrize("name, integrated", [
+    ("square-well", 42), ("annulus", 45), ("gaussian", 36), ("bump", 48),
+    ("counterexample", 21), ("counterexample-damped", 21),
+    ("counterexample-damped-strong", 21),
+])
+def test_lead_in_and_zero_tail_match_window_path(catalog, monkeypatch, name,
+                                                 integrated):
+    # starting left of the turning point where the phase is pinned, and
+    # mapping the G = 0 stretch in closed form, change no count, flag or
+    # side count, and move no final phase by more than 1e-8: on the grid of
+    # every mode, alpha in {3, 25, 200, 3200} and m in {0, 1, 3, 10, 40},
+    # and on every channel of the plane count at alpha 200 and 3200
+    G = to_log(catalog[name], strict=False)
+    n_integrated = 0
+    for mode in BoundaryMode:
+        for alpha in (3.0, 25.0, 200.0, 3200.0):
+            for m in (0, 1, 3, 10, 40):
+                E = -(m * m + threshold_eps(G, alpha))
+                if alpha * G.g_max + E > 0.0:
+                    _assert_matches_window_path(monkeypatch, G, alpha, E,
+                                                mode, (mode.value, alpha, m))
+                    n_integrated += 1
+    assert n_integrated == integrated
+    for alpha in (200.0, 3200.0):
+        eps = threshold_eps(G, alpha)
+        _assert_matches_window_path(
+            monkeypatch, G, alpha, -eps,
+            BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0, ("dirichlet", alpha))
+        m = 0
+        while _assert_matches_window_path(
+                monkeypatch, G, alpha, -(m * m + eps), BoundaryMode.WHOLE_LINE,
+                ("channel", alpha, m)).count:
+            m += 1
+
+
+def test_lead_in_stops_before_a_narrow_deep_box(monkeypatch):
+    # a box of width 1e-4 left of the argmax, under the scan spacing
+    # 1/(4 sqrt(2e4 + E)), shows only through its breakpoints; a deep one
+    # holds states of its own that the start must stay left of
+    hidden = boxes_G((1e4, 0.0, 1e-4), (2e4, 1.5, 4.0))
+    deep = boxes_G((1e4, 0.0, 0.05), (300.0, 1.5, 4.0))
+    for G in (hidden, deep):
+        for E in (-225.0, -400.0, -2000.0):
+            A, B = counting_domain(G, 1.0, E, BoundaryMode.WHOLE_LINE)
+            t0, _ = spectral1d._lead_in(G, 1.0, E, A, B, StepControl())
+            assert A < t0 < 0.0, (E, t0)
+    wide_alone = boxes_G((300.0, 1.5, 4.0))
+    for E in (-225.0, -2000.0):
+        got = _assert_matches_window_path(
+            monkeypatch, deep, 1.0, E, BoundaryMode.WHOLE_LINE, E)
+        assert got.count > count_below_pruefer(wide_alone, 1.0, E).count, E
+
+
+def test_zero_tail_in_every_mode(monkeypatch):
+    # G = 0 past t = 1 and, in the Dirichlet-at-0 left pass, past s = 1:
+    # the kernel stops there and the tail is mapped in closed form, with
+    # the window path's counts, flags and phases
+    G = box_G(60.0, -1.0, 1.0)
+    ends = []
+    kernel = spectral1d._integrate_phase
+
+    def spy(*args):
+        ends.append(args[4])
+        return kernel(*args)
+
+    for mode in BoundaryMode:
+        for E in (-0.5, -7.0, -30.0):
+            ends.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral1d, "_integrate_phase", spy)
+                count_below_pruefer(G, 1.0, E, mode)
+            assert ends == ([1.0, 1.0] if mode ==
+                            BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else [1.0])
+            _assert_matches_window_path(monkeypatch, G, 1.0, E, mode,
+                                        (mode.value, E))
+
+
+def test_zero_tail_keeps_the_branch():
+    # from every phase of a branch the map stays inside it, settles on the
+    # attractor k pi + beta far out, and leaves the repeller k pi - beta
+    # (the tail rule's critical phase) where it is
+    for kappa in (0.05, 1.0, 40.0):
+        beta = math.atan2(1.0, kappa)
+        for k in (0, 3):
+            for phi in np.linspace(-beta, math.pi - beta, 9)[1:-1]:
+                th = k * math.pi + phi
+                # |theta'| <= max(1, kappa^2), so a short stretch moves
+                # the phase by less than 1e-3
+                near = spectral1d._zero_tail(th, kappa,
+                                             1e-3 / max(1.0, kappa * kappa))
+                far = spectral1d._zero_tail(th, kappa, 60.0 / kappa)
+                assert k * math.pi - beta < near < (k + 1) * math.pi - beta
+                assert abs(near - th) <= 1e-3
+                assert far == pytest.approx(k * math.pi + beta, abs=1e-12)
+            rep = k * math.pi - beta
+            kept = spectral1d._zero_tail(rep, kappa, 5.0 / kappa)
+            assert kept == pytest.approx(rep, abs=1e-9)
