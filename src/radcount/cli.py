@@ -368,29 +368,34 @@ def _add_common(p: argparse.ArgumentParser, *, spec_required: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a mistyped or deleted long option is an error,
+    # never a silent match for another one
     ap = argparse.ArgumentParser(
-        prog="radcount",
+        prog="radcount", allow_abbrev=False,
         description="bound-state counting and growth classification for "
                     "radial plane potentials")
     ap.add_argument("--version", action="version",
                     version=f"radcount {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("potential", help="spec echo and weighted integrals")
+    p = sub.add_parser("potential", allow_abbrev=False,
+                       help="spec echo and weighted integrals")
     ps = p.add_subparsers(dest="sub", required=True)
     for name in ("show", "integrals"):
-        q = ps.add_parser(name)
+        q = ps.add_parser(name, allow_abbrev=False)
         _add_common(q)
         if name == "integrals":
             q.add_argument("--R", type=float, default=1.0)
         q.set_defaults(func=_cmd_potential)
 
-    p = sub.add_parser("seq", help="dyadic block sequence and verdict")
+    p = sub.add_parser("seq", allow_abbrev=False,
+                       help="dyadic block sequence and verdict")
     _add_common(p)
     p.add_argument("--K", type=int, default=200)
     p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("count1d", help="one line-operator count")
+    p = sub.add_parser("count1d", allow_abbrev=False,
+                       help="one line-operator count")
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--energy", type=float, required=True)
@@ -400,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("pruefer", "fd", "both"))
     p.set_defaults(func=_cmd_count1d)
 
-    p = sub.add_parser("count", help="plane count by channel")
+    p = sub.add_parser("count", allow_abbrev=False,
+                       help="plane count by channel")
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", default="pruefer", choices=("pruefer", "fd"))
@@ -408,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=("sandwich", "duality"), default=None)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("bounds", help="closed-form bounds at one coupling")
+    p = sub.add_parser("bounds", allow_abbrev=False,
+                       help="closed-form bounds at one coupling")
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     g = p.add_mutually_exclusive_group()
@@ -418,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("sweep", help="coupling sweep to CSV/JSON")
+    p = sub.add_parser("sweep", allow_abbrev=False,
+                       help="coupling sweep to CSV/JSON")
     _add_common(p)
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
@@ -430,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="run the full cross-check suite")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="run the full cross-check suite")
     _add_common(p)
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="coupling(s) for the per-alpha checks")

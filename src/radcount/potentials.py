@@ -530,13 +530,14 @@ def _scan_max(g_vec, lo: float, hi: float,
     vals = g_vec(ts)
     i = int(np.argmax(vals))
     best_t, best_v = float(ts[i]), float(vals[i])
-    # local refinement around the coarse winner
+    # local refinement around the winner; it moves only to a higher value
     span = (hi - lo) / 4096.0
     for _ in range(3):
         tt = np.linspace(max(lo, best_t - span), min(hi, best_t + span), 65)
         vv = g_vec(tt)
         j = int(np.argmax(vv))
-        best_t, best_v = float(tt[j]), max(best_v, float(vv[j]))
+        if vv[j] > best_v:
+            best_t, best_v = float(tt[j]), float(vv[j])
         span /= 16.0
     return best_v, best_t
 

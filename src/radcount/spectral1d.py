@@ -19,7 +19,13 @@ Two independent engines with no shared discretization machinery:
 
   * count_below_fd: three-point finite differences on a uniform grid and a
     Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
-    negative pivots; never forms eigenvalues.
+    negative pivots; never forms eigenvalues. The pass, too, runs only where
+    the count is decided. Where G = 0 the diagonal is the constant
+    2 - h^2 E > 2, and its pivots have closed forms: a leading run from the
+    Dirichlet end holds none that is negative, a trailing run at most one.
+    While the diagonal is >= 2, every pivot is >= 1, so the pass starts at a
+    lead-in node left of the first allowed one, from which an error in the
+    entering pivot shrinks by 1e-12.
 
 Both count the same thing up to discretization windows, and on an identical
 finite interval with Dirichlet ends (`truncated=True` for the phase engine)
@@ -372,22 +378,78 @@ def count_below_pruefer(G, alpha: float, E: float,
 # ---------------------------------------------------------------------------
 # finite-difference (Sturm pivot) engine
 
+# a pivot error entering the allowed region shrinks by exp(-2 sum theta_k)
+# over the lead-in, theta_k = acosh(a_k/2); start where that reaches 1e-12
+_FD_LEAD_IN = 0.5 * math.log(1e12)
 
-def _sturm_pass(a: list[float]) -> tuple[int, bool]:
+
+def _sturm_pass(a: list[float], d: float = math.inf
+                ) -> tuple[int, bool, float]:
     """Negative-pivot count for the scaled tridiagonal with unit off-diagonal
     and diagonal `a`; by Sylvester inertia this is the eigenvalue count below
-    the shift baked into `a`. Returns (count, hit_zero_pivot)."""
+    the shift baked into `a`. d is the pivot entering a[0] (inf at a
+    Dirichlet end, where a[0] - 1/inf == a[0]). Returns (count,
+    hit_zero_pivot, last pivot)."""
     neg = 0
     hit_zero = False
-    d = math.inf
     for ai in a:
-        d = ai - (0.0 if d == math.inf else 1.0 / d)
+        d = ai - 1.0 / d
         if d == 0.0:
             hit_zero = True
             d = 1e-300
         if d < 0.0:
             neg += 1
-    return neg, hit_zero
+    return neg, hit_zero, d
+
+
+def _run_pivot(theta: float, k: int) -> float:
+    """Pivot k (0-based) of a run of constant diagonal a = 2 cosh(theta)
+    from a Dirichlet end: sinh((k+2) theta)/sinh((k+1) theta), written as
+    r+ expm1(-2(k+2) theta)/expm1(-2(k+1) theta), r+ = e^theta."""
+    if theta == 0.0:
+        return (k + 2) / (k + 1)
+    return (math.exp(theta) * math.expm1(-2.0 * (k + 2) * theta)
+            / math.expm1(-2.0 * (k + 1) * theta))
+
+
+def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
+                 ) -> tuple[int, bool, int]:
+    """Negative pivots of one Dirichlet block with diagonal `arr`, whose
+    nodes before `first` (the head) and the n_tail = len(arr) - stop nodes
+    from `stop` on (the tail) hold a_c = 2 - h^2 E >= 2. Returns (count,
+    hit_zero_pivot, pivots swept), by the three rules of count_below_fd.
+
+    In the tail the pivot products p_k = d d_1 ... d_k are
+    (d sinh((k+1) theta_c) - sinh(k theta_c))/sinh(theta_c), which change
+    sign at most once: a tail pivot is negative iff 0 < d and
+    p_(n_tail) < 0, i.e. (1 - d r+) r+^(2 n_tail) > 1 - d r-, i.e.
+    d < 1/_run_pivot(theta_c, n_tail - 1).
+
+    The rules need a_c >= 2 (theta_c = 0 at a_c = 2); at E > 0 (the
+    E + delta probe of an E just below 0) the whole block is swept from
+    its Dirichlet end."""
+    if a_c < 2.0:
+        neg, hit_zero, _ = _sturm_pass(arr.tolist())
+        return neg, hit_zero, arr.size
+    core = arr[first:stop]
+    n_tail = len(arr) - stop
+    allowed = np.flatnonzero(core < 2.0)
+    if allowed.size == 0:
+        return 0, False, 0
+    # acosh(a/2) = 2 asinh(sqrt(a - 2)/2); a - 2 is exact for a in [2, 4]
+    theta_c = 2.0 * math.asinh(0.5 * math.sqrt(a_c - 2.0))
+    th = 2.0 * np.arcsinh(0.5 * np.sqrt(core[: allowed[0]] - 2.0))
+    i = int(np.searchsorted(np.cumsum(th[::-1]), _FD_LEAD_IN))
+    if i < th.size:
+        j = th.size - 1 - i
+        d = math.exp(float(th[j]))
+    else:
+        j = 0
+        d = _run_pivot(theta_c, first - 1) if first else math.inf
+    neg, hit_zero, d = _sturm_pass(core[j:].tolist(), d)
+    if n_tail and 0.0 < d < 1.0 / _run_pivot(theta_c, n_tail - 1):
+        neg += 1
+    return neg, hit_zero, core.size - j
 
 
 def _line_grid(A: float, B: float, h: float, n_cap: int, mode: BoundaryMode
@@ -423,6 +485,30 @@ def count_below_fd(G, alpha: float, E: float,
     The count refers to the finite window with Dirichlet ends. A near-
     threshold flag is raised when counting at E -/+ the threshold offset
     disagrees, and a zero pivot triggers an ulp-scale shift (flagged).
+
+    Each Dirichlet block is swept, per energy, only from a start node up
+    to its last node where G moves the diagonal. The rest has closed forms:
+      * constant tail: past that node the diagonal is a = 2 - h^2 E >= 2,
+        and at most one pivot is negative: one is iff 0 < d and
+        (1 - d r+) r+^(2L) > 1 - d r-, with r+- = e^(+-theta),
+        theta = acosh(a/2) = 2 asinh(sqrt(a - 2)/2), d the last swept
+        pivot and L the number of tail nodes;
+      * constant head: pivot k (0-based) of a leading run of a is
+        r+ expm1(-2(k+2) theta)/expm1(-2(k+1) theta), never negative; the
+        sweep enters the rest with the last one;
+      * contracted lead-in: while a_i >= 2 every pivot is >= 1, so none is
+        negative, and an error in the entering pivot shrinks by about
+        exp(-2 sum acosh(a_k/2)). If that factor, from a node j past the
+        head to the first allowed node (a_i < 2), is 1e-12 or less, the
+        sweep starts at the latest such j instead, entering with the
+        decaying ratio r+(a_j).
+    The rules need a = 2 - h^2 E >= 2; a block probed at an energy > 0 is
+    swept whole. The head and the lead-in are exact up to the rounding of
+    the entering pivot, and the lead-in up to its 1e-12 contraction, so the
+    count is the full sweep's unless a pivot or a bisection probe lies
+    within that distance of zero; a zero pivot in a closed-form run is not
+    seen, so it raises no `pivot-shift`. `steps` counts the pivots swept,
+    at E and E -/+ delta and in any retry.
     """
     _validate(alpha, E)
     mode = BoundaryMode(mode)
@@ -439,25 +525,37 @@ def count_below_fd(G, alpha: float, E: float,
     if capped:
         flags.append("grid-coarsened")
     gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
-    # diagonals h^2*(2/h^2 - alpha G(t_i)), one per Dirichlet block
+    # diagonals h^2*(2/h^2 - alpha G(t_i)), one per Dirichlet block; its
+    # core lies between the runs where the diagonal is 2 (G = 0, or too
+    # small to move it), which are 2 - h^2 E at every energy
     base = 2.0 - (h * h) * (alpha * gv)
     blocks = [base] if k0 is None else [base[: k0 - 1], base[k0:]]
+    cores = []
+    for blk in blocks:
+        vary = np.flatnonzero(blk != 2.0)
+        cores.append((int(vary[0]), int(vary[-1]) + 1) if vary.size
+                     else (0, 0))
 
-    def counts_at(energy: float) -> tuple[list[int], bool]:
+    def counts_at(energy: float) -> tuple[list[int], bool, int]:
         counts = []
         zero_hit = False
-        for blk in blocks:
-            arr = (blk - (h * h) * energy)
-            cnt, hz = _sturm_pass(arr.tolist())
+        swept = 0
+        a_c = 2.0 - (h * h) * energy
+        for blk, (first, stop) in zip(blocks, cores):
+            arr = blk - (h * h) * energy
+            cnt, hz, k = _block_count(arr, first, stop, a_c)
+            swept += k
             if hz:
                 # retry once with an ulp-scale shift of the pivots
                 shift = 4.0 * np.finfo(float).eps * float(np.max(np.abs(arr)))
-                cnt, _ = _sturm_pass((arr + shift).tolist())
+                cnt, _, k = _block_count(arr + shift, first, stop,
+                                         a_c + shift)
+                swept += k
                 zero_hit = True
             counts.append(cnt)
-        return counts, zero_hit
+        return counts, zero_hit, swept
 
-    per_block, zero_hit = counts_at(E)
+    per_block, zero_hit, steps = counts_at(E)
     count = sum(per_block)
     uncertainty = 0
     if zero_hit:
@@ -466,13 +564,15 @@ def count_below_fd(G, alpha: float, E: float,
     if near_threshold_check:
         delta = threshold_eps(G, alpha)
         if delta > 0.0:
-            lo = sum(counts_at(E - delta)[0])
-            hi = sum(counts_at(E + delta)[0])
+            c_lo, _, k_lo = counts_at(E - delta)
+            c_hi, _, k_hi = counts_at(E + delta)
+            steps += k_lo + k_hi
+            lo, hi = sum(c_lo), sum(c_hi)
             if lo != hi:
                 flags.append("near-threshold")
                 uncertainty = max(uncertainty, abs(hi - lo))
     sides = dict(zip(("left", "right"), per_block)) if k0 is not None else {}
-    return CountResult(count, "fd", E, mode.value, (A, B), h, len(blocks),
+    return CountResult(count, "fd", E, mode.value, (A, B), h, steps,
                        uncertainty, tuple(flags),
                        {"n_nodes": sum(len(b) for b in blocks), **sides})
 

@@ -222,6 +222,27 @@ def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
     assert sum(r.steps for r in seen) == 29400
 
 
+def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
+    # the work of the fd engine at disk alpha=3200: the 53 counts sweep
+    # 226203 pivots in all (at E and E -/+ delta), only from the lead-in or
+    # the end of the constant head up to the support end t = 0, out of
+    # 3 x 581203 grid nodes; every channel count is the Bessel oracle's
+    seen = []
+
+    def counting(*args, **kw):
+        seen.append(count_below(*args, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr("radcount.channels.count_below", counting)
+    b = total_count(catalog["square-well"], 3200.0, engine="fd")
+    per, total = disk_total_oracle(3200.0)
+    assert b.total == total == 806 and b.uncertainty == 0 and not b.flags
+    assert b.per_channel == per
+    assert len(seen) == 53
+    assert sum(r.extras["n_nodes"] for r in seen) == 581203
+    assert sum(r.steps for r in seen) == 226203
+
+
 def test_annulus_3200_has_no_step_floor(catalog):
     # the last step of every piece lands on the piece end, so a rounding
     # residue before a breakpoint is no floored step

@@ -91,6 +91,16 @@ def test_count1d_both_methods_agree(capsys):
     assert rep["pruefer"]["mode"] == "whole-line"
 
 
+def test_count1d_fd_just_below_zero(capsys):
+    # E = -1e-12 is within the threshold offset of 0, so the fd count also
+    # probes an energy above 0
+    code, doc = run_json(capsys, "count1d", "--spec", "gaussian",
+                         "--alpha", "40", "--energy=-1e-12", "--method", "fd")
+    assert code == 0
+    rep = doc["report"]["fd"]
+    assert (rep["count"], rep["flags"]) == (3, [])
+
+
 def test_count_breakdown_and_sandwich(capsys):
     code, doc = run_json(capsys, "count", "--spec", "square-well",
                          "--alpha", "200", "--breakdown",
@@ -254,6 +264,17 @@ def test_seq_has_no_json_flag(capsys):
     assert e.value.code == 2
     code, doc = run_json(capsys, "seq", "--spec", "zero")
     assert code == 0 and "json" not in doc["config"]
+
+
+def test_abbreviated_options_are_rejected(capsys, tmp_path, monkeypatch):
+    # no prefix matching: --json is not --json-out, --alp is not --alpha
+    monkeypatch.chdir(tmp_path)
+    for argv in (["seq", "--spec", "zero", "--json", "out.json"],
+                 ["count", "--spec", "square-well", "--alp", "200"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_subcommand_exits_2():

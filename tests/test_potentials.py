@@ -124,6 +124,15 @@ def test_to_log_window_covers_mass(catalog):
             assert lo <= G.g_argmax <= hi
 
 
+def test_g_argmax_attains_g_max(catalog):
+    # the refinement around the coarse winner moves only to a higher value;
+    # on the slow tails the maximum sits on the jump at t = e^2, and a
+    # lower window argmax once left g_argmax 4e-5 to its right
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        assert G.eval_scalar(G.g_argmax) == G.g_max, name
+
+
 def test_eval_scalar_is_the_profile_evaluator(catalog):
     # the phase kernel calls it six times per RK step, with no method
     # frame in between

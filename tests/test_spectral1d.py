@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radcount import BoundaryMode, count_below, eigenvalues_below, to_log
 from radcount import spectral1d
@@ -281,13 +283,25 @@ _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
 def _ck_step(rhs, t, th, h):
-    k = [0.0] * 6
-    k[0] = rhs(t, th)
-    for i in range(1, 6):
-        y = th + h * sum(_CK_A[i][j] * k[j] for j in range(i))
-        k[i] = rhs(t + _CK_C[i] * h, y)
-    th5 = th + h * sum(_CK_B5[i] * k[i] for i in range(6))
-    th4 = th + h * sum(_CK_B4[i] * k[i] for i in range(6))
+    # the tableau sums written out, each in the order sum() adds them
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54) = _CK_A[1:]
+    b0, b1, b2, b3, b4, b5 = _CK_B5
+    e0, e1, e2, e3, e4, e5 = _CK_B4
+    _, c1, c2, c3, c4, c5 = _CK_C
+    k0 = rhs(t, th)
+    k1 = rhs(t + c1 * h, th + h * (a10 * k0))
+    k2 = rhs(t + c2 * h, th + h * (a20 * k0 + a21 * k1))
+    k3 = rhs(t + c3 * h, th + h * (a30 * k0 + a31 * k1 + a32 * k2))
+    k4 = rhs(t + c4 * h,
+             th + h * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3))
+    k5 = rhs(t + c5 * h,
+             th + h * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3
+                       + a54 * k4))
+    th5 = th + h * (b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3 + b4 * k4
+                    + b5 * k5)
+    th4 = th + h * (e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4
+                    + e5 * k5)
     return th5, abs(th5 - th4)
 
 
@@ -635,3 +649,220 @@ def test_zero_tail_keeps_the_branch():
             rep = k * math.pi - beta
             kept = spectral1d._zero_tail(rep, kappa, 5.0 / kappa)
             assert kept == pytest.approx(rep, abs=1e-9)
+
+
+# The Sturm sweep as it was before the pass was trimmed: every node of a
+# Dirichlet block from its Dirichlet end. Patched in for `_block_count`,
+# it makes count_below_fd the full-window count, which the trimmed pass
+# must reproduce exactly (steps aside: the reference reports every node).
+def _full_window_sturm(a):
+    neg = 0
+    hit_zero = False
+    d = math.inf
+    for ai in a:
+        d = ai - (0.0 if d == math.inf else 1.0 / d)
+        if d == 0.0:
+            hit_zero = True
+            d = 1e-300
+        if d < 0.0:
+            neg += 1
+    return neg, hit_zero
+
+
+def _full_window_block(arr, first, stop, a_c):
+    return (*_full_window_sturm(arr.tolist()), arr.size)
+
+
+def _full_window_fd(*args, **kw):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral1d, "_block_count", _full_window_block)
+        return count_below_fd(*args, **kw)
+
+
+def _assert_matches_full_window(G, alpha, E, mode, case, **kw):
+    got = count_below_fd(G, alpha, E, mode, **kw)
+    want = _full_window_fd(G, alpha, E, mode, **kw)
+    for name in ("count", "uncertainty", "flags", "extras"):
+        assert getattr(got, name) == getattr(want, name), (case, name)
+    assert got.steps <= want.steps, case
+    return got
+
+
+@pytest.mark.parametrize("name", (
+    "zero", "square-well", "annulus", "gaussian", "bump", "counterexample",
+    "counterexample-damped", "counterexample-damped-strong"))
+def test_fd_trimmed_pass_matches_full_window(catalog, name):
+    # in every mode and at alpha in {3, 25, 200, 800, 3200}: every channel
+    # energy of the plane count (the whole line up to the first empty
+    # channel, the Dirichlet modes at m = 0), one random energy and one
+    # within the threshold offset of 0 (whose E + delta probe is > 0) give
+    # the full window's count, uncertainty, flags and side counts. The slow
+    # tails have no constant tail, so their trimmed pass is the lead-in
+    # alone, and their 90k-node windows at alpha 3200 are scanned at m = 0
+    G = to_log(catalog[name], strict=False)
+    rng = np.random.default_rng(41)
+    for alpha in (3.0, 25.0, 200.0, 800.0, 3200.0):
+        eps = threshold_eps(G, alpha) or 1e-9
+        scan = alpha < 3200.0 or math.isfinite(G.t_support[1])
+        for mode in BoundaryMode:
+            E = -float(rng.uniform(0.0, 1.0)) * max(alpha * G.g_max, 1.0)
+            _assert_matches_full_window(G, alpha, E, mode, (alpha, mode, E))
+            _assert_matches_full_window(G, alpha, -0.5 * eps, mode,
+                                        (alpha, mode, "E + delta > 0"))
+            m = 0
+            while _assert_matches_full_window(
+                    G, alpha, -(m * m + eps), mode, (alpha, mode, m)).count:
+                if mode != BoundaryMode.WHOLE_LINE or not scan:
+                    break
+                m += 1
+
+
+_LINE = (BoundaryMode.WHOLE_LINE,)
+
+
+@pytest.mark.parametrize("name, alphas, modes", [
+    ("square-well", (5.0, 50.0, 200.0), tuple(BoundaryMode)),
+    ("annulus", (5.0, 50.0, 200.0), tuple(BoundaryMode)),
+    ("gaussian", (5.0, 50.0, 200.0), tuple(BoundaryMode)),
+    ("bump", (5.0, 50.0, 200.0), tuple(BoundaryMode)),
+    ("counterexample", (5.0, 25.0),
+     (BoundaryMode.WHOLE_LINE, BoundaryMode.HALF_LINE_DIRICHLET)),
+    ("counterexample-damped", (25.0,), _LINE),
+    ("counterexample-damped-strong", (25.0,), _LINE),
+])
+def test_fd_bisection_matches_full_window(catalog, monkeypatch, name,
+                                          alphas, modes):
+    # bisection meets the count at energies where it flips, so a pivot a
+    # few ulps off in the trimmed pass would move a located eigenvalue: the
+    # locations must be the full window's bit for bit (these are the calls
+    # verify makes for its sqrt-moment, square-well at alpha 50 included).
+    # On the slow tails G = 0 for t < e^2, so the half line and the right
+    # block at 0 sweep what the whole line sweeps
+    G = to_log(catalog[name], strict=False)
+    for alpha in alphas:
+        for mode in modes:
+            kw = dict(E=-threshold_eps(G, alpha), n_max=64, mode=mode,
+                      engine="fd")
+            got = eigenvalues_below(G, alpha, **kw)
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral1d, "_block_count", _full_window_block)
+                want = eigenvalues_below(G, alpha, **kw)
+            assert got[1] == want[1], (alpha, mode)
+            assert np.array_equal(got[0], want[0]), (alpha, mode)
+
+
+def _swept_negatives(monkeypatch):
+    """Spy on the Sturm sweep: a list that collects (pivots, negatives)
+    of every sweep, for the counts the closed forms add."""
+    sweeps = []
+    sweep = spectral1d._sturm_pass
+
+    def spy(a, *args):
+        out = sweep(a, *args)
+        sweeps.append((len(a), out[0]))
+        return out
+
+    monkeypatch.setattr(spectral1d, "_sturm_pass", spy)
+    return sweeps
+
+
+def _fd_levels(G, alpha, lo, hi, h):
+    """Eigenvalues of the fd operator on nodes lo + h, ..., hi - h."""
+    t = lo + h * np.arange(1, round((hi - lo) / h))
+    T = (np.diag(2.0 - h * h * alpha * G.eval(t))
+         - np.eye(len(t), k=1) - np.eye(len(t), k=-1))
+    return np.linalg.eigvalsh(T) / (h * h)
+
+
+@pytest.mark.parametrize("head, tail", [(k, n) for k in (0, 1, 2)
+                                        for n in (0, 1, 2)])
+def test_fd_constant_runs_of_0_1_2_nodes(monkeypatch, head, tail):
+    # nine nodes t = 0.1 .. 0.9 on (0, 1); the box leaves `head` of them
+    # at G = 0 on the left and `tail` on the right. Just above a level of
+    # the grid problem the newest negative pivot is the last one, so with
+    # a tail it is the tail rule's
+    G = boxes_G((400.0, 0.05 + 0.1 * head, 0.95 - 0.1 * tail))
+    kw = dict(domain=(0.0, 1.0), grid=GridSpec(h=0.1))
+    levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
+    levels = levels[levels < 0.0]
+    assert len(levels) >= 3
+    energies = ([float(e) for e in np.linspace(-399.0, -1.0, 41)]
+                + [float(e) * (1.0 + s) for e in levels
+                   for s in (1e-12, -1e-12)])
+    sweeps = _swept_negatives(monkeypatch)
+    from_tail = 0
+    for E in energies:
+        sweeps.clear()
+        got = _assert_matches_full_window(G, 1.0, E, BoundaryMode.WHOLE_LINE,
+                                          (head, tail, E), **kw)
+        assert got.steps == 3 * (9 - head - tail) == sum(
+            n for n, _ in sweeps), E
+        from_tail += got.count > sweeps[0][1]
+    assert (from_tail > 0) == (tail > 0)
+
+
+def test_fd_dirichlet_at_0_blocks(monkeypatch):
+    # t = 0 is node 10 of (-1, 1) at h = 0.1, splitting nodes -0.9 .. -0.1
+    # from 0.1 .. 0.9; a block that is all G = 0 counts 0 with no sweep,
+    # and so does one whose box lies below E
+    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    kw = dict(domain=(-1.0, 1.0), grid=GridSpec(h=0.1))
+    right_only = boxes_G((400.0, 0.25, 0.75))
+    both = boxes_G((400.0, -0.75, -0.25), (300.0, 0.25, 0.75))
+    sweeps = _swept_negatives(monkeypatch)
+    for G, blocks in ((right_only, 1), (both, 2)):
+        for E in (-350.0, -200.0, -120.0, -60.0, -5.0):
+            sweeps.clear()
+            got = _assert_matches_full_window(G, 1.0, E, mode, E, **kw)
+            swept = 1 if blocks == 1 or E < -300.0 else 2
+            assert len(sweeps) == 3 * swept, E
+            if blocks == 1:
+                assert got.extras["left"] == 0
+    assert got.extras["left"] > 0 and got.extras["right"] > 0
+
+
+def test_fd_zero_pivot_retry_is_trimmed_too(monkeypatch):
+    # h = 0.5, E = -1 and G = 5 on the first two nodes make both diagonals
+    # exactly 1: the second pivot is 0.0, and the retry with the ulp shift
+    # sweeps the same two nodes again, the five-node tail in closed form
+    G = boxes_G((5.0, 0.25, 1.25))
+    kw = dict(domain=(0.0, 4.0), grid=GridSpec(h=0.5))
+    sweeps = _swept_negatives(monkeypatch)
+    got = _assert_matches_full_window(G, 1.0, -1.0, BoundaryMode.WHOLE_LINE,
+                                      "zero pivot", **kw)
+    assert "pivot-shift" in got.flags and got.uncertainty == 1
+    assert [n for n, _ in sweeps] == [2, 2, 2, 2]   # E, retry, E -/+ delta
+    assert got.steps == 8
+
+
+def test_run_pivot_is_the_constant_run_recursion():
+    # pivot k of a constant run from a Dirichlet end, in closed form, and
+    # the exact limit (k + 2)/(k + 1) when a = 2
+    for a in (2.0 + 1e-11, 2.0 + 1e-4, 2.25, 3.0, 40.0):
+        theta = 2.0 * math.asinh(0.5 * math.sqrt(a - 2.0))
+        d = math.inf
+        for k in range(60):
+            d = a - 1.0 / d
+            assert spectral1d._run_pivot(theta, k) == pytest.approx(
+                d, rel=1e-13), (a, k)
+    assert spectral1d._run_pivot(0.0, 3) == 5 / 4
+
+
+@st.composite
+def _random_boxes(draw):
+    n = draw(st.integers(1, 3))
+    ends = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n,
+                                max_size=2 * n, unique=True)))
+    depths = draw(st.lists(st.floats(1.0, 200.0), min_size=n, max_size=n))
+    return [(d, lo, hi) for d, lo, hi in zip(depths, ends[::2], ends[1::2])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes=_random_boxes(), frac=st.floats(1e-4, 1.0),
+       mode=st.sampled_from(list(BoundaryMode)))
+def test_fd_trimmed_pass_property_random_boxes(boxes, frac, mode):
+    # on random boxes, at any energy in the range of the spectrum, the
+    # trimmed pass is the full window's count
+    G = boxes_G(*boxes)
+    E = -frac * G.g_max
+    _assert_matches_full_window(G, 1.0, E, mode, (boxes, E, mode))
