@@ -46,10 +46,16 @@ __all__ = [
 ]
 
 
+# flags that describe a count without putting it in doubt; any other flag
+# (near-threshold, pivot-shift, lambda-near-threshold, ...) does
+INFORMATIONAL_FLAGS = frozenset(
+    {"domain-truncated", "below-spectrum", "zero-potential"})
+
+
 class ChannelConsistencyError(RuntimeError):
     """An exact structural identity between counting routes failed without
-    any near-threshold flag to excuse it: that is a numerical bug, not a
-    borderline case."""
+    any doubt flag to excuse it: that is a numerical bug, not a borderline
+    case."""
 
 
 @dataclass
@@ -163,7 +169,7 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
 
     The two routes differ by a single boundary condition, a rank-one
     restriction, so any other difference is a bug: violations raise unless a
-    near-threshold flag puts the counts in doubt.
+    flag outside INFORMATIONAL_FLAGS puts the counts in doubt.
     """
     b = breakdown if breakdown is not None else total_count(P, alpha, engine=engine)
     n_dir_route = b.radial_dirichlet_count + b.nonradial
@@ -178,7 +184,7 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
         "uncertainty": b.uncertainty,
         "flags": list(b.flags),
     }
-    if not ok and b.uncertainty == 0 and not b.flags:
+    if not ok and set(b.flags) <= INFORMATIONAL_FLAGS:
         raise ChannelConsistencyError(
             f"sandwich violated at alpha={alpha}: total={b.total}, "
             f"dirichlet route={n_dir_route}")
@@ -194,7 +200,8 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
     The companion spectrum does not depend on alpha. spectra, when given,
     is a dict shared by the checks of one potential: the spectrum is kept
     there under (counting window, n_max, grid) and reused by a later check
-    whose key matches. Every check runs its own direct count."""
+    whose key matches. Every check runs its own direct count. A mismatch
+    raises unless a flag outside INFORMATIONAL_FLAGS puts it in doubt."""
     G = _as_log(P)
     eps = threshold_eps(G, alpha)
     if eps <= 0.0:
@@ -232,7 +239,7 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
         "flags": flags + list(fd.flags),
         "n_nodes": meta["n_nodes"],
     }
-    if not ok and not report["flags"]:
+    if not ok and set(report["flags"]) <= INFORMATIONAL_FLAGS:
         raise ChannelConsistencyError(
             f"coupling-duality mismatch at alpha={alpha}: spectrum route "
             f"{count_spec}, direct route {fd.count}")

@@ -25,7 +25,8 @@ Two independent engines with no shared discretization machinery:
     Dirichlet end holds none that is negative, a trailing run at most one.
     While the diagonal is >= 2, every pivot is >= 1, so the pass starts at a
     lead-in node left of the first allowed one, from which an error in the
-    entering pivot shrinks by 1e-12.
+    entering pivot shrinks by 1e-12, and past the last allowed node it
+    stops at the first pivot >= 1.
 
 Both count the same thing up to discretization windows, and on an identical
 finite interval with Dirichlet ends (`truncated=True` for the phase engine)
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cholesky_banded, solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
@@ -402,6 +403,26 @@ def _sturm_pass(a: list[float], d: float = math.inf
     return neg, hit_zero, d
 
 
+def _settle_pass(a: list[float], d: float) -> tuple[int, bool, float, int]:
+    """_sturm_pass over nodes where every a_i >= 2, stopped at the first
+    pivot >= 1: each later pivot a_i - 1/d is >= 1 too, so none is negative
+    or zero. A loop of its own, so that _sturm_pass, the hot one, tests
+    nothing more per pivot. Returns (count, hit_zero_pivot, last pivot,
+    pivots swept)."""
+    neg = 0
+    hit_zero = False
+    for k, ai in enumerate(a):
+        if d >= 1.0:
+            return neg, hit_zero, d, k
+        d = ai - 1.0 / d
+        if d == 0.0:
+            hit_zero = True
+            d = 1e-300
+        if d < 0.0:
+            neg += 1
+    return neg, hit_zero, d, len(a)
+
+
 def _run_pivot(theta: float, k: int) -> float:
     """Pivot k (0-based) of a run of constant diagonal a = 2 cosh(theta)
     from a Dirichlet end: sinh((k+2) theta)/sinh((k+1) theta), written as
@@ -417,7 +438,7 @@ def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
     """Negative pivots of one Dirichlet block with diagonal `arr`, whose
     nodes before `first` (the head) and the n_tail = len(arr) - stop nodes
     from `stop` on (the tail) hold a_c = 2 - h^2 E >= 2. Returns (count,
-    hit_zero_pivot, pivots swept), by the three rules of count_below_fd.
+    hit_zero_pivot, pivots swept), by the four rules of count_below_fd.
 
     In the tail the pivot products p_k = d d_1 ... d_k are
     (d sinh((k+1) theta_c) - sinh(k theta_c))/sinh(theta_c), which change
@@ -446,10 +467,12 @@ def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
     else:
         j = 0
         d = _run_pivot(theta_c, first - 1) if first else math.inf
-    neg, hit_zero, d = _sturm_pass(core[j:].tolist(), d)
+    last = int(allowed[-1]) + 1
+    neg, hit_zero, d = _sturm_pass(core[j:last].tolist(), d)
+    n_set, hz_set, d, k = _settle_pass(core[last:].tolist(), d)
     if n_tail and 0.0 < d < 1.0 / _run_pivot(theta_c, n_tail - 1):
         neg += 1
-    return neg, hit_zero, core.size - j
+    return neg + n_set, hit_zero or hz_set, last - j + k
 
 
 def _line_grid(A: float, B: float, h: float, n_cap: int, mode: BoundaryMode
@@ -487,7 +510,8 @@ def count_below_fd(G, alpha: float, E: float,
     disagrees, and a zero pivot triggers an ulp-scale shift (flagged).
 
     Each Dirichlet block is swept, per energy, only from a start node up
-    to its last node where G moves the diagonal. The rest has closed forms:
+    to its last node where G moves the diagonal, or less (the settled
+    sweep below). The rest has closed forms:
       * constant tail: past that node the diagonal is a = 2 - h^2 E >= 2,
         and at most one pivot is negative: one is iff 0 < d and
         (1 - d r+) r+^(2L) > 1 - d r-, with r+- = e^(+-theta),
@@ -501,7 +525,10 @@ def count_below_fd(G, alpha: float, E: float,
         exp(-2 sum acosh(a_k/2)). If that factor, from a node j past the
         head to the first allowed node (a_i < 2), is 1e-12 or less, the
         sweep starts at the latest such j instead, entering with the
-        decaying ratio r+(a_j).
+        decaying ratio r+(a_j);
+      * settled sweep: past the last allowed node every a_i >= 2, so after
+        a pivot >= 1 every pivot is >= 1, and the tail adds nothing
+        (d >= 1 > 1/_run_pivot); the sweep stops at the first such pivot.
     The rules need a = 2 - h^2 E >= 2; a block probed at an energy > 0 is
     swept whole. The head and the lead-in are exact up to the rounding of
     the entering pivot, and the lead-in up to its 1e-12 contraction, so the
@@ -653,9 +680,12 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
 
     These are alpha-independent; the bound-state count of the coupling-alpha
     problem equals #{lambda_n > 1/alpha}. Discretized as the pencil
-    M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)), reduced by
-    a banded Cholesky of K, and solved by Lanczos with a fixed start vector
-    so results are deterministic. Returns (descending eigenvalues, meta).
+    M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)). K is
+    factored once (LDL^T, LAPACK dpttrf). Lanczos runs on the symmetric
+    M^(1/2) K^(-1) M^(1/2), which has the pencil's spectrum, so each
+    product is one tridiagonal solve; its start vector is fixed, so results
+    are deterministic. G must be >= 0 on the grid. Returns (descending
+    eigenvalues, meta).
     """
     mode = BoundaryMode(mode)
     if domain is None:
@@ -667,31 +697,28 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
         h = (B - A) / min(max(4000, 40 * n_max), grid.n_cap)
     A, B, h, n, k0, _ = _line_grid(A, B, h, grid.n_cap, mode)
     gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
+    if np.any(gv < 0.0):
+        raise ValueError("bs_spectrum needs G >= 0 on the grid; "
+                         f"min G = {float(np.min(gv))!r}")
     if k0 is not None:
         gv = np.delete(gv, k0 - 1)  # Dirichlet node at t = 0
     m = len(gv)
     meta = {"domain": (A, B), "h": h, "n_nodes": m}
     lam = np.zeros(n_max)
-    if not np.any(gv > 0.0) or m < 3:
-        return lam, meta
-    # K in lower banded form: constant tridiagonal, with the one coupling
-    # across the dropped node zeroed so the two sides are Dirichlet blocks
-    ab = np.zeros((2, m))
-    ab[0, :] = 2.0 / h
-    ab[1, :-1] = -1.0 / h
-    if k0 is not None and k0 >= 2:
-        ab[1, k0 - 2] = 0.0
-    L = cholesky_banded(ab, lower=True)
-    diag_m = h * gv
-
-    def matvec(v):
-        w = solve_banded((0, 1), np.vstack([np.roll(L[1], 1), L[0]]), v)
-        y = diag_m * w
-        return solve_banded((1, 0), L, y)
-
     k_eff = min(n_max, m - 2, int(np.count_nonzero(gv > 0.0)))
     if k_eff < 1:
         return lam, meta
+    # K: constant tridiagonal, with the one coupling across the dropped
+    # node zeroed so the two sides are Dirichlet blocks
+    off = np.full(m - 1, -1.0 / h)
+    if k0 is not None and k0 >= 2:
+        off[k0 - 2] = 0.0
+    d, e, _ = dpttrf(np.full(m, 2.0 / h), off)
+    sq = np.sqrt(h * gv)
+
+    def matvec(v):
+        return sq * dpttrs(d, e, sq * v)[0]
+
     op = LinearOperator((m, m), matvec=matvec, dtype=float)
     v0 = np.full(m, 1.0 / math.sqrt(m))
     vals = eigsh(op, k=k_eff, which="LA", v0=v0, maxiter=10000,

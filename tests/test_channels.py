@@ -6,6 +6,8 @@ more when the boundary log-derivative sqrt(alpha) J_m'(sqrt(alpha)) /
 J_m(sqrt(alpha)) lies below -m.  That formula never touches our ODE or
 matrix code, so agreement here validates the whole counting pipeline.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import jn_zeros, jv, jvp
@@ -126,6 +128,63 @@ def test_duality_exact_on_shared_grid(catalog):
             assert rep["count_spectrum"] == rep["count_direct"]
 
 
+@pytest.mark.parametrize("doubt", ("pivot-shift", "lambda-near-threshold"))
+def test_sandwich_violation_raises_unless_in_doubt(catalog, doubt):
+    # a Dirichlet route one above the total violates the sandwich: an
+    # informational flag does not excuse it, a doubt flag does
+    b = total_count(catalog["square-well"], 37.0)
+    off = dataclasses.replace(b, radial_dirichlet_count=b.total
+                              - b.nonradial + 1)
+    for flags in ((), ("domain-truncated",),
+                  ("below-spectrum", "domain-truncated", "zero-potential")):
+        with pytest.raises(channels.ChannelConsistencyError):
+            sandwich_check(None, 37.0, breakdown=dataclasses.replace(
+                off, flags=flags))
+    rep = sandwich_check(None, 37.0, breakdown=dataclasses.replace(
+        off, flags=("domain-truncated", doubt)))
+    assert not rep["ok"] and rep["difference"] == -1
+
+
+def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
+    # the slow tail's direct count carries domain-truncated; one more
+    # state on either route is a mismatch that only a doubt flag excuses
+    P = catalog["counterexample"]
+    want = bs_duality_check(P, 20.0)
+    assert want["ok"] and want["flags"] == ["domain-truncated"]
+    direct = channels.count_below_fd
+
+    def off_by_one(*extra):
+        def count(*args, **kw):
+            r = direct(*args, **kw)
+            return dataclasses.replace(r, count=r.count + 1,
+                                       flags=r.flags + extra)
+        return count
+
+    with monkeypatch.context() as mp:
+        mp.setattr("radcount.channels.count_below_fd", off_by_one())
+        with pytest.raises(channels.ChannelConsistencyError):
+            bs_duality_check(P, 20.0)
+        mp.setattr("radcount.channels.count_below_fd",
+                   off_by_one("pivot-shift"))
+        rep = bs_duality_check(P, 20.0)
+        assert not rep["ok"]
+        assert rep["count_direct"] == want["count_direct"] + 1
+    # the first companion eigenvalue below 1/alpha moved just above it
+    solve = channels.bs_spectrum
+
+    def spectrum(*args, **kw):
+        lam, meta = solve(*args, **kw)
+        lam = lam.copy()
+        lam[want["count_spectrum"]] = (1.0 + 1e-10) / 20.0
+        return lam, meta
+
+    monkeypatch.setattr("radcount.channels.bs_spectrum", spectrum)
+    rep = bs_duality_check(P, 20.0)
+    assert not rep["ok"]
+    assert rep["count_spectrum"] == want["count_spectrum"] + 1
+    assert rep["flags"] == ["lambda-near-threshold", "domain-truncated"]
+
+
 def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     # the companion spectrum does not depend on alpha: checks that share a
     # dict solve it once per (counting window, n_max, grid), each runs its
@@ -241,6 +300,30 @@ def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
     assert len(seen) == 53
     assert sum(r.extras["n_nodes"] for r in seen) == 581203
     assert sum(r.steps for r in seen) == 226203
+
+
+@pytest.mark.parametrize("name, counts, total, nodes, pivots", [
+    ("counterexample", 7, 98, 696463, 542745),
+    ("bump", 125, 3874, 519945, 364632),
+])
+def test_fd_sturm_work_at_3200(catalog, monkeypatch, name, counts, total,
+                               nodes, pivots):
+    # past the last allowed node the sweep stops at the first pivot >= 1;
+    # on the slow tail, whose G > 0 runs to the window end, that cuts the
+    # swept pivots from 2071755 to 542745 (bump: 394500 to 364632)
+    seen = []
+
+    def counting(*args, **kw):
+        seen.append(count_below(*args, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr("radcount.channels.count_below", counting)
+    b = total_count(catalog[name], 3200.0, engine="fd")
+    assert b.total == total and b.uncertainty == 0
+    assert set(b.flags) <= channels.INFORMATIONAL_FLAGS
+    assert len(seen) == counts
+    assert sum(r.extras["n_nodes"] for r in seen) == nodes
+    assert sum(r.steps for r in seen) == pivots
 
 
 def test_annulus_3200_has_no_step_floor(catalog):

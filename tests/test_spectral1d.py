@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,6 +248,71 @@ def test_bs_spectrum_grid_stability(catalog):
     # are relatively softer, so the blanket tolerance is looser
     assert lam1[0] == pytest.approx(lam2[0], rel=1e-3)
     assert np.allclose(lam1, lam2, rtol=1e-2, atol=1e-10)
+
+
+def _dense_pencil(G, meta, mode):
+    """All eigenvalues, descending, of h diag(G) u = lambda K u on the grid
+    of `meta`, built dense: the Dirichlet node at t = 0 is deleted from the
+    full tridiagonal, which cuts the coupling across it."""
+    A, B = meta["domain"]
+    h = meta["h"]
+    n = round((B - A) / h)
+    gv = G.eval(A + h * np.arange(1, n))
+    K = (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / h
+    k0 = round(-A / h)
+    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and 0 < k0 < n:
+        keep = np.arange(n - 1) != k0 - 1
+        gv, K = gv[keep], K[np.ix_(keep, keep)]
+    assert len(gv) == meta["n_nodes"]
+    want = scipy.linalg.eigh(np.diag(h * gv), K, eigvals_only=True)[::-1]
+    return want, int(np.count_nonzero(gv > 0.0))
+
+
+def _assert_matches_dense_pencil(G, mode, domain, case, n_max=32):
+    h = (domain[1] - domain[0]) / 400
+    lam, meta = bs_spectrum(G, mode, domain=domain, grid=GridSpec(h=h),
+                            n_max=n_max)
+    want, positive = _dense_pencil(G, meta, mode)
+    k = min(n_max, meta["n_nodes"] - 2, positive)
+    # eigenvalues far below the largest are roundoff in both solvers
+    np.testing.assert_allclose(lam[:k], want[:k], rtol=1e-10,
+                               atol=1e-12 * want[0], err_msg=case)
+    assert np.all(lam[k:] == 0.0), case
+    return k
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_bs_spectrum_matches_dense_pencil(catalog, mode):
+    # every nonzero bundled spec on a 400-interval grid of its default
+    # window, in every mode: the Lanczos spectrum is the dense pencil's
+    # (on the half line the disk's G is 0, and all n_max are zeros)
+    solved = []
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        if G.g_max <= 0.0:
+            continue
+        dom = counting_domain(G, 1.0, -max(1e-9 * G.g_max, 1e-12), mode)
+        solved.append(_assert_matches_dense_pencil(G, mode, dom, name))
+    assert len(solved) == 7 and max(solved) == 32
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_bs_spectrum_pads_past_the_support(mode):
+    # two boxes cover 20 of 399 nodes at h = 0.02: the pencil has 20
+    # nonzero eigenvalues, and the other n_max - 20 come back as zeros
+    G = boxes_G((50.0, -0.5, -0.3), (30.0, 0.2, 0.4))
+    assert _assert_matches_dense_pencil(G, mode, (-4.0, 4.0), mode) == 20
+
+
+def test_bs_spectrum_rejects_negative_G():
+    # M^(1/2) needs G >= 0; a stub that dips below 0 on the grid is an
+    # error, not NaN eigenvalues
+    G = boxes_G((10.0, -1.0, 1.0), (-1.0, 1.0, 2.0))
+    for mode in BoundaryMode:
+        with pytest.raises(ValueError, match="G >= 0"):
+            bs_spectrum(G, mode, domain=(-2.0, 3.0), grid=GridSpec(h=0.01))
+    lam, _ = bs_spectrum(G, domain=(-2.0, 0.5), grid=GridSpec(h=0.01))
+    assert lam[0] > 0.0
 
 
 def test_threshold_eps_tracks_scale(catalog):
@@ -799,6 +865,51 @@ def test_fd_constant_runs_of_0_1_2_nodes(monkeypatch, head, tail):
             n for n, _ in sweeps), E
         from_tail += got.count > sweeps[0][1]
     assert (from_tail > 0) == (tail > 0)
+
+
+@pytest.mark.parametrize("tail", (0, 1))
+def test_fd_sweep_stops_once_settled(monkeypatch, tail):
+    # nodes 0.1 .. 0.5 sit in a deep box and the next ones in a shallow one
+    # that E lies below, so every a_i there is >= 2: the sweep goes on past
+    # the last allowed node only until a pivot is >= 1, and negative pivots
+    # on that stretch still count
+    G = boxes_G((400.0, 0.05, 0.55), (50.0, 0.55, 0.95 - 0.1 * tail))
+    kw = dict(domain=(0.0, 1.0), grid=GridSpec(h=0.1))
+    levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
+    levels = levels[(levels < -50.0) & (levels > -400.0)]
+    assert len(levels) >= 2
+    energies = ([float(e) for e in np.linspace(-399.0, -50.0, 36)]
+                + [float(e) * (1.0 + s) for e in levels
+                   for s in (1e-12, -1e-12)])
+    settled = []
+    settle = spectral1d._settle_pass
+
+    def spy(a, d):
+        out = settle(a, d)
+        settled.append((len(a), out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(spectral1d, "_settle_pass", spy)
+    cut = from_settle = 0
+    for E in energies:
+        settled.clear()
+        got = _assert_matches_full_window(G, 1.0, E, BoundaryMode.WHOLE_LINE,
+                                          (tail, E), **kw)
+        assert settled[0][0] == 4 - tail
+        cut += settled[0][2] < settled[0][0]
+        from_settle += settled[0][1]
+    assert cut > 0 and from_settle > 0
+
+
+def test_fd_zero_pivot_past_the_last_allowed_node():
+    # h = 0.5, E = -2: G = 8 at t = 0.5 gives the allowed diagonal 0.5 and
+    # pivot 0.5; G = 2 at t = 1 gives the diagonal 2 exactly, past the last
+    # allowed node, where the pivot 2 - 1/0.5 is 0.0 and is flagged
+    G = boxes_G((8.0, 0.25, 0.75), (2.0, 0.75, 1.25))
+    got = _assert_matches_full_window(
+        G, 1.0, -2.0, BoundaryMode.WHOLE_LINE, "zero pivot",
+        domain=(0.0, 4.0), grid=GridSpec(h=0.5))
+    assert "pivot-shift" in got.flags and got.uncertainty == 1
 
 
 def test_fd_dirichlet_at_0_blocks(monkeypatch):
