@@ -168,8 +168,9 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
     its Dirichlet-at-origin count.
 
     The two routes differ by a single boundary condition, a rank-one
-    restriction, so any other difference is a bug: violations raise unless a
-    flag outside INFORMATIONAL_FLAGS puts the counts in doubt.
+    restriction, so any other difference is a bug: a violation raises
+    unless a flag outside INFORMATIONAL_FLAGS puts the counts in doubt, and
+    a doubt flag excuses it only as far as the stated uncertainty reaches.
     """
     b = breakdown if breakdown is not None else total_count(P, alpha, engine=engine)
     n_dir_route = b.radial_dirichlet_count + b.nonradial
@@ -184,10 +185,12 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
         "uncertainty": b.uncertainty,
         "flags": list(b.flags),
     }
-    if not ok and set(b.flags) <= INFORMATIONAL_FLAGS:
+    miss = max(-diff, diff - 1, 0)   # distance of diff from {0, 1}
+    in_doubt = not set(b.flags) <= INFORMATIONAL_FLAGS
+    if miss > (b.uncertainty if in_doubt else 0):
         raise ChannelConsistencyError(
             f"sandwich violated at alpha={alpha}: total={b.total}, "
-            f"dirichlet route={n_dir_route}")
+            f"dirichlet route={n_dir_route}, uncertainty={b.uncertainty}")
     return report
 
 

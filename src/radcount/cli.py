@@ -33,8 +33,8 @@ from .channels import bs_duality_check, sandwich_check, total_count
 from .potentials import (PotentialSpecError, RadialPotential,
                          bundled_spec_names, integral_J, integral_logweight,
                          load_bundled, load_spec, to_log)
-from .spectral1d import (BoundaryMode, CountResult, count_below,
-                         eigenvalues_below, threshold_eps)
+from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, CountResult,
+                         count_below, eigenvalues_below, threshold_eps)
 from .weakseq import classify, delta_estimates, zeta_sequence
 from .quadrature import integrate_line
 
@@ -94,20 +94,13 @@ def _emit(doc: dict, path: str | None = None) -> None:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    """Resolved run configuration, field order fixed by construction."""
-    cfg = {
-        "subcommand": args.cmd,
-        "spec": getattr(args, "spec", None),
-        "quad_abs_tol": args.quad_abs_tol,
-        "quad_rel_tol": args.quad_rel_tol,
-        "eig_tol": args.eig_tol,
-        "threshold_frac": 1e-9,
-        "seed": args.seed,
-        "budget_seconds": args.budget_seconds,
-    }
-    skip = set(cfg) | {"cmd", "func", "sub"}
+    """Resolved run configuration: subcommand, spec and threshold fraction,
+    then every option the subcommand registered, sorted. A subcommand
+    registers only the knobs it applies, so only those are echoed."""
+    cfg = {"subcommand": args.cmd, "spec": getattr(args, "spec", None),
+           "threshold_frac": THRESHOLD_FRAC}
     for k in sorted(vars(args)):
-        if k not in skip:
+        if k not in cfg and k not in ("cmd", "func", "sub"):
             cfg[k] = getattr(args, k)
     return cfg
 
@@ -296,7 +289,7 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
             tmom = 0.0
         else:
             pts = tuple(p for p in G.breakpoints if p > 0.0)
-            tmom, _ = integrate_line(lambda t: t * prof.g_scalar(t),
+            tmom, _ = integrate_line(lambda t: t * prof.g_vec(t),
                                      max(t_lo, 0.0), t_hi, points=pts)
 
     # alpha-independent inputs of the per-alpha checks: the log weight at
@@ -358,13 +351,13 @@ def _cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *, spec_required: bool = True):
     p.add_argument("--spec", required=spec_required,
                    help="potential spec file or bundled name")
-    p.add_argument("--quad-abs-tol", type=float, default=1e-10)
-    p.add_argument("--quad-rel-tol", type=float, default=1e-8)
-    p.add_argument("--eig-tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="write the JSON report here instead of stdout")
+
+
+def _add_quad_tols(p: argparse.ArgumentParser):
+    p.add_argument("--quad-abs-tol", type=float, default=1e-10)
+    p.add_argument("--quad-rel-tol", type=float, default=1e-8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,12 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
         q = ps.add_parser(name, allow_abbrev=False)
         _add_common(q)
         if name == "integrals":
+            _add_quad_tols(q)
             q.add_argument("--R", type=float, default=1.0)
         q.set_defaults(func=_cmd_potential)
 
     p = sub.add_parser("seq", allow_abbrev=False,
                        help="dyadic block sequence and verdict")
     _add_common(p)
+    _add_quad_tols(p)
     p.add_argument("--K", type=int, default=200)
     p.set_defaults(func=_cmd_seq)
 
@@ -434,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="pruefer", choices=("pruefer", "fd"))
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--K", type=int, default=200)
+    p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--csv", default=None, metavar="PATH")
     p.add_argument("--json", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_sweep)
@@ -441,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", allow_abbrev=False,
                        help="run the full cross-check suite")
     _add_common(p)
+    p.add_argument("--eig-tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="coupling(s) for the per-alpha checks")
     p.add_argument("--n-random", type=int, default=12,
@@ -450,11 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace, ap: argparse.ArgumentParser) -> None:
-    for name in ("quad_abs_tol", "quad_rel_tol", "eig_tol"):
-        if getattr(args, name) <= 0.0:
+    for name in ("quad_abs_tol", "quad_rel_tol", "eig_tol", "budget_seconds"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0.0:
             ap.error(f"--{name.replace('_', '-')} must be positive")
-    if args.budget_seconds is not None and args.budget_seconds <= 0.0:
-        ap.error("--budget-seconds must be positive")
 
 
 def main(argv=None) -> int:

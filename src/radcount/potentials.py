@@ -36,7 +36,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .quadrature import integrate_interval, integrate_line, integrate_to_infinity
+from .quadrature import (integrate_batch, integrate_interval, integrate_line,
+                         integrate_tails)
 
 __all__ = [
     "PotentialSpecError",
@@ -563,7 +564,7 @@ def to_log(P: RadialPotential, tail_tol: float = 1e-10, *,
         return lp
     t_lo, t_hi = _t_support(prof)
     breaks = prof.t_breaks
-    j_val, j_err = integrate_line(prof.g_scalar, t_lo, t_hi, points=breaks,
+    j_val, j_err = integrate_line(prof.g_vec, t_lo, t_hi, points=breaks,
                                   epsabs=epsabs, epsrel=epsrel,
                                   name=f"J[{P.kind}]")
     if math.isinf(j_val) and strict:
@@ -574,25 +575,21 @@ def to_log(P: RadialPotential, tail_tol: float = 1e-10, *,
     truncated = False
 
     def _locate(start: float, downward: bool) -> tuple[float, bool]:
-        step = 1.0
-        T = start
-        while True:
-            T_try = start - step if downward else start + step
-            if abs(T_try) >= t_cap:
-                return (-t_cap if downward else t_cap), True
-            if math.isfinite(j_val):
-                if downward:
-                    tail, _ = integrate_to_infinity(
-                        lambda s: prof.g_scalar(-s), -T_try,
-                        epsabs=min(epsabs, 0.1 * target), epsrel=epsrel)
-                else:
-                    tail, _ = integrate_to_infinity(
-                        prof.g_scalar, T_try,
-                        epsabs=min(epsabs, 0.1 * target), epsrel=epsrel)
-                if tail <= target:
-                    return T_try, False
-            T = T_try
+        # probes start +- 1, 2, 4, ... inside the cap; the first whose tail
+        # mass is within target ends the window
+        sign = -1.0 if downward else 1.0
+        probes, step = [], 1.0
+        while abs(start + sign * step) < t_cap:
+            probes.append(start + sign * step)
             step *= 2.0
+        tails = integrate_tails(lambda s: prof.g_vec(sign * s),
+                                [sign * T for T in probes],
+                                epsabs=min(epsabs, 0.1 * target),
+                                epsrel=epsrel)
+        for T, (tail, _) in zip(probes, tails):
+            if tail <= target:
+                return T, False
+        return sign * t_cap, True
 
     finite_breaks = [b for b in breaks if math.isfinite(b)]
     if math.isfinite(t_hi):
@@ -637,7 +634,7 @@ def integral_J(P: RadialPotential, *, epsabs: float = 1e-10,
     if prof.is_zero:
         return 0.0, 0.0
     t_lo, t_hi = _t_support(prof)
-    return integrate_line(prof.g_scalar, t_lo, t_hi, points=prof.t_breaks,
+    return integrate_line(prof.g_vec, t_lo, t_hi, points=prof.t_breaks,
                           epsabs=epsabs, epsrel=epsrel, name=f"J[{P.kind}]")
 
 
@@ -665,7 +662,7 @@ def integral_logweight_grid(P: RadialPotential, R_grid, *,
     prof = P._prof
     if prof.is_zero:
         return np.zeros(R.size), np.zeros(R.size)
-    g, breaks = prof.g_scalar, prof.t_breaks
+    g, breaks = prof.g_vec, prof.t_breaks
     t_lo, t_hi = _t_support(prof)
     s = np.log(R)
     a, b = (min(max(float(x), t_lo), t_hi) for x in (s.min(), s.max()))
@@ -693,12 +690,12 @@ def integral_logweight_grid(P: RadialPotential, R_grid, *,
         pts = [p for p in breaks if a < p < b]
         inner = np.clip(s, a, b)
         u, where = np.unique(inner, return_inverse=True)
-        mid = np.array([integrate_interval(lambda t: g(t) * abs(t - ui), a, b,
-                                           points=pts + [ui], epsabs=epsabs,
-                                           epsrel=epsrel)
-                        for ui in u.tolist()])
-        vals += mid[where, 0]
-        errs += mid[where, 1]
+        mid, mid_err = integrate_batch(
+            lambda t, k: g(t) * np.abs(t - u[k]),
+            [sorted({a, *pts, ui, b}) for ui in u.tolist()],
+            epsabs=epsabs, epsrel=epsrel)
+        vals += mid[where]
+        errs += mid_err[where]
         off = np.abs(s - inner)
         if off.any():
             m0, m0_err = integrate_interval(g, a, b, points=pts,

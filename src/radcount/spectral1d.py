@@ -46,8 +46,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
     "BoundaryMode",
@@ -102,10 +100,14 @@ class CountResult:
     extras: dict = field(default_factory=dict)
 
 
+# fraction of the energy scale alpha * max G that threshold_eps puts below 0
+THRESHOLD_FRAC = 1e-9
+
+
 def threshold_eps(G, alpha: float) -> float:
-    """Offset below 0 used to stand in for 'strictly negative': 1e-9 of the
-    natural energy scale alpha * max G."""
-    return 1e-9 * alpha * G.g_max
+    """Offset below 0 used to stand in for 'strictly negative':
+    THRESHOLD_FRAC of the natural energy scale alpha * max G."""
+    return THRESHOLD_FRAC * alpha * G.g_max
 
 
 def counting_domain(G, alpha: float, E: float,
@@ -687,6 +689,10 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     are deterministic. G must be >= 0 on the grid. Returns (descending
     eigenvalues, meta).
     """
+    # scipy loads here, so importing radcount needs numpy alone
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     mode = BoundaryMode(mode)
     if domain is None:
         e_probe = -max(1e-9 * G.g_max, 1e-12)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import LogPotential
-from .quadrature import integrate_interval
+from .quadrature import integrate_batch, integrate_interval
 
 __all__ = [
     "ZetaSequence",
@@ -65,31 +65,21 @@ class ZetaSequence:
         assert len(self.values) == self.K + 1
 
 
-def _block_piece(G: LogPotential, lo_t: float, hi_t: float, side: int,
-                 epsabs: float, epsrel: float) -> tuple[float, float]:
-    """int |t| G(t) dt over the t-interval side*(lo_t, hi_t), 0 < lo_t < hi_t,
-    done in u = ln|t|."""
+def _block_pieces(G: LogPotential, K: int):
+    """(block k, side, partition in u = ln|t|) of every nonempty piece of
+    blocks 1..K: the t-interval side*(e^{k-1}, e^k) clipped to the support."""
     t_lo, t_hi = G.t_support
-    if side > 0:
-        lo = max(lo_t, t_lo)
-        hi = min(hi_t, t_hi)
-    else:
-        lo = max(lo_t, -t_hi)
-        hi = min(hi_t, -t_lo)
-    if hi <= lo or hi <= 0.0:
-        return 0.0, 0.0
-    lo = max(lo, 1e-300)
-    u_lo, u_hi = math.log(lo), math.log(hi)
-
-    def integrand(u: float) -> float:
-        t = math.exp(u)
-        return math.exp(2.0 * u) * G.eval_scalar(side * t)
-
-    pts = [math.log(side * b) for b in G.breakpoints
-           if math.isfinite(b) and side * b > 0.0
-           and u_lo < math.log(side * b) < u_hi]
-    return integrate_interval(integrand, u_lo, u_hi, points=pts,
-                              epsabs=epsabs, epsrel=epsrel)
+    for side, lo_s, hi_s in ((1, t_lo, t_hi), (-1, -t_hi, -t_lo)):
+        u_breaks = {math.log(side * b) for b in G.breakpoints
+                    if math.isfinite(b) and side * b > 0.0}
+        for k in range(1, K + 1):
+            lo = max(math.exp(k - 1.0), lo_s)
+            hi = min(math.exp(float(k)), hi_s)
+            if hi <= lo or hi <= 0.0:
+                continue
+            u_lo, u_hi = math.log(max(lo, 1e-300)), math.log(hi)
+            yield k, side, [u_lo, *sorted(u for u in u_breaks
+                                          if u_lo < u < u_hi), u_hi]
 
 
 def zeta_sequence(G: LogPotential, K: int = 200, *, epsabs: float = 1e-10,
@@ -97,6 +87,7 @@ def zeta_sequence(G: LogPotential, K: int = 200, *, epsabs: float = 1e-10,
     """Compute the block sequence zeta_0..zeta_K of G.
 
     Blocks disjoint from the support of G are exact zeros (no quadrature).
+    Every other block piece, on both sides, is integrated in one batch.
     """
     if not 1 <= K <= MAX_BLOCKS:
         raise ValueError(f"need 1 <= K <= {MAX_BLOCKS}, got {K}")
@@ -108,21 +99,20 @@ def zeta_sequence(G: LogPotential, K: int = 200, *, epsabs: float = 1e-10,
         if hi0 > lo0:
             pts = [b for b in G.breakpoints if lo0 < b < hi0]
             vals[0], errs[0] = integrate_interval(
-                G.eval_scalar, lo0, hi0, points=pts,
-                epsabs=epsabs, epsrel=epsrel)
-        for k in range(1, K + 1):
-            lo_t, hi_t = math.exp(k - 1.0), math.exp(float(k))
-            v = e = 0.0
-            if t_hi > lo_t:  # positive side overlaps
-                a, b = _block_piece(G, lo_t, hi_t, +1, epsabs, epsrel)
-                v += a
-                e += b
-            if t_lo < -lo_t:  # negative side overlaps
-                a, b = _block_piece(G, lo_t, hi_t, -1, epsabs, epsrel)
-                v += a
-                e += b
-            vals[k] = v
-            errs[k] = e
+                G.eval, lo0, hi0, points=pts, epsabs=epsabs, epsrel=epsrel)
+        pieces = list(_block_pieces(G, K))
+        if pieces:
+            block, side, edges = zip(*pieces)
+            side = np.array(side, dtype=float)
+
+            def integrand(u, j):
+                # |t| dt = e^{2u} du on the side of piece j
+                return np.exp(2.0 * u) * G.eval(side[j] * np.exp(u))
+
+            v, e = integrate_batch(integrand, edges, epsabs=epsabs,
+                                   epsrel=epsrel)
+            vals += np.bincount(block, v, K + 1)
+            errs += np.bincount(block, e, K + 1)
     notes = ("support window truncated",) if G.truncated else ()
     return ZetaSequence(vals, errs, K, G, notes)
 

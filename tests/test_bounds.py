@@ -189,7 +189,7 @@ def _logweight_reference(P, R):
     r_lo, r_hi = prof.support_r
     t_lo = -math.inf if r_lo <= 0.0 else math.log(r_lo)
     t_hi = math.inf if math.isinf(r_hi) else math.log(r_hi)
-    return integrate_line(lambda t: prof.g_scalar(t) * abs(t - lnR),
+    return integrate_line(lambda t: prof.g_vec(t) * np.abs(t - lnR),
                           t_lo, t_hi, points=tuple(prof.t_breaks) + (lnR,))
 
 

@@ -131,17 +131,19 @@ def test_duality_exact_on_shared_grid(catalog):
 @pytest.mark.parametrize("doubt", ("pivot-shift", "lambda-near-threshold"))
 def test_sandwich_violation_raises_unless_in_doubt(catalog, doubt):
     # a Dirichlet route one above the total violates the sandwich: an
-    # informational flag does not excuse it, a doubt flag does
+    # informational flag does not excuse it, a doubt flag does only with an
+    # uncertainty that covers the violation
     b = total_count(catalog["square-well"], 37.0)
     off = dataclasses.replace(b, radial_dirichlet_count=b.total
-                              - b.nonradial + 1)
+                              - b.nonradial + 1, uncertainty=0)
     for flags in ((), ("domain-truncated",),
-                  ("below-spectrum", "domain-truncated", "zero-potential")):
+                  ("below-spectrum", "domain-truncated", "zero-potential"),
+                  ("domain-truncated", doubt)):
         with pytest.raises(channels.ChannelConsistencyError):
             sandwich_check(None, 37.0, breakdown=dataclasses.replace(
                 off, flags=flags))
     rep = sandwich_check(None, 37.0, breakdown=dataclasses.replace(
-        off, flags=("domain-truncated", doubt)))
+        off, flags=("domain-truncated", doubt), uncertainty=1))
     assert not rep["ok"] and rep["difference"] == -1
 
 

@@ -1,9 +1,13 @@
 """Command-line surface, exercised in process through main()."""
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import radcount
 from radcount import __version__
 from radcount.bounds import bound_weak
 from radcount.cli import main
@@ -37,9 +41,14 @@ def test_report_wrapper_and_config(capsys):
     cfg = doc["config"]
     assert cfg["subcommand"] == "potential"
     assert cfg["spec"] == "square-well"
-    assert cfg["quad_abs_tol"] == 1e-10
-    assert cfg["seed"] == 1234
+    # show applies neither a quadrature tolerance nor a seed
+    assert "quad_abs_tol" not in cfg and "seed" not in cfg
     assert doc["report"]["kind"] == "square-well"
+    _, doc = run_json(capsys, "potential", "integrals", "--spec",
+                      "square-well")
+    assert doc["config"]["quad_abs_tol"] == 1e-10
+    _, doc = run_json(capsys, "verify", "--spec", "zero", "--n-random", "1")
+    assert doc["config"]["seed"] == 1234
 
 
 def test_potential_integrals_disk(capsys):
@@ -289,3 +298,23 @@ def test_mode_aliases_accepted(capsys):
                          "--mode", "half")
     assert code == 0
     assert doc["report"]["pruefer"]["mode"] == "half-line-dirichlet"
+
+
+def test_import_loads_no_scipy_submodule():
+    # a fresh interpreter: the CLI imports numpy only; bs_spectrum brings
+    # in the scipy it needs when it is called
+    code = """
+import sys
+import radcount.cli
+heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse", "scipy.optimize")
+print(sorted(m for m in heavy if m in sys.modules))
+from radcount import bs_spectrum, load_bundled, to_log
+lam, meta = bs_spectrum(to_log(load_bundled("square-well")), n_max=4)
+print(bool(lam[0] > lam[1] > 0.0), meta["n_nodes"] > 0)
+"""
+    src = os.path.dirname(os.path.dirname(radcount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split("\n")[:2] == ["[]", "True True"]

@@ -7,10 +7,23 @@ hand-integrable: exp tails, power tails, and s^{-p} densities in
 s = ln ln t whose exact integrals are (p-1)^{-1} s0^{1-p}.
 """
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from radcount import (
+    bundled_spec_names,
+    classify,
+    integral_J,
+    integral_logweight_grid,
+    load_bundled,
+    quadrature,
+    to_log,
+    zeta_sequence,
+)
+from radcount.bounds import bound_chad_min_over_R, default_R_grid
 from radcount.quadrature import (
     QuadratureBudgetError,
     integrate_interval,
@@ -41,13 +54,13 @@ def test_interval_rejects_infinite_ends():
 
 
 def test_halfline_exponential_tail():
-    val, err = integrate_to_infinity(lambda t: math.exp(-t), 0.0)
+    val, err = integrate_to_infinity(lambda t: np.exp(-t), 0.0)
     assert abs(val - 1.0) < 1e-9
     assert err < 1e-6
 
 
 def test_halfline_gaussian_tail():
-    val, _ = integrate_to_infinity(lambda t: math.exp(-t * t), 0.0)
+    val, _ = integrate_to_infinity(lambda t: np.exp(-t * t), 0.0)
     assert abs(val - math.sqrt(math.pi) / 2.0) < 1e-9
 
 
@@ -64,7 +77,7 @@ def test_halfline_divergent_harmonic():
 
 def test_halfline_divergent_log_density():
     # 1/(t ln t): diverges like ln ln t, too slowly for any magnitude cap
-    val, _ = integrate_to_infinity(lambda t: 1.0 / (t * math.log(t)), 3.0)
+    val, _ = integrate_to_infinity(lambda t: 1.0 / (t * np.log(t)), 3.0)
     assert math.isinf(val)
 
 
@@ -75,8 +88,8 @@ def test_halfline_divergent_log_density():
 
 def _loglog_density(p):
     def f(t):
-        lt = math.log(t)
-        return 1.0 / (t * lt * math.log(lt) ** p)
+        lt = np.log(t)
+        return 1.0 / (t * lt * np.log(lt) ** p)
     return f
 
 
@@ -102,7 +115,7 @@ def test_halfline_zero_function():
 
 
 def test_line_both_ends_infinite():
-    val, _ = integrate_line(lambda t: math.exp(-abs(t)), -math.inf, math.inf)
+    val, _ = integrate_line(lambda t: np.exp(-np.abs(t)), -math.inf, math.inf)
     assert abs(val - 2.0) < 1e-8
 
 
@@ -114,7 +127,7 @@ def test_line_finite_matches_interval():
 
 
 def test_line_left_infinite():
-    val, _ = integrate_line(lambda t: math.exp(2.0 * t), -math.inf, 0.0)
+    val, _ = integrate_line(lambda t: np.exp(2.0 * t), -math.inf, 0.0)
     assert abs(val - 0.5) < 1e-9
 
 
@@ -122,7 +135,7 @@ def test_line_respects_breakpoints_far_out():
     # mass hiding past t = 300: the splitter must not stop short of the
     # last breakpoint
     def f(t):
-        return 1.0 if 300.0 <= t <= 301.0 else 0.0
+        return np.where((300.0 <= t) & (t <= 301.0), 1.0, 0.0)
 
     val, _ = integrate_line(f, 0.0, math.inf, points=[300.0, 301.0])
     assert abs(val - 1.0) < 1e-9
@@ -133,7 +146,116 @@ def test_random_exp_tails_match_closed_form():
     for _ in range(20):
         rate = float(rng.uniform(0.2, 3.0))
         a = float(rng.uniform(0.0, 5.0))
-        val, err = integrate_to_infinity(lambda t, r=rate: math.exp(-r * t),
+        val, err = integrate_to_infinity(lambda t, r=rate: np.exp(-r * t),
                                          a)
         exact = math.exp(-rate * a) / rate
         assert abs(val - exact) <= max(1e-9, 2.0 * err, 1e-10 * exact)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against scipy's QUADPACK and against mpmath
+#
+# The kernel `quadrature._refine` is swapped for a loop of
+# scipy.integrate.quad calls, one per integral, on the same partitions and
+# tolerances, so the whole pipeline (tails, squaring windows, blocks,
+# log-weight grid) runs once on each.  scipy.integrate is imported here only.
+
+
+def _quad_refine(f, lo, hi, k, n, epsabs, epsrel):
+    from scipy.integrate import IntegrationWarning, quad
+
+    vals, errs = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        edges = np.union1d(lo[k == j], hi[k == j])
+
+        def scalar(x, j=np.array(j)):
+            return float(f(np.array(x), j))
+
+        with warnings.catch_warnings():
+            # tail windows may be probed past underflow, as quad used to be
+            warnings.simplefilter("ignore", IntegrationWarning)
+            vals[j], errs[j] = quad(scalar, edges[0], edges[-1],
+                                    points=list(edges[1:-1]) or None,
+                                    epsabs=epsabs, epsrel=epsrel, limit=200)
+    return vals, errs
+
+
+def _pipeline(name):
+    """J, W on the default R grid, zeta_0..zeta_200, the verdict and the
+    chad_min argmin of a freshly loaded bundled spec (nothing cached)."""
+    P = load_bundled(name)
+    j = integral_J(P)
+    w = integral_logweight_grid(P, default_R_grid())
+    z = zeta_sequence(to_log(P, strict=False), 200)
+    v = classify(z)
+    arg = bound_chad_min_over_R(P, 1.0)[1]
+    return j, w, z, v, arg
+
+
+def _agree(a, ea, b, eb):
+    a, ea, b, eb = (np.atleast_1d(np.asarray(x, dtype=float))
+                    for x in (a, ea, b, eb))
+    np.testing.assert_array_equal(np.isinf(a), np.isinf(b))
+    fin = np.isfinite(a)
+    assert np.all(np.abs(a[fin] - b[fin]) <= ea[fin] + eb[fin]), (
+        np.max(np.abs(a[fin] - b[fin]) - ea[fin] - eb[fin]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", bundled_spec_names())
+def test_kernel_matches_quadpack_on_bundled_specs(name, monkeypatch):
+    ours = _pipeline(name)
+    monkeypatch.setattr(quadrature, "_refine", _quad_refine)
+    theirs = _pipeline(name)
+    (j, w, z, v, arg), (qj, qw, qz, qv, qarg) = ours, theirs
+    _agree(j[0], j[1], qj[0], qj[1])
+    _agree(w[0], w[1], qw[0], qw[1])
+    _agree(z.values, z.errors, qz.values, qz.errors)
+    # quasinorm = sup_n n x*_n over K + 1 blocks
+    spread = (z.K + 1) * (np.max(z.errors) + np.max(qz.errors))
+    assert abs(v.quasinorm - qv.quasinorm) <= spread
+    assert (v.in_weak, v.in_weak_circle, v.text()) == (
+        qv.in_weak, qv.in_weak_circle, qv.text())
+    assert arg == qarg or (math.isnan(arg) and math.isnan(qarg))
+
+
+def _mp_gaussian(t):
+    return mpmath.exp(2 * t - mpmath.exp(2 * t))
+
+
+def _mp_bump(t):
+    x = (mpmath.exp(t) - 2) / 1
+    if abs(x) >= 1:
+        return mpmath.mpf(0)
+    return mpmath.exp(2 * t + 1 - 1 / (1 - x * x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, g, ends", [
+    # G is below 1e-50 outside [-60, 4]
+    ("gaussian", _mp_gaussian, [-60, 0, 4]),
+    ("bump", _mp_bump, [0, math.log(2.0), math.log(3.0)]),
+])
+def test_stated_errors_cover_mpmath(name, g, ends):
+    # smooth profiles: J, W(R) at three radii and the blocks zeta_0..zeta_3
+    # against 30-digit mpmath quadrature
+    P = load_bundled(name)
+    with mpmath.workdps(30):
+        val, err = integral_J(P)
+        assert abs(val - float(mpmath.quad(g, ends))) <= err
+        for R in (0.5, 1.0, 2.0):
+            s = math.log(R)
+            val, err = integral_logweight_grid(P, [R])
+            cut = sorted(set(ends) | {mpmath.mpf(s)}, key=float)
+            want = mpmath.quad(lambda t: g(t) * abs(t - s), cut)
+            assert abs(val[0] - float(want)) <= err[0], R
+        z = zeta_sequence(to_log(P), 3)
+        for k in range(4):
+            lo, hi = (-1, 1) if k == 0 else (math.exp(k - 1), math.exp(k))
+            weight = (lambda t: 1) if k == 0 else abs
+            want = sum(mpmath.quad(lambda t: weight(t) * g(t),
+                                   sorted({a, b, *(e for e in ends
+                                                   if a < e < b)}, key=float))
+                       for a, b in ([(lo, hi)] if k == 0 else
+                                    [(lo, hi), (-hi, -lo)]))
+            assert abs(z.values[k] - float(want)) <= z.errors[k], k
