@@ -35,7 +35,6 @@ from .channels import (
     ChannelBreakdown,
     bs_duality_check,
     channel_count,
-    channel_cutoff,
     sandwich_check,
     total_count,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "bundled_spec_names",
     "catalog_kinds",
     "channel_count",
-    "channel_cutoff",
     "classify",
     "count_below",
     "delta_link_check",

@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import _chad, _weak, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
-from .spectral1d import BoundaryMode, GridSpec, bs_spectrum
+from .spectral1d import BoundaryMode, bs_spectrum
 from .weakseq import (WeakVerdict, ZetaSequence, delta_estimates,
                       quasinorm_weak, zeta_sequence)
 
@@ -40,6 +40,11 @@ __all__ = [
     "weyl_verdict",
     "delta_link_check",
 ]
+
+# delta_link_check: a sequence level up to ZERO_FRAC of the quasinorm is
+# vanishing; a solid one needs the matched spectral level >= AWAY_FRAC of it
+ZERO_FRAC = 0.05
+AWAY_FRAC = 0.02
 
 CSV_COLUMNS = ("alpha", "N", "N_over_alpha", "N_radial_dirichlet",
                "N_nonradial", "chad", "chad_sharp", "lt_nonradial",
@@ -269,9 +274,8 @@ def weyl_verdict(P: RadialPotential, T: SweepTable, seq: WeakVerdict, *,
     }
 
 
-def delta_link_check(P: RadialPotential, *, K: int = 200, n_max: int = 48,
-                     grid: GridSpec | None = None, zero_frac: float = 0.05,
-                     away_frac: float = 0.02) -> dict:
+def delta_link_check(P: RadialPotential, *, K: int = 200,
+                     n_max: int = 48) -> dict:
     """Window implication between the two tail levels.
 
     Both the rearranged block sequence and the quadratic-form spectrum
@@ -291,7 +295,7 @@ def delta_link_check(P: RadialPotential, *, K: int = 200, n_max: int = 48,
     d_lo, d_hi = delta_estimates(z.values)
     quasi = quasinorm_weak(z.values)
     lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                            grid=grid or GridSpec(), n_max=n_max)
+                            n_max=n_max)
     lam = lam[lam > 0.0]
     out = {"delta_window": (d_lo, d_hi), "quasinorm": quasi,
            "n_modes": int(lam.size), "implication": None, "holds": True,
@@ -318,12 +322,12 @@ def delta_link_check(P: RadialPotential, *, K: int = 200, n_max: int = 48,
     if quasi <= 0.0:
         out["implication"] = "vacuous"
         return out
-    if d_hi <= zero_frac * quasi:
+    if d_hi <= ZERO_FRAC * quasi:
         # vanishing sequence level: the spectral sups must decay window
         # over window
         out["implication"] = "vanishing"
         out["holds"] = sup_late <= max(0.9 * sup_early, 1e-14)
-    elif d_lo >= zero_frac * quasi and kv >= 3:
+    elif d_lo >= ZERO_FRAC * quasi and kv >= 3:
         # solid sequence level: the block-matched spectral window must
         # not collapse
         lo, hi = max(1, kv // 2), min(kv, lam.size)
@@ -331,7 +335,7 @@ def delta_link_check(P: RadialPotential, *, K: int = 200, n_max: int = 48,
         out["evidence"]["matched_window"] = (lo, hi)
         out["evidence"]["min_matched"] = min_matched
         out["implication"] = "nonvanishing"
-        out["holds"] = min_matched >= away_frac * d_lo
+        out["holds"] = min_matched >= AWAY_FRAC * d_lo
     else:
         out["implication"] = "vacuous"
     return out

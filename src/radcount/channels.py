@@ -8,17 +8,15 @@ so the full bound-state count is
     N(alpha) = N_0 + 2 sum_{m >= 1} N_m,
     N_m = #{ eigenvalues of (-d^2/dt^2 - alpha G) below -m^2 }.
 
-N_m is nonincreasing in m, so the scan stops at the first empty channel;
-mu_1, the lowest eigenvalue's magnitude, is an opt-in diagnostic
-(channel_cutoff). Two cross-checks are built in: the one-Dirichlet-condition
-sandwich (imposing u(t=0) = 0 in the m = 0 channel removes at most one
-state) and the coupling-constant duality against the quadratic-form
-companion spectrum.
+N_m is nonincreasing in m, so the scan stops at the first empty channel.
+Two cross-checks are built in: the one-Dirichlet-condition sandwich
+(imposing u(t=0) = 0 in the m = 0 channel removes at most one state) and
+the coupling-constant duality against the quadratic-form companion
+spectrum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +25,6 @@ from .potentials import LogPotential, RadialPotential, to_log
 from .spectral1d import (
     BoundaryMode,
     CountResult,
-    GridSpec,
     bs_spectrum,
     count_below,
     count_below_fd,
@@ -39,7 +36,6 @@ __all__ = [
     "ChannelConsistencyError",
     "ChannelBreakdown",
     "channel_count",
-    "channel_cutoff",
     "total_count",
     "sandwich_check",
     "bs_duality_check",
@@ -95,42 +91,14 @@ def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer",
     return count_below(G, alpha, E, BoundaryMode.WHOLE_LINE, engine=engine, **kw)
 
 
-def channel_cutoff(P, alpha: float, *, engine: str = "pruefer",
-                   rel_tol: float = 1e-6) -> tuple[int, float]:
-    """(m_scan, mu_1): mu_1 is the magnitude of the lowest line eigenvalue,
-    located by bisecting the counting function; channels with m >= m_scan
-    are empty. Returns (0, 0.0) when there are no bound states."""
-    G = _as_log(P)
-    eps = threshold_eps(G, alpha)
-    if eps <= 0.0:
-        return 0, 0.0
-
-    def c(e: float) -> int:
-        return count_below(G, alpha, e, BoundaryMode.WHOLE_LINE,
-                           engine=engine).count
-
-    hi = -eps
-    if c(hi) == 0:
-        return 0, 0.0
-    lo = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
-    while hi - lo > rel_tol * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        if c(mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    mu1 = -0.5 * (lo + hi)
-    return int(math.ceil(math.sqrt(max(mu1, 0.0)))), mu1
-
-
 def total_count(P, alpha: float, *, engine: str = "pruefer",
-                with_dirichlet: bool = True, **kw) -> ChannelBreakdown:
+                **kw) -> ChannelBreakdown:
     """Count all bound states of the plane problem at coupling alpha.
 
     Channels are counted m = 0, 1, 2, ... up to the first empty one, m = 0
     included (N_m is nonincreasing in m). The scan ends: a channel with
     m^2 >= alpha * g_max is below the spectrum and costs no integration.
-    extras["m_scan"] is that first empty channel; channel_cutoff gives mu_1.
+    extras["m_scan"] is that first empty channel.
     """
     G = _as_log(P)
     eps = threshold_eps(G, alpha)
@@ -152,13 +120,10 @@ def total_count(P, alpha: float, *, engine: str = "pruefer",
         if r.count == 0:
             break
         m += 1
-    dir_count = 0
-    if with_dirichlet:
-        rd = count_below(G, alpha, -eps, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                         engine=engine, **kw)
-        dir_count = rd.count
-        flags.update(rd.flags)
-    return ChannelBreakdown(alpha, per, max(m - 1, 0), total, dir_count, engine,
+    rd = count_below(G, alpha, -eps, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
+                     engine=engine, **kw)
+    flags.update(rd.flags)
+    return ChannelBreakdown(alpha, per, max(m - 1, 0), total, rd.count, engine,
                             uncertainty, tuple(sorted(flags)), {"m_scan": m})
 
 
@@ -195,29 +160,32 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
 
 
 def bs_duality_check(P, alpha: float, *, n_max: int = 48,
-                     grid: GridSpec | None = None,
                      spectra: dict | None = None) -> dict:
     """Compare #{lambda_n > 1/alpha} with the direct count on one shared
     grid, where the identity is exact by matrix inertia.
 
     The companion spectrum does not depend on alpha. spectra, when given,
     is a dict shared by the checks of one potential: the spectrum is kept
-    there under (counting window, n_max, grid) and reused by a later check
-    whose key matches. Every check runs its own direct count. A mismatch
-    raises unless a flag outside INFORMATIONAL_FLAGS puts it in doubt."""
+    there under (counting window, n_max) and reused by a later check whose
+    key matches. Every check runs its own direct count.
+
+    The report's uncertainty is the direct count's plus the number of
+    companion eigenvalues within the lambda-near-threshold gap of 1/alpha.
+    A mismatch raises unless a flag outside INFORMATIONAL_FLAGS puts it in
+    doubt, and a doubt flag excuses it only as far as that uncertainty
+    reaches."""
     G = _as_log(P)
     eps = threshold_eps(G, alpha)
     if eps <= 0.0:
         return {"alpha": alpha, "count_spectrum": 0, "count_direct": 0,
-                "ok": True, "flags": ["zero-potential"]}
+                "ok": True, "uncertainty": 0, "flags": ["zero-potential"]}
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
     dom = counting_domain(G, alpha, -eps, mode)
-    grid = grid or GridSpec()
-    key = (dom, n_max, grid)
+    key = (dom, n_max)
     if spectra is not None and key in spectra:
         lam, meta = spectra[key]
     else:
-        lam, meta = bs_spectrum(G, mode, domain=dom, grid=grid, n_max=n_max)
+        lam, meta = bs_spectrum(G, mode, domain=dom, n_max=n_max)
         if spectra is not None:
             spectra[key] = lam, meta
     thr = 1.0 / alpha
@@ -226,24 +194,26 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
             f"n_max={n_max} too small: every computed companion eigenvalue "
             f"exceeds 1/alpha at alpha={alpha}")
     count_spec = int(np.sum(lam > thr))
-    flags = []
-    gap = np.min(np.abs(lam - thr)) if len(lam) else math.inf
-    if gap < 1e-8 * thr:
-        flags.append("lambda-near-threshold")
+    n_near = int(np.sum(np.abs(lam - thr) < 1e-8 * thr))
+    flags = ["lambda-near-threshold"] if n_near else []
     fd = count_below_fd(G, alpha, -1e-12 * max(alpha * G.g_max, 1.0), mode,
-                        domain=meta["domain"], grid=GridSpec(h=meta["h"]),
+                        domain=meta["domain"], h=meta["h"],
                         near_threshold_check=False)
-    ok = count_spec == fd.count
+    diff = count_spec - fd.count
+    uncertainty = fd.uncertainty + n_near
     report = {
         "alpha": alpha,
         "count_spectrum": count_spec,
         "count_direct": fd.count,
-        "ok": ok,
+        "ok": diff == 0,
+        "uncertainty": uncertainty,
         "flags": flags + list(fd.flags),
         "n_nodes": meta["n_nodes"],
     }
-    if not ok and set(report["flags"]) <= INFORMATIONAL_FLAGS:
+    in_doubt = not set(report["flags"]) <= INFORMATIONAL_FLAGS
+    if abs(diff) > (uncertainty if in_doubt else 0):
         raise ChannelConsistencyError(
             f"coupling-duality mismatch at alpha={alpha}: spectrum route "
-            f"{count_spec}, direct route {fd.count}")
+            f"{count_spec}, direct route {fd.count}, "
+            f"uncertainty={uncertainty}")
     return report

@@ -33,8 +33,8 @@ from .channels import bs_duality_check, sandwich_check, total_count
 from .potentials import (PotentialSpecError, RadialPotential,
                          bundled_spec_names, integral_J, integral_logweight,
                          load_bundled, load_spec, to_log)
-from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, CountResult,
-                         count_below, eigenvalues_below, threshold_eps)
+from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_below,
+                         eigenvalues_below, threshold_eps)
 from .weakseq import classify, delta_estimates, zeta_sequence
 from .quadrature import integrate_line
 
@@ -110,10 +110,6 @@ def _report(args: argparse.Namespace, body: dict) -> dict:
             "config": _config_dict(args), "report": body}
 
 
-def _count_result_dict(c: CountResult) -> dict:
-    return dataclasses.asdict(c)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -178,7 +174,7 @@ def _cmd_count1d(args) -> int:
     methods = ("pruefer", "fd") if args.method == "both" else (args.method,)
     results = {m: count_below(G, args.alpha, args.energy, mode, engine=m)
                for m in methods}
-    body = {m: _count_result_dict(c) for m, c in results.items()}
+    body = {m: dataclasses.asdict(c) for m, c in results.items()}
     if len(results) == 2:
         a, b = (results[m] for m in methods)
         body["agree"] = (a.count == b.count)

@@ -64,6 +64,12 @@ TRIPLE_EXP = math.exp(_EE)
 # localized inside |t| <= T_CAP are handled in a truncated window and flagged.
 T_CAP = 2000.0
 
+# to_log's tolerances: tail mass outside domain_hint, relative to max(J, 1),
+# and the quadrature tolerances of J and the tail probes
+_TAIL_TOL = 1e-10
+_EPSABS = 1e-10
+_EPSREL = 1e-8
+
 CATALOG_BASE_ORDER = ("square-well", "annulus-well", "gaussian",
                       "power-log-tail", "bump")
 
@@ -391,14 +397,6 @@ _DEFAULTS: dict[str, dict[str, float]] = {
     "scaled-product": {"scale": 1.0, "damping": 0.0, "base": 0.0},
 }
 
-_PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "square-well": ("height", "radius"),
-    "annulus-well": ("height", "r_inner", "r_outer"),
-    "gaussian": ("height", "width"),
-    "power-log-tail": ("r0", "sigma", "tau"),
-    "bump": ("height", "center", "halfwidth"),
-}
-
 
 def catalog_kinds() -> tuple[str, ...]:
     return tuple(_KIND_BUILDERS)
@@ -424,13 +422,9 @@ def _normalize_params(kind: str, params: Mapping[str, object] | None) -> dict[st
         except (ValueError, TypeError, IndexError):
             raise PotentialSpecError(
                 f"scaled-product: base index must be 0..{len(CATALOG_BASE_ORDER)-1}")
-        out.update(_DEFAULTS.get(base_kind, {}))
-    allowed = None
-    if kind in _PARAM_NAMES:
-        allowed = set(_PARAM_NAMES[kind])
-    elif kind == "scaled-product":
-        allowed = {"scale", "damping", "base"}
-        allowed.update(_PARAM_NAMES[CATALOG_BASE_ORDER[int(float(out["base"] if "base" not in raw else raw["base"]))]])
+        out.update(_DEFAULTS[base_kind])
+    # a kind with defaults takes exactly those parameters
+    allowed = set(out) if kind in _DEFAULTS else None
     for k, v in raw.items():
         if allowed is not None and k not in allowed:
             raise PotentialSpecError(f"{kind}: unknown parameter '{k}'")
@@ -543,36 +537,35 @@ def _scan_max(g_vec, lo: float, hi: float,
     return best_v, best_t
 
 
-def to_log(P: RadialPotential, tail_tol: float = 1e-10, *,
-           strict: bool = True, t_cap: float = T_CAP,
-           epsabs: float = 1e-10, epsrel: float = 1e-8) -> LogPotential:
-    """Change variables to the line. Results are cached on the potential.
+def to_log(P: RadialPotential, *, strict: bool = True,
+           t_cap: float = T_CAP) -> LogPotential:
+    """Change variables to the line. Results are cached on the potential,
+    one per (strict, t_cap).
 
     strict=True raises NonIntegrableError when int rF dr diverges; with
     strict=False a capped window is returned instead (truncated=True), which
     is what the sequence classifier needs for non-L1 examples.
     """
-    key = (tail_tol, strict, t_cap)
+    key = (strict, t_cap)
     hit = P._log_cache.get(key)
     if hit is not None:
         return hit
     prof = P._prof
     if prof.is_zero:
-        lp = LogPotential(P, tail_tol, (0.0, 0.0), (), (-1.0, 1.0), False,
+        lp = LogPotential(P, _TAIL_TOL, (0.0, 0.0), (), (-1.0, 1.0), False,
                           0.0, 0.0, 0.0, 0.0, prof.g_vec, prof.g_scalar)
         P._log_cache[key] = lp
         return lp
     t_lo, t_hi = _t_support(prof)
     breaks = prof.t_breaks
     j_val, j_err = integrate_line(prof.g_vec, t_lo, t_hi, points=breaks,
-                                  epsabs=epsabs, epsrel=epsrel,
+                                  epsabs=_EPSABS, epsrel=_EPSREL,
                                   name=f"J[{P.kind}]")
     if math.isinf(j_val) and strict:
         raise NonIntegrableError(
             f"{P.kind}: int_0^inf r F(r) dr diverges; no finite window "
-            f"reaches tail tolerance {tail_tol}")
-    target = tail_tol * max(j_val if math.isfinite(j_val) else 1.0, 1.0)
-    truncated = False
+            f"reaches tail tolerance {_TAIL_TOL}")
+    target = _TAIL_TOL * max(j_val if math.isfinite(j_val) else 1.0, 1.0)
 
     def _locate(start: float, downward: bool) -> tuple[float, bool]:
         # probes start +- 1, 2, 4, ... inside the cap; the first whose tail
@@ -584,8 +577,8 @@ def to_log(P: RadialPotential, tail_tol: float = 1e-10, *,
             step *= 2.0
         tails = integrate_tails(lambda s: prof.g_vec(sign * s),
                                 [sign * T for T in probes],
-                                epsabs=min(epsabs, 0.1 * target),
-                                epsrel=epsrel)
+                                epsabs=min(_EPSABS, 0.1 * target),
+                                epsrel=_EPSREL)
         for T, (tail, _) in zip(probes, tails):
             if tail <= target:
                 return T, False
@@ -606,7 +599,7 @@ def to_log(P: RadialPotential, tail_tol: float = 1e-10, *,
         T_minus, tr_lo = _locate(min(finite_breaks, default=0.0), True)
     truncated = tr_hi or tr_lo
     g_max, g_argmax = _scan_max(prof.g_vec, T_minus, T_plus, breaks)
-    lp = LogPotential(P, tail_tol, (t_lo, t_hi), breaks, (T_minus, T_plus),
+    lp = LogPotential(P, _TAIL_TOL, (t_lo, t_hi), breaks, (T_minus, T_plus),
                       truncated, g_max, g_argmax, j_val, j_err,
                       prof.g_vec, prof.g_scalar)
     P._log_cache[key] = lp

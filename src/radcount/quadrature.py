@@ -177,8 +177,7 @@ def integrate_interval(
 
 
 def _squaring_phase(f, x: float, total: float, err_total: float,
-                    epsabs: float, epsrel: float,
-                    name: str) -> tuple[float, float]:
+                    epsabs: float, epsrel: float) -> tuple[float, float]:
     """Phase 2: windows [x, x^2] up to X_CAP; classify the iterated-log
     tail. The fit below takes each window as one step of ln 2 in
     s = ln ln t, so only whole windows are samples: none that would end past
@@ -251,8 +250,7 @@ def _tail_verdict(f, x_end: float, vals: list[float], errs: list[float],
             r = max(ratios)
             rest = tail[-1] * r / (1.0 - r)
             return total + rest, err_total + rest
-        return _squaring_phase(f, x_end, total, err_total, epsabs, epsrel,
-                               name)
+        return _squaring_phase(f, x_end, total, err_total, epsabs, epsrel)
     raise QuadratureBudgetError(
         f"{name}: no convergence or divergence verdict after "
         f"{MAX_DOUBLINGS} window doublings")

@@ -49,8 +49,6 @@ import numpy as np
 
 __all__ = [
     "BoundaryMode",
-    "StepControl",
-    "GridSpec",
     "CountResult",
     "threshold_eps",
     "counting_domain",
@@ -66,24 +64,6 @@ class BoundaryMode(str, Enum):
     WHOLE_LINE = "whole-line"
     HALF_LINE_DIRICHLET = "half-line-dirichlet"
     WHOLE_LINE_DIRICHLET_AT_0 = "whole-line-dirichlet-at-0"
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Adaptive step knobs for the phase integrator."""
-
-    phase_tol: float = 1e-10      # absolute per-step phase error
-    h_max: float = 0.5
-    h_min: float = 1e-12
-    max_steps: int = 2_000_000
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid knobs for the finite-difference engine."""
-
-    h: float | None = None
-    n_cap: int = 3_000_000
 
 
 @dataclass
@@ -111,13 +91,13 @@ def threshold_eps(G, alpha: float) -> float:
 
 
 def counting_domain(G, alpha: float, E: float,
-                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE,
-                    *, pad_cap: float = 40.0) -> tuple[float, float]:
+                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE
+                    ) -> tuple[float, float]:
     """Window [A, B] for the counting problem: the mass window of G plus a
-    decay pad ~ -ln(1e-8)/kappa for the evanescent tails, capped."""
+    decay pad ~ -ln(1e-8)/kappa for the evanescent tails, capped at 40."""
     T_minus, T_plus = G.domain_hint
     kappa = math.sqrt(max(-E, 1e-30))
-    pad = min(-math.log(1e-8) / kappa, pad_cap)
+    pad = min(-math.log(1e-8) / kappa, 40.0)
     if mode == BoundaryMode.HALF_LINE_DIRICHLET:
         return 0.0, max(T_plus, 0.0) + pad
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
@@ -134,6 +114,12 @@ def _validate(alpha: float, E: float) -> None:
 
 # ---------------------------------------------------------------------------
 # phase (shooting) engine
+
+# step control of the phase kernel (see _integrate_phase)
+_PHASE_TOL = 1e-10
+_H_MAX = 0.5
+_H_MIN = 1e-12
+_MAX_STEPS = 2_000_000
 
 # Cash-Karp tableau, one name per entry so the unrolled step reads no tuples
 _C2, _C3, _C4, _C5, _C6 = 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8
@@ -157,8 +143,7 @@ def _rescale_phase(th: float, r: float) -> float:
 
 
 def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
-                     theta0: float, breaks, ctrl: StepControl
-                     ) -> tuple[float, int, list[str]]:
+                     theta0: float, breaks) -> tuple[float, int, list[str]]:
     """Advance the phase from a to b; returns (theta(b), steps, flags).
 
     theta0 and theta(b) are unscaled (u = rho sin theta, u' = rho cos theta).
@@ -170,10 +155,13 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
     capped at 1/S, about one radian of phase. The stages are written out
     with every sum in tableau order; g(t) is evaluated once per step, for
     the scale and the first stage. The last step of a piece lands exactly on
-    the piece end and is never counted as floored."""
+    the piece end and is never counted as floored. Steps are accepted at a
+    phase error up to _PHASE_TOL and lie in [_H_MIN, _H_MAX]; one raised to
+    _H_MIN is accepted whatever its error and flags `step-floor`. A call
+    takes at most _MAX_STEPS steps. The four are read once per call."""
     flags: list[str] = []
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    tol, h_min, h_max = ctrl.phase_tol, ctrl.h_min, ctrl.h_max
+    tol, h_min, h_max, max_steps = _PHASE_TOL, _H_MIN, _H_MAX, _MAX_STEPS
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
     th = theta0
     S = iS = 1.0
@@ -183,9 +171,9 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
         w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
         h = min(h_max, hi - lo, 1.0 / sqrt(max(1.0, abs(w_mid))))
         while t < hi:
-            if steps >= ctrl.max_steps:
+            if steps >= max_steps:
                 raise RuntimeError(
-                    f"phase integration exceeded {ctrl.max_steps} steps "
+                    f"phase integration exceeded {max_steps} steps "
                     f"(alpha={alpha}, E={E})")
             w = E + alpha * g_scalar(t)
             aw = abs(w)
@@ -234,14 +222,14 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
     return th, steps, flags
 
 
-def _lead_in(G, alpha: float, E: float, A: float, B: float,
-             ctrl: StepControl) -> tuple[float, float]:
+def _lead_in(G, alpha: float, E: float, A: float, B: float
+             ) -> tuple[float, float]:
     """(t0, theta0): where the whole-line pass starts, and its phase.
 
     Left of the first allowed point t1 (w = E + alpha G >= 0), moving right
     multiplies a phase error by at most exp(-2 int sqrt(-w)). So the pass
     can start at the latest t0 with int_{t0}^{t1} sqrt(-w) >= L, where
-    exp(-2L) = phase_tol/100, at the local WKB phase atan2(1, sqrt(-w(t0)))
+    exp(-2L) = _PHASE_TOL/100, at the local WKB phase atan2(1, sqrt(-w(t0)))
     of the decaying solution. G is scanned once from A to its argmax, every
     breakpoint included, at a spacing of at most 1/(4 S_top): a pocket
     missed between two scan points turns the scaled phase by at most 1/4
@@ -251,7 +239,7 @@ def _lead_in(G, alpha: float, E: float, A: float, B: float,
     atan2(1, kappa)."""
     kappa = math.sqrt(-E)
     start = A, math.atan2(1.0, kappa)
-    L = 0.5 * math.log(100.0 / ctrl.phase_tol)
+    L = 0.5 * math.log(100.0 / _PHASE_TOL)
     t_end = min(B, G.g_argmax)
     if kappa * (B - A) < L or not t_end > A:
         return start
@@ -313,7 +301,6 @@ def _zeros_from_phase(theta_end: float, kappa: float, tail: bool
 def count_below_pruefer(G, alpha: float, E: float,
                         mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
                         domain: tuple[float, float] | None = None,
-                        step: StepControl = StepControl(),
                         truncated: bool = False) -> CountResult:
     """Count eigenvalues below E by phase shooting.
 
@@ -324,7 +311,7 @@ def count_below_pruefer(G, alpha: float, E: float,
     The RK kernel integrates only where the count is decided. On the whole
     line (truncated=False) it starts at the lead-in start of _lead_in: the
     latest point left of the first allowed point with
-    int sqrt(-w) >= L = ln(100/phase_tol)/2 up to it, at the local WKB phase,
+    int sqrt(-w) >= L = ln(100/_PHASE_TOL)/2 up to it, at the local WKB phase,
     or at A when there is none. In every mode and pass it stops at the end
     of the support of G; the rest of the pass, where G = 0, is mapped
     exactly (_zero_tail), and the count is read at B as before.
@@ -342,7 +329,7 @@ def count_below_pruefer(G, alpha: float, E: float,
         # G = 0 from t_zero on: RK up to there, the exact map over the rest
         z = min(max(a, t_zero), b)
         th, n, fl = _integrate_phase(g_scalar, alpha, E, a, z, theta0,
-                                     breaks, step)
+                                     breaks)
         if z < b:
             th = _zero_tail(th, kappa, b - z)
         c, u, fl2 = _zeros_from_phase(th, kappa, tail=not truncated)
@@ -369,7 +356,7 @@ def count_below_pruefer(G, alpha: float, E: float,
         elif truncated:
             a, theta0 = A, 0.0
         else:
-            a, theta0 = _lead_in(G, alpha, E, A, B, step)
+            a, theta0 = _lead_in(G, alpha, E, A, B)
         count, uncertainty, fl, th, steps = one_pass(
             G.eval_scalar, a, B, theta0, G.breakpoints, t_hi)
         flags += fl
@@ -384,6 +371,9 @@ def count_below_pruefer(G, alpha: float, E: float,
 # a pivot error entering the allowed region shrinks by exp(-2 sum theta_k)
 # over the lead-in, theta_k = acosh(a_k/2); start where that reaches 1e-12
 _FD_LEAD_IN = 0.5 * math.log(1e12)
+
+# most intervals of a uniform grid (fd counts and bs_spectrum)
+_N_CAP = 3_000_000
 
 
 def _sturm_pass(a: list[float], d: float = math.inf
@@ -477,17 +467,17 @@ def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
     return neg + n_set, hit_zero or hz_set, last - j + k
 
 
-def _line_grid(A: float, B: float, h: float, n_cap: int, mode: BoundaryMode
+def _line_grid(A: float, B: float, h: float, mode: BoundaryMode
                ) -> tuple[float, float, float, int, int | None, bool]:
-    """Uniform grid of n intervals on [A, B], h near the target, n capped.
+    """Uniform grid of n <= _N_CAP intervals on [A, B], h near the target.
 
     In the Dirichlet-at-0 mode with 0 inside, [A, B] is shifted so t = 0 is
     node k0 of 0..n; k0 is None when there is no interior node at 0.
     Returns (A, B, h, n, k0, capped)."""
     n = max(int(math.ceil((B - A) / h)), 8)
-    capped = n > n_cap
+    capped = n > _N_CAP
     if capped:
-        n = n_cap
+        n = _N_CAP
     h = (B - A) / n
     k0 = None
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and A < 0.0 < B:
@@ -502,14 +492,15 @@ def _line_grid(A: float, B: float, h: float, n_cap: int, mode: BoundaryMode
 def count_below_fd(G, alpha: float, E: float,
                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
                    domain: tuple[float, float] | None = None,
-                   grid: GridSpec = GridSpec(),
+                   h: float | None = None,
                    near_threshold_check: bool = True) -> CountResult:
     """Count eigenvalues below E of the Dirichlet problem on [A, B] via a
     Sturm pivot pass; no eigenvalues are formed.
 
-    The count refers to the finite window with Dirichlet ends. A near-
-    threshold flag is raised when counting at E -/+ the threshold offset
-    disagrees, and a zero pivot triggers an ulp-scale shift (flagged).
+    The count refers to the finite window with Dirichlet ends and a grid
+    step near h (by default from the window, alpha * max G and E). A
+    near-threshold flag is raised when counting at E -/+ the threshold
+    offset disagrees, and a zero pivot triggers an ulp-scale shift (flagged).
 
     Each Dirichlet block is swept, per energy, only from a start node up
     to its last node where G moves the diagonal, or less (the settled
@@ -546,11 +537,10 @@ def count_below_fd(G, alpha: float, E: float,
     if alpha * G.g_max + E <= 0.0:
         return CountResult(0, "fd", E, mode.value, (A, B),
                            flags=tuple(flags + ["below-spectrum"]))
-    h = grid.h
     if h is None:
         h = min(1e-3 * (B - A),
                 1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
-    A, B, h, n, k0, capped = _line_grid(A, B, h, grid.n_cap, mode)
+    A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
     if capped:
         flags.append("grid-coarsened")
     gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
@@ -676,13 +666,14 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
 
 def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                 *, domain: tuple[float, float] | None = None,
-                grid: GridSpec = GridSpec(), n_max: int = 32
+                h: float | None = None, n_max: int = 32
                 ) -> tuple[np.ndarray, dict]:
     """Largest n_max eigenvalues of (G u, u) / (u', u') with Dirichlet ends.
 
     These are alpha-independent; the bound-state count of the coupling-alpha
     problem equals #{lambda_n > 1/alpha}. Discretized as the pencil
-    M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)). K is
+    M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)) on a
+    grid of step near h (by default max(4000, 40 n_max) intervals). K is
     factored once (LDL^T, LAPACK dpttrf). Lanczos runs on the symmetric
     M^(1/2) K^(-1) M^(1/2), which has the pencil's spectrum, so each
     product is one tridiagonal solve; its start vector is fixed, so results
@@ -698,10 +689,9 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
         e_probe = -max(1e-9 * G.g_max, 1e-12)
         domain = counting_domain(G, 1.0, e_probe, mode)
     A, B = domain
-    h = grid.h
     if h is None:
-        h = (B - A) / min(max(4000, 40 * n_max), grid.n_cap)
-    A, B, h, n, k0, _ = _line_grid(A, B, h, grid.n_cap, mode)
+        h = (B - A) / min(max(4000, 40 * n_max), _N_CAP)
+    A, B, h, n, k0, _ = _line_grid(A, B, h, mode)
     gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
     if np.any(gv < 0.0):
         raise ValueError("bs_spectrum needs G >= 0 on the grid; "

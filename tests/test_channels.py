@@ -7,6 +7,7 @@ J_m(sqrt(alpha)) lies below -m.  That formula never touches our ODE or
 matrix code, so agreement here validates the whole counting pipeline.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from radcount import (
     ChannelBreakdown,
     bs_duality_check,
     channel_count,
-    channel_cutoff,
     count_below,
     eigenvalues_below,
     sandwich_check,
@@ -25,7 +25,7 @@ from radcount import (
     total_count,
 )
 from radcount import channels
-from radcount.spectral1d import GridSpec, counting_domain, threshold_eps
+from radcount.spectral1d import counting_domain, threshold_eps
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -80,7 +80,7 @@ def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog):
     assert total_count(P, 400.0).total == 105
     coarse = total_count(P, 400.0, engine="fd")
     assert 103 <= coarse.total <= 105
-    fine = total_count(P, 400.0, engine="fd", grid=GridSpec(h=1e-3))
+    fine = total_count(P, 400.0, engine="fd", h=1e-3)
     assert fine.total == 105
 
 
@@ -91,15 +91,19 @@ def test_channel_counts_nonincreasing_in_m(catalog):
     assert b.m_max == max(m for m, v in b.per_channel.items() if v > 0)
 
 
-def test_channel_cutoff_brackets_everything(catalog):
+def test_m_scan_brackets_everything(catalog):
     P = catalog["gaussian"]
     alpha = 60.0
-    m_scan, mu1 = channel_cutoff(P, alpha)
     b = total_count(P, alpha)
+    m_scan = b.extras["m_scan"]
     assert b.m_max < m_scan
-    # mu1 is the magnitude of the lowest line eigenvalue
-    ev, _ = eigenvalues_below(to_log(P), alpha, n_max=1, engine="fd")
-    assert mu1 == pytest.approx(-ev[0], rel=1e-3)
+    # mu1, the magnitude of the lowest line eigenvalue, from both engines;
+    # m_scan is the first m with m^2 >= mu1
+    mu1, mu1_fd = (-eigenvalues_below(to_log(P), alpha, n_max=1,
+                                      engine=engine)[0][0]
+                   for engine in ("pruefer", "fd"))
+    assert mu1 == pytest.approx(mu1_fd, rel=1e-3)
+    assert m_scan == math.ceil(math.sqrt(mu1))
     # any channel at or beyond the scan limit is empty by monotonicity
     assert channel_count(P, alpha, m_scan).count == 0
 
@@ -149,27 +153,31 @@ def test_sandwich_violation_raises_unless_in_doubt(catalog, doubt):
 
 def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
     # the slow tail's direct count carries domain-truncated; one more
-    # state on either route is a mismatch that only a doubt flag excuses
+    # state on either route is a mismatch that only a doubt flag excuses,
+    # and only with an uncertainty that covers it
     P = catalog["counterexample"]
     want = bs_duality_check(P, 20.0)
     assert want["ok"] and want["flags"] == ["domain-truncated"]
+    assert want["uncertainty"] == 0
     direct = channels.count_below_fd
 
-    def off_by_one(*extra):
+    def off_by_one(*extra, uncertainty=0):
         def count(*args, **kw):
             r = direct(*args, **kw)
             return dataclasses.replace(r, count=r.count + 1,
-                                       flags=r.flags + extra)
+                                       flags=r.flags + extra,
+                                       uncertainty=uncertainty)
         return count
 
     with monkeypatch.context() as mp:
-        mp.setattr("radcount.channels.count_below_fd", off_by_one())
-        with pytest.raises(channels.ChannelConsistencyError):
-            bs_duality_check(P, 20.0)
+        for extra in ((), ("pivot-shift",)):
+            mp.setattr("radcount.channels.count_below_fd", off_by_one(*extra))
+            with pytest.raises(channels.ChannelConsistencyError):
+                bs_duality_check(P, 20.0)
         mp.setattr("radcount.channels.count_below_fd",
-                   off_by_one("pivot-shift"))
+                   off_by_one("pivot-shift", uncertainty=1))
         rep = bs_duality_check(P, 20.0)
-        assert not rep["ok"]
+        assert not rep["ok"] and rep["uncertainty"] == 1
         assert rep["count_direct"] == want["count_direct"] + 1
     # the first companion eigenvalue below 1/alpha moved just above it
     solve = channels.bs_spectrum
@@ -182,14 +190,14 @@ def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
 
     monkeypatch.setattr("radcount.channels.bs_spectrum", spectrum)
     rep = bs_duality_check(P, 20.0)
-    assert not rep["ok"]
+    assert not rep["ok"] and rep["uncertainty"] == 1
     assert rep["count_spectrum"] == want["count_spectrum"] + 1
     assert rep["flags"] == ["lambda-near-threshold", "domain-truncated"]
 
 
 def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     # the companion spectrum does not depend on alpha: checks that share a
-    # dict solve it once per (counting window, n_max, grid), each runs its
+    # dict solve it once per (counting window, n_max), each runs its
     # own direct count, and the reports equal those of unshared checks
     P = catalog["square-well"]
     want = [bs_duality_check(P, a) for a in (10.0, 50.0)]
@@ -212,7 +220,7 @@ def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     G = to_log(P, strict=False)
     window = counting_domain(G, 10.0, -threshold_eps(G, 10.0),
                              BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
-    assert list(spectra) == [(window, 48, GridSpec())]
+    assert list(spectra) == [(window, 48)]
     bs_duality_check(P, 10.0, n_max=24, spectra=spectra)
     assert solved == [48, 24] and len(direct) == 3
 
@@ -239,7 +247,8 @@ def test_breakdown_dataclass_shape(catalog):
     assert isinstance(b, ChannelBreakdown)
     assert b.total == b.per_channel[0] + b.nonradial
     assert b.extras["m_scan"] >= b.m_max
-    assert channel_cutoff(P, 30.0)[1] > 0.0
+    ev, _ = eigenvalues_below(to_log(P), 30.0, n_max=1)
+    assert len(ev) == 1 and -ev[0] > 0.0
 
 
 @pytest.mark.parametrize("name, alpha, calls, total, per", [

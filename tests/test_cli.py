@@ -2,6 +2,7 @@
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -127,6 +128,7 @@ def test_count_duality_check(capsys):
                          "--alpha", "30", "--check", "duality")
     assert code == 0
     assert doc["report"]["duality"]["ok"] is True
+    assert doc["report"]["duality"]["uncertainty"] == 0
 
 
 def test_bounds_divergent_serializes_as_infinite(capsys):
@@ -298,6 +300,16 @@ def test_mode_aliases_accepted(capsys):
                          "--mode", "half")
     assert code == 0
     assert doc["report"]["pruefer"]["mode"] == "half-line-dirichlet"
+
+
+def test_every_exported_name_resolves():
+    # each name in the package's and every module's __all__ is defined
+    modules = [radcount] + [
+        importlib.import_module(f"radcount.{info.name}")
+        for info in pkgutil.iter_modules(radcount.__path__)]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), (mod.__name__, name)
 
 
 def test_import_loads_no_scipy_submodule():

@@ -56,6 +56,19 @@ def test_param_validation():
         make_catalog_potential("no-such-kind")
     with pytest.raises(PotentialSpecError):
         make_catalog_potential("gaussian", {"width": 0.0})
+    # a kind takes exactly the parameters it has defaults for; a
+    # scaled-product also takes those of its base kind
+    with pytest.raises(PotentialSpecError,
+                       match="^square-well: unknown parameter 'width'$"):
+        make_catalog_potential("square-well", {"width": 1.0})
+    P = make_catalog_potential("scaled-product", {"base": 2, "width": 0.5})
+    assert P.params["width"] == 0.5 and P.params["height"] == 1.0
+    with pytest.raises(PotentialSpecError,
+                       match="^scaled-product: unknown parameter 'width'$"):
+        make_catalog_potential("scaled-product", {"base": 0, "width": 0.5})
+    with pytest.raises(PotentialSpecError,
+                       match="^scaled-product: base index must be 0..4$"):
+        make_catalog_potential("scaled-product", {"base": 5})
 
 
 def test_log_substitution_identity(catalog):
@@ -112,6 +125,22 @@ def test_to_log_strict_raises_on_divergent_J():
         to_log(P)
     G = to_log(P, strict=False)
     assert math.isinf(G.j_value)
+
+
+def test_to_log_cache_is_keyed_on_strict_and_t_cap():
+    # to_log takes no tolerances, so no call can cache a loosely computed
+    # J for later default calls; one object per (strict, t_cap)
+    P = make_catalog_potential("gaussian")
+    G = to_log(P, strict=False)
+    assert G.j_value == 0.5
+    assert to_log(P, strict=False) is G
+    assert to_log(P, strict=False, t_cap=T_CAP) is G
+    assert to_log(P) is to_log(P, strict=True) is not G
+    assert to_log(P, strict=False, t_cap=100.0) is not G
+    with pytest.raises(TypeError):
+        to_log(P, strict=False, epsabs=1e-2, epsrel=1e-1)
+    with pytest.raises(TypeError):
+        to_log(P, 1e-10)
 
 
 def test_to_log_window_covers_mass(catalog):

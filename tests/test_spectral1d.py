@@ -19,8 +19,6 @@ from radcount import BoundaryMode, count_below, eigenvalues_below, to_log
 from radcount import spectral1d
 from radcount.potentials import LogPotential
 from radcount.spectral1d import (
-    GridSpec,
-    StepControl,
     bs_spectrum,
     count_below_fd,
     count_below_pruefer,
@@ -214,7 +212,7 @@ def test_bs_duality_on_shared_grid(catalog):
             want = int(np.sum(lam > 1.0 / alpha))
             assert want < len(lam), (name, alpha)
             got = count_below_fd(G, alpha, -1e-12, mode,
-                                 domain=meta["domain"], grid=GridSpec(h=h),
+                                 domain=meta["domain"], h=h,
                                  near_threshold_check=False)
             assert got.count == want, (name, alpha)
             assert got.domain == meta["domain"], (name, alpha)
@@ -243,7 +241,7 @@ def test_fd_side_counts_split_at_origin(catalog):
 def test_bs_spectrum_grid_stability(catalog):
     G = to_log(catalog["gaussian"])
     lam1, meta = bs_spectrum(G, n_max=8)
-    lam2, _ = bs_spectrum(G, n_max=8, grid=GridSpec(h=meta["h"] / 2.0))
+    lam2, _ = bs_spectrum(G, n_max=8, h=meta["h"] / 2.0)
     # leading eigenvalues converge under refinement; the small tail ones
     # are relatively softer, so the blanket tolerance is looser
     assert lam1[0] == pytest.approx(lam2[0], rel=1e-3)
@@ -270,7 +268,7 @@ def _dense_pencil(G, meta, mode):
 
 def _assert_matches_dense_pencil(G, mode, domain, case, n_max=32):
     h = (domain[1] - domain[0]) / 400
-    lam, meta = bs_spectrum(G, mode, domain=domain, grid=GridSpec(h=h),
+    lam, meta = bs_spectrum(G, mode, domain=domain, h=h,
                             n_max=n_max)
     want, positive = _dense_pencil(G, meta, mode)
     k = min(n_max, meta["n_nodes"] - 2, positive)
@@ -310,9 +308,30 @@ def test_bs_spectrum_rejects_negative_G():
     G = boxes_G((10.0, -1.0, 1.0), (-1.0, 1.0, 2.0))
     for mode in BoundaryMode:
         with pytest.raises(ValueError, match="G >= 0"):
-            bs_spectrum(G, mode, domain=(-2.0, 3.0), grid=GridSpec(h=0.01))
-    lam, _ = bs_spectrum(G, domain=(-2.0, 0.5), grid=GridSpec(h=0.01))
+            bs_spectrum(G, mode, domain=(-2.0, 3.0), h=0.01)
+    lam, _ = bs_spectrum(G, domain=(-2.0, 0.5), h=0.01)
     assert lam[0] > 0.0
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_grid_capped_at_n_cap(monkeypatch, mode):
+    # with the cap at 256 intervals, the default grids of both the fd count
+    # (h <= 8e-3 here) and bs_spectrum (4000 intervals) are coarsened to
+    # h = 8/256 on (-4, 4): the count is flagged and equals the count on
+    # that grid asked for explicitly, and the spectrum equals its spectrum
+    monkeypatch.setattr(spectral1d, "_N_CAP", 256)
+    G = boxes_G((400.0, -0.5, 0.5), (100.0, 0.5, 1.5))
+    dom = (-4.0, 4.0)
+    h = (dom[1] - dom[0]) / spectral1d._N_CAP
+    capped = count_below_fd(G, 1.0, -50.0, mode, domain=dom)
+    explicit = count_below_fd(G, 1.0, -50.0, mode, domain=dom, h=h)
+    assert capped.flags == ("grid-coarsened",) and explicit.flags == ()
+    assert capped.count == explicit.count > 0
+    assert (capped.h, capped.extras) == (explicit.h, explicit.extras)
+    lam, meta = bs_spectrum(G, mode, domain=dom)
+    lam_h, meta_h = bs_spectrum(G, mode, domain=dom, h=h)
+    assert meta == meta_h and meta["h"] == h
+    assert np.array_equal(lam, lam_h) and lam[0] > 0.0
 
 
 def test_threshold_eps_tracks_scale(catalog):
@@ -378,7 +397,15 @@ def _rescale(th, r):
     return k * math.pi + math.atan2(r * math.sin(phi), math.cos(phi))
 
 
-def _generic_scaled_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
+def _step_control():
+    """The kernel's step constants (phase_tol, h_min, h_max, max_steps), read
+    when a reference loop is called, so a monkeypatched one reaches both."""
+    return (spectral1d._PHASE_TOL, spectral1d._H_MIN, spectral1d._H_MAX,
+            spectral1d._MAX_STEPS)
+
+
+def _generic_scaled_phase(g_scalar, alpha, E, a, b, theta0, breaks):
+    tol, h_min, h_max, max_steps = _step_control()
     flags = []
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
     th = theta0
@@ -393,34 +420,35 @@ def _generic_scaled_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
     for lo, hi in zip(pieces, pieces[1:]):
         t = lo
         w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
-        h = min(ctrl.h_max, hi - lo, 1.0 / math.sqrt(max(1.0, abs(w_mid))))
+        h = min(h_max, hi - lo, 1.0 / math.sqrt(max(1.0, abs(w_mid))))
         while t < hi:
-            if steps >= ctrl.max_steps:
+            if steps >= max_steps:
                 raise RuntimeError(
-                    f"phase integration exceeded {ctrl.max_steps} steps "
+                    f"phase integration exceeded {max_steps} steps "
                     f"(alpha={alpha}, E={E})")
             S_new = math.sqrt(max(1.0, abs(E + alpha * g_scalar(t))))
             if S_new != S:
                 th = _rescale(th, S_new / S)
                 S = S_new
-            h = min(h, 1.0 / S, ctrl.h_max)
+            h = min(h, 1.0 / S, h_max)
             last = h >= hi - t
             if last:
                 h = hi - t
-            elif h < ctrl.h_min:
-                h = ctrl.h_min
+            elif h < h_min:
+                h = h_min
                 flags.append("step-floor")
             th5, err = _ck_step(rhs, t, th, h)
             steps += 1
-            if err <= ctrl.phase_tol or h <= ctrl.h_min:
+            if err <= tol or h <= h_min:
                 t = hi if last else t + h
                 th = th5
-            fac = 0.9 * (ctrl.phase_tol / (err + 1e-300)) ** 0.2
+            fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
             h *= min(5.0, max(0.2, fac))
     return _rescale(th, 1.0 / S), steps, flags
 
 
-def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
+def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks):
+    tol, h_min, h_max, max_steps = _step_control()
     flags = []
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
     th = theta0
@@ -434,43 +462,45 @@ def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks, ctrl):
     for lo, hi in zip(pieces, pieces[1:]):
         t = lo
         w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
-        h = min(ctrl.h_max, hi - lo, 0.25 / math.sqrt(1.0 + abs(w_mid)))
+        h = min(h_max, hi - lo, 0.25 / math.sqrt(1.0 + abs(w_mid)))
         while t < hi:
-            if steps >= ctrl.max_steps:
+            if steps >= max_steps:
                 raise RuntimeError(
-                    f"phase integration exceeded {ctrl.max_steps} steps "
+                    f"phase integration exceeded {max_steps} steps "
                     f"(alpha={alpha}, E={E})")
             h_cap = 0.25 / math.sqrt(1.0 + abs(E) + alpha * g_scalar(t))
-            h = min(h, h_cap, ctrl.h_max)
+            h = min(h, h_cap, h_max)
             last = h >= hi - t
             if last:
                 h = hi - t
-            elif h < ctrl.h_min:
-                h = ctrl.h_min
+            elif h < h_min:
+                h = h_min
                 flags.append("step-floor")
             th5, err = _ck_step(rhs, t, th, h)
             steps += 1
-            if err <= ctrl.phase_tol or h <= ctrl.h_min:
+            if err <= tol or h <= h_min:
                 t = hi if last else t + h
                 th = th5
-            fac = 0.9 * (ctrl.phase_tol / (err + 1e-300)) ** 0.2
+            fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
             h *= min(5.0, max(0.2, fac))
     return th, steps, flags
 
 
-@pytest.mark.parametrize("name, alpha, m, mode, step", [
-    ("square-well", 3200.0, 0, BoundaryMode.WHOLE_LINE, StepControl()),
-    ("square-well", 3200.0, 40, BoundaryMode.WHOLE_LINE, StepControl()),
-    ("counterexample", 5.0, 0, BoundaryMode.WHOLE_LINE, StepControl()),
-    ("gaussian", 40.0, 0, BoundaryMode.WHOLE_LINE, StepControl()),
-    ("bump", 40.0, 0, BoundaryMode.HALF_LINE_DIRICHLET, StepControl()),
-    ("bump", 40.0, 0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0, StepControl()),
-    ("square-well", 200.0, 0, BoundaryMode.WHOLE_LINE,
-     StepControl(h_min=0.05)),
+@pytest.mark.parametrize("name, alpha, m, mode, h_min", [
+    ("square-well", 3200.0, 0, BoundaryMode.WHOLE_LINE, None),
+    ("square-well", 3200.0, 40, BoundaryMode.WHOLE_LINE, None),
+    ("counterexample", 5.0, 0, BoundaryMode.WHOLE_LINE, None),
+    ("gaussian", 40.0, 0, BoundaryMode.WHOLE_LINE, None),
+    ("bump", 40.0, 0, BoundaryMode.HALF_LINE_DIRICHLET, None),
+    ("bump", 40.0, 0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0, None),
+    ("square-well", 200.0, 0, BoundaryMode.WHOLE_LINE, 0.05),
 ], ids=["disk-3200", "disk-3200-m40", "slowtail-5", "gaussian", "bump-half",
         "bump-dirichlet-at-0", "disk-step-floor"])
 def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
-                                           alpha, m, mode, step):
+                                           alpha, m, mode, h_min):
+    # h_min, when given, replaces the kernel's _H_MIN for this case
+    if h_min is not None:
+        monkeypatch.setattr(spectral1d, "_H_MIN", h_min)
     G = to_log(catalog[name], strict=False)
     E = -(m * m + threshold_eps(G, alpha))
     kernel = spectral1d._integrate_phase
@@ -481,13 +511,13 @@ def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
         return pairs[-1][0]
 
     monkeypatch.setattr(spectral1d, "_integrate_phase", both)
-    count_below_pruefer(G, alpha, E, mode, step=step)
+    count_below_pruefer(G, alpha, E, mode)
     assert len(pairs) == (2 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
                           else 1)
     for got, want in pairs:
         assert got == want   # theta, steps and flags, exactly
     floored = any("step-floor" in got[2] for got, _ in pairs)
-    assert floored == (step != StepControl())
+    assert floored == (h_min is not None)
 
 
 def test_last_step_lands_on_the_piece_end():
@@ -497,15 +527,16 @@ def test_last_step_lands_on_the_piece_end():
     a, b = -0.2, 0.15
     assert a + (b - a) < b
     th, steps, flags = spectral1d._integrate_phase(
-        lambda t: 0.0, 1.0, -1.0, a, b, math.pi / 4, (), StepControl())
+        lambda t: 0.0, 1.0, -1.0, a, b, math.pi / 4, ())
     assert (steps, flags) == (1, [])
     assert th == pytest.approx(math.pi / 4, abs=1e-15)
 
 
-def test_phase_kernel_step_budget_matches_generic_loop(catalog):
+def test_phase_kernel_step_budget_matches_generic_loop(catalog,
+                                                       monkeypatch):
+    monkeypatch.setattr(spectral1d, "_MAX_STEPS", 10)
     G = to_log(catalog["square-well"])
-    args = (G.eval_scalar, 200.0, -1.0, -20.0, 10.0, 0.5, G.breakpoints,
-            StepControl(max_steps=10))
+    args = (G.eval_scalar, 200.0, -1.0, -20.0, 10.0, 0.5, G.breakpoints)
     with pytest.raises(RuntimeError) as got:
         spectral1d._integrate_phase(*args)
     for reference in (_generic_scaled_phase, _generic_integrate_phase):
@@ -584,7 +615,7 @@ def _window_path(G, alpha, E, mode):
 
     def one(g, a, b, theta0, brk):
         th, _, fl = spectral1d._integrate_phase(g, alpha, E, a, b, theta0,
-                                                brk, StepControl())
+                                                brk)
         c, u, fl2 = spectral1d._zeros_from_phase(th, kappa, tail=True)
         return c, u, fl + fl2, th
 
@@ -662,7 +693,7 @@ def test_lead_in_stops_before_a_narrow_deep_box(monkeypatch):
     for G in (hidden, deep):
         for E in (-225.0, -400.0, -2000.0):
             A, B = counting_domain(G, 1.0, E, BoundaryMode.WHOLE_LINE)
-            t0, _ = spectral1d._lead_in(G, 1.0, E, A, B, StepControl())
+            t0, _ = spectral1d._lead_in(G, 1.0, E, A, B)
             assert A < t0 < 0.0, (E, t0)
     wide_alone = boxes_G((300.0, 1.5, 4.0))
     for E in (-225.0, -2000.0):
@@ -848,7 +879,7 @@ def test_fd_constant_runs_of_0_1_2_nodes(monkeypatch, head, tail):
     # the grid problem the newest negative pivot is the last one, so with
     # a tail it is the tail rule's
     G = boxes_G((400.0, 0.05 + 0.1 * head, 0.95 - 0.1 * tail))
-    kw = dict(domain=(0.0, 1.0), grid=GridSpec(h=0.1))
+    kw = dict(domain=(0.0, 1.0), h=0.1)
     levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
     levels = levels[levels < 0.0]
     assert len(levels) >= 3
@@ -874,7 +905,7 @@ def test_fd_sweep_stops_once_settled(monkeypatch, tail):
     # the last allowed node only until a pivot is >= 1, and negative pivots
     # on that stretch still count
     G = boxes_G((400.0, 0.05, 0.55), (50.0, 0.55, 0.95 - 0.1 * tail))
-    kw = dict(domain=(0.0, 1.0), grid=GridSpec(h=0.1))
+    kw = dict(domain=(0.0, 1.0), h=0.1)
     levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
     levels = levels[(levels < -50.0) & (levels > -400.0)]
     assert len(levels) >= 2
@@ -908,7 +939,7 @@ def test_fd_zero_pivot_past_the_last_allowed_node():
     G = boxes_G((8.0, 0.25, 0.75), (2.0, 0.75, 1.25))
     got = _assert_matches_full_window(
         G, 1.0, -2.0, BoundaryMode.WHOLE_LINE, "zero pivot",
-        domain=(0.0, 4.0), grid=GridSpec(h=0.5))
+        domain=(0.0, 4.0), h=0.5)
     assert "pivot-shift" in got.flags and got.uncertainty == 1
 
 
@@ -917,7 +948,7 @@ def test_fd_dirichlet_at_0_blocks(monkeypatch):
     # from 0.1 .. 0.9; a block that is all G = 0 counts 0 with no sweep,
     # and so does one whose box lies below E
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    kw = dict(domain=(-1.0, 1.0), grid=GridSpec(h=0.1))
+    kw = dict(domain=(-1.0, 1.0), h=0.1)
     right_only = boxes_G((400.0, 0.25, 0.75))
     both = boxes_G((400.0, -0.75, -0.25), (300.0, 0.25, 0.75))
     sweeps = _swept_negatives(monkeypatch)
@@ -937,7 +968,7 @@ def test_fd_zero_pivot_retry_is_trimmed_too(monkeypatch):
     # exactly 1: the second pivot is 0.0, and the retry with the ulp shift
     # sweeps the same two nodes again, the five-node tail in closed form
     G = boxes_G((5.0, 0.25, 1.25))
-    kw = dict(domain=(0.0, 4.0), grid=GridSpec(h=0.5))
+    kw = dict(domain=(0.0, 4.0), h=0.5)
     sweeps = _swept_negatives(monkeypatch)
     got = _assert_matches_full_window(G, 1.0, -1.0, BoundaryMode.WHOLE_LINE,
                                       "zero pivot", **kw)
