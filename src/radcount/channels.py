@@ -171,6 +171,7 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
 
     The report's uncertainty is the direct count's plus the number of
     companion eigenvalues within the lambda-near-threshold gap of 1/alpha.
+    A spectrum on a grid coarsened to the node cap flags `grid-coarsened`.
     A mismatch raises unless a flag outside INFORMATIONAL_FLAGS puts it in
     doubt, and a doubt flag excuses it only as far as that uncertainty
     reaches."""
@@ -196,6 +197,8 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
     count_spec = int(np.sum(lam > thr))
     n_near = int(np.sum(np.abs(lam - thr) < 1e-8 * thr))
     flags = ["lambda-near-threshold"] if n_near else []
+    if meta["capped"]:
+        flags.append("grid-coarsened")
     fd = count_below_fd(G, alpha, -1e-12 * max(alpha * G.g_max, 1.0), mode,
                         domain=meta["domain"], h=meta["h"],
                         near_threshold_check=False)

@@ -11,11 +11,15 @@ Two independent engines with no shared discretization machinery:
     (Pryce) phase, theta' = S cos^2 theta + ((E + alpha G)/S) sin^2 theta
     with S = sqrt(max(1, |E + alpha G|)) reset at every step: it has the
     same zeros and turns at an even rate over an oscillation, so a step can
-    cover about one radian. The plain phase goes in and comes out. The
-    kernel runs only where the count is decided. On the whole line it starts
-    left of the first allowed point, where the decaying phase is pinned: a
-    phase error there contracts by exp(-2 int sqrt(-w)). Beyond the support
-    of G, w = E is constant, and that stretch is mapped in closed form.
+    cover about one radian. Each step is capped at 1/sqrt(|E + alpha G|),
+    one radian of the local frequency, and otherwise only by the error
+    control and the breakpoints of G, where every feature of G must sit.
+    The plain phase goes in and comes out. The kernel runs only where the
+    count is decided. On the whole line it starts left of the first allowed
+    point, where the decaying phase is pinned: a phase error there contracts
+    by exp(-2 int sqrt(-w)); and never before the support of G, where that
+    phase atan2(1, kappa) is a fixed point. Beyond the support of G, w = E
+    is constant, and that stretch is mapped in closed form.
 
   * count_below_fd: three-point finite differences on a uniform grid and a
     Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
@@ -117,7 +121,6 @@ def _validate(alpha: float, E: float) -> None:
 
 # step control of the phase kernel (see _integrate_phase)
 _PHASE_TOL = 1e-10
-_H_MAX = 0.5
 _H_MIN = 1e-12
 _MAX_STEPS = 2_000_000
 
@@ -151,38 +154,51 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
     u' = rho sqrt(S) cos(theta) with S = sqrt(max(1, |w|)), w = E + alpha g,
     held constant over a step, so theta' = S cos^2 + (w/S) sin^2 turns at
     about sqrt(w) on both halves of an oscillation. S is reset from g(t) at
-    each step start, which rescales theta (_rescale_phase), and the step is
-    capped at 1/S, about one radian of phase. The stages are written out
-    with every sum in tableau order; g(t) is evaluated once per step, for
-    the scale and the first stage. The last step of a piece lands exactly on
-    the piece end and is never counted as floored. Steps are accepted at a
-    phase error up to _PHASE_TOL and lie in [_H_MIN, _H_MAX]; one raised to
-    _H_MIN is accepted whatever its error and flags `step-floor`. A call
-    takes at most _MAX_STEPS steps. The four are read once per call."""
+    each step start, which rescales theta (_rescale_phase). A step is capped
+    at 1/sqrt(|w|), one radian of the local frequency (1/S where |w| > 1),
+    and not at all where w = 0; the first step of a piece takes the cap at
+    its midpoint. In a forbidden stretch the phase is attracted at the rate
+    2 sqrt(|w|), so the cap keeps h times that rate <= 2, inside Cash-Karp's
+    stability region. The stages are written out with every sum in tableau
+    order; g(t) is evaluated once per step, for the scale and the first
+    stage. g is read inside the piece only: at lo_in, one ulp above lo, at
+    the piece's first step start, and at hi_in, one ulp below hi, at the end
+    stage of its last step, so a jump at lo or hi counts on neither side.
+    The last step of a piece lands exactly on the piece end and is never
+    counted as floored. Steps are accepted at a phase error up to
+    _PHASE_TOL and are at least _H_MIN; one raised to _H_MIN is accepted
+    whatever its error and flags `step-floor`. A call takes at most
+    _MAX_STEPS steps. The three are read once per call.
+
+    A step never leaves its piece, and it is bounded only by the error
+    control and the cap at its start, so a feature of g narrower than a step
+    (a jump, a narrow pocket) must sit at a breakpoint to be seen: the
+    breakpoints passed in are a contract, not a hint."""
     flags: list[str] = []
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    tol, h_min, h_max, max_steps = _PHASE_TOL, _H_MIN, _H_MAX, _MAX_STEPS
+    tol, h_min, max_steps = _PHASE_TOL, _H_MIN, _MAX_STEPS
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
     th = theta0
     S = iS = 1.0
     steps = 0
     for lo, hi in zip(pieces, pieces[1:]):
         t = lo
-        w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
-        h = min(h_max, hi - lo, 1.0 / sqrt(max(1.0, abs(w_mid))))
+        lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        rw = sqrt(abs(E + alpha * g_scalar(0.5 * (lo + hi))))
+        h = min(hi - lo, 1.0 / rw) if rw > 0.0 else hi - lo
         while t < hi:
             if steps >= max_steps:
                 raise RuntimeError(
                     f"phase integration exceeded {max_steps} steps "
                     f"(alpha={alpha}, E={E})")
-            w = E + alpha * g_scalar(t)
-            aw = abs(w)
-            S_new = sqrt(aw) if aw > 1.0 else 1.0
+            w = E + alpha * g_scalar(t if t > lo else lo_in)
+            rw = sqrt(abs(w))
+            S_new = rw if rw > 1.0 else 1.0
             if S_new != S:
                 th = _rescale_phase(th, S_new / S)
                 S = S_new
                 iS = 1.0 / S
-            h = min(h, iS, h_max)
+            h = min(h, 1.0 / rw) if rw > 0.0 else h
             last = h >= hi - t   # this step ends the piece, exactly on hi
             if last:
                 h = hi - t
@@ -202,7 +218,8 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
             k4 = S * c * c + (E + alpha * g_scalar(t + _C4 * h)) * iS * s * s
             y = th + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
             s, c = sin(y), cos(y)
-            k5 = S * c * c + (E + alpha * g_scalar(t + _C5 * h)) * iS * s * s
+            t5 = hi_in if last else t + _C5 * h
+            k5 = S * c * c + (E + alpha * g_scalar(t5)) * iS * s * s
             y = th + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
                           + _A65 * k5)
             s, c = sin(y), cos(y)
@@ -312,9 +329,12 @@ def count_below_pruefer(G, alpha: float, E: float,
     line (truncated=False) it starts at the lead-in start of _lead_in: the
     latest point left of the first allowed point with
     int sqrt(-w) >= L = ln(100/_PHASE_TOL)/2 up to it, at the local WKB phase,
-    or at A when there is none. In every mode and pass it stops at the end
-    of the support of G; the rest of the pass, where G = 0, is mapped
-    exactly (_zero_tail), and the count is read at B as before.
+    or at A when there is none, at atan2(1, kappa). Left of the support of
+    G that phase is the fixed point of theta' = cos^2 + E sin^2, so the
+    start moves up to the support (the zero head). In every mode and pass
+    it stops at the end of the support of G; the rest of the pass, where
+    G = 0, is mapped exactly (_zero_tail), and the count is read at B as
+    before.
     """
     _validate(alpha, E)
     mode = BoundaryMode(mode)
@@ -357,6 +377,7 @@ def count_below_pruefer(G, alpha: float, E: float,
             a, theta0 = A, 0.0
         else:
             a, theta0 = _lead_in(G, alpha, E, A, B)
+            a = max(a, t_lo)
         count, uncertainty, fl, th, steps = one_pass(
             G.eval_scalar, a, B, theta0, G.breakpoints, t_hi)
         flags += fl
@@ -678,7 +699,8 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     M^(1/2) K^(-1) M^(1/2), which has the pencil's spectrum, so each
     product is one tridiagonal solve; its start vector is fixed, so results
     are deterministic. G must be >= 0 on the grid. Returns (descending
-    eigenvalues, meta).
+    eigenvalues, meta); meta["capped"] is True when the grid was coarsened
+    to _N_CAP intervals.
     """
     # scipy loads here, so importing radcount needs numpy alone
     from scipy.linalg.lapack import dpttrf, dpttrs
@@ -690,8 +712,8 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
         domain = counting_domain(G, 1.0, e_probe, mode)
     A, B = domain
     if h is None:
-        h = (B - A) / min(max(4000, 40 * n_max), _N_CAP)
-    A, B, h, n, k0, _ = _line_grid(A, B, h, mode)
+        h = (B - A) / max(4000, 40 * n_max)
+    A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
     gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
     if np.any(gv < 0.0):
         raise ValueError("bs_spectrum needs G >= 0 on the grid; "
@@ -699,7 +721,7 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     if k0 is not None:
         gv = np.delete(gv, k0 - 1)  # Dirichlet node at t = 0
     m = len(gv)
-    meta = {"domain": (A, B), "h": h, "n_nodes": m}
+    meta = {"domain": (A, B), "h": h, "n_nodes": m, "capped": capped}
     lam = np.zeros(n_max)
     k_eff = min(n_max, m - 2, int(np.count_nonzero(gv > 0.0)))
     if k_eff < 1:

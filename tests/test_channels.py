@@ -6,8 +6,11 @@ more when the boundary log-derivative sqrt(alpha) J_m'(sqrt(alpha)) /
 J_m(sqrt(alpha)) lies below -m.  That formula never touches our ODE or
 matrix code, so agreement here validates the whole counting pipeline.
 """
+import ast
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,10 +278,8 @@ def test_total_count_work(catalog, monkeypatch, name, alpha, calls, total,
     assert b.extras["m_scan"] == max(per)
 
 
-def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
-    # the work of the phase engine at disk alpha=3200: 53 counts (m = 0..51
-    # and the Dirichlet count) take 29400 RK steps in all, the kernel
-    # running only from the lead-in start to the support end t = 0
+def _phase_steps(catalog, monkeypatch, name, alpha):
+    """total_count by the phase engine, and the counts it made."""
     seen = []
 
     def counting(*args, **kw):
@@ -286,10 +287,27 @@ def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr("radcount.channels.count_below", counting)
-    b = total_count(catalog["square-well"], 3200.0)
+    return total_count(catalog[name], alpha), seen
+
+
+def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
+    # the work of the phase engine at disk alpha=3200: 53 counts (m = 0..51
+    # and the Dirichlet count) take 29270 RK steps in all, the kernel
+    # running only from the lead-in start to the support end t = 0
+    b, seen = _phase_steps(catalog, monkeypatch, "square-well", 3200.0)
     assert b.total == 806 and b.uncertainty == 0 and not b.flags
     assert len(seen) == 53
-    assert sum(r.steps for r in seen) == 29400
+    assert sum(r.steps for r in seen) == 29270
+
+
+def test_total_count_phase_steps_slowtail_5(catalog, monkeypatch):
+    # on the slow tail at alpha=5, |w| stays below 1e-2 over most of the
+    # ~2000-wide window: steps capped at one radian of the local frequency,
+    # not at a unit scale, cover it in 943 RK steps for the 3 counts
+    b, seen = _phase_steps(catalog, monkeypatch, "counterexample", 5.0)
+    assert (b.total, b.per_channel, b.uncertainty) == (2, {0: 2, 1: 0}, 0)
+    assert len(seen) == 3
+    assert sum(r.steps for r in seen) == 943
 
 
 def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
@@ -342,3 +360,51 @@ def test_annulus_3200_has_no_step_floor(catalog):
     # residue before a breakpoint is no floored step
     b = total_count(catalog["annulus"], 3200.0)
     assert (b.total, b.uncertainty, b.flags) == (2415, 0, ())
+
+
+def _flag_literals(tree) -> set[str]:
+    """String constants that a module puts into flags: appended to a
+    `flags` list, assigned to a name ending in `flags`, passed as `flags=`
+    or stored under a "flags" key."""
+    found = set()
+
+    def strings(node):
+        return {n.value for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "flags"):
+            found |= strings(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            if node.value is not None and any(
+                    isinstance(t, ast.Name) and t.id.lower().endswith("flags")
+                    for t in targets):
+                found |= strings(node.value)
+        elif isinstance(node, ast.keyword) and node.arg == "flags":
+            found |= strings(node.value)
+        elif isinstance(node, ast.Dict):
+            for k, v in zip(node.keys, node.values):
+                if isinstance(k, ast.Constant) and k.value == "flags":
+                    found |= strings(v)
+    return found
+
+
+def test_every_flag_is_in_the_readme_table():
+    # the README's flag table lists exactly the flags src/ raises, and its
+    # informational rows are channels.INFORMATIONAL_FLAGS
+    root = Path(__file__).resolve().parents[1]
+    emitted = set()
+    for path in sorted((root / "src" / "radcount").glob("*.py")):
+        emitted |= _flag_literals(ast.parse(path.read_text()))
+    rows = re.findall(r"^\| `([a-z-]+)` \| (informational|doubt) \|",
+                      (root / "README.md").read_text(), re.MULTILINE)
+    table = dict(rows)
+    assert len(rows) == len(table) == 10
+    assert emitted == set(table)
+    assert {f for f, kind in rows if kind == "informational"} == \
+        channels.INFORMATIONAL_FLAGS

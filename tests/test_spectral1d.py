@@ -15,7 +15,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radcount import BoundaryMode, count_below, eigenvalues_below, to_log
+from radcount import (
+    BoundaryMode,
+    bs_duality_check,
+    count_below,
+    eigenvalues_below,
+    to_log,
+)
 from radcount import spectral1d
 from radcount.potentials import LogPotential
 from radcount.spectral1d import (
@@ -318,7 +324,8 @@ def test_grid_capped_at_n_cap(monkeypatch, mode):
     # with the cap at 256 intervals, the default grids of both the fd count
     # (h <= 8e-3 here) and bs_spectrum (4000 intervals) are coarsened to
     # h = 8/256 on (-4, 4): the count is flagged and equals the count on
-    # that grid asked for explicitly, and the spectrum equals its spectrum
+    # that grid asked for explicitly, and the spectrum, marked capped in
+    # its meta, equals its spectrum
     monkeypatch.setattr(spectral1d, "_N_CAP", 256)
     G = boxes_G((400.0, -0.5, 0.5), (100.0, 0.5, 1.5))
     dom = (-4.0, 4.0)
@@ -330,8 +337,21 @@ def test_grid_capped_at_n_cap(monkeypatch, mode):
     assert (capped.h, capped.extras) == (explicit.h, explicit.extras)
     lam, meta = bs_spectrum(G, mode, domain=dom)
     lam_h, meta_h = bs_spectrum(G, mode, domain=dom, h=h)
+    assert (meta.pop("capped"), meta_h.pop("capped")) == (True, False)
     assert meta == meta_h and meta["h"] == h
     assert np.array_equal(lam, lam_h) and lam[0] > 0.0
+
+
+def test_duality_check_flags_a_coarsened_grid(monkeypatch):
+    # a companion spectrum on a grid coarsened to _N_CAP intervals puts the
+    # duality report in doubt, as it does the fd count on such a grid
+    G = boxes_G((400.0, -0.5, 0.5), (100.0, 0.5, 1.5))
+    full = bs_duality_check(G, 1.0)
+    assert full["ok"] and full["flags"] == []
+    monkeypatch.setattr(spectral1d, "_N_CAP", 256)
+    rep = bs_duality_check(G, 1.0)
+    assert rep["ok"] and rep["flags"] == ["grid-coarsened"]
+    assert rep["n_nodes"] < full["n_nodes"]
 
 
 def test_threshold_eps_tracks_scale(catalog):
@@ -350,10 +370,13 @@ def test_counting_domain_pads_with_energy():
 
 
 # Generic Cash-Karp loops, stages as lists and sums by sum().  The scaled
-# one is the reference the unrolled phase kernel must match bit for bit.
-# The plain one integrates theta' = cos^2 + w sin^2, which has the same
-# zeros, and is an accuracy oracle for the scaled phase.  Both land the
-# last step of a piece exactly on the piece end, as the kernel does.
+# one, at the kernel's step cap, is the reference the unrolled phase kernel
+# must match bit for bit; at the unit cap the kernel had before, it is the
+# oracle for that change.  The plain one integrates
+# theta' = cos^2 + w sin^2, which has the same zeros, with steps of at most
+# 0.5 and 0.25/sqrt(1 + |w|), and is an accuracy oracle for the scaled
+# phase.  All land the last step of a piece exactly on the piece end, as
+# the kernel does.
 _CK_A = (
     (),
     (1 / 5,),
@@ -367,19 +390,19 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
-def _ck_step(rhs, t, th, h):
-    # the tableau sums written out, each in the order sum() adds them
+def _ck_step(rhs, t, th, h, t_first, t_last):
+    # the tableau sums written out, each in the order sum() adds them;
+    # t_first and t_last stand in for the stage times t and t + h
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54) = _CK_A[1:]
     b0, b1, b2, b3, b4, b5 = _CK_B5
     e0, e1, e2, e3, e4, e5 = _CK_B4
-    _, c1, c2, c3, c4, c5 = _CK_C
-    k0 = rhs(t, th)
+    _, c1, c2, c3, _, c5 = _CK_C
+    k0 = rhs(t_first, th)
     k1 = rhs(t + c1 * h, th + h * (a10 * k0))
     k2 = rhs(t + c2 * h, th + h * (a20 * k0 + a21 * k1))
     k3 = rhs(t + c3 * h, th + h * (a30 * k0 + a31 * k1 + a32 * k2))
-    k4 = rhs(t + c4 * h,
-             th + h * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3))
+    k4 = rhs(t_last, th + h * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3))
     k5 = rhs(t + c5 * h,
              th + h * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3
                        + a54 * k4))
@@ -398,57 +421,78 @@ def _rescale(th, r):
 
 
 def _step_control():
-    """The kernel's step constants (phase_tol, h_min, h_max, max_steps), read
-    when a reference loop is called, so a monkeypatched one reaches both."""
-    return (spectral1d._PHASE_TOL, spectral1d._H_MIN, spectral1d._H_MAX,
-            spectral1d._MAX_STEPS)
+    """The kernel's step constants (phase_tol, h_min, max_steps), read when a
+    reference loop is called, so a monkeypatched one reaches both."""
+    return spectral1d._PHASE_TOL, spectral1d._H_MIN, spectral1d._MAX_STEPS
 
 
-def _generic_scaled_phase(g_scalar, alpha, E, a, b, theta0, breaks):
-    tol, h_min, h_max, max_steps = _step_control()
-    flags = []
-    pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    th = theta0
-    S = 1.0
-    steps = 0
+def _local_cap(aw):
+    # the kernel's rule: one radian of the local frequency, none where w = 0
+    return 1.0 / math.sqrt(aw) if aw > 0.0 else math.inf
 
-    def rhs(t, y):
-        s = math.sin(y)
-        c = math.cos(y)
-        return S * c * c + (E + alpha * g_scalar(t)) * (1.0 / S) * s * s
 
-    for lo, hi in zip(pieces, pieces[1:]):
-        t = lo
-        w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
-        h = min(h_max, hi - lo, 1.0 / math.sqrt(max(1.0, abs(w_mid))))
-        while t < hi:
-            if steps >= max_steps:
-                raise RuntimeError(
-                    f"phase integration exceeded {max_steps} steps "
-                    f"(alpha={alpha}, E={E})")
-            S_new = math.sqrt(max(1.0, abs(E + alpha * g_scalar(t))))
-            if S_new != S:
-                th = _rescale(th, S_new / S)
-                S = S_new
-            h = min(h, 1.0 / S, h_max)
-            last = h >= hi - t
-            if last:
-                h = hi - t
-            elif h < h_min:
-                h = h_min
-                flags.append("step-floor")
-            th5, err = _ck_step(rhs, t, th, h)
-            steps += 1
-            if err <= tol or h <= h_min:
-                t = hi if last else t + h
-                th = th5
-            fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
-            h *= min(5.0, max(0.2, fac))
-    return _rescale(th, 1.0 / S), steps, flags
+def _unit_cap(aw):
+    # the rule the local cap replaced: one radian of the scale floored at 1,
+    # and never more than 0.5
+    return min(1.0 / math.sqrt(max(1.0, aw)), 0.5)
+
+
+def _scaled_loop(cap):
+    """The scaled-phase Cash-Karp loop with step cap cap(|w|)."""
+    def loop(g_scalar, alpha, E, a, b, theta0, breaks):
+        tol, h_min, max_steps = _step_control()
+        flags = []
+        pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
+        th = theta0
+        S = 1.0
+        steps = 0
+
+        def rhs(t, y):
+            s = math.sin(y)
+            c = math.cos(y)
+            return S * c * c + (E + alpha * g_scalar(t)) * (1.0 / S) * s * s
+
+        for lo, hi in zip(pieces, pieces[1:]):
+            t = lo
+            lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
+            h = min(hi - lo, cap(abs(E + alpha * g_scalar(0.5 * (lo + hi)))))
+            while t < hi:
+                if steps >= max_steps:
+                    raise RuntimeError(
+                        f"phase integration exceeded {max_steps} steps "
+                        f"(alpha={alpha}, E={E})")
+                t_first = t if t > lo else lo_in
+                aw = abs(E + alpha * g_scalar(t_first))
+                S_new = math.sqrt(max(1.0, aw))
+                if S_new != S:
+                    th = _rescale(th, S_new / S)
+                    S = S_new
+                h = min(h, cap(aw))
+                last = h >= hi - t
+                if last:
+                    h = hi - t
+                elif h < h_min:
+                    h = h_min
+                    flags.append("step-floor")
+                th5, err = _ck_step(rhs, t, th, h, t_first,
+                                    hi_in if last else t + h)
+                steps += 1
+                if err <= tol or h <= h_min:
+                    t = hi if last else t + h
+                    th = th5
+                fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
+                h *= min(5.0, max(0.2, fac))
+        return _rescale(th, 1.0 / S), steps, flags
+    return loop
+
+
+_generic_scaled_phase = _scaled_loop(_local_cap)
+_unit_capped_phase = _scaled_loop(_unit_cap)
 
 
 def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks):
-    tol, h_min, h_max, max_steps = _step_control()
+    tol, h_min, max_steps = _step_control()
+    h_max = 0.5
     flags = []
     pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
     th = theta0
@@ -461,6 +505,7 @@ def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks):
 
     for lo, hi in zip(pieces, pieces[1:]):
         t = lo
+        lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
         w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
         h = min(h_max, hi - lo, 0.25 / math.sqrt(1.0 + abs(w_mid)))
         while t < hi:
@@ -468,7 +513,8 @@ def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks):
                 raise RuntimeError(
                     f"phase integration exceeded {max_steps} steps "
                     f"(alpha={alpha}, E={E})")
-            h_cap = 0.25 / math.sqrt(1.0 + abs(E) + alpha * g_scalar(t))
+            t_first = t if t > lo else lo_in
+            h_cap = 0.25 / math.sqrt(1.0 + abs(E) + alpha * g_scalar(t_first))
             h = min(h, h_cap, h_max)
             last = h >= hi - t
             if last:
@@ -476,7 +522,8 @@ def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks):
             elif h < h_min:
                 h = h_min
                 flags.append("step-floor")
-            th5, err = _ck_step(rhs, t, th, h)
+            th5, err = _ck_step(rhs, t, th, h, t_first,
+                                hi_in if last else t + h)
             steps += 1
             if err <= tol or h <= h_min:
                 t = hi if last else t + h
@@ -601,6 +648,86 @@ def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
                     assert abs(a - b) <= 1e-7, (case, a, b)
                 n_integrated += bool(th_got)
     assert n_integrated == integrated
+
+
+@pytest.mark.parametrize("name, cases", [
+    ("zero", 12), ("square-well", 140), ("annulus", 430), ("gaussian", 141),
+    ("bump", 510), ("counterexample", 36), ("counterexample-damped", 36),
+    ("counterexample-damped-strong", 36),
+])
+def test_local_cap_matches_unit_cap(catalog, monkeypatch, name, cases):
+    # capping a step at one radian of the local frequency, not at
+    # min(1/S, 0.5), changes no count, uncertainty, flag or side count, and
+    # moves no final phase by more than 1e-7: in every mode, at alpha in
+    # {3, 25, 200, 3200}, on every channel up to the first empty one
+    G = to_log(catalog[name], strict=False)
+    kernel = spectral1d._integrate_phase
+    n_cases = 0
+    for mode in BoundaryMode:
+        for alpha in (3.0, 25.0, 200.0, 3200.0):
+            m = 0
+            while True:
+                E = -(m * m + threshold_eps(G, alpha)) if G.g_max else -1.0
+                runs = [_final_phases(monkeypatch, G, alpha, E, mode, phase)
+                        for phase in (kernel, _unit_capped_phase)]
+                (got, th_got), (want, th_want) = runs
+                case = (mode.value, alpha, m)
+                assert got.count == want.count, case
+                assert got.uncertainty == want.uncertainty, case
+                assert got.flags == want.flags, case
+                assert got.extras.get("left") == want.extras.get("left"), case
+                assert (got.extras.get("right")
+                        == want.extras.get("right")), case
+                assert len(th_got) == len(th_want), case
+                for a, b in zip(th_got, th_want):
+                    assert abs(a - b) <= 1e-7, (case, a, b)
+                n_cases += 1
+                if not got.count:
+                    break
+                m += 1
+    assert n_cases == cases
+
+
+def test_phase_over_a_zero_stretch_matches_the_exact_map():
+    # G = 0 over 1000 at E = -1e-10: no unit cap, so a handful of steps
+    # reach the closed-form map (_zero_tail) within 1e-9, from the fixed
+    # point of the zero head, its repeller, pi/2 and phases settling on it
+    E = -1e-10
+    kappa = math.sqrt(-E)
+    beta = math.atan2(1.0, kappa)
+    for theta0 in (beta, math.pi - beta, 0.5 * math.pi, beta - 1e-3,
+                   3.0 * math.pi + beta - 1e-3):
+        th, steps, flags = spectral1d._integrate_phase(
+            lambda t: 0.0, 1.0, E, 0.0, 1000.0, theta0, ())
+        want = spectral1d._zero_tail(theta0, kappa, 1000.0)
+        assert abs(th - want) <= 1e-9, (theta0, th, want)
+        assert steps <= 20 and flags == [], (theta0, steps)
+
+
+def test_narrow_deep_box_in_a_near_threshold_stretch(monkeypatch):
+    # a box 0.1 wide and 1e4 deep, with 4 states of its own, inside a
+    # stretch 2000 long where |w| <= 1e-6, so a step there may be far wider
+    # than the box: its breakpoints cut the pieces, and its states are
+    # counted in every mode, unflagged, with the unit-capped loop's counts
+    # and the window path's phases.  The stub's boxes are [lo, hi), so G
+    # jumps to 1e4 at the end of the piece before the box: a step may read
+    # g only inside its piece, or it is refused there until it floors
+    deep = (1e4, 1000.0, 1000.1)
+    shallow = ((1e-6, 0.0, 1000.0), (1e-6, 1000.1, 2000.0))
+    G = boxes_G(shallow[0], deep, shallow[1])
+    without = boxes_G(*shallow)
+    for mode in BoundaryMode:
+        for E in (-1e-8, -1e-7):
+            case = (mode.value, E)
+            got = _assert_matches_window_path(monkeypatch, G, 1.0, E, mode,
+                                              case)
+            want, _ = _final_phases(monkeypatch, G, 1.0, E, mode,
+                                    _unit_capped_phase)
+            assert (got.count, got.uncertainty, got.flags) == (
+                want.count, 0, ()), case
+            assert got.count >= box_count_oracle(1e4, 0.1, E) == 4, case
+            assert got.count > count_below_pruefer(without, 1.0, E,
+                                                   mode).count, case
 
 
 def _window_path(G, alpha, E, mode):

@@ -1,0 +1,124 @@
+"""Record the CLI's output on a fixed case list, and diff two recordings.
+
+    python tools/cli_bytes.py record OUT.json [--src DIR]
+    python tools/cli_bytes.py diff A.json B.json
+
+`record` runs every case in-process through `radcount.cli.main` and stores
+{argv: {"stdout": ..., "exit": code}} as JSON. The radcount it imports is
+the one under DIR (default: this checkout's `src/`), so two checkouts can
+be recorded with one copy of this script. `diff` prints every case whose
+bytes differ, with the JSON fields that differ when both sides parse, and
+exits 1 if any case differs.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+SPECS = ("zero", "square-well", "annulus", "gaussian", "bump",
+         "counterexample", "counterexample-damped",
+         "counterexample-damped-strong")
+
+
+def cases() -> list[list[str]]:
+    out = []
+    for spec in SPECS:
+        for alpha in ("3", "25", "200", "800", "3200"):
+            out.append(["count", "--spec", spec, "--alpha", alpha,
+                        "--breakdown", "--check", "sandwich"])
+    for spec in SPECS:
+        out.append(["sweep", "--spec", spec, "--alpha-min", "5",
+                    "--alpha-max", "50", "--per-decade", "4"])
+    for spec in ("square-well", "annulus", "gaussian", "bump",
+                 "counterexample"):
+        for seed in ("1234", "7"):
+            out.append(["verify", "--spec", spec, "--seed", seed])
+    for spec, energy in (("square-well", "-1.5"), ("gaussian", "-1.5")):
+        out.append(["count1d", "--spec", spec, "--alpha", "40",
+                    "--energy", energy, "--method", "both"])
+    for spec in ("square-well", "gaussian", "counterexample"):
+        out.append(["count", "--spec", spec, "--alpha", "50",
+                    "--check", "duality"])
+    for spec in SPECS:
+        out.append(["seq", "--spec", spec])
+        out.append(["bounds", "--spec", spec, "--alpha", "50", "--minR"])
+        out.append(["potential", "show", "--spec", spec])
+        out.append(["potential", "integrals", "--spec", spec])
+    return out
+
+
+def record(path: str, src: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    from radcount.cli import main
+
+    got = {}
+    for argv in cases():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        got[" ".join(argv)] = {"stdout": buf.getvalue(), "exit": code}
+    Path(path).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+    print(f"{len(got)} cases -> {path}")
+
+
+def _leaves(x, prefix=""):
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _leaves(v, f"{prefix}/{k}")
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _leaves(v, f"{prefix}[{i}]")
+    else:
+        yield prefix, x
+
+
+def _field_diff(a: str, b: str) -> list[str]:
+    try:
+        la, lb = (dict(_leaves(json.loads(s))) for s in (a, b))
+    except ValueError:
+        return ["  (output is not JSON)"]
+    return [f"  {k}: {la.get(k, '<absent>')!r} -> {lb.get(k, '<absent>')!r}"
+            for k in sorted(set(la) | set(lb)) if la.get(k) != lb.get(k)]
+
+
+def diff(path_a: str, path_b: str) -> int:
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    n_diff = 0
+    for case in sorted(set(a) | set(b)):
+        if a.get(case) == b.get(case):
+            continue
+        n_diff += 1
+        print(case)
+        if case not in a or case not in b:
+            print(f"  only in {path_a if case in a else path_b}")
+            continue
+        if a[case]["exit"] != b[case]["exit"]:
+            print(f"  exit: {a[case]['exit']} -> {b[case]['exit']}")
+        print("\n".join(_field_diff(a[case]["stdout"], b[case]["stdout"])))
+    print(f"{n_diff} of {len(set(a) | set(b))} cases differ")
+    return 1 if n_diff else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("record")
+    p.add_argument("out")
+    p.add_argument("--src", default=str(Path(__file__).resolve().parents[1]
+                                        / "src"))
+    p = sub.add_parser("diff")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = ap.parse_args()
+    if args.cmd == "record":
+        record(args.out, args.src)
+        return 0
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
