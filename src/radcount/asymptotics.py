@@ -288,7 +288,8 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     the ranks the discretized operator actually resolves.  That matched
     window ends at the count of blocks visible inside the (capped)
     spectral domain; later ranks reflect the cap, not the tail.  Checked
-    on the computed windows only; no limit is claimed.
+    on the computed windows only; no limit is claimed.  A spectrum on a
+    grid coarsened to the node cap flags `grid-coarsened`.
     """
     G = to_log(P, strict=False)
     z = zeta_sequence(G, K)
@@ -297,9 +298,12 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                             n_max=n_max)
     lam = lam[lam > 0.0]
+    flags = []
+    if meta["capped"]:
+        flags.append("grid-coarsened")
     out = {"delta_window": (d_lo, d_hi), "quasinorm": quasi,
            "n_modes": int(lam.size), "implication": None, "holds": True,
-           "evidence": {}}
+           "flags": flags, "evidence": {}}
     if lam.size < 8:
         out["implication"] = "vacuous"
         out["evidence"]["reason"] = "spectral window too small"

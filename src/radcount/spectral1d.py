@@ -40,7 +40,10 @@ tested, hard.
 On top of the counters: eigenvalue location by bisection of the counting
 function, and the quadratic-form spectrum of the Birman-Schwinger companion
 (u', u') vs (G u, u), whose eigenvalues above 1/alpha are in bijection with
-the bound states.
+the bound states. That spectrum is solved on the support of G only: the
+nodes with G = 0 carry no mass and are eliminated exactly, which leaves a
+Laplacian on the gaps between the kept nodes and the walls. A support of
+at most n_max + 1 nodes is solved dense with numpy; a wider one by Lanczos.
 """
 
 from __future__ import annotations
@@ -694,18 +697,23 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     These are alpha-independent; the bound-state count of the coupling-alpha
     problem equals #{lambda_n > 1/alpha}. Discretized as the pencil
     M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)) on a
-    grid of step near h (by default max(4000, 40 n_max) intervals). K is
-    factored once (LDL^T, LAPACK dpttrf). Lanczos runs on the symmetric
-    M^(1/2) K^(-1) M^(1/2), which has the pencil's spectrum, so each
-    product is one tridiagonal solve; its start vector is fixed, so results
-    are deterministic. G must be >= 0 on the grid. Returns (descending
-    eigenvalues, meta); meta["capped"] is True when the grid was coarsened
-    to _N_CAP intervals.
-    """
-    # scipy loads here, so importing radcount needs numpy alone
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    grid of step near h (by default max(4000, 40 n_max) intervals). G must
+    be >= 0 on the grid.
 
+    Only the m_s nodes with G > 0 (the support; no threshold) carry mass.
+    The rest are eliminated exactly: their Schur complement leaves K_s, the
+    1-d Laplacian on the gaps between kept nodes and the Dirichlet walls
+    (0, n, and t = 0 in the split mode): diagonal (1/left + 1/right)/h,
+    off-diagonal -1/(gap h), 0 across a wall, gaps counted in nodes. The
+    nonzero eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2). When
+    m_s <= n_max + 1 every one is wanted, and all come from a dense numpy
+    eigvalsh; otherwise Lanczos runs on that operator, with K_s factored
+    once (LAPACK dpttrf), one tridiagonal solve per product and a fixed
+    start vector, so results are deterministic. Returns (descending
+    eigenvalues, zero-padded to n_max, meta); meta holds the grid's node
+    count n_nodes, n_support = m_s, and capped, True when the grid was
+    coarsened to _N_CAP intervals.
+    """
     mode = BoundaryMode(mode)
     if domain is None:
         e_probe = -max(1e-9 * G.g_max, 1e-12)
@@ -718,30 +726,43 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     if np.any(gv < 0.0):
         raise ValueError("bs_spectrum needs G >= 0 on the grid; "
                          f"min G = {float(np.min(gv))!r}")
+    keep = gv > 0.0
     if k0 is not None:
-        gv = np.delete(gv, k0 - 1)  # Dirichlet node at t = 0
-    m = len(gv)
-    meta = {"domain": (A, B), "h": h, "n_nodes": m, "capped": capped}
+        keep[k0 - 1] = False  # Dirichlet node at t = 0
+    pos = np.flatnonzero(keep) + 1
+    m_s = len(pos)
+    meta = {"domain": (A, B), "h": h, "n_nodes": n - 1 - (k0 is not None),
+            "n_support": m_s, "capped": capped}
     lam = np.zeros(n_max)
-    k_eff = min(n_max, m - 2, int(np.count_nonzero(gv > 0.0)))
-    if k_eff < 1:
+    if m_s == 0:
         return lam, meta
-    # K: constant tridiagonal, with the one coupling across the dropped
-    # node zeroed so the two sides are Dirichlet blocks
-    off = np.full(m - 1, -1.0 / h)
-    if k0 is not None and k0 >= 2:
-        off[k0 - 2] = 0.0
-    d, e, _ = dpttrf(np.full(m, 2.0 / h), off)
-    sq = np.sqrt(h * gv)
+    # K_s on the kept nodes: each couples to its nearest kept node or wall
+    # on either side; kept nodes adjacent in pts have no wall between them
+    pts = np.union1d(pos, [0, n] if k0 is None else [0, k0, n])
+    gap = np.diff(pts)
+    at = np.searchsorted(pts, pos)
+    diag = (1.0 / gap[at - 1] + 1.0 / gap[at]) / h
+    off = np.where(np.diff(at) == 1, -1.0 / (gap[at[:-1]] * h), 0.0)
+    sq = np.sqrt(h * gv[pos - 1])
+    k_eff = min(n_max, m_s)
+    if m_s <= n_max + 1:
+        K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        S = sq[:, None] * np.linalg.solve(K, np.diag(sq))
+        vals = np.linalg.eigvalsh(S)[::-1]
+    else:
+        # scipy loads here, so importing radcount needs numpy alone
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        from scipy.sparse.linalg import LinearOperator, eigsh
 
-    def matvec(v):
-        return sq * dpttrs(d, e, sq * v)[0]
+        d, e, _ = dpttrf(diag, off)
 
-    op = LinearOperator((m, m), matvec=matvec, dtype=float)
-    v0 = np.full(m, 1.0 / math.sqrt(m))
-    vals = eigsh(op, k=k_eff, which="LA", v0=v0, maxiter=10000,
-                 return_eigenvectors=False)
-    vals = np.sort(vals)[::-1]
-    vals = np.clip(vals, 0.0, None)
-    lam[: len(vals)] = vals
+        def matvec(v):
+            return sq * dpttrs(d, e, sq * v)[0]
+
+        op = LinearOperator((m_s, m_s), matvec=matvec, dtype=float)
+        v0 = np.full(m_s, 1.0 / math.sqrt(m_s))
+        vals = eigsh(op, k=k_eff, which="LA", v0=v0, maxiter=10000,
+                     return_eigenvectors=False)
+        vals = np.sort(vals)[::-1]
+    lam[:k_eff] = np.clip(vals[:k_eff], 0.0, None)
     return lam, meta

@@ -313,14 +313,17 @@ def test_every_exported_name_resolves():
 
 
 def test_import_loads_no_scipy_submodule():
-    # a fresh interpreter: the CLI imports numpy only; bs_spectrum brings
-    # in the scipy it needs when it is called
+    # a fresh interpreter: the CLI imports numpy only; bs_spectrum solves a
+    # support of at most n_max + 1 nodes (the annulus at n_max = 48) with
+    # numpy, and brings in scipy only for Lanczos on a wider one
     code = """
 import sys
 import radcount.cli
 heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse", "scipy.optimize")
 print(sorted(m for m in heavy if m in sys.modules))
 from radcount import bs_spectrum, load_bundled, to_log
+lam, meta = bs_spectrum(to_log(load_bundled("annulus")), n_max=48)
+print(sorted(m for m in heavy if m in sys.modules), meta["n_support"])
 lam, meta = bs_spectrum(to_log(load_bundled("square-well")), n_max=4)
 print(bool(lam[0] > lam[1] > 0.0), meta["n_nodes"] > 0)
 """
@@ -329,4 +332,4 @@ print(bool(lam[0] > lam[1] > 0.0), meta["n_nodes"] > 0)
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.split("\n")[:2] == ["[]", "True True"]
+    assert out.split("\n")[:3] == ["[]", "[] 34", "True True"]

@@ -272,17 +272,20 @@ def _dense_pencil(G, meta, mode):
     return want, int(np.count_nonzero(gv > 0.0))
 
 
-def _assert_matches_dense_pencil(G, mode, domain, case, n_max=32):
-    h = (domain[1] - domain[0]) / 400
+def _assert_matches_dense_pencil(G, mode, domain, case, n_max=32,
+                                 intervals=400):
+    h = (domain[1] - domain[0]) / intervals
     lam, meta = bs_spectrum(G, mode, domain=domain, h=h,
                             n_max=n_max)
     want, positive = _dense_pencil(G, meta, mode)
-    k = min(n_max, meta["n_nodes"] - 2, positive)
+    assert meta["n_support"] == positive, case
+    # every positive eigenvalue up to n_max, however few nodes the grid has
+    k = min(n_max, positive)
     # eigenvalues far below the largest are roundoff in both solvers
     np.testing.assert_allclose(lam[:k], want[:k], rtol=1e-10,
                                atol=1e-12 * want[0], err_msg=case)
     assert np.all(lam[k:] == 0.0), case
-    return k
+    return k, positive
 
 
 @pytest.mark.parametrize("mode", list(BoundaryMode))
@@ -296,7 +299,7 @@ def test_bs_spectrum_matches_dense_pencil(catalog, mode):
         if G.g_max <= 0.0:
             continue
         dom = counting_domain(G, 1.0, -max(1e-9 * G.g_max, 1e-12), mode)
-        solved.append(_assert_matches_dense_pencil(G, mode, dom, name))
+        solved.append(_assert_matches_dense_pencil(G, mode, dom, name)[0])
     assert len(solved) == 7 and max(solved) == 32
 
 
@@ -305,7 +308,66 @@ def test_bs_spectrum_pads_past_the_support(mode):
     # two boxes cover 20 of 399 nodes at h = 0.02: the pencil has 20
     # nonzero eigenvalues, and the other n_max - 20 come back as zeros
     G = boxes_G((50.0, -0.5, -0.3), (30.0, 0.2, 0.4))
-    assert _assert_matches_dense_pencil(G, mode, (-4.0, 4.0), mode) == 20
+    k, positive = _assert_matches_dense_pencil(G, mode, (-4.0, 4.0), mode)
+    assert k == positive == 20
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_bs_spectrum_small_grid_keeps_every_eigenvalue(mode):
+    # 8 intervals, 7 nodes all with mass (6 in the split mode, where t = 0
+    # is a wall): n_max = 8 asks for all of them, the last two included
+    G = box_G(10.0, -1.0, 1.0)
+    k, _ = _assert_matches_dense_pencil(G, mode, (-0.5, 0.5), mode,
+                                        n_max=8, intervals=8)
+    assert k == (6 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else 7)
+
+
+# h = 0.02 on (-4, 4): node j sits at t = -4 + 0.02 j, t = 0 is node 200,
+# and every box end lies halfway between two nodes. Each case is
+# (G, n_max, eigenvalues returned, nodes of support)
+ELIMINATION_CASES = {
+    # two boxes with a G = 0 gap between them, both branches
+    "gap-dense": (boxes_G((50.0, -0.51, -0.31), (30.0, 0.19, 0.39)),
+                  32, 20, 20),
+    "gap-lanczos": (boxes_G((50.0, -0.51, -0.31), (30.0, 0.19, 0.39)),
+                    8, 8, 20),
+    # a box ending at the node next to t = 0, and one straddling it (in
+    # the split mode, node 200 is a wall, not support)
+    "ends-next-to-0": (box_G(40.0, -0.31, -0.01), 8, 8, 15),
+    "straddles-0": (box_G(40.0, -0.11, 0.13), 8, 8, 12),
+    # all the mass on the right of t = 0: the left Dirichlet side has none
+    "one-side-empty": (boxes_G((40.0, 0.29, 0.51), (20.0, 0.89, 1.11)),
+                       8, 8, 22),
+    # support of n_max + 1 and n_max + 2 nodes: either side of the switch
+    # from the dense solve to Lanczos
+    "support-n_max+1": (box_G(40.0, 0.49, 0.67), 8, 8, 9),
+    "support-n_max+2": (box_G(40.0, 0.49, 0.69), 8, 8, 10),
+}
+
+
+@pytest.mark.parametrize("case", list(ELIMINATION_CASES))
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_bs_spectrum_eliminates_massless_nodes(mode, case):
+    # the spectrum on the support of G is the full grid's dense pencil
+    G, n_max, want_k, support = ELIMINATION_CASES[case]
+    split = mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    if case == "straddles-0" and split:
+        support -= 1
+    assert _assert_matches_dense_pencil(G, mode, (-4.0, 4.0), case,
+                                        n_max=n_max) == (want_k, support)
+
+
+def test_bs_spectrum_support_at_verify_window(catalog):
+    # verify's companion spectra (n_max = 48, counting window at the
+    # threshold energy): the annulus is solved dense, the bump by Lanczos
+    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    for name, n_support in (("annulus", 34), ("bump", 54)):
+        G = to_log(catalog[name])
+        dom = counting_domain(G, 50.0, -threshold_eps(G, 50.0), mode)
+        lam, meta = bs_spectrum(G, mode, domain=dom, n_max=48)
+        assert meta["n_support"] == n_support, name
+        assert meta["n_nodes"] == 3998, name
+        assert np.count_nonzero(lam) == min(48, n_support), name
 
 
 def test_bs_spectrum_rejects_negative_G():

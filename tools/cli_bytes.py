@@ -40,7 +40,8 @@ def cases() -> list[list[str]]:
     for spec, energy in (("square-well", "-1.5"), ("gaussian", "-1.5")):
         out.append(["count1d", "--spec", spec, "--alpha", "40",
                     "--energy", energy, "--method", "both"])
-    for spec in ("square-well", "gaussian", "counterexample"):
+    for spec in ("zero", "square-well", "annulus", "gaussian", "bump",
+                 "counterexample"):
         out.append(["count", "--spec", spec, "--alpha", "50",
                     "--check", "duality"])
     for spec in SPECS:
