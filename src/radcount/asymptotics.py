@@ -26,8 +26,8 @@ from .bounds import _chad, _weak, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
 from .spectral1d import BoundaryMode, bs_spectrum
-from .weakseq import (WeakVerdict, ZetaSequence, delta_estimates,
-                      quasinorm_weak, zeta_sequence)
+from .weakseq import (WeakVerdict, ZetaSequence, level_bounds, level_sup,
+                      quasinorm_weak, weak_level, zeta_sequence)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -293,8 +293,9 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     """
     G = to_log(P, strict=False)
     z = zeta_sequence(G, K)
-    d_lo, d_hi = delta_estimates(z.values)
-    quasi = quasinorm_weak(z.values)
+    level = weak_level(z.values)
+    d_lo, d_hi = level_bounds(level)
+    quasi = level_sup(level)
     lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                             n_max=n_max)
     lam = lam[lam > 0.0]
@@ -308,11 +309,10 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
         out["implication"] = "vacuous"
         out["evidence"]["reason"] = "spectral window too small"
         return out
-    n = np.arange(1, lam.size + 1)
-    x = n * lam
+    x = weak_level(lam)
     q1, q2 = lam.size // 4, lam.size // 2
-    sup_early = float(np.max(x[q1:q2]))
-    sup_late = float(np.max(x[q2:]))
+    sup_early = level_sup(x[q1:q2])
+    sup_late = level_sup(x[q2:])
     # blocks with numerically nonzero mass inside the spectral domain;
     # ranks past this count probe the domain cap, not the tail level
     a_dom, b_dom = meta["domain"]

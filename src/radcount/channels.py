@@ -26,10 +26,9 @@ from .spectral1d import (
     BoundaryMode,
     CountResult,
     bs_spectrum,
+    channel_energy,
     count_below,
     count_below_fd,
-    counting_domain,
-    threshold_eps,
 )
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "ChannelBreakdown",
     "channel_count",
     "total_count",
+    "excused",
     "sandwich_check",
     "bs_duality_check",
 ]
@@ -83,11 +83,10 @@ def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer",
     if m != int(m) or m < 0:
         raise ValueError(f"channel index must be an integer >= 0, got {m}")
     G = _as_log(P)
-    eps = threshold_eps(G, alpha)
-    if eps <= 0.0:
+    E = channel_energy(G, alpha, m)
+    if E is None:
         return CountResult(0, engine, -float(m * m), BoundaryMode.WHOLE_LINE.value,
                            (0.0, 0.0), flags=("zero-potential",))
-    E = -(float(m) ** 2 + eps)
     return count_below(G, alpha, E, BoundaryMode.WHOLE_LINE, engine=engine, **kw)
 
 
@@ -98,13 +97,15 @@ def total_count(P, alpha: float, *, engine: str = "pruefer",
     Channels are counted m = 0, 1, 2, ... up to the first empty one, m = 0
     included (N_m is nonincreasing in m). The scan ends: a channel with
     m^2 >= alpha * g_max is below the spectrum and costs no integration.
-    extras["m_scan"] is that first empty channel.
+    extras["m_scan"] is that first empty channel; extras["left"], ["right"]
+    are the Dirichlet-at-0 route's sides, the right one the half-line count.
     """
     G = _as_log(P)
-    eps = threshold_eps(G, alpha)
-    if eps <= 0.0:
+    E0 = channel_energy(G, alpha)
+    if E0 is None:
         return ChannelBreakdown(alpha, {0: 0}, 0, 0, 0, engine,
-                                flags=("zero-potential",))
+                                flags=("zero-potential",),
+                                extras={"m_scan": 0, "left": 0, "right": 0})
     flags: set[str] = set()
     uncertainty = 0
     total = 0
@@ -120,11 +121,21 @@ def total_count(P, alpha: float, *, engine: str = "pruefer",
         if r.count == 0:
             break
         m += 1
-    rd = count_below(G, alpha, -eps, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
+    rd = count_below(G, alpha, E0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                      engine=engine, **kw)
     flags.update(rd.flags)
     return ChannelBreakdown(alpha, per, max(m - 1, 0), total, rd.count, engine,
-                            uncertainty, tuple(sorted(flags)), {"m_scan": m})
+                            uncertainty, tuple(sorted(flags)),
+                            {"m_scan": m, "left": rd.extras.get("left"),
+                             "right": rd.extras.get("right")})
+
+
+def excused(miss: int, flags, uncertainty: int) -> bool:
+    """Whether a miss of `miss` between two counting routes is excused:
+    only a flag outside INFORMATIONAL_FLAGS puts the counts in doubt, and
+    doubt excuses a miss only as far as the stated uncertainty reaches."""
+    in_doubt = not set(flags) <= INFORMATIONAL_FLAGS
+    return miss <= (uncertainty if in_doubt else 0)
 
 
 def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
@@ -134,8 +145,7 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
 
     The two routes differ by a single boundary condition, a rank-one
     restriction, so any other difference is a bug: a violation raises
-    unless a flag outside INFORMATIONAL_FLAGS puts the counts in doubt, and
-    a doubt flag excuses it only as far as the stated uncertainty reaches.
+    unless it is `excused` by the breakdown's flags and uncertainty.
     """
     b = breakdown if breakdown is not None else total_count(P, alpha, engine=engine)
     n_dir_route = b.radial_dirichlet_count + b.nonradial
@@ -151,8 +161,7 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
         "flags": list(b.flags),
     }
     miss = max(-diff, diff - 1, 0)   # distance of diff from {0, 1}
-    in_doubt = not set(b.flags) <= INFORMATIONAL_FLAGS
-    if miss > (b.uncertainty if in_doubt else 0):
+    if not excused(miss, b.flags, b.uncertainty):
         raise ChannelConsistencyError(
             f"sandwich violated at alpha={alpha}: total={b.total}, "
             f"dirichlet route={n_dir_route}, uncertainty={b.uncertainty}")
@@ -164,31 +173,26 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
     """Compare #{lambda_n > 1/alpha} with the direct count on one shared
     grid, where the identity is exact by matrix inertia.
 
-    The companion spectrum does not depend on alpha. spectra, when given,
-    is a dict shared by the checks of one potential: the spectrum is kept
-    there under (counting window, n_max) and reused by a later check whose
-    key matches. Every check runs its own direct count.
+    The companion spectrum does not depend on alpha, and neither does
+    bs_spectrum's default window, on which it is solved. spectra, when
+    given, is a dict shared by the checks of one potential: the spectrum is
+    kept there under n_max and reused by a later check with the same n_max.
+    Every check runs its own direct count.
 
     The report's uncertainty is the direct count's plus the number of
     companion eigenvalues within the lambda-near-threshold gap of 1/alpha.
     A spectrum on a grid coarsened to the node cap flags `grid-coarsened`.
-    A mismatch raises unless a flag outside INFORMATIONAL_FLAGS puts it in
-    doubt, and a doubt flag excuses it only as far as that uncertainty
-    reaches."""
+    A mismatch raises unless it is `excused` by the report's flags and that
+    uncertainty."""
     G = _as_log(P)
-    eps = threshold_eps(G, alpha)
-    if eps <= 0.0:
+    if channel_energy(G, alpha) is None:
         return {"alpha": alpha, "count_spectrum": 0, "count_direct": 0,
                 "ok": True, "uncertainty": 0, "flags": ["zero-potential"]}
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    dom = counting_domain(G, alpha, -eps, mode)
-    key = (dom, n_max)
-    if spectra is not None and key in spectra:
-        lam, meta = spectra[key]
-    else:
-        lam, meta = bs_spectrum(G, mode, domain=dom, n_max=n_max)
-        if spectra is not None:
-            spectra[key] = lam, meta
+    spectra = {} if spectra is None else spectra
+    if n_max not in spectra:
+        spectra[n_max] = bs_spectrum(G, mode, n_max=n_max)
+    lam, meta = spectra[n_max]
     thr = 1.0 / alpha
     if np.all(lam > thr):
         raise ValueError(
@@ -213,8 +217,7 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
         "flags": flags + list(fd.flags),
         "n_nodes": meta["n_nodes"],
     }
-    in_doubt = not set(report["flags"]) <= INFORMATIONAL_FLAGS
-    if abs(diff) > (uncertainty if in_doubt else 0):
+    if not excused(abs(diff), report["flags"], uncertainty):
         raise ChannelConsistencyError(
             f"coupling-duality mismatch at alpha={alpha}: spectrum route "
             f"{count_spec}, direct route {fd.count}, "

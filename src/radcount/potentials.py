@@ -95,7 +95,6 @@ class _Profile:
     f_vec: Callable[[np.ndarray], np.ndarray]
     g_vec: Callable[[np.ndarray], np.ndarray]
     g_scalar: Callable[[float], float]
-    singular_at_zero: bool = False
 
 
 def _num(params: Mapping[str, float], kind: str, name: str, *,
@@ -443,7 +442,6 @@ class RadialPotential:
     params: dict[str, float]
     description: str = ""
     support: tuple[float, float] = field(init=False, compare=False)
-    singular_at_zero: bool = field(init=False, compare=False)
     _prof: _Profile = field(init=False, compare=False, repr=False)
     _log_cache: dict = field(init=False, compare=False, repr=False,
                              default_factory=dict)
@@ -456,7 +454,6 @@ class RadialPotential:
         self.params = _normalize_params(self.kind, self.params)
         self._prof = _KIND_BUILDERS[self.kind](self.params)
         self.support = self._prof.support_r
-        self.singular_at_zero = self._prof.singular_at_zero
 
     def profile(self, r):
         """F(r); accepts scalars or arrays."""

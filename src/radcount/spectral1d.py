@@ -58,6 +58,7 @@ __all__ = [
     "BoundaryMode",
     "CountResult",
     "threshold_eps",
+    "channel_energy",
     "counting_domain",
     "count_below_pruefer",
     "count_below_fd",
@@ -95,6 +96,15 @@ def threshold_eps(G, alpha: float) -> float:
     """Offset below 0 used to stand in for 'strictly negative':
     THRESHOLD_FRAC of the natural energy scale alpha * max G."""
     return THRESHOLD_FRAC * alpha * G.g_max
+
+
+def channel_energy(G, alpha: float, m: int = 0) -> float | None:
+    """Energy at which channel m is counted: -(m^2 + threshold_eps), just
+    below its threshold -m^2. None when G = 0: no channel holds a state."""
+    eps = threshold_eps(G, alpha)
+    if eps <= 0.0:
+        return None
+    return -(float(m) ** 2 + eps)
 
 
 def counting_domain(G, alpha: float, E: float,
@@ -637,26 +647,25 @@ def count_below(G, alpha: float, E: float,
 def eigenvalues_below(G, alpha: float, *, E: float | None = None,
                       n_max: int = 128,
                       mode: BoundaryMode = BoundaryMode.WHOLE_LINE,
-                      engine: str = "pruefer", tol_eig: float = 1e-9,
-                      **kw) -> tuple[np.ndarray, bool]:
-    """Locate the eigenvalues below E by bisecting the counting function.
+                      engine: str = "pruefer", tol_eig: float = 1e-9
+                      ) -> tuple[np.ndarray, bool]:
+    """Locate the eigenvalues below E (by default the channel energy of
+    m = 0) by bisecting the counting function.
 
     Returns (energies ascending, truncated): if more than n_max eigenvalues
     lie below E only the n_max lowest are returned and truncated=True.
     Bisection drives intervals below tol_eig * max(1, |E_low|); clustered
     eigenvalues within that width come out as one midpoint with multiplicity.
     """
+    E = channel_energy(G, alpha) if E is None else E
     if E is None:
-        eps = threshold_eps(G, alpha)
-        if eps <= 0.0:
-            return np.empty(0), False
-        E = -eps
+        return np.empty(0), False
     _validate(alpha, E)
 
+    fd_kw = {"near_threshold_check": False} if engine == "fd" else {}
+
     def C(e: float) -> int:
-        return count_below(G, alpha, e, mode, engine=engine,
-                           **({"near_threshold_check": False} if engine == "fd" else {}),
-                           **kw).count
+        return count_below(G, alpha, e, mode, engine=engine, **fd_kw).count
 
     floor = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
     if floor >= E:
@@ -698,7 +707,8 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     problem equals #{lambda_n > 1/alpha}. Discretized as the pencil
     M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)) on a
     grid of step near h (by default max(4000, 40 n_max) intervals). G must
-    be >= 0 on the grid.
+    be >= 0 on the grid. The default window, counting_domain's at the m = 0
+    channel energy of alpha = 1, is that of any alpha with alpha max G < 2.1e8.
 
     Only the m_s nodes with G > 0 (the support; no threshold) carry mass.
     The rest are eliminated exactly: their Schur complement leaves K_s, the
@@ -716,8 +726,7 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     """
     mode = BoundaryMode(mode)
     if domain is None:
-        e_probe = -max(1e-9 * G.g_max, 1e-12)
-        domain = counting_domain(G, 1.0, e_probe, mode)
+        domain = counting_domain(G, 1.0, -threshold_eps(G, 1.0), mode)
     A, B = domain
     if h is None:
         h = (B - A) / max(4000, 40 * n_max)

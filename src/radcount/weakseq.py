@@ -34,6 +34,9 @@ __all__ = [
     "WeakVerdict",
     "zeta_sequence",
     "rearrange",
+    "weak_level",
+    "level_bounds",
+    "level_sup",
     "quasinorm_weak",
     "ell1_norm",
     "delta_estimates",
@@ -127,16 +130,25 @@ def rearrange(values) -> np.ndarray:
     return np.sort(arr)[::-1]
 
 
+def weak_level(values) -> np.ndarray:
+    """The weak-l1 level n * x*_n over ranks n = 1, 2, ...: rank n is entry
+    n - 1, so a rank window is a slice."""
+    x = rearrange(values)
+    return np.arange(1, len(x) + 1) * x
+
+
+def level_sup(level: np.ndarray) -> float:
+    """sup of a weak_level slice; 0.0 on an empty one."""
+    return float(np.max(level)) if level.size else 0.0
+
+
 def quasinorm_weak(values) -> float:
     """sup_n n * x*_n (1-based) over the given entries.
 
     On a truncated prefix of an infinite sequence this is a lower bound for
     the true quasinorm.
     """
-    x = rearrange(values)
-    if len(x) == 0:
-        return 0.0
-    return float(np.max(np.arange(1, len(x) + 1) * x))
+    return level_sup(weak_level(values))
 
 
 def ell1_norm(values) -> float:
@@ -144,24 +156,24 @@ def ell1_norm(values) -> float:
     return float(np.sum(np.abs(arr)))
 
 
-def delta_estimates(values, window: tuple[int, int] | None = None
-                    ) -> tuple[float, float]:
-    """(inf, sup) of n * x*_n over ranks n in the window, nonzero entries only.
+def level_bounds(level: np.ndarray) -> tuple[float, float]:
+    """(inf, sup) of the nonzero weak_level entries over ranks
+    n in [max(4, len // 2), len]; (0.0, 0.0) if none."""
+    prod = level[max(4, len(level) // 2) - 1:]
+    prod = prod[prod > 0.0]
+    return ((float(np.min(prod)), float(np.max(prod))) if prod.size
+            else (0.0, 0.0))
+
+
+def delta_estimates(values) -> tuple[float, float]:
+    """(inf, sup) of n * x*_n over ranks n in [max(4, K // 2), K], nonzero
+    entries only.
 
     Approximates the limit inferior/superior of n x*_n; zeros from prefix
     truncation would otherwise pin the infimum at 0 for every compactly
     supported profile. Empty window -> (0.0, 0.0).
     """
-    x = rearrange(values)
-    n_all = np.arange(1, len(x) + 1)
-    if window is None:
-        window = (max(4, len(x) // 2), len(x))
-    lo, hi = window
-    mask = (n_all >= lo) & (n_all <= hi) & (x > 0.0)
-    if not np.any(mask):
-        return 0.0, 0.0
-    prod = n_all[mask] * x[mask]
-    return float(np.min(prod)), float(np.max(prod))
+    return level_bounds(weak_level(values))
 
 
 @dataclass
@@ -194,14 +206,6 @@ class WeakVerdict:
         return "inconclusive"
 
 
-def _window_sup(x: np.ndarray, lo: int, hi: int) -> float:
-    n = np.arange(1, len(x) + 1)
-    mask = (n > lo) & (n <= hi)
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(n[mask] * x[mask]))
-
-
 def classify(z: ZetaSequence, *, j_value: float | None = None) -> WeakVerdict:
     """Decide membership of the block sequence in weak-l1 and in its
     vanishing subspace, from the computed prefix.
@@ -214,13 +218,13 @@ def classify(z: ZetaSequence, *, j_value: float | None = None) -> WeakVerdict:
     """
     if j_value is None:
         j_value = z.source.j_value if z.source is not None else math.nan
-    x = rearrange(z.values)
-    K = len(x)
-    quasi = quasinorm_weak(z.values)
+    level = weak_level(z.values)
+    K = len(level)
+    quasi = level_sup(level)
     l1 = ell1_norm(z.values)
-    d_lo, d_hi = delta_estimates(z.values)
-    s1 = _window_sup(x, K // 4, K // 2)
-    s2 = _window_sup(x, K // 2, K)
+    d_lo, d_hi = level_bounds(level)
+    s1 = level_sup(level[K // 4:K // 2])
+    s2 = level_sup(level[K // 2:K])
     notes = list(z.notes)
     evidence = {"window_1": (K // 4, K // 2), "window_2": (K // 2, K),
                 "sup_1": s1, "sup_2": s2}

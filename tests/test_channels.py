@@ -28,7 +28,8 @@ from radcount import (
     total_count,
 )
 from radcount import channels
-from radcount.spectral1d import counting_domain, threshold_eps
+from radcount.spectral1d import (bs_spectrum, channel_energy, counting_domain,
+                                 threshold_eps)
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -143,12 +144,13 @@ def test_sandwich_violation_raises_unless_in_doubt(catalog, doubt):
     b = total_count(catalog["square-well"], 37.0)
     off = dataclasses.replace(b, radial_dirichlet_count=b.total
                               - b.nonradial + 1, uncertainty=0)
-    for flags in ((), ("domain-truncated",),
-                  ("below-spectrum", "domain-truncated", "zero-potential"),
-                  ("domain-truncated", doubt)):
+    informational = ("below-spectrum", "domain-truncated", "zero-potential")
+    for flags, unc in (((), 0), (("domain-truncated",), 0),
+                       (informational, 0), (informational, 1),
+                       (("domain-truncated", doubt), 0)):
         with pytest.raises(channels.ChannelConsistencyError):
             sandwich_check(None, 37.0, breakdown=dataclasses.replace(
-                off, flags=flags))
+                off, flags=flags, uncertainty=unc))
     rep = sandwich_check(None, 37.0, breakdown=dataclasses.replace(
         off, flags=("domain-truncated", doubt), uncertainty=1))
     assert not rep["ok"] and rep["difference"] == -1
@@ -173,8 +175,9 @@ def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
         return count
 
     with monkeypatch.context() as mp:
-        for extra in ((), ("pivot-shift",)):
-            mp.setattr("radcount.channels.count_below_fd", off_by_one(*extra))
+        for extra, unc in (((), 0), ((), 1), (("pivot-shift",), 0)):
+            mp.setattr("radcount.channels.count_below_fd",
+                       off_by_one(*extra, uncertainty=unc))
             with pytest.raises(channels.ChannelConsistencyError):
                 bs_duality_check(P, 20.0)
         mp.setattr("radcount.channels.count_below_fd",
@@ -199,11 +202,12 @@ def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
 
 
 def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
-    # the companion spectrum does not depend on alpha: checks that share a
-    # dict solve it once per (counting window, n_max), each runs its
-    # own direct count, and the reports equal those of unshared checks
+    # the companion spectrum and its window do not depend on alpha: checks
+    # that share a dict solve it once per n_max, each runs its own direct
+    # count, and the reports equal those of unshared checks
     P = catalog["square-well"]
-    want = [bs_duality_check(P, a) for a in (10.0, 50.0)]
+    alphas = (10.0, 50.0, 3200.0)
+    want = [bs_duality_check(P, a) for a in alphas]
     solved, direct = [], []
 
     def spy(calls, fn):
@@ -217,15 +221,32 @@ def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     monkeypatch.setattr("radcount.channels.count_below_fd",
                         spy(direct, channels.count_below_fd))
     spectra = {}
-    got = [bs_duality_check(P, a, spectra=spectra) for a in (10.0, 50.0)]
+    got = [bs_duality_check(P, a, spectra=spectra) for a in alphas]
     assert got == want
-    assert solved == [48] and len(direct) == 2
+    assert solved == [48] and len(direct) == 3
+    assert list(spectra) == [48]
     G = to_log(P, strict=False)
     window = counting_domain(G, 10.0, -threshold_eps(G, 10.0),
                              BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
-    assert list(spectra) == [(window, 48)]
+    lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
+                            domain=window, n_max=48)
+    assert meta == spectra[48][1] and np.array_equal(lam, spectra[48][0])
     bs_duality_check(P, 10.0, n_max=24, spectra=spectra)
-    assert solved == [48, 24] and len(direct) == 3
+    assert solved == [48, 24] and len(direct) == 4
+
+
+@pytest.mark.parametrize("name", [
+    "square-well", "annulus", "gaussian", "bump", "counterexample",
+    "counterexample-damped", "counterexample-damped-strong"])
+def test_half_line_count_is_the_dirichlet_routes_right_side(catalog, name):
+    # verify's Bargmann check reads total_count's right side in place of a
+    # half-line Dirichlet count: the two are the same pass
+    P = catalog[name]
+    G = to_log(P, strict=False)
+    for alpha in (3.0, 10.0, 50.0, 200.0, 3200.0):
+        half = count_below(G, alpha, channel_energy(G, alpha),
+                           BoundaryMode.HALF_LINE_DIRICHLET)
+        assert total_count(P, alpha).extras["right"] == half.count, alpha
 
 
 def test_nonradial_empty_below_coupling_one_over_j(catalog):

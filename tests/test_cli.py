@@ -6,12 +6,14 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import radcount
 from radcount import __version__
 from radcount.bounds import bound_weak
-from radcount.cli import main
+from radcount.cli import _verify_checks, main
+from radcount.spectral1d import CountResult
 
 
 def run(capsys, *argv):
@@ -157,7 +159,7 @@ def test_sweep_writes_csv_and_json(capsys, tmp_path):
     code, out = run(capsys, "sweep", "--spec", "square-well",
                     "--alpha-min", "10", "--alpha-max", "40",
                     "--per-decade", "3",
-                    "--csv", str(csv_path), "--json", str(json_path))
+                    "--csv", str(csv_path), "--json-out", str(json_path))
     assert code == 0
     header = csv_path.read_text(encoding="utf-8").splitlines()[0]
     assert header == ("alpha,N,N_over_alpha,N_radial_dirichlet,N_nonradial,"
@@ -227,6 +229,30 @@ def test_verify_integrates_log_weight_and_solves_spectrum_once(
     assert len(spectra) == 1
     duality = [c for c in doc["report"]["checks"] if c["name"] == "duality"]
     assert [c["alpha"] for c in duality] == [10.0, 50.0]
+
+
+@pytest.mark.parametrize("pruefer, fd, bad", [
+    ((3, 1, ("domain-truncated",)), (4, 0, ()), 1),
+    ((3, 1, ("phase-near-node",)), (4, 0, ()), 0),
+    ((3, 1, ("phase-near-node",)), (5, 0, ()), 1),
+], ids=["informational-flag", "excused", "beyond-uncertainty"])
+def test_oracle_equivalence_uses_the_shared_excuse(catalog, monkeypatch,
+                                                   pruefer, fd, bad):
+    # stubbed (count, uncertainty, flags) per engine: an informational flag
+    # excuses nothing, a doubt flag excuses a miss up to the uncertainty,
+    # and any flag counts the instance as flagged
+    stub = {"pruefer": pruefer, "fd": fd}
+
+    def count_below(G, alpha, E, mode, *, engine):
+        count, uncertainty, flags = stub[engine]
+        return CountResult(count, engine, E, mode.value, (0.0, 1.0),
+                           uncertainty=uncertainty, flags=flags)
+
+    monkeypatch.setattr("radcount.cli.count_below", count_below)
+    checks = _verify_checks(catalog["square-well"], [],
+                            np.random.default_rng(7), 1, 1e-9)
+    assert checks == [{"name": "oracle-equivalence", "ok": bad == 0,
+                       "instances": 1, "flagged": 1, "disagreements": bad}]
 
 
 def test_verify_passes_on_trivial_profile(capsys):

@@ -43,7 +43,6 @@ def test_square_well_profile_and_support():
     assert P.profile(1.0) == 2.0
     assert P.profile(3.5) == 0.0
     assert P.support == (0.0, 3.0)
-    assert not P.singular_at_zero
 
 
 def test_param_validation():

@@ -26,6 +26,7 @@ from radcount import spectral1d
 from radcount.potentials import LogPotential
 from radcount.spectral1d import (
     bs_spectrum,
+    channel_energy,
     count_below_fd,
     count_below_pruefer,
     counting_domain,
@@ -422,6 +423,21 @@ def test_threshold_eps_tracks_scale(catalog):
     assert threshold_eps(G, 200.0) == 2.0 * threshold_eps(G, 100.0)
 
 
+def test_channel_energy_sits_threshold_eps_below_minus_m_squared(catalog):
+    # the one owner of the channel energy: None on G = 0, otherwise
+    # -(m^2 + threshold_eps) bit for bit
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        for alpha in (3.0, 50.0, 3200.0):
+            for m in (0, 1, 7):
+                got = channel_energy(G, alpha, m)
+                if name == "zero":
+                    assert got is None
+                else:
+                    assert got == -(m * m + threshold_eps(G, alpha)), (
+                        name, alpha, m)
+
+
 def test_counting_domain_pads_with_energy():
     G = box_G(1.0)
     near = counting_domain(G, 1.0, -1e-8, BoundaryMode.WHOLE_LINE)
@@ -611,7 +627,7 @@ def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
     if h_min is not None:
         monkeypatch.setattr(spectral1d, "_H_MIN", h_min)
     G = to_log(catalog[name], strict=False)
-    E = -(m * m + threshold_eps(G, alpha))
+    E = channel_energy(G, alpha, m)
     kernel = spectral1d._integrate_phase
     pairs = []
 
@@ -696,7 +712,7 @@ def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
     for mode in BoundaryMode:
         for alpha in (3.0, 25.0, 200.0, 3200.0):
             for m in (0, 1, 3, 10, 40):
-                E = -(m * m + threshold_eps(G, alpha))
+                E = channel_energy(G, alpha, m)
                 runs = [_final_phases(monkeypatch, G, alpha, E, mode, phase)
                         for phase in (kernel, _generic_integrate_phase)]
                 (got, th_got), (want, th_want) = runs
@@ -729,7 +745,7 @@ def test_local_cap_matches_unit_cap(catalog, monkeypatch, name, cases):
         for alpha in (3.0, 25.0, 200.0, 3200.0):
             m = 0
             while True:
-                E = -(m * m + threshold_eps(G, alpha)) if G.g_max else -1.0
+                E = channel_energy(G, alpha, m) or -1.0
                 runs = [_final_phases(monkeypatch, G, alpha, E, mode, phase)
                         for phase in (kernel, _unit_capped_phase)]
                 (got, th_got), (want, th_want) = runs
@@ -855,7 +871,7 @@ def test_lead_in_and_zero_tail_match_window_path(catalog, monkeypatch, name,
     for mode in BoundaryMode:
         for alpha in (3.0, 25.0, 200.0, 3200.0):
             for m in (0, 1, 3, 10, 40):
-                E = -(m * m + threshold_eps(G, alpha))
+                E = channel_energy(G, alpha, m)
                 if alpha * G.g_max + E > 0.0:
                     _assert_matches_window_path(monkeypatch, G, alpha, E,
                                                 mode, (mode.value, alpha, m))

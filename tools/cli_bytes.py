@@ -33,7 +33,7 @@ def cases() -> list[list[str]]:
     for spec in SPECS:
         out.append(["sweep", "--spec", spec, "--alpha-min", "5",
                     "--alpha-max", "50", "--per-decade", "4"])
-    for spec in ("square-well", "annulus", "gaussian", "bump",
+    for spec in ("zero", "square-well", "annulus", "gaussian", "bump",
                  "counterexample"):
         for seed in ("1234", "7"):
             out.append(["verify", "--spec", spec, "--seed", seed])
@@ -82,8 +82,10 @@ def _field_diff(a: str, b: str) -> list[str]:
         la, lb = (dict(_leaves(json.loads(s))) for s in (a, b))
     except ValueError:
         return ["  (output is not JSON)"]
-    return [f"  {k}: {la.get(k, '<absent>')!r} -> {lb.get(k, '<absent>')!r}"
-            for k in sorted(set(la) | set(lb)) if la.get(k) != lb.get(k)]
+    no = "<absent>"   # a key present with value null differs from none
+    return [f"  {k}: {la.get(k, no)!r} -> {lb.get(k, no)!r}"
+            for k in sorted(set(la) | set(lb))
+            if la.get(k, no) != lb.get(k, no)]
 
 
 def diff(path_a: str, path_b: str) -> int:
