@@ -260,6 +260,8 @@ def _build_bump(p: Mapping[str, float]) -> _Profile:
         if not lo < r < hi:
             return 0.0
         x2 = ((r - c) / w) ** 2
+        if x2 >= 1.0:   # rounds to 1 within an ulp or so of an end
+            return 0.0
         return h * math.exp(2.0 * t + 1.0 - 1.0 / (1.0 - x2))
 
     breaks = [math.log(c), math.log(hi)]
@@ -497,10 +499,13 @@ class LogPotential:
     j_value: float
     j_err: float
     _g_vec: Callable = field(compare=False, repr=False, default=None)
-    # G(t) for one float t: the profile's own evaluator, called directly by
-    # the phase kernel and the block integrands (no method frame in between)
+    # G(t) for one float t: the profile's own evaluator, for a
+    # step-by-step integrator (no method frame in between)
     eval_scalar: Callable[[float], float] = field(compare=False, repr=False,
                                                  default=None)
+    # the phase engine's mesh for the alpha last counted (spectral1d._mesh),
+    # built by the first pass that needs it
+    phase_mesh: tuple | None = field(compare=False, repr=False, default=None)
 
     def eval(self, t) -> np.ndarray:
         return self._g_vec(np.asarray(t, dtype=float))

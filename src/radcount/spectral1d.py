@@ -7,17 +7,21 @@ Two independent engines with no shared discretization machinery:
     (monotone) crossings of multiples of pi, and on the whole line the
     decaying-solution boundary conditions are a left initial phase
     atan(1/kappa) plus an exact rule for one extra zero beyond the right
-    endpoint. Integration is an adaptive Cash-Karp RK45 on the scaled
-    (Pryce) phase, theta' = S cos^2 theta + ((E + alpha G)/S) sin^2 theta
-    with S = sqrt(max(1, |E + alpha G|)) reset at every step: it has the
-    same zeros and turns at an even rate over an oscillation, so a step can
-    cover about one radian. Each step is capped at 1/sqrt(|E + alpha G|),
-    one radian of the local frequency, and otherwise only by the error
-    control and the breakpoints of G, where every feature of G must sit.
-    The plain phase goes in and comes out. The kernel runs only where the
-    count is decided. On the whole line it starts left of the first allowed
-    point, where the decaying phase is pinned: a phase error there contracts
-    by exp(-2 int sqrt(-w)); and never before the support of G, where that
+    endpoint. A pass carries (u, u') over a mesh by a fourth-order Magnus
+    propagator, closed-form on each interval from w = E + alpha G at its
+    two Gauss points, and counts the zeros of u on each interval in closed
+    form; the phase is pi * zeros + (atan2(u, u') mod pi). The mesh is
+    fitted to G at one alpha (every breakpoint of G and t = 0 are nodes,
+    and a step is held to about half a radian of the deepest channel and
+    to a bounded change of alpha G), so every channel m, whose
+    w = alpha G - m^2 is below the m = 0 one, sweeps the same mesh. Every
+    pass is redone on the bisected mesh, and the spread of the two final
+    phases is its error statement; a pass that does not settle within
+    1e-8 is bisected again, up to a fixed depth, and is flagged if it
+    never does. A pass runs only where the count is decided. On the whole
+    line it starts left of the first allowed point, where the decaying
+    phase is pinned: a phase error there contracts by
+    exp(-2 int sqrt(-w)); and never before the support of G, where that
     phase atan2(1, kappa) is a fixed point. Beyond the support of G, w = E
     is constant, and that stretch is mapped in closed form.
 
@@ -90,6 +94,8 @@ class CountResult:
 
 # fraction of the energy scale alpha * max G that threshold_eps puts below 0
 THRESHOLD_FRAC = 1e-9
+# the largest decay pad of a counting window
+_PAD_MAX = 40.0
 
 
 def threshold_eps(G, alpha: float) -> float:
@@ -114,7 +120,7 @@ def counting_domain(G, alpha: float, E: float,
     decay pad ~ -ln(1e-8)/kappa for the evanescent tails, capped at 40."""
     T_minus, T_plus = G.domain_hint
     kappa = math.sqrt(max(-E, 1e-30))
-    pad = min(-math.log(1e-8) / kappa, 40.0)
+    pad = min(-math.log(1e-8) / kappa, _PAD_MAX)
     if mode == BoundaryMode.HALF_LINE_DIRICHLET:
         return 0.0, max(T_plus, 0.0) + pad
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
@@ -132,124 +138,192 @@ def _validate(alpha: float, E: float) -> None:
 # ---------------------------------------------------------------------------
 # phase (shooting) engine
 
-# step control of the phase kernel (see _integrate_phase)
-_PHASE_TOL = 1e-10
-_H_MIN = 1e-12
-_MAX_STEPS = 2_000_000
+# an error in the phase or pivot entering the allowed region shrinks by
+# exp(-2 _LEAD_IN) = 1e-12 over the lead-in where either engine starts
+_LEAD_IN = 0.5 * math.log(1e12)
 
-# Cash-Karp tableau, one name per entry so the unrolled step reads no tuples
-_C2, _C3, _C4, _C5, _C6 = 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8
-_A21, _A31, _A32 = 1 / 5, 3 / 40, 9 / 40
-_A41, _A42, _A43 = 3 / 10, -9 / 10, 6 / 5
-_A51, _A52, _A53, _A54 = -11 / 54, 5 / 2, -70 / 27, 35 / 27
-_A61, _A62, _A63, _A64, _A65 = (1631 / 55296, 175 / 512, 575 / 13824,
-                                44275 / 110592, 253 / 4096)
-# fifth- and fourth-order weights, zero weights (b2; b5 in the fifth) dropped
-_B51, _B53, _B54, _B56 = 37 / 378, 250 / 621, 125 / 594, 512 / 1771
-_B41, _B43, _B44, _B45, _B46 = (2825 / 27648, 18575 / 48384, 13525 / 55296,
-                                277 / 14336, 1 / 4)
-
-
-def _rescale_phase(th: float, r: float) -> float:
-    """Phase after the scale is multiplied by r: tan theta -> r tan theta in
-    the same branch [k pi - pi/2, k pi + pi/2), so multiples of pi stay."""
-    k = math.floor(th / math.pi + 0.5)
-    phi = th - k * math.pi
-    return k * math.pi + math.atan2(r * math.sin(phi), math.cos(phi))
+# the mesh rule, absolute in w = E + alpha G: on every interval,
+# h sqrt(alpha max |G|) <= _MESH_TURN and
+# h^2 alpha (max G - min G) <= _MESH_KICK
+_MESH_TURN = 0.5
+_MESH_KICK = 0.25
+# a pass is redone on the bisected mesh until its final phase moves by at
+# most _SPREAD_TOL, bisecting at most _MAX_LEVEL times
+_SPREAD_TOL = 1e-8
+_MAX_LEVEL = 8
+# intervals per block of a sweep (_magnus_sweep)
+_SWEEP_BLOCK = 1024
+# Gauss points t + (1/2 -+ _GAUSS) h of an interval, and the weight of the
+# commutator term of the fourth-order Magnus exponent
+_GAUSS = math.sqrt(3.0) / 6.0
+_MAGNUS_C = math.sqrt(3.0) / 12.0
 
 
-def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
-                     theta0: float, breaks) -> tuple[float, int, list[str]]:
-    """Advance the phase from a to b; returns (theta(b), steps, flags).
+def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
+    """Nodes on [lo, hi] that meet the mesh rule. Every breakpoint of G in
+    (lo, hi) and t = 0 are nodes. An interval that fails the rule at its
+    Gauss points and its ends (one ulp inside) is split evenly into as many
+    parts as the rule asks for, or in two where it asks for more than four,
+    so that the mesh grades with G, until none fails. The rule bounds w,
+    not the change of G relative to G, so a tail where alpha G is small
+    gets long intervals."""
+    cuts = [lo, hi] + [p for p in (*G.breakpoints, 0.0) if lo < p < hi]
+    t = np.unique(np.array(cuts, dtype=float))
+    while True:
+        a, b = t[:-1], t[1:]
+        h = b - a
+        mid, d = 0.5 * (a + b), _GAUSS * h
+        g = np.asarray(G.eval(np.concatenate(
+            [np.nextafter(a, b), mid - d, mid + d, np.nextafter(b, a)])),
+            dtype=float).reshape(4, -1)
+        top = np.max(np.abs(g), axis=0)
+        rise = np.max(g, axis=0) - np.min(g, axis=0)
+        parts = np.ceil(np.maximum(h * np.sqrt(alpha * top) / _MESH_TURN,
+                                   h * np.sqrt(alpha * rise / _MESH_KICK)))
+        if not np.any(parts > 1.0):
+            return t
+        k = np.where(parts > 4.0, 2.0, np.maximum(parts, 1.0)).astype(np.int64)
+        at = np.repeat(np.arange(k.size), k)
+        j = np.arange(at.size) - np.repeat(np.cumsum(k) - k, k)
+        t = np.append(a[at] + h[at] * (j / k[at]), t[-1])
 
-    theta0 and theta(b) are unscaled (u = rho sin theta, u' = rho cos theta).
-    Inside, the phase is scaled: u = rho sin(theta)/sqrt(S) and
-    u' = rho sqrt(S) cos(theta) with S = sqrt(max(1, |w|)), w = E + alpha g,
-    held constant over a step, so theta' = S cos^2 + (w/S) sin^2 turns at
-    about sqrt(w) on both halves of an oscillation. S is reset from g(t) at
-    each step start, which rescales theta (_rescale_phase). A step is capped
-    at 1/sqrt(|w|), one radian of the local frequency (1/S where |w| > 1),
-    and not at all where w = 0; the first step of a piece takes the cap at
-    its midpoint. In a forbidden stretch the phase is attracted at the rate
-    2 sqrt(|w|), so the cap keeps h times that rate <= 2, inside Cash-Karp's
-    stability region. The stages are written out with every sum in tableau
-    order; g(t) is evaluated once per step, for the scale and the first
-    stage. g is read inside the piece only: at lo_in, one ulp above lo, at
-    the piece's first step start, and at hi_in, one ulp below hi, at the end
-    stage of its last step, so a jump at lo or hi counts on neither side.
-    The last step of a piece lands exactly on the piece end and is never
-    counted as floored. Steps are accepted at a phase error up to
-    _PHASE_TOL and are at least _H_MIN; one raised to _H_MIN is accepted
-    whatever its error and flags `step-floor`. A call takes at most
-    _MAX_STEPS steps. The three are read once per call.
 
-    A step never leaves its piece, and it is bounded only by the error
-    control and the cap at its start, so a feature of g narrower than a step
-    (a jump, a narrow pocket) must sit at a breakpoint to be seen: the
-    breakpoints passed in are a contract, not a hint."""
-    flags: list[str] = []
-    pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    tol, h_min, max_steps = _PHASE_TOL, _H_MIN, _MAX_STEPS
-    sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    th = theta0
-    S = iS = 1.0
-    steps = 0
-    for lo, hi in zip(pieces, pieces[1:]):
-        t = lo
-        lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
-        rw = sqrt(abs(E + alpha * g_scalar(0.5 * (lo + hi))))
-        h = min(hi - lo, 1.0 / rw) if rw > 0.0 else hi - lo
-        while t < hi:
-            if steps >= max_steps:
-                raise RuntimeError(
-                    f"phase integration exceeded {max_steps} steps "
-                    f"(alpha={alpha}, E={E})")
-            w = E + alpha * g_scalar(t if t > lo else lo_in)
-            rw = sqrt(abs(w))
-            S_new = rw if rw > 1.0 else 1.0
-            if S_new != S:
-                th = _rescale_phase(th, S_new / S)
-                S = S_new
-                iS = 1.0 / S
-            h = min(h, 1.0 / rw) if rw > 0.0 else h
-            last = h >= hi - t   # this step ends the piece, exactly on hi
-            if last:
-                h = hi - t
-            elif h < h_min:
-                h = h_min
-                flags.append("step-floor")
-            s, c = sin(th), cos(th)
-            k1 = S * c * c + w * iS * s * s
-            y = th + h * (_A21 * k1)
-            s, c = sin(y), cos(y)
-            k2 = S * c * c + (E + alpha * g_scalar(t + _C2 * h)) * iS * s * s
-            y = th + h * (_A31 * k1 + _A32 * k2)
-            s, c = sin(y), cos(y)
-            k3 = S * c * c + (E + alpha * g_scalar(t + _C3 * h)) * iS * s * s
-            y = th + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-            s, c = sin(y), cos(y)
-            k4 = S * c * c + (E + alpha * g_scalar(t + _C4 * h)) * iS * s * s
-            y = th + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-            s, c = sin(y), cos(y)
-            t5 = hi_in if last else t + _C5 * h
-            k5 = S * c * c + (E + alpha * g_scalar(t5)) * iS * s * s
-            y = th + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                          + _A65 * k5)
-            s, c = sin(y), cos(y)
-            k6 = S * c * c + (E + alpha * g_scalar(t + _C6 * h)) * iS * s * s
-            th5 = th + h * (_B51 * k1 + _B53 * k3 + _B54 * k4 + _B56 * k6)
-            th4 = th + h * (_B41 * k1 + _B43 * k3 + _B44 * k4 + _B45 * k5
-                            + _B46 * k6)
-            err = abs(th5 - th4)
-            steps += 1
-            if err <= tol or h <= h_min:
-                t = hi if last else t + h
-                th = th5
-            fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
-            h *= min(5.0, max(0.2, fac))
-    if S != 1.0:
-        th = _rescale_phase(th, 1.0 / S)
-    return th, steps, flags
+def _mesh(G, alpha: float, p: float, q: float) -> np.ndarray:
+    """The nodes of the mesh of G at alpha over the span where a pass on
+    any default window can run, joined with [p, q]: the widest counting
+    window, [min(T-, 0), max(T+, 0)] padded by _PAD_MAX, cut to the
+    support of G joined with t = 0. The mesh lives on G, one entry for one
+    (alpha, span), built when a pass first needs it."""
+    (T_minus, T_plus), (t_lo, t_hi) = G.domain_hint, G.t_support
+    span = (min(max(min(T_minus, 0.0) - _PAD_MAX, min(t_lo, 0.0)), p),
+            max(min(max(T_plus, 0.0) + _PAD_MAX, max(t_hi, 0.0)), q))
+    if G.phase_mesh is None or G.phase_mesh[0] != (alpha, span):
+        G.phase_mesh = ((alpha, span), _mesh_nodes(G, alpha, *span))
+    return G.phase_mesh[1]
+
+
+def _pass_intervals(G, alpha: float, E: float, a: float, z: float,
+                    level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, w1, w2) of the intervals from a to z, in the order a pass meets
+    them. The mesh nodes strictly between a and z cut [a, z], so a pass
+    that starts or ends between two nodes enters or leaves through a
+    partial interval, and every interval is bisected `level` times. w1 and
+    w2 are w = E + alpha G at the first and the second Gauss point met,
+    read with one G.eval; a Gauss point lies inside its interval, so G is
+    read inside its pieces. With z < a the pass walks the mirrored
+    intervals, right to left."""
+    p, q = min(a, z), max(a, z)
+    nodes = _mesh(G, alpha, p, q)
+    edges = np.concatenate(([p], nodes[(nodes > p) & (nodes < q)], [q]))
+    n = 2 ** level
+    h = np.repeat(np.diff(edges) / n, n)
+    mid = (np.repeat(edges[:-1], n)
+           + h * (np.tile(np.arange(n), edges.size - 1) + 0.5))
+    d = _GAUSS * h
+    g = np.asarray(G.eval(np.concatenate([mid - d, mid + d])), dtype=float)
+    w1, w2 = E + alpha * g[: h.size], E + alpha * g[h.size:]
+    if z < a:
+        return h[::-1], w2[::-1], w1[::-1]
+    return h, w1, w2
+
+
+def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                  theta0: float) -> float:
+    """Phase after the intervals (h, w1, w2), from theta0 in [0, pi).
+
+    Fourth-order Magnus: an interval maps (u, u') by exp(Omega),
+    Omega = [[c, h], [-h wbar, -c]], with wbar = (w1 + w2)/2 and
+    c = (sqrt(3)/12) h^2 (w2 - w1). Omega^2 = -mu^2 I, mu^2 = h^2 wbar - c^2,
+    so exp(Omega) = cos(mu) I + (sin(mu)/mu) Omega; where mu^2 < 0 it is
+    cosh and sinh of nu = sqrt(-mu^2), scaled by e^-nu so that nothing
+    overflows. (u, u') is normalised after each interval.
+
+    On an interval u(s) = u cos(mu s) + (B/mu) sin(mu s), s in [0, 1],
+    B = c u + h u', holds exactly, so its zeros in (0, 1] number
+    floor((phi + mu)/pi) - floor(phi/pi), phi = atan2(u, B/mu); a
+    hyperbolic interval has at most one zero, a sign change. The count is
+    taken with the parity of the signs of u at the two ends, so that
+    phi + mu within a rounding of a multiple of pi moves it by one to agree
+    with them. The phase is pi * zeros + (atan2(u, u') mod pi). The
+    intervals are swept in blocks of _SWEEP_BLOCK, so that a deeply
+    bisected pass holds the states and matrices of one block at a time."""
+    u, v = math.sin(theta0), math.cos(theta0)
+    zeros = 0.0
+    for i in range(0, h.size, _SWEEP_BLOCK):
+        block = slice(i, i + _SWEEP_BLOCK)
+        u, v, n = _sweep_block(h[block], w1[block], w2[block], u, v)
+        zeros += n
+    return math.pi * zeros + math.atan2(u, v) % math.pi
+
+
+def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
+                 v: float) -> tuple[float, float, float]:
+    """(u, u') after the intervals (h, w1, w2) of _magnus_sweep, normalised,
+    and the zeros of u on them."""
+    wbar = 0.5 * (w1 + w2)
+    c = _MAGNUS_C * h * h * (w2 - w1)
+    mu2 = h * h * wbar - c * c
+    osc = mu2 > 0.0
+    mu = np.sqrt(np.abs(mu2))
+    pos = mu > 0.0
+    safe = np.where(pos, mu, 1.0)
+    # e^-nu cosh(nu) = 1 + em/2 and e^-nu sinh(nu)/nu = -em/(2 nu)
+    em = 0.5 * np.expm1(-2.0 * mu)
+    cs = np.where(osc, np.cos(mu), 1.0 + em)
+    sn = np.where(osc, np.sin(mu), np.where(pos, -em, 1.0)) / safe
+    snc = sn * c
+    snh = sn * h
+    us, vs = [u], [v]
+    for p, q, r, s in zip((cs + snc).tolist(), snh.tolist(),
+                          (-snh * wbar).tolist(), (cs - snc).tolist()):
+        u, v = p * u + q * v, r * u + s * v
+        n = abs(u) + abs(v)
+        u /= n
+        v /= n
+        us.append(u)
+        vs.append(v)
+    U = np.array(us)
+    u0, u1 = U[:-1], U[1:]
+    B = c * u0 + h * np.array(vs[:-1])
+    # a zero in (0, 1] is odd in number iff u changes sign, or reaches 0,
+    # from its sign at 0+ (that of B where u = 0); on an oscillatory
+    # interval y = (phi + mu)/pi - floor(phi/pi) lies in [zeros, zeros + 1),
+    # and the count of that parity nearest y - 1/2 absorbs its rounding
+    s0 = np.where(u0 != 0.0, u0, B)
+    odd = ((u1 == 0.0) | ((s0 < 0.0) != (u1 < 0.0))).astype(float)
+    phi = np.arctan2(u0, B / safe)
+    y = (phi + mu) / math.pi - np.floor(phi / math.pi)
+    zeros = np.where(osc, odd + 2.0 * np.rint(0.5 * (y - 0.5 - odd)), odd)
+    return u, v, float(np.sum(zeros))
+
+
+def _pass_phase(G, alpha: float, E: float, a: float, z: float,
+                theta0: float, tail: float) -> tuple[float, int, bool]:
+    """(theta, intervals swept, settled) of a pass from a to z, then over a
+    stretch of length `tail` where G = 0, which is mapped exactly.
+
+    The pass is swept on the mesh and on its bisection, and the spread of
+    their final phases is its error statement: while the spread exceeds
+    _SPREAD_TOL, 100 times inside the 1e-6 flag windows, the pass is
+    bisected once more, at most _MAX_LEVEL times. The finest sweep's phase
+    is returned; settled is False when its spread still exceeds
+    _SPREAD_TOL."""
+    kappa = math.sqrt(-E)
+
+    def final(th):
+        return _zero_tail(th, kappa, tail) if tail > 0.0 else th
+
+    if a == z:
+        return final(theta0), 0, True
+    th, steps = None, 0
+    for level in range(_MAX_LEVEL + 1):
+        h, w1, w2 = _pass_intervals(G, alpha, E, a, z, level)
+        fine = final(_magnus_sweep(h, w1, w2, theta0))
+        steps += h.size
+        if th is not None and abs(fine - th) <= _SPREAD_TOL:
+            return fine, steps, True
+        th = fine
+    return th, steps, False
 
 
 def _lead_in(G, alpha: float, E: float, A: float, B: float
@@ -258,20 +332,19 @@ def _lead_in(G, alpha: float, E: float, A: float, B: float
 
     Left of the first allowed point t1 (w = E + alpha G >= 0), moving right
     multiplies a phase error by at most exp(-2 int sqrt(-w)). So the pass
-    can start at the latest t0 with int_{t0}^{t1} sqrt(-w) >= L, where
-    exp(-2L) = _PHASE_TOL/100, at the local WKB phase atan2(1, sqrt(-w(t0)))
+    can start at the latest t0 with int_{t0}^{t1} sqrt(-w) >= _LEAD_IN,
+    at the local WKB phase atan2(1, sqrt(-w(t0)))
     of the decaying solution. G is scanned once from A to its argmax, every
     breakpoint included, at a spacing of at most 1/(4 S_top): a pocket
     missed between two scan points turns the scaled phase by at most 1/4
     rad, and the decaying phase lies in (0, pi/2), so it cannot make a
     zero. Each cell counts at the smaller of its two end values. Without
-    such a t0 (always when kappa (B - A) < L) the pass starts at A at
+    such a t0 (always when kappa (B - A) < _LEAD_IN) the pass starts at A at
     atan2(1, kappa)."""
     kappa = math.sqrt(-E)
     start = A, math.atan2(1.0, kappa)
-    L = 0.5 * math.log(100.0 / _PHASE_TOL)
     t_end = min(B, G.g_argmax)
-    if kappa * (B - A) < L or not t_end > A:
+    if kappa * (B - A) < _LEAD_IN or not t_end > A:
         return start
     S_top = math.sqrt(max(1.0, alpha * G.g_max + E))
     ts = np.linspace(A, t_end, int(math.ceil(4.0 * S_top * (t_end - A))) + 1)
@@ -284,7 +357,7 @@ def _lead_in(G, alpha: float, E: float, A: float, B: float
     q = np.sqrt(np.maximum(-w[: i1 + 1], 0.0))
     cells = np.minimum(q[:-1], q[1:]) * np.diff(ts[: i1 + 1])
     to_t1 = np.cumsum(cells[::-1])[::-1]   # int_{ts[j]}^{t1}, j < i1
-    far = np.flatnonzero(to_t1 >= L)
+    far = np.flatnonzero(to_t1 >= _LEAD_IN)
     if far.size == 0:
         return start
     j = far[-1]
@@ -338,16 +411,18 @@ def count_below_pruefer(G, alpha: float, E: float,
     starts at 0, no tail rule); the default counts the problem on the full
     line/half-line, treating [A, B] as a window that contains the potential.
 
-    The RK kernel integrates only where the count is decided. On the whole
+    A pass sweeps the mesh only where the count is decided. On the whole
     line (truncated=False) it starts at the lead-in start of _lead_in: the
     latest point left of the first allowed point with
-    int sqrt(-w) >= L = ln(100/_PHASE_TOL)/2 up to it, at the local WKB phase,
-    or at A when there is none, at atan2(1, kappa). Left of the support of
-    G that phase is the fixed point of theta' = cos^2 + E sin^2, so the
-    start moves up to the support (the zero head). In every mode and pass
-    it stops at the end of the support of G; the rest of the pass, where
-    G = 0, is mapped exactly (_zero_tail), and the count is read at B as
-    before.
+    int sqrt(-w) >= _LEAD_IN up to it, at the local WKB phase, or at A when
+    there is none, at atan2(1, kappa). Left of the support of G that phase
+    is the fixed point of theta' = cos^2 + E sin^2, so the start moves up to
+    the support (the zero head). In every mode and pass it stops at the end
+    of the support of G; the rest of the pass, where G = 0, is mapped
+    exactly (_zero_tail), and the count is read at B as before. A pass
+    whose phase has not settled under bisection (_pass_phase) flags
+    `phase-near-node` with uncertainty 1. `steps` counts the mesh intervals
+    swept, bisections included.
     """
     _validate(alpha, E)
     mode = BoundaryMode(mode)
@@ -357,27 +432,27 @@ def count_below_pruefer(G, alpha: float, E: float,
     if alpha * G.g_max + E <= 0.0:
         return CountResult(0, "pruefer", E, mode.value, (A, B),
                            flags=tuple(flags + ["below-spectrum"]))
-
-    def one_pass(g_scalar, a, b, theta0, breaks, t_zero):
-        # G = 0 from t_zero on: RK up to there, the exact map over the rest
-        z = min(max(a, t_zero), b)
-        th, n, fl = _integrate_phase(g_scalar, alpha, E, a, z, theta0,
-                                     breaks)
-        if z < b:
-            th = _zero_tail(th, kappa, b - z)
-        c, u, fl2 = _zeros_from_phase(th, kappa, tail=not truncated)
-        return c, u, fl + fl2, th, n
-
-    steps = 0
-    extras: dict = {}
     t_lo, t_hi = G.t_support
+
+    def one_pass(a, b, theta0):
+        # from a toward b; G = 0 past the support: the mesh up to its end,
+        # the exact map beyond
+        if b > a:
+            z = min(max(a, t_hi), b)
+        elif b < a:
+            z = max(min(a, t_lo), b)
+        else:
+            z = a
+        th, n, settled = _pass_phase(G, alpha, E, a, z, theta0, abs(b - z))
+        c, u, fl = _zeros_from_phase(th, kappa, tail=not truncated)
+        if not settled and "phase-near-node" not in fl:
+            fl.insert(0, "phase-near-node")
+            u = 1
+        return c, u, fl, th, n
+
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
-        gs = G.eval_scalar
-        right, u1, f1, th_r, n1 = one_pass(gs, 0.0, B, 0.0, G.breakpoints,
-                                           t_hi)
-        left_breaks = [-b for b in G.breakpoints]
-        left, u2, f2, th_l, n2 = one_pass(lambda s: gs(-s), 0.0, -A, 0.0,
-                                          left_breaks, -t_lo)
+        right, u1, f1, _, n1 = one_pass(0.0, B, 0.0)
+        left, u2, f2, _, n2 = one_pass(0.0, A, 0.0)
         count = left + right
         uncertainty = u1 + u2
         flags += f1 + f2
@@ -391,9 +466,8 @@ def count_below_pruefer(G, alpha: float, E: float,
         else:
             a, theta0 = _lead_in(G, alpha, E, A, B)
             a = max(a, t_lo)
-        count, uncertainty, fl, th, steps = one_pass(
-            G.eval_scalar, a, B, theta0, G.breakpoints, t_hi)
-        flags += fl
+        count, uncertainty, flags_p, th, steps = one_pass(a, B, theta0)
+        flags += flags_p
         extras = {"theta_end": th}
     return CountResult(count, "pruefer", E, mode.value, (A, B), None, steps,
                        uncertainty, tuple(flags), extras)
@@ -401,10 +475,6 @@ def count_below_pruefer(G, alpha: float, E: float,
 
 # ---------------------------------------------------------------------------
 # finite-difference (Sturm pivot) engine
-
-# a pivot error entering the allowed region shrinks by exp(-2 sum theta_k)
-# over the lead-in, theta_k = acosh(a_k/2); start where that reaches 1e-12
-_FD_LEAD_IN = 0.5 * math.log(1e12)
 
 # most intervals of a uniform grid (fd counts and bs_spectrum)
 _N_CAP = 3_000_000
@@ -486,7 +556,7 @@ def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
     # acosh(a/2) = 2 asinh(sqrt(a - 2)/2); a - 2 is exact for a in [2, 4]
     theta_c = 2.0 * math.asinh(0.5 * math.sqrt(a_c - 2.0))
     th = 2.0 * np.arcsinh(0.5 * np.sqrt(core[: allowed[0]] - 2.0))
-    i = int(np.searchsorted(np.cumsum(th[::-1]), _FD_LEAD_IN))
+    i = int(np.searchsorted(np.cumsum(th[::-1]), _LEAD_IN))
     if i < th.size:
         j = th.size - 1 - i
         d = math.exp(float(th[j]))

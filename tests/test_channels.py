@@ -62,6 +62,19 @@ def test_disk_well_per_channel_matches_bessel(catalog):
     assert b.uncertainty == 0
 
 
+def test_phase_engine_matches_bessel_on_a_dense_sweep(catalog):
+    # 200 log-spaced couplings in [25, 3200]: every channel count of the
+    # phase engine is the Bessel oracle's, with uncertainty 0 and no flags.
+    # The fd engine stays out: its grid samples the jump of G at the disk
+    # edge from one side, and it misses at 32 of these couplings
+    P = catalog["square-well"]
+    for alpha in np.geomspace(25.0, 3200.0, 200):
+        b = total_count(P, float(alpha))
+        per, total = disk_total_oracle(float(alpha))
+        assert b.per_channel == per, alpha
+        assert (b.total, b.uncertainty, b.flags) == (total, 0, ()), alpha
+
+
 def test_disk_well_totals_both_engines(catalog):
     P = catalog["square-well"]
     for alpha, want in ((25.0, None), (200.0, 51)):
@@ -313,22 +326,24 @@ def _phase_steps(catalog, monkeypatch, name, alpha):
 
 def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
     # the work of the phase engine at disk alpha=3200: 53 counts (m = 0..51
-    # and the Dirichlet count) take 29270 RK steps in all, the kernel
-    # running only from the lead-in start to the support end t = 0
+    # and the Dirichlet count) sweep 19709 mesh intervals in all, bisections
+    # included, each pass running only from the lead-in start to the
+    # support end t = 0
     b, seen = _phase_steps(catalog, monkeypatch, "square-well", 3200.0)
     assert b.total == 806 and b.uncertainty == 0 and not b.flags
     assert len(seen) == 53
-    assert sum(r.steps for r in seen) == 29270
+    assert sum(r.steps for r in seen) == 19709
 
 
 def test_total_count_phase_steps_slowtail_5(catalog, monkeypatch):
     # on the slow tail at alpha=5, |w| stays below 1e-2 over most of the
-    # ~2000-wide window: steps capped at one radian of the local frequency,
-    # not at a unit scale, cover it in 943 RK steps for the 3 counts
+    # ~2000-wide window: a mesh rule absolute in w, not floored at a unit
+    # scale, covers it in 951 mesh intervals for the 3 counts, bisections
+    # included
     b, seen = _phase_steps(catalog, monkeypatch, "counterexample", 5.0)
     assert (b.total, b.per_channel, b.uncertainty) == (2, {0: 2, 1: 0}, 0)
     assert len(seen) == 3
-    assert sum(r.steps for r in seen) == 943
+    assert sum(r.steps for r in seen) == 951
 
 
 def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
@@ -377,8 +392,8 @@ def test_fd_sturm_work_at_3200(catalog, monkeypatch, name, counts, total,
 
 
 def test_annulus_3200_has_no_step_floor(catalog):
-    # the last step of every piece lands on the piece end, so a rounding
-    # residue before a breakpoint is no floored step
+    # both jumps of G are mesh nodes, and every pass settles under
+    # bisection: 2415 states, uncertainty 0, no flag
     b = total_count(catalog["annulus"], 3200.0)
     assert (b.total, b.uncertainty, b.flags) == (2415, 0, ())
 
@@ -425,7 +440,7 @@ def test_every_flag_is_in_the_readme_table():
     rows = re.findall(r"^\| `([a-z-]+)` \| (informational|doubt) \|",
                       (root / "README.md").read_text(), re.MULTILINE)
     table = dict(rows)
-    assert len(rows) == len(table) == 10
+    assert len(rows) == len(table) == 9
     assert emitted == set(table)
     assert {f for f, kind in rows if kind == "informational"} == \
         channels.INFORMATIONAL_FLAGS

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from radcount import (
@@ -20,10 +20,14 @@ from radcount import (
     bs_duality_check,
     count_below,
     eigenvalues_below,
+    make_catalog_potential,
     to_log,
+    total_count,
 )
 from radcount import spectral1d
 from radcount.potentials import LogPotential
+import rk_phase
+from rk_phase import count_below_rk
 from radcount.spectral1d import (
     bs_spectrum,
     channel_energy,
@@ -448,8 +452,9 @@ def test_counting_domain_pads_with_energy():
 
 
 # Generic Cash-Karp loops, stages as lists and sums by sum().  The scaled
-# one, at the kernel's step cap, is the reference the unrolled phase kernel
-# must match bit for bit; at the unit cap the kernel had before, it is the
+# one, at the kernel's step cap, is the reference the unrolled RK phase
+# kernel (rk_phase, the accuracy oracle of the Magnus pass) must match bit
+# for bit; at the unit cap the kernel had before, it is the
 # oracle for that change.  The plain one integrates
 # theta' = cos^2 + w sin^2, which has the same zeros, with steps of at most
 # 0.5 and 0.25/sqrt(1 + |w|), and is an accuracy oracle for the scaled
@@ -501,7 +506,7 @@ def _rescale(th, r):
 def _step_control():
     """The kernel's step constants (phase_tol, h_min, max_steps), read when a
     reference loop is called, so a monkeypatched one reaches both."""
-    return spectral1d._PHASE_TOL, spectral1d._H_MIN, spectral1d._MAX_STEPS
+    return rk_phase._PHASE_TOL, rk_phase._H_MIN, rk_phase._MAX_STEPS
 
 
 def _local_cap(aw):
@@ -625,18 +630,17 @@ def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
                                            alpha, m, mode, h_min):
     # h_min, when given, replaces the kernel's _H_MIN for this case
     if h_min is not None:
-        monkeypatch.setattr(spectral1d, "_H_MIN", h_min)
+        monkeypatch.setattr(rk_phase, "_H_MIN", h_min)
     G = to_log(catalog[name], strict=False)
     E = channel_energy(G, alpha, m)
-    kernel = spectral1d._integrate_phase
+    kernel = rk_phase._integrate_phase
     pairs = []
 
     def both(*args):
         pairs.append((kernel(*args), _generic_scaled_phase(*args)))
         return pairs[-1][0]
 
-    monkeypatch.setattr(spectral1d, "_integrate_phase", both)
-    count_below_pruefer(G, alpha, E, mode)
+    count_below_rk(G, alpha, E, mode, kernel=both)
     assert len(pairs) == (2 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
                           else 1)
     for got, want in pairs:
@@ -651,7 +655,7 @@ def test_last_step_lands_on_the_piece_end():
     # residue and no step-floor (pi/4 is the fixed phase of w = -1)
     a, b = -0.2, 0.15
     assert a + (b - a) < b
-    th, steps, flags = spectral1d._integrate_phase(
+    th, steps, flags = rk_phase._integrate_phase(
         lambda t: 0.0, 1.0, -1.0, a, b, math.pi / 4, ())
     assert (steps, flags) == (1, [])
     assert th == pytest.approx(math.pi / 4, abs=1e-15)
@@ -659,11 +663,11 @@ def test_last_step_lands_on_the_piece_end():
 
 def test_phase_kernel_step_budget_matches_generic_loop(catalog,
                                                        monkeypatch):
-    monkeypatch.setattr(spectral1d, "_MAX_STEPS", 10)
+    monkeypatch.setattr(rk_phase, "_MAX_STEPS", 10)
     G = to_log(catalog["square-well"])
     args = (G.eval_scalar, 200.0, -1.0, -20.0, 10.0, 0.5, G.breakpoints)
     with pytest.raises(RuntimeError) as got:
-        spectral1d._integrate_phase(*args)
+        rk_phase._integrate_phase(*args)
     for reference in (_generic_scaled_phase, _generic_integrate_phase):
         with pytest.raises(RuntimeError) as want:
             reference(*args)
@@ -672,25 +676,23 @@ def test_phase_kernel_step_budget_matches_generic_loop(catalog,
 
 
 def _final_phases(monkeypatch, G, alpha, E, mode, kernel=None):
-    """count_below_pruefer with the final phase of each pass recorded: the
-    phase the RK kernel returns, mapped over the zero-potential tail when
-    the pass has one.  kernel, when given, stands in for the RK kernel."""
-    kernel = kernel or spectral1d._integrate_phase
-    tail = spectral1d._zero_tail
+    """A phase count with the final phase of each pass recorded, mapped
+    over the zero-potential tail when the pass has one: count_below_pruefer
+    (the Magnus mesh pass), or, when kernel is given, count_below_rk on that
+    RK kernel."""
+    if kernel is not None:
+        got = count_below_rk(G, alpha, E, mode, kernel=kernel)
+        return got, got.extras["thetas"]
+    settle = spectral1d._pass_phase
     thetas = []
 
-    def spy_kernel(*args):
-        out = kernel(*args)
+    def spy(*args):
+        out = settle(*args)
         thetas.append(out[0])
         return out
 
-    def spy_tail(*args):
-        thetas[-1] = tail(*args)
-        return thetas[-1]
-
     with monkeypatch.context() as mp:
-        mp.setattr(spectral1d, "_integrate_phase", spy_kernel)
-        mp.setattr(spectral1d, "_zero_tail", spy_tail)
+        mp.setattr(spectral1d, "_pass_phase", spy)
         return count_below_pruefer(G, alpha, E, mode), thetas
 
 
@@ -707,7 +709,7 @@ def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
     # closed-form zero-potential tail, agrees to 1e-7, well inside the 1e-6
     # near-node margin
     G = to_log(catalog[name], strict=False)
-    kernel = spectral1d._integrate_phase
+    kernel = rk_phase._integrate_phase
     n_integrated = 0
     for mode in BoundaryMode:
         for alpha in (3.0, 25.0, 200.0, 3200.0):
@@ -728,37 +730,83 @@ def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
     assert n_integrated == integrated
 
 
-@pytest.mark.parametrize("name, cases", [
+# The RK kernel's count and final phases per catalog case, kept for the
+# whole test run: test_local_cap_matches_unit_cap checks them against the
+# unit cap, and test_mesh_pass_matches_rk_oracle checks the mesh pass
+# against them, over the same 1,341 cases.
+_RK_RUNS: dict = {}
+
+
+def _rk_run(name, G, alpha, E, mode):
+    key = (name, mode, alpha, E)
+    if key not in _RK_RUNS:
+        got = count_below_rk(G, alpha, E, mode)
+        _RK_RUNS[key] = got, got.extras["thetas"]
+    return _RK_RUNS[key]
+
+
+def _assert_same_phase_count(got, th_got, want, th_want, case):
+    # the same count, uncertainty, flags and side counts, and every final
+    # phase within 1e-7, well inside the 1e-6 flag windows
+    assert got.count == want.count, case
+    assert got.uncertainty == want.uncertainty, case
+    assert got.flags == want.flags, case
+    assert got.extras.get("left") == want.extras.get("left"), case
+    assert got.extras.get("right") == want.extras.get("right"), case
+    assert len(th_got) == len(th_want), case
+    for a, b in zip(th_got, th_want):
+        assert abs(a - b) <= 1e-7, (case, a, b)
+
+
+_CATALOG_CASES = [
     ("zero", 12), ("square-well", 140), ("annulus", 430), ("gaussian", 141),
     ("bump", 510), ("counterexample", 36), ("counterexample-damped", 36),
     ("counterexample-damped-strong", 36),
-])
+]
+
+
+@pytest.mark.parametrize("name, cases", _CATALOG_CASES)
 def test_local_cap_matches_unit_cap(catalog, monkeypatch, name, cases):
     # capping a step at one radian of the local frequency, not at
     # min(1/S, 0.5), changes no count, uncertainty, flag or side count, and
     # moves no final phase by more than 1e-7: in every mode, at alpha in
     # {3, 25, 200, 3200}, on every channel up to the first empty one
     G = to_log(catalog[name], strict=False)
-    kernel = spectral1d._integrate_phase
     n_cases = 0
     for mode in BoundaryMode:
         for alpha in (3.0, 25.0, 200.0, 3200.0):
             m = 0
             while True:
                 E = channel_energy(G, alpha, m) or -1.0
-                runs = [_final_phases(monkeypatch, G, alpha, E, mode, phase)
-                        for phase in (kernel, _unit_capped_phase)]
-                (got, th_got), (want, th_want) = runs
-                case = (mode.value, alpha, m)
-                assert got.count == want.count, case
-                assert got.uncertainty == want.uncertainty, case
-                assert got.flags == want.flags, case
-                assert got.extras.get("left") == want.extras.get("left"), case
-                assert (got.extras.get("right")
-                        == want.extras.get("right")), case
-                assert len(th_got) == len(th_want), case
-                for a, b in zip(th_got, th_want):
-                    assert abs(a - b) <= 1e-7, (case, a, b)
+                got, th_got = _rk_run(name, G, alpha, E, mode)
+                want, th_want = _final_phases(monkeypatch, G, alpha, E, mode,
+                                              _unit_capped_phase)
+                _assert_same_phase_count(got, th_got, want, th_want,
+                                         (mode.value, alpha, m))
+                n_cases += 1
+                if not got.count:
+                    break
+                m += 1
+    assert n_cases == cases
+
+
+@pytest.mark.parametrize("name, cases", _CATALOG_CASES)
+def test_mesh_pass_matches_rk_oracle(catalog, monkeypatch, name, cases):
+    # the Magnus mesh pass against the RK kernel it replaced, on the same
+    # cases: every mode, alpha in {3, 25, 200, 3200}, every channel up to
+    # the first empty one; the two are independent step controls, one
+    # resolving the oscillation, one closed-form on each interval
+    G = to_log(catalog[name], strict=False)
+    n_cases = 0
+    for mode in BoundaryMode:
+        for alpha in (3.0, 25.0, 200.0, 3200.0):
+            m = 0
+            while True:
+                E = channel_energy(G, alpha, m) or -1.0
+                got, th_got = _final_phases(monkeypatch, G, alpha, E, mode)
+                want, th_want = _rk_run(name, G, alpha, E, mode)
+                _assert_same_phase_count(got, th_got, want, th_want,
+                                         (mode.value, alpha, m))
                 n_cases += 1
                 if not got.count:
                     break
@@ -775,7 +823,7 @@ def test_phase_over_a_zero_stretch_matches_the_exact_map():
     beta = math.atan2(1.0, kappa)
     for theta0 in (beta, math.pi - beta, 0.5 * math.pi, beta - 1e-3,
                    3.0 * math.pi + beta - 1e-3):
-        th, steps, flags = spectral1d._integrate_phase(
+        th, steps, flags = rk_phase._integrate_phase(
             lambda t: 0.0, 1.0, E, 0.0, 1000.0, theta0, ())
         want = spectral1d._zero_tail(theta0, kappa, 1000.0)
         assert abs(th - want) <= 1e-9, (theta0, th, want)
@@ -811,26 +859,28 @@ def test_narrow_deep_box_in_a_near_threshold_stretch(monkeypatch):
 def _window_path(G, alpha, E, mode):
     """The phase count with neither the lead-in start nor the closed-form
     tail: every pass starts at its window end (the whole line at
-    atan2(1, kappa)) and the RK kernel runs through to B.  Returns the
-    count, uncertainty, flags, side counts and the final phase per pass, in
-    the order count_below_pruefer runs its passes."""
+    atan2(1, kappa)) and the mesh pass runs through to B, its G = 0
+    stretches included.  Returns the count, uncertainty, flags, side counts
+    and the final phase per pass, in the order count_below_pruefer runs its
+    passes."""
     A, B = counting_domain(G, alpha, E, mode)
     kappa = math.sqrt(-E)
-    gs, breaks = G.eval_scalar, G.breakpoints
 
-    def one(g, a, b, theta0, brk):
-        th, _, fl = spectral1d._integrate_phase(g, alpha, E, a, b, theta0,
-                                                brk)
-        c, u, fl2 = spectral1d._zeros_from_phase(th, kappa, tail=True)
-        return c, u, fl + fl2, th
+    def one(a, b, theta0):
+        th, _, settled = spectral1d._pass_phase(G, alpha, E, a, b, theta0,
+                                                0.0)
+        c, u, fl = spectral1d._zeros_from_phase(th, kappa, tail=True)
+        if not settled and "phase-near-node" not in fl:
+            fl.insert(0, "phase-near-node")
+            u = 1
+        return c, u, fl, th
 
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
-        passes = [one(gs, 0.0, B, 0.0, breaks),
-                  one(lambda s: gs(-s), 0.0, -A, 0.0, [-b for b in breaks])]
+        passes = [one(0.0, B, 0.0), one(0.0, A, 0.0)]
     elif mode == BoundaryMode.HALF_LINE_DIRICHLET:
-        passes = [one(gs, 0.0, B, 0.0, breaks)]
+        passes = [one(0.0, B, 0.0)]
     else:
-        passes = [one(gs, A, B, math.atan2(1.0, kappa), breaks)]
+        passes = [one(A, B, math.atan2(1.0, kappa))]
     flags = ["domain-truncated"] if G.truncated else []
     for p in passes:
         flags += p[2]
@@ -908,27 +958,113 @@ def test_lead_in_stops_before_a_narrow_deep_box(monkeypatch):
 
 
 def test_zero_tail_in_every_mode(monkeypatch):
-    # G = 0 past t = 1 and, in the Dirichlet-at-0 left pass, past s = 1:
-    # the kernel stops there and the tail is mapped in closed form, with
-    # the window path's counts, flags and phases
+    # G = 0 past t = 1 and, in the Dirichlet-at-0 left pass, before
+    # t = -1: the mesh pass stops there and the tail is mapped in closed
+    # form, with the window path's counts, flags and phases
     G = box_G(60.0, -1.0, 1.0)
     ends = []
-    kernel = spectral1d._integrate_phase
+    settle = spectral1d._pass_phase
 
     def spy(*args):
         ends.append(args[4])
-        return kernel(*args)
+        return settle(*args)
 
     for mode in BoundaryMode:
         for E in (-0.5, -7.0, -30.0):
             ends.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(spectral1d, "_integrate_phase", spy)
+                mp.setattr(spectral1d, "_pass_phase", spy)
                 count_below_pruefer(G, 1.0, E, mode)
-            assert ends == ([1.0, 1.0] if mode ==
+            assert ends == ([1.0, -1.0] if mode ==
                             BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else [1.0])
             _assert_matches_window_path(monkeypatch, G, 1.0, E, mode,
                                         (mode.value, E))
+
+
+def test_magnus_sweep_is_exact_for_constant_w():
+    # with w constant the propagator is the exact solution map, on any cut
+    # of [0, L] into intervals: where w = k^2 > 0 the phase is the closed
+    # form pi floor(psi/pi) + atan2(sin psi', k cos psi'), psi = k L + phi0,
+    # psi' = psi mod pi, tan phi0 = k tan theta0, and where w = -kappa^2
+    # it is _zero_tail's map, the hyperbolic branch scaled by e^-nu
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 40):
+        h = rng.uniform(0.1, 1.0, n)
+        L = float(np.sum(h))
+        for theta0 in (0.0, 0.3, 0.5 * math.pi, 3.0):
+            for k in (0.2, 3.0, 40.0):
+                w = np.full(n, k * k)
+                got = spectral1d._magnus_sweep(h, w, w, theta0)
+                psi = k * L + math.atan2(k * math.sin(theta0),
+                                         math.cos(theta0))
+                rest = psi - math.pi * math.floor(psi / math.pi)
+                want = (math.pi * math.floor(psi / math.pi)
+                        + math.atan2(math.sin(rest), k * math.cos(rest)))
+                assert got == pytest.approx(want, abs=1e-9), (n, theta0, k)
+                w = np.full(n, -k * k)
+                got = spectral1d._magnus_sweep(h, w, w, theta0)
+                want = spectral1d._zero_tail(theta0, k, L)
+                assert got == pytest.approx(want, abs=1e-9), (n, theta0, -k)
+
+
+def _ramp_G(lo, hi, g_lo, g_hi):
+    """A LogPotential stub: G linear from g_lo at lo to g_hi at hi, 0
+    outside [lo, hi)."""
+    def g_vec(t):
+        t = np.asarray(t, dtype=float)
+        ramp = g_lo + (g_hi - g_lo) * (t - lo) / (hi - lo)
+        return np.where((t >= lo) & (t < hi), ramp, 0.0)
+
+    return LogPotential(None, 1e-10, (lo, hi), (lo, hi), (lo, hi), False,
+                        max(g_lo, g_hi), hi if g_hi > g_lo else lo,
+                        0.5 * (g_lo + g_hi) * (hi - lo), 0.0, g_vec,
+                        lambda t: float(g_vec(t)))
+
+
+def test_the_left_pass_is_the_mirrored_right_pass(monkeypatch):
+    # the Dirichlet-at-0 left pass walks the mirrored intervals with their
+    # Gauss points swapped: over a ramp it ends where the right pass ends
+    # over the reflected ramp, to rounding, with the same side counts. The
+    # window ends at the ramp, so no zero tail pins both phases
+    G = _ramp_G(0.2, 1.7, 30.0, 80.0)
+    mirror = _ramp_G(-1.7, -0.2, 80.0, 30.0)
+    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    settle = spectral1d._pass_phase
+    thetas = []
+
+    def spy(*args):
+        out = settle(*args)
+        thetas.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectral1d, "_pass_phase", spy)
+    for E in (-5.0, -20.0, -40.0):
+        thetas.clear()
+        got = count_below_pruefer(G, 1.0, E, mode, domain=(-1.7, 1.7))
+        want = count_below_pruefer(mirror, 1.0, E, mode, domain=(-1.7, 1.7))
+        right, _, _, left = thetas
+        assert (got.extras["right"], got.extras["left"]) == (
+            want.extras["left"], want.extras["right"]), E
+        assert got.extras["right"] > 0, E
+        assert right == pytest.approx(left, abs=1e-12), E
+
+
+def test_a_pass_that_never_settles_is_flagged(monkeypatch):
+    # with no spread small enough to settle a pass (a tolerance below 0),
+    # every pass sweeps all _MAX_LEVEL bisections, keeps the count, and
+    # flags phase-near-node with uncertainty 1, once per pass
+    G = box_G(60.0, -1.0, 1.0)
+    for mode in BoundaryMode:
+        want = count_below_pruefer(G, 1.0, -7.0, mode)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral1d, "_SPREAD_TOL", -1.0)
+            got = count_below_pruefer(G, 1.0, -7.0, mode)
+        passes = 2 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else 1
+        assert want.flags == () and want.uncertainty == 0, mode
+        assert got.count == want.count, mode
+        assert got.flags == ("phase-near-node",) * passes, mode
+        assert got.uncertainty == passes, mode
+        assert got.steps > want.steps, mode
 
 
 def test_zero_tail_keeps_the_branch():
@@ -1213,3 +1349,49 @@ def test_fd_trimmed_pass_property_random_boxes(boxes, frac, mode):
     G = boxes_G(*boxes)
     E = -frac * G.g_max
     _assert_matches_full_window(G, 1.0, E, mode, (boxes, E, mode))
+
+
+@st.composite
+def _random_profiles(draw):
+    # a tabulated profile (piecewise linear in r, jumps at its ends) or a
+    # smooth bump, at moderate heights
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        steps = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+        r0 = draw(st.sampled_from([0.0, 0.1, 0.7]))
+        rs = list(r0 + np.cumsum(steps) - steps[0])
+        fs = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+        return make_catalog_potential("tabulated", {"r": rs, "f": fs})
+    center = draw(st.floats(0.3, 3.0))
+    return make_catalog_potential("bump", {
+        "height": draw(st.floats(0.1, 5.0)), "center": center,
+        "halfwidth": draw(st.floats(0.05, 0.95)) * center})
+
+
+@seed(7)
+@settings(max_examples=40, deadline=None)
+@given(P=_random_profiles(), log_alpha=st.floats(math.log(3.0),
+                                                 math.log(3200.0)),
+       frac=st.floats(0.0, 1.0))
+def test_mesh_pass_property_random_profiles(P, log_alpha, frac):
+    # on random profiles, at a random channel below the top of alpha G: the
+    # mesh pass and the RK oracle agree on the count within the stated
+    # uncertainty in every mode, and on the final phases to 1e-7 where
+    # neither flags; the plane count's N_m is nonincreasing in m
+    G = to_log(P, strict=False)
+    alpha = math.exp(log_alpha)
+    assume(channel_energy(G, alpha) is not None)
+    E = channel_energy(G, alpha, int(frac * math.sqrt(alpha * G.g_max)))
+    for mode in BoundaryMode:
+        with pytest.MonkeyPatch.context() as mp:
+            got, th_got = _final_phases(mp, G, alpha, E, mode)
+        want = count_below_rk(G, alpha, E, mode)
+        case = (mode.value, alpha, E)
+        tol = max(got.uncertainty, want.uncertainty)
+        assert abs(got.count - want.count) <= tol, case
+        if not got.flags and not want.flags:
+            assert len(th_got) == len(want.extras["thetas"]), case
+            for a, b in zip(th_got, want.extras["thetas"]):
+                assert abs(a - b) <= 1e-7, (case, a, b)
+    counts = list(total_count(P, alpha).per_channel.values())
+    assert all(a >= b for a, b in zip(counts, counts[1:])), counts
