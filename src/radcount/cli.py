@@ -341,10 +341,18 @@ def _add_quad_tols(p: argparse.ArgumentParser):
     p.add_argument("--quad-rel-tol", type=float, default=1e-8)
 
 
+class _Parser(argparse.ArgumentParser):
+    # -1e-3 is a number, not an option (argparse's pattern: -1 and -1.5)
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a mistyped or deleted long option is an error,
-    # never a silent match for another one
-    ap = argparse.ArgumentParser(
+    # never a silent match for another one; subparsers are _Parsers too
+    ap = _Parser(
         prog="radcount", allow_abbrev=False,
         description="bound-state counting and growth classification for "
                     "radial plane potentials")

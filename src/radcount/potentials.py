@@ -241,7 +241,8 @@ def _build_bump(p: Mapping[str, float]) -> _Profile:
         r = np.asarray(r, float)
         mask = (r > lo) & (r < hi)
         x2 = np.where(mask, np.square((r - c) / w), 0.0)
-        val = h * np.exp(1.0 - 1.0 / (1.0 - x2))
+        # x2 rounds to 1 an ulp inside an end: exp(1 - 1e300) is 0 there
+        val = h * np.exp(1.0 - 1.0 / np.maximum(1.0 - x2, 1e-300))
         return np.where(mask, val, 0.0)
 
     def g_vec(t):
@@ -250,7 +251,7 @@ def _build_bump(p: Mapping[str, float]) -> _Profile:
         mask = (r > lo) & (r < hi)
         x2 = np.where(mask, np.square((r - c) / w), 0.0)
         tv = np.where(mask, t, 0.0)
-        val = h * np.exp(2.0 * tv + 1.0 - 1.0 / (1.0 - x2))
+        val = h * np.exp(2.0 * tv + 1.0 - 1.0 / np.maximum(1.0 - x2, 1e-300))
         return np.where(mask, val, 0.0)
 
     def g_scalar(t):

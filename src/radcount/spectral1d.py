@@ -27,14 +27,15 @@ Two independent engines with no shared discretization machinery:
 
   * count_below_fd: three-point finite differences on a uniform grid and a
     Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
-    negative pivots; never forms eigenvalues. The pass, too, runs only where
-    the count is decided. Where G = 0 the diagonal is the constant
-    2 - h^2 E > 2, and its pivots have closed forms: a leading run from the
-    Dirichlet end holds none that is negative, a trailing run at most one.
-    While the diagonal is >= 2, every pivot is >= 1, so the pass starts at a
-    lead-in node left of the first allowed one, from which an error in the
-    entering pivot shrinks by 1e-12, and past the last allowed node it
-    stops at the first pivot >= 1.
+    negative pivots; never forms eigenvalues. The count is nondecreasing in
+    E: where the passes at E -/+ delta of the near-threshold flag agree, E
+    is not swept. The pass, too, runs only where the count is decided.
+    Where G = 0 the diagonal is the constant 2 - h^2 E > 2, and its pivots
+    have closed forms: a leading run from the Dirichlet end holds none that
+    is negative, a trailing run at most one. While the diagonal is >= 2,
+    every pivot is >= 1, so the pass starts at a lead-in node left of the
+    first allowed one, from which an error in the entering pivot shrinks by
+    1e-12, and past the last allowed node it stops at the first pivot >= 1.
 
 Both count the same thing up to discretization windows, and on an identical
 finite interval with Dirichlet ends (`truncated=True` for the phase engine)
@@ -239,12 +240,14 @@ def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     overflows. (u, u') is normalised after each interval.
 
     On an interval u(s) = u cos(mu s) + (B/mu) sin(mu s), s in [0, 1],
-    B = c u + h u', holds exactly, so its zeros in (0, 1] number
-    floor((phi + mu)/pi) - floor(phi/pi), phi = atan2(u, B/mu); a
-    hyperbolic interval has at most one zero, a sign change. The count is
-    taken with the parity of the signs of u at the two ends, so that
-    phi + mu within a rounding of a multiple of pi moves it by one to agree
-    with them. The phase is pi * zeros + (atan2(u, u') mod pi). The
+    B = c u + h u', holds exactly. Where no oscillatory interval of a block
+    turns by mu >= pi/2 (the mesh keeps mu near 1/2), each interval has at
+    most one zero, counted where u changes sign or reaches 0. Otherwise an
+    oscillatory interval has floor((phi + mu)/pi) - floor(phi/pi) zeros in
+    (0, 1], phi = atan2(u, B/mu), and a hyperbolic one at most one, a sign
+    change; the count is taken with the parity of the signs of u at the two
+    ends, so that phi + mu within a rounding of a multiple of pi moves it
+    by one. The phase is pi * zeros + (atan2(u, u') mod pi). The
     intervals are swept in blocks of _SWEEP_BLOCK, so that a deeply
     bisected pass holds the states and matrices of one block at a time."""
     u, v = math.sin(theta0), math.cos(theta0)
@@ -274,6 +277,7 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
     snc = sn * c
     snh = sn * h
     us, vs = [u], [v]
+    wide = bool(np.any(osc & (mu >= 0.5 * math.pi)))
     for p, q, r, s in zip((cs + snc).tolist(), snh.tolist(),
                           (-snh * wbar).tolist(), (cs - snc).tolist()):
         u, v = p * u + q * v, r * u + s * v
@@ -281,9 +285,15 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
         u /= n
         v /= n
         us.append(u)
-        vs.append(v)
+        if wide:
+            vs.append(v)
     U = np.array(us)
     u0, u1 = U[:-1], U[1:]
+    if not wide:
+        # mu < pi/2; from u = 0 an interval holds no zero, as u(s) keeps
+        # the sign of u' up to s = pi/mu > 1
+        odd = (u1 == 0.0) | (((u0 < 0.0) != (u1 < 0.0)) & (u0 != 0.0))
+        return u, v, float(np.count_nonzero(odd))
     B = c * u0 + h * np.array(vs[:-1])
     # a zero in (0, 1] is odd in number iff u changes sign, or reaches 0,
     # from its sign at 0+ (that of B where u = 0); on an oscillatory
@@ -478,6 +488,8 @@ def count_below_pruefer(G, alpha: float, E: float,
 
 # most intervals of a uniform grid (fd counts and bs_spectrum)
 _N_CAP = 3_000_000
+# nodes in the first chunk of a block's head that _block_count reads
+_HEAD_CHUNK = 256
 
 
 def _sturm_pass(a: list[float], d: float = math.inf
@@ -553,13 +565,25 @@ def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
     allowed = np.flatnonzero(core < 2.0)
     if allowed.size == 0:
         return 0, False, 0
-    # acosh(a/2) = 2 asinh(sqrt(a - 2)/2); a - 2 is exact for a in [2, 4]
+    # acosh(a/2) = 2 asinh(sqrt(a - 2)/2); a - 2 is exact for a in [2, 4].
+    # Summed back from the first allowed node in chunks growing 4x, until
+    # _LEAD_IN: the whole head's running sums, in its order. G >= 0, so a
+    # node adds at most theta_c: fewer than `need` nodes, _LEAD_IN/theta_c
+    # less a rounding margin, never reach it
     theta_c = 2.0 * math.asinh(0.5 * math.sqrt(a_c - 2.0))
-    th = 2.0 * np.arcsinh(0.5 * np.sqrt(core[: allowed[0]] - 2.0))
-    i = int(np.searchsorted(np.cumsum(th[::-1]), _LEAD_IN))
-    if i < th.size:
-        j = th.size - 1 - i
-        d = math.exp(float(th[j]))
+    need = 0.999999 * _LEAD_IN / max(theta_c, 1e-300)
+    top = int(allowed[0]) if allowed[0] >= need else 0
+    run, size = 0.0, max(_HEAD_CHUNK, int(need))
+    while top > 0:
+        lo = max(top - size, 0)
+        th = 2.0 * np.arcsinh(0.5 * np.sqrt(core[lo:top] - 2.0))
+        sums = np.cumsum(np.concatenate(([run], th[::-1])))[1:]
+        i = int(np.searchsorted(sums, _LEAD_IN))
+        if i < th.size:
+            j = top - 1 - i
+            d = math.exp(float(th[j - lo]))
+            break
+        top, run, size = lo, float(sums[-1]), 4 * size
     else:
         j = 0
         d = _run_pivot(theta_c, first - 1) if first else math.inf
@@ -602,9 +626,13 @@ def count_below_fd(G, alpha: float, E: float,
     Sturm pivot pass; no eigenvalues are formed.
 
     The count refers to the finite window with Dirichlet ends and a grid
-    step near h (by default from the window, alpha * max G and E). A
-    near-threshold flag is raised when counting at E -/+ the threshold
-    offset disagrees, and a zero pivot triggers an ulp-scale shift (flagged).
+    step near h (by default from the window, alpha * max G and E). With
+    near_threshold_check, E -/+ delta (delta = threshold_eps) are swept
+    first: the count is nondecreasing in E, so where they agree block by
+    block and met no zero pivot, theirs is the count at E. Otherwise E is
+    swept too, and probes that disagree raise `near-threshold`. A zero
+    pivot triggers an ulp-scale retry, flagged `pivot-shift` when the count
+    is read from that sweep. `steps` counts the pivots of every sweep run.
 
     Each Dirichlet block is swept, per energy, only from a start node up
     to its last node where G moves the diagonal, or less (the settled
@@ -622,7 +650,7 @@ def count_below_fd(G, alpha: float, E: float,
         exp(-2 sum acosh(a_k/2)). If that factor, from a node j past the
         head to the first allowed node (a_i < 2), is 1e-12 or less, the
         sweep starts at the latest such j instead, entering with the
-        decaying ratio r+(a_j);
+        decaying ratio r+(a_j); the head is read back only that far;
       * settled sweep: past the last allowed node every a_i >= 2, so after
         a pivot >= 1 every pivot is >= 1, and the tail adds nothing
         (d >= 1 > 1/_run_pivot); the sweep stops at the first such pivot.
@@ -631,8 +659,7 @@ def count_below_fd(G, alpha: float, E: float,
     the entering pivot, and the lead-in up to its 1e-12 contraction, so the
     count is the full sweep's unless a pivot or a bisection probe lies
     within that distance of zero; a zero pivot in a closed-form run is not
-    seen, so it raises no `pivot-shift`. `steps` counts the pivots swept,
-    at E and E -/+ delta and in any retry.
+    seen, so it raises no `pivot-shift`.
     """
     _validate(alpha, E)
     mode = BoundaryMode(mode)
@@ -678,22 +705,25 @@ def count_below_fd(G, alpha: float, E: float,
             counts.append(cnt)
         return counts, zero_hit, swept
 
-    per_block, zero_hit, steps = counts_at(E)
+    delta = threshold_eps(G, alpha) if near_threshold_check else 0.0
+    per_block, zero_hit, steps, lo, hi = None, False, 0, 0, 0
+    if delta > 0.0:
+        c_lo, z_lo, k_lo = counts_at(E - delta)
+        c_hi, z_hi, k_hi = counts_at(E + delta)
+        lo, hi, steps = sum(c_lo), sum(c_hi), k_lo + k_hi
+        if c_lo == c_hi and not (z_lo or z_hi):
+            per_block = c_lo
+    if per_block is None:
+        per_block, zero_hit, k = counts_at(E)
+        steps += k
     count = sum(per_block)
     uncertainty = 0
     if zero_hit:
         flags.append("pivot-shift")
         uncertainty = 1
-    if near_threshold_check:
-        delta = threshold_eps(G, alpha)
-        if delta > 0.0:
-            c_lo, _, k_lo = counts_at(E - delta)
-            c_hi, _, k_hi = counts_at(E + delta)
-            steps += k_lo + k_hi
-            lo, hi = sum(c_lo), sum(c_hi)
-            if lo != hi:
-                flags.append("near-threshold")
-                uncertainty = max(uncertainty, abs(hi - lo))
+    if lo != hi:
+        flags.append("near-threshold")
+        uncertainty = max(uncertainty, abs(hi - lo))
     sides = dict(zip(("left", "right"), per_block)) if k0 is not None else {}
     return CountResult(count, "fd", E, mode.value, (A, B), h, steps,
                        uncertainty, tuple(flags),

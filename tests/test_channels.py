@@ -348,9 +348,10 @@ def test_total_count_phase_steps_slowtail_5(catalog, monkeypatch):
 
 def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
     # the work of the fd engine at disk alpha=3200: the 53 counts sweep
-    # 226203 pivots in all (at E and E -/+ delta), only from the lead-in or
-    # the end of the constant head up to the support end t = 0, out of
-    # 3 x 581203 grid nodes; every channel count is the Bessel oracle's
+    # 150802 pivots in all (at E -/+ delta, whose counts agree, so none at
+    # E; 226203 with E swept too), only from the lead-in or the end of the
+    # constant head up to the support end t = 0, out of 2 x 581203 grid
+    # nodes; every channel count is the Bessel oracle's
     seen = []
 
     def counting(*args, **kw):
@@ -364,18 +365,19 @@ def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
     assert b.per_channel == per
     assert len(seen) == 53
     assert sum(r.extras["n_nodes"] for r in seen) == 581203
-    assert sum(r.steps for r in seen) == 226203
+    assert sum(r.steps for r in seen) == 150802
 
 
 @pytest.mark.parametrize("name, counts, total, nodes, pivots", [
-    ("counterexample", 7, 98, 696463, 542745),
-    ("bump", 125, 3874, 519945, 364632),
+    ("counterexample", 7, 98, 696463, 361830),
+    ("bump", 125, 3874, 519945, 243089),
 ])
 def test_fd_sturm_work_at_3200(catalog, monkeypatch, name, counts, total,
                                nodes, pivots):
     # past the last allowed node the sweep stops at the first pivot >= 1;
-    # on the slow tail, whose G > 0 runs to the window end, that cuts the
-    # swept pivots from 2071755 to 542745 (bump: 394500 to 364632)
+    # on the slow tail, whose G > 0 runs to the window end, that cut the
+    # swept pivots of three sweeps from 2071755 to 542745 (bump: 394500 to
+    # 364632); the two agreeing probes alone sweep 361830 (bump: 243089)
     seen = []
 
     def counting(*args, **kw):

@@ -113,6 +113,23 @@ def test_count1d_fd_just_below_zero(capsys):
     assert (rep["count"], rep["flags"]) == (3, [])
 
 
+def test_count1d_reads_negative_e_notation(capsys):
+    # a channel energy such as -4e-08 follows --energy as its own token
+    # (argparse takes only -1 and -1.5 for negative numbers by itself)
+    for energy in ("-4e-08", "-4E-8", "-.4e-7", "-4.0e-08"):
+        code, doc = run_json(capsys, "count1d", "--spec", "square-well",
+                             "--alpha", "40", "--energy", energy,
+                             "--method", "both")
+        assert code == 0
+        rep = doc["report"]
+        assert rep["fd"]["energy"] == rep["pruefer"]["energy"] == -4e-08
+        assert rep["agree"] is True
+    with pytest.raises(SystemExit) as e:
+        main(["count1d", "--spec", "square-well", "--alpha", "40",
+              "--energy", "-x"])
+    assert e.value.code == 2
+
+
 def test_count_breakdown_and_sandwich(capsys):
     code, doc = run_json(capsys, "count", "--spec", "square-well",
                          "--alpha", "200", "--breakdown",

@@ -7,6 +7,7 @@ high-precision quadrature runs otherwise.
 """
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,32 @@ def test_integral_J_oracle_regressions(catalog):
     assert abs(integral_J(catalog["counterexample"])[0]
                - J_COUNTEREXAMPLE) < 1e-9
     assert abs(integral_J(catalog["bump"])[0] - J_BUMP) < 1e-6
+
+
+def test_bump_evaluators_at_the_support_ends():
+    # within a few ulps inside an end ((r - c)/w)^2 rounds to 1, which
+    # divided by zero; both evaluators read 0 there, with no warning
+    c, w = 2.8246955442269743, 2.2153188863732978
+    P = make_catalog_potential("bump", {
+        "height": 0.11341865083372567, "center": c, "halfwidth": w})
+    G = to_log(P, strict=False)
+    def near(ends):
+        # every end and the 8 floats either side of it
+        down = up = np.asarray(ends, dtype=float)
+        out = [down]
+        for _ in range(8):
+            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+            out += [down, up]
+        return np.concatenate(out)
+
+    r = near([c - w, c + w])
+    t = near([math.log(c - w), math.log(c + w)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, g = P.profile(r), G.eval(t)
+    for vals in (f, g):
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert np.all(vals < 1e-12)
 
 
 def test_logweight_square_well():

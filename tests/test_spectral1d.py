@@ -29,6 +29,7 @@ from radcount.potentials import LogPotential
 import rk_phase
 from rk_phase import count_below_rk
 from radcount.spectral1d import (
+    CountResult,
     bs_spectrum,
     channel_energy,
     count_below_fd,
@@ -1091,8 +1092,8 @@ def test_zero_tail_keeps_the_branch():
 
 # The Sturm sweep as it was before the pass was trimmed: every node of a
 # Dirichlet block from its Dirichlet end. Patched in for `_block_count`,
-# it makes count_below_fd the full-window count, which the trimmed pass
-# must reproduce exactly (steps aside: the reference reports every node).
+# it makes an fd count the full-window count, which the trimmed pass must
+# reproduce exactly (steps aside: the reference reports every node).
 def _full_window_sturm(a):
     neg = 0
     hit_zero = False
@@ -1111,13 +1112,78 @@ def _full_window_block(arr, first, stop, a_c):
     return (*_full_window_sturm(arr.tolist()), arr.size)
 
 
+def _three_sweep_fd(G, alpha, E, mode=BoundaryMode.WHOLE_LINE, *,
+                    domain=None, h=None, near_threshold_check=True):
+    """count_below_fd as it was before its probes could decide the count:
+    the count, its flags and side counts are read from a sweep at E, and
+    the probes at E -/+ delta only raise `near-threshold`. Each block is
+    counted by spectral1d._block_count, so patching that patches this."""
+    mode = BoundaryMode(mode)
+    A, B = domain if domain is not None else counting_domain(G, alpha, E,
+                                                             mode)
+    flags = ["domain-truncated"] if G.truncated else []
+    if alpha * G.g_max + E <= 0.0:
+        return CountResult(0, "fd", E, mode.value, (A, B),
+                           flags=tuple(flags + ["below-spectrum"]))
+    if h is None:
+        h = min(1e-3 * (B - A),
+                1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
+    A, B, h, n, k0, capped = spectral1d._line_grid(A, B, h, mode)
+    if capped:
+        flags.append("grid-coarsened")
+    gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
+    base = 2.0 - (h * h) * (alpha * gv)
+    blocks = [base] if k0 is None else [base[: k0 - 1], base[k0:]]
+    cores = []
+    for blk in blocks:
+        vary = np.flatnonzero(blk != 2.0)
+        cores.append((int(vary[0]), int(vary[-1]) + 1) if vary.size
+                     else (0, 0))
+
+    def counts_at(energy):
+        counts, zero_hit, swept = [], False, 0
+        a_c = 2.0 - (h * h) * energy
+        for blk, (first, stop) in zip(blocks, cores):
+            arr = blk - (h * h) * energy
+            cnt, hz, k = spectral1d._block_count(arr, first, stop, a_c)
+            swept += k
+            if hz:
+                shift = 4.0 * np.finfo(float).eps * float(np.max(np.abs(arr)))
+                cnt, _, k = spectral1d._block_count(arr + shift, first, stop,
+                                                    a_c + shift)
+                swept += k
+                zero_hit = True
+            counts.append(cnt)
+        return counts, zero_hit, swept
+
+    per_block, zero_hit, steps = counts_at(E)
+    uncertainty = 0
+    if zero_hit:
+        flags.append("pivot-shift")
+        uncertainty = 1
+    delta = threshold_eps(G, alpha)
+    if near_threshold_check and delta > 0.0:
+        c_lo, _, k_lo = counts_at(E - delta)
+        c_hi, _, k_hi = counts_at(E + delta)
+        steps += k_lo + k_hi
+        if sum(c_lo) != sum(c_hi):
+            flags.append("near-threshold")
+            uncertainty = max(uncertainty, abs(sum(c_hi) - sum(c_lo)))
+    sides = dict(zip(("left", "right"), per_block)) if k0 is not None else {}
+    return CountResult(sum(per_block), "fd", E, mode.value, (A, B), h, steps,
+                       uncertainty, tuple(flags),
+                       {"n_nodes": sum(len(b) for b in blocks), **sides})
+
+
 def _full_window_fd(*args, **kw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral1d, "_block_count", _full_window_block)
-        return count_below_fd(*args, **kw)
+        return _three_sweep_fd(*args, **kw)
 
 
 def _assert_matches_full_window(G, alpha, E, mode, case, **kw):
+    # the two-probe count with the trimmed sweep against the three-sweep
+    # count over every node: the same count, uncertainty, flags and sides
     got = count_below_fd(G, alpha, E, mode, **kw)
     want = _full_window_fd(G, alpha, E, mode, **kw)
     for name in ("count", "uncertainty", "flags", "extras"):
@@ -1228,15 +1294,19 @@ def test_fd_constant_runs_of_0_1_2_nodes(monkeypatch, head, tail):
                 + [float(e) * (1.0 + s) for e in levels
                    for s in (1e-12, -1e-12)])
     sweeps = _swept_negatives(monkeypatch)
-    from_tail = 0
+    from_tail = flagged = 0
     for E in energies:
         sweeps.clear()
         got = _assert_matches_full_window(G, 1.0, E, BoundaryMode.WHOLE_LINE,
                                           (head, tail, E), **kw)
-        assert got.steps == 3 * (9 - head - tail) == sum(
+        # probes at E -/+ delta, and E itself only where they disagree
+        near = "near-threshold" in got.flags
+        assert got.steps == (2 + near) * (9 - head - tail) == sum(
             n for n, _ in sweeps), E
-        from_tail += got.count > sweeps[0][1]
+        from_tail += got.count > sweeps[-1 if near else 0][1]
+        flagged += near
     assert (from_tail > 0) == (tail > 0)
+    assert 0 < flagged < len(energies)
 
 
 @pytest.mark.parametrize("tail", (0, 1))
@@ -1276,12 +1346,67 @@ def test_fd_sweep_stops_once_settled(monkeypatch, tail):
 def test_fd_zero_pivot_past_the_last_allowed_node():
     # h = 0.5, E = -2: G = 8 at t = 0.5 gives the allowed diagonal 0.5 and
     # pivot 0.5; G = 2 at t = 1 gives the diagonal 2 exactly, past the last
-    # allowed node, where the pivot 2 - 1/0.5 is 0.0 and is flagged
+    # allowed node, where the pivot 2 - 1/0.5 is 0.0 and is flagged by
+    # the one sweep, at E
     G = boxes_G((8.0, 0.25, 0.75), (2.0, 0.75, 1.25))
     got = _assert_matches_full_window(
         G, 1.0, -2.0, BoundaryMode.WHOLE_LINE, "zero pivot",
-        domain=(0.0, 4.0), h=0.5)
+        domain=(0.0, 4.0), h=0.5, near_threshold_check=False)
     assert "pivot-shift" in got.flags and got.uncertainty == 1
+
+
+def test_fd_zero_pivot_between_agreeing_probes(monkeypatch):
+    # the zero pivot above, at E = -2 exactly: the probes at E -/+ delta
+    # meet no zero pivot and agree, so theirs is the count at E, exact,
+    # with no flag and no sweep at E; the three-sweep count reads the same
+    # count from E, flagged pivot-shift. A zero pivot in a probe (at
+    # E - delta = -2) still sends the count to a sweep at E
+    G = boxes_G((8.0, 0.25, 0.75), (2.0, 0.75, 1.25))
+    kw = dict(domain=(0.0, 4.0), h=0.5)
+    sweeps = _swept_negatives(monkeypatch)
+    got = count_below_fd(G, 1.0, -2.0, **kw)
+    assert (got.count, got.uncertainty, got.flags) == (1, 0, ())
+    assert len(sweeps) == 2 and got.steps == 4
+    sweeps.clear()
+    want = _three_sweep_fd(G, 1.0, -2.0, **kw)
+    assert (want.count, want.uncertainty, want.flags) == (1, 1,
+                                                          ("pivot-shift",))
+    delta = threshold_eps(G, 1.0)
+    E = -2.0 + delta
+    assert E - delta == -2.0
+    sweeps.clear()
+    got = _assert_matches_full_window(G, 1.0, E, BoundaryMode.WHOLE_LINE,
+                                      "zero pivot in a probe", **kw)
+    # E - delta, its retry, E + delta, E
+    assert len(sweeps) == 4 and got.steps == 8
+    assert (got.count, got.flags) == (1, ())
+
+
+def test_fd_probes_that_disagree_sweep_E(monkeypatch):
+    # just above a level of the grid problem the probes straddle it: the
+    # count is read from a third sweep, at E, and flagged near-threshold
+    # with uncertainty 1, as the three-sweep count has it
+    G = boxes_G((400.0, 0.25, 0.75))
+    kw = dict(domain=(0.0, 1.0), h=0.1)
+    levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
+    counts = []
+    block_count = spectral1d._block_count
+
+    def spy(*args):
+        out = block_count(*args)
+        counts.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectral1d, "_block_count", spy)
+    for level in levels[levels < 0.0]:
+        for E in (float(level) * (1.0 - 1e-12), float(level) * (1.0 + 1e-12)):
+            counts.clear()
+            got = _assert_matches_full_window(
+                G, 1.0, E, BoundaryMode.WHOLE_LINE, E, **kw)
+            assert got.flags == ("near-threshold",) and got.uncertainty == 1
+            lo, hi, at = counts[:3]   # E - delta, E + delta, E
+            assert (lo + 1, at) == (hi, got.count) == (
+                hi, int(np.sum(levels < E))), E
 
 
 def test_fd_dirichlet_at_0_blocks(monkeypatch):
@@ -1298,7 +1423,8 @@ def test_fd_dirichlet_at_0_blocks(monkeypatch):
             sweeps.clear()
             got = _assert_matches_full_window(G, 1.0, E, mode, E, **kw)
             swept = 1 if blocks == 1 or E < -300.0 else 2
-            assert len(sweeps) == 3 * swept, E
+            # the probes decide: E - delta first, then E + delta
+            assert got.flags == () and len(sweeps) == 2 * swept, E
             if blocks == 1:
                 assert got.extras["left"] == 0
     assert got.extras["left"] > 0 and got.extras["right"] > 0
@@ -1309,13 +1435,13 @@ def test_fd_zero_pivot_retry_is_trimmed_too(monkeypatch):
     # exactly 1: the second pivot is 0.0, and the retry with the ulp shift
     # sweeps the same two nodes again, the five-node tail in closed form
     G = boxes_G((5.0, 0.25, 1.25))
-    kw = dict(domain=(0.0, 4.0), h=0.5)
+    kw = dict(domain=(0.0, 4.0), h=0.5, near_threshold_check=False)
     sweeps = _swept_negatives(monkeypatch)
     got = _assert_matches_full_window(G, 1.0, -1.0, BoundaryMode.WHOLE_LINE,
                                       "zero pivot", **kw)
     assert "pivot-shift" in got.flags and got.uncertainty == 1
-    assert [n for n, _ in sweeps] == [2, 2, 2, 2]   # E, retry, E -/+ delta
-    assert got.steps == 8
+    assert [n for n, _ in sweeps] == [2, 2]   # E, retry
+    assert got.steps == 4
 
 
 def test_run_pivot_is_the_constant_run_recursion():
@@ -1349,6 +1475,215 @@ def test_fd_trimmed_pass_property_random_boxes(boxes, frac, mode):
     G = boxes_G(*boxes)
     E = -frac * G.g_max
     _assert_matches_full_window(G, 1.0, E, mode, (boxes, E, mode))
+
+
+@settings(max_examples=40, deadline=None)
+@given(boxes=_random_boxes(), k=st.integers(0, 200),
+       side=st.sampled_from([-1e-12, 1e-12]),
+       mode=st.sampled_from(list(BoundaryMode)))
+def test_fd_two_probes_property_near_levels(boxes, k, side, mode):
+    # within delta of a level of the grid problem the probes disagree, so
+    # the count is swept at E and flagged near-threshold: on random boxes
+    # it is the three-sweep count, side counts included. In the split mode
+    # the levels are those of the blocks either side of t = 0
+    G = boxes_G(*boxes)
+    h = 1.0 / 16.0
+    cuts = ((-4.0, 0.0, 4.0) if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+            else (-4.0, 4.0))
+    levels = np.concatenate([_fd_levels(G, 1.0, a, b, h)
+                             for a, b in zip(cuts, cuts[1:])])
+    levels = levels[levels < 0.0]
+    assume(levels.size > 0)
+    E = float(levels[k % levels.size]) * (1.0 + side)
+    got = _assert_matches_full_window(G, 1.0, E, mode, (boxes, E, mode),
+                                      domain=(-4.0, 4.0), h=h)
+    assert "near-threshold" in got.flags and got.uncertainty >= 1
+
+
+_CATALOG_NAMES = ("zero", "square-well", "annulus", "gaussian", "bump",
+                  "counterexample", "counterexample-damped",
+                  "counterexample-damped-strong")
+
+
+@pytest.mark.parametrize("name", _CATALOG_NAMES)
+def test_fd_two_probes_match_three_sweeps(catalog, name):
+    # at every channel energy of the plane count at alpha in {3, 25, 200,
+    # 800, 3200}, and at m = 0 in the Dirichlet modes: the count that
+    # agreeing probes decide is the three-sweep count, with its
+    # uncertainty, flags and side counts, and never more pivots
+    G = to_log(catalog[name], strict=False)
+    for alpha in (3.0, 25.0, 200.0, 800.0, 3200.0):
+        for mode in BoundaryMode:
+            m = 0
+            while (E := channel_energy(G, alpha, m)) is not None:
+                got = count_below_fd(G, alpha, E, mode)
+                want = _three_sweep_fd(G, alpha, E, mode)
+                for attr in ("count", "uncertainty", "flags", "extras"):
+                    assert getattr(got, attr) == getattr(want, attr), (
+                        alpha, mode, m, attr)
+                assert got.steps <= want.steps, (alpha, mode, m)
+                if not got.count or mode != BoundaryMode.WHOLE_LINE:
+                    break
+                m += 1
+
+
+def _whole_head_block_count(arr, first, stop, a_c):
+    """_block_count with the contraction taken over the whole head at once:
+    the start node and entering pivot that the chunked head must give."""
+    core = arr[first:stop]
+    n_tail = len(arr) - stop
+    allowed = np.flatnonzero(core < 2.0)
+    if allowed.size == 0:
+        return 0, False, 0
+    theta_c = 2.0 * math.asinh(0.5 * math.sqrt(a_c - 2.0))
+    th = 2.0 * np.arcsinh(0.5 * np.sqrt(core[: allowed[0]] - 2.0))
+    i = int(np.searchsorted(np.cumsum(th[::-1]), spectral1d._LEAD_IN))
+    if i < th.size:
+        j = th.size - 1 - i
+        d = math.exp(float(th[j]))
+    else:
+        j = 0
+        d = spectral1d._run_pivot(theta_c, first - 1) if first else math.inf
+    last = int(allowed[-1]) + 1
+    neg, hit_zero, d = spectral1d._sturm_pass(core[j:last].tolist(), d)
+    n_set, hz_set, d, k = spectral1d._settle_pass(core[last:].tolist(), d)
+    if n_tail and 0.0 < d < 1.0 / spectral1d._run_pivot(theta_c, n_tail - 1):
+        neg += 1
+    return neg + n_set, hit_zero or hz_set, last - j + k
+
+
+@pytest.mark.parametrize("scale", (1e-4, 1.0))
+def test_fd_head_read_in_chunks_is_the_whole_head(monkeypatch, scale):
+    # the head's contraction, summed back from the first allowed node in
+    # chunks, gives the start node, the entering pivot, the count and the
+    # steps of the whole head, bit for bit: heads that cannot reach the
+    # lead-in (the sweep starts at the core, entering from a Dirichlet end
+    # or a constant run, first > 0) and longer ones (it starts inside the
+    # first, a later or the last chunk), down to heads of G = 0 nodes, each
+    # adding the most, theta_c, around the shortest that reaches it. First
+    # chunks of 1 and 3 nodes cut the head wherever the bound lets them
+    rng = np.random.default_rng(5)
+    sturm = spectral1d._sturm_pass
+    entering = []
+
+    def spy(a, d=math.inf):
+        entering.append((len(a), d))
+        return sturm(a, d)
+
+    monkeypatch.setattr(spectral1d, "_sturm_pass", spy)
+    a_c = 2.0 + scale
+    theta_c = 2.0 * math.asinh(0.5 * math.sqrt(scale))
+    shortest = math.ceil(spectral1d._LEAD_IN / theta_c)
+    heads = [2.0 + scale * rng.uniform(0.05, 1.0, n)
+             for n in (0, 1, 10, 64, 65, 300, 1500, 3000, 20000)]
+    heads += [np.full(n, a_c) for n in range(shortest - 2, shortest + 3)]
+    starts = set()
+    for head in heads:
+        core = np.concatenate([head, 2.0 - rng.uniform(0.1, 1.0, 20),
+                               2.0 + rng.uniform(0.01, 0.1, 5)])
+        for first in (0, 7):
+            arr = np.concatenate([np.full(first, a_c), core,
+                                  np.full(9, a_c)])
+            stop = first + core.size
+            entering.clear()
+            want = (_whole_head_block_count(arr, first, stop, a_c),
+                    tuple(entering))
+            for chunk in (spectral1d._HEAD_CHUNK, 1, 3):
+                monkeypatch.setattr(spectral1d, "_HEAD_CHUNK", chunk)
+                entering.clear()
+                got = spectral1d._block_count(arr, first, stop, a_c)
+                assert (got, tuple(entering)) == want, (head.size, first)
+            starts.add((head.size >= shortest - 2,
+                        want[1][0][0] < head.size + 20))
+    assert starts >= {(False, False), (True, False), (True, True)}
+
+
+def _formula_sweep_block(h, w1, w2, u, v):
+    """_sweep_block with the zeros of every interval taken from the phase,
+    floor((phi + mu)/pi) - floor(phi/pi), phi = atan2(u, B/mu), with the
+    parity of the signs of u: the count that the sign count keeps."""
+    wbar = 0.5 * (w1 + w2)
+    c = spectral1d._MAGNUS_C * h * h * (w2 - w1)
+    mu2 = h * h * wbar - c * c
+    osc = mu2 > 0.0
+    mu = np.sqrt(np.abs(mu2))
+    pos = mu > 0.0
+    safe = np.where(pos, mu, 1.0)
+    em = 0.5 * np.expm1(-2.0 * mu)
+    cs = np.where(osc, np.cos(mu), 1.0 + em)
+    sn = np.where(osc, np.sin(mu), np.where(pos, -em, 1.0)) / safe
+    snc = sn * c
+    snh = sn * h
+    us, vs = [u], [v]
+    for p, q, r, s in zip((cs + snc).tolist(), snh.tolist(),
+                          (-snh * wbar).tolist(), (cs - snc).tolist()):
+        u, v = p * u + q * v, r * u + s * v
+        n = abs(u) + abs(v)
+        u /= n
+        v /= n
+        us.append(u)
+        vs.append(v)
+    U = np.array(us)
+    u0, u1 = U[:-1], U[1:]
+    B = c * u0 + h * np.array(vs[:-1])
+    s0 = np.where(u0 != 0.0, u0, B)
+    odd = ((u1 == 0.0) | ((s0 < 0.0) != (u1 < 0.0))).astype(float)
+    phi = np.arctan2(u0, B / safe)
+    y = (phi + mu) / math.pi - np.floor(phi / math.pi)
+    zeros = np.where(osc, odd + 2.0 * np.rint(0.5 * (y - 0.5 - odd)), odd)
+    return u, v, float(np.sum(zeros))
+
+
+def test_sign_count_is_the_phase_formula_on_catalog_blocks(catalog,
+                                                           monkeypatch):
+    # every block that the plane counts of the catalog sweep at alpha in
+    # {3, 200, 3200}, and the m = 0 passes of every mode (the Dirichlet
+    # ones from u = 0), truncated too: the sign count gives the formula's
+    # zeros, and the same (u, u'), bit for bit
+    sweep = spectral1d._sweep_block
+    seen = []
+
+    def spy(h, w1, w2, u, v):
+        got = sweep(h, w1, w2, u, v)
+        assert got == _formula_sweep_block(h, w1, w2, u, v)
+        seen.append((u == 0.0, got[2]))
+        return got
+
+    monkeypatch.setattr(spectral1d, "_sweep_block", spy)
+    for name in _CATALOG_NAMES[1:]:
+        G = to_log(catalog[name], strict=False)
+        for alpha in (3.0, 200.0, 3200.0):
+            total_count(catalog[name], alpha)
+            for mode in BoundaryMode:
+                count_below_pruefer(G, alpha, channel_energy(G, alpha), mode)
+            count_below_pruefer(G, alpha, channel_energy(G, alpha),
+                                truncated=True)
+    assert any(z for z, _ in seen) and any(n for _, n in seen)
+    assert len(seen) > 1000
+
+
+def test_sign_count_on_synthetic_blocks():
+    # blocks off the mesh: intervals that turn by pi/2 or more (counted by
+    # the formula), blocks from u = 0 and u = -0, and one where u reaches
+    # 0 exactly at an interior node: over w = 0 and h = 1, (1/2, -1/2) maps
+    # to (0, -1), then to (-1/2, -1/2)
+    rng = np.random.default_rng(11)
+    h = rng.uniform(0.05, 0.2, 300)
+    w1, w2 = rng.uniform(-100.0, 6.0, (2, 300))
+    assert np.max(h * np.sqrt(np.maximum(w1, w2).clip(0.0))) < 0.5
+    wide = rng.uniform(0.5, 3.0, 50), rng.uniform(4.0, 100.0, (2, 50))
+    cases = [(wide[0], *wide[1], 0.3, 0.7)]
+    for u, v in ((0.0, 1.0), (0.0, -1.0), (-0.0, 1.0), (0.6, -0.4)):
+        cases.append((h, w1, w2, u, v))
+    zero = np.concatenate([[1.0, 1.0], h]), *(np.concatenate([[0.0, 0.0], w])
+                                              for w in (w1, w2))
+    cases.append((*zero, 0.5, -0.5))
+    for h_, a, b, u, v in cases:
+        assert spectral1d._sweep_block(h_, a, b, u, v) == \
+            _formula_sweep_block(h_, a, b, u, v)
+    assert spectral1d._sweep_block(*(x[:2] for x in zero), 0.5, -0.5) == (
+        -0.5, -0.5, 1.0)
+    assert np.max(wide[0] * np.sqrt(np.mean(wide[1], axis=0))) > math.pi
 
 
 @st.composite

@@ -40,6 +40,14 @@ def cases() -> list[list[str]]:
     for spec, energy in (("square-well", "-1.5"), ("gaussian", "-1.5")):
         out.append(["count1d", "--spec", spec, "--alpha", "40",
                     "--energy", energy, "--method", "both"])
+    # channel energies, where the fd count is read from its E -/+ delta
+    # probes: the disk, and the slow tail, whose G > 0 runs to the window
+    # end
+    for spec, alpha, energy in (("square-well", "40", "-4e-08"),
+                                ("counterexample", "50",
+                                 "-4.578909720634325e-10")):
+        out.append(["count1d", "--spec", spec, "--alpha", alpha,
+                    f"--energy={energy}", "--method", "both"])
     for spec in ("zero", "square-well", "annulus", "gaussian", "bump",
                  "counterexample"):
         out.append(["count", "--spec", spec, "--alpha", "50",
