@@ -7,10 +7,11 @@ int_0^inf r F(r) dr onto int_R G(t) dt with
     G(t) = e^{2t} F(e^t),
 
 and it is G that the counting, sequence, and bound machinery downstream
-consumes. Every catalog kind therefore ships two evaluators: the radial
-profile F and a numerically stable G (naive e^{2t} F(e^t) overflows or
-turns into 0*inf for heavy tails; each kind simplifies the product
-analytically where that matters).
+consumes. Every catalog kind therefore states its profile once, as a
+vectorised, numerically stable G (naive e^{2t} F(e^t) overflows or turns
+into 0*inf for heavy tails; each kind simplifies the product analytically
+where that matters), and the radial profile F is read back from it
+(`RadialPotential.profile`).
 
 Catalog kinds:
 
@@ -92,9 +93,7 @@ class _Profile:
     support_r: tuple[float, float]
     t_breaks: tuple[float, ...]
     is_zero: bool
-    f_vec: Callable[[np.ndarray], np.ndarray]
     g_vec: Callable[[np.ndarray], np.ndarray]
-    g_scalar: Callable[[float], float]
 
 
 def _num(params: Mapping[str, float], kind: str, name: str, *,
@@ -120,9 +119,7 @@ def _num(params: Mapping[str, float], kind: str, name: str, *,
 def _zero_profile() -> _Profile:
     return _Profile(
         support_r=(0.0, 0.0), t_breaks=(), is_zero=True,
-        f_vec=lambda r: np.zeros_like(r),
-        g_vec=lambda t: np.zeros_like(t),
-        g_scalar=lambda t: 0.0)
+        g_vec=lambda t: np.zeros_like(t))
 
 
 def _build_square_well(p: Mapping[str, float]) -> _Profile:
@@ -132,16 +129,10 @@ def _build_square_well(p: Mapping[str, float]) -> _Profile:
         return _zero_profile()
     lna = math.log(a)
 
-    def f_vec(r):
-        return np.where(r <= a, h, 0.0)
-
     def g_vec(t):
         return np.where(t <= lna, h * np.exp(2.0 * np.minimum(t, lna)), 0.0)
 
-    def g_scalar(t):
-        return h * math.exp(2.0 * t) if t <= lna else 0.0
-
-    return _Profile((0.0, a), (lna,), False, f_vec, g_vec, g_scalar)
+    return _Profile((0.0, a), (lna,), False, g_vec)
 
 
 def _build_annulus_well(p: Mapping[str, float]) -> _Profile:
@@ -155,17 +146,11 @@ def _build_annulus_well(p: Mapping[str, float]) -> _Profile:
         return _zero_profile()
     li, lo_ = math.log(ri), math.log(ro)
 
-    def f_vec(r):
-        return np.where((r >= ri) & (r <= ro), h, 0.0)
-
     def g_vec(t):
         inside = (t >= li) & (t <= lo_)
         return np.where(inside, h * np.exp(2.0 * np.clip(t, li, lo_)), 0.0)
 
-    def g_scalar(t):
-        return h * math.exp(2.0 * t) if li <= t <= lo_ else 0.0
-
-    return _Profile((ri, ro), (li, lo_), False, f_vec, g_vec, g_scalar)
+    return _Profile((ri, ro), (li, lo_), False, g_vec)
 
 
 def _build_gaussian(p: Mapping[str, float]) -> _Profile:
@@ -175,23 +160,13 @@ def _build_gaussian(p: Mapping[str, float]) -> _Profile:
         return _zero_profile()
     lnw = math.log(w)
 
-    def f_vec(r):
-        return h * np.exp(-np.square(r / w))
-
     def g_vec(t):
         # G = h exp(2t - e^{2(t - ln w)}); past u ~ 709 the inner exp
         # saturates and the outer one underflows to an exact 0.
         u = np.minimum(2.0 * (t - lnw), 709.0)
         return h * np.exp(2.0 * t - np.exp(u))
 
-    def g_scalar(t):
-        u = 2.0 * (t - lnw)
-        if u > 709.0:
-            return 0.0
-        arg = 2.0 * t - math.exp(u)
-        return h * math.exp(arg) if arg > -745.0 else 0.0
-
-    return _Profile((0.0, math.inf), (lnw,), False, f_vec, g_vec, g_scalar)
+    return _Profile((0.0, math.inf), (lnw,), False, g_vec)
 
 
 def _build_power_log_tail(p: Mapping[str, float]) -> _Profile:
@@ -199,15 +174,6 @@ def _build_power_log_tail(p: Mapping[str, float]) -> _Profile:
     sigma = _num(p, "power-log-tail", "sigma", lo=0.0, lo_open=True)
     tau = _num(p, "power-log-tail", "tau")
     t0 = math.log(r0)
-
-    def f_vec(r):
-        r = np.asarray(r, float)
-        mask = r > r0
-        rr = np.where(mask, r, r0 * 2.0)
-        lr = np.log(rr)
-        llr = np.log(lr)
-        val = np.exp(-2.0 * lr - sigma * np.log(lr) - tau * np.log(llr))
-        return np.where(mask, val, 0.0)
 
     def g_vec(t):
         t = np.asarray(t, float)
@@ -217,13 +183,7 @@ def _build_power_log_tail(p: Mapping[str, float]) -> _Profile:
         val = np.exp(-sigma * lt - tau * np.log(lt))
         return np.where(mask, val, 0.0)
 
-    def g_scalar(t):
-        if t <= t0:
-            return 0.0
-        lt = math.log(t)
-        return math.exp(-sigma * lt - tau * math.log(lt))
-
-    return _Profile((r0, math.inf), (t0,), False, f_vec, g_vec, g_scalar)
+    return _Profile((r0, math.inf), (t0,), False, g_vec)
 
 
 def _build_bump(p: Mapping[str, float]) -> _Profile:
@@ -237,39 +197,20 @@ def _build_bump(p: Mapping[str, float]) -> _Profile:
         return _zero_profile()
     lo, hi = c - w, c + w
 
-    def f_vec(r):
-        r = np.asarray(r, float)
-        mask = (r > lo) & (r < hi)
-        x2 = np.where(mask, np.square((r - c) / w), 0.0)
-        # x2 rounds to 1 an ulp inside an end: exp(1 - 1e300) is 0 there
-        val = h * np.exp(1.0 - 1.0 / np.maximum(1.0 - x2, 1e-300))
-        return np.where(mask, val, 0.0)
-
     def g_vec(t):
         t = np.asarray(t, float)
         r = np.exp(np.minimum(t, 709.0))
         mask = (r > lo) & (r < hi)
         x2 = np.where(mask, np.square((r - c) / w), 0.0)
         tv = np.where(mask, t, 0.0)
+        # x2 rounds to 1 an ulp inside an end: exp(-1e300) is 0 there
         val = h * np.exp(2.0 * tv + 1.0 - 1.0 / np.maximum(1.0 - x2, 1e-300))
         return np.where(mask, val, 0.0)
-
-    def g_scalar(t):
-        if t > 709.0:
-            return 0.0
-        r = math.exp(t)
-        if not lo < r < hi:
-            return 0.0
-        x2 = ((r - c) / w) ** 2
-        if x2 >= 1.0:   # rounds to 1 within an ulp or so of an end
-            return 0.0
-        return h * math.exp(2.0 * t + 1.0 - 1.0 / (1.0 - x2))
 
     breaks = [math.log(c), math.log(hi)]
     if lo > 0.0:
         breaks.insert(0, math.log(lo))
-    return _Profile((max(lo, 0.0), hi), tuple(breaks), False,
-                    f_vec, g_vec, g_scalar)
+    return _Profile((max(lo, 0.0), hi), tuple(breaks), False, g_vec)
 
 
 def _tabulated_arrays(p: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -304,23 +245,14 @@ def _build_tabulated(p: Mapping[str, float]) -> _Profile:
     hi = rs[min(nz[-1] + 1, len(rs) - 1)]
     t_hi = math.log(hi)
 
-    def f_vec(r):
-        return np.interp(r, rs, fs, left=0.0, right=0.0)
-
     def g_vec(t):
         t = np.asarray(t, float)
         r = np.exp(np.minimum(t, t_hi + 1.0))
         return np.interp(r, rs, fs, left=0.0, right=0.0) * r * r
 
-    def g_scalar(t):
-        if t > t_hi:
-            return 0.0
-        r = math.exp(t)
-        return float(np.interp(r, rs, fs, left=0.0, right=0.0)) * r * r
-
     pos = [math.log(r) for r in rs if lo <= r <= hi and r > 0.0]
     breaks = tuple(pos) if len(pos) <= 64 else (pos[0], pos[-1])
-    return _Profile((lo, hi), breaks, False, f_vec, g_vec, g_scalar)
+    return _Profile((lo, hi), breaks, False, g_vec)
 
 
 def _build_scaled_product(p: Mapping[str, float]) -> _Profile:
@@ -338,14 +270,6 @@ def _build_scaled_product(p: Mapping[str, float]) -> _Profile:
     if scale == 0.0 or base.is_zero:
         return _zero_profile()
 
-    def psi_r_vec(r):
-        if theta == 0.0:
-            return np.ones_like(r)
-        mask = r > TRIPLE_EXP
-        rr = np.where(mask, r, TRIPLE_EXP * 2.0)
-        lll = np.log(np.log(np.log(rr)))
-        return np.where(mask, np.exp(-theta * np.log(lll)), 1.0)
-
     def psi_t_vec(t):
         if theta == 0.0:
             return np.ones_like(t)
@@ -354,21 +278,9 @@ def _build_scaled_product(p: Mapping[str, float]) -> _Profile:
         ll = np.log(np.log(tt))
         return np.where(mask, np.exp(-theta * np.log(ll)), 1.0)
 
-    def f_vec(r):
-        r = np.asarray(r, float)
-        return scale * psi_r_vec(r) * base.f_vec(r)
-
     def g_vec(t):
         t = np.asarray(t, float)
         return scale * psi_t_vec(t) * base.g_vec(t)
-
-    def g_scalar(t):
-        g = base.g_scalar(t)
-        if g == 0.0:
-            return 0.0
-        if theta > 0.0 and t > _EE:
-            g *= math.log(math.log(t)) ** (-theta)
-        return scale * g
 
     r_lo, r_hi = base.support_r
     breaks = list(base.t_breaks)
@@ -376,8 +288,7 @@ def _build_scaled_product(p: Mapping[str, float]) -> _Profile:
         t_hi = math.inf if math.isinf(r_hi) else math.log(r_hi)
         if _EE < t_hi:
             breaks.append(_EE)
-    return _Profile((r_lo, r_hi), tuple(sorted(breaks)), False,
-                    f_vec, g_vec, g_scalar)
+    return _Profile((r_lo, r_hi), tuple(sorted(breaks)), False, g_vec)
 
 
 _KIND_BUILDERS = {
@@ -459,9 +370,20 @@ class RadialPotential:
         self.support = self._prof.support_r
 
     def profile(self, r):
-        """F(r); accepts scalars or arrays."""
+        """F(r) = G(t) e^{-t} e^{-t} at t = ln r; accepts scalars or arrays
+        of finite r > 0 and raises ValueError for any other r.
+
+        Nothing overflows and nothing is divided (e^{-t} is capped at e^709,
+        which only a subnormal r reaches), and the rounding of ln r cancels
+        between the e^{2t} inside G and the two e^{-t}, so F is exact to a
+        few ulps wherever r^2 F(r) is a normal float (times the
+        log-derivative of F, as at any rounded argument)."""
         arr = np.asarray(r, dtype=float)
-        out = self._prof.f_vec(arr)
+        if not np.all(np.isfinite(arr) & (arr > 0.0)):
+            raise ValueError(f"profile needs finite r > 0, got {r!r}")
+        t = np.log(arr)
+        e = np.exp(-np.maximum(t, -709.0))
+        out = self._prof.g_vec(t) * e * e
         return float(out) if arr.ndim == 0 else out
 
     @property
@@ -500,10 +422,6 @@ class LogPotential:
     j_value: float
     j_err: float
     _g_vec: Callable = field(compare=False, repr=False, default=None)
-    # G(t) for one float t: the profile's own evaluator, for a
-    # step-by-step integrator (no method frame in between)
-    eval_scalar: Callable[[float], float] = field(compare=False, repr=False,
-                                                 default=None)
     # the phase engine's mesh for the alpha last counted (spectral1d._mesh),
     # built by the first pass that needs it
     phase_mesh: tuple | None = field(compare=False, repr=False, default=None)
@@ -556,14 +474,12 @@ def to_log(P: RadialPotential, *, strict: bool = True,
     prof = P._prof
     if prof.is_zero:
         lp = LogPotential(P, _TAIL_TOL, (0.0, 0.0), (), (-1.0, 1.0), False,
-                          0.0, 0.0, 0.0, 0.0, prof.g_vec, prof.g_scalar)
+                          0.0, 0.0, 0.0, 0.0, prof.g_vec)
         P._log_cache[key] = lp
         return lp
     t_lo, t_hi = _t_support(prof)
     breaks = prof.t_breaks
-    j_val, j_err = integrate_line(prof.g_vec, t_lo, t_hi, points=breaks,
-                                  epsabs=_EPSABS, epsrel=_EPSREL,
-                                  name=f"J[{P.kind}]")
+    j_val, j_err = integral_J(P)
     if math.isinf(j_val) and strict:
         raise NonIntegrableError(
             f"{P.kind}: int_0^inf r F(r) dr diverges; no finite window "
@@ -603,8 +519,7 @@ def to_log(P: RadialPotential, *, strict: bool = True,
     truncated = tr_hi or tr_lo
     g_max, g_argmax = _scan_max(prof.g_vec, T_minus, T_plus, breaks)
     lp = LogPotential(P, _TAIL_TOL, (t_lo, t_hi), breaks, (T_minus, T_plus),
-                      truncated, g_max, g_argmax, j_val, j_err,
-                      prof.g_vec, prof.g_scalar)
+                      truncated, g_max, g_argmax, j_val, j_err, prof.g_vec)
     P._log_cache[key] = lp
     return lp
 
@@ -619,12 +534,12 @@ def _t_support(prof: _Profile) -> tuple[float, float]:
             math.inf if math.isinf(r_hi) else math.log(r_hi))
 
 
-def integral_J(P: RadialPotential, *, epsabs: float = 1e-10,
-               epsrel: float = 1e-8) -> tuple[float, float]:
+def integral_J(P: RadialPotential, *, epsabs: float = _EPSABS,
+               epsrel: float = _EPSREL) -> tuple[float, float]:
     """int_0^inf r F(r) dr, computed as int_R G dt. (inf, inf) if divergent.
 
-    `to_log(P, ...).j_value` holds the same integral at the default
-    tolerances, cached on P.
+    `to_log(P, ...).j_value` is this call at the default tolerances,
+    cached on P.
     """
     prof = P._prof
     if prof.is_zero:

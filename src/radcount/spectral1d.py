@@ -240,14 +240,13 @@ def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     overflows. (u, u') is normalised after each interval.
 
     On an interval u(s) = u cos(mu s) + (B/mu) sin(mu s), s in [0, 1],
-    B = c u + h u', holds exactly. Where no oscillatory interval of a block
-    turns by mu >= pi/2 (the mesh keeps mu near 1/2), each interval has at
-    most one zero, counted where u changes sign or reaches 0. Otherwise an
-    oscillatory interval has floor((phi + mu)/pi) - floor(phi/pi) zeros in
-    (0, 1], phi = atan2(u, B/mu), and a hyperbolic one at most one, a sign
-    change; the count is taken with the parity of the signs of u at the two
-    ends, so that phi + mu within a rounding of a multiple of pi moves it
-    by one. The phase is pi * zeros + (atan2(u, u') mod pi). The
+    B = c u + h u', holds exactly, so where mu < pi (the mesh keeps mu
+    near 1/2) the phase turns through at most one multiple of pi, and a
+    hyperbolic or mu = 0 interval holds at most one zero too. Each zero is
+    counted where u changes sign or reaches 0; from u = 0 the next zero is
+    at s = pi/mu > 1. An oscillatory interval with mu >= pi raises: a
+    feature of G lies between mesh samples, and it must sit at a
+    breakpoint. The phase is pi * zeros + (atan2(u, u') mod pi). The
     intervals are swept in blocks of _SWEEP_BLOCK, so that a deeply
     bisected pass holds the states and matrices of one block at a time."""
     u, v = math.sin(theta0), math.cos(theta0)
@@ -268,6 +267,11 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
     mu2 = h * h * wbar - c * c
     osc = mu2 > 0.0
     mu = np.sqrt(np.abs(mu2))
+    if np.any(osc & (mu >= math.pi)):
+        raise RuntimeError(
+            f"a mesh interval turns by {float(np.max(mu[osc])):.3g} >= pi "
+            "rad: a feature of G lies between mesh samples; put it at a "
+            "breakpoint of G")
     pos = mu > 0.0
     safe = np.where(pos, mu, 1.0)
     # e^-nu cosh(nu) = 1 + em/2 and e^-nu sinh(nu)/nu = -em/(2 nu)
@@ -276,8 +280,7 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
     sn = np.where(osc, np.sin(mu), np.where(pos, -em, 1.0)) / safe
     snc = sn * c
     snh = sn * h
-    us, vs = [u], [v]
-    wide = bool(np.any(osc & (mu >= 0.5 * math.pi)))
+    us = [u]
     for p, q, r, s in zip((cs + snc).tolist(), snh.tolist(),
                           (-snh * wbar).tolist(), (cs - snc).tolist()):
         u, v = p * u + q * v, r * u + s * v
@@ -285,26 +288,12 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
         u /= n
         v /= n
         us.append(u)
-        if wide:
-            vs.append(v)
     U = np.array(us)
     u0, u1 = U[:-1], U[1:]
-    if not wide:
-        # mu < pi/2; from u = 0 an interval holds no zero, as u(s) keeps
-        # the sign of u' up to s = pi/mu > 1
-        odd = (u1 == 0.0) | (((u0 < 0.0) != (u1 < 0.0)) & (u0 != 0.0))
-        return u, v, float(np.count_nonzero(odd))
-    B = c * u0 + h * np.array(vs[:-1])
-    # a zero in (0, 1] is odd in number iff u changes sign, or reaches 0,
-    # from its sign at 0+ (that of B where u = 0); on an oscillatory
-    # interval y = (phi + mu)/pi - floor(phi/pi) lies in [zeros, zeros + 1),
-    # and the count of that parity nearest y - 1/2 absorbs its rounding
-    s0 = np.where(u0 != 0.0, u0, B)
-    odd = ((u1 == 0.0) | ((s0 < 0.0) != (u1 < 0.0))).astype(float)
-    phi = np.arctan2(u0, B / safe)
-    y = (phi + mu) / math.pi - np.floor(phi / math.pi)
-    zeros = np.where(osc, odd + 2.0 * np.rint(0.5 * (y - 0.5 - odd)), odd)
-    return u, v, float(np.sum(zeros))
+    # from u = 0 an interval holds no zero: u(s) keeps the sign of u' up
+    # to s = pi/mu > 1
+    odd = (u1 == 0.0) | (((u0 < 0.0) != (u1 < 0.0)) & (u0 != 0.0))
+    return u, v, float(np.count_nonzero(odd))
 
 
 def _pass_phase(G, alpha: float, E: float, a: float, z: float,

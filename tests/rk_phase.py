@@ -7,6 +7,11 @@ zero tail (`_zero_tail`) and count rule (`_zeros_from_phase`), and a step
 control that resolves the oscillation itself.  `extras["thetas"]` holds the
 final phase of every pass, after the tail, in the order the passes run.
 
+The kernel reads `G` at one float at a time, six times per step, so it takes
+a scalar evaluator: `scalar_g(P)` writes `G` out per catalog kind in plain
+`math`, apart from the vectorised `G.eval` of `radcount.potentials`, which
+makes it a second, independent writing of every kind's `G`.
+
 The kernel's module constants (`_PHASE_TOL`, `_H_MIN`, `_MAX_STEPS`) are
 read once per call, so a test may monkeypatch them here.
 """
@@ -14,7 +19,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from radcount import spectral1d
+from radcount.potentials import (_EE, CATALOG_BASE_ORDER, RadialPotential,
+                                 _tabulated_arrays)
 from radcount.spectral1d import (
     BoundaryMode,
     CountResult,
@@ -39,6 +48,109 @@ _A61, _A62, _A63, _A64, _A65 = (1631 / 55296, 175 / 512, 575 / 13824,
 _B51, _B53, _B54, _B56 = 37 / 378, 250 / 621, 125 / 594, 512 / 1771
 _B41, _B43, _B44, _B45, _B46 = (2825 / 27648, 18575 / 48384, 13525 / 55296,
                                 277 / 14336, 1 / 4)
+
+
+def _square_well(p):
+    h, lna = p["height"], math.log(p["radius"])
+
+    def g_scalar(t):
+        return h * math.exp(2.0 * t) if t <= lna else 0.0
+    return g_scalar
+
+
+def _annulus_well(p):
+    h, li, lo_ = p["height"], math.log(p["r_inner"]), math.log(p["r_outer"])
+
+    def g_scalar(t):
+        return h * math.exp(2.0 * t) if li <= t <= lo_ else 0.0
+    return g_scalar
+
+
+def _gaussian(p):
+    h, lnw = p["height"], math.log(p["width"])
+
+    def g_scalar(t):
+        u = 2.0 * (t - lnw)
+        if u > 709.0:
+            return 0.0
+        arg = 2.0 * t - math.exp(u)
+        return h * math.exp(arg) if arg > -745.0 else 0.0
+    return g_scalar
+
+
+def _power_log_tail(p):
+    sigma, tau, t0 = p["sigma"], p["tau"], math.log(p["r0"])
+
+    def g_scalar(t):
+        if t <= t0:
+            return 0.0
+        lt = math.log(t)
+        return math.exp(-sigma * lt - tau * math.log(lt))
+    return g_scalar
+
+
+def _bump(p):
+    h, w, c = p["height"], p["halfwidth"], p["center"]
+    lo, hi = c - w, c + w
+
+    def g_scalar(t):
+        if t > 709.0:
+            return 0.0
+        r = math.exp(t)
+        if not lo < r < hi:
+            return 0.0
+        x2 = ((r - c) / w) ** 2
+        if x2 >= 1.0:   # rounds to 1 within an ulp or so of an end
+            return 0.0
+        return h * math.exp(2.0 * t + 1.0 - 1.0 / (1.0 - x2))
+    return g_scalar
+
+
+def _tabulated(p):
+    rs, fs = _tabulated_arrays(p)
+    nz = np.nonzero(fs > 0.0)[0]
+    t_hi = math.log(rs[min(nz[-1] + 1, len(rs) - 1)])
+
+    def g_scalar(t):
+        if t > t_hi:
+            return 0.0
+        r = math.exp(t)
+        return float(np.interp(r, rs, fs, left=0.0, right=0.0)) * r * r
+    return g_scalar
+
+
+def _scaled_product(p):
+    scale, theta = p["scale"], p["damping"]
+    base = _SCALAR_G[CATALOG_BASE_ORDER[int(p["base"])]](
+        {k: v for k, v in p.items() if k not in ("scale", "damping", "base")})
+
+    def g_scalar(t):
+        g = base(t)
+        if g == 0.0:
+            return 0.0
+        if theta > 0.0 and t > _EE:
+            g *= math.log(math.log(t)) ** (-theta)
+        return scale * g
+    return g_scalar
+
+
+_SCALAR_G = {
+    "square-well": _square_well,
+    "annulus-well": _annulus_well,
+    "gaussian": _gaussian,
+    "power-log-tail": _power_log_tail,
+    "bump": _bump,
+    "tabulated": _tabulated,
+    "scaled-product": _scaled_product,
+}
+
+
+def scalar_g(P: RadialPotential):
+    """G(t) of the catalog potential P at one float t, from P.kind and
+    P.params; a scaled-product composes its base kind's."""
+    if P.is_zero:
+        return lambda t: 0.0
+    return _SCALAR_G[P.kind](P.params)
 
 
 def _rescale_phase(th: float, r: float) -> float:
@@ -146,10 +258,13 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
 def count_below_rk(G, alpha: float, E: float,
                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
                    domain: tuple[float, float] | None = None,
-                   truncated: bool = False, kernel=None) -> CountResult:
+                   truncated: bool = False, kernel=None,
+                   g_scalar=None) -> CountResult:
     """count_below_pruefer on the RK kernel: every pass runs `kernel`
     (default `_integrate_phase`, looked up at call time) from its start to
-    the end of the support of G and maps the rest in closed form."""
+    the end of the support of G and maps the rest in closed form. The
+    kernel reads G through `g_scalar`, by default `scalar_g(G.source)`; a
+    stub G with no source passes its own."""
     _validate(alpha, E)
     mode = BoundaryMode(mode)
     A, B = domain if domain is not None else counting_domain(G, alpha, E, mode)
@@ -160,6 +275,7 @@ def count_below_rk(G, alpha: float, E: float,
                            flags=tuple(flags + ["below-spectrum"]),
                            extras={"thetas": []})
     integrate = kernel or _integrate_phase
+    gs = g_scalar or scalar_g(G.source)
 
     def one_pass(g_scalar, a, b, theta0, breaks, t_zero):
         # G = 0 from t_zero on: RK up to there, the exact map over the rest
@@ -173,7 +289,6 @@ def count_below_rk(G, alpha: float, E: float,
 
     t_lo, t_hi = G.t_support
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
-        gs = G.eval_scalar
         right, u1, f1, th_r, n1 = one_pass(gs, 0.0, B, 0.0, G.breakpoints,
                                            t_hi)
         left_breaks = [-b for b in G.breakpoints]
@@ -193,7 +308,7 @@ def count_below_rk(G, alpha: float, E: float,
             a, theta0 = _lead_in(G, alpha, E, A, B)
             a = max(a, t_lo)
         count, uncertainty, fl, th, steps = one_pass(
-            G.eval_scalar, a, B, theta0, G.breakpoints, t_hi)
+            gs, a, B, theta0, G.breakpoints, t_hi)
         flags += fl
         extras = {"theta_end": th, "thetas": [th]}
     return CountResult(count, "pruefer", E, mode.value, (A, B), None, steps,

@@ -1,6 +1,10 @@
 """Potential catalog: construction, the log-side profile, and the two
 weighted integrals every bound is made of.
 
+Each kind writes G once, vectorised; the RK oracle's scalar evaluators
+(`rk_phase.scalar_g`) are a second writing of it, and the two are compared
+here.
+
 Frozen values marked as oracle regressions were computed from closed forms
 where one exists (wells, gaussian, annulus) and from independent
 high-precision quadrature runs otherwise.
@@ -26,6 +30,8 @@ from radcount import (
     to_log,
 )
 from radcount.potentials import T_CAP, TRIPLE_EXP
+
+import rk_phase
 
 # oracle regressions for the two instances without elementary closed forms
 J_COUNTEREXAMPLE = 0.04890051066524585
@@ -71,16 +77,55 @@ def test_param_validation():
         make_catalog_potential("scaled-product", {"base": 5})
 
 
-def test_log_substitution_identity(catalog):
-    """G(t) = e^{2t} F(e^t) pointwise, on every kind, at random points."""
+def _every_kind(catalog):
+    # the bundled instances, plus the kinds and bases they leave out
+    out = dict(catalog)
+    out["tabulated"] = make_catalog_potential("tabulated", {
+        "r": [0.0, 0.3, 0.9, 1.6, 2.5], "f": [2.0, 1.0, 3.0, 0.5, 0.0]})
+    out["tabulated-off-0"] = make_catalog_potential("tabulated", {
+        "r": [0.2, 0.5, 1.0, 1.7], "f": [0.0, 1.5, 0.25, 0.0]})
+    out["scaled-gaussian"] = make_catalog_potential("scaled-product", {
+        "base": 2, "scale": 2.5, "damping": 1.0, "width": 0.7})
+    out["scaled-bump"] = make_catalog_potential("scaled-product", {
+        "base": 4, "scale": 0.5, "damping": 2.0})
+    assert {P.kind for P in out.values()} == set(catalog_kinds())
+    return out
+
+
+def test_g_matches_the_scalar_oracle_evaluator(catalog):
+    """G.eval and the RK oracle's scalar G, two writings of each kind's G,
+    agree at random points and at the 8 floats either side of every
+    breakpoint and support end."""
     rng = np.random.default_rng(7)
-    for name, P in catalog.items():
+    for name, P in _every_kind(catalog).items():
         G = to_log(P, strict=False)
+        g = rk_phase.scalar_g(P)
         lo, hi = G.domain_hint
-        t = rng.uniform(max(lo, -30.0), min(hi, 60.0), size=64)
-        f_side = np.exp(2.0 * t) * P.profile(np.exp(t))
-        g_side = G.eval(t)
-        assert np.allclose(f_side, g_side, rtol=1e-12, atol=1e-300), name
+        ends = [x for x in (*G.breakpoints, *G.t_support)
+                if math.isfinite(x)]
+        down = up = np.array(ends, dtype=float)
+        t = [rng.uniform(max(lo, -30.0), min(hi, 60.0), size=64), down]
+        for _ in range(8):
+            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+            t += [down, up]
+        t = np.concatenate(t)
+        want = np.array([g(x) for x in t.tolist()])
+        assert np.allclose(G.eval(t), want, rtol=1e-12, atol=1e-300), name
+
+
+def test_profile_is_read_from_G():
+    P = make_catalog_potential("square-well", {"height": 2.0, "radius": 3.0})
+    for r in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            P.profile(r)
+        with pytest.raises(ValueError):
+            P.profile(np.array([1.0, r]))
+    # F = h from r = 1e-100, where G is about 1e-200, up to the edge
+    r = np.concatenate([np.geomspace(1e-100, 3.0, 400), [3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = P.profile(r)
+    assert np.all(np.abs(f - 2.0) <= 1e-12 * 2.0)
 
 
 def test_integral_J_closed_forms():
@@ -185,15 +230,7 @@ def test_g_argmax_attains_g_max(catalog):
     # lower window argmax once left g_argmax 4e-5 to its right
     for name, P in catalog.items():
         G = to_log(P, strict=False)
-        assert G.eval_scalar(G.g_argmax) == G.g_max, name
-
-
-def test_eval_scalar_is_the_profile_evaluator(catalog):
-    # the phase kernel calls it six times per RK step, with no method
-    # frame in between
-    for P in catalog.values():
-        G = to_log(P, strict=False)
-        assert G.eval_scalar is P._prof.g_scalar
+        assert float(G.eval(G.g_argmax)) == G.g_max, name
 
 
 def test_counterexample_truncation_flag(catalog):

@@ -43,7 +43,8 @@ E_HALF_BOX10 = -4.62419408632978   # root of k cot k = -kappa, depth 10
 
 def boxes_G(*boxes):
     """A LogPotential stub: G = the sum of depth * indicator(lo, hi) over
-    disjoint boxes (depth, lo, hi); the first deepest box holds the max."""
+    disjoint boxes (depth, lo, hi); the first deepest box holds the max.
+    The RK oracle reads it through boxes_g_scalar(*boxes)."""
     def g_vec(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
@@ -51,16 +52,20 @@ def boxes_G(*boxes):
             out += np.where((t >= lo) & (t < hi), depth, 0.0)
         return out
 
-    def g_scalar(t):
-        return sum((d for d, lo, hi in boxes if lo <= t < hi), 0.0)
-
     top = max(boxes, key=lambda b: b[0])
     lo, hi = min(b[1] for b in boxes), max(b[2] for b in boxes)
     breaks = tuple(sorted({x for b in boxes for x in b[1:]}))
     return LogPotential(None, 1e-10, (lo, hi), breaks, (lo, hi), False,
                         top[0], 0.5 * (top[1] + top[2]),
                         sum(d * (b - a) for d, a, b in boxes), 0.0,
-                        g_vec, g_scalar)
+                        g_vec)
+
+
+def boxes_g_scalar(*boxes):
+    """G of boxes_G(*boxes) at one float t."""
+    def g_scalar(t):
+        return sum((d for d, lo, hi in boxes if lo <= t < hi), 0.0)
+    return g_scalar
 
 
 def box_G(depth: float = 10.0, lo: float = 0.0, hi: float = 1.0):
@@ -666,7 +671,8 @@ def test_phase_kernel_step_budget_matches_generic_loop(catalog,
                                                        monkeypatch):
     monkeypatch.setattr(rk_phase, "_MAX_STEPS", 10)
     G = to_log(catalog["square-well"])
-    args = (G.eval_scalar, 200.0, -1.0, -20.0, 10.0, 0.5, G.breakpoints)
+    args = (rk_phase.scalar_g(catalog["square-well"]), 200.0, -1.0, -20.0,
+            10.0, 0.5, G.breakpoints)
     with pytest.raises(RuntimeError) as got:
         rk_phase._integrate_phase(*args)
     for reference in (_generic_scaled_phase, _generic_integrate_phase):
@@ -676,13 +682,15 @@ def test_phase_kernel_step_budget_matches_generic_loop(catalog,
     assert "exceeded 10 steps" in str(got.value)
 
 
-def _final_phases(monkeypatch, G, alpha, E, mode, kernel=None):
+def _final_phases(monkeypatch, G, alpha, E, mode, kernel=None,
+                  g_scalar=None):
     """A phase count with the final phase of each pass recorded, mapped
     over the zero-potential tail when the pass has one: count_below_pruefer
     (the Magnus mesh pass), or, when kernel is given, count_below_rk on that
-    RK kernel."""
+    RK kernel, reading G through g_scalar."""
     if kernel is not None:
-        got = count_below_rk(G, alpha, E, mode, kernel=kernel)
+        got = count_below_rk(G, alpha, E, mode, kernel=kernel,
+                             g_scalar=g_scalar)
         return got, got.extras["thetas"]
     settle = spectral1d._pass_phase
     thetas = []
@@ -842,6 +850,7 @@ def test_narrow_deep_box_in_a_near_threshold_stretch(monkeypatch):
     deep = (1e4, 1000.0, 1000.1)
     shallow = ((1e-6, 0.0, 1000.0), (1e-6, 1000.1, 2000.0))
     G = boxes_G(shallow[0], deep, shallow[1])
+    g_scalar = boxes_g_scalar(shallow[0], deep, shallow[1])
     without = boxes_G(*shallow)
     for mode in BoundaryMode:
         for E in (-1e-8, -1e-7):
@@ -849,7 +858,7 @@ def test_narrow_deep_box_in_a_near_threshold_stretch(monkeypatch):
             got = _assert_matches_window_path(monkeypatch, G, 1.0, E, mode,
                                               case)
             want, _ = _final_phases(monkeypatch, G, 1.0, E, mode,
-                                    _unit_capped_phase)
+                                    _unit_capped_phase, g_scalar)
             assert (got.count, got.uncertainty, got.flags) == (
                 want.count, 0, ()), case
             assert got.count >= box_count_oracle(1e4, 0.1, E) == 4, case
@@ -984,24 +993,31 @@ def test_zero_tail_in_every_mode(monkeypatch):
 
 def test_magnus_sweep_is_exact_for_constant_w():
     # with w constant the propagator is the exact solution map, on any cut
-    # of [0, L] into intervals: where w = k^2 > 0 the phase is the closed
-    # form pi floor(psi/pi) + atan2(sin psi', k cos psi'), psi = k L + phi0,
-    # psi' = psi mod pi, tan phi0 = k tan theta0, and where w = -kappa^2
-    # it is _zero_tail's map, the hyperbolic branch scaled by e^-nu
+    # of [0, L] into intervals that turn by less than pi (the zeros are
+    # sign-counted; a wider interval raises): where w = k^2 > 0 the phase
+    # is the closed form pi floor(psi/pi) + atan2(sin psi', k cos psi'),
+    # psi = k L + phi0, psi' = psi mod pi, tan phi0 = k tan theta0, and
+    # where w = -kappa^2 it is _zero_tail's map, the hyperbolic branch
+    # scaled by e^-nu, on the cut as drawn
     rng = np.random.default_rng(3)
     for n in (1, 7, 40):
         h = rng.uniform(0.1, 1.0, n)
         L = float(np.sum(h))
         for theta0 in (0.0, 0.3, 0.5 * math.pi, 3.0):
             for k in (0.2, 3.0, 40.0):
-                w = np.full(n, k * k)
-                got = spectral1d._magnus_sweep(h, w, w, theta0)
+                parts = np.ceil(k * h / 3.0).astype(np.int64)
+                cut = np.repeat(h / parts, parts)
+                w = np.full(cut.size, k * k)
+                got = spectral1d._magnus_sweep(cut, w, w, theta0)
                 psi = k * L + math.atan2(k * math.sin(theta0),
                                          math.cos(theta0))
                 rest = psi - math.pi * math.floor(psi / math.pi)
                 want = (math.pi * math.floor(psi / math.pi)
                         + math.atan2(math.sin(rest), k * math.cos(rest)))
                 assert got == pytest.approx(want, abs=1e-9), (n, theta0, k)
+                if k * np.max(h) >= math.pi:
+                    with pytest.raises(RuntimeError, match="breakpoint"):
+                        spectral1d._magnus_sweep(h, w[:n], w[:n], theta0)
                 w = np.full(n, -k * k)
                 got = spectral1d._magnus_sweep(h, w, w, theta0)
                 want = spectral1d._zero_tail(theta0, k, L)
@@ -1018,8 +1034,7 @@ def _ramp_G(lo, hi, g_lo, g_hi):
 
     return LogPotential(None, 1e-10, (lo, hi), (lo, hi), (lo, hi), False,
                         max(g_lo, g_hi), hi if g_hi > g_lo else lo,
-                        0.5 * (g_lo + g_hi) * (hi - lo), 0.0, g_vec,
-                        lambda t: float(g_vec(t)))
+                        0.5 * (g_lo + g_hi) * (hi - lo), 0.0, g_vec)
 
 
 def test_the_left_pass_is_the_mirrored_right_pass(monkeypatch):
@@ -1662,19 +1677,36 @@ def test_sign_count_is_the_phase_formula_on_catalog_blocks(catalog,
     assert len(seen) > 1000
 
 
+def _largest_turn(h, w1, w2):
+    # the largest mu of the oscillatory intervals, as _sweep_block forms it
+    c = spectral1d._MAGNUS_C * h * h * (w2 - w1)
+    return math.sqrt(np.max(h * h * 0.5 * (w1 + w2) - c * c))
+
+
 def test_sign_count_on_synthetic_blocks():
-    # blocks off the mesh: intervals that turn by pi/2 or more (counted by
-    # the formula), blocks from u = 0 and u = -0, and one where u reaches
-    # 0 exactly at an interior node: over w = 0 and h = 1, (1/2, -1/2) maps
-    # to (0, -1), then to (-1/2, -1/2)
+    # blocks off the mesh: ones whose widest intervals turn by pi/2 up to
+    # pi, blocks from u = 0 and u = -0, and one where u reaches 0 exactly
+    # at an interior node: over w = 0 and h = 1, (1/2, -1/2) maps to
+    # (0, -1), then to (-1/2, -1/2). An interval that turns by pi or more
+    # raises
     rng = np.random.default_rng(11)
     h = rng.uniform(0.05, 0.2, 300)
     w1, w2 = rng.uniform(-100.0, 6.0, (2, 300))
     assert np.max(h * np.sqrt(np.maximum(w1, w2).clip(0.0))) < 0.5
-    wide = rng.uniform(0.5, 3.0, 50), rng.uniform(4.0, 100.0, (2, 50))
-    cases = [(wide[0], *wide[1], 0.3, 0.7)]
-    for u, v in ((0.0, 1.0), (0.0, -1.0), (-0.0, 1.0), (0.6, -0.4)):
-        cases.append((h, w1, w2, u, v))
+    # 50 intervals turning by about 1 to 2.8 rad, and two by 0.99 pi and
+    # 0.999 pi
+    near_pi = (0.99 * math.pi) ** 2, (0.999 * math.pi) ** 2
+    hw = np.append(rng.uniform(0.6, 1.0, 50), [1.0, 1.0])
+    ww1, ww2 = (np.append(w, near_pi) for w in rng.uniform(4.0, 9.6, (2, 50)))
+    mixed = (np.concatenate([h[:100], hw, h[100:]]),
+             *(np.concatenate([w[:100], x, w[100:]])
+               for w, x in ((w1, ww1), (w2, ww2))))
+    assert 0.5 * math.pi <= _largest_turn(hw, ww1, ww2) < math.pi
+    assert _largest_turn(hw, ww1, ww2) > 0.99 * math.pi
+    cases = []
+    for u, v in ((0.0, 1.0), (0.0, -1.0), (-0.0, 1.0), (0.6, -0.4),
+                 (0.3, 0.7)):
+        cases += [(h, w1, w2, u, v), (hw, ww1, ww2, u, v), (*mixed, u, v)]
     zero = np.concatenate([[1.0, 1.0], h]), *(np.concatenate([[0.0, 0.0], w])
                                               for w in (w1, w2))
     cases.append((*zero, 0.5, -0.5))
@@ -1683,7 +1715,13 @@ def test_sign_count_on_synthetic_blocks():
             _formula_sweep_block(h_, a, b, u, v)
     assert spectral1d._sweep_block(*(x[:2] for x in zero), 0.5, -0.5) == (
         -0.5, -0.5, 1.0)
-    assert np.max(wide[0] * np.sqrt(np.mean(wide[1], axis=0))) > math.pi
+    assert sum(_formula_sweep_block(hw, ww1, ww2, 0.3, 0.7)[2:]) > 20
+    for turn in (math.pi, 3.5):
+        over = (np.append(hw, 1.0), np.append(ww1, turn * turn),
+                np.append(ww2, turn * turn))
+        assert _largest_turn(*over) >= math.pi
+        with pytest.raises(RuntimeError, match="breakpoint"):
+            spectral1d._sweep_block(*over, 0.3, 0.7)
 
 
 @st.composite
@@ -1730,3 +1768,18 @@ def test_mesh_pass_property_random_profiles(P, log_alpha, frac):
                 assert abs(a - b) <= 1e-7, (case, a, b)
     counts = list(total_count(P, alpha).per_channel.values())
     assert all(a >= b for a, b in zip(counts, counts[1:])), counts
+
+
+@seed(7)
+@settings(max_examples=30, deadline=None)
+@given(P=_random_profiles(), log_alpha=st.floats(math.log(3.0),
+                                                 math.log(800.0)),
+       stretch=st.floats(1.0, 1.35))
+def test_plane_count_nondecreasing_in_alpha(P, log_alpha, stretch):
+    # G >= 0, so raising the coupling lowers every level: the plane count
+    # at alpha' in [alpha, 1.35 alpha] is at least the one at alpha, within
+    # the two stated uncertainties
+    alpha = math.exp(log_alpha)
+    lo, hi = total_count(P, alpha), total_count(P, stretch * alpha)
+    assert lo.total <= hi.total + lo.uncertainty + hi.uncertainty, (
+        alpha, stretch, lo.per_channel, hi.per_channel)
