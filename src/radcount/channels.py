@@ -27,6 +27,7 @@ from .spectral1d import (
     CountResult,
     bs_spectrum,
     channel_energy,
+    count_batch_pruefer,
     count_below,
     count_below_fd,
 )
@@ -90,6 +91,51 @@ def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer",
     return count_below(G, alpha, E, BoundaryMode.WHOLE_LINE, engine=engine, **kw)
 
 
+# channels in the first pass batch of a phase-engine plane count; each
+# later batch holds 4 times as many, so that a narrow spike in G, with many
+# channels below alpha g_max and few that hold a state, sweeps few empty ones
+_FIRST_CHANNELS = 16
+
+
+def _channel_counts(G, alpha: float, engine: str, **kw
+                    ) -> tuple[list[CountResult], CountResult]:
+    """The counts of channels m = 0, 1, ... up to the first empty one, and
+    the Dirichlet-at-0 count, at their channel energies.
+
+    The phase engine counts the channels in batches of passes
+    (count_batch_pruefer), the Dirichlet pair with the first: batch k holds
+    _FIRST_CHANNELS * 4^k channels, none past the first with
+    m^2 + threshold_eps >= alpha g_max, which is below the spectrum and
+    costs no pass. Counts past the first empty channel are dropped, so the
+    result is that of counting one channel at a time. The FD engine counts
+    one channel at a time."""
+    E0 = channel_energy(G, alpha)
+    per: list[CountResult] = []
+    if engine != "pruefer":
+        while not per or per[-1].count:
+            per.append(channel_count(G, alpha, len(per), engine=engine, **kw))
+        return per, count_below(G, alpha, E0,
+                                BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
+                                engine=engine, **kw)
+    queries = [(E0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)]
+    size, rd = _FIRST_CHANNELS, None
+    while not per or per[-1].count:
+        for m in range(len(per), len(per) + size):
+            E = channel_energy(G, alpha, m)
+            queries.append((E, BoundaryMode.WHOLE_LINE))
+            if alpha * G.g_max + E <= 0.0:
+                break
+        got = count_batch_pruefer(G, alpha, queries, **kw)
+        if rd is None:
+            rd, *got = got
+        for r in got:
+            per.append(r)
+            if not r.count:
+                break
+        queries, size = [], 4 * size
+    return per, rd
+
+
 def total_count(P, alpha: float, *, engine: str = "pruefer",
                 **kw) -> ChannelBreakdown:
     """Count all bound states of the plane problem at coupling alpha.
@@ -97,36 +143,30 @@ def total_count(P, alpha: float, *, engine: str = "pruefer",
     Channels are counted m = 0, 1, 2, ... up to the first empty one, m = 0
     included (N_m is nonincreasing in m). The scan ends: a channel with
     m^2 >= alpha * g_max is below the spectrum and costs no integration.
+    The phase engine counts the channels, and the Dirichlet-at-0 route, in
+    batches of passes on the shared mesh (_channel_counts).
     extras["m_scan"] is that first empty channel; extras["left"], ["right"]
     are the Dirichlet-at-0 route's sides, the right one the half-line count.
     """
     G = _as_log(P)
-    E0 = channel_energy(G, alpha)
-    if E0 is None:
+    if channel_energy(G, alpha) is None:
         return ChannelBreakdown(alpha, {0: 0}, 0, 0, 0, engine,
                                 flags=("zero-potential",),
                                 extras={"m_scan": 0, "left": 0, "right": 0})
-    flags: set[str] = set()
+    per, rd = _channel_counts(G, alpha, engine, **kw)
+    flags: set[str] = set(rd.flags)
     uncertainty = 0
     total = 0
-    per: dict[int, int] = {}
-    m = 0
-    while True:
-        r = channel_count(G, alpha, m, engine=engine, **kw)
-        per[m] = r.count
+    for m, r in enumerate(per):
         weight = 1 if m == 0 else 2
         total += weight * r.count
         uncertainty += weight * r.uncertainty
         flags.update(r.flags)
-        if r.count == 0:
-            break
-        m += 1
-    rd = count_below(G, alpha, E0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                     engine=engine, **kw)
-    flags.update(rd.flags)
-    return ChannelBreakdown(alpha, per, max(m - 1, 0), total, rd.count, engine,
+    m_scan = len(per) - 1
+    return ChannelBreakdown(alpha, {m: r.count for m, r in enumerate(per)},
+                            max(m_scan - 1, 0), total, rd.count, engine,
                             uncertainty, tuple(sorted(flags)),
-                            {"m_scan": m, "left": rd.extras.get("left"),
+                            {"m_scan": m_scan, "left": rd.extras.get("left"),
                              "right": rd.extras.get("right")})
 
 

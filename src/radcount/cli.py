@@ -440,6 +440,8 @@ def _validate(args: argparse.Namespace, ap: argparse.ArgumentParser) -> None:
         value = getattr(args, name, None)
         if value is not None and value <= 0.0:
             ap.error(f"--{name.replace('_', '-')} must be positive")
+    if getattr(args, "n_random", 0) < 0:
+        ap.error("--n-random must be >= 0")
 
 
 def main(argv=None) -> int:

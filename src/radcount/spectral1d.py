@@ -25,6 +25,18 @@ Two independent engines with no shared discretization machinery:
     phase atan2(1, kappa) is a fixed point. Beyond the support of G, w = E
     is constant, and that stretch is mapped in closed form.
 
+    Passes run in batches (count_batch_pruefer), since every channel is
+    the same line operator at a shifted energy on the same mesh: at each
+    bisection level G is read once at the Gauss points of every live pass,
+    the Magnus coefficients and the zero counts of every pass come from
+    one set of numpy calls, and only the (u, u') recurrence runs per pass;
+    a block holds at most _BATCH_INTERVALS intervals. Each pass keeps its
+    own settle test. One scan of G finds the lead-in start of every
+    whole-line pass of a batch. A count alone is a batch of one; a plane
+    count (channels.total_count) sends the channels with m^2 < alpha g_max
+    in batches that grow 4x, with the Dirichlet-at-0 passes in the first,
+    and drops every count past the first empty channel.
+
   * count_below_fd: three-point finite differences on a uniform grid and a
     Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
     negative pivots; never forms eigenvalues. The count is nondecreasing in
@@ -53,6 +65,8 @@ at most n_max + 1 nodes is solved dense with numpy; a wider one by Lanczos.
 
 from __future__ import annotations
 
+import array
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,6 +80,7 @@ __all__ = [
     "channel_energy",
     "counting_domain",
     "count_below_pruefer",
+    "count_batch_pruefer",
     "count_below_fd",
     "count_below",
     "eigenvalues_below",
@@ -107,7 +122,9 @@ def threshold_eps(G, alpha: float) -> float:
 
 def channel_energy(G, alpha: float, m: int = 0) -> float | None:
     """Energy at which channel m is counted: -(m^2 + threshold_eps), just
-    below its threshold -m^2. None when G = 0: no channel holds a state."""
+    below its threshold -m^2. None when G = 0: no channel holds a state.
+    A non-positive or non-finite alpha raises the engines' ValueError."""
+    _check_alpha(alpha)
     eps = threshold_eps(G, alpha)
     if eps <= 0.0:
         return None
@@ -129,9 +146,13 @@ def counting_domain(G, alpha: float, E: float,
     return T_minus - pad, T_plus + pad
 
 
-def _validate(alpha: float, E: float) -> None:
+def _check_alpha(alpha: float) -> None:
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"need alpha > 0, got {alpha}")
+
+
+def _validate(alpha: float, E: float) -> None:
+    _check_alpha(alpha)
     if not (E < 0.0 and math.isfinite(E)):
         raise ValueError(f"need E < 0 (continuous spectrum starts at 0), got {E}")
 
@@ -142,6 +163,9 @@ def _validate(alpha: float, E: float) -> None:
 # an error in the phase or pivot entering the allowed region shrinks by
 # exp(-2 _LEAD_IN) = 1e-12 over the lead-in where either engine starts
 _LEAD_IN = 0.5 * math.log(1e12)
+# points in the first chunk of a lead-in that either engine sums back from
+# the first allowed point (_lead_in, and _block_count's head)
+_HEAD_CHUNK = 256
 
 # the mesh rule, absolute in w = E + alpha G: on every interval,
 # h sqrt(alpha max |G|) <= _MESH_TURN and
@@ -152,8 +176,10 @@ _MESH_KICK = 0.25
 # most _SPREAD_TOL, bisecting at most _MAX_LEVEL times
 _SPREAD_TOL = 1e-8
 _MAX_LEVEL = 8
-# intervals per block of a sweep (_magnus_sweep)
-_SWEEP_BLOCK = 1024
+# intervals that one block of a batch sweep holds (_magnus_sweep): the
+# coefficients and the u history of that many intervals, over the passes
+# or parts of passes in the block, are held at a time
+_BATCH_INTERVALS = 4096
 # Gauss points t + (1/2 -+ _GAUSS) h of an interval, and the weight of the
 # commutator term of the fourth-order Magnus exponent
 _GAUSS = math.sqrt(3.0) / 6.0
@@ -203,34 +229,87 @@ def _mesh(G, alpha: float, p: float, q: float) -> np.ndarray:
     return G.phase_mesh[1]
 
 
-def _pass_intervals(G, alpha: float, E: float, a: float, z: float,
-                    level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, w1, w2) of the intervals from a to z, in the order a pass meets
-    them. The mesh nodes strictly between a and z cut [a, z], so a pass
-    that starts or ends between two nodes enters or leaves through a
-    partial interval, and every interval is bisected `level` times. w1 and
-    w2 are w = E + alpha G at the first and the second Gauss point met,
-    read with one G.eval; a Gauss point lies inside its interval, so G is
-    read inside its pieces. With z < a the pass walks the mirrored
-    intervals, right to left."""
-    p, q = min(a, z), max(a, z)
-    nodes = _mesh(G, alpha, p, q)
-    edges = np.concatenate(([p], nodes[(nodes > p) & (nodes < q)], [q]))
+def _level_intervals(G, alpha: float, nodes: np.ndarray, passes, level: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """(h, w1, w2, cuts) of the passes (E, a, z, ...) on the mesh `nodes` at
+    bisection level `level`, one after another: pass i meets intervals
+    cuts[i]:cuts[i+1], in that order. The mesh nodes strictly between a and
+    z cut [a, z], so a pass that starts or ends between two nodes enters or
+    leaves through a partial interval, and every interval is bisected
+    `level` times. w1 and w2 are w = E + alpha G at the first and the
+    second Gauss point met; a Gauss point lies inside its interval, so G is
+    read inside its pieces. With z < a a pass walks the mirrored intervals,
+    right to left.
+
+    G is read once for the batch: at the Gauss points of the mesh intervals
+    that some pass crosses whole, which every pass through them shares,
+    and of each pass's partial end intervals. Each point is the one the
+    pass alone would read, so its arrays do not depend on the batch."""
+    ends = [sorted(ps[1:3]) for ps in passes]
+    # the first node > p, and one past the last node < q
+    k0s = np.searchsorted(nodes, [p for p, _ in ends], "right").tolist()
+    k1s = np.searchsorted(nodes, [q for _, q in ends], "left").tolist()
+    whole = [(k0, k1 - 1) for k0, k1 in zip(k0s, k1s) if k1 - 1 > k0]
+    k_lo = min((k for k, _ in whole), default=0)
+    k_hi = max((k for _, k in whole), default=0)
     n = 2 ** level
-    h = np.repeat(np.diff(edges) / n, n)
-    mid = (np.repeat(edges[:-1], n)
-           + h * (np.tile(np.arange(n), edges.size - 1) + 0.5))
+    m = n * (k_hi - k_lo + sum(1 + (k1 > k0) for k0, k1 in zip(k0s, k1s)))
+    # G is read at the m intervals, bisected, of: mesh intervals
+    # k_lo..k_hi-1, which passes cross whole (a pass crosses k0..k1-2),
+    # then the ends of each pass, [p, q] when no node cuts it, else
+    # [p, node k0] and [node k1-1, q]; ag[:m] at their left Gauss points,
+    # ag[m:] at their right ones. A pass is runs (first, length) of them in
+    # the order of t; a mirrored pass takes the runs in reverse, each right
+    # to left, from the right points. src, which indexes ag at the point
+    # each interval meets first, is a cumsum of steps of +-1 with a jump to
+    # the start of each run
+    lo: list = []
+    hi: list = []
+    steps, sizes, jump_at, jump, cuts = [], [], [], [], [0]
+    prev = 0
+    for (_, a, z, *_), (p, q), k0, k1 in zip(passes, ends, k0s, k1s):
+        cuts.append(cuts[-1])
+        first = n * (k_hi - k_lo + len(lo))
+        if k1 > k0:
+            lo += [p, nodes[k1 - 1]]
+            hi += [nodes[k0], q]
+            runs = [(first, n), (n * (k0 - k_lo), n * (k1 - 1 - k0)),
+                    (first + n, n)]
+        else:
+            lo.append(p)
+            hi.append(q)
+            runs = [(first, n)]
+        if z < a:
+            runs = [(s + L - 1 + m, L, -1) for s, L in reversed(runs)]
+        else:
+            runs = [(s, L, 1) for s, L in runs]
+        for start, L, step in runs:
+            if L:
+                steps.append(step)
+                sizes.append(L)
+                jump_at.append(cuts[-1])
+                jump.append(start - prev)
+                prev = start + step * (L - 1)
+                cuts[-1] += L
+    lo = np.concatenate([nodes[k_lo:k_hi], lo])
+    hi = np.concatenate([nodes[k_lo + 1:k_hi + 1], hi])
+    h = np.repeat((hi - lo) / n, n)
+    mid = np.repeat(lo, n) + h * (np.arange(m) % n + 0.5)
     d = _GAUSS * h
-    g = np.asarray(G.eval(np.concatenate([mid - d, mid + d])), dtype=float)
-    w1, w2 = E + alpha * g[: h.size], E + alpha * g[h.size:]
-    if z < a:
-        return h[::-1], w2[::-1], w1[::-1]
-    return h, w1, w2
+    ag = alpha * np.asarray(G.eval(np.concatenate([mid - d, mid + d])),
+                            dtype=float)
+    src = np.repeat(steps, sizes)
+    src[jump_at] = jump
+    src = np.cumsum(src)
+    E = np.repeat([ps[0] for ps in passes], np.diff(cuts))
+    return (np.concatenate([h, h])[src], E + ag[src], E + np.roll(ag, m)[src],
+            cuts)
 
 
 def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                  theta0: float) -> float:
-    """Phase after the intervals (h, w1, w2), from theta0 in [0, pi).
+                  cuts: list[int], theta0s: list[float]) -> list[float]:
+    """Phase of each pass after its intervals of (h, w1, w2): pass i sweeps
+    intervals cuts[i]:cuts[i+1], from theta0s[i] in [0, pi).
 
     Fourth-order Magnus: an interval maps (u, u') by exp(Omega),
     Omega = [[c, h], [-h wbar, -c]], with wbar = (w1 + w2)/2 and
@@ -247,21 +326,36 @@ def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     at s = pi/mu > 1. An oscillatory interval with mu >= pi raises: a
     feature of G lies between mesh samples, and it must sit at a
     breakpoint. The phase is pi * zeros + (atan2(u, u') mod pi). The
-    intervals are swept in blocks of _SWEEP_BLOCK, so that a deeply
-    bisected pass holds the states and matrices of one block at a time."""
-    u, v = math.sin(theta0), math.cos(theta0)
-    zeros = 0.0
-    for i in range(0, h.size, _SWEEP_BLOCK):
-        block = slice(i, i + _SWEEP_BLOCK)
-        u, v, n = _sweep_block(h[block], w1[block], w2[block], u, v)
-        zeros += n
-    return math.pi * zeros + math.atan2(u, v) % math.pi
+    intervals are swept in blocks of _BATCH_INTERVALS, each holding whole
+    passes or parts of them, so that a batch holds the states and matrices
+    of one block at a time."""
+    u = [math.sin(t) for t in theta0s]
+    v = [math.cos(t) for t in theta0s]
+    zeros = [0.0] * len(theta0s)
+    i = 0   # the first pass not swept to its end
+    for lo in range(0, cuts[-1], _BATCH_INTERVALS):
+        hi = min(lo + _BATCH_INTERVALS, cuts[-1])
+        j = bisect.bisect_left(cuts, hi, i + 1)   # passes i..j-1 reach hi
+        local = [0, *(c - lo for c in cuts[i + 1:j]), hi - lo]
+        block = slice(lo, hi)
+        out = _sweep_block(h[block], w1[block], w2[block], local,
+                           list(zip(u[i:j], v[i:j])))
+        for k, (uk, vk, nk) in enumerate(out, i):
+            u[k], v[k] = uk, vk
+            zeros[k] += nk
+        i = j if cuts[j] == hi else j - 1
+    return [math.pi * n + math.atan2(uk, vk) % math.pi
+            for uk, vk, n in zip(u, v, zeros)]
 
 
-def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
-                 v: float) -> tuple[float, float, float]:
-    """(u, u') after the intervals (h, w1, w2) of _magnus_sweep, normalised,
-    and the zeros of u on them."""
+def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                 cuts: list[int], states: list[tuple[float, float]]
+                 ) -> list[tuple[float, float, float]]:
+    """(u, u') of each pass after its intervals of a block of _magnus_sweep,
+    normalised, and the zeros of u on them: pass i sweeps intervals
+    cuts[i]:cuts[i+1] from states[i]. The coefficients and the sign count
+    of every pass come from one set of numpy calls; only the recurrence
+    runs per pass."""
     wbar = 0.5 * (w1 + w2)
     c = _MAGNUS_C * h * h * (w2 - w1)
     mu2 = h * h * wbar - c * c
@@ -280,87 +374,152 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray, u: float,
     sn = np.where(osc, np.sin(mu), np.where(pos, -em, 1.0)) / safe
     snc = sn * c
     snh = sn * h
-    us = [u]
-    for p, q, r, s in zip((cs + snc).tolist(), snh.tolist(),
-                          (-snh * wbar).tolist(), (cs - snc).tolist()):
-        u, v = p * u + q * v, r * u + s * v
-        n = abs(u) + abs(v)
-        u /= n
-        v /= n
+    # memoryviews hand the loop Python floats one at a time, and the u
+    # history is kept as raw doubles: no list of floats per coefficient
+    P, Q = memoryview(cs + snc), memoryview(snh)
+    R, S = memoryview(-snh * wbar), memoryview(cs - snc)
+    us = array.array("d")
+    ends = []
+    for (u, v), lo, hi in zip(states, cuts, cuts[1:]):
         us.append(u)
-    U = np.array(us)
+        for p, q, r, s in zip(P[lo:hi], Q[lo:hi], R[lo:hi], S[lo:hi]):
+            u, v = p * u + q * v, r * u + s * v
+            n = abs(u) + abs(v)
+            u /= n
+            v /= n
+            us.append(u)
+        ends.append((u, v))
+    U = np.frombuffer(us)
     u0, u1 = U[:-1], U[1:]
     # from u = 0 an interval holds no zero: u(s) keeps the sign of u' up
     # to s = pi/mu > 1
     odd = (u1 == 0.0) | (((u0 < 0.0) != (u1 < 0.0)) & (u0 != 0.0))
-    return u, v, float(np.count_nonzero(odd))
+    # pass i's u history starts at U[cuts[i] + i]; the pair before that
+    # joins two passes
+    first = np.array(cuts[:-1]) + np.arange(len(states))
+    odd[first[1:] - 1] = False
+    zeros = np.add.reduceat(odd.astype(np.int64), first).tolist()
+    return [(u, v, float(n)) for (u, v), n in zip(ends, zeros)]
 
 
-def _pass_phase(G, alpha: float, E: float, a: float, z: float,
-                theta0: float, tail: float) -> tuple[float, int, bool]:
-    """(theta, intervals swept, settled) of a pass from a to z, then over a
-    stretch of length `tail` where G = 0, which is mapped exactly.
+def _pass_phases(G, alpha: float, passes) -> list[tuple[float, int, bool]]:
+    """(theta, intervals swept, settled) of each pass (E, a, z, theta0,
+    tail): from a to z on the mesh, from theta0, then over a stretch of
+    length `tail` where G = 0, which is mapped exactly.
 
-    The pass is swept on the mesh and on its bisection, and the spread of
+    A pass is swept on the mesh and on its bisection, and the spread of
     their final phases is its error statement: while the spread exceeds
     _SPREAD_TOL, 100 times inside the 1e-6 flag windows, the pass is
     bisected once more, at most _MAX_LEVEL times. The finest sweep's phase
     is returned; settled is False when its spread still exceeds
-    _SPREAD_TOL."""
-    kappa = math.sqrt(-E)
+    _SPREAD_TOL. The passes are swept together, level by level, each
+    until it settles (_level_intervals, _magnus_sweep), on one mesh that
+    spans them all."""
+    def final(i, th):
+        E, tail = passes[i][0], passes[i][4]
+        return _zero_tail(th, math.sqrt(-E), tail) if tail > 0.0 else th
 
-    def final(th):
-        return _zero_tail(th, kappa, tail) if tail > 0.0 else th
-
-    if a == z:
-        return final(theta0), 0, True
-    th, steps = None, 0
+    out: list = [None] * len(passes)
+    steps = [0] * len(passes)
+    prev: dict[int, float] = {}
+    live = []
+    for i, (_, a, z, theta0, _) in enumerate(passes):
+        if a == z:
+            out[i] = final(i, theta0), 0, True
+        else:
+            live.append(i)
+    if live:
+        nodes = _mesh(G, alpha, min(min(passes[i][1:3]) for i in live),
+                      max(max(passes[i][1:3]) for i in live))
     for level in range(_MAX_LEVEL + 1):
-        h, w1, w2 = _pass_intervals(G, alpha, E, a, z, level)
-        fine = final(_magnus_sweep(h, w1, w2, theta0))
-        steps += h.size
-        if th is not None and abs(fine - th) <= _SPREAD_TOL:
-            return fine, steps, True
-        th = fine
-    return th, steps, False
+        if not live:
+            break
+        batch = [passes[i] for i in live]
+        h, w1, w2, cuts = _level_intervals(G, alpha, nodes, batch, level)
+        thetas = _magnus_sweep(h, w1, w2, cuts, [ps[3] for ps in batch])
+        still = []
+        for i, th, lo, hi in zip(live, thetas, cuts, cuts[1:]):
+            fine = final(i, th)
+            steps[i] += hi - lo
+            if i in prev and abs(fine - prev[i]) <= _SPREAD_TOL:
+                out[i] = fine, steps[i], True
+            else:
+                prev[i] = fine
+                still.append(i)
+        live = still
+    for i in live:
+        out[i] = prev[i], steps[i], False
+    return out
 
 
-def _lead_in(G, alpha: float, E: float, A: float, B: float
-             ) -> tuple[float, float]:
-    """(t0, theta0): where the whole-line pass starts, and its phase.
+def _lead_in(G, alpha: float, windows) -> list[tuple[float, float]]:
+    """(t0, theta0) of each whole-line window (E, A, B): where its pass
+    starts, and its phase.
 
     Left of the first allowed point t1 (w = E + alpha G >= 0), moving right
     multiplies a phase error by at most exp(-2 int sqrt(-w)). So the pass
     can start at the latest t0 with int_{t0}^{t1} sqrt(-w) >= _LEAD_IN,
-    at the local WKB phase atan2(1, sqrt(-w(t0)))
-    of the decaying solution. G is scanned once from A to its argmax, every
-    breakpoint included, at a spacing of at most 1/(4 S_top): a pocket
-    missed between two scan points turns the scaled phase by at most 1/4
-    rad, and the decaying phase lies in (0, pi/2), so it cannot make a
-    zero. Each cell counts at the smaller of its two end values. Without
-    such a t0 (always when kappa (B - A) < _LEAD_IN) the pass starts at A at
-    atan2(1, kappa)."""
-    kappa = math.sqrt(-E)
-    start = A, math.atan2(1.0, kappa)
-    t_end = min(B, G.g_argmax)
-    if kappa * (B - A) < _LEAD_IN or not t_end > A:
-        return start
-    S_top = math.sqrt(max(1.0, alpha * G.g_max + E))
-    ts = np.linspace(A, t_end, int(math.ceil(4.0 * S_top * (t_end - A))) + 1)
-    ts = np.union1d(ts, [p for p in G.breakpoints if A < p < t_end])
-    w = E + alpha * np.asarray(G.eval(ts), dtype=float)
-    allowed = np.flatnonzero(w >= 0.0)
-    if allowed.size == 0 or allowed[0] == 0:
-        return start
-    i1 = allowed[0]
-    q = np.sqrt(np.maximum(-w[: i1 + 1], 0.0))
-    cells = np.minimum(q[:-1], q[1:]) * np.diff(ts[: i1 + 1])
-    to_t1 = np.cumsum(cells[::-1])[::-1]   # int_{ts[j]}^{t1}, j < i1
-    far = np.flatnonzero(to_t1 >= _LEAD_IN)
-    if far.size == 0:
-        return start
-    j = far[-1]
-    return float(ts[j]), math.atan2(1.0, float(q[j]))
+    at the local WKB phase atan2(1, sqrt(-w(t0))) of the decaying
+    solution. G is scanned from A to its argmax, every breakpoint
+    included, at a spacing of at most 1/(4 S_top): a pocket missed between
+    two scan points turns the scaled phase by at most 1/4 rad, and the
+    decaying phase lies in (0, pi/2), so it cannot make a zero. Each cell
+    counts at the smaller of its two end values. Without such a t0 (always
+    when kappa (B - A) < _LEAD_IN) the pass starts at A at
+    atan2(1, kappa).
+
+    One scan serves every window that needs one: it runs from the leftmost
+    A to the rightmost end, at the spacing of the highest E, whose S_top is
+    the largest, and each window reads the scan points inside it; a window
+    alone is scanned on its own [A, end]. t1 comes from the running maximum
+    of alpha G, and the integral is summed back from t1 in chunks growing
+    4x, the first of about _LEAD_IN / (kappa spacing) points (at least
+    _HEAD_CHUNK), only as far as it needs."""
+    out = []
+    scan = []   # (window, E, A, end of the scan)
+    for E, A, B in windows:
+        kappa = math.sqrt(-E)
+        out.append((A, math.atan2(1.0, kappa)))
+        t_end = min(B, G.g_argmax)
+        if kappa * (B - A) >= _LEAD_IN and t_end > A:
+            scan.append((len(out) - 1, E, A, t_end))
+    if not scan:
+        return out
+    lo, hi = min(s[2] for s in scan), max(s[3] for s in scan)
+    S_top = math.sqrt(max(1.0, alpha * G.g_max + max(s[1] for s in scan)))
+    n = int(math.ceil(4.0 * S_top * (hi - lo)))
+    ts = np.linspace(lo, hi, n + 1)
+    ts = np.union1d(ts, [p for p in G.breakpoints if lo < p < hi])
+    ag = alpha * np.asarray(G.eval(ts), dtype=float)
+    top = np.fmax.accumulate(ag)
+    dts = np.diff(ts)
+    which, Es, As, ends = zip(*scan)
+    # the first allowed point: E + alpha G >= 0 iff alpha G >= -E, which
+    # the running maximum finds unless a point left of the window is
+    firsts = top.searchsorted(np.negative(Es), "left").tolist()
+    starts = ts.searchsorted(As, "left").tolist()
+    stops = ts.searchsorted(ends, "right").tolist()
+    for i, E, s, e, i1 in zip(which, Es, starts, stops, firsts):
+        if s and top[s - 1] >= -E:
+            hit = np.flatnonzero(ag[s:e] >= -E)
+            i1 = s + int(hit[0]) if hit.size else e
+        if not s < i1 < e:
+            continue
+        # int_{ts[j]}^{t1}, j < i1, summed back from t1
+        run, size = 0.0, max(_HEAD_CHUNK,
+                             int(_LEAD_IN * n / (math.sqrt(-E) * (hi - lo))))
+        while i1 > s:
+            j0 = max(i1 - size, s)
+            q = np.sqrt(np.maximum(-(E + ag[j0:i1 + 1]), 0.0))
+            cells = np.minimum(q[:-1], q[1:]) * dts[j0:i1]
+            sums = np.cumsum(np.concatenate(([run], cells[::-1])))[1:]
+            k = int(sums.searchsorted(_LEAD_IN))
+            if k < cells.size:
+                j = i1 - 1 - k
+                out[i] = float(ts[j]), math.atan2(1.0, float(q[j - j0]))
+                break
+            i1, run, size = j0, float(sums[-1]), 4 * size
+    return out
 
 
 def _zero_tail(theta: float, kappa: float, d: float) -> float:
@@ -419,57 +578,90 @@ def count_below_pruefer(G, alpha: float, E: float,
     the support (the zero head). In every mode and pass it stops at the end
     of the support of G; the rest of the pass, where G = 0, is mapped
     exactly (_zero_tail), and the count is read at B as before. A pass
-    whose phase has not settled under bisection (_pass_phase) flags
+    whose phase has not settled under bisection (_pass_phases) flags
     `phase-near-node` with uncertainty 1. `steps` counts the mesh intervals
     swept, bisections included.
+
+    The count is a batch of one (count_batch_pruefer): one pass, two in the
+    Dirichlet-at-0 mode.
     """
-    _validate(alpha, E)
-    mode = BoundaryMode(mode)
-    A, B = domain if domain is not None else counting_domain(G, alpha, E, mode)
-    kappa = math.sqrt(-E)
-    flags: list[str] = ["domain-truncated"] if G.truncated else []
-    if alpha * G.g_max + E <= 0.0:
-        return CountResult(0, "pruefer", E, mode.value, (A, B),
-                           flags=tuple(flags + ["below-spectrum"]))
-    t_lo, t_hi = G.t_support
+    return count_batch_pruefer(G, alpha, [(E, mode)], domain=domain,
+                               truncated=truncated)[0]
 
-    def one_pass(a, b, theta0):
-        # from a toward b; G = 0 past the support: the mesh up to its end,
-        # the exact map beyond
-        if b > a:
-            z = min(max(a, t_hi), b)
-        elif b < a:
-            z = max(min(a, t_lo), b)
-        else:
-            z = a
-        th, n, settled = _pass_phase(G, alpha, E, a, z, theta0, abs(b - z))
-        c, u, fl = _zeros_from_phase(th, kappa, tail=not truncated)
-        if not settled and "phase-near-node" not in fl:
-            fl.insert(0, "phase-near-node")
-            u = 1
-        return c, u, fl, th, n
 
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
-        right, u1, f1, _, n1 = one_pass(0.0, B, 0.0)
-        left, u2, f2, _, n2 = one_pass(0.0, A, 0.0)
-        count = left + right
-        uncertainty = u1 + u2
-        flags += f1 + f2
-        steps = n1 + n2
-        extras = {"left": left, "right": right}
-    else:
-        if mode == BoundaryMode.HALF_LINE_DIRICHLET:
-            a, theta0 = 0.0, 0.0
+def count_batch_pruefer(G, alpha: float, queries, *,
+                        domain: tuple[float, float] | None = None,
+                        truncated: bool = False) -> list[CountResult]:
+    """count_below_pruefer at each (E, mode) of `queries`, one batch of
+    passes for all: one lead-in scan serves every whole-line pass
+    (_lead_in), and the passes are swept together (_pass_phases). Each
+    count, its flags and its steps are those of the query counted alone,
+    except that a whole-line pass may start from another point of the
+    shared scan, at a phase error contracted by 1e-12. domain and truncated
+    apply to every query."""
+    plans = []
+    for E, mode in queries:
+        _validate(alpha, E)
+        mode = BoundaryMode(mode)
+        A, B = (domain if domain is not None
+                else counting_domain(G, alpha, E, mode))
+        # the passes as (start, end, initial phase); None starts at the
+        # lead-in
+        if alpha * G.g_max + E <= 0.0:
+            runs = None
+        elif mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
+            runs = [(0.0, B, 0.0), (0.0, A, 0.0)]
+        elif mode == BoundaryMode.HALF_LINE_DIRICHLET:
+            runs = [(0.0, B, 0.0)]
         elif truncated:
-            a, theta0 = A, 0.0
+            runs = [(A, B, 0.0)]
         else:
-            a, theta0 = _lead_in(G, alpha, E, A, B)
-            a = max(a, t_lo)
-        count, uncertainty, flags_p, th, steps = one_pass(a, B, theta0)
-        flags += flags_p
-        extras = {"theta_end": th}
-    return CountResult(count, "pruefer", E, mode.value, (A, B), None, steps,
-                       uncertainty, tuple(flags), extras)
+            runs = [None]
+        plans.append((E, mode, A, B, runs))
+    lead = iter(_lead_in(G, alpha, [(E, A, B) for E, _, A, B, runs in plans
+                                    if runs == [None]]))
+    t_lo, t_hi = G.t_support
+    passes = []
+    for E, _, _, B, runs in plans:
+        for run in runs or ():
+            if run is None:
+                t0, theta0 = next(lead)
+                run = max(t0, t_lo), B, theta0
+            a, b, theta0 = run
+            # from a toward b; G = 0 past the support: the mesh up to its
+            # end, the exact map beyond
+            if b > a:
+                z = min(max(a, t_hi), b)
+            elif b < a:
+                z = max(min(a, t_lo), b)
+            else:
+                z = a
+            passes.append((E, a, z, theta0, abs(b - z)))
+    phases = iter(_pass_phases(G, alpha, passes))
+    out = []
+    for E, mode, A, B, runs in plans:
+        flags = ["domain-truncated"] if G.truncated else []
+        if runs is None:
+            out.append(CountResult(0, "pruefer", E, mode.value, (A, B),
+                                   flags=tuple(flags + ["below-spectrum"])))
+            continue
+        counts, uncertainty, steps = [], 0, 0
+        for _ in runs:
+            th, n, settled = next(phases)
+            c, u, fl = _zeros_from_phase(th, math.sqrt(-E), tail=not truncated)
+            if not settled and "phase-near-node" not in fl:
+                fl.insert(0, "phase-near-node")
+                u = 1
+            counts.append(c)
+            uncertainty += u
+            flags += fl
+            steps += n
+        extras = ({"left": counts[1], "right": counts[0]} if len(runs) == 2
+                  else {"theta_end": th})
+        out.append(CountResult(sum(counts), "pruefer", E, mode.value, (A, B),
+                               None, steps, uncertainty, tuple(flags),
+                               extras))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +669,6 @@ def count_below_pruefer(G, alpha: float, E: float,
 
 # most intervals of a uniform grid (fd counts and bs_spectrum)
 _N_CAP = 3_000_000
-# nodes in the first chunk of a block's head that _block_count reads
-_HEAD_CHUNK = 256
 
 
 def _sturm_pass(a: list[float], d: float = math.inf

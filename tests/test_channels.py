@@ -27,7 +27,7 @@ from radcount import (
     to_log,
     total_count,
 )
-from radcount import channels
+from radcount import channels, spectral1d
 from radcount.spectral1d import (bs_spectrum, channel_energy, counting_domain,
                                  threshold_eps)
 
@@ -278,6 +278,25 @@ def test_zero_potential_breakdown(catalog):
     assert "zero-potential" in b.flags
 
 
+@pytest.mark.parametrize("engine", ["pruefer", "fd"])
+def test_non_positive_alpha_is_refused(catalog, engine):
+    # alpha <= 0 (or not finite) raises the engines' error in every
+    # route that reads a channel energy; only G = 0 at alpha > 0 reads as
+    # a zero potential
+    for alpha in (0.0, -0.0, -5.0, math.inf, math.nan):
+        for P in (catalog["gaussian"], catalog["zero"]):
+            with pytest.raises(ValueError, match="need alpha > 0"):
+                total_count(P, alpha, engine=engine)
+            with pytest.raises(ValueError, match="need alpha > 0"):
+                channel_count(P, alpha, 0, engine=engine)
+            with pytest.raises(ValueError, match="need alpha > 0"):
+                channel_energy(to_log(P, strict=False), alpha)
+    G = to_log(catalog["zero"], strict=False)
+    assert channel_energy(G, 5.0) is None
+    b = total_count(catalog["zero"], 5.0, engine=engine)
+    assert (b.total, b.flags) == (0, ("zero-potential",))
+
+
 def test_breakdown_dataclass_shape(catalog):
     P = catalog["annulus"]
     b = total_count(P, 30.0)
@@ -288,62 +307,61 @@ def test_breakdown_dataclass_shape(catalog):
     assert len(ev) == 1 and -ev[0] > 0.0
 
 
-@pytest.mark.parametrize("name, alpha, calls, total, per", [
-    ("counterexample", 5.0, 3, 2, {0: 2, 1: 0}),
-    ("square-well", 200.0, 13, 51,
+@pytest.mark.parametrize("name, alpha, passes, steps, total, per", [
+    ("counterexample", 5.0, [3], 951, 2, {0: 2, 1: 0}),
+    ("square-well", 200.0, [17], 3178, 51,
      {0: 5, 1: 4, 2: 4, 3: 3, 4: 3, 5: 2, 6: 2, 7: 2, 8: 1, 9: 1, 10: 1,
       11: 0}),
 ], ids=["slowtail-5", "disk-200"])
-def test_total_count_work(catalog, monkeypatch, name, alpha, calls, total,
-                          per):
-    # one count per channel up to the first empty one, plus the Dirichlet
-    # count; no bisection for the lowest eigenvalue
-    seen = []
-
-    def counting(*args, **kw):
-        seen.append(args)
-        return count_below(*args, **kw)
-
-    monkeypatch.setattr("radcount.channels.count_below", counting)
-    b = total_count(catalog[name], alpha)
-    assert len(seen) == calls
+def test_total_count_work(catalog, monkeypatch, name, alpha, passes, steps,
+                          total, per):
+    # one batch of passes: every channel with m^2 < alpha g_max (at most
+    # 16 in the first batch), and the two Dirichlet-at-0 passes; the
+    # counts past the first empty channel are dropped. No bisection for
+    # the lowest eigenvalue
+    b, seen = _phase_batches(catalog, monkeypatch, name, alpha)
+    assert [len(out) for out in seen] == passes
+    assert sum(n for out in seen for _, n, _ in out) == steps
     assert b.total == total
     assert b.per_channel == per
     assert b.extras["m_scan"] == max(per)
 
 
-def _phase_steps(catalog, monkeypatch, name, alpha):
-    """total_count by the phase engine, and the counts it made."""
+def _phase_batches(catalog, monkeypatch, name, alpha):
+    """total_count by the phase engine, and the (theta, steps, settled) of
+    the passes of each batch it swept."""
     seen = []
+    settle = spectral1d._pass_phases
 
-    def counting(*args, **kw):
-        seen.append(count_below(*args, **kw))
+    def batch(*args):
+        seen.append(settle(*args))
         return seen[-1]
 
-    monkeypatch.setattr("radcount.channels.count_below", counting)
+    monkeypatch.setattr(spectral1d, "_pass_phases", batch)
     return total_count(catalog[name], alpha), seen
 
 
 def test_total_count_phase_steps_disk_3200(catalog, monkeypatch):
-    # the work of the phase engine at disk alpha=3200: 53 counts (m = 0..51
-    # and the Dirichlet count) sweep 19709 mesh intervals in all, bisections
-    # included, each pass running only from the lead-in start to the
-    # support end t = 0
-    b, seen = _phase_steps(catalog, monkeypatch, "square-well", 3200.0)
+    # the work of the phase engine at disk alpha=3200: two batches, of 16
+    # channels and the Dirichlet pair, then of channels 16..56 (up to
+    # 56^2 < 3200; 51 is the first empty one), sweep 20528 mesh intervals
+    # in all, bisections included, each pass running only from the lead-in
+    # start to the support end t = 0
+    b, seen = _phase_batches(catalog, monkeypatch, "square-well", 3200.0)
     assert b.total == 806 and b.uncertainty == 0 and not b.flags
-    assert len(seen) == 53
-    assert sum(r.steps for r in seen) == 19709
+    assert [len(out) for out in seen] == [18, 41]
+    assert sum(n for out in seen for _, n, _ in out) == 20528
 
 
 def test_total_count_phase_steps_slowtail_5(catalog, monkeypatch):
     # on the slow tail at alpha=5, |w| stays below 1e-2 over most of the
     # ~2000-wide window: a mesh rule absolute in w, not floored at a unit
-    # scale, covers it in 951 mesh intervals for the 3 counts, bisections
-    # included
-    b, seen = _phase_steps(catalog, monkeypatch, "counterexample", 5.0)
+    # scale, covers it in 951 mesh intervals for the 3 passes (m = 0 and
+    # the Dirichlet pair; m = 1 is below the spectrum), bisections included
+    b, seen = _phase_batches(catalog, monkeypatch, "counterexample", 5.0)
     assert (b.total, b.per_channel, b.uncertainty) == (2, {0: 2, 1: 0}, 0)
-    assert len(seen) == 3
-    assert sum(r.steps for r in seen) == 951
+    assert [len(out) for out in seen] == [3]
+    assert sum(n for out in seen for _, n, _ in out) == 951
 
 
 def test_fd_sturm_work_disk_3200(catalog, monkeypatch):

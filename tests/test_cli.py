@@ -376,3 +376,27 @@ print(bool(lam[0] > lam[1] > 0.0), meta["n_nodes"] > 0)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split("\n")[:3] == ["[]", "[] 34", "True True"]
+
+
+@pytest.mark.parametrize("method", ["pruefer", "fd"])
+@pytest.mark.parametrize("alpha", ["--alpha=0", "--alpha=-5"])
+def test_non_positive_alpha_exits_2(capsys, method, alpha):
+    # alpha <= 0 is a usage error, not a zero potential
+    code = main(["count", "--spec", "gaussian", alpha, "--method", method])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need alpha > 0" in captured.err
+
+
+def test_negative_n_random_exits_2(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--spec", "square-well", "--n-random", "-3"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-random must be >= 0" in captured.err
+    code, doc = run_json(capsys, "verify", "--spec", "zero", "--n-random",
+                         "0")
+    assert code == 0
+    assert doc["report"]["checks"][0]["instances"] == 0

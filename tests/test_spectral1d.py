@@ -692,16 +692,16 @@ def _final_phases(monkeypatch, G, alpha, E, mode, kernel=None,
         got = count_below_rk(G, alpha, E, mode, kernel=kernel,
                              g_scalar=g_scalar)
         return got, got.extras["thetas"]
-    settle = spectral1d._pass_phase
+    settle = spectral1d._pass_phases
     thetas = []
 
     def spy(*args):
         out = settle(*args)
-        thetas.append(out[0])
+        thetas.extend(th for th, _, _ in out)
         return out
 
     with monkeypatch.context() as mp:
-        mp.setattr(spectral1d, "_pass_phase", spy)
+        mp.setattr(spectral1d, "_pass_phases", spy)
         return count_below_pruefer(G, alpha, E, mode), thetas
 
 
@@ -877,8 +877,8 @@ def _window_path(G, alpha, E, mode):
     kappa = math.sqrt(-E)
 
     def one(a, b, theta0):
-        th, _, settled = spectral1d._pass_phase(G, alpha, E, a, b, theta0,
-                                                0.0)
+        (th, _, settled), = spectral1d._pass_phases(
+            G, alpha, [(E, a, b, theta0, 0.0)])
         c, u, fl = spectral1d._zeros_from_phase(th, kappa, tail=True)
         if not settled and "phase-near-node" not in fl:
             fl.insert(0, "phase-near-node")
@@ -958,7 +958,7 @@ def test_lead_in_stops_before_a_narrow_deep_box(monkeypatch):
     for G in (hidden, deep):
         for E in (-225.0, -400.0, -2000.0):
             A, B = counting_domain(G, 1.0, E, BoundaryMode.WHOLE_LINE)
-            t0, _ = spectral1d._lead_in(G, 1.0, E, A, B)
+            (t0, _), = spectral1d._lead_in(G, 1.0, [(E, A, B)])
             assert A < t0 < 0.0, (E, t0)
     wide_alone = boxes_G((300.0, 1.5, 4.0))
     for E in (-225.0, -2000.0):
@@ -973,17 +973,17 @@ def test_zero_tail_in_every_mode(monkeypatch):
     # form, with the window path's counts, flags and phases
     G = box_G(60.0, -1.0, 1.0)
     ends = []
-    settle = spectral1d._pass_phase
+    settle = spectral1d._pass_phases
 
-    def spy(*args):
-        ends.append(args[4])
-        return settle(*args)
+    def spy(G, alpha, passes):
+        ends.extend(z for _, _, z, _, _ in passes)
+        return settle(G, alpha, passes)
 
     for mode in BoundaryMode:
         for E in (-0.5, -7.0, -30.0):
             ends.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(spectral1d, "_pass_phase", spy)
+                mp.setattr(spectral1d, "_pass_phases", spy)
                 count_below_pruefer(G, 1.0, E, mode)
             assert ends == ([1.0, -1.0] if mode ==
                             BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else [1.0])
@@ -1008,7 +1008,8 @@ def test_magnus_sweep_is_exact_for_constant_w():
                 parts = np.ceil(k * h / 3.0).astype(np.int64)
                 cut = np.repeat(h / parts, parts)
                 w = np.full(cut.size, k * k)
-                got = spectral1d._magnus_sweep(cut, w, w, theta0)
+                got, = spectral1d._magnus_sweep(cut, w, w, [0, cut.size],
+                                                [theta0])
                 psi = k * L + math.atan2(k * math.sin(theta0),
                                          math.cos(theta0))
                 rest = psi - math.pi * math.floor(psi / math.pi)
@@ -1017,9 +1018,10 @@ def test_magnus_sweep_is_exact_for_constant_w():
                 assert got == pytest.approx(want, abs=1e-9), (n, theta0, k)
                 if k * np.max(h) >= math.pi:
                     with pytest.raises(RuntimeError, match="breakpoint"):
-                        spectral1d._magnus_sweep(h, w[:n], w[:n], theta0)
+                        spectral1d._magnus_sweep(h, w[:n], w[:n], [0, n],
+                                                 [theta0])
                 w = np.full(n, -k * k)
-                got = spectral1d._magnus_sweep(h, w, w, theta0)
+                got, = spectral1d._magnus_sweep(h, w, w, [0, n], [theta0])
                 want = spectral1d._zero_tail(theta0, k, L)
                 assert got == pytest.approx(want, abs=1e-9), (n, theta0, -k)
 
@@ -1045,15 +1047,15 @@ def test_the_left_pass_is_the_mirrored_right_pass(monkeypatch):
     G = _ramp_G(0.2, 1.7, 30.0, 80.0)
     mirror = _ramp_G(-1.7, -0.2, 80.0, 30.0)
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    settle = spectral1d._pass_phase
+    settle = spectral1d._pass_phases
     thetas = []
 
     def spy(*args):
         out = settle(*args)
-        thetas.append(out[0])
+        thetas.extend(th for th, _, _ in out)
         return out
 
-    monkeypatch.setattr(spectral1d, "_pass_phase", spy)
+    monkeypatch.setattr(spectral1d, "_pass_phases", spy)
     for E in (-5.0, -20.0, -40.0):
         thetas.clear()
         got = count_below_pruefer(G, 1.0, E, mode, domain=(-1.7, 1.7))
@@ -1651,17 +1653,21 @@ def _formula_sweep_block(h, w1, w2, u, v):
 
 def test_sign_count_is_the_phase_formula_on_catalog_blocks(catalog,
                                                            monkeypatch):
-    # every block that the plane counts of the catalog sweep at alpha in
-    # {3, 200, 3200}, and the m = 0 passes of every mode (the Dirichlet
-    # ones from u = 0), truncated too: the sign count gives the formula's
-    # zeros, and the same (u, u'), bit for bit
+    # every pass of every block that the plane counts of the catalog sweep
+    # at alpha in {3, 200, 3200}, and the m = 0 passes of every mode (the
+    # Dirichlet ones from u = 0), truncated too: the sign count of the
+    # block gives each pass the formula's zeros on its own intervals, and
+    # the same (u, u'), bit for bit
     sweep = spectral1d._sweep_block
     seen = []
 
-    def spy(h, w1, w2, u, v):
-        got = sweep(h, w1, w2, u, v)
-        assert got == _formula_sweep_block(h, w1, w2, u, v)
-        seen.append((u == 0.0, got[2]))
+    def spy(h, w1, w2, cuts, states):
+        got = sweep(h, w1, w2, cuts, states)
+        assert len(got) == len(states) == len(cuts) - 1
+        for (u, v), lo, hi, out in zip(states, cuts, cuts[1:], got):
+            assert out == _formula_sweep_block(h[lo:hi], w1[lo:hi],
+                                               w2[lo:hi], u, v)
+            seen.append((u == 0.0, out[2]))
         return got
 
     monkeypatch.setattr(spectral1d, "_sweep_block", spy)
@@ -1710,18 +1716,25 @@ def test_sign_count_on_synthetic_blocks():
     zero = np.concatenate([[1.0, 1.0], h]), *(np.concatenate([[0.0, 0.0], w])
                                               for w in (w1, w2))
     cases.append((*zero, 0.5, -0.5))
-    for h_, a, b, u, v in cases:
-        assert spectral1d._sweep_block(h_, a, b, u, v) == \
-            _formula_sweep_block(h_, a, b, u, v)
-    assert spectral1d._sweep_block(*(x[:2] for x in zero), 0.5, -0.5) == (
-        -0.5, -0.5, 1.0)
+    want = [_formula_sweep_block(h_, a, b, u, v) for h_, a, b, u, v in cases]
+    for (h_, a, b, u, v), one in zip(cases, want):
+        assert spectral1d._sweep_block(h_, a, b, [0, h_.size], [(u, v)]) == [
+            one]
+    # all cases as the passes of one block: a sign change between the end
+    # of one pass and the start of the next is no zero of either
+    cuts = [0, *np.cumsum([c[0].size for c in cases]).tolist()]
+    block = (np.concatenate([c[i] for c in cases]) for i in range(3))
+    assert spectral1d._sweep_block(*block, cuts,
+                                   [c[3:] for c in cases]) == want
+    assert spectral1d._sweep_block(*(x[:2] for x in zero), [0, 2],
+                                   [(0.5, -0.5)]) == [(-0.5, -0.5, 1.0)]
     assert sum(_formula_sweep_block(hw, ww1, ww2, 0.3, 0.7)[2:]) > 20
     for turn in (math.pi, 3.5):
         over = (np.append(hw, 1.0), np.append(ww1, turn * turn),
                 np.append(ww2, turn * turn))
         assert _largest_turn(*over) >= math.pi
         with pytest.raises(RuntimeError, match="breakpoint"):
-            spectral1d._sweep_block(*over, 0.3, 0.7)
+            spectral1d._sweep_block(*over, [0, over[0].size], [(0.3, 0.7)])
 
 
 @st.composite

@@ -4,11 +4,12 @@
     python tools/cli_bytes.py diff A.json B.json
 
 `record` runs every case in-process through `radcount.cli.main` and stores
-{argv: {"stdout": ..., "exit": code}} as JSON. The radcount it imports is
-the one under DIR (default: this checkout's `src/`), so two checkouts can
-be recorded with one copy of this script. `diff` prints every case whose
-bytes differ, with the JSON fields that differ when both sides parse, and
-exits 1 if any case differs.
+{argv: {"stdout": ..., "stderr": ..., "exit": code}} as JSON; a usage error
+that argparse raises as SystemExit is recorded with its code like any other
+exit. The radcount it imports is the one under DIR (default: this
+checkout's `src/`), so two checkouts can be recorded with one copy of this
+script. `diff` prints every case whose bytes differ, with the JSON fields
+that differ when both sides parse, and exits 1 if any case differs.
 """
 from __future__ import annotations
 
@@ -52,6 +53,11 @@ def cases() -> list[list[str]]:
                  "counterexample"):
         out.append(["count", "--spec", spec, "--alpha", "50",
                     "--check", "duality"])
+    # usage errors: a coupling that is not positive, and a negative
+    # instance count
+    out.append(["count", "--spec", "gaussian", "--alpha", "0"])
+    out.append(["count", "--spec", "gaussian", "--alpha=-5"])
+    out.append(["verify", "--spec", "square-well", "--n-random", "-3"])
     for spec in SPECS:
         out.append(["seq", "--spec", spec])
         out.append(["bounds", "--spec", spec, "--alpha", "50", "--minR"])
@@ -66,10 +72,14 @@ def record(path: str, src: str) -> None:
 
     got = {}
     for argv in cases():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        got[" ".join(argv)] = {"stdout": buf.getvalue(), "exit": code}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        got[" ".join(argv)] = {"stdout": out.getvalue(),
+                               "stderr": err.getvalue(), "exit": code}
     Path(path).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     print(f"{len(got)} cases -> {path}")
 
@@ -89,7 +99,7 @@ def _field_diff(a: str, b: str) -> list[str]:
     try:
         la, lb = (dict(_leaves(json.loads(s))) for s in (a, b))
     except ValueError:
-        return ["  (output is not JSON)"]
+        return [f"  stdout, not both JSON: {len(a)} -> {len(b)} characters"]
     no = "<absent>"   # a key present with value null differs from none
     return [f"  {k}: {la.get(k, no)!r} -> {lb.get(k, no)!r}"
             for k in sorted(set(la) | set(lb))
@@ -109,7 +119,12 @@ def diff(path_a: str, path_b: str) -> int:
             continue
         if a[case]["exit"] != b[case]["exit"]:
             print(f"  exit: {a[case]['exit']} -> {b[case]['exit']}")
-        print("\n".join(_field_diff(a[case]["stdout"], b[case]["stdout"])))
+        if a[case].get("stderr") != b[case].get("stderr"):
+            print(f"  stderr: {a[case].get('stderr')!r} -> "
+                  f"{b[case].get('stderr')!r}")
+        if a[case]["stdout"] != b[case]["stdout"]:
+            print("\n".join(_field_diff(a[case]["stdout"],
+                                        b[case]["stdout"])))
     print(f"{n_diff} of {len(set(a) | set(b))} cases differ")
     return 1 if n_diff else 0
 
