@@ -44,10 +44,12 @@ Two independent engines with no shared discretization machinery:
     is not swept. The pass, too, runs only where the count is decided.
     Where G = 0 the diagonal is the constant 2 - h^2 E > 2, and its pivots
     have closed forms: a leading run from the Dirichlet end holds none that
-    is negative, a trailing run at most one. While the diagonal is >= 2,
-    every pivot is >= 1, so the pass starts at a lead-in node left of the
-    first allowed one, from which an error in the entering pivot shrinks by
+    is negative, a trailing run at most one; so G is read only on its
+    support and a node either side. While the diagonal is >= 2, every
+    pivot is >= 1, so the pass starts at a lead-in node left of the first
+    allowed one, from which an error in the entering pivot shrinks by
     1e-12, and past the last allowed node it stops at the first pivot >= 1.
+    The sweeps read the numpy diagonal through memoryviews.
 
 Both count the same thing up to discretization windows, and on an identical
 finite interval with Dirichlet ends (`truncated=True` for the phase engine)
@@ -155,6 +157,13 @@ def _validate(alpha: float, E: float) -> None:
     _check_alpha(alpha)
     if not (E < 0.0 and math.isfinite(E)):
         raise ValueError(f"need E < 0 (continuous spectrum starts at 0), got {E}")
+
+
+def _check_window(domain, h: float | None = None) -> None:
+    if domain is not None and not -math.inf < domain[0] < domain[1] < math.inf:
+        raise ValueError(f"need a finite domain (A, B) with A < B, got {domain}")
+    if h is not None and not 0.0 < h < math.inf:
+        raise ValueError(f"need a finite grid step h > 0, got {h}")
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +608,7 @@ def count_batch_pruefer(G, alpha: float, queries, *,
     except that a whole-line pass may start from another point of the
     shared scan, at a phase error contracted by 1e-12. domain and truncated
     apply to every query."""
+    _check_window(domain)
     plans = []
     for E, mode in queries:
         _validate(alpha, E)
@@ -671,12 +681,13 @@ def count_batch_pruefer(G, alpha: float, queries, *,
 _N_CAP = 3_000_000
 
 
-def _sturm_pass(a: list[float], d: float = math.inf
+def _sturm_pass(a, d: float = math.inf
                 ) -> tuple[int, bool, float]:
     """Negative-pivot count for the scaled tridiagonal with unit off-diagonal
-    and diagonal `a`; by Sylvester inertia this is the eigenvalue count below
-    the shift baked into `a`. d is the pivot entering a[0] (inf at a
-    Dirichlet end, where a[0] - 1/inf == a[0]). Returns (count,
+    and diagonal `a` (floats: a list or memoryview); by Sylvester inertia
+    this is the eigenvalue count below the shift baked into `a`. d is the
+    pivot entering a[0] (inf at a Dirichlet end, where a[0] - 1/inf ==
+    a[0]). Returns (count,
     hit_zero_pivot, last pivot)."""
     neg = 0
     hit_zero = False
@@ -690,7 +701,7 @@ def _sturm_pass(a: list[float], d: float = math.inf
     return neg, hit_zero, d
 
 
-def _settle_pass(a: list[float], d: float) -> tuple[int, bool, float, int]:
+def _settle_pass(a, d: float) -> tuple[int, bool, float, int]:
     """_sturm_pass over nodes where every a_i >= 2, stopped at the first
     pivot >= 1: each later pivot a_i - 1/d is >= 1 too, so none is negative
     or zero. A loop of its own, so that _sturm_pass, the hot one, tests
@@ -720,12 +731,12 @@ def _run_pivot(theta: float, k: int) -> float:
             / math.expm1(-2.0 * (k + 1) * theta))
 
 
-def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
+def _block_count(core: np.ndarray, first: int, n_tail: int, a_c: float
                  ) -> tuple[int, bool, int]:
-    """Negative pivots of one Dirichlet block with diagonal `arr`, whose
-    nodes before `first` (the head) and the n_tail = len(arr) - stop nodes
-    from `stop` on (the tail) hold a_c = 2 - h^2 E >= 2. Returns (count,
-    hit_zero_pivot, pivots swept), by the four rules of count_below_fd.
+    """Negative pivots of one Dirichlet block: a head of `first` nodes, the
+    varying `core`, and a tail of n_tail nodes, head and tail at
+    a_c = 2 - h^2 E >= 2. Returns (count, hit_zero_pivot, pivots swept), by
+    the four rules of count_below_fd.
 
     In the tail the pivot products p_k = d d_1 ... d_k are
     (d sinh((k+1) theta_c) - sinh(k theta_c))/sinh(theta_c), which change
@@ -737,10 +748,9 @@ def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
     E + delta probe of an E just below 0) the whole block is swept from
     its Dirichlet end."""
     if a_c < 2.0:
-        neg, hit_zero, _ = _sturm_pass(arr.tolist())
+        arr = np.concatenate((np.full(first, a_c), core, np.full(n_tail, a_c)))
+        neg, hit_zero, _ = _sturm_pass(memoryview(arr))
         return neg, hit_zero, arr.size
-    core = arr[first:stop]
-    n_tail = len(arr) - stop
     allowed = np.flatnonzero(core < 2.0)
     if allowed.size == 0:
         return 0, False, 0
@@ -767,8 +777,8 @@ def _block_count(arr: np.ndarray, first: int, stop: int, a_c: float
         j = 0
         d = _run_pivot(theta_c, first - 1) if first else math.inf
     last = int(allowed[-1]) + 1
-    neg, hit_zero, d = _sturm_pass(core[j:last].tolist(), d)
-    n_set, hz_set, d, k = _settle_pass(core[last:].tolist(), d)
+    neg, hit_zero, d = _sturm_pass(memoryview(core[j:last]), d)
+    n_set, hz_set, d, k = _settle_pass(memoryview(core[last:]), d)
     if n_tail and 0.0 < d < 1.0 / _run_pivot(theta_c, n_tail - 1):
         neg += 1
     return neg + n_set, hit_zero or hz_set, last - j + k
@@ -804,8 +814,9 @@ def count_below_fd(G, alpha: float, E: float,
     """Count eigenvalues below E of the Dirichlet problem on [A, B] via a
     Sturm pivot pass; no eigenvalues are formed.
 
-    The count refers to the finite window with Dirichlet ends and a grid
-    step near h (by default from the window, alpha * max G and E). With
+    The count refers to the finite window (A < B) with Dirichlet ends and
+    a grid step near h > 0 (by default from the window, alpha * max G and
+    E); any other raises ValueError. With
     near_threshold_check, E -/+ delta (delta = threshold_eps) are swept
     first: the count is nondecreasing in E, so where they agree block by
     block and met no zero pivot, theirs is the count at E. Otherwise E is
@@ -813,9 +824,12 @@ def count_below_fd(G, alpha: float, E: float,
     pivot triggers an ulp-scale retry, flagged `pivot-shift` when the count
     is read from that sweep. `steps` counts the pivots of every sweep run.
 
-    Each Dirichlet block is swept, per energy, only from a start node up
-    to its last node where G moves the diagonal, or less (the settled
-    sweep below). The rest has closed forms:
+    G is read only at the grid nodes in G.t_support and one node either
+    side: G = 0 elsewhere, so the diagonal is exactly 2 there. Each
+    Dirichlet block is swept, per energy, only from a start node up to its
+    last node where G moves the diagonal, or less (the settled sweep
+    below), through a memoryview of the shifted core. The rest has closed
+    forms:
       * constant tail: past that node the diagonal is a = 2 - h^2 E >= 2,
         and at most one pivot is negative: one is iff 0 < d and
         (1 - d r+) r+^(2L) > 1 - d r-, with r+- = e^(+-theta),
@@ -841,6 +855,7 @@ def count_below_fd(G, alpha: float, E: float,
     seen, so it raises no `pivot-shift`.
     """
     _validate(alpha, E)
+    _check_window(domain, h)
     mode = BoundaryMode(mode)
     A, B = domain if domain is not None else counting_domain(G, alpha, E, mode)
     flags: list[str] = ["domain-truncated"] if G.truncated else []
@@ -853,31 +868,36 @@ def count_below_fd(G, alpha: float, E: float,
     A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
     if capped:
         flags.append("grid-coarsened")
-    gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
-    # diagonals h^2*(2/h^2 - alpha G(t_i)), one per Dirichlet block; its
-    # core lies between the runs where the diagonal is 2 (G = 0, or too
-    # small to move it), which are 2 - h^2 E at every energy
+    # diagonals h^2*(2/h^2 - alpha G(t_i)); a block is a core between runs
+    # of `first` and n_tail nodes where the diagonal is 2 (G = 0, or too
+    # small to move it), which are 2 - h^2 E at every energy. G = 0 off its
+    # support: it is read at the nodes inside and a margin node either side
+    t_lo, t_hi = G.t_support
+    k_lo = max(math.ceil(max((t_lo - A) / h, 0.0)) - 1, 1)
+    k_hi = min(math.floor(min((t_hi - A) / h, n)) + 1, n - 1)
+    gv = np.asarray(G.eval(A + h * np.arange(k_lo, k_hi + 1)), dtype=float)
     base = 2.0 - (h * h) * (alpha * gv)
-    blocks = [base] if k0 is None else [base[: k0 - 1], base[k0:]]
-    cores = []
-    for blk in blocks:
-        vary = np.flatnonzero(blk != 2.0)
-        cores.append((int(vary[0]), int(vary[-1]) + 1) if vary.size
-                     else (0, 0))
+    vary = np.flatnonzero(base != 2.0) + k_lo
+    blocks = []
+    for b0, b1 in ((1, n),) if k0 is None else ((1, k0), (k0 + 1, n)):
+        v = vary[(vary >= b0) & (vary < b1)]
+        f, t = (int(v[0]), int(v[-1]) + 1) if v.size else (b0, b0)
+        blocks.append((base[f - k_lo:t - k_lo], f - b0, b1 - t))
 
     def counts_at(energy: float) -> tuple[list[int], bool, int]:
         counts = []
         zero_hit = False
         swept = 0
         a_c = 2.0 - (h * h) * energy
-        for blk, (first, stop) in zip(blocks, cores):
-            arr = blk - (h * h) * energy
-            cnt, hz, k = _block_count(arr, first, stop, a_c)
+        for core, first, n_tail in blocks:
+            arr = core - (h * h) * energy
+            cnt, hz, k = _block_count(arr, first, n_tail, a_c)
             swept += k
             if hz:
-                # retry once with an ulp-scale shift of the pivots
-                shift = 4.0 * np.finfo(float).eps * float(np.max(np.abs(arr)))
-                cnt, _, k = _block_count(arr + shift, first, stop,
+                # retry once with an ulp-scale shift of the block's pivots
+                shift = 4.0 * np.finfo(float).eps * float(np.max(
+                    np.abs(arr), initial=abs(a_c) if first or n_tail else 0.0))
+                cnt, _, k = _block_count(arr + shift, first, n_tail,
                                          a_c + shift)
                 swept += k
                 zero_hit = True
@@ -906,7 +926,7 @@ def count_below_fd(G, alpha: float, E: float,
     sides = dict(zip(("left", "right"), per_block)) if k0 is not None else {}
     return CountResult(count, "fd", E, mode.value, (A, B), h, steps,
                        uncertainty, tuple(flags),
-                       {"n_nodes": sum(len(b) for b in blocks), **sides})
+                       {"n_nodes": n - 1 - (k0 is not None), **sides})
 
 
 def count_below(G, alpha: float, E: float,
@@ -1003,6 +1023,7 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     count n_nodes, n_support = m_s, and capped, True when the grid was
     coarsened to _N_CAP intervals.
     """
+    _check_window(domain, h)
     mode = BoundaryMode(mode)
     if domain is None:
         domain = counting_domain(G, 1.0, -threshold_eps(G, 1.0), mode)

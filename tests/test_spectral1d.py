@@ -1108,9 +1108,10 @@ def test_zero_tail_keeps_the_branch():
 
 
 # The Sturm sweep as it was before the pass was trimmed: every node of a
-# Dirichlet block from its Dirichlet end. Patched in for `_block_count`,
-# it makes an fd count the full-window count, which the trimmed pass must
-# reproduce exactly (steps aside: the reference reports every node).
+# Dirichlet block from its Dirichlet end. As the block count of
+# _full_window_fd, it makes an fd count the full-window count, which the
+# trimmed pass must reproduce exactly (steps aside: the reference reports
+# every node).
 def _full_window_sturm(a):
     neg = 0
     hit_zero = False
@@ -1129,12 +1130,22 @@ def _full_window_block(arr, first, stop, a_c):
     return (*_full_window_sturm(arr.tolist()), arr.size)
 
 
+def _trimmed_block(arr, first, stop, a_c):
+    """spectral1d._block_count on a whole block: its core arr[first:stop]
+    between the runs of first and len(arr) - stop nodes at a_c."""
+    return spectral1d._block_count(arr[first:stop], first, arr.size - stop,
+                                   a_c)
+
+
 def _three_sweep_fd(G, alpha, E, mode=BoundaryMode.WHOLE_LINE, *,
-                    domain=None, h=None, near_threshold_check=True):
+                    domain=None, h=None, near_threshold_check=True,
+                    block_count=_trimmed_block):
     """count_below_fd as it was before its probes could decide the count:
     the count, its flags and side counts are read from a sweep at E, and
-    the probes at E -/+ delta only raise `near-threshold`. Each block is
-    counted by spectral1d._block_count, so patching that patches this."""
+    the probes at E -/+ delta only raise `near-threshold`. It reads G at
+    every node of the grid, builds every block whole, and counts each by
+    block_count(arr, first, stop, a_c): by default spectral1d._block_count
+    (looked up at the call, so a patch of it patches this)."""
     mode = BoundaryMode(mode)
     A, B = domain if domain is not None else counting_domain(G, alpha, E,
                                                              mode)
@@ -1162,12 +1173,11 @@ def _three_sweep_fd(G, alpha, E, mode=BoundaryMode.WHOLE_LINE, *,
         a_c = 2.0 - (h * h) * energy
         for blk, (first, stop) in zip(blocks, cores):
             arr = blk - (h * h) * energy
-            cnt, hz, k = spectral1d._block_count(arr, first, stop, a_c)
+            cnt, hz, k = block_count(arr, first, stop, a_c)
             swept += k
             if hz:
                 shift = 4.0 * np.finfo(float).eps * float(np.max(np.abs(arr)))
-                cnt, _, k = spectral1d._block_count(arr + shift, first, stop,
-                                                    a_c + shift)
+                cnt, _, k = block_count(arr + shift, first, stop, a_c + shift)
                 swept += k
                 zero_hit = True
             counts.append(cnt)
@@ -1193,9 +1203,9 @@ def _three_sweep_fd(G, alpha, E, mode=BoundaryMode.WHOLE_LINE, *,
 
 
 def _full_window_fd(*args, **kw):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral1d, "_block_count", _full_window_block)
-        return _three_sweep_fd(*args, **kw)
+    """The fd count over every node of the window, G read at every node:
+    the reference for the trimmed pass and for reading G on its support."""
+    return _three_sweep_fd(*args, block_count=_full_window_block, **kw)
 
 
 def _assert_matches_full_window(G, alpha, E, mode, case, **kw):
@@ -1266,7 +1276,7 @@ def test_fd_bisection_matches_full_window(catalog, monkeypatch, name,
                       engine="fd")
             got = eigenvalues_below(G, alpha, **kw)
             with monkeypatch.context() as mp:
-                mp.setattr(spectral1d, "_block_count", _full_window_block)
+                mp.setattr(spectral1d, "count_below_fd", _full_window_fd)
                 want = eigenvalues_below(G, alpha, **kw)
             assert got[1] == want[1], (alpha, mode)
             assert np.array_equal(got[0], want[0]), (alpha, mode)
@@ -1454,11 +1464,22 @@ def test_fd_zero_pivot_retry_is_trimmed_too(monkeypatch):
     G = boxes_G((5.0, 0.25, 1.25))
     kw = dict(domain=(0.0, 4.0), h=0.5, near_threshold_check=False)
     sweeps = _swept_negatives(monkeypatch)
+    calls = []
+    block_count = spectral1d._block_count
+    monkeypatch.setattr(spectral1d, "_block_count",
+                        lambda *a: calls.append(a) or block_count(*a))
     got = _assert_matches_full_window(G, 1.0, -1.0, BoundaryMode.WHOLE_LINE,
                                       "zero pivot", **kw)
     assert "pivot-shift" in got.flags and got.uncertainty == 1
     assert [n for n, _ in sweeps] == [2, 2]   # E, retry
     assert got.steps == 4
+    # the shift is the full window's, 4 eps max|diagonal|: here the tail's
+    # a_c = 2.25, not the core's 1
+    (core, first, n_tail, a_c), retry = calls
+    shift = 4.0 * np.finfo(float).eps * 2.25
+    assert (first, n_tail, a_c, core.tolist()) == (0, 5, 2.25, [1.0, 1.0])
+    assert retry[1:] == (0, 5, a_c + shift)
+    assert retry[0].tolist() == [1.0 + shift] * 2
 
 
 def test_run_pivot_is_the_constant_run_recursion():
@@ -1544,11 +1565,9 @@ def test_fd_two_probes_match_three_sweeps(catalog, name):
                 m += 1
 
 
-def _whole_head_block_count(arr, first, stop, a_c):
+def _whole_head_block_count(core, first, n_tail, a_c):
     """_block_count with the contraction taken over the whole head at once:
     the start node and entering pivot that the chunked head must give."""
-    core = arr[first:stop]
-    n_tail = len(arr) - stop
     allowed = np.flatnonzero(core < 2.0)
     if allowed.size == 0:
         return 0, False, 0
@@ -1599,20 +1618,97 @@ def test_fd_head_read_in_chunks_is_the_whole_head(monkeypatch, scale):
         core = np.concatenate([head, 2.0 - rng.uniform(0.1, 1.0, 20),
                                2.0 + rng.uniform(0.01, 0.1, 5)])
         for first in (0, 7):
-            arr = np.concatenate([np.full(first, a_c), core,
-                                  np.full(9, a_c)])
-            stop = first + core.size
             entering.clear()
-            want = (_whole_head_block_count(arr, first, stop, a_c),
+            want = (_whole_head_block_count(core, first, 9, a_c),
                     tuple(entering))
             for chunk in (spectral1d._HEAD_CHUNK, 1, 3):
                 monkeypatch.setattr(spectral1d, "_HEAD_CHUNK", chunk)
                 entering.clear()
-                got = spectral1d._block_count(arr, first, stop, a_c)
+                got = spectral1d._block_count(core, first, 9, a_c)
                 assert (got, tuple(entering)) == want, (head.size, first)
             starts.add((head.size >= shortest - 2,
                         want[1][0][0] < head.size + 20))
     assert starts >= {(False, False), (True, False), (True, True)}
+
+
+def test_sturm_kernels_read_memoryviews_as_lists():
+    # count_below_fd hands the sweeps memoryviews of float64 arrays: each
+    # kernel returns the same tuple as for a list of the same floats, with
+    # exact zero pivots (1, 1, ... from a Dirichlet end gives pivots 1, 0)
+    # mid-sweep and at the last pivot, and a settled stop before the end
+    rng = np.random.default_rng(3)
+    sturm = [([1.0, 1.0, 1.0, 2.5, 0.3], math.inf),
+             ([1.0, 1.0], math.inf),
+             ([0.5, 2.0], math.inf),
+             (list(2.0 + rng.normal(0.0, 1.0, 500)), 0.7),
+             ([], 0.4)]
+    settle = [([2.0, 2.0, 2.0, 3.0], 0.5),
+              ([2.0, 2.0], 1.0),
+              ([2.5, 2.0], 0.4),
+              (list(2.0 + rng.uniform(0.0, 1e-3, 300)), -0.2),
+              ([], 0.4)]
+    hits = set()
+    for a, d in sturm:
+        want = spectral1d._sturm_pass(a, d)
+        assert spectral1d._sturm_pass(memoryview(np.array(a)), d) == want
+        hits.add(want[1])
+    for a, d in settle:
+        want = spectral1d._settle_pass(a, d)
+        assert spectral1d._settle_pass(memoryview(np.array(a)), d) == want
+        hits.add(want[1])
+    assert spectral1d._sturm_pass([1.0, 1.0]) == (0, True, 1e-300)
+    assert spectral1d._sturm_pass([1.0, 1.0, 1.0])[:2] == (1, True)
+    assert spectral1d._settle_pass([2.0, 2.0, 2.0, 3.0], 0.5)[1::2] == (True, 3)
+    assert hits == {True, False}
+
+
+@pytest.mark.parametrize("name, alpha, n_nodes", [
+    ("annulus", 50.0, (9152, 4615, 9151)),
+    ("square-well", 3200.0, (43451, 18104, 43450)),
+])
+def test_fd_reads_G_on_its_support_only(catalog, monkeypatch, name, alpha,
+                                        n_nodes):
+    # at the m = 0 channel energy, in every mode, count_below_fd reads G once,
+    # at every grid node inside its support and at most 2 more at each end;
+    # the grid and its node count are the full window's
+    G = to_log(catalog[name], strict=False)
+    g = G._g_vec
+    reads = []
+    monkeypatch.setattr(G, "_g_vec", lambda t: (reads.append(t.size), g(t))[1])
+    E = channel_energy(G, alpha)
+    t_lo, t_hi = G.t_support
+    for mode, nodes in zip(BoundaryMode, n_nodes):
+        reads.clear()
+        got = count_below_fd(G, alpha, E, mode)
+        A, B = got.domain
+        t = A + got.h * np.arange(1, round((B - A) / got.h))
+        inside = int(np.sum((t >= t_lo) & (t <= t_hi)))
+        assert got.extras["n_nodes"] == nodes, mode
+        assert len(reads) == 1 and inside <= reads[0] <= inside + 4, (
+            mode, reads, inside)
+        want = _full_window_fd(G, alpha, E, mode)
+        assert (got.count, got.flags, got.extras) == (
+            want.count, want.flags, want.extras), mode
+
+
+@pytest.mark.parametrize("kw", [
+    dict(domain=(2.0, -2.0)), dict(domain=(0.3, 0.3)),
+    dict(domain=(-math.inf, 1.0)), dict(domain=(0.0, math.nan)),
+    dict(h=0.0), dict(h=-0.01), dict(h=math.inf), dict(h=math.nan),
+])
+def test_degenerate_windows_are_refused(catalog, kw):
+    # a reversed or empty window used to be counted (3 states at h < 0 on
+    # the reversed annulus window, a ZeroDivisionError on the empty one);
+    # both engines and bs_spectrum now refuse it, and a grid step that is
+    # not finite and > 0
+    G = to_log(catalog["annulus"], strict=False)
+    calls = [lambda: count_below_fd(G, 50.0, -1.0, **kw),
+             lambda: bs_spectrum(G, **kw)]
+    if "h" not in kw:
+        calls.append(lambda: count_below_pruefer(G, 50.0, -1.0, **kw))
+    for call in calls:
+        with pytest.raises(ValueError, match="need a finite"):
+            call()
 
 
 def _formula_sweep_block(h, w1, w2, u, v):
@@ -1796,3 +1892,36 @@ def test_plane_count_nondecreasing_in_alpha(P, log_alpha, stretch):
     lo, hi = total_count(P, alpha), total_count(P, stretch * alpha)
     assert lo.total <= hi.total + lo.uncertainty + hi.uncertainty, (
         alpha, stretch, lo.per_channel, hi.per_channel)
+
+
+def _off_support_points(G, rng):
+    """Random points off G.t_support, and points 1e-12 .. 10 (relative to
+    max(1, |end|)) beyond each finite end."""
+    t_lo, t_hi = G.t_support
+    pts = []
+    for end, side in ((t_lo, -1.0), (t_hi, 1.0)):
+        if math.isfinite(end):
+            scale = max(1.0, abs(end))
+            pts += [end + side * scale * 10.0 ** k for k in range(-12, 2)]
+            pts += list(end + side * rng.uniform(0.0, 50.0, 32))
+    return np.array([x for x in pts if not t_lo <= x <= t_hi])
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(P=_random_profiles(),
+       boxes=_random_boxes())
+def test_G_is_zero_off_its_support(catalog, P, boxes):
+    # count_below_fd reads G only on t_support and a node of margin at each
+    # end, taking the diagonal to be exactly 2 at every other node. That
+    # needs G == 0 off the support: on the 8 bundled specs, on random
+    # tabulated (with steps at its ends) and bump profiles, and on the box
+    # stub. Within a few ulps of an end a tabulated G may still read its end
+    # value (exp(ln r) rounds back to r); the margin node covers that
+    rng = np.random.default_rng(13)
+    Gs = [to_log(Q, strict=False) for Q in catalog.values()]
+    Gs += [to_log(P, strict=False), boxes_G(*boxes)]
+    for G in Gs:
+        t = _off_support_points(G, rng)
+        assert t.size or G.t_support[0] == -math.inf == -G.t_support[1]
+        assert not np.any(G.eval(t)), (G.t_support, t[G.eval(t) != 0.0])

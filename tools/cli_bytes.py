@@ -31,9 +31,16 @@ def cases() -> list[list[str]]:
         for alpha in ("3", "25", "200", "800", "3200"):
             out.append(["count", "--spec", spec, "--alpha", alpha,
                         "--breakdown", "--check", "sandwich"])
+    # plane counts with the fd engine, every channel's count in the report
+    for spec, alpha in (("square-well", "200"), ("square-well", "3200"),
+                        ("annulus", "50"), ("bump", "50")):
+        out.append(["count", "--spec", spec, "--alpha", alpha,
+                    "--method", "fd", "--breakdown"])
     for spec in SPECS:
         out.append(["sweep", "--spec", spec, "--alpha-min", "5",
                     "--alpha-max", "50", "--per-decade", "4"])
+    out.append(["sweep", "--spec", "counterexample", "--alpha-min", "5",
+                "--alpha-max", "50", "--per-decade", "4", "--method", "fd"])
     for spec in ("zero", "square-well", "annulus", "gaussian", "bump",
                  "counterexample"):
         for seed in ("1234", "7"):
