@@ -126,12 +126,18 @@ def alpha_grid(alpha_min: float, alpha_max: float,
     """Geometric grid, per_decade points per factor of 10, both ends in."""
     if not (0.0 < alpha_min <= alpha_max):
         raise ValueError("need 0 < alpha_min <= alpha_max")
+    if not math.isfinite(alpha_max):
+        raise ValueError(f"need finite alpha_max, got {alpha_max}")
     if per_decade < 1:
         raise ValueError("per_decade must be >= 1")
     out = []
     k = 0
     while True:
-        a = alpha_min * 10.0 ** (k / per_decade)
+        try:
+            a = alpha_min * 10.0 ** (k / per_decade)
+        except OverflowError:
+            raise ValueError(f"alpha grid {alpha_min:g} .. {alpha_max:g}: "
+                             "10^(k/per_decade) overflows") from None
         if a > alpha_max * (1.0 + 1e-12):
             break
         out.append(a)
@@ -180,12 +186,12 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
             notes.append(f"budget exhausted before alpha={a:g}; "
                          f"{len(alphas) - len(table.rows)} rows skipped")
             break
+        weak = _weak(a, j, q, C)
         b = total_count(P, a, engine=engine)
         table.rows.append(SweepRow(a, b.total, b.total / a,
                                    b.radial_dirichlet_count, b.nonradial,
                                    _chad(a, w1, j), _chad(a, w1, j, 1.0),
-                                   bound_lt_nonradial(P, a),
-                                   _weak(a, j, q, C),
+                                   bound_lt_nonradial(P, a), weak,
                                    uncertainty=b.uncertainty,
                                    flags=b.flags))
     table.notes = tuple(notes)

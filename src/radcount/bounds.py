@@ -69,7 +69,10 @@ def _chad(alpha, w, j, factor: float = CHAD_FACTOR):
 
 
 def _weak(alpha: float, j: float, q: float, C: float) -> float:
-    """1 + alpha * (J + C * q) from J and the window quasinorm q."""
+    """1 + alpha * (J + C * q) from J and the window quasinorm q; C is
+    checked here, where `bound_weak` and a sweep's rows both pass."""
+    if not (C > 0.0 and math.isfinite(C)):
+        raise ValueError(f"need finite C > 0, got {C}")
     return 1.0 + alpha * (j + C * q)
 
 
@@ -126,14 +129,13 @@ def bound_weak(P: RadialPotential, alpha: float, C: float = 1.0, *,
     returned is an estimate of the bound rather than a certified value.
     """
     _check_alpha(alpha)
-    if not (C > 0.0 and math.isfinite(C)):
-        raise ValueError(f"need finite C > 0, got {C}")
     G = to_log(P, strict=False)
     if math.isinf(G.j_value):
-        return math.inf
-    if z is None:
-        z = zeta_sequence(G, K)
-    return _weak(alpha, G.j_value, quasinorm_weak(z.values), C)
+        q = math.inf
+    else:
+        z = z if z is not None else zeta_sequence(G, K)
+        q = quasinorm_weak(z.values)
+    return _weak(alpha, G.j_value, q, C)
 
 
 @dataclass

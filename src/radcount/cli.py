@@ -349,37 +349,25 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # no prefix matching: a mistyped or deleted long option is an error,
-    # never a silent match for another one; subparsers are _Parsers too
-    ap = _Parser(
-        prog="radcount", allow_abbrev=False,
-        description="bound-state counting and growth classification for "
-                    "radial plane potentials")
-    ap.add_argument("--version", action="version",
-                    version=f"radcount {__version__}")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+def _build_show(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.set_defaults(func=_cmd_potential)
 
-    p = sub.add_parser("potential", allow_abbrev=False,
-                       help="spec echo and weighted integrals")
-    ps = p.add_subparsers(dest="sub", required=True)
-    for name in ("show", "integrals"):
-        q = ps.add_parser(name, allow_abbrev=False)
-        _add_common(q)
-        if name == "integrals":
-            _add_quad_tols(q)
-            q.add_argument("--R", type=float, default=1.0)
-        q.set_defaults(func=_cmd_potential)
 
-    p = sub.add_parser("seq", allow_abbrev=False,
-                       help="dyadic block sequence and verdict")
+def _build_integrals(p: argparse.ArgumentParser) -> None:
+    _build_show(p)
+    _add_quad_tols(p)
+    p.add_argument("--R", type=float, default=1.0)
+
+
+def _build_seq(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_quad_tols(p)
     p.add_argument("--K", type=int, default=200)
     p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("count1d", allow_abbrev=False,
-                       help="one line-operator count")
+
+def _build_count1d(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--energy", type=float, required=True)
@@ -389,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("pruefer", "fd", "both"))
     p.set_defaults(func=_cmd_count1d)
 
-    p = sub.add_parser("count", allow_abbrev=False,
-                       help="plane count by channel")
+
+def _build_count(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", default="pruefer", choices=("pruefer", "fd"))
@@ -398,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=("sandwich", "duality"), default=None)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("bounds", allow_abbrev=False,
-                       help="closed-form bounds at one coupling")
+
+def _build_bounds(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     g = p.add_mutually_exclusive_group()
@@ -409,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("sweep", allow_abbrev=False,
-                       help="coupling sweep to CSV/JSON")
+
+def _build_sweep(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
@@ -422,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", allow_abbrev=False,
-                       help="run the full cross-check suite")
+
+def _build_verify(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--eig-tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=1234)
@@ -432,20 +420,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-random", type=int, default=12,
                    help="randomized engine-agreement instances")
     p.set_defaults(func=_cmd_verify)
+
+
+# name -> (add_parser keywords, builder or the table of its children), in
+# usage order
+_SUBCOMMANDS = {
+    "potential": ({"help": "spec echo and weighted integrals"},
+                  {"show": ({}, _build_show),
+                   "integrals": ({}, _build_integrals)}),
+    "seq": ({"help": "dyadic block sequence and verdict"}, _build_seq),
+    "count1d": ({"help": "one line-operator count"}, _build_count1d),
+    "count": ({"help": "plane count by channel"}, _build_count),
+    "bounds": ({"help": "closed-form bounds at one coupling"}, _build_bounds),
+    "sweep": ({"help": "coupling sweep to CSV/JSON"}, _build_sweep),
+    "verify": ({"help": "run the full cross-check suite"}, _build_verify),
+}
+
+
+def _add_children(p: argparse.ArgumentParser, dest: str, table: dict,
+                  argv: list[str]) -> None:
+    """Subparsers for `dest` from `table` (a nested table's go to `sub`).
+    When argv[0] names one, only that one is built, with the choices
+    metavar pinned to the full set, so a usage line printed by `p` reads as
+    if every subparser had been built."""
+    only = argv[0] if argv and argv[0] in table else None
+    kw = {} if only is None else {"metavar": "{" + ",".join(table) + "}"}
+    sub = p.add_subparsers(dest=dest, required=True, **kw)
+    for name, (parser_kw, build) in table.items():
+        if only in (None, name):
+            q = sub.add_parser(name, allow_abbrev=False, **parser_kw)
+            if isinstance(build, dict):
+                _add_children(q, "sub", build, argv[1:])
+            else:
+                build(q)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The radcount parser. When argv is given and names a subcommand (and
+    for `potential`, a child), only that subcommand's parser is built: it
+    parses argv, and prints every usage, help and error, as the full one
+    does. Any other argv, or none, builds every subparser."""
+    # no prefix matching: a mistyped or deleted long option is an error,
+    # never a silent match for another one; subparsers are _Parsers too
+    ap = _Parser(
+        prog="radcount", allow_abbrev=False,
+        description="bound-state counting and growth classification for "
+                    "radial plane potentials")
+    ap.add_argument("--version", action="version",
+                    version=f"radcount {__version__}")
+    _add_children(ap, "cmd", _SUBCOMMANDS, argv or [])
     return ap
 
 
 def _validate(args: argparse.Namespace, ap: argparse.ArgumentParser) -> None:
     for name in ("quad_abs_tol", "quad_rel_tol", "eig_tol", "budget_seconds"):
         value = getattr(args, name, None)
-        if value is not None and value <= 0.0:
-            ap.error(f"--{name.replace('_', '-')} must be positive")
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if value <= 0.0:
+            ap.error(f"{flag} must be positive")
+        if not math.isfinite(value):
+            ap.error(f"{flag} must be finite")
     if getattr(args, "n_random", 0) < 0:
         ap.error("--n-random must be >= 0")
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv)
     args = ap.parse_args(argv)
     _validate(args, ap)
     try:

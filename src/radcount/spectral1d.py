@@ -806,6 +806,17 @@ def _line_grid(A: float, B: float, h: float, mode: BoundaryMode
     return A, B, h, n, k0, capped
 
 
+def _support_read(G, A: float, h: float, n: int) -> tuple[int, np.ndarray]:
+    """(k_lo, G at the interior nodes A + h*k, k = k_lo, k_lo + 1, ...) of
+    a grid of n intervals, read only in G.t_support and one margin node
+    either side: G = 0 at every other node."""
+    t_lo, t_hi = G.t_support
+    k_lo = max(math.ceil(max((t_lo - A) / h, 0.0)) - 1, 1)
+    k_hi = min(math.floor(min((t_hi - A) / h, n)) + 1, n - 1)
+    return k_lo, np.asarray(G.eval(A + h * np.arange(k_lo, k_hi + 1)),
+                            dtype=float)
+
+
 def count_below_fd(G, alpha: float, E: float,
                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
                    domain: tuple[float, float] | None = None,
@@ -870,12 +881,8 @@ def count_below_fd(G, alpha: float, E: float,
         flags.append("grid-coarsened")
     # diagonals h^2*(2/h^2 - alpha G(t_i)); a block is a core between runs
     # of `first` and n_tail nodes where the diagonal is 2 (G = 0, or too
-    # small to move it), which are 2 - h^2 E at every energy. G = 0 off its
-    # support: it is read at the nodes inside and a margin node either side
-    t_lo, t_hi = G.t_support
-    k_lo = max(math.ceil(max((t_lo - A) / h, 0.0)) - 1, 1)
-    k_hi = min(math.floor(min((t_hi - A) / h, n)) + 1, n - 1)
-    gv = np.asarray(G.eval(A + h * np.arange(k_lo, k_hi + 1)), dtype=float)
+    # small to move it), which are 2 - h^2 E at every energy
+    k_lo, gv = _support_read(G, A, h, n)
     base = 2.0 - (h * h) * (alpha * gv)
     vary = np.flatnonzero(base != 2.0) + k_lo
     blocks = []
@@ -953,9 +960,13 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
 
     Returns (energies ascending, truncated): if more than n_max eigenvalues
     lie below E only the n_max lowest are returned and truncated=True.
-    Bisection drives intervals below tol_eig * max(1, |E_low|); clustered
-    eigenvalues within that width come out as one midpoint with multiplicity.
+    Bisection drives intervals below tol_eig * max(1, |E_low|), or to
+    adjacent floats, whichever is wider; clustered eigenvalues within that
+    width come out as one midpoint with multiplicity. 0 < tol_eig < inf,
+    or ValueError.
     """
+    if not 0.0 < tol_eig < math.inf:
+        raise ValueError(f"need finite tol_eig > 0, got {tol_eig}")
     E = channel_energy(G, alpha) if E is None else E
     if E is None:
         return np.empty(0), False
@@ -980,10 +991,11 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
         k = c_hi - c_lo
         if k <= 0:
             continue
-        if hi - lo < width_tol:
-            out.extend([0.5 * (lo + hi)] * k)
-            continue
         mid = 0.5 * (lo + hi)
+        # adjacent floats have no midpoint strictly between them
+        if hi - lo < width_tol or not lo < mid < hi:
+            out.extend([mid] * k)
+            continue
         c_mid = C(mid)
         stack.append((lo, mid, c_lo, c_mid))
         stack.append((mid, hi, c_mid, c_hi))
@@ -1009,10 +1021,12 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     be >= 0 on the grid. The default window, counting_domain's at the m = 0
     channel energy of alpha = 1, is that of any alpha with alpha max G < 2.1e8.
 
-    Only the m_s nodes with G > 0 (the support; no threshold) carry mass.
-    The rest are eliminated exactly: their Schur complement leaves K_s, the
-    1-d Laplacian on the gaps between kept nodes and the Dirichlet walls
-    (0, n, and t = 0 in the split mode): diagonal (1/left + 1/right)/h,
+    Only the m_s nodes with G > 0 (the support; no threshold) carry mass;
+    as in count_below_fd, G is read only at the nodes in G.t_support and one
+    margin node either side, since G = 0 at the others. The rest are
+    eliminated exactly: their Schur complement leaves K_s, the 1-d
+    Laplacian on the gaps between kept nodes and the Dirichlet walls (0, n,
+    and t = 0 in the split mode): diagonal (1/left + 1/right)/h,
     off-diagonal -1/(gap h), 0 across a wall, gaps counted in nodes. The
     nonzero eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2). When
     m_s <= n_max + 1 every one is wanted, and all come from a dense numpy
@@ -1031,14 +1045,14 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     if h is None:
         h = (B - A) / max(4000, 40 * n_max)
     A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
-    gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
+    k_lo, gv = _support_read(G, A, h, n)
     if np.any(gv < 0.0):
         raise ValueError("bs_spectrum needs G >= 0 on the grid; "
                          f"min G = {float(np.min(gv))!r}")
     keep = gv > 0.0
-    if k0 is not None:
-        keep[k0 - 1] = False  # Dirichlet node at t = 0
-    pos = np.flatnonzero(keep) + 1
+    if k0 is not None and 0 <= k0 - k_lo < len(keep):
+        keep[k0 - k_lo] = False  # Dirichlet node at t = 0
+    pos = np.flatnonzero(keep) + k_lo
     m_s = len(pos)
     meta = {"domain": (A, B), "h": h, "n_nodes": n - 1 - (k0 is not None),
             "n_support": m_s, "capped": capped}
@@ -1052,7 +1066,7 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     at = np.searchsorted(pts, pos)
     diag = (1.0 / gap[at - 1] + 1.0 / gap[at]) / h
     off = np.where(np.diff(at) == 1, -1.0 / (gap[at[:-1]] * h), 0.0)
-    sq = np.sqrt(h * gv[pos - 1])
+    sq = np.sqrt(h * gv[pos - k_lo])
     k_eff = min(n_max, m_s)
     if m_s <= n_max + 1:
         K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

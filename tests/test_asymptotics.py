@@ -40,6 +40,14 @@ def test_alpha_grid_geometric_with_both_ends():
         alpha_grid(10.0, 5.0)
     with pytest.raises(ValueError):
         alpha_grid(1.0, 10.0, per_decade=0)
+    # 10 ** (k / per_decade) would overflow before passing an infinite max
+    with pytest.raises(ValueError, match="finite"):
+        alpha_grid(5.0, math.inf)
+    # finite ends whose ladder still overflows: a span past 1e308, and a
+    # max whose 1e-12 stopping margin is infinite
+    for lo, hi in ((1e-300, 1e300), (1.0, 1.7976931348623157e308)):
+        with pytest.raises(ValueError, match="overflows"):
+            alpha_grid(lo, hi)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Command-line surface, exercised in process through main()."""
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import radcount
-from radcount import __version__
+from radcount import __version__, cli
 from radcount.bounds import bound_weak
 from radcount.cli import _verify_checks, main
 from radcount.spectral1d import CountResult
@@ -305,10 +306,46 @@ def test_unknown_spec_exits_2(capsys):
     assert "radcount:" in err
 
 
-def test_bad_tolerance_exits_2():
-    with pytest.raises(SystemExit) as e:
-        main(["seq", "--spec", "zero", "--quad-abs-tol", "-1"])
-    assert e.value.code == 2
+def test_bad_tolerance_exits_2(capsys):
+    # a tolerance or budget must be finite and positive; NaN is neither
+    # <= 0 nor > 0
+    for argv in (["seq", "--spec", "zero", "--quad-abs-tol"],
+                 ["seq", "--spec", "zero", "--quad-rel-tol"],
+                 ["potential", "integrals", "--spec", "zero",
+                  "--quad-abs-tol"],
+                 ["verify", "--spec", "zero", "--eig-tol"],
+                 ["sweep", "--spec", "zero", "--alpha-min", "5",
+                  "--alpha-max", "50", "--budget-seconds"]):
+        for value, why in (("-1", "positive"), ("0", "positive"),
+                           ("nan", "finite"), ("inf", "finite")):
+            with pytest.raises(SystemExit) as e:
+                main(argv + [value])
+            assert e.value.code == 2, (argv, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{argv[-1]} must be {why}" in captured.err
+
+
+def test_weak_constant_must_be_positive(capsys):
+    # bounds and sweep refuse the same constants: both pass through the
+    # one weak-bound formula
+    for argv in (["bounds", "--alpha", "50"],
+                 ["sweep", "--alpha-min", "5", "--alpha-max", "50"]):
+        for C in ("-1", "0", "nan", "inf"):
+            code = main(argv + ["--spec", "gaussian", "--C", C])
+            captured = capsys.readouterr()
+            assert code == 2, (argv, C)
+            assert captured.out == ""
+            assert "need finite C > 0" in captured.err
+
+
+def test_sweep_alpha_max_inf_exits_2(capsys):
+    code = main(["sweep", "--spec", "gaussian", "--alpha-min", "5",
+                 "--alpha-max", "inf"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need finite alpha_max" in captured.err
 
 
 def test_seq_has_no_json_flag(capsys):
@@ -329,6 +366,64 @@ def test_abbreviated_options_are_rejected(capsys, tmp_path, monkeypatch):
             main(argv)
         assert e.value.code == 2, argv
     assert list(tmp_path.iterdir()) == []
+
+
+def _bytes_cases():
+    """The argv list of tools/cli_bytes.py."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
+                        "cli_bytes.py")
+    spec = importlib.util.spec_from_file_location("cli_bytes", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.cases()
+
+
+def test_a_call_builds_only_its_subcommand_parser(capsys, monkeypatch):
+    made = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    run_json(capsys, "seq", "--spec", "zero")
+    assert made == ["radcount", "radcount seq"]
+    made.clear()
+    run_json(capsys, "potential", "integrals", "--spec", "zero")
+    assert made == ["radcount", "radcount potential",
+                    "radcount potential integrals"]
+    # no subcommand named: the root, seven subcommands and potential's
+    # two children
+    for argv in ([], ["--version"], ["bogus"]):
+        made.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(made) == 10, argv
+    made.clear()
+    with pytest.raises(SystemExit):
+        main(["potential", "-h"])
+    assert made == ["radcount", "radcount potential",
+                    "radcount potential show",
+                    "radcount potential integrals"]
+
+
+def test_one_subcommand_parse_matches_the_full_parser(capsys, monkeypatch):
+    # the same Namespace, or the same exit and the same bytes, for every
+    # recorded case; root errors print the full subcommand list
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def parse(ap, argv):
+        try:
+            got = ap.parse_args(argv)
+            cli._validate(got, ap)
+        except SystemExit as exc:
+            got = exc.code
+        return got, capsys.readouterr()
+
+    for argv in _bytes_cases():
+        want = parse(cli.build_parser(), argv)
+        assert parse(cli.build_parser(argv), argv) == want, argv
 
 
 def test_missing_subcommand_exits_2():

@@ -7,6 +7,7 @@ below E, and the half-line Dirichlet version flips its first count at the
 root of k cot(k) = -kappa.  On top of that the two engines must agree with
 each other on everything the catalog can produce.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -209,6 +210,32 @@ def test_eigenvalues_below_respects_n_max():
     assert np.all(np.diff(ev) > 0.0)
 
 
+def test_eigenvalues_below_stops_at_adjacent_floats(catalog, monkeypatch):
+    # a tolerance below float resolution: an interval of adjacent floats has
+    # no midpoint inside it and is not split again, so the bisection ends
+    # (it looped forever), inside the brackets the default tolerance stops at
+    G = to_log(catalog["square-well"])
+    probes = []
+    count = spectral1d.count_below
+
+    def capped(*args, **kw):
+        probes.append(args[2])
+        assert len(probes) <= 2000
+        return count(*args, **kw)
+
+    monkeypatch.setattr(spectral1d, "count_below", capped)
+    coarse, _ = eigenvalues_below(G, 10.0, engine="fd")
+    n_coarse = len(probes)
+    fine, _ = eigenvalues_below(G, 10.0, engine="fd", tol_eig=1e-20)
+    assert len(fine) == len(coarse) > 0
+    width = 1e-9 * max(1.0, 10.0 * G.g_max)
+    assert np.all(np.abs(fine - coarse) <= width)
+    assert n_coarse < len(probes) - n_coarse
+    for bad in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_eig"):
+            eigenvalues_below(G, 10.0, tol_eig=bad)
+
+
 def test_bs_duality_on_shared_grid(catalog):
     # inertia identity: #{lambda_n > 1/alpha} equals the Dirichlet count
     # on the same grid, exactly; the fd count must rebuild that grid node
@@ -390,6 +417,19 @@ def test_bs_spectrum_rejects_negative_G():
             bs_spectrum(G, mode, domain=(-2.0, 3.0), h=0.01)
     lam, _ = bs_spectrum(G, domain=(-2.0, 0.5), h=0.01)
     assert lam[0] > 0.0
+
+
+def test_bs_spectrum_reads_G_on_its_support_only(catalog):
+    # G = 0 off t_support: the spectrum and meta read at the support nodes
+    # and a margin node either side are the whole window's, bit for bit
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        whole = dataclasses.replace(G, t_support=(-math.inf, math.inf))
+        for mode in BoundaryMode:
+            lam, meta = bs_spectrum(G, mode)
+            lam_whole, meta_whole = bs_spectrum(whole, mode)
+            assert np.array_equal(lam, lam_whole), (name, mode)
+            assert meta == meta_whole, (name, mode)
 
 
 @pytest.mark.parametrize("mode", list(BoundaryMode))

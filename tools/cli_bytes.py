@@ -6,10 +6,11 @@
 `record` runs every case in-process through `radcount.cli.main` and stores
 {argv: {"stdout": ..., "stderr": ..., "exit": code}} as JSON; a usage error
 that argparse raises as SystemExit is recorded with its code like any other
-exit. The radcount it imports is the one under DIR (default: this
-checkout's `src/`), so two checkouts can be recorded with one copy of this
-script. `diff` prints every case whose bytes differ, with the JSON fields
-that differ when both sides parse, and exits 1 if any case differs.
+exit, and help is wrapped at 80 columns. The radcount it imports is the
+one under DIR (default: this checkout's `src/`), so two checkouts can be
+recorded with one copy of this script. `diff` prints every case whose
+bytes differ, with the JSON fields that differ when both sides parse, and
+exits 1 if any case differs.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -70,10 +72,35 @@ def cases() -> list[list[str]]:
         out.append(["bounds", "--spec", spec, "--alpha", "50", "--minR"])
         out.append(["potential", "show", "--spec", spec])
         out.append(["potential", "integrals", "--spec", spec])
+    # help, usage and error paths: no subcommand, root flags, an unknown
+    # name, potential without a child, every subcommand's help
+    out += [[], ["--help"], ["--version"], ["bogus"], ["potential"]]
+    out += [[cmd, "-h"] for cmd in ("potential", "seq", "count1d", "count",
+                                    "bounds", "sweep", "verify")]
+    out.append(["potential", "integrals", "-h"])
+    # errors the root reports after a subcommand parsed: a trailing
+    # unrecognized argument and a rejected tolerance; one that the bounds
+    # parser reports
+    out.append(["count", "--spec", "square-well", "--alpha", "3", "extra"])
+    out.append(["seq", "--spec", "zero", "--quad-abs-tol", "0"])
+    out.append(["bounds", "--spec", "gaussian", "--alpha", "50", "--R", "2",
+                "--minR"])
+    # values that are refused: tolerances and budgets that are not finite,
+    # and a negative weak-bound constant
+    out.append(["seq", "--spec", "zero", "--quad-abs-tol", "nan"])
+    out.append(["seq", "--spec", "zero", "--quad-rel-tol", "inf"])
+    out.append(["verify", "--spec", "zero", "--eig-tol", "inf"])
+    out.append(["sweep", "--spec", "zero", "--alpha-min", "5",
+                "--alpha-max", "50", "--budget-seconds", "nan"])
+    for cmd in (["bounds", "--alpha", "50"],
+                ["sweep", "--alpha-min", "5", "--alpha-max", "50"]):
+        out.append(cmd + ["--spec", "gaussian", "--C", "-1"])
     return out
 
 
 def record(path: str, src: str) -> None:
+    # help text wraps at the terminal width argparse reads from COLUMNS
+    os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(Path(src).resolve()))
     from radcount.cli import main
 
