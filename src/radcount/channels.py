@@ -117,15 +117,15 @@ def _channel_counts(G, alpha: float, engine: str, **kw
         return per, count_below(G, alpha, E0,
                                 BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                                 engine=engine, **kw)
-    queries = [(E0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)]
+    queries = [(alpha, E0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)]
     size, rd = _FIRST_CHANNELS, None
     while not per or per[-1].count:
         for m in range(len(per), len(per) + size):
             E = channel_energy(G, alpha, m)
-            queries.append((E, BoundaryMode.WHOLE_LINE))
+            queries.append((alpha, E, BoundaryMode.WHOLE_LINE))
             if alpha * G.g_max + E <= 0.0:
                 break
-        got = count_batch_pruefer(G, alpha, queries, **kw)
+        got = count_batch_pruefer(G, queries, **kw)
         if rd is None:
             rd, *got = got
         for r in got:

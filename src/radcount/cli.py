@@ -33,8 +33,8 @@ from .channels import bs_duality_check, excused, sandwich_check, total_count
 from .potentials import (PotentialSpecError, RadialPotential,
                          bundled_spec_names, integral_J, integral_logweight,
                          load_bundled, load_spec, to_log)
-from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_below,
-                         eigenvalues_below)
+from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_batch_pruefer,
+                         count_below, eigenvalues_below)
 from .weakseq import classify, delta_estimates, zeta_sequence
 from .quadrature import integrate_line
 
@@ -250,15 +250,19 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
     def add(name: str, ok: bool, **details):
         checks.append({"name": name, "ok": bool(ok), **details})
 
-    # engine agreement on randomized (alpha, E, mode) instances
-    bad = 0
-    flagged = 0
+    # engine agreement on randomized (alpha, E, mode) instances, all drawn
+    # first: the phase engine counts them in one batch, on one mesh
+    instances = []
     for _ in range(n_random):
         a = float(np.exp(rng.uniform(np.log(5.0), np.log(80.0))))
         depth = a * G.g_max
         e = -float(rng.uniform(1e-6, 0.9)) * depth if depth > 0.0 else -1.0
         mode = list(_MODES.values())[int(rng.integers(0, 3))]
-        cp = count_below(G, a, e, mode, engine="pruefer")
+        instances.append((a, e, mode))
+    bad = 0
+    flagged = 0
+    for (a, e, mode), cp in zip(instances,
+                                count_batch_pruefer(G, instances)):
         cf = count_below(G, a, e, mode, engine="fd")
         flags = cp.flags + cf.flags
         flagged += bool(flags)

@@ -528,6 +528,16 @@ def to_log(P: RadialPotential, *, strict: bool = True,
 # weighted integrals
 
 
+def _unique_sorted(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) for a 1-d array without NaN: a sort and a mask of
+    equal neighbours, which loads no numpy.ma."""
+    x = np.sort(x)
+    first = np.empty(x.size, dtype=bool)
+    first[:1] = True
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
+
+
 def _t_support(prof: _Profile) -> tuple[float, float]:
     r_lo, r_hi = prof.support_r
     return (-math.inf if r_lo <= 0.0 else math.log(r_lo),
@@ -600,7 +610,8 @@ def integral_logweight_grid(P: RadialPotential, R_grid, *,
     if a < b:
         pts = [p for p in breaks if a < p < b]
         inner = np.clip(s, a, b)
-        u, where = np.unique(inner, return_inverse=True)
+        u = _unique_sorted(inner)
+        where = np.searchsorted(u, inner)
         mid, mid_err = integrate_batch(
             lambda t, k: g(t) * np.abs(t - u[k]),
             [sorted({a, *pts, ui, b}) for ui in u.tolist()],

@@ -129,7 +129,12 @@ def integrate_batch(
 def _refine(f, lo: np.ndarray, hi: np.ndarray, k: np.ndarray, n: int,
             epsabs: float, epsrel: float) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of integrate_batch on subintervals [lo_i, hi_i] of the
-    integrals k_i in range(n)."""
+    integrals k_i in range(n). Every public integrator passes through
+    here, so the tolerances are checked here: each must be finite and
+    >= 0, since a NaN one reads as converged after the first pass."""
+    for name, tol in (("epsabs", epsabs), ("epsrel", epsrel)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"need a finite {name} >= 0, got {tol}")
     val, err = _gk21(f, lo, hi, k)
     while True:
         total = np.bincount(k, val, n)

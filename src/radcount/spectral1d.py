@@ -27,15 +27,27 @@ Two independent engines with no shared discretization machinery:
 
     Passes run in batches (count_batch_pruefer), since every channel is
     the same line operator at a shifted energy on the same mesh: at each
-    bisection level G is read once at the Gauss points of every live pass,
-    the Magnus coefficients and the zero counts of every pass come from
-    one set of numpy calls, and only the (u, u') recurrence runs per pass;
-    a block holds at most _BATCH_INTERVALS intervals. Each pass keeps its
-    own settle test. One scan of G finds the lead-in start of every
-    whole-line pass of a batch. A count alone is a batch of one; a plane
-    count (channels.total_count) sends the channels with m^2 < alpha g_max
-    in batches that grow 4x, with the Dirichlet-at-0 passes in the first,
-    and drops every count past the first empty channel.
+    bisection level G is read once, without alpha, at the Gauss points of
+    every live pass, the Magnus coefficients and the zero counts of every
+    pass come from one set of numpy calls, and only the (u, u') recurrence
+    runs per pass; a block holds at most _BATCH_INTERVALS intervals. Each
+    pass keeps its own settle test. One scan of G finds the lead-in start
+    of every whole-line pass of a batch. A count alone is a batch of one;
+    a plane count (channels.total_count) sends the channels with
+    m^2 < alpha g_max in batches that grow 4x, with the Dirichlet-at-0
+    passes in the first, and drops every count past the first empty
+    channel.
+
+    A query carries its own coupling, and each pass forms w = E + alpha G
+    from the one read of G, so a batch may mix couplings (cli `verify`
+    sends its random engine-agreement instances as one). It sweeps the
+    mesh of its largest coupling. The mesh rule, h sqrt(alpha max |G|)
+    <= 1/2 and h^2 alpha (max G - min G) <= 1/4 on every interval, is
+    monotone in alpha: an interval that meets it at the largest coupling
+    meets it at every smaller one, so that mesh is only finer there. The
+    mesh depends on the batch alone, so the same batch always gives the
+    same phases; a batch at one coupling sweeps that coupling's mesh, as
+    a count alone does.
 
   * count_below_fd: three-point finite differences on a uniform grid and a
     Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
@@ -74,6 +86,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .potentials import _unique_sorted
 
 __all__ = [
     "BoundaryMode",
@@ -204,7 +218,7 @@ def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
     not the change of G relative to G, so a tail where alpha G is small
     gets long intervals."""
     cuts = [lo, hi] + [p for p in (*G.breakpoints, 0.0) if lo < p < hi]
-    t = np.unique(np.array(cuts, dtype=float))
+    t = _unique_sorted(np.array(cuts, dtype=float))
     while True:
         a, b = t[:-1], t[1:]
         h = b - a
@@ -238,23 +252,25 @@ def _mesh(G, alpha: float, p: float, q: float) -> np.ndarray:
     return G.phase_mesh[1]
 
 
-def _level_intervals(G, alpha: float, nodes: np.ndarray, passes, level: int
+def _level_intervals(G, nodes: np.ndarray, passes, level: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """(h, w1, w2, cuts) of the passes (E, a, z, ...) on the mesh `nodes` at
-    bisection level `level`, one after another: pass i meets intervals
-    cuts[i]:cuts[i+1], in that order. The mesh nodes strictly between a and
-    z cut [a, z], so a pass that starts or ends between two nodes enters or
-    leaves through a partial interval, and every interval is bisected
-    `level` times. w1 and w2 are w = E + alpha G at the first and the
-    second Gauss point met; a Gauss point lies inside its interval, so G is
-    read inside its pieces. With z < a a pass walks the mirrored intervals,
-    right to left.
+    """(h, w1, w2, cuts) of the passes (alpha, E, a, z, ...) on the mesh
+    `nodes` at bisection level `level`, one after another: pass i meets
+    intervals cuts[i]:cuts[i+1], in that order. The mesh nodes strictly
+    between a and z cut [a, z], so a pass that starts or ends between two
+    nodes enters or leaves through a partial interval, and every interval
+    is bisected `level` times. w1 and w2 are w = E + alpha G at the first
+    and the second Gauss point met; a Gauss point lies inside its interval,
+    so G is read inside its pieces. With z < a a pass walks the mirrored
+    intervals, right to left.
 
-    G is read once for the batch: at the Gauss points of the mesh intervals
-    that some pass crosses whole, which every pass through them shares,
-    and of each pass's partial end intervals. Each point is the one the
-    pass alone would read, so its arrays do not depend on the batch."""
-    ends = [sorted(ps[1:3]) for ps in passes]
+    G is read once for the batch, without alpha: at the Gauss points of the
+    mesh intervals that some pass crosses whole, which every pass through
+    them shares, and of each pass's partial end intervals; each pass forms
+    E + alpha G from them at its own coupling. Each point is the one the
+    pass alone would read on this mesh, and alpha (G[k]) equals (alpha G)[k]
+    bit for bit, so its arrays do not depend on the batch."""
+    ends = [sorted(ps[2:4]) for ps in passes]
     # the first node > p, and one past the last node < q
     k0s = np.searchsorted(nodes, [p for p, _ in ends], "right").tolist()
     k1s = np.searchsorted(nodes, [q for _, q in ends], "left").tolist()
@@ -276,7 +292,7 @@ def _level_intervals(G, alpha: float, nodes: np.ndarray, passes, level: int
     hi: list = []
     steps, sizes, jump_at, jump, cuts = [], [], [], [], [0]
     prev = 0
-    for (_, a, z, *_), (p, q), k0, k1 in zip(passes, ends, k0s, k1s):
+    for (_, _, a, z, *_), (p, q), k0, k1 in zip(passes, ends, k0s, k1s):
         cuts.append(cuts[-1])
         first = n * (k_hi - k_lo + len(lo))
         if k1 > k0:
@@ -305,14 +321,15 @@ def _level_intervals(G, alpha: float, nodes: np.ndarray, passes, level: int
     h = np.repeat((hi - lo) / n, n)
     mid = np.repeat(lo, n) + h * (np.arange(m) % n + 0.5)
     d = _GAUSS * h
-    ag = alpha * np.asarray(G.eval(np.concatenate([mid - d, mid + d])),
-                            dtype=float)
+    g = np.asarray(G.eval(np.concatenate([mid - d, mid + d])), dtype=float)
     src = np.repeat(steps, sizes)
     src[jump_at] = jump
     src = np.cumsum(src)
-    E = np.repeat([ps[0] for ps in passes], np.diff(cuts))
-    return (np.concatenate([h, h])[src], E + ag[src], E + np.roll(ag, m)[src],
-            cuts)
+    n_of = np.diff(cuts)
+    alpha = np.repeat([ps[0] for ps in passes], n_of)
+    E = np.repeat([ps[1] for ps in passes], n_of)
+    return (np.concatenate([h, h])[src], E + alpha * g[src],
+            E + alpha * np.roll(g, m)[src], cuts)
 
 
 def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
@@ -411,10 +428,10 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     return [(u, v, float(n)) for (u, v), n in zip(ends, zeros)]
 
 
-def _pass_phases(G, alpha: float, passes) -> list[tuple[float, int, bool]]:
-    """(theta, intervals swept, settled) of each pass (E, a, z, theta0,
-    tail): from a to z on the mesh, from theta0, then over a stretch of
-    length `tail` where G = 0, which is mapped exactly.
+def _pass_phases(G, passes) -> list[tuple[float, int, bool]]:
+    """(theta, intervals swept, settled) of each pass (alpha, E, a, z,
+    theta0, tail): from a to z on the mesh, from theta0, then over a
+    stretch of length `tail` where G = 0, which is mapped exactly.
 
     A pass is swept on the mesh and on its bisection, and the spread of
     their final phases is its error statement: while the spread exceeds
@@ -423,29 +440,31 @@ def _pass_phases(G, alpha: float, passes) -> list[tuple[float, int, bool]]:
     is returned; settled is False when its spread still exceeds
     _SPREAD_TOL. The passes are swept together, level by level, each
     until it settles (_level_intervals, _magnus_sweep), on one mesh that
-    spans them all."""
+    spans them all: the mesh of their largest coupling, which meets the
+    mesh rule, monotone in alpha, at every smaller one."""
     def final(i, th):
-        E, tail = passes[i][0], passes[i][4]
+        E, tail = passes[i][1], passes[i][5]
         return _zero_tail(th, math.sqrt(-E), tail) if tail > 0.0 else th
 
     out: list = [None] * len(passes)
     steps = [0] * len(passes)
     prev: dict[int, float] = {}
     live = []
-    for i, (_, a, z, theta0, _) in enumerate(passes):
+    for i, (_, _, a, z, theta0, _) in enumerate(passes):
         if a == z:
             out[i] = final(i, theta0), 0, True
         else:
             live.append(i)
     if live:
-        nodes = _mesh(G, alpha, min(min(passes[i][1:3]) for i in live),
-                      max(max(passes[i][1:3]) for i in live))
+        nodes = _mesh(G, max(passes[i][0] for i in live),
+                      min(min(passes[i][2:4]) for i in live),
+                      max(max(passes[i][2:4]) for i in live))
     for level in range(_MAX_LEVEL + 1):
         if not live:
             break
         batch = [passes[i] for i in live]
-        h, w1, w2, cuts = _level_intervals(G, alpha, nodes, batch, level)
-        thetas = _magnus_sweep(h, w1, w2, cuts, [ps[3] for ps in batch])
+        h, w1, w2, cuts = _level_intervals(G, nodes, batch, level)
+        thetas = _magnus_sweep(h, w1, w2, cuts, [ps[4] for ps in batch])
         still = []
         for i, th, lo, hi in zip(live, thetas, cuts, cuts[1:]):
             fine = final(i, th)
@@ -461,9 +480,9 @@ def _pass_phases(G, alpha: float, passes) -> list[tuple[float, int, bool]]:
     return out
 
 
-def _lead_in(G, alpha: float, windows) -> list[tuple[float, float]]:
-    """(t0, theta0) of each whole-line window (E, A, B): where its pass
-    starts, and its phase.
+def _lead_in(G, windows) -> list[tuple[float, float]]:
+    """(t0, theta0) of each whole-line window (alpha, E, A, B): where its
+    pass starts, and its phase.
 
     Left of the first allowed point t1 (w = E + alpha G >= 0), moving right
     multiplies a phase error by at most exp(-2 int sqrt(-w)). So the pass
@@ -478,40 +497,47 @@ def _lead_in(G, alpha: float, windows) -> list[tuple[float, float]]:
     atan2(1, kappa).
 
     One scan serves every window that needs one: it runs from the leftmost
-    A to the rightmost end, at the spacing of the highest E, whose S_top is
-    the largest, and each window reads the scan points inside it; a window
-    alone is scanned on its own [A, end]. t1 comes from the running maximum
-    of alpha G, and the integral is summed back from t1 in chunks growing
-    4x, the first of about _LEAD_IN / (kappa spacing) points (at least
-    _HEAD_CHUNK), only as far as it needs."""
+    A to the rightmost end, at the spacing of the largest
+    S_top^2 = alpha max G + E, and each window reads the scan points inside
+    it; a window alone is scanned on its own [A, end]. G is read once, and
+    each distinct coupling scales it by one alpha G and one running
+    maximum, from which t1 comes. The integral is summed back from t1 in
+    chunks growing 4x, the first of about _LEAD_IN / (kappa spacing) points
+    (at least _HEAD_CHUNK), only as far as it needs."""
     out = []
-    scan = []   # (window, E, A, end of the scan)
-    for E, A, B in windows:
+    scan = []   # (window, alpha, E, A, end of the scan)
+    for alpha, E, A, B in windows:
         kappa = math.sqrt(-E)
         out.append((A, math.atan2(1.0, kappa)))
         t_end = min(B, G.g_argmax)
         if kappa * (B - A) >= _LEAD_IN and t_end > A:
-            scan.append((len(out) - 1, E, A, t_end))
+            scan.append((len(out) - 1, alpha, E, A, t_end))
     if not scan:
         return out
-    lo, hi = min(s[2] for s in scan), max(s[3] for s in scan)
-    S_top = math.sqrt(max(1.0, alpha * G.g_max + max(s[1] for s in scan)))
+    lo, hi = min(s[3] for s in scan), max(s[4] for s in scan)
+    S_top = math.sqrt(max(1.0, max(alpha * G.g_max + E
+                                   for _, alpha, E, _, _ in scan)))
     n = int(math.ceil(4.0 * S_top * (hi - lo)))
-    ts = np.linspace(lo, hi, n + 1)
-    ts = np.union1d(ts, [p for p in G.breakpoints if lo < p < hi])
-    ag = alpha * np.asarray(G.eval(ts), dtype=float)
-    top = np.fmax.accumulate(ag)
+    ts = _unique_sorted(np.concatenate(
+        (np.linspace(lo, hi, n + 1),
+         [p for p in G.breakpoints if lo < p < hi])))
+    g = np.asarray(G.eval(ts), dtype=float)
     dts = np.diff(ts)
-    which, Es, As, ends = zip(*scan)
-    # the first allowed point: E + alpha G >= 0 iff alpha G >= -E, which
-    # the running maximum finds unless a point left of the window is
-    firsts = top.searchsorted(np.negative(Es), "left").tolist()
-    starts = ts.searchsorted(As, "left").tolist()
-    stops = ts.searchsorted(ends, "right").tolist()
-    for i, E, s, e, i1 in zip(which, Es, starts, stops, firsts):
+    scaled: dict = {}   # alpha -> (alpha G, its running maximum)
+    for i, alpha, E, A, end in scan:
+        if alpha not in scaled:
+            ag = alpha * g
+            scaled[alpha] = ag, np.fmax.accumulate(ag)
+        ag, top = scaled[alpha]
+        s = int(ts.searchsorted(A, "left"))
+        e = int(ts.searchsorted(end, "right"))
+        # the first allowed point: E + alpha G >= 0 iff alpha G >= -E, which
+        # the running maximum finds unless a point left of the window is
         if s and top[s - 1] >= -E:
             hit = np.flatnonzero(ag[s:e] >= -E)
             i1 = s + int(hit[0]) if hit.size else e
+        else:
+            i1 = int(top.searchsorted(-E, "left"))
         if not s < i1 < e:
             continue
         # int_{ts[j]}^{t1}, j < i1, summed back from t1
@@ -594,23 +620,28 @@ def count_below_pruefer(G, alpha: float, E: float,
     The count is a batch of one (count_batch_pruefer): one pass, two in the
     Dirichlet-at-0 mode.
     """
-    return count_batch_pruefer(G, alpha, [(E, mode)], domain=domain,
+    return count_batch_pruefer(G, [(alpha, E, mode)], domain=domain,
                                truncated=truncated)[0]
 
 
-def count_batch_pruefer(G, alpha: float, queries, *,
+def count_batch_pruefer(G, queries, *,
                         domain: tuple[float, float] | None = None,
                         truncated: bool = False) -> list[CountResult]:
-    """count_below_pruefer at each (E, mode) of `queries`, one batch of
-    passes for all: one lead-in scan serves every whole-line pass
-    (_lead_in), and the passes are swept together (_pass_phases). Each
-    count, its flags and its steps are those of the query counted alone,
-    except that a whole-line pass may start from another point of the
-    shared scan, at a phase error contracted by 1e-12. domain and truncated
-    apply to every query."""
+    """count_below_pruefer at each (alpha, E, mode) of `queries`, one batch
+    of passes for all: a query carries its own coupling. One lead-in scan
+    serves every whole-line pass (_lead_in), and the passes are swept
+    together (_pass_phases) on the mesh of the largest coupling of the
+    batch. The mesh rule is monotone in alpha, so that mesh meets it at
+    every smaller coupling too; it is only finer there. Each count, its
+    flags and its steps are those of the query counted alone, except that
+    a whole-line pass may start from another point of the shared scan, at
+    a phase error contracted by 1e-12, and that a query below the largest
+    coupling is swept on that finer mesh, whose final phase lies within
+    the settle tolerance of its own. A batch at one coupling sweeps that
+    coupling's mesh. domain and truncated apply to every query."""
     _check_window(domain)
     plans = []
-    for E, mode in queries:
+    for alpha, E, mode in queries:
         _validate(alpha, E)
         mode = BoundaryMode(mode)
         A, B = (domain if domain is not None
@@ -627,12 +658,13 @@ def count_batch_pruefer(G, alpha: float, queries, *,
             runs = [(A, B, 0.0)]
         else:
             runs = [None]
-        plans.append((E, mode, A, B, runs))
-    lead = iter(_lead_in(G, alpha, [(E, A, B) for E, _, A, B, runs in plans
-                                    if runs == [None]]))
+        plans.append((alpha, E, mode, A, B, runs))
+    lead = iter(_lead_in(G, [(alpha, E, A, B)
+                             for alpha, E, _, A, B, runs in plans
+                             if runs == [None]]))
     t_lo, t_hi = G.t_support
     passes = []
-    for E, _, _, B, runs in plans:
+    for alpha, E, _, _, B, runs in plans:
         for run in runs or ():
             if run is None:
                 t0, theta0 = next(lead)
@@ -646,10 +678,10 @@ def count_batch_pruefer(G, alpha: float, queries, *,
                 z = max(min(a, t_lo), b)
             else:
                 z = a
-            passes.append((E, a, z, theta0, abs(b - z)))
-    phases = iter(_pass_phases(G, alpha, passes))
+            passes.append((alpha, E, a, z, theta0, abs(b - z)))
+    phases = iter(_pass_phases(G, passes))
     out = []
-    for E, mode, A, B, runs in plans:
+    for _, E, mode, A, B, runs in plans:
         flags = ["domain-truncated"] if G.truncated else []
         if runs is None:
             out.append(CountResult(0, "pruefer", E, mode.value, (A, B),
@@ -1061,7 +1093,8 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
         return lam, meta
     # K_s on the kept nodes: each couples to its nearest kept node or wall
     # on either side; kept nodes adjacent in pts have no wall between them
-    pts = np.union1d(pos, [0, n] if k0 is None else [0, k0, n])
+    pts = _unique_sorted(np.concatenate(
+        (pos, [0, n] if k0 is None else [0, k0, n])))
     gap = np.diff(pts)
     at = np.searchsorted(pts, pos)
     diag = (1.0 / gap[at - 1] + 1.0 / gap[at]) / h

@@ -305,7 +305,7 @@ def count_below_rk(G, alpha: float, E: float,
         elif truncated:
             a, theta0 = A, 0.0
         else:
-            (a, theta0), = _lead_in(G, alpha, [(E, A, B)])
+            (a, theta0), = _lead_in(G, [(alpha, E, A, B)])
             a = max(a, t_lo)
         count, uncertainty, fl, th, steps = one_pass(
             gs, a, B, theta0, G.breakpoints, t_hi)

@@ -266,11 +266,37 @@ def test_oracle_equivalence_uses_the_shared_excuse(catalog, monkeypatch,
         return CountResult(count, engine, E, mode.value, (0.0, 1.0),
                            uncertainty=uncertainty, flags=flags)
 
+    def count_batch_pruefer(G, queries):
+        return [count_below(G, alpha, E, mode, engine="pruefer")
+                for alpha, E, mode in queries]
+
     monkeypatch.setattr("radcount.cli.count_below", count_below)
+    monkeypatch.setattr("radcount.cli.count_batch_pruefer",
+                        count_batch_pruefer)
     checks = _verify_checks(catalog["square-well"], [],
                             np.random.default_rng(7), 1, 1e-9)
     assert checks == [{"name": "oracle-equivalence", "ok": bad == 0,
                        "instances": 1, "flagged": 1, "disagreements": bad}]
+
+
+def test_verify_sweeps_its_instances_on_one_mesh(capsys, monkeypatch):
+    # the 12 engine-agreement instances are one phase batch, on the mesh of
+    # its largest coupling; the plane counts at alpha 10 and 50 build their
+    # own: 3 meshes in all, where a mesh per instance made 12
+    from radcount import spectral1d
+
+    mesh_nodes = spectral1d._mesh_nodes
+    built = []
+
+    def spy(G, alpha, lo, hi):
+        built.append(alpha)
+        return mesh_nodes(G, alpha, lo, hi)
+
+    monkeypatch.setattr(spectral1d, "_mesh_nodes", spy)
+    code, doc = run_json(capsys, "verify", "--spec", "square-well")
+    assert code == 0 and doc["report"]["ok"] is True
+    assert len(built) == 3
+    assert 5.0 <= built[0] <= 80.0 and built[1:] == [10.0, 50.0]
 
 
 def test_verify_passes_on_trivial_profile(capsys):
@@ -450,6 +476,16 @@ def test_every_exported_name_resolves():
             assert hasattr(mod, name), (mod.__name__, name)
 
 
+def _fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter on this radcount."""
+    src = os.path.dirname(os.path.dirname(radcount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=120).stdout
+
+
 def test_import_loads_no_scipy_submodule():
     # a fresh interpreter: the CLI imports numpy only; bs_spectrum solves a
     # support of at most n_max + 1 nodes (the annulus at n_max = 48) with
@@ -465,12 +501,24 @@ print(sorted(m for m in heavy if m in sys.modules), meta["n_support"])
 lam, meta = bs_spectrum(to_log(load_bundled("square-well")), n_max=4)
 print(bool(lam[0] > lam[1] > 0.0), meta["n_nodes"] > 0)
 """
-    src = os.path.dirname(os.path.dirname(radcount.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.split("\n")[:3] == ["[]", "[] 34", "True True"]
+    assert _fresh(code).split("\n")[:3] == ["[]", "[] 34", "True True"]
+
+
+def test_a_fresh_count_loads_no_numpy_ma():
+    # a fresh interpreter: np.unique and np.union1d load numpy.ma on their
+    # first call, about 10 ms; the mesh, the lead-in scan, bs_spectrum and
+    # the log-weight grid dedupe by a sort, so neither a plane count nor
+    # the bounds report loads it
+    code = """
+import contextlib, io, sys
+from radcount.cli import main
+for argv in (["count", "--spec", "square-well", "--alpha", "3200"],
+             ["bounds", "--spec", "gaussian", "--alpha", "50", "--minR"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print("numpy.ma" in sys.modules)
+"""
+    assert _fresh(code).split("\n")[0] == "False"
 
 
 @pytest.mark.parametrize("method", ["pruefer", "fd"])

@@ -8,7 +8,9 @@ must give the same counts, uncertainties, flags and side counts. A pass
 that does not start from a lead-in must end at the same phase after the
 same intervals, bit for bit; so must every pass of a batch of one, whose
 scan is its own. A channel pass of a plane count starts from a point of
-the batch's shared scan, so its final phase may move, within 1e-10.
+the batch's shared scan, so its final phase may move, within 1e-10. A
+batch that spans couplings sweeps the mesh of the largest, so a pass at a
+smaller coupling ends within 1e-8 of its phase alone.
 """
 import math
 
@@ -189,8 +191,8 @@ def _spied(monkeypatch, run):
     settle = spectral1d._pass_phases
     batches = []
 
-    def spy(G, alpha, passes):
-        batches.append((list(passes), settle(G, alpha, passes)))
+    def spy(G, passes):
+        batches.append((list(passes), settle(G, passes)))
         return batches[-1][1]
 
     with monkeypatch.context() as mp:
@@ -244,7 +246,7 @@ def test_plane_count_batches_match_per_pass_counts(catalog, monkeypatch,
     for alpha in (3.0, 25.0, 200.0, 3200.0):
         (per, rd), batches = _spied(
             monkeypatch, lambda: _channel_counts(G, alpha, "pruefer"))
-        ran = {(ps[0], ps[1] == 0.0 and ps[3] == 0.0): out
+        ran = {(ps[1], ps[2] == 0.0 and ps[4] == 0.0): out
                for passes, outs in batches
                for ps, out in zip(passes, outs)}
         E0 = channel_energy(G, alpha)
@@ -253,8 +255,8 @@ def test_plane_count_batches_match_per_pass_counts(catalog, monkeypatch,
         _same_count(rd, want, ("dirichlet", alpha))
         assert rd.steps == want.steps, alpha
         got = [out[:2] for passes_, outs in batches
-               for ps, out in zip(passes_, outs) if ps[0] == E0
-               and ps[1] == 0.0 and ps[3] == 0.0]
+               for ps, out in zip(passes_, outs) if ps[1] == E0
+               and ps[2] == 0.0 and ps[4] == 0.0]
         assert got == [(th, n) for th, n, _ in passes], alpha
         for m, r in enumerate(per):
             E = channel_energy(G, alpha, m)
@@ -290,7 +292,7 @@ def test_channels_past_the_first_empty_one_are_empty(catalog, name):
                                                      len(energies))) > 0.0:
             energies.append(E)
         counts = [r.count for r in count_batch_pruefer(
-            G, alpha, [(E, BoundaryMode.WHOLE_LINE) for E in energies])]
+            G, [(alpha, E, BoundaryMode.WHOLE_LINE) for E in energies])]
         first = counts.index(0) if 0 in counts else len(counts)
         assert not any(counts[first:]), (alpha, counts)
         b = total_count(G, alpha)
@@ -333,7 +335,7 @@ def test_batch_counts_property_random_profiles(P, log_alpha, draws):
     depth = alpha * G.g_max
     assume(depth > 0.0)
     queries = sorted((-frac * depth, mode) for frac, mode in draws)
-    batch = count_batch_pruefer(G, alpha, queries)
+    batch = count_batch_pruefer(G, [(alpha, E, mode) for E, mode in queries])
     assert len(batch) == len(queries)
     for (E, mode), got in zip(queries, batch):
         alone = count_below_pruefer(G, alpha, E, mode)
@@ -345,3 +347,44 @@ def test_batch_counts_property_random_profiles(P, log_alpha, draws):
         for lo, hi in zip(seq, seq[1:]):
             assert lo.count <= hi.count + lo.uncertainty + hi.uncertainty, (
                 mode.value, lo.energy, hi.energy)
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(P=_random_profiles(),
+       log_alphas=st.lists(st.floats(math.log(3.0), math.log(3200.0)),
+                           min_size=3, max_size=3, unique=True),
+       draws=st.lists(st.tuples(st.floats(1e-6, 1.2),
+                                st.sampled_from(list(BoundaryMode))),
+                      min_size=3, max_size=7))
+def test_batch_across_couplings_random_profiles(P, log_alphas, draws):
+    # queries at three couplings, each at an energy down to 1.2 times the
+    # depth of its -alpha G, in any modes, in one batch: it sweeps the mesh
+    # of the largest coupling, which is finer than a smaller coupling's
+    # own, and each query gets the count, uncertainty, flags and side
+    # counts of the query counted alone. At the largest coupling a pass
+    # that starts from no lead-in ends at the same phase after the same
+    # intervals, bit for bit, and one that does within 1e-10 (the shared
+    # scan); at a smaller one every final phase lies within 1e-8
+    G = to_log(P, strict=False)
+    alphas = [math.exp(x) for x in log_alphas]
+    assume(G.g_max > 0.0)
+    queries = [(alphas[j % 3], -frac * alphas[j % 3] * G.g_max, mode)
+               for j, (frac, mode) in enumerate(draws)]
+    batch, (seen,) = _spied(pytest.MonkeyPatch,
+                            lambda: count_batch_pruefer(G, queries))
+    outs = iter(seen[1])
+    for (alpha, E, mode), got in zip(queries, batch):
+        alone, runs = _spied(pytest.MonkeyPatch,
+                             lambda: count_below_pruefer(G, alpha, E, mode))
+        case = (alpha, mode.value, E)
+        _same_count(got, alone, case)
+        for want in (out for _, outs_ in runs for out in outs_):
+            th, n, _ = next(outs)
+            if alpha < max(alphas):
+                assert abs(th - want[0]) <= 1e-8, (case, th, want[0])
+            elif mode != BoundaryMode.WHOLE_LINE:
+                assert (th, n) == want[:2], case
+            else:
+                assert abs(th - want[0]) <= 1e-10, (case, th, want[0])
+    assert next(outs, None) is None

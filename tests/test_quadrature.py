@@ -17,6 +17,7 @@ from radcount import (
     bundled_spec_names,
     classify,
     integral_J,
+    integral_logweight,
     integral_logweight_grid,
     load_bundled,
     quadrature,
@@ -139,6 +140,32 @@ def test_line_respects_breakpoints_far_out():
 
     val, _ = integrate_line(f, 0.0, math.inf, points=[300.0, 301.0])
     assert abs(val - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("which", ["epsabs", "epsrel"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_tolerances_that_are_not_finite_and_nonnegative_raise(which, tol):
+    # a NaN tolerance reads as converged after the first Gauss-Kronrod
+    # pass, which returned 7.868 +- 13.8 for an integral of 3.1016; every
+    # public integrator refuses it, and an infinite or negative one, in the
+    # kernel they all pass through
+    P = load_bundled("counterexample")
+    kw = {which: tol}
+    for call in (
+            lambda: integrate_line(lambda t: 1.0 / (1.0 + t * t), -50.0,
+                                   50.0, **kw),
+            lambda: integral_J(P, **kw),
+            lambda: integral_logweight(P, 2.0, **kw),
+            lambda: zeta_sequence(to_log(P), 20, **kw)):
+        with pytest.raises(ValueError, match=f"need a finite {which} >= 0"):
+            call()
+
+
+def test_zero_tolerances_are_allowed():
+    # zero asks for the subinterval limit, and gets it
+    val, err = integrate_line(lambda t: 1.0 / (1.0 + t * t), -50.0, 50.0,
+                              epsabs=0.0, epsrel=0.0)
+    assert abs(val - 2.0 * math.atan(50.0)) <= max(err, 1e-13)
 
 
 def test_random_exp_tails_match_closed_form():

@@ -918,7 +918,7 @@ def _window_path(G, alpha, E, mode):
 
     def one(a, b, theta0):
         (th, _, settled), = spectral1d._pass_phases(
-            G, alpha, [(E, a, b, theta0, 0.0)])
+            G, [(alpha, E, a, b, theta0, 0.0)])
         c, u, fl = spectral1d._zeros_from_phase(th, kappa, tail=True)
         if not settled and "phase-near-node" not in fl:
             fl.insert(0, "phase-near-node")
@@ -998,7 +998,7 @@ def test_lead_in_stops_before_a_narrow_deep_box(monkeypatch):
     for G in (hidden, deep):
         for E in (-225.0, -400.0, -2000.0):
             A, B = counting_domain(G, 1.0, E, BoundaryMode.WHOLE_LINE)
-            (t0, _), = spectral1d._lead_in(G, 1.0, [(E, A, B)])
+            (t0, _), = spectral1d._lead_in(G, [(1.0, E, A, B)])
             assert A < t0 < 0.0, (E, t0)
     wide_alone = boxes_G((300.0, 1.5, 4.0))
     for E in (-225.0, -2000.0):
@@ -1015,9 +1015,9 @@ def test_zero_tail_in_every_mode(monkeypatch):
     ends = []
     settle = spectral1d._pass_phases
 
-    def spy(G, alpha, passes):
-        ends.extend(z for _, _, z, _, _ in passes)
-        return settle(G, alpha, passes)
+    def spy(G, passes):
+        ends.extend(z for _, _, _, z, _, _ in passes)
+        return settle(G, passes)
 
     for mode in BoundaryMode:
         for E in (-0.5, -7.0, -30.0):

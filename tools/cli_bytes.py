@@ -47,6 +47,17 @@ def cases() -> list[list[str]]:
                  "counterexample"):
         for seed in ("1234", "7"):
             out.append(["verify", "--spec", spec, "--seed", seed])
+    # the engine-agreement batch at its edges: no instance, one, forty; a
+    # zero potential, and couplings far from the instances' 5..80
+    for n in ("0", "1"):
+        out.append(["verify", "--spec", "square-well", "--n-random", n])
+    for spec in ("bump", "counterexample", "counterexample-damped",
+                 "counterexample-damped-strong"):
+        out.append(["verify", "--spec", spec, "--n-random", "40",
+                    "--seed", "9"])
+    out.append(["verify", "--spec", "zero", "--n-random", "5"])
+    out.append(["verify", "--spec", "gaussian", "--alpha", "3", "--alpha",
+                "200"])
     for spec, energy in (("square-well", "-1.5"), ("gaussian", "-1.5")):
         out.append(["count1d", "--spec", spec, "--alpha", "40",
                     "--energy", energy, "--method", "both"])
