@@ -243,12 +243,15 @@ def _build_tabulated(p: Mapping[str, float]) -> _Profile:
     nz = np.nonzero(fs > 0.0)[0]
     lo = rs[max(nz[0] - 1, 0)]
     hi = rs[min(nz[-1] + 1, len(rs) - 1)]
+    t_lo = math.log(lo) if lo > 0.0 else -math.inf
     t_hi = math.log(hi)
 
     def g_vec(t):
         t = np.asarray(t, float)
         r = np.exp(np.minimum(t, t_hi + 1.0))
-        return np.interp(r, rs, fs, left=0.0, right=0.0) * r * r
+        g = np.interp(r, rs, fs, left=0.0, right=0.0) * r * r
+        # exp(t) rounds back to an end radius a few ulps outside the support
+        return np.where((t >= t_lo) & (t <= t_hi), g, 0.0)
 
     pos = [math.log(r) for r in rs if lo <= r <= hi and r > 0.0]
     breaks = tuple(pos) if len(pos) <= 64 else (pos[0], pos[-1])

@@ -206,18 +206,18 @@ class WeakVerdict:
         return "inconclusive"
 
 
-def classify(z: ZetaSequence, *, j_value: float | None = None) -> WeakVerdict:
+def classify(z: ZetaSequence) -> WeakVerdict:
     """Decide membership of the block sequence in weak-l1 and in its
     vanishing subspace, from the computed prefix.
 
     The decision compares sup n x*_n over the rank windows (K/4, K/2] and
     (K/2, K]: decay of the sups means n x*_n -> 0, a stable nonzero level
     means weak-l1 without the vanishing property, growth means the sequence
-    is not weak-l1 at all. An infinite J forces 'no' (integrability is part
-    of the linear-growth criterion). Ambiguous ratios return 'inconclusive'.
+    is not weak-l1 at all. An infinite J, read from z.source (nan without
+    one), forces 'no' (integrability is part of the linear-growth
+    criterion). Ambiguous ratios return 'inconclusive'.
     """
-    if j_value is None:
-        j_value = z.source.j_value if z.source is not None else math.nan
+    j_value = z.source.j_value if z.source is not None else math.nan
     level = weak_level(z.values)
     K = len(level)
     quasi = level_sup(level)

@@ -7,6 +7,11 @@ zero tail (`_zero_tail`) and count rule (`_zeros_from_phase`), and a step
 control that resolves the oscillation itself.  `extras["thetas"]` holds the
 final phase of every pass, after the tail, in the order the passes run.
 
+The oracle itself answers to closed forms: the Bessel count of every disk
+channel (`test_rk_oracle_matches_bessel_on_the_disk`), the whole-line box
+formula and the half-line box's transcendental root (`test_spectral1d`),
+and, over a long zero stretch, the exact map `_zero_tail`.
+
 The kernel reads `G` at one float at a time, six times per step, so it takes
 a scalar evaluator: `scalar_g(P)` writes `G` out per catalog kind in plain
 `math`, apart from the vectorised `G.eval` of `radcount.potentials`, which
@@ -258,13 +263,11 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
 def count_below_rk(G, alpha: float, E: float,
                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
                    domain: tuple[float, float] | None = None,
-                   truncated: bool = False, kernel=None,
-                   g_scalar=None) -> CountResult:
-    """count_below_pruefer on the RK kernel: every pass runs `kernel`
-    (default `_integrate_phase`, looked up at call time) from its start to
-    the end of the support of G and maps the rest in closed form. The
-    kernel reads G through `g_scalar`, by default `scalar_g(G.source)`; a
-    stub G with no source passes its own."""
+                   truncated: bool = False, g_scalar=None) -> CountResult:
+    """count_below_pruefer on the RK kernel: every pass runs
+    `_integrate_phase` from its start to the end of the support of G and
+    maps the rest in closed form. The kernel reads G through `g_scalar`, by
+    default `scalar_g(G.source)`; a stub G with no source passes its own."""
     _validate(alpha, E)
     mode = BoundaryMode(mode)
     A, B = domain if domain is not None else counting_domain(G, alpha, E, mode)
@@ -274,13 +277,13 @@ def count_below_rk(G, alpha: float, E: float,
         return CountResult(0, "pruefer", E, mode.value, (A, B),
                            flags=tuple(flags + ["below-spectrum"]),
                            extras={"thetas": []})
-    integrate = kernel or _integrate_phase
     gs = g_scalar or scalar_g(G.source)
 
     def one_pass(g_scalar, a, b, theta0, breaks, t_zero):
         # G = 0 from t_zero on: RK up to there, the exact map over the rest
         z = min(max(a, t_zero), b)
-        th, n, fl = integrate(g_scalar, alpha, E, a, z, theta0, breaks)
+        th, n, fl = _integrate_phase(g_scalar, alpha, E, a, z, theta0,
+                                     breaks)
         if z < b:
             th = spectral1d._zero_tail(th, kappa, b - z)
         c, u, fl2 = spectral1d._zeros_from_phase(th, kappa,

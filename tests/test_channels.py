@@ -30,6 +30,7 @@ from radcount import (
 from radcount import channels, spectral1d
 from radcount.spectral1d import (bs_spectrum, channel_energy, counting_domain,
                                  threshold_eps)
+from rk_phase import count_below_rk
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -73,6 +74,24 @@ def test_phase_engine_matches_bessel_on_a_dense_sweep(catalog):
         per, total = disk_total_oracle(float(alpha))
         assert b.per_channel == per, alpha
         assert (b.total, b.uncertainty, b.flags) == (total, 0, ()), alpha
+
+
+def test_rk_oracle_matches_bessel_on_the_disk(catalog):
+    # the RK oracle of the phase engine, by itself: at 20 log-spaced
+    # couplings in [3, 3200], every whole-line channel up to the first empty
+    # one counts the Bessel oracle's states, with uncertainty 0 and no flags
+    G = to_log(catalog["square-well"])
+    for alpha in np.geomspace(3.0, 3200.0, 20):
+        alpha = float(alpha)
+        m = 0
+        while True:
+            want = disk_channel_oracle(alpha, m)
+            got = count_below_rk(G, alpha, channel_energy(G, alpha, m))
+            assert (got.count, got.uncertainty, got.flags) == (want, 0, ()), (
+                alpha, m)
+            if not want:
+                break
+            m += 1
 
 
 def test_disk_well_totals_both_engines(catalog):

@@ -6,6 +6,12 @@ counting function: with s = sqrt(D + E), the whole-line operator
 below E, and the half-line Dirichlet version flips its first count at the
 root of k cot(k) = -kappa.  On top of that the two engines must agree with
 each other on everything the catalog can produce.
+
+The RK phase kernel (`rk_phase`), the accuracy oracle the Magnus mesh pass
+is checked against on the catalog and on random profiles, answers to closed
+forms too: the box formula, the half-line root and, over a long zero
+stretch, the exact map `_zero_tail` here, and the Bessel count of every disk
+channel in `test_channels`.
 """
 import dataclasses
 import math
@@ -96,6 +102,13 @@ def test_halfline_count_flips_at_transcendental_root():
                             BoundaryMode.HALF_LINE_DIRICHLET, engine=engine)
         assert below.count == 0, engine
         assert above.count == 1, engine
+    # so does the RK oracle
+    g_scalar = boxes_g_scalar((10.0, 0.0, 1.0))
+    for margin, want in ((-1e-6, 0), (1e-6, 1)):
+        got = count_below_rk(G, 1.0, E_HALF_BOX10 + margin,
+                             BoundaryMode.HALF_LINE_DIRICHLET,
+                             g_scalar=g_scalar)
+        assert got.count == want, margin
 
 
 def test_halfline_depth10_has_one_state_near_zero():
@@ -121,6 +134,9 @@ def test_whole_line_box_matches_phase_oracle():
             got = count_below(G, 1.0, E, BoundaryMode.WHOLE_LINE,
                               engine=engine)
             assert got.count == want, (engine, depth, length, E)
+        rk = count_below_rk(G, 1.0, E, BoundaryMode.WHOLE_LINE,
+                            g_scalar=boxes_g_scalar((depth, 0.0, length)))
+        assert rk.count == want, ("rk", depth, length, E)
         checked += 1
 
 
@@ -497,202 +513,14 @@ def test_counting_domain_pads_with_energy():
     assert half[0] == 0.0
 
 
-# Generic Cash-Karp loops, stages as lists and sums by sum().  The scaled
-# one, at the kernel's step cap, is the reference the unrolled RK phase
-# kernel (rk_phase, the accuracy oracle of the Magnus pass) must match bit
-# for bit; at the unit cap the kernel had before, it is the
-# oracle for that change.  The plain one integrates
-# theta' = cos^2 + w sin^2, which has the same zeros, with steps of at most
-# 0.5 and 0.25/sqrt(1 + |w|), and is an accuracy oracle for the scaled
-# phase.  All land the last step of a piece exactly on the piece end, as
-# the kernel does.
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
-def _ck_step(rhs, t, th, h, t_first, t_last):
-    # the tableau sums written out, each in the order sum() adds them;
-    # t_first and t_last stand in for the stage times t and t + h
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
-        (a50, a51, a52, a53, a54) = _CK_A[1:]
-    b0, b1, b2, b3, b4, b5 = _CK_B5
-    e0, e1, e2, e3, e4, e5 = _CK_B4
-    _, c1, c2, c3, _, c5 = _CK_C
-    k0 = rhs(t_first, th)
-    k1 = rhs(t + c1 * h, th + h * (a10 * k0))
-    k2 = rhs(t + c2 * h, th + h * (a20 * k0 + a21 * k1))
-    k3 = rhs(t + c3 * h, th + h * (a30 * k0 + a31 * k1 + a32 * k2))
-    k4 = rhs(t_last, th + h * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3))
-    k5 = rhs(t + c5 * h,
-             th + h * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3
-                       + a54 * k4))
-    th5 = th + h * (b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3 + b4 * k4
-                    + b5 * k5)
-    th4 = th + h * (e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4
-                    + e5 * k5)
-    return th5, abs(th5 - th4)
-
-
-def _rescale(th, r):
-    # tan theta -> r tan theta, in the branch around the nearest k pi
-    k = math.floor(th / math.pi + 0.5)
-    phi = th - k * math.pi
-    return k * math.pi + math.atan2(r * math.sin(phi), math.cos(phi))
-
-
-def _step_control():
-    """The kernel's step constants (phase_tol, h_min, max_steps), read when a
-    reference loop is called, so a monkeypatched one reaches both."""
-    return rk_phase._PHASE_TOL, rk_phase._H_MIN, rk_phase._MAX_STEPS
-
-
-def _local_cap(aw):
-    # the kernel's rule: one radian of the local frequency, none where w = 0
-    return 1.0 / math.sqrt(aw) if aw > 0.0 else math.inf
-
-
-def _unit_cap(aw):
-    # the rule the local cap replaced: one radian of the scale floored at 1,
-    # and never more than 0.5
-    return min(1.0 / math.sqrt(max(1.0, aw)), 0.5)
-
-
-def _scaled_loop(cap):
-    """The scaled-phase Cash-Karp loop with step cap cap(|w|)."""
-    def loop(g_scalar, alpha, E, a, b, theta0, breaks):
-        tol, h_min, max_steps = _step_control()
-        flags = []
-        pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
-        th = theta0
-        S = 1.0
-        steps = 0
-
-        def rhs(t, y):
-            s = math.sin(y)
-            c = math.cos(y)
-            return S * c * c + (E + alpha * g_scalar(t)) * (1.0 / S) * s * s
-
-        for lo, hi in zip(pieces, pieces[1:]):
-            t = lo
-            lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
-            h = min(hi - lo, cap(abs(E + alpha * g_scalar(0.5 * (lo + hi)))))
-            while t < hi:
-                if steps >= max_steps:
-                    raise RuntimeError(
-                        f"phase integration exceeded {max_steps} steps "
-                        f"(alpha={alpha}, E={E})")
-                t_first = t if t > lo else lo_in
-                aw = abs(E + alpha * g_scalar(t_first))
-                S_new = math.sqrt(max(1.0, aw))
-                if S_new != S:
-                    th = _rescale(th, S_new / S)
-                    S = S_new
-                h = min(h, cap(aw))
-                last = h >= hi - t
-                if last:
-                    h = hi - t
-                elif h < h_min:
-                    h = h_min
-                    flags.append("step-floor")
-                th5, err = _ck_step(rhs, t, th, h, t_first,
-                                    hi_in if last else t + h)
-                steps += 1
-                if err <= tol or h <= h_min:
-                    t = hi if last else t + h
-                    th = th5
-                fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
-                h *= min(5.0, max(0.2, fac))
-        return _rescale(th, 1.0 / S), steps, flags
-    return loop
-
-
-_generic_scaled_phase = _scaled_loop(_local_cap)
-_unit_capped_phase = _scaled_loop(_unit_cap)
-
-
-def _generic_integrate_phase(g_scalar, alpha, E, a, b, theta0, breaks):
-    tol, h_min, max_steps = _step_control()
-    h_max = 0.5
-    flags = []
-    pieces = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    th = theta0
-    steps = 0
-
-    def rhs(t, y):
-        s = math.sin(y)
-        c = math.cos(y)
-        return c * c + (E + alpha * g_scalar(t)) * s * s
-
-    for lo, hi in zip(pieces, pieces[1:]):
-        t = lo
-        lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
-        w_mid = E + alpha * g_scalar(0.5 * (lo + hi))
-        h = min(h_max, hi - lo, 0.25 / math.sqrt(1.0 + abs(w_mid)))
-        while t < hi:
-            if steps >= max_steps:
-                raise RuntimeError(
-                    f"phase integration exceeded {max_steps} steps "
-                    f"(alpha={alpha}, E={E})")
-            t_first = t if t > lo else lo_in
-            h_cap = 0.25 / math.sqrt(1.0 + abs(E) + alpha * g_scalar(t_first))
-            h = min(h, h_cap, h_max)
-            last = h >= hi - t
-            if last:
-                h = hi - t
-            elif h < h_min:
-                h = h_min
-                flags.append("step-floor")
-            th5, err = _ck_step(rhs, t, th, h, t_first,
-                                hi_in if last else t + h)
-            steps += 1
-            if err <= tol or h <= h_min:
-                t = hi if last else t + h
-                th = th5
-            fac = 0.9 * (tol / (err + 1e-300)) ** 0.2
-            h *= min(5.0, max(0.2, fac))
-    return th, steps, flags
-
-
-@pytest.mark.parametrize("name, alpha, m, mode, h_min", [
-    ("square-well", 3200.0, 0, BoundaryMode.WHOLE_LINE, None),
-    ("square-well", 3200.0, 40, BoundaryMode.WHOLE_LINE, None),
-    ("counterexample", 5.0, 0, BoundaryMode.WHOLE_LINE, None),
-    ("gaussian", 40.0, 0, BoundaryMode.WHOLE_LINE, None),
-    ("bump", 40.0, 0, BoundaryMode.HALF_LINE_DIRICHLET, None),
-    ("bump", 40.0, 0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0, None),
-    ("square-well", 200.0, 0, BoundaryMode.WHOLE_LINE, 0.05),
-], ids=["disk-3200", "disk-3200-m40", "slowtail-5", "gaussian", "bump-half",
-        "bump-dirichlet-at-0", "disk-step-floor"])
-def test_phase_kernel_matches_generic_loop(catalog, monkeypatch, name,
-                                           alpha, m, mode, h_min):
-    # h_min, when given, replaces the kernel's _H_MIN for this case
-    if h_min is not None:
-        monkeypatch.setattr(rk_phase, "_H_MIN", h_min)
-    G = to_log(catalog[name], strict=False)
-    E = channel_energy(G, alpha, m)
-    kernel = rk_phase._integrate_phase
-    pairs = []
-
-    def both(*args):
-        pairs.append((kernel(*args), _generic_scaled_phase(*args)))
-        return pairs[-1][0]
-
-    count_below_rk(G, alpha, E, mode, kernel=both)
-    assert len(pairs) == (2 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-                          else 1)
-    for got, want in pairs:
-        assert got == want   # theta, steps and flags, exactly
-    floored = any("step-floor" in got[2] for got, _ in pairs)
-    assert floored == (h_min is not None)
+def test_phase_kernel_flags_step_floor(catalog, monkeypatch):
+    # a step the error control would shrink below _H_MIN is taken at
+    # _H_MIN and flagged: the disk channel m = 0 at alpha 200 with the floor
+    # raised to 0.05
+    monkeypatch.setattr(rk_phase, "_H_MIN", 0.05)
+    G = to_log(catalog["square-well"])
+    got = count_below_rk(G, 200.0, channel_energy(G, 200.0))
+    assert "step-floor" in got.flags
 
 
 def test_last_step_lands_on_the_piece_end():
@@ -707,31 +535,19 @@ def test_last_step_lands_on_the_piece_end():
     assert th == pytest.approx(math.pi / 4, abs=1e-15)
 
 
-def test_phase_kernel_step_budget_matches_generic_loop(catalog,
-                                                       monkeypatch):
+def test_phase_kernel_step_budget(catalog, monkeypatch):
     monkeypatch.setattr(rk_phase, "_MAX_STEPS", 10)
     G = to_log(catalog["square-well"])
-    args = (rk_phase.scalar_g(catalog["square-well"]), 200.0, -1.0, -20.0,
+    with pytest.raises(RuntimeError, match="exceeded 10 steps"):
+        rk_phase._integrate_phase(
+            rk_phase.scalar_g(catalog["square-well"]), 200.0, -1.0, -20.0,
             10.0, 0.5, G.breakpoints)
-    with pytest.raises(RuntimeError) as got:
-        rk_phase._integrate_phase(*args)
-    for reference in (_generic_scaled_phase, _generic_integrate_phase):
-        with pytest.raises(RuntimeError) as want:
-            reference(*args)
-        assert str(got.value) == str(want.value)
-    assert "exceeded 10 steps" in str(got.value)
 
 
-def _final_phases(monkeypatch, G, alpha, E, mode, kernel=None,
-                  g_scalar=None):
-    """A phase count with the final phase of each pass recorded, mapped
-    over the zero-potential tail when the pass has one: count_below_pruefer
-    (the Magnus mesh pass), or, when kernel is given, count_below_rk on that
-    RK kernel, reading G through g_scalar."""
-    if kernel is not None:
-        got = count_below_rk(G, alpha, E, mode, kernel=kernel,
-                             g_scalar=g_scalar)
-        return got, got.extras["thetas"]
+def _final_phases(monkeypatch, G, alpha, E, mode):
+    """count_below_pruefer (the Magnus mesh pass) with the final phase of
+    each pass recorded, mapped over the zero-potential tail when the pass
+    has one."""
     settle = spectral1d._pass_phases
     thetas = []
 
@@ -743,55 +559,6 @@ def _final_phases(monkeypatch, G, alpha, E, mode, kernel=None,
     with monkeypatch.context() as mp:
         mp.setattr(spectral1d, "_pass_phases", spy)
         return count_below_pruefer(G, alpha, E, mode), thetas
-
-
-@pytest.mark.parametrize("name, integrated", [
-    ("square-well", 42), ("annulus", 45), ("gaussian", 36), ("bump", 48),
-    ("counterexample", 21), ("counterexample-damped", 21),
-    ("counterexample-damped-strong", 21),
-])
-def test_scaled_phase_matches_plain_phase(catalog, monkeypatch, name,
-                                          integrated):
-    # the scaled phase has the zeros of the plain one: over every mode,
-    # alpha in {3, 25, 200, 3200} and channel m in {0, 1, 3, 10, 40} the
-    # counts and flags agree, and the final phase of every pass, after the
-    # closed-form zero-potential tail, agrees to 1e-7, well inside the 1e-6
-    # near-node margin
-    G = to_log(catalog[name], strict=False)
-    kernel = rk_phase._integrate_phase
-    n_integrated = 0
-    for mode in BoundaryMode:
-        for alpha in (3.0, 25.0, 200.0, 3200.0):
-            for m in (0, 1, 3, 10, 40):
-                E = channel_energy(G, alpha, m)
-                runs = [_final_phases(monkeypatch, G, alpha, E, mode, phase)
-                        for phase in (kernel, _generic_integrate_phase)]
-                (got, th_got), (want, th_want) = runs
-                case = (mode.value, alpha, m)
-                assert got.count == want.count, case
-                assert got.uncertainty == want.uncertainty, case
-                assert got.flags == want.flags, case
-                assert got.extras.get("left") == want.extras.get("left"), case
-                assert len(th_got) == len(th_want), case
-                for a, b in zip(th_got, th_want):
-                    assert abs(a - b) <= 1e-7, (case, a, b)
-                n_integrated += bool(th_got)
-    assert n_integrated == integrated
-
-
-# The RK kernel's count and final phases per catalog case, kept for the
-# whole test run: test_local_cap_matches_unit_cap checks them against the
-# unit cap, and test_mesh_pass_matches_rk_oracle checks the mesh pass
-# against them, over the same 1,341 cases.
-_RK_RUNS: dict = {}
-
-
-def _rk_run(name, G, alpha, E, mode):
-    key = (name, mode, alpha, E)
-    if key not in _RK_RUNS:
-        got = count_below_rk(G, alpha, E, mode)
-        _RK_RUNS[key] = got, got.extras["thetas"]
-    return _RK_RUNS[key]
 
 
 def _assert_same_phase_count(got, th_got, want, th_want, case):
@@ -807,41 +574,13 @@ def _assert_same_phase_count(got, th_got, want, th_want, case):
         assert abs(a - b) <= 1e-7, (case, a, b)
 
 
-_CATALOG_CASES = [
+@pytest.mark.parametrize("name, cases", [
     ("zero", 12), ("square-well", 140), ("annulus", 430), ("gaussian", 141),
     ("bump", 510), ("counterexample", 36), ("counterexample-damped", 36),
     ("counterexample-damped-strong", 36),
-]
-
-
-@pytest.mark.parametrize("name, cases", _CATALOG_CASES)
-def test_local_cap_matches_unit_cap(catalog, monkeypatch, name, cases):
-    # capping a step at one radian of the local frequency, not at
-    # min(1/S, 0.5), changes no count, uncertainty, flag or side count, and
-    # moves no final phase by more than 1e-7: in every mode, at alpha in
-    # {3, 25, 200, 3200}, on every channel up to the first empty one
-    G = to_log(catalog[name], strict=False)
-    n_cases = 0
-    for mode in BoundaryMode:
-        for alpha in (3.0, 25.0, 200.0, 3200.0):
-            m = 0
-            while True:
-                E = channel_energy(G, alpha, m) or -1.0
-                got, th_got = _rk_run(name, G, alpha, E, mode)
-                want, th_want = _final_phases(monkeypatch, G, alpha, E, mode,
-                                              _unit_capped_phase)
-                _assert_same_phase_count(got, th_got, want, th_want,
-                                         (mode.value, alpha, m))
-                n_cases += 1
-                if not got.count:
-                    break
-                m += 1
-    assert n_cases == cases
-
-
-@pytest.mark.parametrize("name, cases", _CATALOG_CASES)
+])
 def test_mesh_pass_matches_rk_oracle(catalog, monkeypatch, name, cases):
-    # the Magnus mesh pass against the RK kernel it replaced, on the same
+    # the Magnus mesh pass against the RK kernel it replaced, over 1,341
     # cases: every mode, alpha in {3, 25, 200, 3200}, every channel up to
     # the first empty one; the two are independent step controls, one
     # resolving the oscillation, one closed-form on each interval
@@ -853,8 +592,9 @@ def test_mesh_pass_matches_rk_oracle(catalog, monkeypatch, name, cases):
             while True:
                 E = channel_energy(G, alpha, m) or -1.0
                 got, th_got = _final_phases(monkeypatch, G, alpha, E, mode)
-                want, th_want = _rk_run(name, G, alpha, E, mode)
-                _assert_same_phase_count(got, th_got, want, th_want,
+                want = count_below_rk(G, alpha, E, mode)
+                _assert_same_phase_count(got, th_got, want,
+                                         want.extras["thetas"],
                                          (mode.value, alpha, m))
                 n_cases += 1
                 if not got.count:
@@ -883,10 +623,10 @@ def test_narrow_deep_box_in_a_near_threshold_stretch(monkeypatch):
     # a box 0.1 wide and 1e4 deep, with 4 states of its own, inside a
     # stretch 2000 long where |w| <= 1e-6, so a step there may be far wider
     # than the box: its breakpoints cut the pieces, and its states are
-    # counted in every mode, unflagged, with the unit-capped loop's counts
-    # and the window path's phases.  The stub's boxes are [lo, hi), so G
-    # jumps to 1e4 at the end of the piece before the box: a step may read
-    # g only inside its piece, or it is refused there until it floors
+    # counted in every mode, unflagged, with the RK oracle's counts and the
+    # window path's phases.  The stub's boxes are [lo, hi), so G jumps to
+    # 1e4 at the end of the piece before the box: an RK step may read g only
+    # inside its piece, or it is refused there until it floors
     deep = (1e4, 1000.0, 1000.1)
     shallow = ((1e-6, 0.0, 1000.0), (1e-6, 1000.1, 2000.0))
     G = boxes_G(shallow[0], deep, shallow[1])
@@ -897,8 +637,7 @@ def test_narrow_deep_box_in_a_near_threshold_stretch(monkeypatch):
             case = (mode.value, E)
             got = _assert_matches_window_path(monkeypatch, G, 1.0, E, mode,
                                               case)
-            want, _ = _final_phases(monkeypatch, G, 1.0, E, mode,
-                                    _unit_capped_phase, g_scalar)
+            want = count_below_rk(G, 1.0, E, mode, g_scalar=g_scalar)
             assert (got.count, got.uncertainty, got.flags) == (
                 want.count, 0, ()), case
             assert got.count >= box_count_oracle(1e4, 0.1, E) == 4, case
@@ -1935,13 +1674,14 @@ def test_plane_count_nondecreasing_in_alpha(P, log_alpha, stretch):
 
 
 def _off_support_points(G, rng):
-    """Random points off G.t_support, and points 1e-12 .. 10 (relative to
-    max(1, |end|)) beyond each finite end."""
+    """Random points off G.t_support, the float one ulp beyond each finite
+    end, and points 1e-12 .. 10 (relative to max(1, |end|)) beyond it."""
     t_lo, t_hi = G.t_support
     pts = []
     for end, side in ((t_lo, -1.0), (t_hi, 1.0)):
         if math.isfinite(end):
             scale = max(1.0, abs(end))
+            pts.append(math.nextafter(end, side * math.inf))
             pts += [end + side * scale * 10.0 ** k for k in range(-12, 2)]
             pts += list(end + side * rng.uniform(0.0, 50.0, 32))
     return np.array([x for x in pts if not t_lo <= x <= t_hi])
@@ -1956,8 +1696,7 @@ def test_G_is_zero_off_its_support(catalog, P, boxes):
     # end, taking the diagonal to be exactly 2 at every other node. That
     # needs G == 0 off the support: on the 8 bundled specs, on random
     # tabulated (with steps at its ends) and bump profiles, and on the box
-    # stub. Within a few ulps of an end a tabulated G may still read its end
-    # value (exp(ln r) rounds back to r); the margin node covers that
+    # stub
     rng = np.random.default_rng(13)
     Gs = [to_log(Q, strict=False) for Q in catalog.values()]
     Gs += [to_log(P, strict=False), boxes_G(*boxes)]
