@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import _chad, _weak, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
-from .spectral1d import BoundaryMode, bs_spectrum
+from .spectral1d import BoundaryMode, _check_n_max, bs_spectrum
 from .weakseq import (WeakVerdict, ZetaSequence, level_bounds, level_sup,
                       quasinorm_weak, weak_level, zeta_sequence)
 
@@ -295,8 +295,10 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     window ends at the count of blocks visible inside the (capped)
     spectral domain; later ranks reflect the cap, not the tail.  Checked
     on the computed windows only; no limit is claimed.  A spectrum on a
-    grid coarsened to the node cap flags `grid-coarsened`.
+    grid coarsened to the node cap flags `grid-coarsened`. n_max >= 1, or
+    ValueError.
     """
+    _check_n_max(n_max)
     G = to_log(P, strict=False)
     z = zeta_sequence(G, K)
     level = weak_level(z.values)

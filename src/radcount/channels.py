@@ -25,6 +25,7 @@ from .potentials import LogPotential, RadialPotential, to_log
 from .spectral1d import (
     BoundaryMode,
     CountResult,
+    _check_n_max,
     bs_spectrum,
     channel_energy,
     count_batch_pruefer,
@@ -223,7 +224,8 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
     companion eigenvalues within the lambda-near-threshold gap of 1/alpha.
     A spectrum on a grid coarsened to the node cap flags `grid-coarsened`.
     A mismatch raises unless it is `excused` by the report's flags and that
-    uncertainty."""
+    uncertainty. n_max >= 1, or ValueError."""
+    _check_n_max(n_max)
     G = _as_log(P)
     if channel_energy(G, alpha) is None:
         return {"alpha": alpha, "count_spectrum": 0, "count_direct": 0,

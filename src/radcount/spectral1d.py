@@ -74,7 +74,10 @@ function, and the quadratic-form spectrum of the Birman-Schwinger companion
 the bound states. That spectrum is solved on the support of G only: the
 nodes with G = 0 carry no mass and are eliminated exactly, which leaves a
 Laplacian on the gaps between the kept nodes and the walls. A support of
-at most n_max + 1 nodes is solved dense with numpy; a wider one by Lanczos.
+at most n_max + 1 nodes is solved dense with numpy; a wider one by a numpy
+Lanczos with full reorthogonalisation, which applies the inverse of that
+Laplacian as the discrete Green's function of each Dirichlet segment, two
+cumsums per segment and product.
 """
 
 from __future__ import annotations
@@ -1040,11 +1043,122 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
 # quadratic-form companion spectrum
 
 
+# Lanczos on the companion operator: the top k Ritz values are taken once
+# each residual |beta_j s_ji| is at most _RITZ_TOL theta_1, tested first
+# after 2 k steps and then every _RITZ_EVERY; a beta at most _BREAKDOWN
+# max |alpha_i| closes an invariant subspace, and the run restarts there.
+# Zeroing that beta moves eigenvalues near the cut by up to about beta:
+# 1e-10 put errors of 1e-9 into a spectrum past its numerical rank, and
+# without the restart the rounding residue grows spurious values there
+_RITZ_TOL = 1e-13
+_RITZ_EVERY = 8
+_BREAKDOWN = 1e-12
+
+
+def _check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+
+
+def _companion_op(pos: np.ndarray, walls: list[int], h: float,
+                  sq: np.ndarray):
+    """x -> sq * K_s^(-1) (sq * x) on the kept nodes pos (sorted, between
+    the walls).
+
+    K_s^(-1) is the kept block of the full grid's inverse, which on each
+    Dirichlet segment [lo, hi] between consecutive walls is the discrete
+    Green's function h (i_< - lo)(hi - i_>)/(hi - lo): a product is a
+    forward and a backward cumsum per segment."""
+    segs = []
+    for lo, hi in zip(walls[:-1], walls[1:]):
+        i, j = np.searchsorted(pos, (lo, hi))
+        if i < j:
+            p = pos[i:j].astype(float)
+            a, b = (p - lo) * sq[i:j], (hi - p) * sq[i:j]
+            c = h / (hi - lo)
+            segs.append((slice(i, j), a, b, c * a, c * b))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = np.empty_like(x)
+        for sl, a, b, ca, cb in segs:
+            xs = x[sl]
+            above = np.empty_like(xs)               # sum over j > i
+            above[-1] = 0.0
+            above[:-1] = np.cumsum((b * xs)[:0:-1])[::-1]
+            y[sl] = cb * np.cumsum(a * xs) + ca * above
+        return y
+
+    return apply
+
+
+def _lanczos_top(op, m: int, k: int) -> np.ndarray:
+    """The k < m largest eigenvalues, descending, of the symmetric m x m
+    operator op, by Lanczos from the fixed vector 1/sqrt(m).
+
+    After the three-term step, each new vector is orthogonalised against
+    every earlier one by classical Gram-Schmidt, twice when the first pass
+    cut its norm below 1/sqrt(2) of the norm before it (DGKS). At an
+    invariant subspace beta is set to 0 and the run goes on from the next
+    cosine cos(pi r (i + 1/2)/m), r = 1, 2, ..., orthogonalised twice: the
+    start vector is the r = 0 one, and these are orthogonal, so no restart
+    repeats an earlier one. At m steps T holds the whole spectrum."""
+    # rows are touched only as they are filled: room for four checks
+    # past the first, doubled (and the filled rows copied) if that is short
+    V = np.empty((min(m, 2 * k + 4 * _RITZ_EVERY), m))
+    al: list[float] = []
+    be: list[float] = []
+    q = np.full(m, 1.0 / math.sqrt(m))
+    check, restarts, a_max = 2 * k, 0, 0.0
+    phase = math.pi * (np.arange(m) + 0.5) / m
+
+    def tridiag() -> np.ndarray:
+        return (np.diag(al) + np.diag(be[:len(al) - 1], 1)
+                + np.diag(be[:len(al) - 1], -1))
+
+    def orth(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        return w - (Q @ w) @ Q
+
+    for j in range(m):
+        if j == len(V):
+            V, old = np.empty((min(2 * j, m), m)), V
+            V[:j] = old
+        V[j] = q
+        w = op(q)
+        al.append(float(q @ w))
+        a_max = max(a_max, abs(al[-1]))
+        if j + 1 == m:
+            break
+        w -= al[-1] * q
+        if j:
+            w -= be[-1] * V[j - 1]
+        b0 = float(np.linalg.norm(w))
+        w = orth(w, V[:j + 1])
+        b = float(np.linalg.norm(w))
+        if b < b0 / math.sqrt(2.0):
+            w = orth(w, V[:j + 1])
+            b = float(np.linalg.norm(w))
+        if b <= _BREAKDOWN * a_max:
+            b = 0.0
+            restarts += 1
+            w = orth(orth(np.cos(restarts * phase), V[:j + 1]), V[:j + 1])
+            q = w / np.linalg.norm(w)
+        else:
+            q = w / b
+        be.append(b)
+        if j + 1 >= check:
+            theta, s = np.linalg.eigh(tridiag())
+            if np.all(b * np.abs(s[-1, -k:]) <= _RITZ_TOL * theta[-1]):
+                return theta[::-1][:k]
+            check += _RITZ_EVERY
+    return np.linalg.eigvalsh(tridiag())[::-1][:k]
+
+
 def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                 *, domain: tuple[float, float] | None = None,
                 h: float | None = None, n_max: int = 32
                 ) -> tuple[np.ndarray, dict]:
-    """Largest n_max eigenvalues of (G u, u) / (u', u') with Dirichlet ends.
+    """Largest n_max >= 1 eigenvalues of (G u, u) / (u', u') with Dirichlet
+    ends.
 
     These are alpha-independent; the bound-state count of the coupling-alpha
     problem equals #{lambda_n > 1/alpha}. Discretized as the pencil
@@ -1056,19 +1170,19 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     Only the m_s nodes with G > 0 (the support; no threshold) carry mass;
     as in count_below_fd, G is read only at the nodes in G.t_support and one
     margin node either side, since G = 0 at the others. The rest are
-    eliminated exactly: their Schur complement leaves K_s, the 1-d
-    Laplacian on the gaps between kept nodes and the Dirichlet walls (0, n,
-    and t = 0 in the split mode): diagonal (1/left + 1/right)/h,
-    off-diagonal -1/(gap h), 0 across a wall, gaps counted in nodes. The
-    nonzero eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2). When
-    m_s <= n_max + 1 every one is wanted, and all come from a dense numpy
-    eigvalsh; otherwise Lanczos runs on that operator, with K_s factored
-    once (LAPACK dpttrf), one tridiagonal solve per product and a fixed
-    start vector, so results are deterministic. Returns (descending
-    eigenvalues, zero-padded to n_max, meta); meta holds the grid's node
-    count n_nodes, n_support = m_s, and capped, True when the grid was
-    coarsened to _N_CAP intervals.
+    eliminated exactly: their Schur complement K_s is K restricted to the
+    kept nodes, with Dirichlet walls at nodes 0, n, and t = 0 in the split
+    mode. The nonzero eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2).
+    When m_s <= n_max + 1 every one is wanted, and all come from a dense
+    numpy eigvalsh of K_s assembled as the Laplacian on the gaps between
+    kept nodes and walls. Otherwise Lanczos (_lanczos_top) runs on that
+    operator, and K_s^(-1) is applied as the discrete Green's function of
+    each Dirichlet segment (_companion_op); the start vector is fixed, so
+    results are deterministic. Returns (descending eigenvalues, zero-padded
+    to n_max, meta); meta holds the grid's node count n_nodes, n_support =
+    m_s, and capped, True when the grid was coarsened to _N_CAP intervals.
     """
+    _check_n_max(n_max)
     _check_window(domain, h)
     mode = BoundaryMode(mode)
     if domain is None:
@@ -1091,34 +1205,22 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     lam = np.zeros(n_max)
     if m_s == 0:
         return lam, meta
-    # K_s on the kept nodes: each couples to its nearest kept node or wall
-    # on either side; kept nodes adjacent in pts have no wall between them
-    pts = _unique_sorted(np.concatenate(
-        (pos, [0, n] if k0 is None else [0, k0, n])))
-    gap = np.diff(pts)
-    at = np.searchsorted(pts, pos)
-    diag = (1.0 / gap[at - 1] + 1.0 / gap[at]) / h
-    off = np.where(np.diff(at) == 1, -1.0 / (gap[at[:-1]] * h), 0.0)
+    walls = [0, n] if k0 is None else [0, k0, n]
     sq = np.sqrt(h * gv[pos - k_lo])
     k_eff = min(n_max, m_s)
     if m_s <= n_max + 1:
+        # K_s: each kept node couples to its nearest kept node or wall on
+        # either side, diagonal (1/left + 1/right)/h, off-diagonal
+        # -1/(gap h), 0 across a wall; gaps counted in nodes
+        pts = _unique_sorted(np.concatenate((pos, walls)))
+        gap = np.diff(pts)
+        at = np.searchsorted(pts, pos)
+        diag = (1.0 / gap[at - 1] + 1.0 / gap[at]) / h
+        off = np.where(np.diff(at) == 1, -1.0 / (gap[at[:-1]] * h), 0.0)
         K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         S = sq[:, None] * np.linalg.solve(K, np.diag(sq))
         vals = np.linalg.eigvalsh(S)[::-1]
     else:
-        # scipy loads here, so importing radcount needs numpy alone
-        from scipy.linalg.lapack import dpttrf, dpttrs
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
-        d, e, _ = dpttrf(diag, off)
-
-        def matvec(v):
-            return sq * dpttrs(d, e, sq * v)[0]
-
-        op = LinearOperator((m_s, m_s), matvec=matvec, dtype=float)
-        v0 = np.full(m_s, 1.0 / math.sqrt(m_s))
-        vals = eigsh(op, k=k_eff, which="LA", v0=v0, maxiter=10000,
-                     return_eigenvectors=False)
-        vals = np.sort(vals)[::-1]
+        vals = _lanczos_top(_companion_op(pos, walls, h, sq), m_s, k_eff)
     lam[:k_eff] = np.clip(vals[:k_eff], 0.0, None)
     return lam, meta

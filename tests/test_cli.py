@@ -487,21 +487,24 @@ def _fresh(code: str) -> str:
 
 
 def test_import_loads_no_scipy_submodule():
-    # a fresh interpreter: the CLI imports numpy only; bs_spectrum solves a
-    # support of at most n_max + 1 nodes (the annulus at n_max = 48) with
-    # numpy, and brings in scipy only for Lanczos on a wider one
+    # a fresh interpreter: verify on the gaussian solves its companion
+    # spectrum by Lanczos (2420 support nodes at n_max = 48), and the
+    # duality check on the disk does too; neither loads any scipy module,
+    # nor numpy.ma
     code = """
-import sys
-import radcount.cli
-heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse", "scipy.optimize")
-print(sorted(m for m in heavy if m in sys.modules))
+import contextlib, io, sys
+from radcount.cli import main
 from radcount import bs_spectrum, load_bundled, to_log
-lam, meta = bs_spectrum(to_log(load_bundled("annulus")), n_max=48)
-print(sorted(m for m in heavy if m in sys.modules), meta["n_support"])
-lam, meta = bs_spectrum(to_log(load_bundled("square-well")), n_max=4)
-print(bool(lam[0] > lam[1] > 0.0), meta["n_nodes"] > 0)
+for argv in (["verify", "--spec", "gaussian", "--n-random", "0"],
+             ["count", "--spec", "square-well", "--alpha", "50",
+              "--check", "duality"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(sorted(m for m in sys.modules
+             if m == "scipy" or m.startswith("scipy.") or m == "numpy.ma"))
+print(bs_spectrum(to_log(load_bundled("gaussian")), n_max=48)[1]["n_support"])
 """
-    assert _fresh(code).split("\n")[:3] == ["[]", "[] 34", "True True"]
+    assert _fresh(code).split("\n")[:2] == ["[]", "2420"]
 
 
 def test_a_fresh_count_loads_no_numpy_ma():

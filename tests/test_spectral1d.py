@@ -26,6 +26,7 @@ from radcount import (
     BoundaryMode,
     bs_duality_check,
     count_below,
+    delta_link_check,
     eigenvalues_below,
     make_catalog_potential,
     to_log,
@@ -357,6 +358,23 @@ def test_bs_spectrum_matches_dense_pencil(catalog, mode):
     assert len(solved) == 7 and max(solved) == 32
 
 
+@pytest.mark.parametrize("n_max", [80, 120, 200])
+@pytest.mark.parametrize("mode", [BoundaryMode.WHOLE_LINE,
+                                  BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0])
+def test_bs_spectrum_past_its_numerical_rank(catalog, mode, n_max):
+    # the gaussian's spectrum on 400 intervals (some 240 support nodes on
+    # the whole line) falls below 1e-16 lambda_1 within some 60 ranks, so
+    # Lanczos meets invariant subspaces long before n_max: the restart
+    # keeps every value within the dense pencil's tolerance, where running
+    # on from the rounding residue, or stopping at the first breakdown,
+    # puts spurious or lost values there
+    G = to_log(catalog["gaussian"])
+    dom = counting_domain(G, 1.0, -1e-9 * G.g_max, mode)
+    k, positive = _assert_matches_dense_pencil(G, mode, dom, mode,
+                                               n_max=n_max)
+    assert k == min(n_max, positive) and positive > n_max + 1
+
+
 @pytest.mark.parametrize("mode", list(BoundaryMode))
 def test_bs_spectrum_pads_past_the_support(mode):
     # two boxes cover 20 of 399 nodes at h = 0.02: the pencil has 20
@@ -433,6 +451,46 @@ def test_bs_spectrum_rejects_negative_G():
             bs_spectrum(G, mode, domain=(-2.0, 3.0), h=0.01)
     lam, _ = bs_spectrum(G, domain=(-2.0, 0.5), h=0.01)
     assert lam[0] > 0.0
+
+
+def test_bs_spectrum_rejects_n_max_below_1(catalog):
+    # n_max counts eigenvalues: 0 and below are refused by bs_spectrum and
+    # by both checks that pass it on, on a dense support, a Lanczos one
+    # and a zero potential alike
+    for name in ("zero", "annulus", "gaussian"):
+        G = to_log(catalog[name], strict=False)
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match="n_max >= 1"):
+                bs_spectrum(G, n_max=n_max)
+            with pytest.raises(ValueError, match="n_max >= 1"):
+                bs_duality_check(catalog[name], 50.0, n_max=n_max)
+            with pytest.raises(ValueError, match="n_max >= 1"):
+                delta_link_check(catalog[name], n_max=n_max)
+    lam, _ = bs_spectrum(to_log(catalog["gaussian"]), n_max=1)
+    assert lam.shape == (1,) and lam[0] > 0.0
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_bs_spectrum_lanczos_keeps_every_eigenvalue(catalog, mode):
+    # Sylvester inertia on the spectrum's own grid: at the coupling
+    # alpha = 2/(lambda_k + lambda_k+1) between two computed eigenvalues,
+    # #{lambda > 1/alpha} is the Dirichlet count just below 0 there, so a
+    # Lanczos run that misses an eigenvalue, or adds a spurious one, fails
+    # this without any other solver to compare with
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        if G.g_max <= 0.0:
+            continue
+        lam, meta = bs_spectrum(G, mode, n_max=48)
+        again, _ = bs_spectrum(G, mode, n_max=48)
+        assert np.array_equal(lam, again), name
+        pos = lam[lam > 0.0]
+        for k in range(1, len(pos)):
+            alpha = 2.0 / (pos[k - 1] + pos[k])
+            fd = count_below_fd(G, alpha, -1e-12 * max(alpha * G.g_max, 1.0),
+                                mode, domain=meta["domain"], h=meta["h"],
+                                near_threshold_check=False)
+            assert fd.count == int(np.sum(lam > 1.0 / alpha)), (name, k)
 
 
 def test_bs_spectrum_reads_G_on_its_support_only(catalog):

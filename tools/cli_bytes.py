@@ -69,10 +69,13 @@ def cases() -> list[list[str]]:
                                  "-4.578909720634325e-10")):
         out.append(["count1d", "--spec", spec, "--alpha", alpha,
                     f"--energy={energy}", "--method", "both"])
-    for spec in ("zero", "square-well", "annulus", "gaussian", "bump",
-                 "counterexample"):
+    # the companion spectrum on every spec (dense on the annulus, Lanczos
+    # on the six wide supports), and a coupling past its n_max = 48 values
+    for spec in SPECS:
         out.append(["count", "--spec", spec, "--alpha", "50",
                     "--check", "duality"])
+    out.append(["count", "--spec", "gaussian", "--alpha", "1e5",
+                "--check", "duality"])
     # usage errors: a coupling that is not positive, and a negative
     # instance count
     out.append(["count", "--spec", "gaussian", "--alpha", "0"])
