@@ -22,12 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _chad, _weak, bound_lt_nonradial
+from .bounds import _chad, _weak, _weak_q, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
 from .spectral1d import BoundaryMode, _check_n_max, bs_spectrum
 from .weakseq import (WeakVerdict, ZetaSequence, level_bounds, level_sup,
-                      quasinorm_weak, weak_level, zeta_sequence)
+                      weak_level, zeta_sequence)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -167,11 +167,7 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
     G = to_log(P, strict=False)
     j = G.j_value
     w1, _ = integral_logweight(P, 1.0)
-    if math.isinf(j):
-        q = math.inf
-    else:
-        z = z if z is not None else zeta_sequence(G, K)
-        q = quasinorm_weak(z.values)
+    q = _weak_q(G, K, z)
     notes = []
     if G.truncated:
         notes.append("domain truncated at the working cap; counts are for "

@@ -76,6 +76,14 @@ def _weak(alpha: float, j: float, q: float, C: float) -> float:
     return 1.0 + alpha * (j + C * q)
 
 
+def _weak_q(G, K: int, z: ZetaSequence | None = None) -> float:
+    """The quasinorm q that `_weak` takes: inf when J diverges, else the
+    K-window quasinorm of z, or of zeta_sequence(G, K) without one."""
+    if math.isinf(G.j_value):
+        return math.inf
+    return quasinorm_weak((z if z is not None else zeta_sequence(G, K)).values)
+
+
 def bound_chad(P: RadialPotential, alpha: float, R: float = 1.0) -> float:
     """1 + alpha * int r F |ln(r/R)| dr + (2/sqrt 3) * alpha * int r F dr."""
     _check_alpha(alpha)
@@ -130,12 +138,7 @@ def bound_weak(P: RadialPotential, alpha: float, C: float = 1.0, *,
     """
     _check_alpha(alpha)
     G = to_log(P, strict=False)
-    if math.isinf(G.j_value):
-        q = math.inf
-    else:
-        z = z if z is not None else zeta_sequence(G, K)
-        q = quasinorm_weak(z.values)
-    return _weak(alpha, G.j_value, q, C)
+    return _weak(alpha, G.j_value, _weak_q(G, K, z), C)
 
 
 @dataclass
@@ -223,10 +226,10 @@ def empirical_constant(P_set: Sequence[RadialPotential],
     best = 0.0
     for i, P in enumerate(P_set):
         G = to_log(P, strict=False)
+        q = _weak_q(G, K)
+        if math.isinf(q):
+            continue  # J diverges: the right side is infinite for every C
         j = G.j_value
-        if math.isinf(j):
-            continue  # the right side is infinite for every C
-        q = quasinorm_weak(zeta_sequence(G, K).values)
         for k, alpha in enumerate(alpha_set):
             _check_alpha(alpha)
             if counts is not None:

@@ -35,7 +35,7 @@ from .potentials import (PotentialSpecError, RadialPotential,
                          load_bundled, load_spec, to_log)
 from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_batch_pruefer,
                          count_below, eigenvalues_below)
-from .weakseq import classify, delta_estimates, zeta_sequence
+from .weakseq import classify, zeta_sequence
 from .quadrature import integrate_line
 
 _MODES = {m.value: m for m in BoundaryMode}
@@ -144,14 +144,13 @@ def _cmd_seq(args) -> int:
     z = zeta_sequence(G, args.K, epsabs=args.quad_abs_tol,
                       epsrel=args.quad_rel_tol)
     v = classify(z)
-    d_lo, d_hi = delta_estimates(z.values)
     body = {
         "K": z.K,
         "zeta": list(z.values),
         "zeta_errors": list(z.errors),
         "quasinorm": v.quasinorm,
         "ell1": v.ell1,
-        "delta_window": {"lower": d_lo, "upper": d_hi},
+        "delta_window": {"lower": v.delta_minus, "upper": v.delta_plus},
         "verdict": {
             "linear_growth": v.in_weak,
             "weyl_law": v.in_weak_circle,
@@ -497,10 +496,7 @@ def main(argv=None) -> int:
     _validate(args, ap)
     try:
         return args.func(args)
-    except PotentialSpecError as exc:
-        print(f"radcount: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # PotentialSpecError is a ValueError
         print(f"radcount: {exc}", file=sys.stderr)
         return 2
 

@@ -216,9 +216,10 @@ def _build_bump(p: Mapping[str, float]) -> _Profile:
 def _tabulated_arrays(p: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
     if "n" not in p:
         raise PotentialSpecError("tabulated: missing parameter 'n'")
-    n = int(p["n"])
-    if n < 2 or n != float(p["n"]):
+    v = float(p["n"])
+    if v < 2 or not v.is_integer():     # NaN and +-inf are not integers
         raise PotentialSpecError(f"tabulated: need integer n >= 2, got {p['n']}")
+    n = int(v)
     try:
         rs = np.array([float(p[f"r{i}"]) for i in range(n)])
         fs = np.array([float(p[f"f{i}"]) for i in range(n)])
@@ -335,7 +336,7 @@ def _normalize_params(kind: str, params: Mapping[str, object] | None) -> dict[st
         bidx = raw.get("base", out["base"])
         try:
             base_kind = CATALOG_BASE_ORDER[int(float(bidx))]
-        except (ValueError, TypeError, IndexError):
+        except (ValueError, TypeError, IndexError, OverflowError):
             raise PotentialSpecError(
                 f"scaled-product: base index must be 0..{len(CATALOG_BASE_ORDER)-1}")
         out.update(_DEFAULTS[base_kind])

@@ -72,12 +72,10 @@ On top of the counters: eigenvalue location by bisection of the counting
 function, and the quadratic-form spectrum of the Birman-Schwinger companion
 (u', u') vs (G u, u), whose eigenvalues above 1/alpha are in bijection with
 the bound states. That spectrum is solved on the support of G only: the
-nodes with G = 0 carry no mass and are eliminated exactly, which leaves a
-Laplacian on the gaps between the kept nodes and the walls. A support of
-at most n_max + 1 nodes is solved dense with numpy; a wider one by a numpy
-Lanczos with full reorthogonalisation, which applies the inverse of that
-Laplacian as the discrete Green's function of each Dirichlet segment, two
-cumsums per segment and product.
+nodes with G = 0 carry no mass and are eliminated exactly. A numpy Lanczos
+with full reorthogonalisation solves it at every support size, and applies
+the inverse of the eliminated Laplacian as the discrete Green's function of
+each Dirichlet segment, two cumsums per segment and product.
 """
 
 from __future__ import annotations
@@ -1092,7 +1090,7 @@ def _companion_op(pos: np.ndarray, walls: list[int], h: float,
 
 
 def _lanczos_top(op, m: int, k: int) -> np.ndarray:
-    """The k < m largest eigenvalues, descending, of the symmetric m x m
+    """The k <= m largest eigenvalues, descending, of the symmetric m x m
     operator op, by Lanczos from the fixed vector 1/sqrt(m).
 
     After the three-term step, each new vector is orthogonalised against
@@ -1101,7 +1099,8 @@ def _lanczos_top(op, m: int, k: int) -> np.ndarray:
     invariant subspace beta is set to 0 and the run goes on from the next
     cosine cos(pi r (i + 1/2)/m), r = 1, 2, ..., orthogonalised twice: the
     start vector is the r = 0 one, and these are orthogonal, so no restart
-    repeats an earlier one. At m steps T holds the whole spectrum."""
+    repeats an earlier one. At m steps T holds the whole spectrum; a run
+    with 2k >= m reaches no Ritz check and stops there."""
     # rows are touched only as they are filled: room for four checks
     # past the first, doubled (and the filled rows copied) if that is short
     V = np.empty((min(m, 2 * k + 4 * _RITZ_EVERY), m))
@@ -1173,11 +1172,9 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     eliminated exactly: their Schur complement K_s is K restricted to the
     kept nodes, with Dirichlet walls at nodes 0, n, and t = 0 in the split
     mode. The nonzero eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2).
-    When m_s <= n_max + 1 every one is wanted, and all come from a dense
-    numpy eigvalsh of K_s assembled as the Laplacian on the gaps between
-    kept nodes and walls. Otherwise Lanczos (_lanczos_top) runs on that
-    operator, and K_s^(-1) is applied as the discrete Green's function of
-    each Dirichlet segment (_companion_op); the start vector is fixed, so
+    Lanczos (_lanczos_top) runs on that operator at every support size,
+    and K_s^(-1) is applied as the discrete Green's function of each
+    Dirichlet segment (_companion_op); the start vector is fixed, so
     results are deterministic. Returns (descending eigenvalues, zero-padded
     to n_max, meta); meta holds the grid's node count n_nodes, n_support =
     m_s, and capped, True when the grid was coarsened to _N_CAP intervals.
@@ -1208,19 +1205,6 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     walls = [0, n] if k0 is None else [0, k0, n]
     sq = np.sqrt(h * gv[pos - k_lo])
     k_eff = min(n_max, m_s)
-    if m_s <= n_max + 1:
-        # K_s: each kept node couples to its nearest kept node or wall on
-        # either side, diagonal (1/left + 1/right)/h, off-diagonal
-        # -1/(gap h), 0 across a wall; gaps counted in nodes
-        pts = _unique_sorted(np.concatenate((pos, walls)))
-        gap = np.diff(pts)
-        at = np.searchsorted(pts, pos)
-        diag = (1.0 / gap[at - 1] + 1.0 / gap[at]) / h
-        off = np.where(np.diff(at) == 1, -1.0 / (gap[at[:-1]] * h), 0.0)
-        K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        S = sq[:, None] * np.linalg.solve(K, np.diag(sq))
-        vals = np.linalg.eigvalsh(S)[::-1]
-    else:
-        vals = _lanczos_top(_companion_op(pos, walls, h, sq), m_s, k_eff)
-    lam[:k_eff] = np.clip(vals[:k_eff], 0.0, None)
+    vals = _lanczos_top(_companion_op(pos, walls, h, sq), m_s, k_eff)
+    lam[:k_eff] = np.clip(vals, 0.0, None)
     return lam, meta

@@ -39,7 +39,6 @@ __all__ = [
     "level_sup",
     "quasinorm_weak",
     "ell1_norm",
-    "delta_estimates",
     "classify",
 ]
 
@@ -158,22 +157,15 @@ def ell1_norm(values) -> float:
 
 def level_bounds(level: np.ndarray) -> tuple[float, float]:
     """(inf, sup) of the nonzero weak_level entries over ranks
-    n in [max(4, len // 2), len]; (0.0, 0.0) if none."""
+    n in [max(4, len // 2), len]; (0.0, 0.0) if none.
+
+    Approximates the limit inferior/superior of n x*_n; zeros from prefix
+    truncation would otherwise pin the infimum at 0 for every compactly
+    supported profile."""
     prod = level[max(4, len(level) // 2) - 1:]
     prod = prod[prod > 0.0]
     return ((float(np.min(prod)), float(np.max(prod))) if prod.size
             else (0.0, 0.0))
-
-
-def delta_estimates(values) -> tuple[float, float]:
-    """(inf, sup) of n * x*_n over ranks n in [max(4, K // 2), K], nonzero
-    entries only.
-
-    Approximates the limit inferior/superior of n x*_n; zeros from prefix
-    truncation would otherwise pin the infimum at 0 for every compactly
-    supported profile. Empty window -> (0.0, 0.0).
-    """
-    return level_bounds(weak_level(values))
 
 
 @dataclass

@@ -332,6 +332,17 @@ def test_unknown_spec_exits_2(capsys):
     assert "radcount:" in err
 
 
+def test_non_finite_spec_parameter_exits_2(capsys, tmp_path):
+    for kind, params in (("tabulated", '{"n": Infinity}'),
+                         ("tabulated", '{"n": NaN}'),
+                         ("scaled-product", '{"base": Infinity}')):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(f'{{"kind": "{kind}", "params": {params}}}')
+        code = main(["potential", "show", "--spec", str(path)])
+        assert code == 2, params
+        assert capsys.readouterr().err.startswith(f"radcount: {kind}: ")
+
+
 def test_bad_tolerance_exits_2(capsys):
     # a tolerance or budget must be finite and positive; NaN is neither
     # <= 0 nor > 0

@@ -77,6 +77,18 @@ def test_param_validation():
         make_catalog_potential("scaled-product", {"base": 5})
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_integer_params_refused(bad):
+    # int() of an infinite float raises OverflowError, of NaN a bare
+    # ValueError; both parameters are refused as spec errors first
+    with pytest.raises(PotentialSpecError,
+                       match="^tabulated: need integer n >= 2, got"):
+        make_catalog_potential("tabulated", {"n": bad})
+    with pytest.raises(PotentialSpecError,
+                       match="^scaled-product: base index must be 0..4$"):
+        make_catalog_potential("scaled-product", {"base": bad})
+
+
 def _every_kind(catalog):
     # the bundled instances, plus the kinds and bases they leave out
     out = dict(catalog)

@@ -398,7 +398,8 @@ def test_bs_spectrum_small_grid_keeps_every_eigenvalue(mode):
 # and every box end lies halfway between two nodes. Each case is
 # (G, n_max, eigenvalues returned, nodes of support)
 ELIMINATION_CASES = {
-    # two boxes with a G = 0 gap between them, both branches
+    # two boxes with a G = 0 gap between them: n_max past the support,
+    # where every eigenvalue is wanted, and n_max below it
     "gap-dense": (boxes_G((50.0, -0.51, -0.31), (30.0, 0.19, 0.39)),
                   32, 20, 20),
     "gap-lanczos": (boxes_G((50.0, -0.51, -0.31), (30.0, 0.19, 0.39)),
@@ -410,8 +411,8 @@ ELIMINATION_CASES = {
     # all the mass on the right of t = 0: the left Dirichlet side has none
     "one-side-empty": (boxes_G((40.0, 0.29, 0.51), (20.0, 0.89, 1.11)),
                        8, 8, 22),
-    # support of n_max + 1 and n_max + 2 nodes: either side of the switch
-    # from the dense solve to Lanczos
+    # support of n_max + 1 and n_max + 2 nodes: Lanczos wants all but one
+    # of the m eigenvalues (k = m - 1), and fewer (k < m - 1)
     "support-n_max+1": (box_G(40.0, 0.49, 0.67), 8, 8, 9),
     "support-n_max+2": (box_G(40.0, 0.49, 0.69), 8, 8, 10),
 }
@@ -431,7 +432,8 @@ def test_bs_spectrum_eliminates_massless_nodes(mode, case):
 
 def test_bs_spectrum_support_at_verify_window(catalog):
     # verify's companion spectra (n_max = 48, counting window at the
-    # threshold energy): the annulus is solved dense, the bump by Lanczos
+    # threshold energy): Lanczos wants every eigenvalue of the annulus's
+    # support, and 48 of the bump's
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
     for name, n_support in (("annulus", 34), ("bump", 54)):
         G = to_log(catalog[name])
@@ -455,8 +457,8 @@ def test_bs_spectrum_rejects_negative_G():
 
 def test_bs_spectrum_rejects_n_max_below_1(catalog):
     # n_max counts eigenvalues: 0 and below are refused by bs_spectrum and
-    # by both checks that pass it on, on a dense support, a Lanczos one
-    # and a zero potential alike
+    # by both checks that pass it on, on a narrow support (the annulus's
+    # 34 nodes), a wide one and a zero potential alike
     for name in ("zero", "annulus", "gaussian"):
         G = to_log(catalog[name], strict=False)
         for n_max in (0, -3):

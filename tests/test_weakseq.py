@@ -12,10 +12,11 @@ import pytest
 
 from radcount import classify, make_catalog_potential, to_log, zeta_sequence
 from radcount.weakseq import (
-    delta_estimates,
     ell1_norm,
+    level_bounds,
     quasinorm_weak,
     rearrange,
+    weak_level,
 )
 
 
@@ -145,8 +146,8 @@ def test_ell1_vs_quasinorm_ordering():
 
 def test_delta_estimates_harmonic_tail():
     n = np.arange(1, 301)
-    d_lo, d_hi = delta_estimates(1.0 / n)
+    d_lo, d_hi = level_bounds(weak_level(1.0 / n))
     assert d_lo <= 1.0 <= d_hi + 1e-9
     assert d_hi - d_lo < 0.05
     # finitely supported: the window level is 0
-    assert delta_estimates([3.0, 1.0, 0.0, 0.0]) == (0.0, 0.0)
+    assert level_bounds(weak_level([3.0, 1.0, 0.0, 0.0])) == (0.0, 0.0)

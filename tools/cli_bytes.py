@@ -69,10 +69,14 @@ def cases() -> list[list[str]]:
                                  "-4.578909720634325e-10")):
         out.append(["count1d", "--spec", spec, "--alpha", alpha,
                     f"--energy={energy}", "--method", "both"])
-    # the companion spectrum on every spec (dense on the annulus, Lanczos
-    # on the six wide supports), and a coupling past its n_max = 48 values
+    # the companion spectrum on every spec, from the annulus's support of
+    # 35 nodes to the six wide ones, the annulus at couplings either side
+    # of 50, and a coupling past its n_max = 48 values
     for spec in SPECS:
         out.append(["count", "--spec", spec, "--alpha", "50",
+                    "--check", "duality"])
+    for alpha in ("3", "200", "800"):
+        out.append(["count", "--spec", "annulus", "--alpha", alpha,
                     "--check", "duality"])
     out.append(["count", "--spec", "gaussian", "--alpha", "1e5",
                 "--check", "duality"])
