@@ -209,16 +209,30 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
     return report
 
 
+def _reaches(lam: np.ndarray, meta: dict, floor: float) -> bool:
+    """Whether a companion spectrum holds every eigenvalue above floor:
+    it is whole (n_max or n_support values solved), or its last solved
+    value lies at or below floor."""
+    k = meta["n_solved"]
+    return (k == min(len(lam), meta["n_support"])
+            or (k > 0 and lam[k - 1] <= floor))
+
+
 def bs_duality_check(P, alpha: float, *, n_max: int = 48,
                      spectra: dict | None = None) -> dict:
     """Compare #{lambda_n > 1/alpha} with the direct count on one shared
     grid, where the identity is exact by matrix inertia.
 
     The companion spectrum does not depend on alpha, and neither does
-    bs_spectrum's default window, on which it is solved. spectra, when
-    given, is a dict shared by the checks of one potential: the spectrum is
-    kept there under n_max and reused by a later check with the same n_max.
-    Every check runs its own direct count.
+    bs_spectrum's default window, on which it is solved. It is solved only
+    as deep as the count reads: down to the floor (1 - 1e-8)/alpha, the
+    lower edge of the lambda-near-threshold window, and one eigenvalue
+    past it (bs_spectrum's floor). spectra, when given, is a dict shared by
+    the checks of one potential: the spectrum is kept there under n_max and
+    reused by a later check with the same n_max when it holds all n_max
+    values (or the whole support's) or already reaches at or below that
+    check's floor; otherwise the later check solves deeper and replaces
+    it. Every check runs its own direct count.
 
     The report's uncertainty is the direct count's plus the number of
     companion eigenvalues within the lambda-near-threshold gap of 1/alpha.
@@ -231,11 +245,12 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
         return {"alpha": alpha, "count_spectrum": 0, "count_direct": 0,
                 "ok": True, "uncertainty": 0, "flags": ["zero-potential"]}
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    spectra = {} if spectra is None else spectra
-    if n_max not in spectra:
-        spectra[n_max] = bs_spectrum(G, mode, n_max=n_max)
-    lam, meta = spectra[n_max]
     thr = 1.0 / alpha
+    floor = (1.0 - 1e-8) * thr
+    spectra = {} if spectra is None else spectra
+    if n_max not in spectra or not _reaches(*spectra[n_max], floor):
+        spectra[n_max] = bs_spectrum(G, mode, n_max=n_max, floor=floor)
+    lam, meta = spectra[n_max]
     if np.all(lam > thr):
         raise ValueError(
             f"n_max={n_max} too small: every computed companion eigenvalue "

@@ -302,9 +302,9 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
             alpha=a, nonradial=b.nonradial, bound=lt)
         # fd bisection below the m = 0 channel energy: the moment audit
         # needs locations, not phase-accurate eigenvalues, and fd passes
-        # are far cheaper
-        ev, _trunc = eigenvalues_below(G, a, n_max=64, tol_eig=eig_tol,
-                                       engine="fd")
+        # are far cheaper; the moment sums every one of them
+        ev, _ = eigenvalues_below(G, a, n_max=None, tol_eig=eig_tol,
+                                  engine="fd")
         moment = float(np.sum(np.sqrt(np.abs(ev))))
         lt_line = 0.5 * a * j
         add("lieb-thirring-line", moment <= lt_line * (1 + 1e-9) + 1e-9,

@@ -254,7 +254,17 @@ def _build_tabulated(p: Mapping[str, float]) -> _Profile:
         # exp(t) rounds back to an end radius a few ulps outside the support
         return np.where((t >= t_lo) & (t <= t_hi), g, 0.0)
 
-    pos = [math.log(r) for r in rs if lo <= r <= hi and r > 0.0]
+    # on a falling piece, whose line reaches 0 at r_z, G = r^2 F peaks at
+    # 2 r_z / 3; inside the piece that peak is a breakpoint too: a piece
+    # from r = 0 to a zero sample reads G = 0 at both ends, and the phase
+    # mesh, which reads G at the ends and Gauss points of an interval,
+    # would step over it
+    r0, r1, f0, f1 = rs[:-1], rs[1:], fs[:-1], fs[1:]
+    fall = f1 < f0
+    peak = 2.0 / 3.0 * (r0 + f0 * (r1 - r0) / np.where(fall, f0 - f1, 1.0))
+    peak = peak[fall & (peak > r0) & (peak < r1)]
+    pos = sorted(math.log(r) for r in (*rs, *peak)
+                 if lo <= r <= hi and r > 0.0)
     breaks = tuple(pos) if len(pos) <= 64 else (pos[0], pos[-1])
     return _Profile((lo, hi), breaks, False, g_vec)
 

@@ -984,7 +984,7 @@ def count_below(G, alpha: float, E: float,
 
 
 def eigenvalues_below(G, alpha: float, *, E: float | None = None,
-                      n_max: int = 128,
+                      n_max: int | None = 128,
                       mode: BoundaryMode = BoundaryMode.WHOLE_LINE,
                       engine: str = "pruefer", tol_eig: float = 1e-9
                       ) -> tuple[np.ndarray, bool]:
@@ -992,14 +992,17 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
     m = 0) by bisecting the counting function.
 
     Returns (energies ascending, truncated): if more than n_max eigenvalues
-    lie below E only the n_max lowest are returned and truncated=True.
-    Bisection drives intervals below tol_eig * max(1, |E_low|), or to
+    lie below E only the n_max lowest are returned and truncated=True;
+    n_max=None returns every one (the bisection locates them all either
+    way). Bisection drives intervals below tol_eig * max(1, |E_low|), or to
     adjacent floats, whichever is wider; clustered eigenvalues within that
-    width come out as one midpoint with multiplicity. 0 < tol_eig < inf,
-    or ValueError.
+    width come out as one midpoint with multiplicity. 0 < tol_eig < inf and
+    n_max >= 1 (or None), or ValueError.
     """
     if not 0.0 < tol_eig < math.inf:
         raise ValueError(f"need finite tol_eig > 0, got {tol_eig}")
+    if n_max is not None:
+        _check_n_max(n_max)
     E = channel_energy(G, alpha) if E is None else E
     if E is None:
         return np.empty(0), False
@@ -1033,7 +1036,7 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
         stack.append((lo, mid, c_lo, c_mid))
         stack.append((mid, hi, c_mid, c_hi))
     out.sort()
-    truncated = len(out) > n_max
+    truncated = n_max is not None and len(out) > n_max
     return np.array(out[:n_max]), truncated
 
 
@@ -1041,16 +1044,20 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
 # quadratic-form companion spectrum
 
 
-# Lanczos on the companion operator: the top k Ritz values are taken once
+# Lanczos on the companion operator: the top Ritz values are taken once
 # each residual |beta_j s_ji| is at most _RITZ_TOL theta_1, tested first
-# after 2 k steps and then every _RITZ_EVERY; a beta at most _BREAKDOWN
-# max |alpha_i| closes an invariant subspace, and the run restarts there.
-# Zeroing that beta moves eigenvalues near the cut by up to about beta:
-# 1e-10 put errors of 1e-9 into a spectrum past its numerical rank, and
-# without the restart the rounding residue grows spurious values there
+# after 2 top steps and then at the later of _RITZ_EVERY steps on and
+# 2 top; a beta at most _BREAKDOWN max |alpha_i| closes an invariant
+# subspace, and the run restarts there. Zeroing that beta moves
+# eigenvalues near the cut by up to about beta: 1e-10 put errors of 1e-9
+# into a spectrum past its numerical rank, and without the restart the
+# rounding residue grows spurious values there. A run with a floor takes
+# at least _FLOOR_TOP values, so that one solve serves the floors of
+# nearby couplings (verify's default 10 and 50 on every bundled spec)
 _RITZ_TOL = 1e-13
 _RITZ_EVERY = 8
 _BREAKDOWN = 1e-12
+_FLOOR_TOP = 8
 
 
 def _check_n_max(n_max: int) -> None:
@@ -1089,9 +1096,32 @@ def _companion_op(pos: np.ndarray, walls: list[int], h: float,
     return apply
 
 
-def _lanczos_top(op, m: int, k: int) -> np.ndarray:
+def _n_above(al: list[float], be: list[float], x: float) -> int:
+    """#{eigenvalues > x} of the symmetric tridiagonal matrix with diagonal
+    al and off-diagonal be (extra entries of be are ignored): the positive
+    pivots of T - x I, by Sylvester's law of inertia."""
+    n, d = 0, 1.0
+    for a, b in zip(al, [0.0] + be):
+        d = a - x - b * b / d
+        n += d > 0.0
+        if d == 0.0:
+            d = 1e-300
+    return n
+
+
+def _lanczos_top(op, m: int, k: int, floor: float | None = None
+                 ) -> np.ndarray:
     """The k <= m largest eigenvalues, descending, of the symmetric m x m
     operator op, by Lanczos from the fixed vector 1/sqrt(m).
+
+    Without a floor top = k. With one, top = min(k, max(_FLOOR_TOP,
+    1 + #{theta > floor})) is read afresh at each check from the pivots of
+    T - floor (_n_above), and the eigendecomposition that tests the
+    residuals waits until the run has 2 top steps: every eigenvalue above
+    the floor and the first one at or below it must converge, and the run
+    returns those top values. Extreme Ritz values converge first, so this
+    stops far sooner than k when few eigenvalues lie above the floor, and a
+    run that needs all k makes the same checks as one without a floor.
 
     After the three-term step, each new vector is orthogonalised against
     every earlier one by classical Gram-Schmidt, twice when the first pass
@@ -1099,15 +1129,18 @@ def _lanczos_top(op, m: int, k: int) -> np.ndarray:
     invariant subspace beta is set to 0 and the run goes on from the next
     cosine cos(pi r (i + 1/2)/m), r = 1, 2, ..., orthogonalised twice: the
     start vector is the r = 0 one, and these are orthogonal, so no restart
-    repeats an earlier one. At m steps T holds the whole spectrum; a run
-    with 2k >= m reaches no Ritz check and stops there."""
+    repeats an earlier one. At m steps T holds the whole spectrum, and the
+    run returns all k; a run with 2 top >= m reaches no Ritz check and
+    stops there."""
     # rows are touched only as they are filled: room for four checks
-    # past the first, doubled (and the filled rows copied) if that is short
+    # past the first of a run to k, doubled (and the filled rows copied) if
+    # that is short
     V = np.empty((min(m, 2 * k + 4 * _RITZ_EVERY), m))
+    top = k if floor is None else min(k, _FLOOR_TOP)
     al: list[float] = []
     be: list[float] = []
     q = np.full(m, 1.0 / math.sqrt(m))
-    check, restarts, a_max = 2 * k, 0, 0.0
+    check, restarts, a_max = 2 * top, 0, 0.0
     phase = math.pi * (np.arange(m) + 0.5) / m
 
     def tridiag() -> np.ndarray:
@@ -1145,17 +1178,20 @@ def _lanczos_top(op, m: int, k: int) -> np.ndarray:
             q = w / b
         be.append(b)
         if j + 1 >= check:
-            theta, s = np.linalg.eigh(tridiag())
-            if np.all(b * np.abs(s[-1, -k:]) <= _RITZ_TOL * theta[-1]):
-                return theta[::-1][:k]
-            check += _RITZ_EVERY
+            if floor is not None:
+                top = min(k, max(_FLOOR_TOP, 1 + _n_above(al, be, floor)))
+            if j + 1 >= 2 * top:
+                theta, s = np.linalg.eigh(tridiag())
+                if np.all(b * np.abs(s[-1, -top:]) <= _RITZ_TOL * theta[-1]):
+                    return theta[::-1][:top]
+            check = max(check + _RITZ_EVERY, 2 * top)
     return np.linalg.eigvalsh(tridiag())[::-1][:k]
 
 
 def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                 *, domain: tuple[float, float] | None = None,
-                h: float | None = None, n_max: int = 32
-                ) -> tuple[np.ndarray, dict]:
+                h: float | None = None, n_max: int = 32,
+                floor: float | None = None) -> tuple[np.ndarray, dict]:
     """Largest n_max >= 1 eigenvalues of (G u, u) / (u', u') with Dirichlet
     ends.
 
@@ -1175,9 +1211,15 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     Lanczos (_lanczos_top) runs on that operator at every support size,
     and K_s^(-1) is applied as the discrete Green's function of each
     Dirichlet segment (_companion_op); the start vector is fixed, so
-    results are deterministic. Returns (descending eigenvalues, zero-padded
-    to n_max, meta); meta holds the grid's node count n_nodes, n_support =
-    m_s, and capped, True when the grid was coarsened to _N_CAP intervals.
+    results are deterministic. With a floor, Lanczos stops once every
+    eigenvalue above it has converged, and the first one at or below it
+    (at least _FLOOR_TOP values, at most n_max; n_max still sets the grid
+    and the cap): a caller that reads #{lambda_n > floor} gets it without
+    solving the rest. Returns (descending eigenvalues, zero-padded to
+    n_max, meta); meta holds the grid's node count n_nodes, n_support =
+    m_s, n_solved, the number of leading entries solved (min(n_max, m_s)
+    without a floor), and capped, True when the grid was coarsened to
+    _N_CAP intervals.
     """
     _check_n_max(n_max)
     _check_window(domain, h)
@@ -1198,13 +1240,14 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     pos = np.flatnonzero(keep) + k_lo
     m_s = len(pos)
     meta = {"domain": (A, B), "h": h, "n_nodes": n - 1 - (k0 is not None),
-            "n_support": m_s, "capped": capped}
+            "n_support": m_s, "n_solved": 0, "capped": capped}
     lam = np.zeros(n_max)
     if m_s == 0:
         return lam, meta
     walls = [0, n] if k0 is None else [0, k0, n]
     sq = np.sqrt(h * gv[pos - k_lo])
-    k_eff = min(n_max, m_s)
-    vals = _lanczos_top(_companion_op(pos, walls, h, sq), m_s, k_eff)
-    lam[:k_eff] = np.clip(vals, 0.0, None)
+    vals = _lanczos_top(_companion_op(pos, walls, h, sq), m_s,
+                        min(n_max, m_s), floor)
+    meta["n_solved"] = len(vals)
+    lam[:len(vals)] = np.clip(vals, 0.0, None)
     return lam, meta

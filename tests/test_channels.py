@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros, jv, jvp
 
 from radcount import (
@@ -23,6 +25,7 @@ from radcount import (
     channel_count,
     count_below,
     eigenvalues_below,
+    make_catalog_potential,
     sandwich_check,
     to_log,
     total_count,
@@ -31,6 +34,7 @@ from radcount import channels, spectral1d
 from radcount.spectral1d import (bs_spectrum, channel_energy, counting_domain,
                                  threshold_eps)
 from rk_phase import count_below_rk
+from test_spectral1d import _random_profiles
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -160,6 +164,48 @@ def test_sandwich_holds_across_catalog(catalog):
             assert rep["difference"] in (0, 1)
 
 
+@st.composite
+def _step_profiles(draw):
+    # a disk or a ring well
+    height, r_outer = draw(st.floats(0.1, 5.0)), draw(st.floats(0.2, 3.0))
+    if draw(st.booleans()):
+        return make_catalog_potential("square-well", {
+            "height": height, "radius": r_outer})
+    return make_catalog_potential("annulus-well", {
+        "height": height, "r_outer": r_outer,
+        "r_inner": draw(st.floats(0.05, 0.95)) * r_outer})
+
+
+@settings(max_examples=40, deadline=None)
+@given(P=st.one_of(_random_profiles(), _step_profiles()),
+       alpha=st.floats(1.0, 400.0))
+def test_sandwich_property_random_profiles(P, alpha):
+    # on random tabulated, bump and step profiles the Dirichlet-at-0 route
+    # drops at most one state of the plane count: sandwich_check passes,
+    # and the difference is 0 or 1 outright
+    b = total_count(P, alpha)
+    rep = sandwich_check(P, alpha, breakdown=b)
+    assert b.total - (b.radial_dirichlet_count + b.nonradial) in (0, 1), (
+        alpha, b.per_channel, rep)
+
+
+def test_tabulated_peak_off_the_samples_is_a_breakpoint():
+    # a piece from r = 0 to a zero sample reads G = 0 at both ends and
+    # peaks at r = 2/3 inside: that peak is a breakpoint, so the phase mesh
+    # resolves it (the plane count raised "a mesh interval turns by 3.18
+    # >= pi rad"), and both engines count the same, also where a larger
+    # peak further out holds g_max
+    for fs, want in (((3.0, 0.0, 0.0, 0.0), {17.0: 4, 100.0: 26}),
+                     ((3.0, 0.0, 0.0, 1.0), {17.0: 17, 100.0: 94})):
+        P = make_catalog_potential("tabulated", {"r": [0.0, 1.0, 2.0, 3.0],
+                                                 "f": list(fs)})
+        assert to_log(P).breakpoints[0] == pytest.approx(math.log(2 / 3))
+        for alpha, n in want.items():
+            b = total_count(P, alpha)
+            assert b.total == total_count(P, alpha, engine="fd").total == n
+            assert sandwich_check(P, alpha, breakdown=b)["ok"]
+
+
 def test_duality_exact_on_shared_grid(catalog):
     for name in ("square-well", "gaussian", "annulus"):
         for alpha in (8.0, 50.0):
@@ -235,18 +281,23 @@ def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
 
 def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     # the companion spectrum and its window do not depend on alpha: checks
-    # that share a dict solve it once per n_max, each runs its own direct
-    # count, and the reports equal those of unshared checks
+    # that share a dict reuse a spectrum that already reaches the check's
+    # floor (1 - 1e-8)/alpha or holds n_max values, solve deeper and
+    # replace it otherwise, each run their own direct count, and report
+    # what unshared checks report
     P = catalog["square-well"]
-    alphas = (10.0, 50.0, 3200.0)
+    alphas = (10.0, 50.0, 3200.0, 800.0)
     want = [bs_duality_check(P, a) for a in alphas]
     solved, direct = [], []
 
     def spy(calls, fn):
         def wrapped(*args, **kw):
-            calls.append(kw.get("n_max"))
+            calls.append((kw.get("n_max"), kw.get("floor")))
             return fn(*args, **kw)
         return wrapped
+
+    def floor(alpha):
+        return (1.0 - 1e-8) * (1.0 / alpha)
 
     monkeypatch.setattr("radcount.channels.bs_spectrum",
                         spy(solved, channels.bs_spectrum))
@@ -255,16 +306,50 @@ def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     spectra = {}
     got = [bs_duality_check(P, a, spectra=spectra) for a in alphas]
     assert got == want
-    assert solved == [48] and len(direct) == 3
-    assert list(spectra) == [48]
+    # 10 solves the top 8, which reach below 1/50; 3200 solves deeper, and
+    # that spectrum serves 800
+    assert solved == [(48, floor(10.0)), (48, floor(3200.0))]
+    assert len(direct) == 4 and list(spectra) == [48]
     G = to_log(P, strict=False)
     window = counting_domain(G, 10.0, -threshold_eps(G, 10.0),
                              BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
     lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                            domain=window, n_max=48)
+                            domain=window, n_max=48, floor=floor(3200.0))
     assert meta == spectra[48][1] and np.array_equal(lam, spectra[48][0])
-    bs_duality_check(P, 10.0, n_max=24, spectra=spectra)
-    assert solved == [48, 24] and len(direct) == 4
+    assert meta["n_solved"] == got[2]["count_spectrum"] + 1
+    # a spectrum of all n_max values serves every later coupling
+    for a in (10.0, 50.0):
+        bs_duality_check(P, a, n_max=8, spectra=spectra)
+    assert solved[2:] == [(8, floor(10.0))] and len(direct) == 6
+    assert spectra[8][1]["n_solved"] == 8
+
+
+@pytest.mark.parametrize("name", [
+    "square-well", "annulus", "gaussian", "bump", "counterexample",
+    "counterexample-damped", "counterexample-damped-strong"])
+def test_duality_reports_match_a_full_spectrum(catalog, monkeypatch, name):
+    # the floor-stopped spectrum reports what the full n_max = 48 one does,
+    # counts, uncertainty and flags, at couplings shallow and deep
+    P = catalog[name]
+    alphas = (3.0, 10.0, 50.0, 800.0, 3200.0)
+
+    def checks():
+        out = []
+        for a in alphas:
+            try:
+                out.append(bs_duality_check(P, a))
+            except ValueError as exc:   # past the 48 values
+                out.append(str(exc))
+        return out
+
+    got = checks()
+    solve = channels.bs_spectrum
+
+    def full(*args, floor=None, **kw):
+        return solve(*args, **kw)
+
+    monkeypatch.setattr("radcount.channels.bs_spectrum", full)
+    assert got == checks()
 
 
 @pytest.mark.parametrize("name", [

@@ -249,6 +249,26 @@ def test_verify_integrates_log_weight_and_solves_spectrum_once(
     assert [c["alpha"] for c in duality] == [10.0, 50.0]
 
 
+def test_verify_sums_every_eigenvalue_below_the_channel_energy(
+        capsys, monkeypatch):
+    # the Lieb-Thirring moment is a sum over all line eigenvalues below
+    # the m = 0 channel energy: verify asks for them with no cap
+    real = cli.eigenvalues_below
+    caps = []
+
+    def spy(*args, **kw):
+        caps.append(kw["n_max"])
+        ev, truncated = real(*args, **kw)
+        assert not truncated
+        return ev, truncated
+
+    monkeypatch.setattr("radcount.cli.eigenvalues_below", spy)
+    code, doc = run_json(capsys, "verify", "--spec", "gaussian",
+                         "--n-random", "0", "--alpha", "10", "--alpha", "200")
+    assert code == 0 and doc["report"]["ok"] is True
+    assert caps == [None, None]
+
+
 @pytest.mark.parametrize("pruefer, fd, bad", [
     ((3, 1, ("domain-truncated",)), (4, 0, ()), 1),
     ((3, 1, ("phase-near-node",)), (4, 0, ()), 0),

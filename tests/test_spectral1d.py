@@ -225,6 +225,14 @@ def test_eigenvalues_below_respects_n_max():
     ev, truncated = eigenvalues_below(G, 1.0, E=-1e-6, n_max=3)
     assert truncated and len(ev) == 3
     assert np.all(np.diff(ev) > 0.0)
+    # no cap: every eigenvalue below E, the capped ones first
+    every, truncated = eigenvalues_below(G, 1.0, E=-1e-6, n_max=None)
+    assert not truncated and len(every) >= 10
+    assert np.array_equal(every[:3], ev)
+    # a cap below 1 is refused: -1 returned all but the last, 0 none
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            eigenvalues_below(G, 1.0, E=-1e-6, n_max=bad)
 
 
 def test_eigenvalues_below_stops_at_adjacent_floats(catalog, monkeypatch):
@@ -493,6 +501,55 @@ def test_bs_spectrum_lanczos_keeps_every_eigenvalue(catalog, mode):
                                 mode, domain=meta["domain"], h=meta["h"],
                                 near_threshold_check=False)
             assert fd.count == int(np.sum(lam > 1.0 / alpha)), (name, k)
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_bs_spectrum_floor_stops_past_one_over_alpha(catalog, mode):
+    # a floor-stopped run solves every eigenvalue above the duality floor
+    # and the first one at or below it (at least 8, or the whole support),
+    # each within 1e-13 lambda_1 of the full n_max = 48 run's, and pads the
+    # rest with zeros; on meta's grid #{lambda > 1/alpha} is the Dirichlet
+    # count just below 0 (Sylvester), so no eigenvalue above is missed,
+    # wherever the 48 values reach below 1/alpha
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        if G.g_max <= 0.0:
+            continue
+        full, meta_full = bs_spectrum(G, mode, n_max=48)
+        assert meta_full["n_solved"] == min(48, meta_full["n_support"])
+        for alpha in (3.0, 10.0, 50.0, 800.0, 3200.0):
+            case = (name, alpha)
+            floor = (1.0 - 1e-8) / alpha
+            lam, meta = bs_spectrum(G, mode, n_max=48, floor=floor)
+            k = meta["n_solved"]
+            assert meta == {**meta_full, "n_solved": k}, case
+            above = int(np.sum(full > floor))
+            assert k in (min(48, max(8, above + 1)),
+                         min(48, meta["n_support"])), case
+            assert np.all(lam[k:] == 0.0), case
+            assert np.all(np.abs(lam[:k] - full[:k]) <= 1e-13 * full[0]), (
+                case, lam[:k] - full[:k])
+            if k == 48 and lam[-1] > 1.0 / alpha:
+                continue   # past the cap, where the duality check refuses
+            fd = count_below_fd(G, alpha, -1e-12 * max(alpha * G.g_max, 1.0),
+                                mode, domain=meta["domain"], h=meta["h"],
+                                near_threshold_check=False)
+            assert fd.count == int(np.sum(lam > 1.0 / alpha)), case
+
+
+def test_n_above_is_the_count_of_eigenvalues_above():
+    # the pivot count that spaces the floor-stopped Lanczos checks, against
+    # eigvalsh on random tridiagonals, a zero coupling included
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 40):
+        al = list(rng.normal(size=size))
+        be = list(rng.normal(size=size))
+        if size > 2:
+            be[1] = 0.0
+        T = np.diag(al) + np.diag(be[:size - 1], 1) + np.diag(be[:size - 1], -1)
+        ev = np.linalg.eigvalsh(T)
+        for x in rng.normal(size=8):
+            assert spectral1d._n_above(al, be, x) == int(np.sum(ev > x))
 
 
 def test_bs_spectrum_reads_G_on_its_support_only(catalog):

@@ -71,12 +71,20 @@ def cases() -> list[list[str]]:
                     f"--energy={energy}", "--method", "both"])
     # the companion spectrum on every spec, from the annulus's support of
     # 35 nodes to the six wide ones, the annulus at couplings either side
-    # of 50, and a coupling past its n_max = 48 values
+    # of 50; couplings whose counts need deep solves (square-well 9, 18
+    # and 29, gaussian 10 and 22, counterexample-damped 45, within 3 of
+    # n_max = 48), and a coupling past the 48 values
     for spec in SPECS:
         out.append(["count", "--spec", spec, "--alpha", "50",
                     "--check", "duality"])
     for alpha in ("3", "200", "800"):
         out.append(["count", "--spec", "annulus", "--alpha", alpha,
+                    "--check", "duality"])
+    for spec, alpha in (("square-well", "800"), ("square-well", "3200"),
+                        ("square-well", "7000"), ("gaussian", "800"),
+                        ("gaussian", "3200"),
+                        ("counterexample-damped", "3600")):
+        out.append(["count", "--spec", spec, "--alpha", alpha,
                     "--check", "duality"])
     out.append(["count", "--spec", "gaussian", "--alpha", "1e5",
                 "--check", "duality"])
