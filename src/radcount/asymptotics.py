@@ -45,6 +45,8 @@ __all__ = [
 # vanishing; a solid one needs the matched spectral level >= AWAY_FRAC of it
 ZERO_FRAC = 0.05
 AWAY_FRAC = 0.02
+# weyl_verdict: the sweep tail corroborates the coefficient J/2 within this
+WEYL_TOL = 0.05
 
 CSV_COLUMNS = ("alpha", "N", "N_over_alpha", "N_radial_dirichlet",
                "N_nonradial", "chad", "chad_sharp", "lt_nonradial",
@@ -199,55 +201,36 @@ def weyl_coefficient(P: RadialPotential) -> float:
     return to_log(P, strict=False).j_value / 2.0
 
 
-def _tail_rows(T: SweepTable, tail: int | None) -> list[SweepRow]:
-    if not T.rows:
-        return []
-    if tail is not None:
-        if tail < 1:
-            raise ValueError("tail must be >= 1")
-        return T.rows[-tail:]
-    # default window: the top half-decade of the grid
-    a_hi = T.rows[-1].alpha
-    return [r for r in T.rows if r.alpha >= a_hi / math.sqrt(10.0)]
-
-
-def limit_estimates(T: SweepTable, tail: int | None = None, *,
-                    nonradial: bool = False) -> tuple[float, float]:
-    """(upper, lower): window extremes of N/alpha over the grid tail.
-
-    Finite-coupling surrogates for the upper and lower limits of the
-    ratio; with nonradial=True the ratio counts the m != 0 channels only
-    (the part whose limit is the full coefficient as well).
+def limit_estimates(T: SweepTable) -> tuple[float, float]:
+    """(upper, lower): window extremes of N/alpha over the top half-decade
+    of the grid, finite-coupling surrogates for the upper and lower limits
+    of the ratio.
     """
-    rows = _tail_rows(T, tail)
-    if not rows:
+    if not T.rows:
         raise ValueError("empty sweep table")
-    if nonradial:
-        vals = [r.N_nonradial / r.alpha for r in rows]
-    else:
-        vals = [r.N_over_alpha for r in rows]
+    a_lo = T.rows[-1].alpha / math.sqrt(10.0)
+    vals = [r.N_over_alpha for r in T.rows if r.alpha >= a_lo]
     return max(vals), min(vals)
 
 
-def weyl_verdict(P: RadialPotential, T: SweepTable, seq: WeakVerdict, *,
-                 tol: float = 0.05, tail: int | None = None) -> dict:
+def weyl_verdict(P: RadialPotential, T: SweepTable, seq: WeakVerdict) -> dict:
     """Confront the sweep tail with the block-sequence verdict.
 
     The sequence criterion decides; the sweep can only corroborate
     ("consistent") or fail to corroborate ("tension", e.g. the grid stops
-    before the constant-per-coupling regime sets in).  tol is an absolute
-    tolerance on N/alpha, whose natural scale here is the coefficient
-    J/2 itself.
+    before the constant-per-coupling regime sets in).  WEYL_TOL is an
+    absolute tolerance on N/alpha, whose natural scale here is the
+    coefficient J/2 itself.
     """
     w = weyl_coefficient(P)
-    upper, lower = limit_estimates(T, tail)
+    upper, lower = limit_estimates(T)
     verdict = {"yes": "weyl-holds", "no": "weyl-fails",
                "inconclusive": "inconclusive"}[seq.in_weak_circle]
     numeric_close: bool | None
     if math.isinf(w):
         numeric_close = None
     else:
-        numeric_close = max(abs(upper - w), abs(lower - w)) <= tol
+        numeric_close = max(abs(upper - w), abs(lower - w)) <= WEYL_TOL
     notes: list[str] = []
     if seq.in_weak_circle == "inconclusive" or numeric_close is None:
         assessment = "inconclusive"
@@ -269,7 +252,7 @@ def weyl_verdict(P: RadialPotential, T: SweepTable, seq: WeakVerdict, *,
         "weyl_coefficient": w,
         "tail_upper": upper,
         "tail_lower": lower,
-        "tol": tol,
+        "tol": WEYL_TOL,
         "numeric_close": numeric_close,
         "assessment": assessment,
         "notes": notes,

@@ -32,6 +32,7 @@ import numpy as np
 from .channels import total_count
 from .potentials import (RadialPotential, integral_logweight,
                          integral_logweight_grid, to_log)
+from .spectral1d import _check_alpha
 from .weakseq import ZetaSequence, quasinorm_weak, zeta_sequence
 
 __all__ = [
@@ -49,11 +50,6 @@ __all__ = [
 # prefactor of the plain integral term in bound_chad; strictly above the
 # 1 used by bound_chad_sharp, which is what orders the two bounds at R = 1
 CHAD_FACTOR = 2.0 / math.sqrt(3.0)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"need finite alpha > 0, got {alpha}")
 
 
 def _j(P: RadialPotential) -> float:

@@ -11,7 +11,9 @@ consumes. Every catalog kind therefore states its profile once, as a
 vectorised, numerically stable G (naive e^{2t} F(e^t) overflows or turns
 into 0*inf for heavy tails; each kind simplifies the product analytically
 where that matters), and the radial profile F is read back from it
-(`RadialPotential.profile`).
+(`RadialPotential.profile`). Beside G each kind states its tail law
+(`RadialPotential.tail_law`), from which `weakseq.classify` reads its
+verdicts.
 
 Catalog kinds:
 
@@ -94,6 +96,10 @@ class _Profile:
     t_breaks: tuple[float, ...]
     is_zero: bool
     g_vec: Callable[[np.ndarray], np.ndarray]
+    # (sigma, tau, theta) of a tail G ~ t^{-sigma} (ln t)^{-tau}
+    # (ln ln t)^{-theta} as t -> +inf; None for a compact support or a tail
+    # lighter than every power (every kind's t -> -inf end is such a tail)
+    tail_law: tuple[float, float, float] | None = None
 
 
 def _num(params: Mapping[str, float], kind: str, name: str, *,
@@ -183,7 +189,7 @@ def _build_power_log_tail(p: Mapping[str, float]) -> _Profile:
         val = np.exp(-sigma * lt - tau * np.log(lt))
         return np.where(mask, val, 0.0)
 
-    return _Profile((r0, math.inf), (t0,), False, g_vec)
+    return _Profile((r0, math.inf), (t0,), False, g_vec, (sigma, tau, 0.0))
 
 
 def _build_bump(p: Mapping[str, float]) -> _Profile:
@@ -302,7 +308,8 @@ def _build_scaled_product(p: Mapping[str, float]) -> _Profile:
         t_hi = math.inf if math.isinf(r_hi) else math.log(r_hi)
         if _EE < t_hi:
             breaks.append(_EE)
-    return _Profile((r_lo, r_hi), tuple(sorted(breaks)), False, g_vec)
+    law = None if base.tail_law is None else (*base.tail_law[:2], theta)
+    return _Profile((r_lo, r_hi), tuple(sorted(breaks)), False, g_vec, law)
 
 
 _KIND_BUILDERS = {
@@ -403,6 +410,11 @@ class RadialPotential:
     @property
     def is_zero(self) -> bool:
         return self._prof.is_zero
+
+    @property
+    def tail_law(self) -> tuple[float, float, float] | None:
+        """(sigma, tau, theta) of G's tail, or None when it is finite."""
+        return self._prof.tail_law
 
 
 def make_catalog_potential(kind: str, params: Mapping[str, object] | None = None,

@@ -1,4 +1,4 @@
-"""Dyadic block sequence of a line profile and its weak-l1 classification.
+"""Dyadic block sequence of a line profile and its weak-l1 verdict.
 
 For G on the line, block 0 is (-1, 1) and block k >= 1 is the pair of
 intervals e^{k-1} < |t| < e^k. The block sequence is
@@ -6,12 +6,15 @@ intervals e^{k-1} < |t| < e^k. The block sequence is
     zeta_0 = int_{-1}^{1} G dt,
     zeta_k = int_{block k} |t| G(t) dt.
 
-Linear growth of the bound-state count is equivalent to this sequence lying
-in weak-l1 (finite sup_n of n times the n-th largest entry), and the
-semiclassical limit holds exactly when n * x*_n -> 0 (the weak-l1 "small"
-subspace). On a finite computed prefix those suprema are window estimates,
-so the classifier returns yes/no/inconclusive with the evidence attached
-rather than pretending to decide a limit.
+Linear growth of the bound-state count holds exactly when J < inf and this
+sequence lies in weak-l1 (finite sup_n of n times the n-th largest entry);
+the semiclassical limit holds exactly when also n * x*_n -> 0 (the weak-l1
+"small" subspace). Both are statements about a limit, which no computed
+prefix decides. But every catalog kind states its tail law, and for the
+law (sigma, tau, theta) Karamata's theorem gives
+zeta_k ≍ e^{(2-sigma)k} k^{-tau} (ln k)^{-theta}, so `classify` reads the
+verdict from the law. The window sups of n * x*_n over the prefix are
+reported beside it as evidence; they do not decide.
 
 Blocks are integrated in u = ln t coordinates, where |t| dt = e^{2u} du;
 for the borderline family G = t^{-sigma} (ln t)^{-tau} the integrand
@@ -22,7 +25,7 @@ to k = 300 with no overflow (e^{2u} alone is representable to u ~ 354).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +47,6 @@ __all__ = [
 
 MAX_BLOCKS = 300
 
-# Window-sup ratio thresholds, calibrated on the catalog: decaying sups
-# (ratio well under 1) mean n x*_n -> 0; a ratio pinned near 1 with
-# nonvanishing sups means a finite nonzero limit; growth means no weak-l1.
-RATIO_CIRCLE_YES = 0.92
-RATIO_CIRCLE_NO = 0.97
-RATIO_WEAK_YES = 1.05
-RATIO_WEAK_NO = 1.25
-
 
 @dataclass
 class ZetaSequence:
@@ -61,7 +56,6 @@ class ZetaSequence:
     errors: np.ndarray
     K: int
     source: LogPotential | None = None
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         assert len(self.values) == self.K + 1
@@ -115,8 +109,7 @@ def zeta_sequence(G: LogPotential, K: int = 200, *, epsabs: float = 1e-10,
                                    epsrel=epsrel)
             vals += np.bincount(block, v, K + 1)
             errs += np.bincount(block, e, K + 1)
-    notes = ("support window truncated",) if G.truncated else ()
-    return ZetaSequence(vals, errs, K, G, notes)
+    return ZetaSequence(vals, errs, K, G)
 
 
 def rearrange(values) -> np.ndarray:
@@ -170,7 +163,7 @@ def level_bounds(level: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class WeakVerdict:
-    """Tri-state classification with the window evidence it rests on."""
+    """Tri-state verdict with the window evidence of the computed prefix."""
 
     in_weak: str            # 'yes' | 'no' | 'inconclusive'
     in_weak_circle: str     # same values; 'yes' implies in_weak == 'yes'
@@ -183,71 +176,68 @@ class WeakVerdict:
     K: int
     j_value: float
     notes: tuple[str, ...] = ()
-    evidence: dict = field(default_factory=dict)
 
     def text(self) -> str:
         """One-line human verdict."""
         if self.in_weak_circle == "yes":
             return "O(alpha) growth holds; Weyl law holds"
-        if self.in_weak == "yes" and self.in_weak_circle == "no":
-            return "O(alpha) holds, Weyl fails"
         if self.in_weak == "yes":
-            return "O(alpha) growth holds; Weyl law inconclusive"
+            return "O(alpha) holds, Weyl fails"
         if self.in_weak == "no":
             return "growth exceeds O(alpha); Weyl law fails"
         return "inconclusive"
 
 
+def _law_verdict(law: tuple[float, float, float] | None) -> tuple[str, str]:
+    """(weak-l1, vanishing) for a tail law; None is a finite tail.
+
+    k zeta_k ≍ e^{(2-sigma)k} k^{1-tau} (ln k)^{-theta} tends to 0, stays
+    of order 1, or grows, as the first nonzero of sigma - 2, tau - 1 and
+    theta is positive, there is none, or it is negative."""
+    if law is None:
+        return "yes", "yes"
+    sigma, tau, theta = law
+    lead = (sigma - 2.0) or (tau - 1.0) or theta
+    if lead > 0.0:
+        return "yes", "yes"
+    return ("no", "no") if lead < 0.0 else ("yes", "no")
+
+
 def classify(z: ZetaSequence) -> WeakVerdict:
     """Decide membership of the block sequence in weak-l1 and in its
-    vanishing subspace, from the computed prefix.
+    vanishing subspace.
 
-    The decision compares sup n x*_n over the rank windows (K/4, K/2] and
-    (K/2, K]: decay of the sups means n x*_n -> 0, a stable nonzero level
-    means weak-l1 without the vanishing property, growth means the sequence
-    is not weak-l1 at all. An infinite J, read from z.source (nan without
-    one), forces 'no' (integrability is part of the linear-growth
-    criterion). Ambiguous ratios return 'inconclusive'.
+    An infinite J, read from z.source (nan without one), forces 'no':
+    integrability is part of the linear-growth criterion. Otherwise the
+    tail law of the source potential decides. Without a source potential
+    there is no law: a finitely supported sequence is 'yes', and anything
+    else is 'inconclusive', since no finite prefix decides a limit.
+
+    The quasinorm, the delta window, and sup n x*_n over the rank windows
+    (K/4, K/2] and (K/2, K] with their ratio are the prefix's evidence,
+    reported beside the verdict.
     """
-    j_value = z.source.j_value if z.source is not None else math.nan
+    G = z.source
+    P = G.source if G is not None else None
+    j_value = G.j_value if G is not None else math.nan
     level = weak_level(z.values)
     K = len(level)
     quasi = level_sup(level)
-    l1 = ell1_norm(z.values)
     d_lo, d_hi = level_bounds(level)
     s1 = level_sup(level[K // 4:K // 2])
     s2 = level_sup(level[K // 2:K])
-    notes = list(z.notes)
-    evidence = {"window_1": (K // 4, K // 2), "window_2": (K // 2, K),
-                "sup_1": s1, "sup_2": s2}
     tiny = 1e-12 * max(quasi, 1e-300)
-
+    ratio = s2 / s1 if min(s1, s2) > tiny else math.nan
+    notes = ()
     if math.isinf(j_value):
-        notes.append("int rF dr divergent: linear growth impossible")
+        notes = ("int rF dr divergent: linear growth impossible",)
         weak, circle = "no", "no"
+    elif P is not None:
+        weak, circle = _law_verdict(P.tail_law)
     elif s2 <= tiny:
         # sequence is (numerically) finitely supported in rank
         weak, circle = "yes", "yes"
-    elif s1 <= tiny:
-        notes.append("first window empty; prefix too short to compare")
-        weak, circle = "inconclusive", "inconclusive"
     else:
-        ratio = s2 / s1
-        evidence["ratio"] = ratio
-        if ratio >= RATIO_WEAK_NO:
-            weak, circle = "no", "no"
-        elif ratio <= RATIO_WEAK_YES:
-            weak = "yes"
-            if ratio <= RATIO_CIRCLE_YES:
-                circle = "yes"
-            elif ratio >= RATIO_CIRCLE_NO:
-                circle = "no"
-            else:
-                circle = "inconclusive"
-        else:
-            weak, circle = "inconclusive", "inconclusive"
-    if circle == "yes" and weak != "yes":
-        weak = "yes"
-    ratio = evidence.get("ratio", math.nan)
-    return WeakVerdict(weak, circle, quasi, l1, d_lo, d_hi, (s1, s2), ratio,
-                       z.K, j_value, tuple(notes), evidence)
+        weak, circle = "inconclusive", "inconclusive"
+    return WeakVerdict(weak, circle, quasi, ell1_norm(z.values), d_lo, d_hi,
+                       (s1, s2), ratio, z.K, j_value, notes)

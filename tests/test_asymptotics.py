@@ -120,12 +120,6 @@ def test_limit_estimates_windows(disk_sweep):
     tail_ratios = [r.N_over_alpha for r in disk_sweep.rows
                    if r.alpha >= 200.0 / math.sqrt(10.0)]
     assert up == max(tail_ratios) and lo == min(tail_ratios)
-    up2, lo2 = limit_estimates(disk_sweep, tail=2)
-    assert up2 == max(disk_sweep.ratios[-2:])
-    nr_up, nr_lo = limit_estimates(disk_sweep, nonradial=True)
-    assert nr_up <= up
-    with pytest.raises(ValueError):
-        limit_estimates(disk_sweep, tail=0)
 
 
 def test_weyl_verdict_disk_consistent(disk_sweep, catalog):

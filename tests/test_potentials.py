@@ -275,6 +275,26 @@ def test_scaled_product_matches_base_below_onset(catalog):
     assert damped.profile(r_far) < base.profile(r_far)
 
 
+@pytest.mark.parametrize("kind, params, law", [
+    ("square-well", {}, None),
+    ("annulus-well", {}, None),
+    ("gaussian", {}, None),
+    ("bump", {}, None),
+    ("tabulated", {"r": [0.0, 1.0, 2.0], "f": [1.0, 1.0, 0.0]}, None),
+    ("power-log-tail", {"sigma": 2.5, "tau": -0.5}, (2.5, -0.5, 0.0)),
+    # scaled-product takes its base's (sigma, tau), with theta = damping
+    ("scaled-product", {"base": 3, "sigma": 1.5, "tau": 2.0, "damping": 0.7},
+     (1.5, 2.0, 0.7)),
+    ("scaled-product", {"base": 3, "damping": 0.0}, (2.0, 1.0, 0.0)),
+    # a finite base, a zero scale or a zero base leave the tail finite
+    ("scaled-product", {"base": 2, "damping": 1.0}, None),
+    ("scaled-product", {"base": 3, "damping": 1.0, "scale": 0.0}, None),
+    ("scaled-product", {"base": 0, "damping": 1.0, "height": 0.0}, None),
+])
+def test_tail_law_per_kind(kind, params, law):
+    assert make_catalog_potential(kind, params).tail_law == law
+
+
 def test_spec_round_trip(tmp_path):
     P = make_catalog_potential("gaussian", {"height": 2.5, "width": 0.7},
                                description="round trip")

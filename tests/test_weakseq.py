@@ -2,8 +2,9 @@
 
 The heavy-tail instance has an exactly integrable block integrand, so its
 blocks are a machine-precision oracle: zeta_k = ln(k/(k-1)) for every
-fully supported block.  Everything else leans on small hand sequences and
-seeded permutations.
+fully supported block.  The verdicts off the catalog are written out from
+zeta_k ≍ e^{(2-sigma)k} k^{-tau} (ln k)^{-theta}, row by row.  Everything
+else leans on small hand sequences and seeded permutations.
 """
 import math
 
@@ -12,6 +13,7 @@ import pytest
 
 from radcount import classify, make_catalog_potential, to_log, zeta_sequence
 from radcount.weakseq import (
+    ZetaSequence,
     ell1_norm,
     level_bounds,
     quasinorm_weak,
@@ -74,6 +76,64 @@ def test_slow_log_tail_is_not_weak():
     v = classify(zeta_sequence(to_log(P, strict=False), 200))
     assert v.in_weak == "no"
     assert v.sup_ratio >= 1.25
+
+
+# r0 of the bundled slow tails; damping 1 with tau 1 is
+# counterexample-damped itself
+R0 = 1618.1779919126539
+
+
+@pytest.mark.parametrize("sigma, tau, damping, weak, circle", [
+    (1.9, 1.0, None, "no", "no"),     # zeta_k grows like e^{0.1 k}
+    (2.0, 0.8, None, "no", "no"),     # k zeta_k ~ k^{0.2}
+    (2.0, 0.95, None, "no", "no"),    # k zeta_k ~ k^{0.05}
+    (2.0, 1.05, None, "yes", "yes"),  # k zeta_k ~ k^{-0.05}
+    (2.0, 1.2, None, "yes", "yes"),   # k zeta_k ~ k^{-0.2}
+    (2.1, 1.0, None, "yes", "yes"),   # zeta_k decays like e^{-0.1 k}
+    (3.0, 0.0, None, "yes", "yes"),   # zeta_k decays like e^{-k}
+    (2.0, 0.9, 0.25, "no", "no"),     # k zeta_k ~ k^{0.1} (ln k)^{-0.25}
+    (2.0, 1.0, 0.25, "yes", "yes"),   # k zeta_k ~ (ln k)^{-0.25}
+    (2.0, 0.9, 0.5, "no", "no"),      # k zeta_k ~ k^{0.1} (ln k)^{-0.5}
+    (2.0, 1.0, 0.5, "yes", "yes"),    # k zeta_k ~ (ln k)^{-0.5}
+    (2.0, 0.9, 1.0, "no", "no"),      # k zeta_k ~ k^{0.1} (ln k)^{-1}
+])
+def test_off_catalog_tails_get_closed_form_verdicts(sigma, tau, damping,
+                                                     weak, circle):
+    params = {"r0": R0, "sigma": sigma, "tau": tau}
+    if damping is None:
+        P = make_catalog_potential("power-log-tail", params)
+    else:
+        P = make_catalog_potential("scaled-product",
+                                   {**params, "base": 3, "damping": damping})
+    v = classify(zeta_sequence(to_log(P, strict=False), 200))
+    assert math.isfinite(v.j_value)
+    assert (v.in_weak, v.in_weak_circle) == (weak, circle)
+
+
+def test_sequence_without_source():
+    def verdict(values):
+        z = ZetaSequence(np.asarray(values, float), np.zeros(len(values)),
+                         len(values) - 1)
+        v = classify(z)
+        assert math.isnan(v.j_value) and v.notes == ()
+        return v
+
+    # finitely supported in rank: the only sourceless 'yes'
+    v = verdict([3.0, 1.0] + [0.0] * 99)
+    assert (v.in_weak, v.in_weak_circle) == ("yes", "yes")
+    assert v.window_sups == (0.0, 0.0) and math.isnan(v.sup_ratio)
+    v = verdict([0.0] * 51)
+    assert (v.in_weak, v.in_weak_circle) == ("yes", "yes")
+    # without a law no prefix decides: decaying, flat and growing levels
+    k = np.arange(1, 202, dtype=float)
+    for values in (k ** -2.0, 1.0 / k, k ** -0.5):
+        v = verdict(values)
+        assert (v.in_weak, v.in_weak_circle) == ("inconclusive",
+                                                 "inconclusive")
+        assert v.text() == "inconclusive"
+    # the window evidence is still reported: a flat level for 1/k
+    s1, s2 = verdict(1.0 / k).window_sups
+    assert s1 == s2 == pytest.approx(1.0)
 
 
 def test_divergent_J_forces_no():
