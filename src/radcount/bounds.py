@@ -14,17 +14,18 @@ J is read from `to_log(P, strict=False).j_value`, cached on the potential.
 `bound_chad_min_over_R` takes the log weight W(R) = int G |t - ln R| dt
 for its whole radius grid from one split of the line at the grid's
 log-span [a, b] (`integral_logweight_grid`): past b the piece is
-R1 + (b - s) R0 with s = ln R, before a it is L1 + (s - a) L0, and only
-[a, b] within the support is integrated per radius.  A divergent log
-weight is thus detected once per grid, not once per radius.
+M1 - s M0 with s = ln R and Mp = int_{t>b} t^p G, before a it is
+s N0 - N1 likewise, and only [a, b] within the support is integrated per
+radius.
 
 A bound evaluates to +inf when its defining integral diverges; that is a
-legitimate report ("this bound says nothing here"), not an error.
+legitimate report ("this bound says nothing here"), not an error.  The
+kind's tail law decides the divergence exactly; no quadrature guesses it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -152,7 +153,6 @@ class BoundReport:
     lt_nonradial: float
     weak: float
     notes: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
 
     def finite_flags(self) -> dict[str, bool]:
         return {

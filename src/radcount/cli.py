@@ -30,13 +30,12 @@ from . import __version__
 from .asymptotics import alpha_grid, limit_estimates, sweep, weyl_verdict
 from .bounds import _chad, bound_lt_nonradial, bound_report
 from .channels import bs_duality_check, excused, sandwich_check, total_count
-from .potentials import (PotentialSpecError, RadialPotential,
+from .potentials import (PotentialSpecError, RadialPotential, _moment,
                          bundled_spec_names, integral_J, integral_logweight,
                          load_bundled, load_spec, to_log)
 from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_batch_pruefer,
                          count_below, eigenvalues_below)
 from .weakseq import classify, zeta_sequence
-from .quadrature import integrate_line
 
 _MODES = {m.value: m for m in BoundaryMode}
 _MODE_ALIASES = {"line": "whole-line", "half": "half-line-dirichlet",
@@ -94,11 +93,13 @@ def _emit(doc: dict, path: str | None = None) -> None:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    """Resolved run configuration: subcommand, spec and threshold fraction,
-    then every option the subcommand registered, sorted. A subcommand
-    registers only the knobs it applies, so only those are echoed."""
-    cfg = {"subcommand": args.cmd, "spec": getattr(args, "spec", None),
-           "threshold_frac": THRESHOLD_FRAC}
+    """Resolved run configuration: subcommand, spec, the threshold fraction
+    where it is applied, then every option the subcommand registered,
+    sorted. A subcommand registers only the knobs it applies, so only
+    those are echoed."""
+    cfg = {"subcommand": args.cmd, "spec": getattr(args, "spec", None)}
+    if args.cmd in ("count1d", "count", "sweep", "verify"):   # they count
+        cfg["threshold_frac"] = THRESHOLD_FRAC
     for k in sorted(vars(args)):
         if k not in cfg and k not in ("cmd", "func", "sub"):
             cfg[k] = getattr(args, k)
@@ -276,9 +277,7 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
     tmom = 0.0
     t_lo, t_hi = G.t_support
     if t_hi > 0.0:
-        pts = tuple(p for p in G.breakpoints if p > 0.0)
-        tmom, _ = integrate_line(lambda t: t * G.eval(t), max(t_lo, 0.0),
-                                 t_hi, points=pts)
+        tmom, _ = _moment(P._prof, 1, max(t_lo, 0.0), t_hi)
 
     # alpha-independent inputs of the per-alpha checks: the log weight at
     # R = 1 of both chad bounds, and the companion spectra

@@ -13,7 +13,8 @@ into 0*inf for heavy tails; each kind simplifies the product analytically
 where that matters), and the radial profile F is read back from it
 (`RadialPotential.profile`). Beside G each kind states its tail law
 (`RadialPotential.tail_law`), from which `weakseq.classify` reads its
-verdicts.
+verdicts and `_moment` the integrals of t^p G past the last breakpoint,
+divergent ones included.
 
 Catalog kinds:
 
@@ -39,8 +40,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .quadrature import (integrate_batch, integrate_interval, integrate_line,
-                         integrate_tails)
+from .quadrature import (_check_tols, integrate_batch, integrate_interval,
+                         integrate_line, integrate_tails)
 
 __all__ = [
     "PotentialSpecError",
@@ -72,6 +73,7 @@ T_CAP = 2000.0
 _TAIL_TOL = 1e-10
 _EPSABS = 1e-10
 _EPSREL = 1e-8
+_EPS = np.finfo(float).eps
 
 CATALOG_BASE_ORDER = ("square-well", "annulus-well", "gaussian",
                       "power-log-tail", "bump")
@@ -96,10 +98,12 @@ class _Profile:
     t_breaks: tuple[float, ...]
     is_zero: bool
     g_vec: Callable[[np.ndarray], np.ndarray]
-    # (sigma, tau, theta) of a tail G ~ t^{-sigma} (ln t)^{-tau}
-    # (ln ln t)^{-theta} as t -> +inf; None for a compact support or a tail
-    # lighter than every power (every kind's t -> -inf end is such a tail)
+    # (sigma, tau, theta) of a tail G = scale t^{-sigma} (ln t)^{-tau}
+    # (ln ln t)^{-theta}, exact past the last breakpoint; None for a compact
+    # support or a tail lighter than every power (every kind's t -> -inf
+    # end is such a tail)
     tail_law: tuple[float, float, float] | None = None
+    scale: float = 1.0
 
 
 def _num(params: Mapping[str, float], kind: str, name: str, *,
@@ -309,7 +313,8 @@ def _build_scaled_product(p: Mapping[str, float]) -> _Profile:
         if _EE < t_hi:
             breaks.append(_EE)
     law = None if base.tail_law is None else (*base.tail_law[:2], theta)
-    return _Profile((r_lo, r_hi), tuple(sorted(breaks)), False, g_vec, law)
+    return _Profile((r_lo, r_hi), tuple(sorted(breaks)), False, g_vec, law,
+                    scale * base.scale)
 
 
 _KIND_BUILDERS = {
@@ -520,10 +525,13 @@ def to_log(P: RadialPotential, *, strict: bool = True,
         while abs(start + sign * step) < t_cap:
             probes.append(start + sign * step)
             step *= 2.0
-        tails = integrate_tails(lambda s: prof.g_vec(sign * s),
-                                [sign * T for T in probes],
-                                epsabs=min(_EPSABS, 0.1 * target),
-                                epsrel=_EPSREL)
+        tol = {"epsabs": min(_EPSABS, 0.1 * target), "epsrel": _EPSREL}
+        if downward or prof.tail_law is None:
+            tails = integrate_tails(lambda s: prof.g_vec(sign * s),
+                                    [sign * T for T in probes], **tol)
+        else:
+            # the right probes all lie past the last breakpoint
+            tails = _law_tails(prof, 0, probes, **tol)
         for T, (tail, _) in zip(probes, tails):
             if tail <= target:
                 return T, False
@@ -570,6 +578,66 @@ def _t_support(prof: _Profile) -> tuple[float, float]:
             math.inf if math.isinf(r_hi) else math.log(r_hi))
 
 
+def _law_tails(prof: _Profile, p: int, starts, *, epsabs: float = _EPSABS,
+               epsrel: float = _EPSREL, name: str = "moment"
+               ) -> list[tuple[float, float]]:
+    """int_T^inf t^p G dt for every T in `starts`, none before the last
+    breakpoint, from the law G = c t^-sigma (ln t)^-tau (ln ln t)^-theta.
+
+    In s = ln ln t the integrand is c exp((1+p-sigma) e^s + (1-tau) s)
+    s^-theta, which no t overflows. The tail is infinite, at no quadrature
+    cost, iff the first nonzero of sigma-1-p, tau-1, theta-1 is negative or
+    none is nonzero (Karamata; Bingham, Goldie and Teugels, Regular
+    Variation, 1987). At sigma = 1+p, tau = 1 it is c s_T^(1-theta) /
+    (theta-1); any other finite tail is integrated in s over doubling
+    windows, where it decays at least like e^{-(tau-1) s}.
+    """
+    sigma, tau, theta = prof.tail_law
+    c = prof.scale
+    rates = (sigma - 1.0 - p, tau - 1.0, theta - 1.0)
+    if next((r for r in rates if r), 0.0) <= 0.0:
+        return [(math.inf, math.inf)] * len(starts)
+    s0 = [math.log(math.log(T)) for T in starts]
+    if not rates[0] and not rates[1]:
+        # error: the rounding of s_T, raised to the power 1 - theta
+        vals = [c * s ** (1.0 - theta) / (theta - 1.0) for s in s0]
+        return [(v, 4.0 * _EPS * (1.0 + theta) * v) for v in vals]
+
+    def f(s):
+        x = -rates[1] * s
+        if rates[0]:
+            with np.errstate(over="ignore"):   # e^s = inf: the term is -inf
+                x = x - rates[0] * np.exp(s)
+        if theta:
+            x = x - theta * np.log(s)   # s >= 1: psi's breakpoint e^e
+        return c * np.exp(x)
+
+    return integrate_tails(f, s0, epsabs=epsabs, epsrel=epsrel, name=name)
+
+
+def _moment(prof: _Profile, p: int, lo: float, hi: float, *,
+            epsabs: float = _EPSABS, epsrel: float = _EPSREL,
+            name: str = "moment") -> tuple[float, float]:
+    """(int_lo^hi t^p G dt, its error) for p in {0, 1}. With hi = inf, a
+    kind with a tail law takes the stretch past max(lo, last breakpoint)
+    from `_law_tails`, which may need no quadrature, so the tolerances are
+    checked here; the rest is `integrate_line`'s, which raises
+    QuadratureBudgetError on a tail it cannot integrate."""
+    _check_tols(epsabs, epsrel)
+    t_b, tail = hi, (0.0, 0.0)
+    if hi == math.inf and prof.tail_law is not None:
+        t_b = max(lo, *prof.t_breaks)
+        tail = _law_tails(prof, p, [t_b], epsabs=epsabs, epsrel=epsrel,
+                          name=name)[0]
+        if math.isinf(tail[0]):
+            return tail
+    g = prof.g_vec
+    v, e = integrate_line((lambda t: t * g(t)) if p else g, lo, t_b,
+                          points=[x for x in prof.t_breaks if lo < x < t_b],
+                          epsabs=epsabs, epsrel=epsrel, name=name)
+    return v + tail[0], e + tail[1]
+
+
 def integral_J(P: RadialPotential, *, epsabs: float = _EPSABS,
                epsrel: float = _EPSREL) -> tuple[float, float]:
     """int_0^inf r F(r) dr, computed as int_R G dt. (inf, inf) if divergent.
@@ -580,9 +648,8 @@ def integral_J(P: RadialPotential, *, epsabs: float = _EPSABS,
     prof = P._prof
     if prof.is_zero:
         return 0.0, 0.0
-    t_lo, t_hi = _t_support(prof)
-    return integrate_line(prof.g_vec, t_lo, t_hi, points=prof.t_breaks,
-                          epsabs=epsabs, epsrel=epsrel, name=f"J[{P.kind}]")
+    return _moment(prof, 0, *_t_support(prof), epsabs=epsabs, epsrel=epsrel,
+                   name=f"J[{P.kind}]")
 
 
 def integral_logweight_grid(P: RadialPotential, R_grid, *,
@@ -591,13 +658,12 @@ def integral_logweight_grid(P: RadialPotential, R_grid, *,
     """W(R) = int_R G(t) |t - ln R| dt for every R in R_grid.
 
     Returns (values, errors) in grid order.  One split of the line at the
-    log-span [a, b] of the grid serves every s = ln R.  Past b,
-    |t - s| = (t - b) + (b - s), so that piece is R1 + (b - s) R0 with
-    R1 = int_{t>b} G (t - b) and R0 = int_{t>b} G; before a it is
-    L1 + (s - a) L0 in the same way.  Only [a, b] is integrated once per
-    radius, with s as a breakpoint.  The outer integrals carry the
-    divergence sentinel, so it runs once for the whole grid, and an
-    infinite R1 or L1 makes every value infinite.
+    log-span [a, b] of the grid serves every s = ln R.  Past b the piece
+    is M1 - s M0 with Mp = int_{t>b} t^p G, and before a it is s N0 - N1
+    with Np = int_{t<a} t^p G (`_moment`, which takes a law kind's tail
+    from its law); M0 and N0 are skipped when every radius is 1.  Only
+    [a, b] is integrated once per radius, with s as a breakpoint.  An
+    infinite M1 makes every value infinite.
 
     [a, b] is clipped to the support, where W is affine in s: a radius off
     the support takes the middle integral at the nearest end s' plus
@@ -614,25 +680,20 @@ def integral_logweight_grid(P: RadialPotential, R_grid, *,
     s = np.log(R)
     a, b = (min(max(float(x), t_lo), t_hi) for x in (s.min(), s.max()))
 
-    def piece(f, lo: float, hi: float) -> tuple[float, float]:
-        if not lo < hi:
-            return 0.0, 0.0
-        return integrate_line(f, lo, hi, points=[p for p in breaks
-                                                 if lo < p < hi],
-                              epsabs=epsabs, epsrel=epsrel,
-                              name=f"logweight[{P.kind}]")
-
     vals, errs = np.zeros(R.size), np.zeros(R.size)
-    for f, lo, hi, weight in ((lambda t: g(t) * (t - b), b, t_hi, 1.0),
-                              (lambda t: g(t) * (a - t), t_lo, a, 1.0),
-                              (g, b, t_hi, b - s), (g, t_lo, a, s - a)):
-        if not np.any(weight):
-            continue  # R0 and L0 only enter at radii away from the ends
-        v, e = piece(f, lo, hi)
-        if math.isinf(v):
+    kw = {"epsabs": epsabs, "epsrel": epsrel, "name": f"logweight[{P.kind}]"}
+    for lo, hi, sign in ((b, t_hi, 1.0), (t_lo, a, -1.0)):
+        if not lo < hi:
+            continue
+        m1, e1 = _moment(prof, 1, lo, hi, **kw)
+        if math.isinf(m1):
             return np.full(R.size, math.inf), np.full(R.size, math.inf)
-        vals += weight * v
-        errs += weight * e
+        vals += sign * m1
+        errs += e1
+        if np.any(s):   # the mass enters with weight s: not at R = 1
+            m0, e0 = _moment(prof, 0, lo, hi, **kw)
+            vals -= sign * s * m0
+            errs += np.abs(s) * e0
     if a < b:
         pts = [p for p in breaks if a < p < b]
         inner = np.clip(s, a, b)
@@ -659,9 +720,8 @@ def integral_logweight(P: RadialPotential, R: float = 1.0, *,
     """int_0^inf r F(r) |ln(r/R)| dr = int_R G(t) |t - ln R| dt.
 
     The one-point case of `integral_logweight_grid`: the line is split at
-    s = ln R into int_{t>s} G (t - s) and int_{t<s} G (s - t).  Divergent
-    integrals come back as (inf, inf); the weight grows so slowly that this
-    relies on the non-geometric-tail sentinel, not a magnitude cap.
+    s = ln R into int_{t>s} G (t - s) and int_{t<s} G (s - t).  A divergent
+    integral comes back as (inf, inf), decided by the kind's tail law.
     """
     vals, errs = integral_logweight_grid(P, [R], epsabs=epsabs, epsrel=epsrel)
     return float(vals[0]), float(errs[0])

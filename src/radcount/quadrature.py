@@ -1,5 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature on numpy arrays, with divergence
-sentinels for half-line integrals.
+"""Adaptive Gauss-Kronrod quadrature on numpy arrays, and half-line
+integrals that converge geometrically.
 
 `integrate_batch` is the one kernel: QUADPACK's 21-point Gauss-Kronrod rule
 and local error formula (Piessens et al., QUADPACK, 1983) applied to many
@@ -9,28 +9,15 @@ the largest error, up to 200 subintervals per integral. All nodes of a
 round go to the integrand in one array call, so integrands are vector
 evaluators: f(x), or f(x, k) with k the index of each row's integral.
 
-The half-line scheme makes a three-way call. Integrals like int rF|ln r| dr
-can diverge so slowly (iterated-log growth) that no magnitude cap is ever
-reached, and their convergent cousins keep a visible fraction of their mass
-beyond double-precision range. Divergence is therefore detected from the
-*shape* of window contributions, in two phases:
-
-  phase 1: windows doubling in t, all integrated in one batch and read in
-           order. Geometric decay of contributions means an ordinary
-           convergent tail; finish, extrapolating the remainder.
-
-  phase 2: windows squaring in t, i.e. arithmetic steps in s = ln ln t,
-           integrated in ln t. A tail density behaving like s^{-p} ds (the
-           iterated-log family) gives contributions ~ C s^{-p}; a log-log
-           fit estimates p. p <= 1 is divergent; the fit threshold 1.25
-           leaves slack for noise. For p above the threshold the remaining
-           mass int_s^inf C u^{-p} du is added explicitly, with a
-           proportional error bar, since windows past t ~ 1e170 underflow
-           to zero and direct evaluation cannot reach it.
-
-Boundary cases with iterated-log exponent in (1, 1.25] are reported as
-divergent; the catalog never produces them and the direction is the
-conservative one for every bound built on top.
+A half-line integral is read from windows doubling in t, all integrated in
+one batch and read in order. Two windows below a quarter of the tolerance
+end it; contributions that decay geometrically end it with the remainder
+extrapolated into the error. Any other tail, a divergent one among them,
+raises QuadratureBudgetError: the shape of finitely many windows cannot
+tell a slowly convergent tail from a divergent one. The tails that decay
+slower than any power, the catalog's power-log laws, are integrated from
+their law instead, which decides convergence exactly
+(`potentials._law_tails`).
 """
 
 from __future__ import annotations
@@ -50,11 +37,8 @@ __all__ = [
     "integrate_line",
 ]
 
-DIVERGENCE_CAP = 1e12
 GEOMETRIC_RATIO = 0.75   # max per-doubling decay still treated as geometric
-POWER_FIT_MIN = 1.25     # iterated-log exponent below this => divergent
 MAX_DOUBLINGS = 48
-X_CAP = 1e290
 _QUAD_LIMIT = 200        # subintervals per integral
 
 # QUADPACK qk21 on [-1, 1]: the Kronrod nodes x >= 0, decreasing to the
@@ -81,8 +65,9 @@ _UFLOW = np.finfo(float).tiny
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Raised when an integral neither converges nor is classifiable as
-    divergent within the window budget."""
+    """Raised when a half-line integral does not converge, geometrically
+    or to tolerance, within the window budget; a divergent one raises it
+    too."""
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray, k: np.ndarray
@@ -126,15 +111,20 @@ def integrate_batch(
                    epsabs, epsrel)
 
 
+def _check_tols(epsabs: float, epsrel: float) -> None:
+    """Each tolerance must be finite and >= 0: a NaN one reads as
+    converged after the first pass."""
+    for name, tol in (("epsabs", epsabs), ("epsrel", epsrel)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"need a finite {name} >= 0, got {tol}")
+
+
 def _refine(f, lo: np.ndarray, hi: np.ndarray, k: np.ndarray, n: int,
             epsabs: float, epsrel: float) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of integrate_batch on subintervals [lo_i, hi_i] of the
     integrals k_i in range(n). Every public integrator passes through
-    here, so the tolerances are checked here: each must be finite and
-    >= 0, since a NaN one reads as converged after the first pass."""
-    for name, tol in (("epsabs", epsabs), ("epsrel", epsrel)):
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"need a finite {name} >= 0, got {tol}")
+    here, so the tolerances are checked here."""
+    _check_tols(epsabs, epsrel)
     val, err = _gk21(f, lo, hi, k)
     while True:
         total = np.bincount(k, val, n)
@@ -181,59 +171,9 @@ def integrate_interval(
     return float(val[0]), float(err[0])
 
 
-def _squaring_phase(f, x: float, total: float, err_total: float,
-                    epsabs: float, epsrel: float) -> tuple[float, float]:
-    """Phase 2: windows [x, x^2] up to X_CAP; classify the iterated-log
-    tail. The fit below takes each window as one step of ln 2 in
-    s = ln ln t, so only whole windows are samples: none that would end past
-    X_CAP, and none from the first whose integrand is zero at its end on,
-    where the integrand has underflowed (or its support has ended)."""
-    ends = [x]
-    while 2.0 < ends[-1] and ends[-1] * ends[-1] <= X_CAP:
-        ends.append(ends[-1] * ends[-1])
-    live = np.asarray(f(np.array(ends[1:])), dtype=float) > 0.0
-    s_ends = [math.log(t) for t in ends[:int(np.cumprod(live).sum()) + 1]]
-
-    def density(s, k):
-        # in s = ln t each window is [s, 2 s] and the density is smooth
-        t = np.exp(s)
-        return f(t) * t
-
-    vals, errs = integrate_batch(
-        density, [[s_ends[i], s_ends[i + 1]] for i in range(len(s_ends) - 1)],
-        epsabs=epsabs, epsrel=epsrel)
-    samples: list[tuple[float, float]] = []  # (s = ln ln x_start, contribution)
-    for s0, val, err in zip(s_ends, vals.tolist(), errs.tolist()):
-        samples.append((math.log(s0), val))
-        total += val
-        err_total += err
-        if total > DIVERGENCE_CAP:
-            return math.inf, math.inf
-    nz = samples[-6:]
-    if len(nz) < 3:
-        # tail died before it could be classified; whatever is left is below
-        # the last window's size
-        rest = nz[-1][1] if nz else 0.0
-        return total, err_total + rest
-    s = np.array([p[0] for p in nz])
-    d = np.array([p[1] for p in nz])
-    if d[-1] >= 0.98 * d[0]:
-        return math.inf, math.inf  # contributions not decaying at all
-    p_hat = -float(np.polyfit(np.log(s), np.log(d), 1)[0])
-    if p_hat <= POWER_FIT_MIN:
-        return math.inf, math.inf
-    # d_j ~ C s^{-p} ln 2 per window; remaining mass from s_end onward:
-    s_end = s[-1] + math.log(2.0)
-    c_fit = d[-1] * s[-1] ** p_hat / math.log(2.0)
-    rest = c_fit * s_end ** (1.0 - p_hat) / (p_hat - 1.0)
-    return total + rest, err_total + 0.5 * rest
-
-
-def _tail_verdict(f, x_end: float, vals: list[float], errs: list[float],
-                  epsabs: float, epsrel: float,
-                  name: str) -> tuple[float, float]:
-    """Phase 1: read one tail's doubling windows in order; x_end is where
-    the last one ends."""
+def _tail_verdict(vals: list[float], errs: list[float], epsabs: float,
+                  epsrel: float, name: str) -> tuple[float, float]:
+    """Read one tail's doubling windows in order."""
     total = 0.0
     err_total = 0.0
     contribs: list[float] = []
@@ -241,24 +181,19 @@ def _tail_verdict(f, x_end: float, vals: list[float], errs: list[float],
         total += val
         err_total += err
         contribs.append(abs(val))
-        if total > DIVERGENCE_CAP:
-            return math.inf, math.inf
         tol = max(epsabs, epsrel * abs(total))
         if (len(contribs) >= 2 and contribs[-1] <= 0.25 * tol
                 and contribs[-2] <= 0.25 * tol):
             return total, err_total + contribs[-1]
     tail = [c for c in contribs[-7:] if c > 0.0]
     if len(tail) >= 2:
-        ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-        if max(ratios) < GEOMETRIC_RATIO:
+        r = max(tail[i + 1] / tail[i] for i in range(len(tail) - 1))
+        if r < GEOMETRIC_RATIO:
             # geometric but slow; extrapolate the remainder into the error
-            r = max(ratios)
             rest = tail[-1] * r / (1.0 - r)
             return total + rest, err_total + rest
-        return _squaring_phase(f, x_end, total, err_total, epsabs, epsrel)
     raise QuadratureBudgetError(
-        f"{name}: no convergence or divergence verdict after "
-        f"{MAX_DOUBLINGS} window doublings")
+        f"{name}: no convergence after {MAX_DOUBLINGS} window doublings")
 
 
 def integrate_tails(
@@ -283,8 +218,8 @@ def integrate_tails(
                          ends[:, 1:].ravel(), np.arange(len(starts) * n),
                          len(starts) * n, epsabs, epsrel)
     vals, errs = vals.tolist(), errs.tolist()
-    return [_tail_verdict(f, float(ends[i, -1]), vals[i * n:(i + 1) * n],
-                          errs[i * n:(i + 1) * n], epsabs, epsrel, name)
+    return [_tail_verdict(vals[i * n:(i + 1) * n], errs[i * n:(i + 1) * n],
+                          epsabs, epsrel, name)
             for i in range(len(starts))]
 
 
@@ -296,13 +231,13 @@ def integrate_to_infinity(
     epsrel: float = 1e-8,
     name: str = "integral",
 ) -> tuple[float, float]:
-    """Integrate f >= 0 over [a, +inf) with a divergence sentinel.
+    """Integrate an eventually monotone f over [a, +inf), with no
+    breakpoint past a.
 
-    Returns (value, error_estimate); a divergent integral comes back as
-    (inf, inf), never as a silently truncated number. Only meaningful for
-    eventually-monotone nonnegative tails with no breakpoint past a, which
-    is what every integrand in this package looks like past its last
-    breakpoint.
+    Returns (value, error_estimate) for a tail that converges to tolerance
+    or geometrically over doubling windows, and raises
+    QuadratureBudgetError for any other, divergent ones included: never a
+    silently truncated number, and never a guessed verdict.
     """
     return integrate_tails(f, [a], epsabs=epsabs, epsrel=epsrel,
                            name=name)[0]
@@ -318,7 +253,8 @@ def integrate_line(
     epsrel: float = 1e-8,
     name: str = "integral",
 ) -> tuple[float, float]:
-    """Integrate f >= 0 over [a, b] where either endpoint may be infinite."""
+    """Integrate f over [a, b] where either endpoint may be infinite; an
+    infinite end is `integrate_to_infinity`'s, with its errors."""
     lo_inf = a == -math.inf
     hi_inf = b == math.inf
     if not lo_inf and not hi_inf:
@@ -335,15 +271,11 @@ def integrate_line(
     if hi_inf:
         v, e = integrate_to_infinity(f, core_hi, epsabs=epsabs, epsrel=epsrel,
                                      name=name)
-        if math.isinf(v):
-            return math.inf, math.inf
         total += v
         err += e
     if lo_inf:
         v, e = integrate_to_infinity(lambda s: f(-s), -core_lo,
                                      epsabs=epsabs, epsrel=epsrel, name=name)
-        if math.isinf(v):
-            return math.inf, math.inf
         total += v
         err += e
     return total, err

@@ -164,8 +164,10 @@ def counting_domain(G, alpha: float, E: float,
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0 and math.isfinite(alpha)):
+    if not alpha > 0.0:
         raise ValueError(f"need alpha > 0, got {alpha}")
+    if alpha == math.inf:
+        raise ValueError(f"need alpha > 0 and finite, got {alpha}")
 
 
 def _validate(alpha: float, E: float) -> None:

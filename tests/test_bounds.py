@@ -5,15 +5,18 @@ int r |ln r| dr over (0,1) = 1/4, and with R = e the log weight becomes
 3/4.  Those hand values pin the bound formulas; ordering and validity
 against measured counts are checked across the catalog.
 """
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radcount import (bound_report, empirical_constant, load_bundled,
-                      make_catalog_potential, quadrature, total_count)
+                      make_catalog_potential, potentials, quadrature, to_log,
+                      total_count)
 from radcount.bounds import (
     CHAD_FACTOR,
     bound_chad,
@@ -26,7 +29,8 @@ from radcount.bounds import (
 from radcount.potentials import integral_logweight_grid
 from radcount.quadrature import integrate_line
 
-J_CEX = 0.04890051066524585   # plain integral of the slow-tail profile
+J_CEX = 0.048900510708061118   # plain integral of the slow tail: E1(2)
+_R0 = math.exp(math.exp(2.0))   # the slow tails' r0
 
 FINITE_W1 = ("square-well", "annulus", "gaussian", "bump",
              "counterexample-damped-strong")
@@ -193,9 +197,42 @@ def _logweight_reference(P, R):
                           t_lo, t_hi, points=tuple(prof.t_breaks) + (lnR,))
 
 
+@functools.lru_cache(maxsize=None)
+def _slow_tail_mass(damping):
+    """int e^{-e^v} psi(v) dv over v > ln 2 in 30-digit mpmath, with
+    psi = v^-damping past v = 1 and 1 before; e^{-e^v} is below 1e-64
+    past v = 5."""
+    with mpmath.workdps(30):
+        return mpmath.quad(lambda v: mpmath.exp(-mpmath.exp(v))
+                           * (v ** -damping if v > 1 else 1),
+                           [mpmath.log(2), 1, 5])
+
+
+def _law_logweight_reference(P, R):
+    """W(R) of the catalog's slow tails, independent of radcount's
+    quadrature.  Past t0 = ln r0 = e^2, G = scale t^-2 (ln t)^-1 psi, with
+    psi = (ln ln t)^-damping past e^e and 1 before it (no damping for the
+    power-log-tail).  In v = ln ln t, t G dt = scale psi dv and
+    G dt = scale e^{-e^v} psi dv exactly.  So int t G dt is
+    scale (1 - ln 2 + 1/(damping - 1)) when the damping exceeds 1 and
+    infinite otherwise, and int G dt is `_slow_tail_mass`.  Every radius
+    here is below r0, where |t - ln R| = t - ln R on the support."""
+    par = P.params
+    assert (par["sigma"], par["tau"], par["r0"]) == (2.0, 1.0, _R0)
+    assert R < _R0
+    scale, damping = par.get("scale", 1.0), par.get("damping", 0.0)
+    if damping <= 1.0:
+        return math.inf, 0.0
+    with mpmath.workdps(30):
+        w = scale * (1 - mpmath.log(2) + mpmath.mpf(1) / (damping - 1)
+                     - math.log(R) * _slow_tail_mass(damping))
+    return float(w), 0.0
+
+
 def _assert_grid_matches_reference(P, grid):
     w, err = integral_logweight_grid(P, grid)
-    ref = [_logweight_reference(P, float(R)) for R in grid]
+    ref = [(_logweight_reference if P.tail_law is None
+            else _law_logweight_reference)(P, float(R)) for R in grid]
     w_ref = np.array([v for v, _ in ref])
     err_ref = np.array([e for _, e in ref])
     assert w.shape == err.shape == (len(grid),)
@@ -252,21 +289,30 @@ def test_min_over_R_pins_the_strong_damping_argmin(catalog):
     assert bound_report(P, 100.0).chad_min_arg == 1000.0
 
 
-def test_min_over_R_runs_the_divergence_sentinel_once(monkeypatch):
-    # one squaring-phase classification for the whole grid; the per-radius
-    # loop ran it once per radius, 64 times
+def test_min_over_R_runs_no_tail_quadrature_on_a_divergent_law(monkeypatch):
+    # the tail law decides that W diverges on the whole grid, and no tail
+    # is integrated for it; a finite law tail that is not in closed form
+    # is integrated once for the whole grid
     calls = []
-    squaring = quadrature._squaring_phase
+    tails = quadrature.integrate_tails
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return squaring(*args, **kwargs)
+    def counted(f, starts, **kwargs):
+        calls.append(list(starts))
+        return tails(f, starts, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_squaring_phase", counted)
-    P = load_bundled("counterexample-damped")   # nothing cached yet
-    val, arg = bound_chad_min_over_R(P, 50.0)
+    damped, strong = (load_bundled(name) for name in (
+        "counterexample-damped", "counterexample-damped-strong"))
+    for P in (damped, strong):
+        to_log(P, strict=False)   # J, cached before the spy
+    monkeypatch.setattr(quadrature, "integrate_tails", counted)
+    monkeypatch.setattr(potentials, "integrate_tails", counted)
+    val, arg = bound_chad_min_over_R(damped, 50.0)
     assert val == math.inf and math.isnan(arg)
-    assert 1 <= len(calls) <= 2
+    assert calls == []
+    # strong damping: int t G is in closed form, and int G, past the last
+    # breakpoint e^e, is one tail in s = ln ln t starting at s = 1
+    assert math.isfinite(bound_chad_min_over_R(strong, 50.0)[0])
+    assert calls == [[1.0]]
 
 
 @st.composite

@@ -80,6 +80,35 @@ def test_phase_engine_matches_bessel_on_a_dense_sweep(catalog):
         assert (b.total, b.uncertainty, b.flags) == (total, 0, ()), alpha
 
 
+def _disk_thresholds(alpha_max: float) -> list[tuple[int, float]]:
+    """(m, alpha) where channel m of the unit disk gains a state, below
+    alpha_max: at E = 0 the inside solution J_m(sqrt(alpha) r) meets the
+    outside one, r^-m (or 1 for m = 0), where J_{m-1} vanishes (J_1 for
+    m = 0), so alpha is j_{m-1,k}^2 (j_{1,k}^2)."""
+    out = []
+    m = 0
+    while True:
+        zeros = jn_zeros(1 if m == 0 else m - 1, 32)
+        below = zeros[zeros ** 2 < alpha_max]
+        if not below.size:
+            return out
+        out += [(m, float(z * z)) for z in below]
+        m += 1
+
+
+def test_phase_engine_counts_both_sides_of_every_disk_threshold(catalog):
+    # the 106 couplings below 800 where a channel of the disk gains a
+    # state, each counted 0.1% below and above it: every phase-engine
+    # channel count is the Bessel oracle's
+    P = catalog["square-well"]
+    thresholds = _disk_thresholds(800.0)
+    assert len(thresholds) == 106
+    for m, alpha_c in thresholds:
+        for alpha in (alpha_c * (1.0 - 1e-3), alpha_c * (1.0 + 1e-3)):
+            assert (channel_count(P, alpha, m).count
+                    == disk_channel_oracle(alpha, m)), (m, alpha)
+
+
 def test_rk_oracle_matches_bessel_on_the_disk(catalog):
     # the RK oracle of the phase engine, by itself: at 20 log-spaced
     # couplings in [3, 3200], every whole-line channel up to the first empty

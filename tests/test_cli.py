@@ -45,14 +45,31 @@ def test_report_wrapper_and_config(capsys):
     cfg = doc["config"]
     assert cfg["subcommand"] == "potential"
     assert cfg["spec"] == "square-well"
-    # show applies neither a quadrature tolerance nor a seed
-    assert "quad_abs_tol" not in cfg and "seed" not in cfg
+    # show applies neither a quadrature tolerance nor a seed, nor the
+    # channel energies' threshold fraction
+    assert not {"quad_abs_tol", "seed", "threshold_frac"} & set(cfg)
     assert doc["report"]["kind"] == "square-well"
     _, doc = run_json(capsys, "potential", "integrals", "--spec",
                       "square-well")
     assert doc["config"]["quad_abs_tol"] == 1e-10
     _, doc = run_json(capsys, "verify", "--spec", "zero", "--n-random", "1")
     assert doc["config"]["seed"] == 1234
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "integrals"], ["seq"], ["bounds", "--alpha", "50"],
+    ["count", "--alpha", "5"], ["count1d", "--alpha", "5", "--energy=-1"],
+    ["sweep", "--alpha-min", "5", "--alpha-max", "10", "--per-decade", "1"],
+    ["verify", "--n-random", "0", "--alpha", "5"]])
+def test_config_echoes_the_threshold_fraction_where_it_applies(capsys, argv):
+    # only the subcommands that count at channel energies apply it, and
+    # they echo it third, after the subcommand and the spec
+    _, doc = run_json(capsys, *argv, "--spec", "zero")
+    keys = list(doc["config"])
+    counting = argv[0] in ("count", "count1d", "sweep", "verify")
+    assert ("threshold_frac" in keys) == counting
+    if counting:
+        assert keys[:3] == ["subcommand", "spec", "threshold_frac"]
 
 
 def test_potential_integrals_disk(capsys):
@@ -564,6 +581,16 @@ def test_non_positive_alpha_exits_2(capsys, method, alpha):
     assert code == 2
     assert captured.out == ""
     assert "need alpha > 0" in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["count", "bounds"])
+def test_infinite_alpha_exits_2(capsys, cmd):
+    # an infinite coupling is refused for not being finite
+    code = main([cmd, "--spec", "gaussian", "--alpha", "inf"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "radcount: need alpha > 0 and finite, got inf\n"
 
 
 def test_negative_n_random_exits_2(capsys):

@@ -1,8 +1,10 @@
-"""Quadrature layer: finite intervals, half-line tails, divergence calls.
+"""Quadrature layer: finite intervals, half-line tails, and the tail law.
 
-The half-line scheme must make a three-way call (finite value / divergent /
-cannot decide) for tails in the iterated-log family, where the densities
-only differ past astronomically large arguments.  The oracles here are
+A half-line integral is finite when its doubling windows converge, to
+tolerance or geometrically; any other tail raises, since finitely many
+windows cannot tell slow convergence from divergence.  The slow tails of
+the catalog, the iterated-log family among them, are integrated from each
+kind's tail law, which decides convergence exactly.  The oracles here are
 hand-integrable: exp tails, power tails, and s^{-p} densities in
 s = ln ln t whose exact integrals are (p-1)^{-1} s0^{1-p}.
 """
@@ -20,11 +22,13 @@ from radcount import (
     integral_logweight,
     integral_logweight_grid,
     load_bundled,
+    make_catalog_potential,
     quadrature,
     to_log,
     zeta_sequence,
 )
 from radcount.bounds import bound_chad_min_over_R, default_R_grid
+from radcount.potentials import _moment
 from radcount.quadrature import (
     QuadratureBudgetError,
     integrate_interval,
@@ -72,42 +76,120 @@ def test_halfline_power_tail():
 
 
 def test_halfline_divergent_harmonic():
-    val, err = integrate_to_infinity(lambda t: 1.0 / t, 1.0)
-    assert math.isinf(val) and math.isinf(err)
+    # no verdict from the windows' shape: a tail that does not converge
+    # over the doubling windows raises
+    with pytest.raises(QuadratureBudgetError, match="no convergence"):
+        integrate_to_infinity(lambda t: 1.0 / t, 1.0)
 
 
 def test_halfline_divergent_log_density():
     # 1/(t ln t): diverges like ln ln t, too slowly for any magnitude cap
-    val, _ = integrate_to_infinity(lambda t: 1.0 / (t * np.log(t)), 3.0)
-    assert math.isinf(val)
+    with pytest.raises(QuadratureBudgetError, match="no convergence"):
+        integrate_to_infinity(lambda t: 1.0 / (t * np.log(t)), 3.0)
 
 
-# the iterated-log family: f_p(t) = 1 / (t ln t (ln ln t)^p) on [t0, inf)
-# integrates to (p-1)^{-1} (ln ln t0)^{1-p} for p > 1 and diverges for
-# p <= 1; these straddle the sentinel's decision boundary
+# the iterated-log family: int_{e^e}^inf dt / (t ln t (ln ln t)^p) is
+# 1/(p-1) for p > 1 and infinite for p <= 1.  It is the tail of
+# W(1) = int t G dt for the scaled-product of the slow tail (sigma 2,
+# tau 1) with damping p, whose stretch from t0 = e^2 to e^e adds
+# int dt/(t ln t) = 1 - ln 2
 
 
-def _loglog_density(p):
-    def f(t):
-        lt = np.log(t)
-        return 1.0 / (t * lt * np.log(lt) ** p)
-    return f
+def _loglog_tail(p):
+    return make_catalog_potential(
+        "scaled-product", {"base": 3, "sigma": 2, "tau": 1, "damping": p,
+                           "r0": math.exp(math.exp(2.0))})
 
 
-@pytest.mark.parametrize("p", [3.0, 2.0, 1.5])
+@pytest.mark.parametrize("p", [3.0, 2.0, 1.5, 1.1])
 def test_halfline_loglog_convergent(p):
-    t0 = math.exp(math.exp(1.0))
-    exact = 1.0 / (p - 1.0)   # (ln ln t0)^{1-p} = 1
-    val, err = integrate_to_infinity(_loglog_density(p), t0)
-    assert math.isfinite(val)
-    assert abs(val - exact) <= max(err, 0.05 * exact)
+    exact = 1.0 - math.log(2.0) + 1.0 / (p - 1.0)
+    val, err = integral_logweight(_loglog_tail(p), 1.0)
+    assert abs(val - exact) <= err < 1e-12 * exact
 
 
-@pytest.mark.parametrize("p", [1.0, 1.1])
+@pytest.mark.parametrize("p", [1.0, 0.9, 0.0])
 def test_halfline_loglog_divergent(p):
-    t0 = math.exp(math.exp(1.0))
-    val, _ = integrate_to_infinity(_loglog_density(p), t0)
-    assert math.isinf(val)
+    assert integral_logweight(_loglog_tail(p), 1.0) == (math.inf, math.inf)
+
+
+# off-catalog slow tails with closed forms, at r0 = e^{e^2} (the bundled
+# slow tails' r0), so t0 = ln r0 = e^2 and ln ln t0 = ln 2.  J = int G dt
+# and W(1) = int t G dt; past t0, G = t^-sigma (ln t)^-tau, times
+# (ln ln t)^-damping past e^e for the scaled-product
+_R0 = math.exp(math.exp(2.0))
+_LN2 = math.log(2.0)
+
+
+@pytest.mark.parametrize("kind, params, which, exact", [
+    # (ln t0)^{1-tau} / (tau-1) = 2^-0.1 / 0.1 = 9.3303299153680741
+    ("power-log-tail", {"sigma": 1.0, "tau": 1.1}, "J", 2.0 ** -0.1 / 0.1),
+    # 2^-0.3 / 0.3 = 2.7075079878541186
+    ("power-log-tail", {"sigma": 1.0, "tau": 1.3}, "J", 2.0 ** -0.3 / 0.3),
+    # t0^{-0.05} / 0.05 = e^-0.1 / 0.05 = 18.096748360719191
+    ("power-log-tail", {"sigma": 1.05, "tau": 0.0}, "J",
+     math.exp(-0.1) / 0.05),
+    ("power-log-tail", {"sigma": 1.0, "tau": 2.0}, "J", 0.5),
+    # int_2^inf e^-u du / u = E1(2) = 0.048900510708061118
+    ("power-log-tail", {"sigma": 2.0, "tau": 1.0}, "J", float(mpmath.e1(2))),
+    ("power-log-tail", {"sigma": 2.0, "tau": 1.1}, "W", 2.0 ** -0.1 / 0.1),
+    # 2^-0.5 / 0.5 = sqrt 2
+    ("power-log-tail", {"sigma": 2.0, "tau": 1.5}, "W", math.sqrt(2.0)),
+    ("power-log-tail", {"sigma": 2.05, "tau": 0.0}, "W",
+     math.exp(-0.1) / 0.05),
+    # int_{ln 2}^1 ds + int_1^inf s^-damping ds = 1 - ln 2 + 1/(damping-1)
+    ("scaled-product", {"damping": 1.1}, "W", 1.0 - _LN2 + 10.0),
+    ("scaled-product", {"damping": 1.2}, "W", 1.0 - _LN2 + 5.0),
+    ("scaled-product", {"damping": 1.5}, "W", 1.0 - _LN2 + 2.0),
+    ("scaled-product", {"damping": 3.0}, "W", 1.5 - _LN2),
+    ("scaled-product", {"damping": 3.0, "scale": 2.5}, "W",
+     2.5 * (1.5 - _LN2)),
+    ("scaled-product", {"damping": 0.9}, "W", math.inf),
+])
+def test_off_catalog_tail_integrals_match_closed_forms(kind, params, which,
+                                                       exact):
+    if kind == "scaled-product":
+        params = {"base": 3, "sigma": 2.0, "tau": 1.0, **params}
+    P = make_catalog_potential(kind, {"r0": _R0, **params})
+    val, err = integral_J(P) if which == "J" else integral_logweight(P, 1.0)
+    if math.isinf(exact):
+        assert (val, err) == (math.inf, math.inf)
+    else:
+        assert abs(val - exact) <= err < 1e-9 * exact
+    if which == "J":
+        # to_log reads J at the same tolerances, and refuses only an
+        # infinite one
+        assert to_log(P).j_value == val
+
+
+# the law's finiteness rule for int_T^inf t^p G dt: finite iff the first
+# nonzero of sigma-1-p, tau-1, theta-1 is positive
+@pytest.mark.parametrize("sigma, tau, theta, p, finite", [
+    (1.5, -5.0, 0.0, 0, True),
+    (0.5, 5.0, 5.0, 0, False),
+    (1.0, 1.01, 0.0, 0, True),
+    (1.0, 0.99, 5.0, 0, False),
+    (1.0, 1.0, 1.01, 0, True),
+    (1.0, 1.0, 1.0, 0, False),
+    (1.0, 1.0, 0.5, 0, False),
+    (1.0, 1.0, 0.0, 0, False),
+    (2.5, -5.0, 0.0, 1, True),
+    (1.5, 5.0, 5.0, 1, False),
+    (2.0, 1.01, 0.0, 1, True),
+    (2.0, 0.99, 5.0, 1, False),
+    (2.0, 1.0, 2.0, 1, True),
+    (2.0, 1.0, 1.0, 1, False),
+    (2.0, 1.0, 0.0, 1, False),
+    (3.0, 0.0, 0.0, 0, True),
+])
+def test_tail_law_finiteness_rule(sigma, tau, theta, p, finite):
+    P = make_catalog_potential("scaled-product", {
+        "base": 3, "sigma": sigma, "tau": tau, "damping": theta, "r0": _R0})
+    assert P.tail_law == (sigma, tau, theta)
+    val, err = _moment(P._prof, p, math.log(_R0), math.inf)
+    assert math.isfinite(val) == math.isfinite(err) == finite
+    if finite:
+        assert 0.0 < val and err <= 1e-8 * val
 
 
 def test_halfline_zero_function():
@@ -184,7 +266,7 @@ def test_random_exp_tails_match_closed_form():
 #
 # The kernel `quadrature._refine` is swapped for a loop of
 # scipy.integrate.quad calls, one per integral, on the same partitions and
-# tolerances, so the whole pipeline (tails, squaring windows, blocks,
+# tolerances, so the whole pipeline (tails, law tails in s, blocks,
 # log-weight grid) runs once on each.  scipy.integrate is imported here only.
 
 

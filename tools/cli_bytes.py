@@ -88,10 +88,12 @@ def cases() -> list[list[str]]:
                     "--check", "duality"])
     out.append(["count", "--spec", "gaussian", "--alpha", "1e5",
                 "--check", "duality"])
-    # usage errors: a coupling that is not positive, and a negative
-    # instance count
+    # usage errors: a coupling that is not positive or not finite, and a
+    # negative instance count
     out.append(["count", "--spec", "gaussian", "--alpha", "0"])
     out.append(["count", "--spec", "gaussian", "--alpha=-5"])
+    out.append(["count", "--spec", "gaussian", "--alpha", "inf"])
+    out.append(["bounds", "--spec", "gaussian", "--alpha", "inf"])
     out.append(["verify", "--spec", "square-well", "--n-random", "-3"])
     for spec in SPECS:
         out.append(["seq", "--spec", spec])
