@@ -299,9 +299,10 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
         lt = bound_lt_nonradial(P, a)
         add("lieb-thirring-nonradial", b.nonradial <= lt + 1e-9,
             alpha=a, nonradial=b.nonradial, bound=lt)
-        # fd bisection below the m = 0 channel energy: the moment audit
-        # needs locations, not phase-accurate eigenvalues, and fd passes
-        # are far cheaper; the moment sums every one of them
+        # the m = 0 line eigenvalues below the channel energy, bisected on
+        # the one fd operator whose count is read there (built once, G
+        # read once): the moment audit needs locations, not phase-accurate
+        # eigenvalues, and fd probes are far cheaper; it sums every one
         ev, _ = eigenvalues_below(G, a, n_max=None, tol_eig=eig_tol,
                                   engine="fd")
         moment = float(np.sum(np.sqrt(np.abs(ev))))

@@ -69,7 +69,8 @@ they count the *same* operator, so they must agree exactly; that property is
 tested, hard.
 
 On top of the counters: eigenvalue location by bisection of the counting
-function, and the quadratic-form spectrum of the Birman-Schwinger companion
+function (with fd, the Sturm count of the one operator built at the top
+energy), and the quadratic-form spectrum of the Birman-Schwinger companion
 (u', u') vs (G u, u), whose eigenvalues above 1/alpha are in bijection with
 the bound states. That spectrum is solved on the support of G only: the
 nodes with G = 0 carry no mass and are eliminated exactly. A numpy Lanczos
@@ -852,6 +853,53 @@ def _support_read(G, A: float, h: float, n: int) -> tuple[int, np.ndarray]:
                             dtype=float)
 
 
+def _fd_operator(G, alpha: float, E: float, mode: BoundaryMode,
+                 A: float, B: float, h: float | None):
+    """The fd operator that count_below_fd counts at E on the window
+    [A, B]: the grid of step near h (by default from the window, alpha * max
+    G and E) and its Dirichlet blocks, with G read once. Needs
+    alpha * max G + E > 0. Returns (A, B, h, n, k0, capped, counts_at):
+    the grid of _line_grid, and counts_at(energy) -> (per-block counts,
+    hit_zero_pivot, pivots swept) of this one operator at any energy."""
+    if h is None:
+        h = min(1e-3 * (B - A),
+                1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
+    A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
+    # diagonals h^2*(2/h^2 - alpha G(t_i)); a block is a core between runs
+    # of `first` and n_tail nodes where the diagonal is 2 (G = 0, or too
+    # small to move it), which are 2 - h^2 E at every energy
+    k_lo, gv = _support_read(G, A, h, n)
+    base = 2.0 - (h * h) * (alpha * gv)
+    vary = np.flatnonzero(base != 2.0) + k_lo
+    blocks = []
+    for b0, b1 in ((1, n),) if k0 is None else ((1, k0), (k0 + 1, n)):
+        v = vary[(vary >= b0) & (vary < b1)]
+        f, t = (int(v[0]), int(v[-1]) + 1) if v.size else (b0, b0)
+        blocks.append((base[f - k_lo:t - k_lo], f - b0, b1 - t))
+
+    def counts_at(energy: float) -> tuple[list[int], bool, int]:
+        counts = []
+        zero_hit = False
+        swept = 0
+        a_c = 2.0 - (h * h) * energy
+        for core, first, n_tail in blocks:
+            arr = core - (h * h) * energy
+            cnt, hz, k = _block_count(arr, first, n_tail, a_c)
+            swept += k
+            if hz:
+                # retry once with an ulp-scale shift of the block's pivots
+                shift = 4.0 * np.finfo(float).eps * float(np.max(
+                    np.abs(arr), initial=abs(a_c) if first or n_tail else 0.0))
+                cnt, _, k = _block_count(arr + shift, first, n_tail,
+                                         a_c + shift)
+                swept += k
+                zero_hit = True
+            counts.append(cnt)
+        return counts, zero_hit, swept
+
+    return A, B, h, n, k0, capped, counts_at
+
+
 def count_below_fd(G, alpha: float, E: float,
                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
                    domain: tuple[float, float] | None = None,
@@ -908,43 +956,10 @@ def count_below_fd(G, alpha: float, E: float,
     if alpha * G.g_max + E <= 0.0:
         return CountResult(0, "fd", E, mode.value, (A, B),
                            flags=tuple(flags + ["below-spectrum"]))
-    if h is None:
-        h = min(1e-3 * (B - A),
-                1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
-    A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
+    A, B, h, n, k0, capped, counts_at = _fd_operator(G, alpha, E, mode,
+                                                     A, B, h)
     if capped:
         flags.append("grid-coarsened")
-    # diagonals h^2*(2/h^2 - alpha G(t_i)); a block is a core between runs
-    # of `first` and n_tail nodes where the diagonal is 2 (G = 0, or too
-    # small to move it), which are 2 - h^2 E at every energy
-    k_lo, gv = _support_read(G, A, h, n)
-    base = 2.0 - (h * h) * (alpha * gv)
-    vary = np.flatnonzero(base != 2.0) + k_lo
-    blocks = []
-    for b0, b1 in ((1, n),) if k0 is None else ((1, k0), (k0 + 1, n)):
-        v = vary[(vary >= b0) & (vary < b1)]
-        f, t = (int(v[0]), int(v[-1]) + 1) if v.size else (b0, b0)
-        blocks.append((base[f - k_lo:t - k_lo], f - b0, b1 - t))
-
-    def counts_at(energy: float) -> tuple[list[int], bool, int]:
-        counts = []
-        zero_hit = False
-        swept = 0
-        a_c = 2.0 - (h * h) * energy
-        for core, first, n_tail in blocks:
-            arr = core - (h * h) * energy
-            cnt, hz, k = _block_count(arr, first, n_tail, a_c)
-            swept += k
-            if hz:
-                # retry once with an ulp-scale shift of the block's pivots
-                shift = 4.0 * np.finfo(float).eps * float(np.max(
-                    np.abs(arr), initial=abs(a_c) if first or n_tail else 0.0))
-                cnt, _, k = _block_count(arr + shift, first, n_tail,
-                                         a_c + shift)
-                swept += k
-                zero_hit = True
-            counts.append(cnt)
-        return counts, zero_hit, swept
 
     delta = threshold_eps(G, alpha) if near_threshold_check else 0.0
     per_block, zero_hit, steps, lo, hi = None, False, 0, 0, 0
@@ -991,12 +1006,19 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
                       engine: str = "pruefer", tol_eig: float = 1e-9
                       ) -> tuple[np.ndarray, bool]:
     """Locate the eigenvalues below E (by default the channel energy of
-    m = 0) by bisecting the counting function.
+    m = 0) by bisecting a counting function over [floor, E], floor just
+    below -alpha max G.
+
+    engine="pruefer" bisects count_below_pruefer. engine="fd" builds the fd
+    operator of count_below_fd(G, alpha, E, mode) once (its window, step
+    and Dirichlet blocks, G read once) and bisects its Sturm count: the
+    results are eigenvalues of that one tridiagonal matrix (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 1967), as many as that count at E.
 
     Returns (energies ascending, truncated): if more than n_max eigenvalues
     lie below E only the n_max lowest are returned and truncated=True;
     n_max=None returns every one (the bisection locates them all either
-    way). Bisection drives intervals below tol_eig * max(1, |E_low|), or to
+    way). Bisection drives intervals below tol_eig * max(1, |floor|), or to
     adjacent floats, whichever is wider; clustered eigenvalues within that
     width come out as one midpoint with multiplicity. 0 < tol_eig < inf and
     n_max >= 1 (or None), or ValueError.
@@ -1009,15 +1031,21 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
     if E is None:
         return np.empty(0), False
     _validate(alpha, E)
-
-    fd_kw = {"near_threshold_check": False} if engine == "fd" else {}
-
-    def C(e: float) -> int:
-        return count_below(G, alpha, e, mode, engine=engine, **fd_kw).count
-
-    floor = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
-    if floor >= E:
+    # nothing below E <= -alpha max G, where floor lies too
+    if alpha * G.g_max + E <= 0.0:
         return np.empty(0), False
+    floor = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
+    mode = BoundaryMode(mode)
+    if engine == "fd":
+        counts_at = _fd_operator(G, alpha, E, mode,
+                                 *counting_domain(G, alpha, E, mode), None)[-1]
+
+        def C(e: float) -> int:
+            return sum(counts_at(e)[0])
+    else:
+        def C(e: float) -> int:
+            return count_below(G, alpha, e, mode, engine=engine).count
+
     total = C(E)
     if total == 0:
         return np.empty(0), False
