@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -345,8 +345,11 @@ def _normalize_params(kind: str, params: Mapping[str, object] | None) -> dict[st
     raw = dict(params or {})
     # tabulated convenience form: explicit sample arrays
     if kind == "tabulated" and "r" in raw:
-        rs = list(raw.pop("r"))
-        fs = list(raw.pop("f", []))
+        rs, fs = raw.pop("r"), raw.pop("f", [])
+        if not all(isinstance(x, Iterable) and not isinstance(x, str)
+                   for x in (rs, fs)):
+            raise PotentialSpecError("tabulated: 'r' and 'f' must be lists")
+        rs, fs = list(rs), list(fs)
         if len(fs) != len(rs):
             raise PotentialSpecError("tabulated: 'r' and 'f' lengths differ")
         raw["n"] = len(rs)
@@ -387,7 +390,7 @@ class RadialPotential:
                              default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_BUILDERS:
+        if not isinstance(self.kind, str) or self.kind not in _KIND_BUILDERS:
             raise PotentialSpecError(
                 f"unknown potential kind {self.kind!r}; "
                 f"known: {', '.join(_KIND_BUILDERS)}")

@@ -63,10 +63,8 @@ Two independent engines with no shared discretization machinery:
     1e-12, and past the last allowed node it stops at the first pivot >= 1.
     The sweeps read the numpy diagonal through memoryviews.
 
-Both count the same thing up to discretization windows, and on an identical
-finite interval with Dirichlet ends (`truncated=True` for the phase engine)
-they count the *same* operator, so they must agree exactly; that property is
-tested, hard.
+Both count the same problem, fd on its finite window with Dirichlet ends;
+the tests hold each to the other within the uncertainty either flags.
 
 On top of the counters: eigenvalue location by bisection of the counting
 function (with fd, the Sturm count of the one operator built at the top
@@ -128,8 +126,6 @@ class CountResult:
 
 # fraction of the energy scale alpha * max G that threshold_eps puts below 0
 THRESHOLD_FRAC = 1e-9
-# the largest decay pad of a counting window
-_PAD_MAX = 40.0
 
 
 def threshold_eps(G, alpha: float) -> float:
@@ -156,7 +152,7 @@ def counting_domain(G, alpha: float, E: float,
     decay pad ~ -ln(1e-8)/kappa for the evanescent tails, capped at 40."""
     T_minus, T_plus = G.domain_hint
     kappa = math.sqrt(max(-E, 1e-30))
-    pad = min(-math.log(1e-8) / kappa, _PAD_MAX)
+    pad = min(-math.log(1e-8) / kappa, 40.0)
     if mode == BoundaryMode.HALF_LINE_DIRICHLET:
         return 0.0, max(T_plus, 0.0) + pad
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0:
@@ -190,8 +186,8 @@ def _check_window(domain, h: float | None = None) -> None:
 # an error in the phase or pivot entering the allowed region shrinks by
 # exp(-2 _LEAD_IN) = 1e-12 over the lead-in where either engine starts
 _LEAD_IN = 0.5 * math.log(1e12)
-# points in the first chunk of a lead-in that either engine sums back from
-# the first allowed point (_lead_in, and _block_count's head)
+# cells in the first chunk of a lead-in that either engine sums back from
+# the first allowed point (_sum_back: _lead_in, and _block_count's head)
 _HEAD_CHUNK = 256
 
 # the mesh rule, absolute in w = E + alpha G: on every interval,
@@ -244,13 +240,14 @@ def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
 
 def _mesh(G, alpha: float, p: float, q: float) -> np.ndarray:
     """The nodes of the mesh of G at alpha over the span where a pass on
-    any default window can run, joined with [p, q]: the widest counting
-    window, [min(T-, 0), max(T+, 0)] padded by _PAD_MAX, cut to the
+    any counting window can run, joined with [p, q]: the widest window,
+    counting_domain's in the Dirichlet-at-0 mode at E = 0, cut to the
     support of G joined with t = 0. The mesh lives on G, one entry for one
     (alpha, span), built when a pass first needs it."""
-    (T_minus, T_plus), (t_lo, t_hi) = G.domain_hint, G.t_support
-    span = (min(max(min(T_minus, 0.0) - _PAD_MAX, min(t_lo, 0.0)), p),
-            max(min(max(T_plus, 0.0) + _PAD_MAX, max(t_hi, 0.0)), q))
+    A, B = counting_domain(G, alpha, 0.0,
+                           BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
+    t_lo, t_hi = G.t_support
+    span = (min(max(A, min(t_lo, 0.0)), p), max(min(B, max(t_hi, 0.0)), q))
     if G.phase_mesh is None or G.phase_mesh[0] != (alpha, span):
         G.phase_mesh = ((alpha, span), _mesh_nodes(G, alpha, *span))
     return G.phase_mesh[1]
@@ -261,19 +258,22 @@ def _level_intervals(G, nodes: np.ndarray, passes, level: int
     """(h, w1, w2, cuts) of the passes (alpha, E, a, z, ...) on the mesh
     `nodes` at bisection level `level`, one after another: pass i meets
     intervals cuts[i]:cuts[i+1], in that order. The mesh nodes strictly
-    between a and z cut [a, z], so a pass that starts or ends between two
-    nodes enters or leaves through a partial interval, and every interval
-    is bisected `level` times. w1 and w2 are w = E + alpha G at the first
-    and the second Gauss point met; a Gauss point lies inside its interval,
-    so G is read inside its pieces. With z < a a pass walks the mirrored
-    intervals, right to left.
+    between a and z cut [a, z] into [p, node k0], the mesh intervals
+    between, and [node k1-1, q] (or [p, q] alone when no node lies
+    inside), so a pass that starts or ends between two nodes enters or
+    leaves through a partial interval, and every interval is bisected
+    `level` times. w1 and w2 are w = E + alpha G at the first and the
+    second Gauss point met; a Gauss point lies inside its interval, so G is
+    read inside its pieces. With z < a a pass walks the mirrored
+    intervals, right to left, and meets each right Gauss point first.
 
     G is read once for the batch, without alpha: at the Gauss points of the
     mesh intervals that some pass crosses whole, which every pass through
-    them shares, and of each pass's partial end intervals; each pass forms
-    E + alpha G from them at its own coupling. Each point is the one the
-    pass alone would read on this mesh, and alpha (G[k]) equals (alpha G)[k]
-    bit for bit, so its arrays do not depend on the batch."""
+    them shares, and of each pass's partial end intervals. Each pass is
+    gathered from slices of that read and forms E + alpha G at its own
+    coupling. Each point is the one the pass alone would read on this mesh,
+    and alpha (G[k]) equals (alpha G)[k] bit for bit, so its arrays do not
+    depend on the batch."""
     ends = [sorted(ps[2:4]) for ps in passes]
     # the first node > p, and one past the last node < q
     k0s = np.searchsorted(nodes, [p for p, _ in ends], "right").tolist()
@@ -281,59 +281,48 @@ def _level_intervals(G, nodes: np.ndarray, passes, level: int
     whole = [(k0, k1 - 1) for k0, k1 in zip(k0s, k1s) if k1 - 1 > k0]
     k_lo = min((k for k, _ in whole), default=0)
     k_hi = max((k for _, k in whole), default=0)
-    n = 2 ** level
-    m = n * (k_hi - k_lo + sum(1 + (k1 > k0) for k0, k1 in zip(k0s, k1s)))
-    # G is read at the m intervals, bisected, of: mesh intervals
-    # k_lo..k_hi-1, which passes cross whole (a pass crosses k0..k1-2),
-    # then the ends of each pass, [p, q] when no node cuts it, else
-    # [p, node k0] and [node k1-1, q]; ag[:m] at their left Gauss points,
-    # ag[m:] at their right ones. A pass is runs (first, length) of them in
-    # the order of t; a mirrored pass takes the runs in reverse, each right
-    # to left, from the right points. src, which indexes ag at the point
-    # each interval meets first, is a cumsum of steps of +-1 with a jump to
-    # the start of each run
+    # the intervals read: mesh intervals k_lo..k_hi-1, then the end pieces
+    # of each pass; a pass is runs (start, stop) of them in the order of t
     lo: list = []
     hi: list = []
-    steps, sizes, jump_at, jump, cuts = [], [], [], [], [0]
-    prev = 0
-    for (_, _, a, z, *_), (p, q), k0, k1 in zip(passes, ends, k0s, k1s):
-        cuts.append(cuts[-1])
-        first = n * (k_hi - k_lo + len(lo))
+    plan = []
+    for (p, q), k0, k1 in zip(ends, k0s, k1s):
+        first = k_hi - k_lo + len(lo)
         if k1 > k0:
             lo += [p, nodes[k1 - 1]]
             hi += [nodes[k0], q]
-            runs = [(first, n), (n * (k0 - k_lo), n * (k1 - 1 - k0)),
-                    (first + n, n)]
+            plan.append([(first, first + 1), (k0 - k_lo, k1 - 1 - k_lo),
+                         (first + 1, first + 2)])
         else:
             lo.append(p)
             hi.append(q)
-            runs = [(first, n)]
-        if z < a:
-            runs = [(s + L - 1 + m, L, -1) for s, L in reversed(runs)]
-        else:
-            runs = [(s, L, 1) for s, L in runs]
-        for start, L, step in runs:
-            if L:
-                steps.append(step)
-                sizes.append(L)
-                jump_at.append(cuts[-1])
-                jump.append(start - prev)
-                prev = start + step * (L - 1)
-                cuts[-1] += L
+            plan.append([(first, first + 1)])
     lo = np.concatenate([nodes[k_lo:k_hi], lo])
     hi = np.concatenate([nodes[k_lo + 1:k_hi + 1], hi])
+    n = 2 ** level
+    m = n * lo.size
     h = np.repeat((hi - lo) / n, n)
     mid = np.repeat(lo, n) + h * (np.arange(m) % n + 0.5)
     d = _GAUSS * h
     g = np.asarray(G.eval(np.concatenate([mid - d, mid + d])), dtype=float)
-    src = np.repeat(steps, sizes)
-    src[jump_at] = jump
-    src = np.cumsum(src)
+    # rows h, G at the first Gauss point met, at the second; a mirrored
+    # pass takes its runs in reverse from the reversed read, whose Gauss
+    # points are swapped
+    fwd = np.stack([h, g[:m], g[m:]])
+    back = fwd[[0, 2, 1], ::-1]
+    parts, cuts = [], [0]
+    for (_, _, a, z, *_), runs in zip(passes, plan):
+        cuts.append(cuts[-1] + n * sum(stop - start for start, stop in runs))
+        if z < a:
+            parts += [back[:, m - n * stop:m - n * start]
+                      for start, stop in reversed(runs)]
+        else:
+            parts += [fwd[:, n * start:n * stop] for start, stop in runs]
+    h, g1, g2 = np.concatenate(parts, axis=1)
     n_of = np.diff(cuts)
     alpha = np.repeat([ps[0] for ps in passes], n_of)
     E = np.repeat([ps[1] for ps in passes], n_of)
-    return (np.concatenate([h, h])[src], E + alpha * g[src],
-            E + alpha * np.roll(g, m)[src], cuts)
+    return h, E + alpha * g1, E + alpha * g2, cuts
 
 
 def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
@@ -484,6 +473,25 @@ def _pass_phases(G, passes) -> list[tuple[float, int, bool]]:
     return out
 
 
+def _sum_back(cells, bottom: int, top: int, size: int
+              ) -> tuple[int, float] | None:
+    """(j, cell j) for the largest j in [bottom, top) whose cells j..top-1,
+    summed back from top, reach _LEAD_IN, or None: the lead-in start of
+    both engines. cells(j0, j1) gives cells j0..j1-1, asked for in chunks
+    of `size`, then 4x longer each time, only as far as the sum needs."""
+    run = 0.0
+    while top > bottom:
+        j0 = max(top - size, bottom)
+        c = cells(j0, top)
+        sums = np.cumsum(np.concatenate(([run], c[::-1])))[1:]
+        k = int(sums.searchsorted(_LEAD_IN))
+        if k < c.size:
+            j = top - 1 - k
+            return j, float(c[j - j0])
+        top, run, size = j0, float(sums[-1]), 4 * size
+    return None
+
+
 def _lead_in(G, windows) -> list[tuple[float, float]]:
     """(t0, theta0) of each whole-line window (alpha, E, A, B): where its
     pass starts, and its phase.
@@ -505,9 +513,10 @@ def _lead_in(G, windows) -> list[tuple[float, float]]:
     S_top^2 = alpha max G + E, and each window reads the scan points inside
     it; a window alone is scanned on its own [A, end]. G is read once, and
     each distinct coupling scales it by one alpha G and one running
-    maximum, from which t1 comes. The integral is summed back from t1 in
-    chunks growing 4x, the first of about _LEAD_IN / (kappa spacing) points
-    (at least _HEAD_CHUNK), only as far as it needs."""
+    maximum, from which t1 comes. The integral is summed back from t1
+    (_sum_back) in chunks growing 4x, the first of about
+    _LEAD_IN / (kappa spacing) points (at least _HEAD_CHUNK), only as far
+    as it needs."""
     out = []
     scan = []   # (window, alpha, E, A, end of the scan)
     for alpha, E, A, B in windows:
@@ -544,20 +553,19 @@ def _lead_in(G, windows) -> list[tuple[float, float]]:
             i1 = int(top.searchsorted(-E, "left"))
         if not s < i1 < e:
             continue
-        # int_{ts[j]}^{t1}, j < i1, summed back from t1
-        run, size = 0.0, max(_HEAD_CHUNK,
-                             int(_LEAD_IN * n / (math.sqrt(-E) * (hi - lo))))
-        while i1 > s:
-            j0 = max(i1 - size, s)
-            q = np.sqrt(np.maximum(-(E + ag[j0:i1 + 1]), 0.0))
-            cells = np.minimum(q[:-1], q[1:]) * dts[j0:i1]
-            sums = np.cumsum(np.concatenate(([run], cells[::-1])))[1:]
-            k = int(sums.searchsorted(_LEAD_IN))
-            if k < cells.size:
-                j = i1 - 1 - k
-                out[i] = float(ts[j]), math.atan2(1.0, float(q[j - j0]))
-                break
-            i1, run, size = j0, float(sums[-1]), 4 * size
+
+        # int_{ts[j]}^{ts[j + 1]} sqrt(-w), at the smaller end value
+        def cells(j0, j1):
+            q = np.sqrt(np.maximum(-(E + ag[j0:j1 + 1]), 0.0))
+            return np.minimum(q[:-1], q[1:]) * dts[j0:j1]
+
+        start = _sum_back(cells, s, i1, max(
+            _HEAD_CHUNK, int(_LEAD_IN * n / (math.sqrt(-E) * (hi - lo)))))
+        if start is not None:
+            # w < 0 left of t1, so sqrt(-w(ts[j])) is the q that cells read
+            j = start[0]
+            out[i] = float(ts[j]), math.atan2(
+                1.0, math.sqrt(-(E + float(ag[j]))))
     return out
 
 
@@ -576,61 +584,58 @@ def _zero_tail(theta: float, kappa: float, d: float) -> float:
     return k * math.pi + math.atan2(s + c * T / kappa, kappa * s * T + c)
 
 
-def _zeros_from_phase(theta_end: float, kappa: float, tail: bool
+def _zeros_from_phase(theta_end: float, kappa: float
                       ) -> tuple[int, int, list[str]]:
-    """Zero count from the final phase; tail=True applies the decaying-tail
-    rule for one extra zero beyond the right endpoint."""
+    """(count, uncertainty, flags) from a pass's final phase at its
+    window's end: floor(theta_end / pi) zeros, and one more in the
+    decaying tail when the phase mod pi exceeds pi - atan2(1, kappa).
+    Within 1e-6 of a node, or of that limit, it flags `phase-near-node` or
+    `phase-near-tail-rule`, with uncertainty 1."""
     flags: list[str] = []
     uncertainty = 0
-    n_interior = int(math.floor(theta_end / math.pi))
-    defect = theta_end - math.pi * n_interior
+    count = int(math.floor(theta_end / math.pi))
+    defect = theta_end - math.pi * count
     if min(defect, math.pi - defect) < 1e-6:
         flags.append("phase-near-node")
         uncertainty = 1
-    count = n_interior
-    if tail:
-        crit = math.pi - math.atan2(1.0, kappa)
-        if defect > crit:
-            count += 1
-        if abs(defect - crit) < 1e-6:
-            flags.append("phase-near-tail-rule")
-            uncertainty = max(uncertainty, 1)
+    crit = math.pi - math.atan2(1.0, kappa)
+    if defect > crit:
+        count += 1
+    if abs(defect - crit) < 1e-6:
+        flags.append("phase-near-tail-rule")
+        uncertainty = 1
     return count, uncertainty, flags
 
 
 def count_below_pruefer(G, alpha: float, E: float,
-                        mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
-                        domain: tuple[float, float] | None = None,
-                        truncated: bool = False) -> CountResult:
-    """Count eigenvalues below E by phase shooting.
-
-    truncated=True counts the Dirichlet problem on [A, B] itself (phase
-    starts at 0, no tail rule); the default counts the problem on the full
-    line/half-line, treating [A, B] as a window that contains the potential.
+                        mode: BoundaryMode = BoundaryMode.WHOLE_LINE
+                        ) -> CountResult:
+    """Count eigenvalues below E by phase shooting, on the whole line or
+    the half line with a Dirichlet end: on the window [A, B] of
+    counting_domain, which holds the potential, with decaying tails
+    beyond it.
 
     A pass sweeps the mesh only where the count is decided. On the whole
-    line (truncated=False) it starts at the lead-in start of _lead_in: the
-    latest point left of the first allowed point with
-    int sqrt(-w) >= _LEAD_IN up to it, at the local WKB phase, or at A when
-    there is none, at atan2(1, kappa). Left of the support of G that phase
-    is the fixed point of theta' = cos^2 + E sin^2, so the start moves up to
-    the support (the zero head). In every mode and pass it stops at the end
-    of the support of G; the rest of the pass, where G = 0, is mapped
-    exactly (_zero_tail), and the count is read at B as before. A pass
-    whose phase has not settled under bisection (_pass_phases) flags
-    `phase-near-node` with uncertainty 1. `steps` counts the mesh intervals
-    swept, bisections included.
+    line it starts at the lead-in start of _lead_in: the latest point left
+    of the first allowed point with int sqrt(-w) >= _LEAD_IN up to it, at
+    the local WKB phase, or at A when there is none, at atan2(1, kappa).
+    Left of the support of G that phase is the fixed point of
+    theta' = cos^2 + E sin^2, so the start moves up to the support (the
+    zero head). A Dirichlet pass starts at t = 0 at phase 0. In every mode
+    a pass stops at the end of the support of G; the rest of it, where
+    G = 0, is mapped exactly (_zero_tail), and the count is read at the
+    window's end by the tail rule (_zeros_from_phase). A pass whose phase
+    has not settled under bisection (_pass_phases) flags `phase-near-node`
+    with uncertainty 1. `steps` counts the mesh intervals swept,
+    bisections included.
 
     The count is a batch of one (count_batch_pruefer): one pass, two in the
     Dirichlet-at-0 mode.
     """
-    return count_batch_pruefer(G, [(alpha, E, mode)], domain=domain,
-                               truncated=truncated)[0]
+    return count_batch_pruefer(G, [(alpha, E, mode)])[0]
 
 
-def count_batch_pruefer(G, queries, *,
-                        domain: tuple[float, float] | None = None,
-                        truncated: bool = False) -> list[CountResult]:
+def count_batch_pruefer(G, queries) -> list[CountResult]:
     """count_below_pruefer at each (alpha, E, mode) of `queries`, one batch
     of passes for all: a query carries its own coupling. One lead-in scan
     serves every whole-line pass (_lead_in), and the passes are swept
@@ -642,14 +647,12 @@ def count_batch_pruefer(G, queries, *,
     a phase error contracted by 1e-12, and that a query below the largest
     coupling is swept on that finer mesh, whose final phase lies within
     the settle tolerance of its own. A batch at one coupling sweeps that
-    coupling's mesh. domain and truncated apply to every query."""
-    _check_window(domain)
+    coupling's mesh."""
     plans = []
     for alpha, E, mode in queries:
         _validate(alpha, E)
         mode = BoundaryMode(mode)
-        A, B = (domain if domain is not None
-                else counting_domain(G, alpha, E, mode))
+        A, B = counting_domain(G, alpha, E, mode)
         # the passes as (start, end, initial phase); None starts at the
         # lead-in
         if alpha * G.g_max + E <= 0.0:
@@ -658,8 +661,6 @@ def count_batch_pruefer(G, queries, *,
             runs = [(0.0, B, 0.0), (0.0, A, 0.0)]
         elif mode == BoundaryMode.HALF_LINE_DIRICHLET:
             runs = [(0.0, B, 0.0)]
-        elif truncated:
-            runs = [(A, B, 0.0)]
         else:
             runs = [None]
         plans.append((alpha, E, mode, A, B, runs))
@@ -694,7 +695,7 @@ def count_batch_pruefer(G, queries, *,
         counts, uncertainty, steps = [], 0, 0
         for _ in runs:
             th, n, settled = next(phases)
-            c, u, fl = _zeros_from_phase(th, math.sqrt(-E), tail=not truncated)
+            c, u, fl = _zeros_from_phase(th, math.sqrt(-E))
             if not settled and "phase-near-node" not in fl:
                 fl.insert(0, "phase-near-node")
                 u = 1
@@ -791,24 +792,18 @@ def _block_count(core: np.ndarray, first: int, n_tail: int, a_c: float
     if allowed.size == 0:
         return 0, False, 0
     # acosh(a/2) = 2 asinh(sqrt(a - 2)/2); a - 2 is exact for a in [2, 4].
-    # Summed back from the first allowed node in chunks growing 4x, until
-    # _LEAD_IN: the whole head's running sums, in its order. G >= 0, so a
+    # Summed back from the first allowed node (_sum_back) until _LEAD_IN:
+    # the whole head's running sums, in its order. G >= 0, so a
     # node adds at most theta_c: fewer than `need` nodes, _LEAD_IN/theta_c
     # less a rounding margin, never reach it
     theta_c = 2.0 * math.asinh(0.5 * math.sqrt(a_c - 2.0))
     need = 0.999999 * _LEAD_IN / max(theta_c, 1e-300)
-    top = int(allowed[0]) if allowed[0] >= need else 0
-    run, size = 0.0, max(_HEAD_CHUNK, int(need))
-    while top > 0:
-        lo = max(top - size, 0)
-        th = 2.0 * np.arcsinh(0.5 * np.sqrt(core[lo:top] - 2.0))
-        sums = np.cumsum(np.concatenate(([run], th[::-1])))[1:]
-        i = int(np.searchsorted(sums, _LEAD_IN))
-        if i < th.size:
-            j = top - 1 - i
-            d = math.exp(float(th[j - lo]))
-            break
-        top, run, size = lo, float(sums[-1]), 4 * size
+    start = _sum_back(
+        lambda j0, j1: 2.0 * np.arcsinh(0.5 * np.sqrt(core[j0:j1] - 2.0)),
+        0, int(allowed[0]) if allowed[0] >= need else 0,
+        max(_HEAD_CHUNK, int(need)))
+    if start is not None:
+        j, d = start[0], math.exp(start[1])
     else:
         j = 0
         d = _run_pivot(theta_c, first - 1) if first else math.inf

@@ -262,15 +262,14 @@ def _integrate_phase(g_scalar, alpha: float, E: float, a: float, b: float,
 
 def count_below_rk(G, alpha: float, E: float,
                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
-                   domain: tuple[float, float] | None = None,
-                   truncated: bool = False, g_scalar=None) -> CountResult:
+                   g_scalar=None) -> CountResult:
     """count_below_pruefer on the RK kernel: every pass runs
     `_integrate_phase` from its start to the end of the support of G and
     maps the rest in closed form. The kernel reads G through `g_scalar`, by
     default `scalar_g(G.source)`; a stub G with no source passes its own."""
     _validate(alpha, E)
     mode = BoundaryMode(mode)
-    A, B = domain if domain is not None else counting_domain(G, alpha, E, mode)
+    A, B = counting_domain(G, alpha, E, mode)
     kappa = math.sqrt(-E)
     flags: list[str] = ["domain-truncated"] if G.truncated else []
     if alpha * G.g_max + E <= 0.0:
@@ -286,8 +285,7 @@ def count_below_rk(G, alpha: float, E: float,
                                      breaks)
         if z < b:
             th = spectral1d._zero_tail(th, kappa, b - z)
-        c, u, fl2 = spectral1d._zeros_from_phase(th, kappa,
-                                                 tail=not truncated)
+        c, u, fl2 = spectral1d._zeros_from_phase(th, kappa)
         return c, u, fl + fl2, th, n
 
     t_lo, t_hi = G.t_support
@@ -305,8 +303,6 @@ def count_below_rk(G, alpha: float, E: float,
     else:
         if mode == BoundaryMode.HALF_LINE_DIRICHLET:
             a, theta0 = 0.0, 0.0
-        elif truncated:
-            a, theta0 = A, 0.0
         else:
             (a, theta0), = _lead_in(G, [(alpha, E, A, B)])
             a = max(a, t_lo)

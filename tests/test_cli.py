@@ -380,6 +380,25 @@ def test_non_finite_spec_parameter_exits_2(capsys, tmp_path):
         assert capsys.readouterr().err.startswith(f"radcount: {kind}: ")
 
 
+def test_malformed_spec_exits_2(capsys, tmp_path):
+    # a kind that is not a string, and tabulated samples that are not
+    # lists, used to escape as a TypeError with a traceback, through the
+    # exit code 1 that verify keeps for a violation; sample strings were
+    # read a character at a time
+    for i, doc in enumerate(('{"kind": ["x"]}', '{"kind": {"a": 1}}',
+                             '{"kind": "tabulated", "params": {"r": 5}}',
+                             '{"kind": "tabulated", "params": {"r": null}}',
+                             '{"kind": "tabulated",'
+                             ' "params": {"r": [1, 2], "f": 3}}',
+                             '{"kind": "tabulated",'
+                             ' "params": {"r": "12", "f": "34"}}')):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(doc)
+        code = main(["potential", "show", "--spec", str(path)])
+        assert code == 2, doc
+        assert capsys.readouterr().err.startswith("radcount: "), doc
+
+
 def test_bad_tolerance_exits_2(capsys):
     # a tolerance or budget must be finite and positive; NaN is neither
     # <= 0 nor > 0

@@ -152,7 +152,7 @@ def _per_pass_count(G, alpha, E, mode=BoundaryMode.WHOLE_LINE):
             z = a
         th, n, settled = _pass_phase(G, alpha, E, a, z, theta0, abs(b - z))
         passes.append((th, n, lead))
-        c, u, fl = spectral1d._zeros_from_phase(th, kappa, tail=True)
+        c, u, fl = spectral1d._zeros_from_phase(th, kappa)
         if not settled and "phase-near-node" not in fl:
             fl.insert(0, "phase-near-node")
             u = 1
@@ -298,6 +298,59 @@ def test_channels_past_the_first_empty_one_are_empty(catalog, name):
         b = total_count(G, alpha)
         assert list(b.per_channel.values())[:first] == counts[:first]
         assert b.extras["m_scan"] == first
+
+
+def _batch_mesh(G, passes):
+    # the mesh that _pass_phases sweeps the passes on
+    return spectral1d._mesh(G, max(ps[0] for ps in passes),
+                            min(min(ps[2:4]) for ps in passes),
+                            max(max(ps[2:4]) for ps in passes))
+
+
+def test_level_intervals_do_not_depend_on_the_batch(catalog, monkeypatch):
+    # each pass's slice of a batch's (h, w1, w2), at levels 0..2, is its
+    # arrays alone on the batch's mesh, bit for bit: the batches of plane
+    # counts at alpha 25 and 3200, the Dirichlet-at-0 pair with its
+    # mirrored left pass among them, and a verify-style batch of mixed
+    # couplings and modes, into which go two passes inside one mesh
+    # interval, no node cutting them, one each way
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for name in ("square-well", "gaussian", "bump", "counterexample-damped"):
+        G = to_log(catalog[name], strict=False)
+        batches = []
+        for alpha in (25.0, 3200.0):
+            batches += [passes for passes, _ in _spied(
+                monkeypatch, lambda: total_count(G, alpha))[1]]
+        queries = []
+        for alpha in np.exp(rng.uniform(math.log(5.0), math.log(80.0), 40)):
+            E = -float(rng.uniform(1e-4, 0.9)) * alpha * G.g_max
+            queries.append((float(alpha), E,
+                            list(BoundaryMode)[int(rng.integers(0, 3))]))
+        mixed, _ = _spied(
+            monkeypatch, lambda: count_batch_pruefer(G, queries))[1][0]
+        nodes = _batch_mesh(G, mixed)
+        t, step = nodes[nodes.size // 2], np.diff(nodes)[nodes.size // 2]
+        p, q = t + 0.25 * step, t + 0.5 * step
+        mixed[20:20] = [(mixed[0][0], -1.0, p, q, 0.3, 0.0),
+                        (2.0, -0.5, q, p, 0.0, 1.0)]
+        for passes in batches + [mixed]:
+            live = [ps for ps in passes if ps[2] != ps[3]]
+            nodes = _batch_mesh(G, live)
+            for level in range(3):
+                *arrays, cuts = spectral1d._level_intervals(G, nodes, live,
+                                                            level)
+                for ps, lo, hi in zip(live, cuts, cuts[1:]):
+                    *alone, one = spectral1d._level_intervals(G, nodes, [ps],
+                                                              level)
+                    assert one == [0, hi - lo], (name, ps, level)
+                    for x, y in zip(arrays, alone):
+                        assert np.array_equal(x[lo:hi], y), (name, ps, level)
+                    p, q = sorted(ps[2:4])
+                    kinds.add((ps[3] < ps[2],
+                               bool(np.any((nodes > p) & (nodes < q)))))
+    assert kinds == {(False, False), (False, True), (True, False),
+                     (True, True)}
 
 
 @pytest.mark.parametrize("size", [1, 5, 1000])

@@ -160,21 +160,6 @@ def test_engines_agree_on_catalog(catalog):
             assert abs(cp.count - cf.count) <= tol, (name, alpha, E, mode)
 
 
-def test_truncated_window_problem_matches_fd_exactly(catalog):
-    # truncated=True counts the Dirichlet problem on [A, B] itself, which
-    # is the same object fd discretizes; no tail rule, no difference
-    rng = np.random.default_rng(23)
-    G = to_log(catalog["gaussian"])
-    for _ in range(6):
-        alpha = float(rng.uniform(5.0, 80.0))
-        E = -float(rng.uniform(0.01, 0.8)) * alpha * G.g_max
-        dom = counting_domain(G, alpha, E, BoundaryMode.WHOLE_LINE)
-        cp = count_below_pruefer(G, alpha, E, BoundaryMode.WHOLE_LINE,
-                                 domain=dom, truncated=True)
-        cf = count_below_fd(G, alpha, E, BoundaryMode.WHOLE_LINE, domain=dom)
-        assert cp.count == cf.count
-
-
 def test_below_spectrum_short_circuit():
     G = box_G(4.0)
     c = count_below(G, 2.0, -9.0, BoundaryMode.WHOLE_LINE)
@@ -852,7 +837,7 @@ def _window_path(G, alpha, E, mode):
     def one(a, b, theta0):
         (th, _, settled), = spectral1d._pass_phases(
             G, [(alpha, E, a, b, theta0, 0.0)])
-        c, u, fl = spectral1d._zeros_from_phase(th, kappa, tail=True)
+        c, u, fl = spectral1d._zeros_from_phase(th, kappa)
         if not settled and "phase-near-node" not in fl:
             fl.insert(0, "phase-near-node")
             u = 1
@@ -940,6 +925,41 @@ def test_lead_in_stops_before_a_narrow_deep_box(monkeypatch):
         assert got.count > count_below_pruefer(wide_alone, 1.0, E).count, E
 
 
+def test_phase_lead_in_read_in_chunks_is_the_whole_scan(catalog,
+                                                        monkeypatch):
+    # the phase counterpart of the fd head: the lead-in integral, summed
+    # back from the first allowed point in chunks, gives the start and its
+    # phase of the whole scan, bit for bit. Whole-line windows of every
+    # nonzero spec at alpha in {3, 25, 200, 800, 3200} and m in 0..5, each
+    # alone and a spec's all in one shared scan; first chunks of 1 and 3
+    # points, and one longer than any scan, cut it anywhere or nowhere
+    windows = {}
+    for name in _CATALOG_NAMES[1:]:
+        G = to_log(catalog[name], strict=False)
+        windows[name] = G, []
+        for alpha in (3.0, 25.0, 200.0, 800.0, 3200.0):
+            for m in range(6):
+                E = channel_energy(G, alpha, m)
+                if alpha * G.g_max + E > 0.0:
+                    windows[name][1].append((alpha, E, *counting_domain(
+                        G, alpha, E, BoundaryMode.WHOLE_LINE)))
+
+    def starts():
+        alone, shared = [], []
+        for G, ws in windows.values():
+            alone += [spectral1d._lead_in(G, [w])[0] for w in ws]
+            shared += spectral1d._lead_in(G, ws)
+        return alone, shared
+
+    want = starts()
+    for chunk in (1, 3, 10 ** 9):
+        monkeypatch.setattr(spectral1d, "_HEAD_CHUNK", chunk)
+        assert starts() == want, chunk
+    every = [w for _, ws in windows.values() for w in ws]
+    led = [t0 > A for (t0, _), (_, _, A, _) in zip(want[0], every)]
+    assert 100 < sum(led) < len(led), (len(led), sum(led))
+
+
 def test_zero_tail_in_every_mode(monkeypatch):
     # G = 0 past t = 1 and, in the Dirichlet-at-0 left pass, before
     # t = -1: the mesh pass stops there and the tail is mapped in closed
@@ -1014,29 +1034,35 @@ def _ramp_G(lo, hi, g_lo, g_hi):
 
 def test_the_left_pass_is_the_mirrored_right_pass(monkeypatch):
     # the Dirichlet-at-0 left pass walks the mirrored intervals with their
-    # Gauss points swapped: over a ramp it ends where the right pass ends
-    # over the reflected ramp, to rounding, with the same side counts. The
-    # window ends at the ramp, so no zero tail pins both phases
+    # Gauss points swapped: over a ramp it meets, level by level, the
+    # phases the right pass meets over the reflected ramp, to rounding,
+    # with the same side counts. The phases are read from the mesh sweep,
+    # before the zero tail, which would pin both alike
     G = _ramp_G(0.2, 1.7, 30.0, 80.0)
     mirror = _ramp_G(-1.7, -0.2, 80.0, 30.0)
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    settle = spectral1d._pass_phases
+    sweep = spectral1d._magnus_sweep
     thetas = []
 
     def spy(*args):
-        out = settle(*args)
-        thetas.extend(th for th, _, _ in out)
+        out = sweep(*args)
+        thetas.append(out)
         return out
 
-    monkeypatch.setattr(spectral1d, "_pass_phases", spy)
-    for E in (-5.0, -20.0, -40.0):
+    def sweep_phases(H, E):
+        # the other side's pass lies off the ramp: one pass per level
         thetas.clear()
-        got = count_below_pruefer(G, 1.0, E, mode, domain=(-1.7, 1.7))
-        want = count_below_pruefer(mirror, 1.0, E, mode, domain=(-1.7, 1.7))
-        right, _, _, left = thetas
+        c = count_below_pruefer(H, 1.0, E, mode)
+        return c, [th for th, in thetas]
+
+    monkeypatch.setattr(spectral1d, "_magnus_sweep", spy)
+    for E in (-5.0, -20.0, -40.0):
+        got, right = sweep_phases(G, E)
+        want, left = sweep_phases(mirror, E)
         assert (got.extras["right"], got.extras["left"]) == (
             want.extras["left"], want.extras["right"]), E
         assert got.extras["right"] > 0, E
+        assert len(right) >= 2, E
         assert right == pytest.approx(left, abs=1e-12), E
 
 
@@ -1688,14 +1714,11 @@ def test_fd_reads_G_on_its_support_only(catalog, monkeypatch, name, alpha,
 def test_degenerate_windows_are_refused(catalog, kw):
     # a reversed or empty window used to be counted (3 states at h < 0 on
     # the reversed annulus window, a ZeroDivisionError on the empty one);
-    # both engines and bs_spectrum now refuse it, and a grid step that is
-    # not finite and > 0
+    # fd and bs_spectrum now refuse it, and a grid step that is not finite
+    # and > 0
     G = to_log(catalog["annulus"], strict=False)
-    calls = [lambda: count_below_fd(G, 50.0, -1.0, **kw),
-             lambda: bs_spectrum(G, **kw)]
-    if "h" not in kw:
-        calls.append(lambda: count_below_pruefer(G, 50.0, -1.0, **kw))
-    for call in calls:
+    for call in (lambda: count_below_fd(G, 50.0, -1.0, **kw),
+                 lambda: bs_spectrum(G, **kw)):
         with pytest.raises(ValueError, match="need a finite"):
             call()
 
@@ -1740,9 +1763,9 @@ def test_sign_count_is_the_phase_formula_on_catalog_blocks(catalog,
                                                            monkeypatch):
     # every pass of every block that the plane counts of the catalog sweep
     # at alpha in {3, 200, 3200}, and the m = 0 passes of every mode (the
-    # Dirichlet ones from u = 0), truncated too: the sign count of the
-    # block gives each pass the formula's zeros on its own intervals, and
-    # the same (u, u'), bit for bit
+    # Dirichlet ones from u = 0): the sign count of the block gives each
+    # pass the formula's zeros on its own intervals, and the same (u, u'),
+    # bit for bit
     sweep = spectral1d._sweep_block
     seen = []
 
@@ -1762,8 +1785,6 @@ def test_sign_count_is_the_phase_formula_on_catalog_blocks(catalog,
             total_count(catalog[name], alpha)
             for mode in BoundaryMode:
                 count_below_pruefer(G, alpha, channel_energy(G, alpha), mode)
-            count_below_pruefer(G, alpha, channel_energy(G, alpha),
-                                truncated=True)
     assert any(z for z, _ in seen) and any(n for _, n in seen)
     assert len(seen) > 1000
 

@@ -61,6 +61,13 @@ def cases() -> list[list[str]]:
     for spec, energy in (("square-well", "-1.5"), ("gaussian", "-1.5")):
         out.append(["count1d", "--spec", spec, "--alpha", "40",
                     "--energy", energy, "--method", "both"])
+    # the half-line pass, and the Dirichlet-at-0 pair with its mirrored
+    # left pass, each side's count in the report
+    for spec in ("square-well", "gaussian"):
+        for mode in ("half", "dirichlet0"):
+            out.append(["count1d", "--spec", spec, "--alpha", "40",
+                        "--energy", "-1.5", "--mode", mode,
+                        "--method", "both"])
     # channel energies, where the fd count is read from its E -/+ delta
     # probes: the disk, and the slow tail, whose G > 0 runs to the window
     # end
