@@ -26,7 +26,7 @@ from .bounds import _chad, _weak, _weak_q, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
 from .spectral1d import BoundaryMode, _check_n_max, bs_spectrum
-from .weakseq import (WeakVerdict, ZetaSequence, level_bounds, level_sup,
+from .weakseq import (WeakVerdict, ZetaSequence, classify, level_sup,
                       weak_level, zeta_sequence)
 
 __all__ = [
@@ -41,9 +41,8 @@ __all__ = [
     "delta_link_check",
 ]
 
-# delta_link_check: a sequence level up to ZERO_FRAC of the quasinorm is
-# vanishing; a solid one needs the matched spectral level >= AWAY_FRAC of it
-ZERO_FRAC = 0.05
+# delta_link_check: a nonvanishing tail needs the matched spectral level
+# >= AWAY_FRAC of the sequence's lower level
 AWAY_FRAC = 0.02
 # weyl_verdict: the sweep tail corroborates the coefficient J/2 within this
 WEYL_TOL = 0.05
@@ -267,10 +266,11 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     carry a tail level: sup k * zeta*_k over the late rank window, and
     n * lambda_n over a spectral rank window.  The two levels agree up
     to constants nobody pins down, so the checkable statement is an
-    implication between windows: a vanishing sequence level forces the
-    spectral sups to decay window over window, while a solidly nonzero
-    sequence level forces the spectral level to stay away from zero over
-    the ranks the discretized operator actually resolves.  That matched
+    implication between windows.  The sequence level vanishes iff
+    classify's tail-law verdict is yes/yes, which forces the spectral sups
+    to decay window over window; otherwise it forces the spectral level to
+    stay away from zero over the ranks the discretized operator actually
+    resolves.  That matched
     window ends at the count of blocks visible inside the (capped)
     spectral domain; later ranks reflect the cap, not the tail.  Checked
     on the computed windows only; no limit is claimed.  A spectrum on a
@@ -280,21 +280,18 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     _check_n_max(n_max)
     G = to_log(P, strict=False)
     z = zeta_sequence(G, K)
-    level = weak_level(z.values)
-    d_lo, d_hi = level_bounds(level)
-    quasi = level_sup(level)
+    v = classify(z)
     lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                             n_max=n_max)
     lam = lam[lam > 0.0]
     flags = []
     if meta["capped"]:
         flags.append("grid-coarsened")
-    out = {"delta_window": (d_lo, d_hi), "quasinorm": quasi,
-           "n_modes": int(lam.size), "implication": None, "holds": True,
-           "flags": flags, "evidence": {}}
+    out = {"delta_window": (v.delta_minus, v.delta_plus),
+           "quasinorm": v.quasinorm, "n_modes": int(lam.size),
+           "implication": "vacuous", "holds": True, "flags": flags}
     if lam.size < 8:
-        out["implication"] = "vacuous"
-        out["evidence"]["reason"] = "spectral window too small"
+        out["evidence"] = {"reason": "spectral window too small"}
         return out
     x = weak_level(lam)
     q1, q2 = lam.size // 4, lam.size // 2
@@ -302,31 +299,27 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     sup_late = level_sup(x[q2:])
     # blocks with numerically nonzero mass inside the spectral domain;
     # ranks past this count probe the domain cap, not the tail level
-    a_dom, b_dom = meta["domain"]
-    t_dom = max(abs(a_dom), abs(b_dom))
+    t_dom = max(map(abs, meta["domain"]))
     vals = np.asarray(z.values)
     tiny = 1e-15 * float(np.max(vals)) if vals.size else 0.0
-    k_idx = np.arange(1, vals.size)
-    kv = int(np.sum((vals[1:] > tiny) & (np.exp(k_idx - 1.0) < t_dom)))
+    kv = int(np.sum((vals[1:] > tiny)
+                    & (np.exp(np.arange(vals.size - 1)) < t_dom)))
     out["evidence"] = {"sup_early": sup_early, "sup_late": sup_late,
                        "visible_blocks": kv}
-    if quasi <= 0.0:
-        out["implication"] = "vacuous"
+    if v.quasinorm <= 0.0:
         return out
-    if d_hi <= ZERO_FRAC * quasi:
+    if (v.in_weak, v.in_weak_circle) == ("yes", "yes"):
         # vanishing sequence level: the spectral sups must decay window
         # over window
         out["implication"] = "vanishing"
         out["holds"] = sup_late <= max(0.9 * sup_early, 1e-14)
-    elif d_lo >= ZERO_FRAC * quasi and kv >= 3:
-        # solid sequence level: the block-matched spectral window must
-        # not collapse
+    elif kv >= 3:
+        # nonvanishing sequence level: the block-matched spectral window
+        # must not collapse
         lo, hi = max(1, kv // 2), min(kv, lam.size)
         min_matched = float(np.min(x[lo:hi]))
         out["evidence"]["matched_window"] = (lo, hi)
         out["evidence"]["min_matched"] = min_matched
         out["implication"] = "nonvanishing"
-        out["holds"] = min_matched >= AWAY_FRAC * d_lo
-    else:
-        out["implication"] = "vacuous"
+        out["holds"] = min_matched >= AWAY_FRAC * v.delta_minus
     return out

@@ -26,11 +26,11 @@ from .spectral1d import (
     BoundaryMode,
     CountResult,
     _check_n_max,
+    _companion_count,
     bs_spectrum,
     channel_energy,
     count_batch_pruefer,
     count_below,
-    count_below_fd,
 )
 
 __all__ = [
@@ -79,8 +79,8 @@ def _as_log(P) -> LogPotential:
     return P  # anything satisfying the line-profile protocol
 
 
-def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer",
-                  **kw) -> CountResult:
+def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer"
+                  ) -> CountResult:
     """Bound states in angular channel m (same count for -m)."""
     if m != int(m) or m < 0:
         raise ValueError(f"channel index must be an integer >= 0, got {m}")
@@ -89,7 +89,7 @@ def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer",
     if E is None:
         return CountResult(0, engine, -float(m * m), BoundaryMode.WHOLE_LINE.value,
                            (0.0, 0.0), flags=("zero-potential",))
-    return count_below(G, alpha, E, BoundaryMode.WHOLE_LINE, engine=engine, **kw)
+    return count_below(G, alpha, E, BoundaryMode.WHOLE_LINE, engine=engine)
 
 
 # channels in the first pass batch of a phase-engine plane count; each
@@ -98,7 +98,7 @@ def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer",
 _FIRST_CHANNELS = 16
 
 
-def _channel_counts(G, alpha: float, engine: str, **kw
+def _channel_counts(G, alpha: float, engine: str
                     ) -> tuple[list[CountResult], CountResult]:
     """The counts of channels m = 0, 1, ... up to the first empty one, and
     the Dirichlet-at-0 count, at their channel energies.
@@ -114,10 +114,10 @@ def _channel_counts(G, alpha: float, engine: str, **kw
     per: list[CountResult] = []
     if engine != "pruefer":
         while not per or per[-1].count:
-            per.append(channel_count(G, alpha, len(per), engine=engine, **kw))
+            per.append(channel_count(G, alpha, len(per), engine=engine))
         return per, count_below(G, alpha, E0,
                                 BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                                engine=engine, **kw)
+                                engine=engine)
     queries = [(alpha, E0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)]
     size, rd = _FIRST_CHANNELS, None
     while not per or per[-1].count:
@@ -126,7 +126,7 @@ def _channel_counts(G, alpha: float, engine: str, **kw
             queries.append((alpha, E, BoundaryMode.WHOLE_LINE))
             if alpha * G.g_max + E <= 0.0:
                 break
-        got = count_batch_pruefer(G, queries, **kw)
+        got = count_batch_pruefer(G, queries)
         if rd is None:
             rd, *got = got
         for r in got:
@@ -137,8 +137,8 @@ def _channel_counts(G, alpha: float, engine: str, **kw
     return per, rd
 
 
-def total_count(P, alpha: float, *, engine: str = "pruefer",
-                **kw) -> ChannelBreakdown:
+def total_count(P, alpha: float, *, engine: str = "pruefer"
+                ) -> ChannelBreakdown:
     """Count all bound states of the plane problem at coupling alpha.
 
     Channels are counted m = 0, 1, 2, ... up to the first empty one, m = 0
@@ -154,7 +154,7 @@ def total_count(P, alpha: float, *, engine: str = "pruefer",
         return ChannelBreakdown(alpha, {0: 0}, 0, 0, 0, engine,
                                 flags=("zero-potential",),
                                 extras={"m_scan": 0, "left": 0, "right": 0})
-    per, rd = _channel_counts(G, alpha, engine, **kw)
+    per, rd = _channel_counts(G, alpha, engine)
     flags: set[str] = set(rd.flags)
     uncertainty = 0
     total = 0
@@ -220,8 +220,9 @@ def _reaches(lam: np.ndarray, meta: dict, floor: float) -> bool:
 
 def bs_duality_check(P, alpha: float, *, n_max: int = 48,
                      spectra: dict | None = None) -> dict:
-    """Compare #{lambda_n > 1/alpha} with the direct count on one shared
-    grid, where the identity is exact by matrix inertia.
+    """Compare #{lambda_n > 1/alpha} with the direct count, the inertia of
+    K - alpha M at E = 0 on the spectrum's own grid meta["grid"]
+    (_companion_count), where the identity is exact.
 
     The companion spectrum does not depend on alpha, and neither does
     bs_spectrum's default window, on which it is solved. It is solved only
@@ -231,25 +232,24 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
     the checks of one potential: the spectrum is kept there under n_max and
     reused by a later check with the same n_max when it holds all n_max
     values (or the whole support's) or already reaches at or below that
-    check's floor; otherwise the later check solves deeper and replaces
-    it. Every check runs its own direct count.
+    check's floor; otherwise the later check solves deeper and replaces it.
 
-    The report's uncertainty is the direct count's plus the number of
-    companion eigenvalues within the lambda-near-threshold gap of 1/alpha.
-    A spectrum on a grid coarsened to the node cap flags `grid-coarsened`.
-    A mismatch raises unless it is `excused` by the report's flags and that
+    The report's uncertainty is the number of companion eigenvalues within
+    the lambda-near-threshold gap of 1/alpha, plus 1 for a zero pivot in
+    the direct count (`pivot-shift`). A grid coarsened to the node cap
+    flags `grid-coarsened`, a cut tail `domain-truncated`. A mismatch
+    raises unless it is `excused` by the report's flags and that
     uncertainty. n_max >= 1, or ValueError."""
     _check_n_max(n_max)
     G = _as_log(P)
     if channel_energy(G, alpha) is None:
         return {"alpha": alpha, "count_spectrum": 0, "count_direct": 0,
                 "ok": True, "uncertainty": 0, "flags": ["zero-potential"]}
-    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
     thr = 1.0 / alpha
     floor = (1.0 - 1e-8) * thr
     spectra = {} if spectra is None else spectra
     if n_max not in spectra or not _reaches(*spectra[n_max], floor):
-        spectra[n_max] = bs_spectrum(G, mode, n_max=n_max, floor=floor)
+        spectra[n_max] = bs_spectrum(G, n_max=n_max, floor=floor)
     lam, meta = spectra[n_max]
     if np.all(lam > thr):
         raise ValueError(
@@ -257,26 +257,24 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
             f"exceeds 1/alpha at alpha={alpha}")
     count_spec = int(np.sum(lam > thr))
     n_near = int(np.sum(np.abs(lam - thr) < 1e-8 * thr))
-    flags = ["lambda-near-threshold"] if n_near else []
-    if meta["capped"]:
-        flags.append("grid-coarsened")
-    fd = count_below_fd(G, alpha, -1e-12 * max(alpha * G.g_max, 1.0), mode,
-                        domain=meta["domain"], h=meta["h"],
-                        near_threshold_check=False)
-    diff = count_spec - fd.count
-    uncertainty = fd.uncertainty + n_near
+    count_dir, zero_hit = _companion_count(G, alpha, meta["grid"])
+    raised = (n_near, meta["capped"], G.truncated, zero_hit)
+    flags = [f for f, on in zip(("lambda-near-threshold", "grid-coarsened",
+                                 "domain-truncated", "pivot-shift"), raised)
+             if on]
+    uncertainty = n_near + zero_hit
     report = {
         "alpha": alpha,
         "count_spectrum": count_spec,
-        "count_direct": fd.count,
-        "ok": diff == 0,
+        "count_direct": count_dir,
+        "ok": count_spec == count_dir,
         "uncertainty": uncertainty,
-        "flags": flags + list(fd.flags),
+        "flags": flags,
         "n_nodes": meta["n_nodes"],
     }
-    if not excused(abs(diff), report["flags"], uncertainty):
+    if not excused(abs(count_spec - count_dir), flags, uncertainty):
         raise ChannelConsistencyError(
             f"coupling-duality mismatch at alpha={alpha}: spectrum route "
-            f"{count_spec}, direct route {fd.count}, "
+            f"{count_spec}, direct route {count_dir}, "
             f"uncertainty={uncertainty}")
     return report

@@ -7,7 +7,7 @@ integrals), `seq` (dyadic block sequence and its verdict), `count1d`
 (the full cross-check suite).  Every report is a single JSON document on
 stdout carrying the tool version and the resolved configuration, so a
 report is reproducible from its own header.  Exit codes: 0 on success,
-1 when `verify` finds a violation, 2 on usage errors.
+1 when `verify` finds a violation, 2 on usage and quadrature budget errors.
 
 Potential specs are JSON files; a bare name (with or without `.json`)
 falls back to the bundled catalog, ignoring case and punctuation, so
@@ -33,6 +33,7 @@ from .channels import bs_duality_check, excused, sandwich_check, total_count
 from .potentials import (PotentialSpecError, RadialPotential, _moment,
                          bundled_spec_names, integral_J, integral_logweight,
                          load_bundled, load_spec, to_log)
+from .quadrature import QuadratureBudgetError
 from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_batch_pruefer,
                          count_below, eigenvalues_below)
 from .weakseq import classify, zeta_sequence
@@ -496,7 +497,7 @@ def main(argv=None) -> int:
     _validate(args, ap)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:   # PotentialSpecError is a ValueError
+    except (ValueError, OSError, QuadratureBudgetError) as exc:
         print(f"radcount: {exc}", file=sys.stderr)
         return 2
 

@@ -440,13 +440,12 @@ class LogPotential:
     """G(t) = e^{2t} F(e^t) together with everything the 1d solvers need.
 
     `domain_hint` is a window [T-, T+] outside of which the mass of G is
-    below tail_tol (relative to max(J, 1)); `truncated` marks potentials
+    below _TAIL_TOL (relative to max(J, 1)); `truncated` marks potentials
     whose tail could not be localized inside |t| <= T_CAP, in which case all
     counts downstream refer to the windowed operator and carry the flag.
     """
 
     source: RadialPotential | None
-    tail_tol: float
     t_support: tuple[float, float]
     breakpoints: tuple[float, ...]
     domain_hint: tuple[float, float]
@@ -454,7 +453,6 @@ class LogPotential:
     g_max: float
     g_argmax: float
     j_value: float
-    j_err: float
     _g_vec: Callable = field(compare=False, repr=False, default=None)
     # the phase engine's mesh for the alpha last counted (spectral1d._mesh),
     # built by the first pass that needs it
@@ -507,13 +505,13 @@ def to_log(P: RadialPotential, *, strict: bool = True,
         return hit
     prof = P._prof
     if prof.is_zero:
-        lp = LogPotential(P, _TAIL_TOL, (0.0, 0.0), (), (-1.0, 1.0), False,
-                          0.0, 0.0, 0.0, 0.0, prof.g_vec)
+        lp = LogPotential(P, (0.0, 0.0), (), (-1.0, 1.0), False, 0.0, 0.0,
+                          0.0, prof.g_vec)
         P._log_cache[key] = lp
         return lp
     t_lo, t_hi = _t_support(prof)
     breaks = prof.t_breaks
-    j_val, j_err = integral_J(P)
+    j_val, _ = integral_J(P)
     if math.isinf(j_val) and strict:
         raise NonIntegrableError(
             f"{P.kind}: int_0^inf r F(r) dr diverges; no finite window "
@@ -555,8 +553,8 @@ def to_log(P: RadialPotential, *, strict: bool = True,
         T_minus, tr_lo = _locate(min(finite_breaks, default=0.0), True)
     truncated = tr_hi or tr_lo
     g_max, g_argmax = _scan_max(prof.g_vec, T_minus, T_plus, breaks)
-    lp = LogPotential(P, _TAIL_TOL, (t_lo, t_hi), breaks, (T_minus, T_plus),
-                      truncated, g_max, g_argmax, j_val, j_err, prof.g_vec)
+    lp = LogPotential(P, (t_lo, t_hi), breaks, (T_minus, T_plus), truncated,
+                      g_max, g_argmax, j_val, prof.g_vec)
     P._log_cache[key] = lp
     return lp
 

@@ -898,20 +898,19 @@ def _fd_operator(G, alpha: float, E: float, mode: BoundaryMode,
 def count_below_fd(G, alpha: float, E: float,
                    mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
                    domain: tuple[float, float] | None = None,
-                   h: float | None = None,
-                   near_threshold_check: bool = True) -> CountResult:
+                   h: float | None = None) -> CountResult:
     """Count eigenvalues below E of the Dirichlet problem on [A, B] via a
     Sturm pivot pass; no eigenvalues are formed.
 
     The count refers to the finite window (A < B) with Dirichlet ends and
     a grid step near h > 0 (by default from the window, alpha * max G and
-    E); any other raises ValueError. With
-    near_threshold_check, E -/+ delta (delta = threshold_eps) are swept
-    first: the count is nondecreasing in E, so where they agree block by
-    block and met no zero pivot, theirs is the count at E. Otherwise E is
-    swept too, and probes that disagree raise `near-threshold`. A zero
-    pivot triggers an ulp-scale retry, flagged `pivot-shift` when the count
-    is read from that sweep. `steps` counts the pivots of every sweep run.
+    E); any other raises ValueError. E -/+ delta (delta = threshold_eps)
+    are swept first: the count is nondecreasing in E, so where they agree
+    block by block and met no zero pivot, theirs is the count at E.
+    Otherwise E is swept too, and probes that disagree raise
+    `near-threshold`. A zero pivot triggers an ulp-scale retry, flagged
+    `pivot-shift` when the count is read from that sweep. `steps` counts
+    the pivots of every sweep run.
 
     G is read only at the grid nodes in G.t_support and one node either
     side: G = 0 elsewhere, so the diagonal is exactly 2 there. Each
@@ -956,22 +955,18 @@ def count_below_fd(G, alpha: float, E: float,
     if capped:
         flags.append("grid-coarsened")
 
-    delta = threshold_eps(G, alpha) if near_threshold_check else 0.0
-    per_block, zero_hit, steps, lo, hi = None, False, 0, 0, 0
-    if delta > 0.0:
-        c_lo, z_lo, k_lo = counts_at(E - delta)
-        c_hi, z_hi, k_hi = counts_at(E + delta)
-        lo, hi, steps = sum(c_lo), sum(c_hi), k_lo + k_hi
-        if c_lo == c_hi and not (z_lo or z_hi):
-            per_block = c_lo
-    if per_block is None:
+    delta = threshold_eps(G, alpha)
+    c_lo, z_lo, k_lo = counts_at(E - delta)
+    c_hi, z_hi, k_hi = counts_at(E + delta)
+    lo, hi, steps = sum(c_lo), sum(c_hi), k_lo + k_hi
+    per_block, zero_hit = c_lo, False
+    if c_lo != c_hi or z_lo or z_hi:
         per_block, zero_hit, k = counts_at(E)
         steps += k
     count = sum(per_block)
-    uncertainty = 0
+    uncertainty = int(zero_hit)
     if zero_hit:
         flags.append("pivot-shift")
-        uncertainty = 1
     if lo != hi:
         flags.append("near-threshold")
         uncertainty = max(uncertainty, abs(hi - lo))
@@ -983,11 +978,11 @@ def count_below_fd(G, alpha: float, E: float,
 
 def count_below(G, alpha: float, E: float,
                 mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
-                engine: str = "pruefer", **kw) -> CountResult:
+                engine: str = "pruefer") -> CountResult:
     if engine == "pruefer":
-        return count_below_pruefer(G, alpha, E, mode, **kw)
+        return count_below_pruefer(G, alpha, E, mode)
     if engine == "fd":
-        return count_below_fd(G, alpha, E, mode, **kw)
+        return count_below_fd(G, alpha, E, mode)
     raise ValueError(f"unknown engine {engine!r}; use 'pruefer' or 'fd'")
 
 
@@ -1224,8 +1219,8 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     problem equals #{lambda_n > 1/alpha}. Discretized as the pencil
     M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)) on a
     grid of step near h (by default max(4000, 40 n_max) intervals). G must
-    be >= 0 on the grid. The default window, counting_domain's at the m = 0
-    channel energy of alpha = 1, is that of any alpha with alpha max G < 2.1e8.
+    be >= 0 on the grid. The default window, counting_domain's at E = 0, is
+    the same for every alpha.
 
     Only the m_s nodes with G > 0 (the support; no threshold) carry mass;
     as in count_below_fd, G is read only at the nodes in G.t_support and one
@@ -1241,16 +1236,16 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     (at least _FLOOR_TOP values, at most n_max; n_max still sets the grid
     and the cap): a caller that reads #{lambda_n > floor} gets it without
     solving the rest. Returns (descending eigenvalues, zero-padded to
-    n_max, meta); meta holds the grid's node count n_nodes, n_support =
-    m_s, n_solved, the number of leading entries solved (min(n_max, m_s)
-    without a floor), and capped, True when the grid was coarsened to
-    _N_CAP intervals.
+    n_max, meta); meta holds the grid (A, h, n, k0) of _line_grid, its
+    domain, h and node count n_nodes, n_support = m_s, n_solved, the number
+    of leading entries solved (min(n_max, m_s) without a floor), and
+    capped, True when the grid was coarsened to _N_CAP intervals.
     """
     _check_n_max(n_max)
     _check_window(domain, h)
     mode = BoundaryMode(mode)
     if domain is None:
-        domain = counting_domain(G, 1.0, -threshold_eps(G, 1.0), mode)
+        domain = counting_domain(G, 1.0, 0.0, mode)
     A, B = domain
     if h is None:
         h = (B - A) / max(4000, 40 * n_max)
@@ -1264,7 +1259,8 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
         keep[k0 - k_lo] = False  # Dirichlet node at t = 0
     pos = np.flatnonzero(keep) + k_lo
     m_s = len(pos)
-    meta = {"domain": (A, B), "h": h, "n_nodes": n - 1 - (k0 is not None),
+    meta = {"grid": (A, h, n, k0), "domain": (A, B), "h": h,
+            "n_nodes": n - 1 - (k0 is not None),
             "n_support": m_s, "n_solved": 0, "capped": capped}
     lam = np.zeros(n_max)
     if m_s == 0:
@@ -1276,3 +1272,17 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     meta["n_solved"] = len(vals)
     lam[:len(vals)] = np.clip(vals, 0.0, None)
     return lam, meta
+
+
+def _companion_count(G, alpha: float, grid) -> tuple[int, bool]:
+    """(#{lambda_n > 1/alpha}, hit_zero_pivot) of bs_spectrum's pencil on
+    its grid (A, h, n, k0): by Sylvester inertia, the negative pivots of
+    h (K - alpha M) = tridiag(-1, 2 - h^2 alpha G, -1), in one sweep, whose
+    pivot inf at the Dirichlet node k0 starts the next block afresh."""
+    A, h, n, k0 = grid
+    k_lo, gv = _support_read(G, A, h, n)
+    diag = np.full(n + 1, 2.0)
+    diag[k_lo:k_lo + gv.size] = 2.0 - (h * h) * (alpha * gv)
+    if k0 is not None:
+        diag[k0] = math.inf
+    return _sturm_pass(memoryview(diag[1:n]))[:2]

@@ -31,8 +31,7 @@ from radcount import (
     total_count,
 )
 from radcount import channels, spectral1d
-from radcount.spectral1d import (bs_spectrum, channel_energy, counting_domain,
-                                 threshold_eps)
+from radcount.spectral1d import bs_spectrum, channel_energy, counting_domain
 from rk_phase import count_below_rk
 from test_spectral1d import _random_profiles
 
@@ -149,8 +148,12 @@ def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog):
     assert total_count(P, 400.0).total == 105
     coarse = total_count(P, 400.0, engine="fd")
     assert 103 <= coarse.total <= 105
-    fine = total_count(P, 400.0, engine="fd", h=1e-3)
-    assert fine.total == 105
+    G = to_log(P)
+    fine = []
+    while not fine or fine[-1]:
+        E = channel_energy(G, 400.0, len(fine))
+        fine.append(spectral1d.count_below_fd(G, 400.0, E, h=1e-3).count)
+    assert fine[0] + 2 * sum(fine[1:]) == 105
 
 
 def test_channel_counts_nonincreasing_in_m(catalog):
@@ -243,6 +246,27 @@ def test_duality_exact_on_shared_grid(catalog):
             assert rep["count_spectrum"] == rep["count_direct"]
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("square-well", {"radius": 0.1728840350480831}),
+    ("gaussian", {"width": 0.08121264674759256})])
+def test_duality_just_below_thresholds_on_a_grid_sized_once(kind, params):
+    # on these windows, sizing the companion's grid again from its snapped
+    # domain and step gives one more interval and a shifted t = 0 node; a
+    # direct count on that grid found one more state than the spectrum,
+    # with no doubt flag, 1e-7 below each of the first three thresholds
+    # 1/lambda_k. On the spectrum's own grid the two counts agree
+    P = make_catalog_potential(kind, params)
+    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    lam, meta = bs_spectrum(to_log(P, strict=False), mode, n_max=48)
+    again = spectral1d._line_grid(*meta["domain"], meta["h"], mode)
+    assert (again[0], again[2], again[3], again[4]) != meta["grid"]
+    for k in range(3):
+        rep = bs_duality_check(P, (1.0 / lam[k]) * (1.0 - 1e-7))
+        assert rep["count_direct"] == rep["count_spectrum"] == k, k
+        assert rep["ok"] and rep["uncertainty"] == 0, k
+        assert rep["flags"] == [], k
+
+
 @pytest.mark.parametrize("doubt", ("pivot-shift", "lambda-near-threshold"))
 def test_sandwich_violation_raises_unless_in_doubt(catalog, doubt):
     # a Dirichlet route one above the total violates the sandwich: an
@@ -264,33 +288,29 @@ def test_sandwich_violation_raises_unless_in_doubt(catalog, doubt):
 
 
 def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
-    # the slow tail's direct count carries domain-truncated; one more
-    # state on either route is a mismatch that only a doubt flag excuses,
-    # and only with an uncertainty that covers it
+    # the slow tail's report carries domain-truncated; one more state on
+    # either route is a mismatch that only a doubt flag excuses, and only
+    # with an uncertainty that covers it: a zero pivot in the direct count
+    # flags pivot-shift with uncertainty 1
     P = catalog["counterexample"]
     want = bs_duality_check(P, 20.0)
     assert want["ok"] and want["flags"] == ["domain-truncated"]
     assert want["uncertainty"] == 0
-    direct = channels.count_below_fd
+    direct = channels._companion_count
 
-    def off_by_one(*extra, uncertainty=0):
-        def count(*args, **kw):
-            r = direct(*args, **kw)
-            return dataclasses.replace(r, count=r.count + 1,
-                                       flags=r.flags + extra,
-                                       uncertainty=uncertainty)
+    def off_by_one(zero_hit):
+        def count(*args):
+            return direct(*args)[0] + 1, zero_hit
         return count
 
     with monkeypatch.context() as mp:
-        for extra, unc in (((), 0), ((), 1), (("pivot-shift",), 0)):
-            mp.setattr("radcount.channels.count_below_fd",
-                       off_by_one(*extra, uncertainty=unc))
-            with pytest.raises(channels.ChannelConsistencyError):
-                bs_duality_check(P, 20.0)
-        mp.setattr("radcount.channels.count_below_fd",
-                   off_by_one("pivot-shift", uncertainty=1))
+        mp.setattr("radcount.channels._companion_count", off_by_one(False))
+        with pytest.raises(channels.ChannelConsistencyError):
+            bs_duality_check(P, 20.0)
+        mp.setattr("radcount.channels._companion_count", off_by_one(True))
         rep = bs_duality_check(P, 20.0)
         assert not rep["ok"] and rep["uncertainty"] == 1
+        assert rep["flags"] == ["domain-truncated", "pivot-shift"]
         assert rep["count_direct"] == want["count_direct"] + 1
     # the first companion eigenvalue below 1/alpha moved just above it
     solve = channels.bs_spectrum
@@ -330,8 +350,8 @@ def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
 
     monkeypatch.setattr("radcount.channels.bs_spectrum",
                         spy(solved, channels.bs_spectrum))
-    monkeypatch.setattr("radcount.channels.count_below_fd",
-                        spy(direct, channels.count_below_fd))
+    monkeypatch.setattr("radcount.channels._companion_count",
+                        spy(direct, channels._companion_count))
     spectra = {}
     got = [bs_duality_check(P, a, spectra=spectra) for a in alphas]
     assert got == want
@@ -340,7 +360,7 @@ def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     assert solved == [(48, floor(10.0)), (48, floor(3200.0))]
     assert len(direct) == 4 and list(spectra) == [48]
     G = to_log(P, strict=False)
-    window = counting_domain(G, 10.0, -threshold_eps(G, 10.0),
+    window = counting_domain(G, 10.0, 0.0,
                              BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
     lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
                             domain=window, n_max=48, floor=floor(3200.0))

@@ -399,6 +399,22 @@ def test_malformed_spec_exits_2(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("radcount: "), doc
 
 
+def test_quadrature_budget_exhausted_exits_2(capsys, tmp_path):
+    # a log-weight tail the doubling windows cannot integrate raises
+    # QuadratureBudgetError; it used to escape as a traceback, through the
+    # exit code 1 that verify keeps for a violation
+    path = tmp_path / "plt.json"
+    path.write_text('{"kind": "power-log-tail", "params": '
+                    '{"r0": 20, "sigma": 2, "tau": 1.000000000000001}}')
+    for argv in (["potential", "integrals"], ["bounds", "--alpha", "10"]):
+        code = main(argv + ["--spec", str(path)])
+        assert code == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert out.err.startswith("radcount: logweight[power-log-tail]: "), (
+            argv)
+
+
 def test_bad_tolerance_exits_2(capsys):
     # a tolerance or budget must be finite and positive; NaN is neither
     # <= 0 nor > 0

@@ -65,10 +65,9 @@ def boxes_G(*boxes):
     top = max(boxes, key=lambda b: b[0])
     lo, hi = min(b[1] for b in boxes), max(b[2] for b in boxes)
     breaks = tuple(sorted({x for b in boxes for x in b[1:]}))
-    return LogPotential(None, 1e-10, (lo, hi), breaks, (lo, hi), False,
+    return LogPotential(None, (lo, hi), breaks, (lo, hi), False,
                         top[0], 0.5 * (top[1] + top[2]),
-                        sum(d * (b - a) for d, a, b in boxes), 0.0,
-                        g_vec)
+                        sum(d * (b - a) for d, a, b in boxes), g_vec)
 
 
 def boxes_g_scalar(*boxes):
@@ -257,7 +256,7 @@ def _fd_matrix_levels(G, alpha, mode, lo, E):
     count_below_fd(G, alpha, E, mode) counts on, by LAPACK's bisection on
     (2 - h^2 alpha G)/h^2 and -1/h^2 at every node of its grid, each side
     of the Dirichlet node at 0 a matrix of its own."""
-    c = count_below_fd(G, alpha, E, mode, near_threshold_check=False)
+    c = count_below_fd(G, alpha, E, mode)
     (A, B), h = c.domain, c.h
     n = round((B - A) / h)
     d = (2.0 - h * h * alpha * G.eval(A + h * np.arange(1, n))) / (h * h)
@@ -325,30 +324,30 @@ def test_phase_eigenvalues_match_bessel_on_disk(catalog, alpha):
 
 def test_bs_duality_on_shared_grid(catalog):
     # inertia identity: #{lambda_n > 1/alpha} equals the Dirichlet count
-    # on the same grid, exactly; the fd count must rebuild that grid node
-    # for node, with t = 0 an interior node
+    # of K - alpha M at E = 0 on the same grid, exactly; the direct count
+    # reads G at the nodes of meta's grid that bs_spectrum read, node for
+    # node, with t = 0 the interior node k0
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         if G.g_max <= 0.0:
             continue
-        lam, meta = bs_spectrum(G, mode, n_max=24)
-        A, B = meta["domain"]
-        h = meta["h"]
-        n = round((B - A) / h)
-        k0 = -A / h
-        assert abs(k0 - round(k0)) < 1e-9, name
-        assert 0 < round(k0) < n, name
+        reads = []
+        spy = dataclasses.replace(
+            G, _g_vec=lambda t, G=G: reads.append(t) or G.eval(t))
+        lam, meta = bs_spectrum(spy, mode, n_max=24)
+        A, h, n, k0 = meta["grid"]
+        assert (meta["domain"], meta["h"]) == ((A, A + n * h), h), name
+        assert meta["n_nodes"] == n - 2, name
+        assert 0 < k0 < n and A + h * k0 == 0.0, name
         for alpha in (7.0, 31.0, 90.0):
             want = int(np.sum(lam > 1.0 / alpha))
             assert want < len(lam), (name, alpha)
-            got = count_below_fd(G, alpha, -1e-12, mode,
-                                 domain=meta["domain"], h=h,
-                                 near_threshold_check=False)
-            assert got.count == want, (name, alpha)
-            assert got.domain == meta["domain"], (name, alpha)
-            assert got.h == h, (name, alpha)
-            assert got.extras["n_nodes"] == meta["n_nodes"], (name, alpha)
+            got = spectral1d._companion_count(spy, alpha, meta["grid"])
+            assert got == (want, False), (name, alpha)
+        assert len(reads) == 4, name
+        for t in reads[1:]:
+            assert np.array_equal(t, reads[0]), name
 
 
 def test_fd_side_counts_split_at_origin(catalog):
@@ -546,9 +545,10 @@ def test_bs_spectrum_rejects_n_max_below_1(catalog):
 def test_bs_spectrum_lanczos_keeps_every_eigenvalue(catalog, mode):
     # Sylvester inertia on the spectrum's own grid: at the coupling
     # alpha = 2/(lambda_k + lambda_k+1) between two computed eigenvalues,
-    # #{lambda > 1/alpha} is the Dirichlet count just below 0 there, so a
-    # Lanczos run that misses an eigenvalue, or adds a spurious one, fails
-    # this without any other solver to compare with
+    # #{lambda > 1/alpha} is the Dirichlet count of K - alpha M at E = 0
+    # there (spectral1d._companion_count), so a Lanczos run that misses an
+    # eigenvalue, or adds a spurious one, fails this without any other
+    # solver to compare with
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         if G.g_max <= 0.0:
@@ -559,10 +559,8 @@ def test_bs_spectrum_lanczos_keeps_every_eigenvalue(catalog, mode):
         pos = lam[lam > 0.0]
         for k in range(1, len(pos)):
             alpha = 2.0 / (pos[k - 1] + pos[k])
-            fd = count_below_fd(G, alpha, -1e-12 * max(alpha * G.g_max, 1.0),
-                                mode, domain=meta["domain"], h=meta["h"],
-                                near_threshold_check=False)
-            assert fd.count == int(np.sum(lam > 1.0 / alpha)), (name, k)
+            got = spectral1d._companion_count(G, alpha, meta["grid"])
+            assert got == (int(np.sum(lam > 1.0 / alpha)), False), (name, k)
 
 
 @pytest.mark.parametrize("mode", list(BoundaryMode))
@@ -571,8 +569,8 @@ def test_bs_spectrum_floor_stops_past_one_over_alpha(catalog, mode):
     # and the first one at or below it (at least 8, or the whole support),
     # each within 1e-13 lambda_1 of the full n_max = 48 run's, and pads the
     # rest with zeros; on meta's grid #{lambda > 1/alpha} is the Dirichlet
-    # count just below 0 (Sylvester), so no eigenvalue above is missed,
-    # wherever the 48 values reach below 1/alpha
+    # count of K - alpha M at E = 0 (Sylvester), so no eigenvalue above is
+    # missed, wherever the 48 values reach below 1/alpha
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         if G.g_max <= 0.0:
@@ -593,10 +591,8 @@ def test_bs_spectrum_floor_stops_past_one_over_alpha(catalog, mode):
                 case, lam[:k] - full[:k])
             if k == 48 and lam[-1] > 1.0 / alpha:
                 continue   # past the cap, where the duality check refuses
-            fd = count_below_fd(G, alpha, -1e-12 * max(alpha * G.g_max, 1.0),
-                                mode, domain=meta["domain"], h=meta["h"],
-                                near_threshold_check=False)
-            assert fd.count == int(np.sum(lam > 1.0 / alpha)), case
+            got = spectral1d._companion_count(G, alpha, meta["grid"])
+            assert got == (int(np.sum(lam > 1.0 / alpha)), False), case
 
 
 def test_n_above_is_the_count_of_eigenvalues_above():
@@ -1027,9 +1023,9 @@ def _ramp_G(lo, hi, g_lo, g_hi):
         ramp = g_lo + (g_hi - g_lo) * (t - lo) / (hi - lo)
         return np.where((t >= lo) & (t < hi), ramp, 0.0)
 
-    return LogPotential(None, 1e-10, (lo, hi), (lo, hi), (lo, hi), False,
+    return LogPotential(None, (lo, hi), (lo, hi), (lo, hi), False,
                         max(g_lo, g_hi), hi if g_hi > g_lo else lo,
-                        0.5 * (g_lo + g_hi) * (hi - lo), 0.0, g_vec)
+                        0.5 * (g_lo + g_hi) * (hi - lo), g_vec)
 
 
 def test_the_left_pass_is_the_mirrored_right_pass(monkeypatch):
@@ -1385,16 +1381,32 @@ def test_fd_sweep_stops_once_settled(monkeypatch, tail):
     assert cut > 0 and from_settle > 0
 
 
+def _e_sweep_matches_full_window(G, E, domain, h, case):
+    """The sweep at E alone of the fd operator (_fd_operator's counts_at)
+    against the full-window count with no probes: the same count, a zero
+    pivot where that count flags pivot-shift, and no more pivots swept.
+    Returns counts_at(E)."""
+    counts_at = spectral1d._fd_operator(G, 1.0, E, BoundaryMode.WHOLE_LINE,
+                                        *domain, h)[-1]
+    counts, zero_hit, steps = counts_at(E)
+    want = _full_window_fd(G, 1.0, E, domain=domain, h=h,
+                           near_threshold_check=False)
+    assert sum(counts) == want.count, case
+    assert zero_hit == ("pivot-shift" in want.flags), case
+    assert want.uncertainty == zero_hit, case
+    assert steps <= want.steps, case
+    return counts, zero_hit, steps
+
+
 def test_fd_zero_pivot_past_the_last_allowed_node():
     # h = 0.5, E = -2: G = 8 at t = 0.5 gives the allowed diagonal 0.5 and
     # pivot 0.5; G = 2 at t = 1 gives the diagonal 2 exactly, past the last
     # allowed node, where the pivot 2 - 1/0.5 is 0.0 and is flagged by
     # the one sweep, at E
     G = boxes_G((8.0, 0.25, 0.75), (2.0, 0.75, 1.25))
-    got = _assert_matches_full_window(
-        G, 1.0, -2.0, BoundaryMode.WHOLE_LINE, "zero pivot",
-        domain=(0.0, 4.0), h=0.5, near_threshold_check=False)
-    assert "pivot-shift" in got.flags and got.uncertainty == 1
+    _, zero_hit, _ = _e_sweep_matches_full_window(G, -2.0, (0.0, 4.0), 0.5,
+                                                  "zero pivot")
+    assert zero_hit
 
 
 def test_fd_zero_pivot_between_agreeing_probes(monkeypatch):
@@ -1477,17 +1489,16 @@ def test_fd_zero_pivot_retry_is_trimmed_too(monkeypatch):
     # exactly 1: the second pivot is 0.0, and the retry with the ulp shift
     # sweeps the same two nodes again, the five-node tail in closed form
     G = boxes_G((5.0, 0.25, 1.25))
-    kw = dict(domain=(0.0, 4.0), h=0.5, near_threshold_check=False)
     sweeps = _swept_negatives(monkeypatch)
     calls = []
     block_count = spectral1d._block_count
     monkeypatch.setattr(spectral1d, "_block_count",
                         lambda *a: calls.append(a) or block_count(*a))
-    got = _assert_matches_full_window(G, 1.0, -1.0, BoundaryMode.WHOLE_LINE,
-                                      "zero pivot", **kw)
-    assert "pivot-shift" in got.flags and got.uncertainty == 1
+    _, zero_hit, steps = _e_sweep_matches_full_window(G, -1.0, (0.0, 4.0),
+                                                      0.5, "zero pivot")
+    assert zero_hit
     assert [n for n, _ in sweeps] == [2, 2]   # E, retry
-    assert got.steps == 4
+    assert steps == 4
     # the shift is the full window's, 4 eps max|diagonal|: here the tail's
     # a_c = 2.25, not the core's 1
     (core, first, n_tail, a_c), retry = calls
