@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import _chad, _weak, _weak_q, bound_lt_nonradial
 from .channels import total_count
 from .potentials import RadialPotential, integral_logweight, to_log
-from .spectral1d import BoundaryMode, _check_n_max, bs_spectrum
+from .spectral1d import bs_spectrum
 from .weakseq import (WeakVerdict, ZetaSequence, classify, level_sup,
                       weak_level, zeta_sequence)
 
@@ -258,8 +258,7 @@ def weyl_verdict(P: RadialPotential, T: SweepTable, seq: WeakVerdict) -> dict:
     }
 
 
-def delta_link_check(P: RadialPotential, *, K: int = 200,
-                     n_max: int = 48) -> dict:
+def delta_link_check(P: RadialPotential, *, K: int = 200) -> dict:
     """Window implication between the two tail levels.
 
     Both the rearranged block sequence and the quadratic-form spectrum
@@ -274,15 +273,12 @@ def delta_link_check(P: RadialPotential, *, K: int = 200,
     window ends at the count of blocks visible inside the (capped)
     spectral domain; later ranks reflect the cap, not the tail.  Checked
     on the computed windows only; no limit is claimed.  A spectrum on a
-    grid coarsened to the node cap flags `grid-coarsened`. n_max >= 1, or
-    ValueError.
+    grid coarsened to the node cap flags `grid-coarsened`.
     """
-    _check_n_max(n_max)
     G = to_log(P, strict=False)
     z = zeta_sequence(G, K)
     v = classify(z)
-    lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                            n_max=n_max)
+    lam, meta = bs_spectrum(G)
     lam = lam[lam > 0.0]
     flags = []
     if meta["capped"]:

@@ -25,8 +25,7 @@ from .potentials import LogPotential, RadialPotential, to_log
 from .spectral1d import (
     BoundaryMode,
     CountResult,
-    _check_n_max,
-    _companion_count,
+    _fd_operator,
     bs_spectrum,
     channel_energy,
     count_batch_pruefer,
@@ -47,7 +46,8 @@ __all__ = [
 # flags that describe a count without putting it in doubt; any other flag
 # (near-threshold, pivot-shift, lambda-near-threshold, ...) does
 INFORMATIONAL_FLAGS = frozenset(
-    {"domain-truncated", "below-spectrum", "zero-potential"})
+    {"domain-truncated", "below-spectrum", "zero-potential",
+     "spectrum-short"})
 
 
 class ChannelConsistencyError(RuntimeError):
@@ -211,36 +211,38 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
 
 def _reaches(lam: np.ndarray, meta: dict, floor: float) -> bool:
     """Whether a companion spectrum holds every eigenvalue above floor:
-    it is whole (n_max or n_support values solved), or its last solved
+    it is whole (all its values or n_support solved), or its last solved
     value lies at or below floor."""
     k = meta["n_solved"]
     return (k == min(len(lam), meta["n_support"])
             or (k > 0 and lam[k - 1] <= floor))
 
 
-def bs_duality_check(P, alpha: float, *, n_max: int = 48,
-                     spectra: dict | None = None) -> dict:
+def bs_duality_check(P, alpha: float, *, spectra: dict | None = None
+                     ) -> dict:
     """Compare #{lambda_n > 1/alpha} with the direct count, the inertia of
-    K - alpha M at E = 0 on the spectrum's own grid meta["grid"]
-    (_companion_count), where the identity is exact.
+    K - alpha M: the fd operator on the spectrum's own grid meta["grid"]
+    read at E = 0 (_fd_operator), where the identity is exact.
 
     The companion spectrum does not depend on alpha, and neither does
-    bs_spectrum's default window, on which it is solved. It is solved only
-    as deep as the count reads: down to the floor (1 - 1e-8)/alpha, the
-    lower edge of the lambda-near-threshold window, and one eigenvalue
-    past it (bs_spectrum's floor). spectra, when given, is a dict shared by
-    the checks of one potential: the spectrum is kept there under n_max and
-    reused by a later check with the same n_max when it holds all n_max
-    values (or the whole support's) or already reaches at or below that
-    check's floor; otherwise the later check solves deeper and replaces it.
+    bs_spectrum's window, on which it is solved. It is solved only as deep
+    as the count reads: down to the floor (1 - 1e-8)/alpha, the lower edge
+    of the lambda-near-threshold window, and one eigenvalue past it
+    (bs_spectrum's floor). spectra, when given, is a dict shared by the
+    checks of one potential: the spectrum is kept there and reused by a
+    later check when it holds all its values (or the whole support's) or
+    already reaches at or below that check's floor; otherwise the later
+    check solves deeper and replaces it. When every one of its 48 values
+    lies above 1/alpha the spectrum is short of the count: it flags
+    `spectrum-short`, and the direct count is held to the one-sided bound
+    count_direct >= 48.
 
     The report's uncertainty is the number of companion eigenvalues within
     the lambda-near-threshold gap of 1/alpha, plus 1 for a zero pivot in
     the direct count (`pivot-shift`). A grid coarsened to the node cap
     flags `grid-coarsened`, a cut tail `domain-truncated`. A mismatch
     raises unless it is `excused` by the report's flags and that
-    uncertainty. n_max >= 1, or ValueError."""
-    _check_n_max(n_max)
+    uncertainty."""
     G = _as_log(P)
     if channel_energy(G, alpha) is None:
         return {"alpha": alpha, "count_spectrum": 0, "count_direct": 0,
@@ -248,33 +250,35 @@ def bs_duality_check(P, alpha: float, *, n_max: int = 48,
     thr = 1.0 / alpha
     floor = (1.0 - 1e-8) * thr
     spectra = {} if spectra is None else spectra
-    if n_max not in spectra or not _reaches(*spectra[n_max], floor):
-        spectra[n_max] = bs_spectrum(G, n_max=n_max, floor=floor)
-    lam, meta = spectra[n_max]
-    if np.all(lam > thr):
-        raise ValueError(
-            f"n_max={n_max} too small: every computed companion eigenvalue "
-            f"exceeds 1/alpha at alpha={alpha}")
+    if "bs_spectrum" not in spectra or not _reaches(*spectra["bs_spectrum"],
+                                                    floor):
+        spectra["bs_spectrum"] = bs_spectrum(G, floor=floor)
+    lam, meta = spectra["bs_spectrum"]
+    short = bool(lam[-1] > thr)
     count_spec = int(np.sum(lam > thr))
     n_near = int(np.sum(np.abs(lam - thr) < 1e-8 * thr))
-    count_dir, zero_hit = _companion_count(G, alpha, meta["grid"])
-    raised = (n_near, meta["capped"], G.truncated, zero_hit)
+    counts, zero_hit, _ = _fd_operator(G, alpha, meta["grid"])(0.0)
+    count_dir = sum(counts)
+    raised = (n_near, meta["capped"], G.truncated, zero_hit, short)
     flags = [f for f, on in zip(("lambda-near-threshold", "grid-coarsened",
-                                 "domain-truncated", "pivot-shift"), raised)
+                                 "domain-truncated", "pivot-shift",
+                                 "spectrum-short"), raised)
              if on]
     uncertainty = n_near + zero_hit
+    miss = (max(count_spec - count_dir, 0) if short
+            else abs(count_spec - count_dir))
     report = {
         "alpha": alpha,
         "count_spectrum": count_spec,
         "count_direct": count_dir,
-        "ok": count_spec == count_dir,
+        "ok": miss == 0,
         "uncertainty": uncertainty,
         "flags": flags,
         "n_nodes": meta["n_nodes"],
     }
-    if not excused(abs(count_spec - count_dir), flags, uncertainty):
+    if not excused(miss, flags, uncertainty):
         raise ChannelConsistencyError(
             f"coupling-duality mismatch at alpha={alpha}: spectrum route "
-            f"{count_spec}, direct route {count_dir}, "
+            f"{count_spec}{'+' if short else ''}, direct route {count_dir}, "
             f"uncertainty={uncertainty}")
     return report

@@ -66,15 +66,22 @@ Two independent engines with no shared discretization machinery:
 Both count the same problem, fd on its finite window with Dirichlet ends;
 the tests hold each to the other within the uncertainty either flags.
 
+Each uniform grid is sized once, by its owner: _line_grid takes the
+interval count, which the fd step rule sets (_fd_grid) and bs_spectrum
+fixes at 4000. The fd operator on a grid (_fd_operator) serves every count
+on one: the fd count, its eigenvalue bisection, and the duality check's
+direct count, at E = 0 on bs_spectrum's grid.
+
 On top of the counters: eigenvalue location by bisection of the counting
 function (with fd, the Sturm count of the one operator built at the top
 energy), and the quadratic-form spectrum of the Birman-Schwinger companion
 (u', u') vs (G u, u), whose eigenvalues above 1/alpha are in bijection with
-the bound states. That spectrum is solved on the support of G only: the
-nodes with G = 0 carry no mass and are eliminated exactly. A numpy Lanczos
-with full reorthogonalisation solves it at every support size, and applies
-the inverse of the eliminated Laplacian as the discrete Green's function of
-each Dirichlet segment, two cumsums per segment and product.
+the bound states; bs_spectrum solves its 48 largest. That spectrum is
+solved on the support of G only: the nodes with G = 0 carry no mass and
+are eliminated exactly. A numpy Lanczos with full reorthogonalisation
+solves it at every support size, and applies the inverse of the
+eliminated Laplacian as the discrete Green's function of each Dirichlet
+segment, two cumsums per segment and product.
 """
 
 from __future__ import annotations
@@ -171,13 +178,6 @@ def _validate(alpha: float, E: float) -> None:
     _check_alpha(alpha)
     if not (E < 0.0 and math.isfinite(E)):
         raise ValueError(f"need E < 0 (continuous spectrum starts at 0), got {E}")
-
-
-def _check_window(domain, h: float | None = None) -> None:
-    if domain is not None and not -math.inf < domain[0] < domain[1] < math.inf:
-        raise ValueError(f"need a finite domain (A, B) with A < B, got {domain}")
-    if h is not None and not 0.0 < h < math.inf:
-        raise ValueError(f"need a finite grid step h > 0, got {h}")
 
 
 # ---------------------------------------------------------------------------
@@ -815,14 +815,14 @@ def _block_count(core: np.ndarray, first: int, n_tail: int, a_c: float
     return neg + n_set, hit_zero or hz_set, last - j + k
 
 
-def _line_grid(A: float, B: float, h: float, mode: BoundaryMode
-               ) -> tuple[float, float, float, int, int | None, bool]:
-    """Uniform grid of n <= _N_CAP intervals on [A, B], h near the target.
+def _line_grid(A: float, B: float, n: int, mode: BoundaryMode
+               ) -> tuple[tuple[float, float, int, int | None], float, bool]:
+    """Uniform grid of n intervals on [A, B], or of _N_CAP when n is more.
 
     In the Dirichlet-at-0 mode with 0 inside, [A, B] is shifted so t = 0 is
     node k0 of 0..n; k0 is None when there is no interior node at 0.
-    Returns (A, B, h, n, k0, capped)."""
-    n = max(int(math.ceil((B - A) / h)), 8)
+    Returns ((A, h, n, k0), B, capped): the grid, the end of its window and
+    whether n was cut to _N_CAP."""
     capped = n > _N_CAP
     if capped:
         n = _N_CAP
@@ -834,7 +834,18 @@ def _line_grid(A: float, B: float, h: float, mode: BoundaryMode
         B = A + n * h
         if 0 < k < n:
             k0 = k
-    return A, B, h, n, k0, capped
+    return (A, h, n, k0), B, capped
+
+
+def _fd_grid(G, alpha: float, E: float, mode: BoundaryMode
+             ) -> tuple[tuple[float, float, int, int | None], float, bool]:
+    """The grid that count_below_fd counts on at E, by _line_grid:
+    counting_domain's window at a step of at most 1e-3 of it and
+    1/(8 sqrt(alpha max G + |E| + 1)), and at least 8 intervals."""
+    A, B = counting_domain(G, alpha, E, mode)
+    h = min(1e-3 * (B - A),
+            1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
+    return _line_grid(A, B, max(math.ceil((B - A) / h), 8), mode)
 
 
 def _support_read(G, A: float, h: float, n: int) -> tuple[int, np.ndarray]:
@@ -848,18 +859,16 @@ def _support_read(G, A: float, h: float, n: int) -> tuple[int, np.ndarray]:
                             dtype=float)
 
 
-def _fd_operator(G, alpha: float, E: float, mode: BoundaryMode,
-                 A: float, B: float, h: float | None):
-    """The fd operator that count_below_fd counts at E on the window
-    [A, B]: the grid of step near h (by default from the window, alpha * max
-    G and E) and its Dirichlet blocks, with G read once. Needs
-    alpha * max G + E > 0. Returns (A, B, h, n, k0, capped, counts_at):
-    the grid of _line_grid, and counts_at(energy) -> (per-block counts,
-    hit_zero_pivot, pivots swept) of this one operator at any energy."""
-    if h is None:
-        h = min(1e-3 * (B - A),
-                1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
-    A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
+def _fd_operator(G, alpha: float, grid):
+    """The fd operator of -d^2/dt^2 - alpha G on the grid (A, h, n, k0) of
+    _line_grid, with Dirichlet ends and, when k0 is not None, a Dirichlet
+    node k0: its blocks, with G read once. Returns counts_at(energy) ->
+    (per-block counts, hit_zero_pivot, pivots swept) of this one operator
+    at any energy. count_below_fd counts it on _fd_grid's grid,
+    eigenvalues_below bisects it there, and channels.bs_duality_check reads
+    it at E = 0 on bs_spectrum's grid, where by Sylvester inertia its count
+    is #{lambda_n > 1/alpha}."""
+    A, h, n, k0 = grid
     # diagonals h^2*(2/h^2 - alpha G(t_i)); a block is a core between runs
     # of `first` and n_tail nodes where the diagonal is 2 (G = 0, or too
     # small to move it), which are 2 - h^2 E at every energy
@@ -892,19 +901,17 @@ def _fd_operator(G, alpha: float, E: float, mode: BoundaryMode,
             counts.append(cnt)
         return counts, zero_hit, swept
 
-    return A, B, h, n, k0, capped, counts_at
+    return counts_at
 
 
 def count_below_fd(G, alpha: float, E: float,
-                   mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
-                   domain: tuple[float, float] | None = None,
-                   h: float | None = None) -> CountResult:
+                   mode: BoundaryMode = BoundaryMode.WHOLE_LINE
+                   ) -> CountResult:
     """Count eigenvalues below E of the Dirichlet problem on [A, B] via a
     Sturm pivot pass; no eigenvalues are formed.
 
-    The count refers to the finite window (A < B) with Dirichlet ends and
-    a grid step near h > 0 (by default from the window, alpha * max G and
-    E); any other raises ValueError. E -/+ delta (delta = threshold_eps)
+    The count refers to counting_domain's window [A, B] with Dirichlet
+    ends, on the grid of _fd_grid. E -/+ delta (delta = threshold_eps)
     are swept first: the count is nondecreasing in E, so where they agree
     block by block and met no zero pivot, theirs is the count at E.
     Otherwise E is swept too, and probes that disagree raise
@@ -943,15 +950,15 @@ def count_below_fd(G, alpha: float, E: float,
     seen, so it raises no `pivot-shift`.
     """
     _validate(alpha, E)
-    _check_window(domain, h)
     mode = BoundaryMode(mode)
-    A, B = domain if domain is not None else counting_domain(G, alpha, E, mode)
     flags: list[str] = ["domain-truncated"] if G.truncated else []
     if alpha * G.g_max + E <= 0.0:
-        return CountResult(0, "fd", E, mode.value, (A, B),
+        return CountResult(0, "fd", E, mode.value,
+                           counting_domain(G, alpha, E, mode),
                            flags=tuple(flags + ["below-spectrum"]))
-    A, B, h, n, k0, capped, counts_at = _fd_operator(G, alpha, E, mode,
-                                                     A, B, h)
+    grid, B, capped = _fd_grid(G, alpha, E, mode)
+    A, h, n, k0 = grid
+    counts_at = _fd_operator(G, alpha, grid)
     if capped:
         flags.append("grid-coarsened")
 
@@ -1015,8 +1022,8 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
     """
     if not 0.0 < tol_eig < math.inf:
         raise ValueError(f"need finite tol_eig > 0, got {tol_eig}")
-    if n_max is not None:
-        _check_n_max(n_max)
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     E = channel_energy(G, alpha) if E is None else E
     if E is None:
         return np.empty(0), False
@@ -1027,8 +1034,7 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
     floor = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
     mode = BoundaryMode(mode)
     if engine == "fd":
-        counts_at = _fd_operator(G, alpha, E, mode,
-                                 *counting_domain(G, alpha, E, mode), None)[-1]
+        counts_at = _fd_operator(G, alpha, _fd_grid(G, alpha, E, mode)[0])
 
         def C(e: float) -> int:
             return sum(counts_at(e)[0])
@@ -1078,11 +1084,6 @@ _RITZ_TOL = 1e-13
 _RITZ_EVERY = 8
 _BREAKDOWN = 1e-12
 _FLOOR_TOP = 8
-
-
-def _check_n_max(n_max: int) -> None:
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
 
 
 def _companion_op(pos: np.ndarray, walls: list[int], h: float,
@@ -1208,48 +1209,30 @@ def _lanczos_top(op, m: int, k: int, floor: float | None = None
     return np.linalg.eigvalsh(tridiag())[::-1][:k]
 
 
-def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                *, domain: tuple[float, float] | None = None,
-                h: float | None = None, n_max: int = 32,
-                floor: float | None = None) -> tuple[np.ndarray, dict]:
-    """Largest n_max >= 1 eigenvalues of (G u, u) / (u', u') with Dirichlet
-    ends.
-
-    These are alpha-independent; the bound-state count of the coupling-alpha
-    problem equals #{lambda_n > 1/alpha}. Discretized as the pencil
-    M u = lambda K u (M = h diag G, K = (1/h) tridiag(-1, 2, -1)) on a
-    grid of step near h (by default max(4000, 40 n_max) intervals). G must
-    be >= 0 on the grid. The default window, counting_domain's at E = 0, is
-    the same for every alpha.
+def _companion_spectrum(G, grid, n_max: int, floor: float | None = None
+                        ) -> tuple[np.ndarray, dict]:
+    """The n_max largest eigenvalues of (G u, u) / (u', u') on the grid
+    (A, h, n, k0) of _line_grid, with Dirichlet ends and, when k0 is not
+    None, a Dirichlet node k0: the pencil M u = lambda K u (M = h diag G,
+    K = (1/h) tridiag(-1, 2, -1)). G must be >= 0 on the grid.
 
     Only the m_s nodes with G > 0 (the support; no threshold) carry mass;
     as in count_below_fd, G is read only at the nodes in G.t_support and one
     margin node either side, since G = 0 at the others. The rest are
     eliminated exactly: their Schur complement K_s is K restricted to the
-    kept nodes, with Dirichlet walls at nodes 0, n, and t = 0 in the split
-    mode. The nonzero eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2).
-    Lanczos (_lanczos_top) runs on that operator at every support size,
-    and K_s^(-1) is applied as the discrete Green's function of each
-    Dirichlet segment (_companion_op); the start vector is fixed, so
-    results are deterministic. With a floor, Lanczos stops once every
-    eigenvalue above it has converged, and the first one at or below it
-    (at least _FLOOR_TOP values, at most n_max; n_max still sets the grid
-    and the cap): a caller that reads #{lambda_n > floor} gets it without
-    solving the rest. Returns (descending eigenvalues, zero-padded to
-    n_max, meta); meta holds the grid (A, h, n, k0) of _line_grid, its
-    domain, h and node count n_nodes, n_support = m_s, n_solved, the number
-    of leading entries solved (min(n_max, m_s) without a floor), and
-    capped, True when the grid was coarsened to _N_CAP intervals.
-    """
-    _check_n_max(n_max)
-    _check_window(domain, h)
-    mode = BoundaryMode(mode)
-    if domain is None:
-        domain = counting_domain(G, 1.0, 0.0, mode)
-    A, B = domain
-    if h is None:
-        h = (B - A) / max(4000, 40 * n_max)
-    A, B, h, n, k0, capped = _line_grid(A, B, h, mode)
+    kept nodes, with Dirichlet walls at nodes 0, n and k0. The nonzero
+    eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2). Lanczos
+    (_lanczos_top) runs on that operator at every support size, and
+    K_s^(-1) is applied as the discrete Green's function of each Dirichlet
+    segment (_companion_op); the start vector is fixed, so results are
+    deterministic. With a floor, Lanczos stops once every eigenvalue above
+    it has converged, and the first one at or below it (at least
+    _FLOOR_TOP values, at most n_max): a caller that reads
+    #{lambda_n > floor} gets it without solving the rest. Returns
+    (descending eigenvalues, zero-padded to n_max, meta); meta holds the
+    node count n_nodes, n_support = m_s and n_solved, the number of leading
+    entries solved (min(n_max, m_s) without a floor)."""
+    A, h, n, k0 = grid
     k_lo, gv = _support_read(G, A, h, n)
     if np.any(gv < 0.0):
         raise ValueError("bs_spectrum needs G >= 0 on the grid; "
@@ -1259,9 +1242,8 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
         keep[k0 - k_lo] = False  # Dirichlet node at t = 0
     pos = np.flatnonzero(keep) + k_lo
     m_s = len(pos)
-    meta = {"grid": (A, h, n, k0), "domain": (A, B), "h": h,
-            "n_nodes": n - 1 - (k0 is not None),
-            "n_support": m_s, "n_solved": 0, "capped": capped}
+    meta = {"n_nodes": n - 1 - (k0 is not None), "n_support": m_s,
+            "n_solved": 0}
     lam = np.zeros(n_max)
     if m_s == 0:
         return lam, meta
@@ -1274,15 +1256,26 @@ def bs_spectrum(G, mode: BoundaryMode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
     return lam, meta
 
 
-def _companion_count(G, alpha: float, grid) -> tuple[int, bool]:
-    """(#{lambda_n > 1/alpha}, hit_zero_pivot) of bs_spectrum's pencil on
-    its grid (A, h, n, k0): by Sylvester inertia, the negative pivots of
-    h (K - alpha M) = tridiag(-1, 2 - h^2 alpha G, -1), in one sweep, whose
-    pivot inf at the Dirichlet node k0 starts the next block afresh."""
-    A, h, n, k0 = grid
-    k_lo, gv = _support_read(G, A, h, n)
-    diag = np.full(n + 1, 2.0)
-    diag[k_lo:k_lo + gv.size] = 2.0 - (h * h) * (alpha * gv)
-    if k0 is not None:
-        diag[k0] = math.inf
-    return _sturm_pass(memoryview(diag[1:n]))[:2]
+# bs_spectrum's grid intervals, and the most eigenvalues it solves
+_BS_INTERVALS = 4000
+_BS_VALUES = 48
+
+
+def bs_spectrum(G, *, floor: float | None = None
+                ) -> tuple[np.ndarray, dict]:
+    """Largest 48 eigenvalues of (G u, u) / (u', u') with Dirichlet ends
+    and a Dirichlet node at t = 0, by _companion_spectrum with its floor.
+
+    These are alpha-independent; the bound-state count of the coupling-alpha
+    problem equals #{lambda_n > 1/alpha}. The grid is 4000 intervals of
+    counting_domain's window at E = 0 in the Dirichlet-at-0 mode, the same
+    for every alpha. Returns (the eigenvalues, meta); meta adds to the
+    solver's the grid (A, h, n, k0) of _line_grid, its domain and h, and
+    capped, True when the grid was coarsened to _N_CAP intervals.
+    """
+    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    grid, B, capped = _line_grid(*counting_domain(G, 1.0, 0.0, mode),
+                                 _BS_INTERVALS, mode)
+    lam, meta = _companion_spectrum(G, grid, _BS_VALUES, floor)
+    return lam, {"grid": grid, "domain": (grid[0], B), "h": grid[1], **meta,
+                 "capped": capped}

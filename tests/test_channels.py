@@ -137,7 +137,7 @@ def test_disk_well_totals_both_engines(catalog):
                 (alpha, engine)
 
 
-def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog):
+def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog, monkeypatch):
     # at alpha = 400 two channels bind only barely (the 2D binding energy
     # near onset is exponentially small), and the default fd grid shifts
     # them above the counting energy; the phase engine and a refined fd
@@ -149,10 +149,16 @@ def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog):
     coarse = total_count(P, 400.0, engine="fd")
     assert 103 <= coarse.total <= 105
     G = to_log(P)
+
+    def fine_grid(G, alpha, E, mode):
+        A, B = counting_domain(G, alpha, E, mode)
+        return spectral1d._line_grid(A, B, math.ceil((B - A) / 1e-3), mode)
+
+    monkeypatch.setattr(spectral1d, "_fd_grid", fine_grid)
     fine = []
     while not fine or fine[-1]:
         E = channel_energy(G, 400.0, len(fine))
-        fine.append(spectral1d.count_below_fd(G, 400.0, E, h=1e-3).count)
+        fine.append(spectral1d.count_below_fd(G, 400.0, E).count)
     assert fine[0] + 2 * sum(fine[1:]) == 105
 
 
@@ -250,16 +256,16 @@ def test_duality_exact_on_shared_grid(catalog):
     ("square-well", {"radius": 0.1728840350480831}),
     ("gaussian", {"width": 0.08121264674759256})])
 def test_duality_just_below_thresholds_on_a_grid_sized_once(kind, params):
-    # on these windows, sizing the companion's grid again from its snapped
-    # domain and step gives one more interval and a shifted t = 0 node; a
+    # on these windows, sizing the companion's grid from a step,
+    # ceil((B - A)/h) with h = (B - A)/4000, gave 4001 intervals, and
+    # sizing it again from the snapped domain a shifted t = 0 node; a
     # direct count on that grid found one more state than the spectrum,
     # with no doubt flag, 1e-7 below each of the first three thresholds
-    # 1/lambda_k. On the spectrum's own grid the two counts agree
+    # 1/lambda_k. The grid is sized once, at 4000 intervals, and on it
+    # the two counts agree
     P = make_catalog_potential(kind, params)
-    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    lam, meta = bs_spectrum(to_log(P, strict=False), mode, n_max=48)
-    again = spectral1d._line_grid(*meta["domain"], meta["h"], mode)
-    assert (again[0], again[2], again[3], again[4]) != meta["grid"]
+    lam, meta = bs_spectrum(to_log(P, strict=False))
+    assert meta["grid"][2] == 4000
     for k in range(3):
         rep = bs_duality_check(P, (1.0 / lam[k]) * (1.0 - 1e-7))
         assert rep["count_direct"] == rep["count_spectrum"] == k, k
@@ -296,18 +302,23 @@ def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
     want = bs_duality_check(P, 20.0)
     assert want["ok"] and want["flags"] == ["domain-truncated"]
     assert want["uncertainty"] == 0
-    direct = channels._companion_count
+    build = channels._fd_operator
 
     def off_by_one(zero_hit):
-        def count(*args):
-            return direct(*args)[0] + 1, zero_hit
-        return count
+        def operator(*args):
+            counts_at = build(*args)
+
+            def count(energy):
+                counts, _, swept = counts_at(energy)
+                return [sum(counts) + 1], zero_hit, swept
+            return count
+        return operator
 
     with monkeypatch.context() as mp:
-        mp.setattr("radcount.channels._companion_count", off_by_one(False))
+        mp.setattr("radcount.channels._fd_operator", off_by_one(False))
         with pytest.raises(channels.ChannelConsistencyError):
             bs_duality_check(P, 20.0)
-        mp.setattr("radcount.channels._companion_count", off_by_one(True))
+        mp.setattr("radcount.channels._fd_operator", off_by_one(True))
         rep = bs_duality_check(P, 20.0)
         assert not rep["ok"] and rep["uncertainty"] == 1
         assert rep["flags"] == ["domain-truncated", "pivot-shift"]
@@ -331,7 +342,7 @@ def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
 def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
     # the companion spectrum and its window do not depend on alpha: checks
     # that share a dict reuse a spectrum that already reaches the check's
-    # floor (1 - 1e-8)/alpha or holds n_max values, solve deeper and
+    # floor (1 - 1e-8)/alpha or holds all its values, solve deeper and
     # replace it otherwise, each run their own direct count, and report
     # what unshared checks report
     P = catalog["square-well"]
@@ -341,7 +352,7 @@ def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
 
     def spy(calls, fn):
         def wrapped(*args, **kw):
-            calls.append((kw.get("n_max"), kw.get("floor")))
+            calls.append(kw.get("floor"))
             return fn(*args, **kw)
         return wrapped
 
@@ -350,27 +361,52 @@ def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
 
     monkeypatch.setattr("radcount.channels.bs_spectrum",
                         spy(solved, channels.bs_spectrum))
-    monkeypatch.setattr("radcount.channels._companion_count",
-                        spy(direct, channels._companion_count))
+    monkeypatch.setattr("radcount.channels._fd_operator",
+                        spy(direct, channels._fd_operator))
     spectra = {}
     got = [bs_duality_check(P, a, spectra=spectra) for a in alphas]
     assert got == want
     # 10 solves the top 8, which reach below 1/50; 3200 solves deeper, and
     # that spectrum serves 800
-    assert solved == [(48, floor(10.0)), (48, floor(3200.0))]
-    assert len(direct) == 4 and list(spectra) == [48]
+    assert solved == [floor(10.0), floor(3200.0)]
+    assert len(direct) == 4 and len(spectra) == 1
     G = to_log(P, strict=False)
-    window = counting_domain(G, 10.0, 0.0,
-                             BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
-    lam, meta = bs_spectrum(G, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                            domain=window, n_max=48, floor=floor(3200.0))
-    assert meta == spectra[48][1] and np.array_equal(lam, spectra[48][0])
+    lam, meta = bs_spectrum(G, floor=floor(3200.0))
+    (kept_lam, kept_meta), = spectra.values()
+    assert meta == kept_meta and np.array_equal(lam, kept_lam)
     assert meta["n_solved"] == got[2]["count_spectrum"] + 1
-    # a spectrum of all n_max values serves every later coupling
+    # at 1e5 every one of the 48 values lies above 1/alpha: that spectrum,
+    # solved whole, serves every later coupling
+    assert "spectrum-short" in bs_duality_check(P, 1e5,
+                                                spectra=spectra)["flags"]
     for a in (10.0, 50.0):
-        bs_duality_check(P, a, n_max=8, spectra=spectra)
-    assert solved[2:] == [(8, floor(10.0))] and len(direct) == 6
-    assert spectra[8][1]["n_solved"] == 8
+        bs_duality_check(P, a, spectra=spectra)
+    assert solved[2:] == [floor(1e5)] and len(direct) == 7
+    assert next(iter(spectra.values()))[1]["n_solved"] == 48
+
+
+def test_duality_past_the_48_values_is_a_one_sided_bound(catalog,
+                                                         monkeypatch):
+    # where all 48 companion values lie above 1/alpha, the spectrum counts
+    # 48 and no more: the report flags spectrum-short, which puts nothing
+    # in doubt, and holds the direct count to count_direct >= 48, so a
+    # direct count of 48 passes and one of 47 raises
+    P = catalog["counterexample"]
+    rep = bs_duality_check(P, 3200.0)
+    assert rep["count_spectrum"] == 48 and rep["count_direct"] == 50
+    assert rep["ok"] and rep["uncertainty"] == 0
+    assert rep["flags"] == ["domain-truncated", "spectrum-short"]
+    assert "spectrum-short" in channels.INFORMATIONAL_FLAGS
+    for direct, ok in ((48, True), (47, False)):
+        monkeypatch.setattr("radcount.channels._fd_operator",
+                            lambda *args, n=direct: lambda energy: (
+                                [n], False, 0))
+        if ok:
+            assert bs_duality_check(P, 3200.0)["ok"]
+        else:
+            with pytest.raises(channels.ChannelConsistencyError,
+                               match="spectrum route 48"):
+                bs_duality_check(P, 3200.0)
 
 
 @pytest.mark.parametrize("name", [
@@ -383,13 +419,7 @@ def test_duality_reports_match_a_full_spectrum(catalog, monkeypatch, name):
     alphas = (3.0, 10.0, 50.0, 800.0, 3200.0)
 
     def checks():
-        out = []
-        for a in alphas:
-            try:
-                out.append(bs_duality_check(P, a))
-            except ValueError as exc:   # past the 48 values
-                out.append(str(exc))
-        return out
+        return [bs_duality_check(P, a) for a in alphas]
 
     got = checks()
     solve = channels.bs_spectrum
@@ -613,7 +643,7 @@ def test_every_flag_is_in_the_readme_table():
     rows = re.findall(r"^\| `([a-z-]+)` \| (informational|doubt) \|",
                       (root / "README.md").read_text(), re.MULTILINE)
     table = dict(rows)
-    assert len(rows) == len(table) == 9
+    assert len(rows) == len(table) == 10
     assert emitted == set(table)
     assert {f for f, kind in rows if kind == "informational"} == \
         channels.INFORMATIONAL_FLAGS

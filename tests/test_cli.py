@@ -345,6 +345,21 @@ def test_verify_passes_on_trivial_profile(capsys):
     assert all(c["ok"] for c in doc["report"]["checks"])
 
 
+def test_verify_on_a_short_companion_spectrum(capsys, tmp_path):
+    # a non-integrable slow tail: at alpha 50 all 48 companion values lie
+    # above 1/alpha, which exited 2 as a usage error; the duality check now
+    # holds the direct count (49) to the bound >= 48 and flags nothing in
+    # doubt
+    path = tmp_path / "slow.json"
+    path.write_text('{"kind": "power-log-tail",'
+                    ' "params": {"r0": 20, "sigma": 1.5, "tau": 0}}')
+    code, doc = run_json(capsys, "verify", "--spec", str(path))
+    assert code == 0 and doc["report"]["ok"] is True
+    duality = [(c["alpha"], c["count_spectrum"], c["count_direct"])
+               for c in doc["report"]["checks"] if c["name"] == "duality"]
+    assert duality == [(10.0, 22, 22), (50.0, 48, 49)]
+
+
 def test_json_out_redirects_stdout(capsys, tmp_path):
     path = tmp_path / "rep.json"
     code, out = run(capsys, "potential", "show", "--spec", "bump",
@@ -585,7 +600,7 @@ for argv in (["verify", "--spec", "gaussian", "--n-random", "0"],
         assert main(argv) == 0
 print(sorted(m for m in sys.modules
              if m == "scipy" or m.startswith("scipy.") or m == "numpy.ma"))
-print(bs_spectrum(to_log(load_bundled("gaussian")), n_max=48)[1]["n_support"])
+print(bs_spectrum(to_log(load_bundled("gaussian")))[1]["n_support"])
 """
     assert _fresh(code).split("\n")[:2] == ["[]", "2420"]
 

@@ -93,6 +93,20 @@ def box_count_oracle(depth: float, length: float, E: float) -> int:
     return int(math.floor(phase / math.pi))
 
 
+def _fd_grid_on(domain, n):
+    """A stand-in for spectral1d._fd_grid: the grid of n intervals on
+    `domain` at every coupling and energy, for count_below_fd on a window
+    and grid of a test's choosing."""
+    return lambda G, alpha, E, mode: spectral1d._line_grid(*domain, n, mode)
+
+
+def _companion_grid(G, mode, n=4000):
+    """bs_spectrum's grid, in any mode: n intervals on counting_domain's
+    window at E = 0."""
+    return spectral1d._line_grid(*counting_domain(G, 1.0, 0.0, mode), n,
+                                 mode)[0]
+
+
 def test_halfline_count_flips_at_transcendental_root():
     G = box_G(10.0)
     # the phase engine integrates the true ODE, so it resolves the flip to
@@ -230,13 +244,13 @@ def test_eigenvalues_below_stops_at_adjacent_floats(catalog, monkeypatch):
     build = spectral1d._fd_operator
 
     def capped_build(*args):
-        *grid, counts_at = build(*args)
+        counts_at = build(*args)
 
         def capped(energy):
             probes.append(energy)
             assert len(probes) <= 2000
             return counts_at(energy)
-        return (*grid, capped)
+        return capped
 
     monkeypatch.setattr(spectral1d, "_fd_operator", capped_build)
     coarse, _ = eigenvalues_below(G, 10.0, engine="fd")
@@ -324,10 +338,9 @@ def test_phase_eigenvalues_match_bessel_on_disk(catalog, alpha):
 
 def test_bs_duality_on_shared_grid(catalog):
     # inertia identity: #{lambda_n > 1/alpha} equals the Dirichlet count
-    # of K - alpha M at E = 0 on the same grid, exactly; the direct count
-    # reads G at the nodes of meta's grid that bs_spectrum read, node for
-    # node, with t = 0 the interior node k0
-    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    # of K - alpha M at E = 0 on the same grid, exactly; the direct count,
+    # the fd operator on meta's grid, reads G at the nodes that bs_spectrum
+    # read, node for node, with t = 0 the interior node k0
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         if G.g_max <= 0.0:
@@ -335,7 +348,7 @@ def test_bs_duality_on_shared_grid(catalog):
         reads = []
         spy = dataclasses.replace(
             G, _g_vec=lambda t, G=G: reads.append(t) or G.eval(t))
-        lam, meta = bs_spectrum(spy, mode, n_max=24)
+        lam, meta = bs_spectrum(spy)
         A, h, n, k0 = meta["grid"]
         assert (meta["domain"], meta["h"]) == ((A, A + n * h), h), name
         assert meta["n_nodes"] == n - 2, name
@@ -343,17 +356,60 @@ def test_bs_duality_on_shared_grid(catalog):
         for alpha in (7.0, 31.0, 90.0):
             want = int(np.sum(lam > 1.0 / alpha))
             assert want < len(lam), (name, alpha)
-            got = spectral1d._companion_count(spy, alpha, meta["grid"])
-            assert got == (want, False), (name, alpha)
+            counts, zero_hit, _ = spectral1d._fd_operator(
+                spy, alpha, meta["grid"])(0.0)
+            assert (sum(counts), zero_hit) == (want, False), (name, alpha)
         assert len(reads) == 4, name
         for t in reads[1:]:
             assert np.array_equal(t, reads[0]), name
 
 
-def test_fd_side_counts_split_at_origin(catalog):
+def _full_sweep_at_0(gv, alpha, h, k0):
+    """(count, hit_zero_pivot) of the fd operator at E = 0 by a sweep of
+    every interior node, G read at each (gv), the blocks either side of
+    the Dirichlet node k0 swept apart; a zero pivot retries the block with
+    the ulp-scale shift of count_below_fd."""
+    diag = 2.0 - (h * h) * (alpha * gv)
+    blocks = [diag] if k0 is None else [diag[:k0 - 1], diag[k0:]]
+    count, zero_hit = 0, False
+    for b in blocks:
+        neg, hz = _full_window_sturm(b.tolist())
+        if hz:
+            shift = 4.0 * np.finfo(float).eps * float(np.max(np.abs(b)))
+            neg, _ = _full_window_sturm((b + shift).tolist())
+        count += neg
+        zero_hit |= hz
+    return count, zero_hit
+
+
+@pytest.mark.parametrize("name", (
+    "square-well", "annulus", "gaussian", "bump", "counterexample",
+    "counterexample-damped", "counterexample-damped-strong"))
+def test_duality_direct_count_is_the_full_sweep(catalog, name):
+    # the duality check's direct count, the fd operator on bs_spectrum's
+    # grid at E = 0, against a sweep of every node of that grid: at 60
+    # couplings log-spaced over [0.5, 5000], and 1e-7 and 1e-12 either side
+    # of each of the first 40 companion thresholds 1/lambda_k, where the
+    # count moves
+    G = to_log(catalog[name], strict=False)
+    lam, meta = bs_spectrum(G)
+    A, h, n, k0 = meta["grid"]
+    gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
+    alphas = list(np.geomspace(0.5, 5000.0, 60))
+    alphas += [(1.0 / x) * (1.0 + s) for x in lam[:40] if x > 0.0
+               for s in (-1e-7, 1e-7, -1e-12, 1e-12)]
+    for alpha in alphas:
+        counts, zero_hit, _ = spectral1d._fd_operator(G, alpha,
+                                                      meta["grid"])(0.0)
+        assert (sum(counts), zero_hit) == _full_sweep_at_0(gv, alpha, h,
+                                                           k0), alpha
+
+
+def test_fd_side_counts_split_at_origin(catalog, monkeypatch):
     # the left/right counts of the Dirichlet-at-0 split add up to the
     # count, and exist only when the window straddles t = 0
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    fd_grid = spectral1d._fd_grid
     for name in ("square-well", "gaussian", "annulus"):
         G = to_log(catalog[name])
         for alpha in (20.0, 80.0, 300.0):
@@ -362,29 +418,33 @@ def test_fd_side_counts_split_at_origin(catalog):
             assert c.count > 0, (name, alpha)
             assert c.extras["left"] + c.extras["right"] == c.count, (
                 name, alpha)
+            n = fd_grid(G, alpha, E, mode)[0][2]
             for dom in ((0.0, 6.0), (-6.0, 0.0), (0.5, 6.0)):
-                c = count_below_fd(G, alpha, E, mode, domain=dom)
+                with monkeypatch.context() as mp:
+                    mp.setattr(spectral1d, "_fd_grid", _fd_grid_on(dom, n))
+                    c = count_below_fd(G, alpha, E, mode)
                 assert "left" not in c.extras, (name, alpha, dom)
                 assert "right" not in c.extras, (name, alpha, dom)
 
 
 def test_bs_spectrum_grid_stability(catalog):
     G = to_log(catalog["gaussian"])
-    lam1, meta = bs_spectrum(G, n_max=8)
-    lam2, _ = bs_spectrum(G, n_max=8, h=meta["h"] / 2.0)
+    split = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    lam1, _ = spectral1d._companion_spectrum(G, _companion_grid(G, split), 8)
+    lam2, _ = spectral1d._companion_spectrum(
+        G, _companion_grid(G, split, 8000), 8)
     # leading eigenvalues converge under refinement; the small tail ones
     # are relatively softer, so the blanket tolerance is looser
     assert lam1[0] == pytest.approx(lam2[0], rel=1e-3)
     assert np.allclose(lam1, lam2, rtol=1e-2, atol=1e-10)
 
 
-def _dense_pencil(G, meta, mode):
+def _dense_pencil(G, grid, meta, mode):
     """All eigenvalues, descending, of h diag(G) u = lambda K u on the grid
-    of `meta`, built dense: the Dirichlet node at t = 0 is deleted from the
-    full tridiagonal, which cuts the coupling across it."""
-    A, B = meta["domain"]
-    h = meta["h"]
-    n = round((B - A) / h)
+    (A, h, n, k0), built dense: in the Dirichlet-at-0 mode the node at
+    t = 0 is deleted from the full tridiagonal, which cuts the coupling
+    across it."""
+    A, h, n, _ = grid
     gv = G.eval(A + h * np.arange(1, n))
     K = (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / h
     k0 = round(-A / h)
@@ -398,10 +458,9 @@ def _dense_pencil(G, meta, mode):
 
 def _assert_matches_dense_pencil(G, mode, domain, case, n_max=32,
                                  intervals=400):
-    h = (domain[1] - domain[0]) / intervals
-    lam, meta = bs_spectrum(G, mode, domain=domain, h=h,
-                            n_max=n_max)
-    want, positive = _dense_pencil(G, meta, mode)
+    grid = spectral1d._line_grid(*domain, intervals, mode)[0]
+    lam, meta = spectral1d._companion_spectrum(G, grid, n_max)
+    want, positive = _dense_pencil(G, grid, meta, mode)
     assert meta["n_support"] == positive, case
     # every positive eigenvalue up to n_max, however few nodes the grid has
     k = min(n_max, positive)
@@ -500,14 +559,12 @@ def test_bs_spectrum_eliminates_massless_nodes(mode, case):
 
 
 def test_bs_spectrum_support_at_verify_window(catalog):
-    # verify's companion spectra (n_max = 48, counting window at the
-    # threshold energy): Lanczos wants every eigenvalue of the annulus's
-    # support, and 48 of the bump's
-    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    # verify's companion spectra (48 values, counting window at E = 0):
+    # Lanczos wants every eigenvalue of the annulus's support, and 48 of
+    # the bump's
     for name, n_support in (("annulus", 34), ("bump", 54)):
         G = to_log(catalog[name])
-        dom = counting_domain(G, 50.0, -threshold_eps(G, 50.0), mode)
-        lam, meta = bs_spectrum(G, mode, domain=dom, n_max=48)
+        lam, meta = bs_spectrum(G)
         assert meta["n_support"] == n_support, name
         assert meta["n_nodes"] == 3998, name
         assert np.count_nonzero(lam) == min(48, n_support), name
@@ -517,50 +574,61 @@ def test_bs_spectrum_rejects_negative_G():
     # M^(1/2) needs G >= 0; a stub that dips below 0 on the grid is an
     # error, not NaN eigenvalues
     G = boxes_G((10.0, -1.0, 1.0), (-1.0, 1.0, 2.0))
+    solve = spectral1d._companion_spectrum
     for mode in BoundaryMode:
         with pytest.raises(ValueError, match="G >= 0"):
-            bs_spectrum(G, mode, domain=(-2.0, 3.0), h=0.01)
-    lam, _ = bs_spectrum(G, domain=(-2.0, 0.5), h=0.01)
+            solve(G, spectral1d._line_grid(-2.0, 3.0, 500, mode)[0], 32)
+    with pytest.raises(ValueError, match="G >= 0"):
+        bs_spectrum(G)
+    lam, _ = solve(G, spectral1d._line_grid(
+        -2.0, 0.5, 250, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)[0], 32)
     assert lam[0] > 0.0
 
 
 def test_bs_spectrum_rejects_n_max_below_1(catalog):
-    # n_max counts eigenvalues: 0 and below are refused by bs_spectrum and
-    # by both checks that pass it on, on a narrow support (the annulus's
-    # 34 nodes), a wide one and a zero potential alike
+    # the depth of bs_spectrum is a constant of 48 values: neither it nor
+    # either check that reads it takes an n_max, on a narrow support (the
+    # annulus's 34 nodes), a wide one and a zero potential alike, so none
+    # can be asked for fewer than 1; the solver under it keeps one value
+    # when asked for one
     for name in ("zero", "annulus", "gaussian"):
         G = to_log(catalog[name], strict=False)
-        for n_max in (0, -3):
-            with pytest.raises(ValueError, match="n_max >= 1"):
+        for n_max in (0, -3, 48):
+            with pytest.raises(TypeError, match="n_max"):
                 bs_spectrum(G, n_max=n_max)
-            with pytest.raises(ValueError, match="n_max >= 1"):
+            with pytest.raises(TypeError, match="n_max"):
                 bs_duality_check(catalog[name], 50.0, n_max=n_max)
-            with pytest.raises(ValueError, match="n_max >= 1"):
+            with pytest.raises(TypeError, match="n_max"):
                 delta_link_check(catalog[name], n_max=n_max)
-    lam, _ = bs_spectrum(to_log(catalog["gaussian"]), n_max=1)
+        lam, meta = bs_spectrum(G)
+        assert lam.shape == (48,), name
+    G = to_log(catalog["gaussian"])
+    lam, _ = spectral1d._companion_spectrum(G, bs_spectrum(G)[1]["grid"], 1)
     assert lam.shape == (1,) and lam[0] > 0.0
 
 
 @pytest.mark.parametrize("mode", list(BoundaryMode))
 def test_bs_spectrum_lanczos_keeps_every_eigenvalue(catalog, mode):
-    # Sylvester inertia on the spectrum's own grid: at the coupling
-    # alpha = 2/(lambda_k + lambda_k+1) between two computed eigenvalues,
-    # #{lambda > 1/alpha} is the Dirichlet count of K - alpha M at E = 0
-    # there (spectral1d._companion_count), so a Lanczos run that misses an
-    # eigenvalue, or adds a spurious one, fails this without any other
-    # solver to compare with
+    # Sylvester inertia on the spectrum's own grid (bs_spectrum's, in this
+    # mode): at the coupling alpha = 2/(lambda_k + lambda_k+1) between two
+    # computed eigenvalues, #{lambda > 1/alpha} is the Dirichlet count of
+    # K - alpha M at E = 0 there (the fd operator on that grid), so a
+    # Lanczos run that misses an eigenvalue, or adds a spurious one, fails
+    # this without any other solver to compare with
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         if G.g_max <= 0.0:
             continue
-        lam, meta = bs_spectrum(G, mode, n_max=48)
-        again, _ = bs_spectrum(G, mode, n_max=48)
+        grid = _companion_grid(G, mode)
+        lam, meta = spectral1d._companion_spectrum(G, grid, 48)
+        again, _ = spectral1d._companion_spectrum(G, grid, 48)
         assert np.array_equal(lam, again), name
         pos = lam[lam > 0.0]
         for k in range(1, len(pos)):
             alpha = 2.0 / (pos[k - 1] + pos[k])
-            got = spectral1d._companion_count(G, alpha, meta["grid"])
-            assert got == (int(np.sum(lam > 1.0 / alpha)), False), (name, k)
+            counts, zero_hit, _ = spectral1d._fd_operator(G, alpha, grid)(0.0)
+            assert (sum(counts), zero_hit) == (
+                int(np.sum(lam > 1.0 / alpha)), False), (name, k)
 
 
 @pytest.mark.parametrize("mode", list(BoundaryMode))
@@ -568,19 +636,21 @@ def test_bs_spectrum_floor_stops_past_one_over_alpha(catalog, mode):
     # a floor-stopped run solves every eigenvalue above the duality floor
     # and the first one at or below it (at least 8, or the whole support),
     # each within 1e-13 lambda_1 of the full n_max = 48 run's, and pads the
-    # rest with zeros; on meta's grid #{lambda > 1/alpha} is the Dirichlet
-    # count of K - alpha M at E = 0 (Sylvester), so no eigenvalue above is
-    # missed, wherever the 48 values reach below 1/alpha
+    # rest with zeros; on its grid (bs_spectrum's, in this mode)
+    # #{lambda > 1/alpha} is the Dirichlet count of K - alpha M at E = 0
+    # (Sylvester), so no eigenvalue above is missed, wherever the 48 values
+    # reach below 1/alpha
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         if G.g_max <= 0.0:
             continue
-        full, meta_full = bs_spectrum(G, mode, n_max=48)
+        grid = _companion_grid(G, mode)
+        full, meta_full = spectral1d._companion_spectrum(G, grid, 48)
         assert meta_full["n_solved"] == min(48, meta_full["n_support"])
         for alpha in (3.0, 10.0, 50.0, 800.0, 3200.0):
             case = (name, alpha)
             floor = (1.0 - 1e-8) / alpha
-            lam, meta = bs_spectrum(G, mode, n_max=48, floor=floor)
+            lam, meta = spectral1d._companion_spectrum(G, grid, 48, floor)
             k = meta["n_solved"]
             assert meta == {**meta_full, "n_solved": k}, case
             above = int(np.sum(full > floor))
@@ -589,10 +659,14 @@ def test_bs_spectrum_floor_stops_past_one_over_alpha(catalog, mode):
             assert np.all(lam[k:] == 0.0), case
             assert np.all(np.abs(lam[:k] - full[:k]) <= 1e-13 * full[0]), (
                 case, lam[:k] - full[:k])
+            counts, zero_hit, _ = spectral1d._fd_operator(G, alpha, grid)(0.0)
+            assert not zero_hit, case
             if k == 48 and lam[-1] > 1.0 / alpha:
-                continue   # past the cap, where the duality check refuses
-            got = spectral1d._companion_count(G, alpha, meta["grid"])
-            assert got == (int(np.sum(lam > 1.0 / alpha)), False), case
+                # past the 48 values, where the duality check holds the
+                # direct count to the one-sided bound
+                assert sum(counts) >= 48, case
+                continue
+            assert sum(counts) == int(np.sum(lam > 1.0 / alpha)), case
 
 
 def test_n_above_is_the_count_of_eigenvalues_above():
@@ -612,37 +686,54 @@ def test_n_above_is_the_count_of_eigenvalues_above():
 
 def test_bs_spectrum_reads_G_on_its_support_only(catalog):
     # G = 0 off t_support: the spectrum and meta read at the support nodes
-    # and a margin node either side are the whole window's, bit for bit
+    # and a margin node either side are the whole window's, bit for bit, on
+    # bs_spectrum's grid of every mode
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         whole = dataclasses.replace(G, t_support=(-math.inf, math.inf))
         for mode in BoundaryMode:
-            lam, meta = bs_spectrum(G, mode)
-            lam_whole, meta_whole = bs_spectrum(whole, mode)
+            grid = _companion_grid(G, mode)
+            lam, meta = spectral1d._companion_spectrum(G, grid, 32)
+            lam_whole, meta_whole = spectral1d._companion_spectrum(
+                whole, grid, 32)
             assert np.array_equal(lam, lam_whole), (name, mode)
             assert meta == meta_whole, (name, mode)
+        lam, meta = bs_spectrum(G)
+        lam_whole, meta_whole = bs_spectrum(whole)
+        assert np.array_equal(lam, lam_whole), name
+        assert meta == meta_whole, name
 
 
 @pytest.mark.parametrize("mode", list(BoundaryMode))
 def test_grid_capped_at_n_cap(monkeypatch, mode):
     # with the cap at 256 intervals, the default grids of both the fd count
-    # (h <= 8e-3 here) and bs_spectrum (4000 intervals) are coarsened to
-    # h = 8/256 on (-4, 4): the count is flagged and equals the count on
-    # that grid asked for explicitly, and the spectrum, marked capped in
-    # its meta, equals its spectrum
+    # (h <= 6e-3 here, over 1000 intervals) and bs_spectrum (4000
+    # intervals) are coarsened to 256 intervals of their windows: the count
+    # is flagged and equals the count on that grid asked for explicitly,
+    # and the spectrum, marked capped in its meta, equals its spectrum
     monkeypatch.setattr(spectral1d, "_N_CAP", 256)
     G = boxes_G((400.0, -0.5, 0.5), (100.0, 0.5, 1.5))
-    dom = (-4.0, 4.0)
-    h = (dom[1] - dom[0]) / spectral1d._N_CAP
-    capped = count_below_fd(G, 1.0, -50.0, mode, domain=dom)
-    explicit = count_below_fd(G, 1.0, -50.0, mode, domain=dom, h=h)
+    dom = counting_domain(G, 1.0, -50.0, mode)
+    capped = count_below_fd(G, 1.0, -50.0, mode)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral1d, "_fd_grid", _fd_grid_on(dom, 256))
+        explicit = count_below_fd(G, 1.0, -50.0, mode)
     assert capped.flags == ("grid-coarsened",) and explicit.flags == ()
     assert capped.count == explicit.count > 0
-    assert (capped.h, capped.extras) == (explicit.h, explicit.extras)
-    lam, meta = bs_spectrum(G, mode, domain=dom)
-    lam_h, meta_h = bs_spectrum(G, mode, domain=dom, h=h)
-    assert (meta.pop("capped"), meta_h.pop("capped")) == (True, False)
-    assert meta == meta_h and meta["h"] == h
+    assert (capped.domain, capped.h, capped.extras) == (
+        explicit.domain, explicit.h, explicit.extras)
+    window = counting_domain(G, 1.0, 0.0, mode)
+    grid, B, was_capped = spectral1d._line_grid(*window, 4000, mode)
+    assert was_capped and grid[2] == 256
+    assert spectral1d._line_grid(*window, 256, mode) == (grid, B, False)
+    lam, meta = bs_spectrum(G)
+    split = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    want = spectral1d._line_grid(*counting_domain(G, 1.0, 0.0, split), 256,
+                                 split)
+    assert (meta["grid"], meta["domain"][1], meta["capped"]) == (
+        want[0], want[1], True)
+    lam_h, meta_h = spectral1d._companion_spectrum(G, want[0], 48)
+    assert meta_h.items() <= meta.items()
     assert np.array_equal(lam, lam_h) and lam[0] > 0.0
 
 
@@ -1140,25 +1231,21 @@ def _trimmed_block(arr, first, stop, a_c):
 
 
 def _three_sweep_fd(G, alpha, E, mode=BoundaryMode.WHOLE_LINE, *,
-                    domain=None, h=None, near_threshold_check=True,
-                    block_count=_trimmed_block):
+                    near_threshold_check=True, block_count=_trimmed_block):
     """count_below_fd as it was before its probes could decide the count:
     the count, its flags and side counts are read from a sweep at E, and
-    the probes at E -/+ delta only raise `near-threshold`. It reads G at
-    every node of the grid, builds every block whole, and counts each by
-    block_count(arr, first, stop, a_c): by default spectral1d._block_count
-    (looked up at the call, so a patch of it patches this)."""
+    the probes at E -/+ delta only raise `near-threshold`. On the grid of
+    spectral1d._fd_grid, it reads G at every node, builds every block
+    whole, and counts each by block_count(arr, first, stop, a_c): by
+    default spectral1d._block_count. Both are looked up at the call, so a
+    patch of either patches this."""
     mode = BoundaryMode(mode)
-    A, B = domain if domain is not None else counting_domain(G, alpha, E,
-                                                             mode)
     flags = ["domain-truncated"] if G.truncated else []
     if alpha * G.g_max + E <= 0.0:
-        return CountResult(0, "fd", E, mode.value, (A, B),
+        return CountResult(0, "fd", E, mode.value,
+                           counting_domain(G, alpha, E, mode),
                            flags=tuple(flags + ["below-spectrum"]))
-    if h is None:
-        h = min(1e-3 * (B - A),
-                1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
-    A, B, h, n, k0, capped = spectral1d._line_grid(A, B, h, mode)
+    (A, h, n, k0), B, capped = spectral1d._fd_grid(G, alpha, E, mode)
     if capped:
         flags.append("grid-coarsened")
     gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
@@ -1210,11 +1297,11 @@ def _full_window_fd(*args, **kw):
     return _three_sweep_fd(*args, block_count=_full_window_block, **kw)
 
 
-def _assert_matches_full_window(G, alpha, E, mode, case, **kw):
+def _assert_matches_full_window(G, alpha, E, mode, case):
     # the two-probe count with the trimmed sweep against the three-sweep
     # count over every node: the same count, uncertainty, flags and sides
-    got = count_below_fd(G, alpha, E, mode, **kw)
-    want = _full_window_fd(G, alpha, E, mode, **kw)
+    got = count_below_fd(G, alpha, E, mode)
+    want = _full_window_fd(G, alpha, E, mode)
     for name in ("count", "uncertainty", "flags", "extras"):
         assert getattr(got, name) == getattr(want, name), (case, name)
     assert got.steps <= want.steps, case
@@ -1324,7 +1411,7 @@ def test_fd_constant_runs_of_0_1_2_nodes(monkeypatch, head, tail):
     # the grid problem the newest negative pivot is the last one, so with
     # a tail it is the tail rule's
     G = boxes_G((400.0, 0.05 + 0.1 * head, 0.95 - 0.1 * tail))
-    kw = dict(domain=(0.0, 1.0), h=0.1)
+    monkeypatch.setattr(spectral1d, "_fd_grid", _fd_grid_on((0.0, 1.0), 10))
     levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
     levels = levels[levels < 0.0]
     assert len(levels) >= 3
@@ -1336,7 +1423,7 @@ def test_fd_constant_runs_of_0_1_2_nodes(monkeypatch, head, tail):
     for E in energies:
         sweeps.clear()
         got = _assert_matches_full_window(G, 1.0, E, BoundaryMode.WHOLE_LINE,
-                                          (head, tail, E), **kw)
+                                          (head, tail, E))
         # probes at E -/+ delta, and E itself only where they disagree
         near = "near-threshold" in got.flags
         assert got.steps == (2 + near) * (9 - head - tail) == sum(
@@ -1354,7 +1441,7 @@ def test_fd_sweep_stops_once_settled(monkeypatch, tail):
     # the last allowed node only until a pivot is >= 1, and negative pivots
     # on that stretch still count
     G = boxes_G((400.0, 0.05, 0.55), (50.0, 0.55, 0.95 - 0.1 * tail))
-    kw = dict(domain=(0.0, 1.0), h=0.1)
+    monkeypatch.setattr(spectral1d, "_fd_grid", _fd_grid_on((0.0, 1.0), 10))
     levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
     levels = levels[(levels < -50.0) & (levels > -400.0)]
     assert len(levels) >= 2
@@ -1374,23 +1461,22 @@ def test_fd_sweep_stops_once_settled(monkeypatch, tail):
     for E in energies:
         settled.clear()
         got = _assert_matches_full_window(G, 1.0, E, BoundaryMode.WHOLE_LINE,
-                                          (tail, E), **kw)
+                                          (tail, E))
         assert settled[0][0] == 4 - tail
         cut += settled[0][2] < settled[0][0]
         from_settle += settled[0][1]
     assert cut > 0 and from_settle > 0
 
 
-def _e_sweep_matches_full_window(G, E, domain, h, case):
-    """The sweep at E alone of the fd operator (_fd_operator's counts_at)
-    against the full-window count with no probes: the same count, a zero
-    pivot where that count flags pivot-shift, and no more pivots swept.
-    Returns counts_at(E)."""
-    counts_at = spectral1d._fd_operator(G, 1.0, E, BoundaryMode.WHOLE_LINE,
-                                        *domain, h)[-1]
-    counts, zero_hit, steps = counts_at(E)
-    want = _full_window_fd(G, 1.0, E, domain=domain, h=h,
-                           near_threshold_check=False)
+def _e_sweep_matches_full_window(monkeypatch, G, E, domain, n, case):
+    """The sweep at E alone of the fd operator on the grid of n intervals
+    on `domain` (_fd_operator's counts_at) against the full-window count on
+    that grid with no probes: the same count, a zero pivot where that count
+    flags pivot-shift, and no more pivots swept. Returns counts_at(E)."""
+    grid = spectral1d._line_grid(*domain, n, BoundaryMode.WHOLE_LINE)[0]
+    counts, zero_hit, steps = spectral1d._fd_operator(G, 1.0, grid)(E)
+    monkeypatch.setattr(spectral1d, "_fd_grid", _fd_grid_on(domain, n))
+    want = _full_window_fd(G, 1.0, E, near_threshold_check=False)
     assert sum(counts) == want.count, case
     assert zero_hit == ("pivot-shift" in want.flags), case
     assert want.uncertainty == zero_hit, case
@@ -1398,14 +1484,14 @@ def _e_sweep_matches_full_window(G, E, domain, h, case):
     return counts, zero_hit, steps
 
 
-def test_fd_zero_pivot_past_the_last_allowed_node():
+def test_fd_zero_pivot_past_the_last_allowed_node(monkeypatch):
     # h = 0.5, E = -2: G = 8 at t = 0.5 gives the allowed diagonal 0.5 and
     # pivot 0.5; G = 2 at t = 1 gives the diagonal 2 exactly, past the last
     # allowed node, where the pivot 2 - 1/0.5 is 0.0 and is flagged by
     # the one sweep, at E
     G = boxes_G((8.0, 0.25, 0.75), (2.0, 0.75, 1.25))
-    _, zero_hit, _ = _e_sweep_matches_full_window(G, -2.0, (0.0, 4.0), 0.5,
-                                                  "zero pivot")
+    _, zero_hit, _ = _e_sweep_matches_full_window(
+        monkeypatch, G, -2.0, (0.0, 4.0), 8, "zero pivot")
     assert zero_hit
 
 
@@ -1416,13 +1502,13 @@ def test_fd_zero_pivot_between_agreeing_probes(monkeypatch):
     # count from E, flagged pivot-shift. A zero pivot in a probe (at
     # E - delta = -2) still sends the count to a sweep at E
     G = boxes_G((8.0, 0.25, 0.75), (2.0, 0.75, 1.25))
-    kw = dict(domain=(0.0, 4.0), h=0.5)
+    monkeypatch.setattr(spectral1d, "_fd_grid", _fd_grid_on((0.0, 4.0), 8))
     sweeps = _swept_negatives(monkeypatch)
-    got = count_below_fd(G, 1.0, -2.0, **kw)
+    got = count_below_fd(G, 1.0, -2.0)
     assert (got.count, got.uncertainty, got.flags) == (1, 0, ())
     assert len(sweeps) == 2 and got.steps == 4
     sweeps.clear()
-    want = _three_sweep_fd(G, 1.0, -2.0, **kw)
+    want = _three_sweep_fd(G, 1.0, -2.0)
     assert (want.count, want.uncertainty, want.flags) == (1, 1,
                                                           ("pivot-shift",))
     delta = threshold_eps(G, 1.0)
@@ -1430,7 +1516,7 @@ def test_fd_zero_pivot_between_agreeing_probes(monkeypatch):
     assert E - delta == -2.0
     sweeps.clear()
     got = _assert_matches_full_window(G, 1.0, E, BoundaryMode.WHOLE_LINE,
-                                      "zero pivot in a probe", **kw)
+                                      "zero pivot in a probe")
     # E - delta, its retry, E + delta, E
     assert len(sweeps) == 4 and got.steps == 8
     assert (got.count, got.flags) == (1, ())
@@ -1441,7 +1527,7 @@ def test_fd_probes_that_disagree_sweep_E(monkeypatch):
     # count is read from a third sweep, at E, and flagged near-threshold
     # with uncertainty 1, as the three-sweep count has it
     G = boxes_G((400.0, 0.25, 0.75))
-    kw = dict(domain=(0.0, 1.0), h=0.1)
+    monkeypatch.setattr(spectral1d, "_fd_grid", _fd_grid_on((0.0, 1.0), 10))
     levels = _fd_levels(G, 1.0, 0.0, 1.0, 0.1)
     counts = []
     block_count = spectral1d._block_count
@@ -1456,7 +1542,7 @@ def test_fd_probes_that_disagree_sweep_E(monkeypatch):
         for E in (float(level) * (1.0 - 1e-12), float(level) * (1.0 + 1e-12)):
             counts.clear()
             got = _assert_matches_full_window(
-                G, 1.0, E, BoundaryMode.WHOLE_LINE, E, **kw)
+                G, 1.0, E, BoundaryMode.WHOLE_LINE, E)
             assert got.flags == ("near-threshold",) and got.uncertainty == 1
             lo, hi, at = counts[:3]   # E - delta, E + delta, E
             assert (lo + 1, at) == (hi, got.count) == (
@@ -1468,14 +1554,14 @@ def test_fd_dirichlet_at_0_blocks(monkeypatch):
     # from 0.1 .. 0.9; a block that is all G = 0 counts 0 with no sweep,
     # and so does one whose box lies below E
     mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    kw = dict(domain=(-1.0, 1.0), h=0.1)
+    monkeypatch.setattr(spectral1d, "_fd_grid", _fd_grid_on((-1.0, 1.0), 20))
     right_only = boxes_G((400.0, 0.25, 0.75))
     both = boxes_G((400.0, -0.75, -0.25), (300.0, 0.25, 0.75))
     sweeps = _swept_negatives(monkeypatch)
     for G, blocks in ((right_only, 1), (both, 2)):
         for E in (-350.0, -200.0, -120.0, -60.0, -5.0):
             sweeps.clear()
-            got = _assert_matches_full_window(G, 1.0, E, mode, E, **kw)
+            got = _assert_matches_full_window(G, 1.0, E, mode, E)
             swept = 1 if blocks == 1 or E < -300.0 else 2
             # the probes decide: E - delta first, then E + delta
             assert got.flags == () and len(sweeps) == 2 * swept, E
@@ -1494,8 +1580,8 @@ def test_fd_zero_pivot_retry_is_trimmed_too(monkeypatch):
     block_count = spectral1d._block_count
     monkeypatch.setattr(spectral1d, "_block_count",
                         lambda *a: calls.append(a) or block_count(*a))
-    _, zero_hit, steps = _e_sweep_matches_full_window(G, -1.0, (0.0, 4.0),
-                                                      0.5, "zero pivot")
+    _, zero_hit, steps = _e_sweep_matches_full_window(
+        monkeypatch, G, -1.0, (0.0, 4.0), 8, "zero pivot")
     assert zero_hit
     assert [n for n, _ in sweeps] == [2, 2]   # E, retry
     assert steps == 4
@@ -1559,8 +1645,9 @@ def test_fd_two_probes_property_near_levels(boxes, k, side, mode):
     levels = levels[levels < 0.0]
     assume(levels.size > 0)
     E = float(levels[k % levels.size]) * (1.0 + side)
-    got = _assert_matches_full_window(G, 1.0, E, mode, (boxes, E, mode),
-                                      domain=(-4.0, 4.0), h=h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral1d, "_fd_grid", _fd_grid_on((-4.0, 4.0), 128))
+        got = _assert_matches_full_window(G, 1.0, E, mode, (boxes, E, mode))
     assert "near-threshold" in got.flags and got.uncertainty >= 1
 
 
@@ -1724,13 +1811,14 @@ def test_fd_reads_G_on_its_support_only(catalog, monkeypatch, name, alpha,
 ])
 def test_degenerate_windows_are_refused(catalog, kw):
     # a reversed or empty window used to be counted (3 states at h < 0 on
-    # the reversed annulus window, a ZeroDivisionError on the empty one);
-    # fd and bs_spectrum now refuse it, and a grid step that is not finite
-    # and > 0
+    # the reversed annulus window, a ZeroDivisionError on the empty one),
+    # and then refused, as was a grid step that is not finite and > 0; now
+    # neither fd nor bs_spectrum takes a window or a step at all: each
+    # sizes its own grid on its own window
     G = to_log(catalog["annulus"], strict=False)
     for call in (lambda: count_below_fd(G, 50.0, -1.0, **kw),
                  lambda: bs_spectrum(G, **kw)):
-        with pytest.raises(ValueError, match="need a finite"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             call()
 
 
