@@ -272,20 +272,16 @@ def delta_link_check(P: RadialPotential, *, K: int = 200) -> dict:
     resolves.  That matched
     window ends at the count of blocks visible inside the (capped)
     spectral domain; later ranks reflect the cap, not the tail.  Checked
-    on the computed windows only; no limit is claimed.  A spectrum on a
-    grid coarsened to the node cap flags `grid-coarsened`.
+    on the computed windows only; no limit is claimed.
     """
     G = to_log(P, strict=False)
     z = zeta_sequence(G, K)
     v = classify(z)
     lam, meta = bs_spectrum(G)
     lam = lam[lam > 0.0]
-    flags = []
-    if meta["capped"]:
-        flags.append("grid-coarsened")
     out = {"delta_window": (v.delta_minus, v.delta_plus),
            "quasinorm": v.quasinorm, "n_modes": int(lam.size),
-           "implication": "vacuous", "holds": True, "flags": flags}
+           "implication": "vacuous", "holds": True}
     if lam.size < 8:
         out["evidence"] = {"reason": "spectral window too small"}
         return out

@@ -25,7 +25,7 @@ from .potentials import LogPotential, RadialPotential, to_log
 from .spectral1d import (
     BoundaryMode,
     CountResult,
-    _fd_operator,
+    _negative_inertia,
     bs_spectrum,
     channel_energy,
     count_batch_pruefer,
@@ -46,8 +46,7 @@ __all__ = [
 # flags that describe a count without putting it in doubt; any other flag
 # (near-threshold, pivot-shift, lambda-near-threshold, ...) does
 INFORMATIONAL_FLAGS = frozenset(
-    {"domain-truncated", "below-spectrum", "zero-potential",
-     "spectrum-short"})
+    {"domain-truncated", "below-spectrum", "zero-potential"})
 
 
 class ChannelConsistencyError(RuntimeError):
@@ -209,38 +208,15 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
     return report
 
 
-def _reaches(lam: np.ndarray, meta: dict, floor: float) -> bool:
-    """Whether a companion spectrum holds every eigenvalue above floor:
-    it is whole (all its values or n_support solved), or its last solved
-    value lies at or below floor."""
-    k = meta["n_solved"]
-    return (k == min(len(lam), meta["n_support"])
-            or (k > 0 and lam[k - 1] <= floor))
+def bs_duality_check(P, alpha: float) -> dict:
+    """Compare #{lambda_n > 1/alpha} with the direct count, the negative
+    inertia of K - alpha M on the pencil (K, M) that bs_spectrum solved
+    (_negative_inertia), where the identity is exact (Sylvester).
 
-
-def bs_duality_check(P, alpha: float, *, spectra: dict | None = None
-                     ) -> dict:
-    """Compare #{lambda_n > 1/alpha} with the direct count, the inertia of
-    K - alpha M: the fd operator on the spectrum's own grid meta["grid"]
-    read at E = 0 (_fd_operator), where the identity is exact.
-
-    The companion spectrum does not depend on alpha, and neither does
-    bs_spectrum's window, on which it is solved. It is solved only as deep
-    as the count reads: down to the floor (1 - 1e-8)/alpha, the lower edge
-    of the lambda-near-threshold window, and one eigenvalue past it
-    (bs_spectrum's floor). spectra, when given, is a dict shared by the
-    checks of one potential: the spectrum is kept there and reused by a
-    later check when it holds all its values (or the whole support's) or
-    already reaches at or below that check's floor; otherwise the later
-    check solves deeper and replaces it. When every one of its 48 values
-    lies above 1/alpha the spectrum is short of the count: it flags
-    `spectrum-short`, and the direct count is held to the one-sided bound
-    count_direct >= 48.
-
+    The spectrum is solved for the values above the floor
+    (1 - 1e-8)/alpha, the lower edge of the lambda-near-threshold window.
     The report's uncertainty is the number of companion eigenvalues within
-    the lambda-near-threshold gap of 1/alpha, plus 1 for a zero pivot in
-    the direct count (`pivot-shift`). A grid coarsened to the node cap
-    flags `grid-coarsened`, a cut tail `domain-truncated`. A mismatch
+    that gap of 1/alpha; a cut tail flags `domain-truncated`. A mismatch
     raises unless it is `excused` by the report's flags and that
     uncertainty."""
     G = _as_log(P)
@@ -248,37 +224,25 @@ def bs_duality_check(P, alpha: float, *, spectra: dict | None = None
         return {"alpha": alpha, "count_spectrum": 0, "count_direct": 0,
                 "ok": True, "uncertainty": 0, "flags": ["zero-potential"]}
     thr = 1.0 / alpha
-    floor = (1.0 - 1e-8) * thr
-    spectra = {} if spectra is None else spectra
-    if "bs_spectrum" not in spectra or not _reaches(*spectra["bs_spectrum"],
-                                                    floor):
-        spectra["bs_spectrum"] = bs_spectrum(G, floor=floor)
-    lam, meta = spectra["bs_spectrum"]
-    short = bool(lam[-1] > thr)
+    lam, meta = bs_spectrum(G, floor=(1.0 - 1e-8) * thr)
     count_spec = int(np.sum(lam > thr))
+    count_dir = _negative_inertia(meta["pencil"], alpha)
     n_near = int(np.sum(np.abs(lam - thr) < 1e-8 * thr))
-    counts, zero_hit, _ = _fd_operator(G, alpha, meta["grid"])(0.0)
-    count_dir = sum(counts)
-    raised = (n_near, meta["capped"], G.truncated, zero_hit, short)
-    flags = [f for f, on in zip(("lambda-near-threshold", "grid-coarsened",
-                                 "domain-truncated", "pivot-shift",
-                                 "spectrum-short"), raised)
-             if on]
-    uncertainty = n_near + zero_hit
-    miss = (max(count_spec - count_dir, 0) if short
-            else abs(count_spec - count_dir))
+    flags = [f for f, on in (("lambda-near-threshold", n_near),
+                             ("domain-truncated", G.truncated)) if on]
+    miss = abs(count_spec - count_dir)
     report = {
         "alpha": alpha,
         "count_spectrum": count_spec,
         "count_direct": count_dir,
         "ok": miss == 0,
-        "uncertainty": uncertainty,
+        "uncertainty": n_near,
         "flags": flags,
         "n_nodes": meta["n_nodes"],
     }
-    if not excused(miss, flags, uncertainty):
+    if not excused(miss, flags, n_near):
         raise ChannelConsistencyError(
             f"coupling-duality mismatch at alpha={alpha}: spectrum route "
-            f"{count_spec}{'+' if short else ''}, direct route {count_dir}, "
-            f"uncertainty={uncertainty}")
+            f"{count_spec}, direct route {count_dir}, "
+            f"uncertainty={n_near}")
     return report

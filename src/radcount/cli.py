@@ -280,15 +280,14 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
     if t_hi > 0.0:
         tmom, _ = _moment(P._prof, 1, max(t_lo, 0.0), t_hi)
 
-    # alpha-independent inputs of the per-alpha checks: the log weight at
-    # R = 1 of both chad bounds, and the companion spectra
+    # the alpha-independent input of the per-alpha checks: the log weight
+    # at R = 1 of both chad bounds
     w1, _ = integral_logweight(P, 1.0)
-    spectra: dict = {}
     for a in alphas:
         b = total_count(P, a)
         s = sandwich_check(P, a, breakdown=b)
         add("sandwich", s["ok"], alpha=a, diff=s["difference"])
-        d = bs_duality_check(P, a, spectra=spectra)
+        d = bs_duality_check(P, a)
         add("duality", d["ok"], alpha=a,
             count_spectrum=d["count_spectrum"],
             count_direct=d["count_direct"])

@@ -66,22 +66,26 @@ Two independent engines with no shared discretization machinery:
 Both count the same problem, fd on its finite window with Dirichlet ends;
 the tests hold each to the other within the uncertainty either flags.
 
-Each uniform grid is sized once, by its owner: _line_grid takes the
-interval count, which the fd step rule sets (_fd_grid) and bs_spectrum
-fixes at 4000. The fd operator on a grid (_fd_operator) serves every count
-on one: the fd count, its eigenvalue bisection, and the duality check's
-direct count, at E = 0 on bs_spectrum's grid.
+The fd grid is sized once, by _fd_grid, and the fd operator on it
+(_fd_operator) serves both fd counts: count_below_fd and its eigenvalue
+bisection.
+
+A phase count whose lead-in scan or mesh would hold more than _N_CAP
+points is refused with a ValueError before anything is allocated.
 
 On top of the counters: eigenvalue location by bisection of the counting
 function (with fd, the Sturm count of the one operator built at the top
 energy), and the quadratic-form spectrum of the Birman-Schwinger companion
-(u', u') vs (G u, u), whose eigenvalues above 1/alpha are in bijection with
-the bound states; bs_spectrum solves its 48 largest. That spectrum is
-solved on the support of G only: the nodes with G = 0 carry no mass and
-are eliminated exactly. A numpy Lanczos with full reorthogonalisation
-solves it at every support size, and applies the inverse of the
-eliminated Laplacian as the discrete Green's function of each Dirichlet
-segment, two cumsums per segment and product.
+(G u, u) / (u', u') of the paper's problem, the whole line at E = 0 with
+u(0) = 0, whose eigenvalues above 1/alpha are as many as the bound states
+of that problem at coupling alpha. bs_spectrum solves it as one small
+symmetric eigenproblem: Gauss-Lobatto-Legendre spectral elements on the
+phase engine's own mesh at a fraction of the coupling read, so that every
+breakpoint of G and t = 0 are element ends, with natural ends past the
+support and the values those of S K^-1 S (stiffness K, lumped mass
+M = S^2). The duality check counts the same pencil directly, as the
+negative inertia of K - alpha M, each element's interior condensed
+(_negative_inertia).
 """
 
 from __future__ import annotations
@@ -207,6 +211,10 @@ _BATCH_INTERVALS = 4096
 # commutator term of the fourth-order Magnus exponent
 _GAUSS = math.sqrt(3.0) / 6.0
 _MAGNUS_C = math.sqrt(3.0) / 12.0
+# the most points of a lead-in scan, a phase mesh or a uniform fd grid, and
+# the most entries of bs_spectrum's pencil: a phase count or a spectrum
+# that needs more is refused with a ValueError, an fd grid is coarsened
+_N_CAP = 3_000_000
 
 
 def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
@@ -216,7 +224,8 @@ def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
     parts as the rule asks for, or in two where it asks for more than four,
     so that the mesh grades with G, until none fails. The rule bounds w,
     not the change of G relative to G, so a tail where alpha G is small
-    gets long intervals."""
+    gets long intervals. A mesh of more than _N_CAP nodes is refused before
+    it is built."""
     cuts = [lo, hi] + [p for p in (*G.breakpoints, 0.0) if lo < p < hi]
     t = _unique_sorted(np.array(cuts, dtype=float))
     while True:
@@ -233,21 +242,29 @@ def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
         if not np.any(parts > 1.0):
             return t
         k = np.where(parts > 4.0, 2.0, np.maximum(parts, 1.0)).astype(np.int64)
+        if k.sum() >= _N_CAP:
+            raise ValueError(f"alpha={alpha}: the phase mesh needs more than "
+                             f"{int(k.sum())} nodes, past {_N_CAP}")
         at = np.repeat(np.arange(k.size), k)
         j = np.arange(at.size) - np.repeat(np.cumsum(k) - k, k)
         t = np.append(a[at] + h[at] * (j / k[at]), t[-1])
 
 
-def _mesh(G, alpha: float, p: float, q: float) -> np.ndarray:
-    """The nodes of the mesh of G at alpha over the span where a pass on
-    any counting window can run, joined with [p, q]: the widest window,
-    counting_domain's in the Dirichlet-at-0 mode at E = 0, cut to the
-    support of G joined with t = 0. The mesh lives on G, one entry for one
-    (alpha, span), built when a pass first needs it."""
-    A, B = counting_domain(G, alpha, 0.0,
-                           BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
+def _span(G) -> tuple[float, float]:
+    """The span where a pass on any counting window can run: the widest
+    window, counting_domain's in the Dirichlet-at-0 mode at E = 0, cut to
+    the support of G joined with t = 0."""
+    A, B = counting_domain(G, 1.0, 0.0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)
     t_lo, t_hi = G.t_support
-    span = (min(max(A, min(t_lo, 0.0)), p), max(min(B, max(t_hi, 0.0)), q))
+    return max(A, min(t_lo, 0.0)), min(B, max(t_hi, 0.0))
+
+
+def _mesh(G, alpha: float, p: float, q: float) -> np.ndarray:
+    """The nodes of the mesh of G at alpha over _span joined with [p, q].
+    The mesh lives on G, one entry for one (alpha, span), built when a
+    pass first needs it."""
+    lo, hi = _span(G)
+    span = (min(lo, p), max(hi, q))
     if G.phase_mesh is None or G.phase_mesh[0] != (alpha, span):
         G.phase_mesh = ((alpha, span), _mesh_nodes(G, alpha, *span))
     return G.phase_mesh[1]
@@ -516,7 +533,8 @@ def _lead_in(G, windows) -> list[tuple[float, float]]:
     maximum, from which t1 comes. The integral is summed back from t1
     (_sum_back) in chunks growing 4x, the first of about
     _LEAD_IN / (kappa spacing) points (at least _HEAD_CHUNK), only as far
-    as it needs."""
+    as it needs. A scan of more than _N_CAP points is refused before it
+    is made."""
     out = []
     scan = []   # (window, alpha, E, A, end of the scan)
     for alpha, E, A, B in windows:
@@ -530,7 +548,11 @@ def _lead_in(G, windows) -> list[tuple[float, float]]:
     lo, hi = min(s[3] for s in scan), max(s[4] for s in scan)
     S_top = math.sqrt(max(1.0, max(alpha * G.g_max + E
                                    for _, alpha, E, _, _ in scan)))
-    n = int(math.ceil(4.0 * S_top * (hi - lo)))
+    n = 4.0 * S_top * (hi - lo)
+    if not n <= _N_CAP - 1:
+        raise ValueError(f"alpha={max(s[1] for s in scan)}: the lead-in scan "
+                         f"needs {n + 1:.3g} points, past {_N_CAP}")
+    n = math.ceil(n)
     ts = _unique_sorted(np.concatenate(
         (np.linspace(lo, hi, n + 1),
          [p for p in G.breakpoints if lo < p < hi])))
@@ -714,9 +736,6 @@ def count_batch_pruefer(G, queries) -> list[CountResult]:
 # ---------------------------------------------------------------------------
 # finite-difference (Sturm pivot) engine
 
-# most intervals of a uniform grid (fd counts and bs_spectrum)
-_N_CAP = 3_000_000
-
 
 def _sturm_pass(a, d: float = math.inf
                 ) -> tuple[int, bool, float]:
@@ -815,17 +834,22 @@ def _block_count(core: np.ndarray, first: int, n_tail: int, a_c: float
     return neg + n_set, hit_zero or hz_set, last - j + k
 
 
-def _line_grid(A: float, B: float, n: int, mode: BoundaryMode
-               ) -> tuple[tuple[float, float, int, int | None], float, bool]:
-    """Uniform grid of n intervals on [A, B], or of _N_CAP when n is more.
+def _fd_grid(G, alpha: float, E: float, mode: BoundaryMode
+             ) -> tuple[tuple[float, float, int, int | None], float, bool]:
+    """The grid that count_below_fd counts on at E: n intervals of
+    counting_domain's window [A, B] at a step of at most 1e-3 of it and
+    1/(8 sqrt(alpha max G + |E| + 1)), at least 8 and at most _N_CAP.
 
     In the Dirichlet-at-0 mode with 0 inside, [A, B] is shifted so t = 0 is
     node k0 of 0..n; k0 is None when there is no interior node at 0.
     Returns ((A, h, n, k0), B, capped): the grid, the end of its window and
     whether n was cut to _N_CAP."""
+    A, B = counting_domain(G, alpha, E, mode)
+    h = min(1e-3 * (B - A),
+            1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
+    n = max(math.ceil((B - A) / h), 8)
     capped = n > _N_CAP
-    if capped:
-        n = _N_CAP
+    n = min(n, _N_CAP)
     h = (B - A) / n
     k0 = None
     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and A < 0.0 < B:
@@ -837,42 +861,22 @@ def _line_grid(A: float, B: float, n: int, mode: BoundaryMode
     return (A, h, n, k0), B, capped
 
 
-def _fd_grid(G, alpha: float, E: float, mode: BoundaryMode
-             ) -> tuple[tuple[float, float, int, int | None], float, bool]:
-    """The grid that count_below_fd counts on at E, by _line_grid:
-    counting_domain's window at a step of at most 1e-3 of it and
-    1/(8 sqrt(alpha max G + |E| + 1)), and at least 8 intervals."""
-    A, B = counting_domain(G, alpha, E, mode)
-    h = min(1e-3 * (B - A),
-            1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
-    return _line_grid(A, B, max(math.ceil((B - A) / h), 8), mode)
-
-
-def _support_read(G, A: float, h: float, n: int) -> tuple[int, np.ndarray]:
-    """(k_lo, G at the interior nodes A + h*k, k = k_lo, k_lo + 1, ...) of
-    a grid of n intervals, read only in G.t_support and one margin node
-    either side: G = 0 at every other node."""
+def _fd_operator(G, alpha: float, grid):
+    """The fd operator of -d^2/dt^2 - alpha G on the grid (A, h, n, k0) of
+    _fd_grid, with Dirichlet ends and, when k0 is not None, a Dirichlet
+    node k0: its blocks, with G read once, at the interior nodes in
+    G.t_support and one margin node either side (G = 0 at the others).
+    Returns counts_at(energy) -> (per-block counts, hit_zero_pivot, pivots
+    swept) of this one operator at any energy: count_below_fd counts it,
+    and eigenvalues_below bisects it."""
+    A, h, n, k0 = grid
     t_lo, t_hi = G.t_support
     k_lo = max(math.ceil(max((t_lo - A) / h, 0.0)) - 1, 1)
     k_hi = min(math.floor(min((t_hi - A) / h, n)) + 1, n - 1)
-    return k_lo, np.asarray(G.eval(A + h * np.arange(k_lo, k_hi + 1)),
-                            dtype=float)
-
-
-def _fd_operator(G, alpha: float, grid):
-    """The fd operator of -d^2/dt^2 - alpha G on the grid (A, h, n, k0) of
-    _line_grid, with Dirichlet ends and, when k0 is not None, a Dirichlet
-    node k0: its blocks, with G read once. Returns counts_at(energy) ->
-    (per-block counts, hit_zero_pivot, pivots swept) of this one operator
-    at any energy. count_below_fd counts it on _fd_grid's grid,
-    eigenvalues_below bisects it there, and channels.bs_duality_check reads
-    it at E = 0 on bs_spectrum's grid, where by Sylvester inertia its count
-    is #{lambda_n > 1/alpha}."""
-    A, h, n, k0 = grid
+    gv = np.asarray(G.eval(A + h * np.arange(k_lo, k_hi + 1)), dtype=float)
     # diagonals h^2*(2/h^2 - alpha G(t_i)); a block is a core between runs
     # of `first` and n_tail nodes where the diagonal is 2 (G = 0, or too
     # small to move it), which are 2 - h^2 E at every energy
-    k_lo, gv = _support_read(G, A, h, n)
     base = 2.0 - (h * h) * (alpha * gv)
     vary = np.flatnonzero(base != 2.0) + k_lo
     blocks = []
@@ -1070,212 +1074,144 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
 # quadratic-form companion spectrum
 
 
-# Lanczos on the companion operator: the top Ritz values are taken once
-# each residual |beta_j s_ji| is at most _RITZ_TOL theta_1, tested first
-# after 2 top steps and then at the later of _RITZ_EVERY steps on and
-# 2 top; a beta at most _BREAKDOWN max |alpha_i| closes an invariant
-# subspace, and the run restarts there. Zeroing that beta moves
-# eigenvalues near the cut by up to about beta: 1e-10 put errors of 1e-9
-# into a spectrum past its numerical rank, and without the restart the
-# rounding residue grows spurious values there. A run with a floor takes
-# at least _FLOOR_TOP values, so that one solve serves the floors of
-# nearby couplings (verify's default 10 and 50 on every bundled spec)
-_RITZ_TOL = 1e-13
-_RITZ_EVERY = 8
-_BREAKDOWN = 1e-12
-_FLOOR_TOP = 8
+# bs_spectrum reads the coupling 1/floor, but at least _BS_ALPHA, so that a
+# profile that is not analytic at its support ends (the bump) gets elements
+# short enough there, and at least _BS_DEPTH / max G, so that a shallow
+# narrow one (a narrow gaussian) gets elements inside its peak. With
+# elements of degree _BS_DEGREE on the mesh at _BS_FRAC of it, doubling the
+# degree moves no value above the floor by more than 1e-9 relative on the
+# bundled specs, the bump's by 1e-7
+_BS_FRAC = 1.0 / 64.0
+_BS_DEGREE = 10
+_BS_ALPHA = 192.0
+_BS_DEPTH = 8.0
 
 
-def _companion_op(pos: np.ndarray, walls: list[int], h: float,
-                  sq: np.ndarray):
-    """x -> sq * K_s^(-1) (sq * x) on the kept nodes pos (sorted, between
-    the walls).
-
-    K_s^(-1) is the kept block of the full grid's inverse, which on each
-    Dirichlet segment [lo, hi] between consecutive walls is the discrete
-    Green's function h (i_< - lo)(hi - i_>)/(hi - lo): a product is a
-    forward and a backward cumsum per segment."""
-    segs = []
-    for lo, hi in zip(walls[:-1], walls[1:]):
-        i, j = np.searchsorted(pos, (lo, hi))
-        if i < j:
-            p = pos[i:j].astype(float)
-            a, b = (p - lo) * sq[i:j], (hi - p) * sq[i:j]
-            c = h / (hi - lo)
-            segs.append((slice(i, j), a, b, c * a, c * b))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        for sl, a, b, ca, cb in segs:
-            xs = x[sl]
-            above = np.empty_like(xs)               # sum over j > i
-            above[-1] = 0.0
-            above[:-1] = np.cumsum((b * xs)[:0:-1])[::-1]
-            y[sl] = cb * np.cumsum(a * xs) + ca * above
-        return y
-
-    return apply
+_GLL_RULES: dict = {}
 
 
-def _n_above(al: list[float], be: list[float], x: float) -> int:
-    """#{eigenvalues > x} of the symmetric tridiagonal matrix with diagonal
-    al and off-diagonal be (extra entries of be are ignored): the positive
-    pivots of T - x I, by Sylvester's law of inertia."""
-    n, d = 0, 1.0
-    for a, b in zip(al, [0.0] + be):
-        d = a - x - b * b / d
-        n += d > 0.0
-        if d == 0.0:
-            d = 1e-300
-    return n
+def _gll(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x and weights w of the (p + 1)-point Gauss-Lobatto-Legendre
+    rule on [-1, 1], and the stiffness matrix int l_i' l_j' of the Lagrange
+    basis l_i on x, which the rule integrates exactly; built once per p.
+    The interior nodes, the zeros of P_p', are the eigenvalues of the
+    Jacobi matrix of the Jacobi(1, 1) polynomials; P_p(x) comes from the
+    Legendre recurrence; and l_j'(x_i) = P_p(x_i) / (P_p(x_j) (x_i - x_j))
+    off the diagonal, which is 0 but for -/+ p (p + 1)/4 at the two ends."""
+    if p in _GLL_RULES:
+        return _GLL_RULES[p]
+    k = np.arange(1.0, p - 1)
+    off = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    x = np.concatenate(([-1.0], np.linalg.eigvalsh(
+        np.diag(off, 1) + np.diag(off, -1)), [1.0]))
+    P0, P = np.ones_like(x), x
+    for n in range(1, p):
+        P0, P = P, ((2 * n + 1) * x * P - n * P0) / (n + 1)
+    w = 2.0 / (p * (p + 1) * P * P)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    D = P[:, None] / (P[None, :] * dx)
+    np.fill_diagonal(D, 0.0)
+    D[0, 0], D[p, p] = -p * (p + 1) / 4.0, p * (p + 1) / 4.0
+    D *= np.sqrt(w)[:, None]
+    _GLL_RULES[p] = (x, w, D.T @ D)
+    return _GLL_RULES[p]
 
 
-def _lanczos_top(op, m: int, k: int, floor: float | None = None
-                 ) -> np.ndarray:
-    """The k <= m largest eigenvalues, descending, of the symmetric m x m
-    operator op, by Lanczos from the fixed vector 1/sqrt(m).
-
-    Without a floor top = k. With one, top = min(k, max(_FLOOR_TOP,
-    1 + #{theta > floor})) is read afresh at each check from the pivots of
-    T - floor (_n_above), and the eigendecomposition that tests the
-    residuals waits until the run has 2 top steps: every eigenvalue above
-    the floor and the first one at or below it must converge, and the run
-    returns those top values. Extreme Ritz values converge first, so this
-    stops far sooner than k when few eigenvalues lie above the floor, and a
-    run that needs all k makes the same checks as one without a floor.
-
-    After the three-term step, each new vector is orthogonalised against
-    every earlier one by classical Gram-Schmidt, twice when the first pass
-    cut its norm below 1/sqrt(2) of the norm before it (DGKS). At an
-    invariant subspace beta is set to 0 and the run goes on from the next
-    cosine cos(pi r (i + 1/2)/m), r = 1, 2, ..., orthogonalised twice: the
-    start vector is the r = 0 one, and these are orthogonal, so no restart
-    repeats an earlier one. At m steps T holds the whole spectrum, and the
-    run returns all k; a run with 2 top >= m reaches no Ritz check and
-    stops there."""
-    # rows are touched only as they are filled: room for four checks
-    # past the first of a run to k, doubled (and the filled rows copied) if
-    # that is short
-    V = np.empty((min(m, 2 * k + 4 * _RITZ_EVERY), m))
-    top = k if floor is None else min(k, _FLOOR_TOP)
-    al: list[float] = []
-    be: list[float] = []
-    q = np.full(m, 1.0 / math.sqrt(m))
-    check, restarts, a_max = 2 * top, 0, 0.0
-    phase = math.pi * (np.arange(m) + 0.5) / m
-
-    def tridiag() -> np.ndarray:
-        return (np.diag(al) + np.diag(be[:len(al) - 1], 1)
-                + np.diag(be[:len(al) - 1], -1))
-
-    def orth(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        return w - (Q @ w) @ Q
-
-    for j in range(m):
-        if j == len(V):
-            V, old = np.empty((min(2 * j, m), m)), V
-            V[:j] = old
-        V[j] = q
-        w = op(q)
-        al.append(float(q @ w))
-        a_max = max(a_max, abs(al[-1]))
-        if j + 1 == m:
-            break
-        w -= al[-1] * q
-        if j:
-            w -= be[-1] * V[j - 1]
-        b0 = float(np.linalg.norm(w))
-        w = orth(w, V[:j + 1])
-        b = float(np.linalg.norm(w))
-        if b < b0 / math.sqrt(2.0):
-            w = orth(w, V[:j + 1])
-            b = float(np.linalg.norm(w))
-        if b <= _BREAKDOWN * a_max:
-            b = 0.0
-            restarts += 1
-            w = orth(orth(np.cos(restarts * phase), V[:j + 1]), V[:j + 1])
-            q = w / np.linalg.norm(w)
-        else:
-            q = w / b
-        be.append(b)
-        if j + 1 >= check:
-            if floor is not None:
-                top = min(k, max(_FLOOR_TOP, 1 + _n_above(al, be, floor)))
-            if j + 1 >= 2 * top:
-                theta, s = np.linalg.eigh(tridiag())
-                if np.all(b * np.abs(s[-1, -top:]) <= _RITZ_TOL * theta[-1]):
-                    return theta[::-1][:top]
-            check = max(check + _RITZ_EVERY, 2 * top)
-    return np.linalg.eigvalsh(tridiag())[::-1][:k]
+def _assemble(pencil) -> tuple[np.ndarray, np.ndarray]:
+    """(K, diag M) of the element pencil (Ke, me, z): the element
+    stiffness matrices Ke and lumped masses me summed over shared vertices,
+    node z (the one at t = 0) deleted."""
+    Ke, me, z = pencil
+    n_el, q = me.shape
+    idx = (q - 1) * np.arange(n_el)[:, None] + np.arange(q)
+    m = np.zeros(n_el * (q - 1) + 1)
+    np.add.at(m, idx, me)
+    K = np.zeros((m.size, m.size))
+    np.add.at(K, (idx[:, :, None], idx[:, None, :]), Ke)
+    keep = np.arange(m.size) != z
+    return K[np.ix_(keep, keep)], m[keep]
 
 
-def _companion_spectrum(G, grid, n_max: int, floor: float | None = None
-                        ) -> tuple[np.ndarray, dict]:
-    """The n_max largest eigenvalues of (G u, u) / (u', u') on the grid
-    (A, h, n, k0) of _line_grid, with Dirichlet ends and, when k0 is not
-    None, a Dirichlet node k0: the pencil M u = lambda K u (M = h diag G,
-    K = (1/h) tridiag(-1, 2, -1)). G must be >= 0 on the grid.
-
-    Only the m_s nodes with G > 0 (the support; no threshold) carry mass;
-    as in count_below_fd, G is read only at the nodes in G.t_support and one
-    margin node either side, since G = 0 at the others. The rest are
-    eliminated exactly: their Schur complement K_s is K restricted to the
-    kept nodes, with Dirichlet walls at nodes 0, n and k0. The nonzero
-    eigenvalues are those of M_s^(1/2) K_s^(-1) M_s^(1/2). Lanczos
-    (_lanczos_top) runs on that operator at every support size, and
-    K_s^(-1) is applied as the discrete Green's function of each Dirichlet
-    segment (_companion_op); the start vector is fixed, so results are
-    deterministic. With a floor, Lanczos stops once every eigenvalue above
-    it has converged, and the first one at or below it (at least
-    _FLOOR_TOP values, at most n_max): a caller that reads
-    #{lambda_n > floor} gets it without solving the rest. Returns
-    (descending eigenvalues, zero-padded to n_max, meta); meta holds the
-    node count n_nodes, n_support = m_s and n_solved, the number of leading
-    entries solved (min(n_max, m_s) without a floor)."""
-    A, h, n, k0 = grid
-    k_lo, gv = _support_read(G, A, h, n)
-    if np.any(gv < 0.0):
-        raise ValueError("bs_spectrum needs G >= 0 on the grid; "
-                         f"min G = {float(np.min(gv))!r}")
-    keep = gv > 0.0
-    if k0 is not None and 0 <= k0 - k_lo < len(keep):
-        keep[k0 - k_lo] = False  # Dirichlet node at t = 0
-    pos = np.flatnonzero(keep) + k_lo
-    m_s = len(pos)
-    meta = {"n_nodes": n - 1 - (k0 is not None), "n_support": m_s,
-            "n_solved": 0}
-    lam = np.zeros(n_max)
-    if m_s == 0:
-        return lam, meta
-    walls = [0, n] if k0 is None else [0, k0, n]
-    sq = np.sqrt(h * gv[pos - k_lo])
-    vals = _lanczos_top(_companion_op(pos, walls, h, sq), m_s,
-                        min(n_max, m_s), floor)
-    meta["n_solved"] = len(vals)
-    lam[:len(vals)] = np.clip(vals, 0.0, None)
-    return lam, meta
-
-
-# bs_spectrum's grid intervals, and the most eigenvalues it solves
-_BS_INTERVALS = 4000
-_BS_VALUES = 48
+def _negative_inertia(pencil, alpha: float) -> int:
+    """The number of negative eigenvalues of K - alpha M on the element
+    pencil (Ke, me, z) of bs_spectrum, without assembling it. Each
+    element's interior nodes couple only to its two vertices, so by
+    Haynsworth's inertia additivity the count is that of the interior
+    blocks (their eigenvalues mu, eigenvectors Q) plus that of the Schur
+    complement on the vertices, a tridiagonal counted by its LDL^T pivots
+    with the vertex z deleted."""
+    Ke, me, z = pencil
+    p = me.shape[1] - 1
+    A = Ke - alpha * (me[:, :, None] * np.eye(p + 1))
+    mu, Q = np.linalg.eigh(A[:, 1:p, 1:p])
+    W = np.swapaxes(Q, 1, 2) @ A[:, 1:p, ::p]
+    S = A[:, ::p, ::p] - np.swapaxes(W, 1, 2) @ (W / mu[:, :, None])
+    diag = np.zeros(len(me) + 1)
+    diag[:-1] += S[:, 0, 0]
+    diag[1:] += S[:, 1, 1]
+    off = [0.0, *S[:, 0, 1].tolist()]
+    neg, d = int(np.sum(mu < 0.0)), math.inf
+    for j, a in enumerate(diag.tolist()):
+        if j * p == z:
+            d = math.inf    # the next vertex starts a block
+            continue
+        # a zero pivot is taken as +0, so that the next is -inf
+        d = a - (off[j] ** 2 / d if d else math.inf)
+        neg += d < 0.0
+    return neg
 
 
 def bs_spectrum(G, *, floor: float | None = None
                 ) -> tuple[np.ndarray, dict]:
-    """Largest 48 eigenvalues of (G u, u) / (u', u') with Dirichlet ends
-    and a Dirichlet node at t = 0, by _companion_spectrum with its floor.
+    """Eigenvalues, descending, of (G u, u) / (u', u') on the whole line
+    with u(0) = 0: the Birman-Schwinger companion at E = 0, whose values
+    above 1/alpha are as many as the bound states of the coupling-alpha
+    problem with a Dirichlet condition at t = 0.
 
-    These are alpha-independent; the bound-state count of the coupling-alpha
-    problem equals #{lambda_n > 1/alpha}. The grid is 4000 intervals of
-    counting_domain's window at E = 0 in the Dirichlet-at-0 mode, the same
-    for every alpha. Returns (the eigenvalues, meta); meta adds to the
-    solver's the grid (A, h, n, k0) of _line_grid, its domain and h, and
-    capped, True when the grid was coarsened to _N_CAP intervals.
-    """
-    mode = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    grid, B, capped = _line_grid(*counting_domain(G, 1.0, 0.0, mode),
-                                 _BS_INTERVALS, mode)
-    lam, meta = _companion_spectrum(G, grid, _BS_VALUES, floor)
-    return lam, {"grid": grid, "domain": (grid[0], B), "h": grid[1], **meta,
-                 "capped": capped}
+    Spectral elements: the phase mesh of G (_mesh_nodes) over _span at
+    _BS_FRAC of the coupling read (see _BS_ALPHA), so every breakpoint of G
+    and t = 0 are element ends, each with the Lagrange basis of degree
+    _BS_DEGREE on its Gauss-Lobatto-Legendre nodes. The outer ends are
+    natural: a finite (u', u') leaves u constant past the support, so the
+    elements without mass between the support and a natural end add
+    nothing, and are dropped. K is the stiffness, M the lumped mass w G (G
+    read at the nodes, one ulp inside at element ends), the node at t = 0
+    deleted; the values are those of S K^-1 S, S = M^(1/2), on the nodes
+    with mass: the nonzero spectrum of M u = lambda K u. A pencil of more
+    than _N_CAP entries is refused before it is built. Returns (values,
+    meta); meta holds n_nodes, the span as domain, and the element pencil
+    (Ke, me, z) that _assemble sums into (K, diag M), on which
+    #{lambda > 1/alpha} is the negative inertia of K - alpha M (Sylvester;
+    _negative_inertia)."""
+    lo, hi = _span(G)
+    alpha = max(_BS_ALPHA, 0.0 if floor is None else 1.0 / floor)
+    if G.g_max > 0.0:
+        alpha = max(alpha, _BS_DEPTH / G.g_max)
+    t = _mesh_nodes(G, _BS_FRAC * alpha, lo, hi)
+    p = _BS_DEGREE
+    x, w, Kr = _gll(p)
+    a, b = t[:-1, None], t[1:, None]
+    pts = a + 0.5 * (b - a) * (x + 1.0)
+    pts[:, 0], pts[:, -1] = np.nextafter(a[:, 0], b[:, 0]), np.nextafter(
+        b[:, 0], a[:, 0])
+    g = np.asarray(G.eval(pts.ravel()), dtype=float).reshape(pts.shape)
+    if np.any(g < 0.0):
+        raise ValueError("bs_spectrum needs G >= 0; "
+                         f"min G = {float(np.min(g))!r}")
+    mass = np.any(g > 0.0, axis=1)
+    run = (((np.cumsum(mass) > 0) | (a[:, 0] >= 0.0))
+           & ((np.cumsum(mass[::-1])[::-1] > 0) | (b[:, 0] <= 0.0)))
+    a, L, g = a[run], (b - a)[run], g[run]
+    n = L.size * p   # the nodes but the one at t = 0
+    if n * n > _N_CAP:
+        raise ValueError(f"alpha={alpha:.6g}: the companion pencil needs {n} "
+                         f"nodes, {n * n} entries, past {_N_CAP}")
+    z = p * int(np.searchsorted(a[:, 0], 0.0))
+    pencil = ((2.0 / L)[:, :, None] * Kr, 0.5 * L * w * g, z)
+    K, m = _assemble(pencil)
+    on = np.flatnonzero(m > 0.0)
+    s = np.sqrt(m[on])
+    C = s[:, None] * np.linalg.inv(K)[np.ix_(on, on)] * s
+    lam = np.linalg.eigvalsh(0.5 * (C + C.T))[::-1]
+    return lam, {"n_nodes": n, "domain": (lo, hi), "pencil": pencil}

@@ -14,7 +14,6 @@ from radcount import (
     weyl_verdict,
     zeta_sequence,
 )
-from radcount import spectral1d
 from radcount.asymptotics import CSV_COLUMNS, alpha_grid, limit_estimates
 from radcount.bounds import bound_chad, bound_weak
 
@@ -178,16 +177,6 @@ def test_delta_link_vacuous_for_zero(catalog):
     rep = delta_link_check(catalog["zero"])
     assert rep["implication"] == "vacuous"
     assert rep["holds"]
-
-
-def test_delta_link_flags_a_coarsened_grid(monkeypatch, catalog):
-    # the spectral tail level on a grid coarsened to _N_CAP intervals is
-    # in doubt, as the duality check on such a grid is
-    assert delta_link_check(catalog["square-well"])["flags"] == []
-    monkeypatch.setattr(spectral1d, "_N_CAP", 256)
-    rep = delta_link_check(catalog["square-well"])
-    assert rep["flags"] == ["grid-coarsened"]
-    assert rep["n_modes"] > 0
 
 
 def test_delta_link_strong_damping_is_classified(catalog):

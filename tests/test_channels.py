@@ -33,7 +33,7 @@ from radcount import (
 from radcount import channels, spectral1d
 from radcount.spectral1d import bs_spectrum, channel_energy, counting_domain
 from rk_phase import count_below_rk
-from test_spectral1d import _random_profiles
+from test_spectral1d import _fd_grid_on, _random_profiles
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -152,7 +152,8 @@ def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog, monkeypatch):
 
     def fine_grid(G, alpha, E, mode):
         A, B = counting_domain(G, alpha, E, mode)
-        return spectral1d._line_grid(A, B, math.ceil((B - A) / 1e-3), mode)
+        return _fd_grid_on((A, B), math.ceil((B - A) / 1e-3))(G, alpha, E,
+                                                                mode)
 
     monkeypatch.setattr(spectral1d, "_fd_grid", fine_grid)
     fine = []
@@ -160,6 +161,14 @@ def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog, monkeypatch):
         E = channel_energy(G, 400.0, len(fine))
         fine.append(spectral1d.count_below_fd(G, 400.0, E).count)
     assert fine[0] + 2 * sum(fine[1:]) == 105
+
+
+def test_disk_channel_count_at_alpha_1e7(catalog):
+    # far below the point cap of the lead-in scan (708,000 points of
+    # 3,000,000), the m = 0 channel still counts at alpha 1e7, as Bessel
+    rep = channel_count(catalog["square-well"], 1e7, 0)
+    assert rep.count == disk_channel_oracle(1e7, 0) == 1007
+    assert rep.uncertainty == 0 and rep.flags == ()
 
 
 def test_channel_counts_nonincreasing_in_m(catalog):
@@ -244,6 +253,20 @@ def test_tabulated_peak_off_the_samples_is_a_breakpoint():
             assert sandwich_check(P, alpha, breakdown=b)["ok"]
 
 
+def test_bs_spectrum_is_the_disk_bessel_spectrum(catalog):
+    # on the unit disk the Dirichlet-at-0 problem is the Dirichlet disk,
+    # whose couplings are j_{0,k}^2: every companion value above 1/alpha
+    # is 1/j_{0,k}^2 within 1e-9 relative, and there are as many
+    G = to_log(catalog["square-well"], strict=False)
+    want = 1.0 / jn_zeros(0, 40) ** 2
+    for alpha in (10.0, 50.0, 400.0, 3200.0):
+        lam, _ = bs_spectrum(G, floor=1.0 / alpha)
+        k = int(np.sum(lam > 1.0 / alpha))
+        assert k == int(np.sum(want > 1.0 / alpha)) > 0, alpha
+        np.testing.assert_allclose(lam[:k], want[:k], rtol=1e-9, atol=0.0,
+                                   err_msg=str(alpha))
+
+
 def test_duality_exact_on_shared_grid(catalog):
     for name in ("square-well", "gaussian", "annulus"):
         for alpha in (8.0, 50.0):
@@ -256,16 +279,11 @@ def test_duality_exact_on_shared_grid(catalog):
     ("square-well", {"radius": 0.1728840350480831}),
     ("gaussian", {"width": 0.08121264674759256})])
 def test_duality_just_below_thresholds_on_a_grid_sized_once(kind, params):
-    # on these windows, sizing the companion's grid from a step,
-    # ceil((B - A)/h) with h = (B - A)/4000, gave 4001 intervals, and
-    # sizing it again from the snapped domain a shifted t = 0 node; a
-    # direct count on that grid found one more state than the spectrum,
-    # with no doubt flag, 1e-7 below each of the first three thresholds
-    # 1/lambda_k. The grid is sized once, at 4000 intervals, and on it
-    # the two counts agree
+    # 1e-7 below each of the first three thresholds 1/lambda_k of these
+    # profiles, both routes count k states on the check's one pencil, with
+    # no doubt flag
     P = make_catalog_potential(kind, params)
-    lam, meta = bs_spectrum(to_log(P, strict=False))
-    assert meta["grid"][2] == 4000
+    lam, _ = bs_spectrum(to_log(P, strict=False), floor=1.0 / 4000.0)
     for k in range(3):
         rep = bs_duality_check(P, (1.0 / lam[k]) * (1.0 - 1e-7))
         assert rep["count_direct"] == rep["count_spectrum"] == k, k
@@ -295,139 +313,74 @@ def test_sandwich_violation_raises_unless_in_doubt(catalog, doubt):
 
 def test_duality_violation_raises_unless_in_doubt(catalog, monkeypatch):
     # the slow tail's report carries domain-truncated; one more state on
-    # either route is a mismatch that only a doubt flag excuses, and only
-    # with an uncertainty that covers it: a zero pivot in the direct count
-    # flags pivot-shift with uncertainty 1
+    # the spectrum route is a mismatch that only a doubt flag excuses, and
+    # only with an uncertainty that covers it: a value moved just above
+    # 1/alpha flags lambda-near-threshold with uncertainty 1, one moved far
+    # above it nothing
     P = catalog["counterexample"]
     want = bs_duality_check(P, 20.0)
     assert want["ok"] and want["flags"] == ["domain-truncated"]
     assert want["uncertainty"] == 0
-    build = channels._fd_operator
-
-    def off_by_one(zero_hit):
-        def operator(*args):
-            counts_at = build(*args)
-
-            def count(energy):
-                counts, _, swept = counts_at(energy)
-                return [sum(counts) + 1], zero_hit, swept
-            return count
-        return operator
-
-    with monkeypatch.context() as mp:
-        mp.setattr("radcount.channels._fd_operator", off_by_one(False))
-        with pytest.raises(channels.ChannelConsistencyError):
-            bs_duality_check(P, 20.0)
-        mp.setattr("radcount.channels._fd_operator", off_by_one(True))
-        rep = bs_duality_check(P, 20.0)
-        assert not rep["ok"] and rep["uncertainty"] == 1
-        assert rep["flags"] == ["domain-truncated", "pivot-shift"]
-        assert rep["count_direct"] == want["count_direct"] + 1
-    # the first companion eigenvalue below 1/alpha moved just above it
     solve = channels.bs_spectrum
 
-    def spectrum(*args, **kw):
-        lam, meta = solve(*args, **kw)
-        lam = lam.copy()
-        lam[want["count_spectrum"]] = (1.0 + 1e-10) / 20.0
-        return lam, meta
+    def moved(value):
+        def spectrum(*args, **kw):
+            lam, meta = solve(*args, **kw)
+            lam = lam.copy()
+            lam[want["count_spectrum"]] = value
+            return lam, meta
+        return spectrum
 
-    monkeypatch.setattr("radcount.channels.bs_spectrum", spectrum)
+    with monkeypatch.context() as mp:
+        mp.setattr("radcount.channels.bs_spectrum", moved(2.0 / 20.0))
+        c = want["count_direct"]
+        with pytest.raises(channels.ChannelConsistencyError,
+                           match=f"spectrum route {c + 1}, direct route {c},"):
+            bs_duality_check(P, 20.0)
+    monkeypatch.setattr("radcount.channels.bs_spectrum",
+                        moved((1.0 + 1e-10) / 20.0))
     rep = bs_duality_check(P, 20.0)
     assert not rep["ok"] and rep["uncertainty"] == 1
     assert rep["count_spectrum"] == want["count_spectrum"] + 1
+    assert rep["count_direct"] == want["count_direct"]
     assert rep["flags"] == ["lambda-near-threshold", "domain-truncated"]
 
 
-def test_duality_reuses_one_spectrum_per_window(catalog, monkeypatch):
-    # the companion spectrum and its window do not depend on alpha: checks
-    # that share a dict reuse a spectrum that already reaches the check's
-    # floor (1 - 1e-8)/alpha or holds all its values, solve deeper and
-    # replace it otherwise, each run their own direct count, and report
-    # what unshared checks report
-    P = catalog["square-well"]
-    alphas = (10.0, 50.0, 3200.0, 800.0)
-    want = [bs_duality_check(P, a) for a in alphas]
-    solved, direct = [], []
-
-    def spy(calls, fn):
-        def wrapped(*args, **kw):
-            calls.append(kw.get("floor"))
-            return fn(*args, **kw)
-        return wrapped
-
-    def floor(alpha):
-        return (1.0 - 1e-8) * (1.0 / alpha)
-
-    monkeypatch.setattr("radcount.channels.bs_spectrum",
-                        spy(solved, channels.bs_spectrum))
-    monkeypatch.setattr("radcount.channels._fd_operator",
-                        spy(direct, channels._fd_operator))
-    spectra = {}
-    got = [bs_duality_check(P, a, spectra=spectra) for a in alphas]
-    assert got == want
-    # 10 solves the top 8, which reach below 1/50; 3200 solves deeper, and
-    # that spectrum serves 800
-    assert solved == [floor(10.0), floor(3200.0)]
-    assert len(direct) == 4 and len(spectra) == 1
-    G = to_log(P, strict=False)
-    lam, meta = bs_spectrum(G, floor=floor(3200.0))
-    (kept_lam, kept_meta), = spectra.values()
-    assert meta == kept_meta and np.array_equal(lam, kept_lam)
-    assert meta["n_solved"] == got[2]["count_spectrum"] + 1
-    # at 1e5 every one of the 48 values lies above 1/alpha: that spectrum,
-    # solved whole, serves every later coupling
-    assert "spectrum-short" in bs_duality_check(P, 1e5,
-                                                spectra=spectra)["flags"]
-    for a in (10.0, 50.0):
-        bs_duality_check(P, a, spectra=spectra)
-    assert solved[2:] == [floor(1e5)] and len(direct) == 7
-    assert next(iter(spectra.values()))[1]["n_solved"] == 48
-
-
-def test_duality_past_the_48_values_is_a_one_sided_bound(catalog,
-                                                         monkeypatch):
-    # where all 48 companion values lie above 1/alpha, the spectrum counts
-    # 48 and no more: the report flags spectrum-short, which puts nothing
-    # in doubt, and holds the direct count to count_direct >= 48, so a
-    # direct count of 48 passes and one of 47 raises
-    P = catalog["counterexample"]
-    rep = bs_duality_check(P, 3200.0)
-    assert rep["count_spectrum"] == 48 and rep["count_direct"] == 50
-    assert rep["ok"] and rep["uncertainty"] == 0
-    assert rep["flags"] == ["domain-truncated", "spectrum-short"]
-    assert "spectrum-short" in channels.INFORMATIONAL_FLAGS
-    for direct, ok in ((48, True), (47, False)):
-        monkeypatch.setattr("radcount.channels._fd_operator",
-                            lambda *args, n=direct: lambda energy: (
-                                [n], False, 0))
-        if ok:
-            assert bs_duality_check(P, 3200.0)["ok"]
-        else:
-            with pytest.raises(channels.ChannelConsistencyError,
-                               match="spectrum route 48"):
-                bs_duality_check(P, 3200.0)
+def test_duality_past_48_values_counts_every_state(catalog):
+    # past 48 states the spectrum counts every state of the Dirichlet-at-0
+    # problem, as the phase engine does, and both routes agree on one
+    # pencil
+    for name, alpha in (("counterexample", 3200.0), ("gaussian", 1e5)):
+        rep = bs_duality_check(catalog[name], alpha)
+        want = total_count(catalog[name], alpha).radial_dirichlet_count
+        assert rep["count_spectrum"] == rep["count_direct"] == want > 48
+        assert rep["ok"] and rep["uncertainty"] == 0
+    assert rep["flags"] == []
+    assert "spectrum-short" not in channels.INFORMATIONAL_FLAGS
 
 
 @pytest.mark.parametrize("name", [
     "square-well", "annulus", "gaussian", "bump", "counterexample",
     "counterexample-damped", "counterexample-damped-strong"])
 def test_duality_reports_match_a_full_spectrum(catalog, monkeypatch, name):
-    # the floor-stopped spectrum reports what the full n_max = 48 one does,
-    # counts, uncertainty and flags, at couplings shallow and deep
+    # the report read from the pencil laid out for the check's coupling is
+    # the one read from a pencil laid out for twice that coupling, which
+    # resolves more of the spectrum: counts, uncertainty and flags, at
+    # couplings shallow and deep
     P = catalog[name]
     alphas = (3.0, 10.0, 50.0, 800.0, 3200.0)
 
     def checks():
-        return [bs_duality_check(P, a) for a in alphas]
+        return [{k: v for k, v in bs_duality_check(P, a).items()
+                 if k != "n_nodes"} for a in alphas]
 
     got = checks()
     solve = channels.bs_spectrum
 
-    def full(*args, floor=None, **kw):
-        return solve(*args, **kw)
+    def finer(G, *, floor):
+        return solve(G, floor=floor / 2.0)
 
-    monkeypatch.setattr("radcount.channels.bs_spectrum", full)
+    monkeypatch.setattr("radcount.channels.bs_spectrum", finer)
     assert got == checks()
 
 
@@ -643,7 +596,7 @@ def test_every_flag_is_in_the_readme_table():
     rows = re.findall(r"^\| `([a-z-]+)` \| (informational|doubt) \|",
                       (root / "README.md").read_text(), re.MULTILINE)
     table = dict(rows)
-    assert len(rows) == len(table) == 10
+    assert len(rows) == len(table) == 9
     assert emitted == set(table)
     assert {f for f, kind in rows if kind == "informational"} == \
         channels.INFORMATIONAL_FLAGS

@@ -247,10 +247,9 @@ def test_sweep_computes_one_zeta_sequence(capsys, monkeypatch):
     assert "weyl" in doc["report"]
 
 
-def test_verify_integrates_log_weight_and_solves_spectrum_once(
-        capsys, monkeypatch):
-    # W(1) and the companion spectrum do not depend on alpha, and at the
-    # default alphas 10 and 50 the duality window is the same
+def test_verify_integrates_log_weight_once(capsys, monkeypatch):
+    # W(1) does not depend on alpha, and verify integrates it once; each
+    # duality check solves the companion pencil of its own coupling
     weights = _count_calls(monkeypatch, "integral_logweight",
                            ["radcount.potentials", "radcount.bounds",
                             "radcount.asymptotics", "radcount.cli"])
@@ -261,7 +260,7 @@ def test_verify_integrates_log_weight_and_solves_spectrum_once(
                          "--n-random", "2")
     assert code == 0 and doc["report"]["ok"] is True
     assert weights == [(1.0,)]
-    assert len(spectra) == 1
+    assert spectra == [(), ()]
     duality = [c for c in doc["report"]["checks"] if c["name"] == "duality"]
     assert [c["alpha"] for c in duality] == [10.0, 50.0]
 
@@ -319,7 +318,9 @@ def test_oracle_equivalence_uses_the_shared_excuse(catalog, monkeypatch,
 def test_verify_sweeps_its_instances_on_one_mesh(capsys, monkeypatch):
     # the 12 engine-agreement instances are one phase batch, on the mesh of
     # its largest coupling; the plane counts at alpha 10 and 50 build their
-    # own: 3 meshes in all, where a mesh per instance made 12
+    # own: 3 meshes in all, where a mesh per instance made 12. The duality
+    # check at each lays its companion's elements on the mesh of
+    # _BS_FRAC * _BS_ALPHA, above both couplings
     from radcount import spectral1d
 
     mesh_nodes = spectral1d._mesh_nodes
@@ -332,8 +333,10 @@ def test_verify_sweeps_its_instances_on_one_mesh(capsys, monkeypatch):
     monkeypatch.setattr(spectral1d, "_mesh_nodes", spy)
     code, doc = run_json(capsys, "verify", "--spec", "square-well")
     assert code == 0 and doc["report"]["ok"] is True
-    assert len(built) == 3
-    assert 5.0 <= built[0] <= 80.0 and built[1:] == [10.0, 50.0]
+    layout = spectral1d._BS_FRAC * spectral1d._BS_ALPHA
+    assert len(built) == 5
+    assert 5.0 <= built[0] <= 80.0
+    assert built[1:] == [10.0, layout, 50.0, layout]
 
 
 def test_verify_passes_on_trivial_profile(capsys):
@@ -346,10 +349,9 @@ def test_verify_passes_on_trivial_profile(capsys):
 
 
 def test_verify_on_a_short_companion_spectrum(capsys, tmp_path):
-    # a non-integrable slow tail: at alpha 50 all 48 companion values lie
-    # above 1/alpha, which exited 2 as a usage error; the duality check now
-    # holds the direct count (49) to the bound >= 48 and flags nothing in
-    # doubt
+    # a non-integrable slow tail: at alpha 50 it has 49 companion values
+    # above 1/alpha, and the spectrum counts every one, as the direct count
+    # does
     path = tmp_path / "slow.json"
     path.write_text('{"kind": "power-log-tail",'
                     ' "params": {"r0": 20, "sigma": 1.5, "tau": 0}}')
@@ -357,7 +359,7 @@ def test_verify_on_a_short_companion_spectrum(capsys, tmp_path):
     assert code == 0 and doc["report"]["ok"] is True
     duality = [(c["alpha"], c["count_spectrum"], c["count_direct"])
                for c in doc["report"]["checks"] if c["name"] == "duality"]
-    assert duality == [(10.0, 22, 22), (50.0, 48, 49)]
+    assert duality == [(10.0, 22, 22), (50.0, 49, 49)]
 
 
 def test_json_out_redirects_stdout(capsys, tmp_path):
@@ -586,9 +588,9 @@ def _fresh(code: str) -> str:
 
 def test_import_loads_no_scipy_submodule():
     # a fresh interpreter: verify on the gaussian solves its companion
-    # spectrum by Lanczos (2420 support nodes at n_max = 48), and the
-    # duality check on the disk does too; neither loads any scipy module,
-    # nor numpy.ma
+    # pencils, and the duality check on the disk does too;
+    # neither loads any scipy module, numpy.ma, or numpy.polynomial (about
+    # 110 ms of imports): the GLL nodes come from a Jacobi matrix
     code = """
 import contextlib, io, sys
 from radcount.cli import main
@@ -599,10 +601,11 @@ for argv in (["verify", "--spec", "gaussian", "--n-random", "0"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
 print(sorted(m for m in sys.modules
-             if m == "scipy" or m.startswith("scipy.") or m == "numpy.ma"))
-print(bs_spectrum(to_log(load_bundled("gaussian")))[1]["n_support"])
+             if m == "scipy" or m.startswith("scipy.") or m == "numpy.ma"
+             or m == "numpy.polynomial" or m.startswith("numpy.polynomial.")))
+print(bs_spectrum(to_log(load_bundled("gaussian")))[1]["n_nodes"])
 """
-    assert _fresh(code).split("\n")[:2] == ["[]", "2420"]
+    assert _fresh(code).split("\n")[:2] == ["[]", "150"]
 
 
 def test_a_fresh_count_loads_no_numpy_ma():
@@ -641,6 +644,22 @@ def test_infinite_alpha_exits_2(capsys, cmd):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "radcount: need alpha > 0 and finite, got inf\n"
+
+
+@pytest.mark.parametrize("spec, alpha, points", [
+    ("square-well", "1e20", "6.4e+11"), ("square-well", "1e300", "6.4e+151"),
+    ("bump", "1e308", "inf")])
+def test_huge_alpha_is_refused_before_allocating(capsys, spec, alpha,
+                                                 points):
+    # the lead-in scan at spacing 1/(4 sqrt(alpha max G)) would need that
+    # many points (alpha max G overflows on the bump): the count is refused
+    # before the scan is allocated, with the coupling and the point count,
+    # as a usage error (exit 2)
+    code = main(["count", "--spec", spec, "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"radcount: alpha={float(alpha)}: the lead-in "
+                            f"scan needs {points} points, past 3000000\n")
 
 
 def test_negative_n_random_exits_2(capsys):

@@ -34,7 +34,7 @@ from radcount import (
     to_log,
     total_count,
 )
-from radcount import spectral1d
+from radcount import channels, spectral1d
 from radcount.potentials import LogPotential
 import rk_phase
 from rk_phase import count_below_rk
@@ -42,6 +42,7 @@ from radcount.spectral1d import (
     CountResult,
     bs_spectrum,
     channel_energy,
+    count_batch_pruefer,
     count_below_fd,
     count_below_pruefer,
     counting_domain,
@@ -96,15 +97,18 @@ def box_count_oracle(depth: float, length: float, E: float) -> int:
 def _fd_grid_on(domain, n):
     """A stand-in for spectral1d._fd_grid: the grid of n intervals on
     `domain` at every coupling and energy, for count_below_fd on a window
-    and grid of a test's choosing."""
-    return lambda G, alpha, E, mode: spectral1d._line_grid(*domain, n, mode)
-
-
-def _companion_grid(G, mode, n=4000):
-    """bs_spectrum's grid, in any mode: n intervals on counting_domain's
-    window at E = 0."""
-    return spectral1d._line_grid(*counting_domain(G, 1.0, 0.0, mode), n,
-                                 mode)[0]
+    and grid of a test's choosing; in the Dirichlet-at-0 mode the window
+    is shifted so that t = 0 is a node, as _fd_grid shifts its own."""
+    def grid(G, alpha, E, mode):
+        A, B = domain
+        h = (B - A) / n
+        k0 = None
+        if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and A < 0.0 < B:
+            k = round(-A / h)
+            A, B = -k * h, -k * h + n * h
+            k0 = k if 0 < k < n else None
+        return (A, h, n, k0), B, False
+    return grid
 
 
 def test_halfline_count_flips_at_transcendental_root():
@@ -336,75 +340,6 @@ def test_phase_eigenvalues_match_bessel_on_disk(catalog, alpha):
     assert np.all(np.abs(got - want) <= 2e-4 * np.abs(want))
 
 
-def test_bs_duality_on_shared_grid(catalog):
-    # inertia identity: #{lambda_n > 1/alpha} equals the Dirichlet count
-    # of K - alpha M at E = 0 on the same grid, exactly; the direct count,
-    # the fd operator on meta's grid, reads G at the nodes that bs_spectrum
-    # read, node for node, with t = 0 the interior node k0
-    for name, P in catalog.items():
-        G = to_log(P, strict=False)
-        if G.g_max <= 0.0:
-            continue
-        reads = []
-        spy = dataclasses.replace(
-            G, _g_vec=lambda t, G=G: reads.append(t) or G.eval(t))
-        lam, meta = bs_spectrum(spy)
-        A, h, n, k0 = meta["grid"]
-        assert (meta["domain"], meta["h"]) == ((A, A + n * h), h), name
-        assert meta["n_nodes"] == n - 2, name
-        assert 0 < k0 < n and A + h * k0 == 0.0, name
-        for alpha in (7.0, 31.0, 90.0):
-            want = int(np.sum(lam > 1.0 / alpha))
-            assert want < len(lam), (name, alpha)
-            counts, zero_hit, _ = spectral1d._fd_operator(
-                spy, alpha, meta["grid"])(0.0)
-            assert (sum(counts), zero_hit) == (want, False), (name, alpha)
-        assert len(reads) == 4, name
-        for t in reads[1:]:
-            assert np.array_equal(t, reads[0]), name
-
-
-def _full_sweep_at_0(gv, alpha, h, k0):
-    """(count, hit_zero_pivot) of the fd operator at E = 0 by a sweep of
-    every interior node, G read at each (gv), the blocks either side of
-    the Dirichlet node k0 swept apart; a zero pivot retries the block with
-    the ulp-scale shift of count_below_fd."""
-    diag = 2.0 - (h * h) * (alpha * gv)
-    blocks = [diag] if k0 is None else [diag[:k0 - 1], diag[k0:]]
-    count, zero_hit = 0, False
-    for b in blocks:
-        neg, hz = _full_window_sturm(b.tolist())
-        if hz:
-            shift = 4.0 * np.finfo(float).eps * float(np.max(np.abs(b)))
-            neg, _ = _full_window_sturm((b + shift).tolist())
-        count += neg
-        zero_hit |= hz
-    return count, zero_hit
-
-
-@pytest.mark.parametrize("name", (
-    "square-well", "annulus", "gaussian", "bump", "counterexample",
-    "counterexample-damped", "counterexample-damped-strong"))
-def test_duality_direct_count_is_the_full_sweep(catalog, name):
-    # the duality check's direct count, the fd operator on bs_spectrum's
-    # grid at E = 0, against a sweep of every node of that grid: at 60
-    # couplings log-spaced over [0.5, 5000], and 1e-7 and 1e-12 either side
-    # of each of the first 40 companion thresholds 1/lambda_k, where the
-    # count moves
-    G = to_log(catalog[name], strict=False)
-    lam, meta = bs_spectrum(G)
-    A, h, n, k0 = meta["grid"]
-    gv = np.asarray(G.eval(A + h * np.arange(1, n)), dtype=float)
-    alphas = list(np.geomspace(0.5, 5000.0, 60))
-    alphas += [(1.0 / x) * (1.0 + s) for x in lam[:40] if x > 0.0
-               for s in (-1e-7, 1e-7, -1e-12, 1e-12)]
-    for alpha in alphas:
-        counts, zero_hit, _ = spectral1d._fd_operator(G, alpha,
-                                                      meta["grid"])(0.0)
-        assert (sum(counts), zero_hit) == _full_sweep_at_0(gv, alpha, h,
-                                                           k0), alpha
-
-
 def test_fd_side_counts_split_at_origin(catalog, monkeypatch):
     # the left/right counts of the Dirichlet-at-0 split add up to the
     # count, and exist only when the window straddles t = 0
@@ -427,170 +362,180 @@ def test_fd_side_counts_split_at_origin(catalog, monkeypatch):
                 assert "right" not in c.extras, (name, alpha, dom)
 
 
-def test_bs_spectrum_grid_stability(catalog):
-    G = to_log(catalog["gaussian"])
-    split = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    lam1, _ = spectral1d._companion_spectrum(G, _companion_grid(G, split), 8)
-    lam2, _ = spectral1d._companion_spectrum(
-        G, _companion_grid(G, split, 8000), 8)
-    # leading eigenvalues converge under refinement; the small tail ones
-    # are relatively softer, so the blanket tolerance is looser
-    assert lam1[0] == pytest.approx(lam2[0], rel=1e-3)
-    assert np.allclose(lam1, lam2, rtol=1e-2, atol=1e-10)
-
-
-def _dense_pencil(G, grid, meta, mode):
-    """All eigenvalues, descending, of h diag(G) u = lambda K u on the grid
-    (A, h, n, k0), built dense: in the Dirichlet-at-0 mode the node at
-    t = 0 is deleted from the full tridiagonal, which cuts the coupling
-    across it."""
-    A, h, n, _ = grid
-    gv = G.eval(A + h * np.arange(1, n))
-    K = (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / h
-    k0 = round(-A / h)
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and 0 < k0 < n:
-        keep = np.arange(n - 1) != k0 - 1
-        gv, K = gv[keep], K[np.ix_(keep, keep)]
-    assert len(gv) == meta["n_nodes"]
-    want = scipy.linalg.eigh(np.diag(h * gv), K, eigvals_only=True)[::-1]
-    return want, int(np.count_nonzero(gv > 0.0))
-
-
-def _assert_matches_dense_pencil(G, mode, domain, case, n_max=32,
-                                 intervals=400):
-    grid = spectral1d._line_grid(*domain, intervals, mode)[0]
-    lam, meta = spectral1d._companion_spectrum(G, grid, n_max)
-    want, positive = _dense_pencil(G, grid, meta, mode)
-    assert meta["n_support"] == positive, case
-    # every positive eigenvalue up to n_max, however few nodes the grid has
-    k = min(n_max, positive)
-    # eigenvalues far below the largest are roundoff in both solvers
-    np.testing.assert_allclose(lam[:k], want[:k], rtol=1e-10,
-                               atol=1e-12 * want[0], err_msg=case)
-    assert np.all(lam[k:] == 0.0), case
-    return k, positive
-
-
-@pytest.mark.parametrize("mode", list(BoundaryMode))
-def test_bs_spectrum_matches_dense_pencil(catalog, mode):
-    # every nonzero bundled spec on a 400-interval grid of its default
-    # window, in every mode: the Lanczos spectrum is the dense pencil's
-    # (on the half line the disk's G is 0, and all n_max are zeros)
-    solved = []
+def test_bs_duality_on_shared_grid(catalog):
+    # inertia identity: #{lambda_n > 1/alpha} equals the negative inertia
+    # of K - alpha M on the pencil that bs_spectrum solved, exactly, at
+    # couplings apart and at the midpoint 2/(lambda_k + lambda_k+1) between
+    # every two values above the floor, so a lost or spurious value fails
+    # this without any other solver to compare with; the duality check's
+    # condensed count (_negative_inertia) is that of the assembled matrix;
+    # the pencil is symmetric, K positive definite, the mass >= 0 and of
+    # meta's n_nodes; and the duality check reads G only through
+    # bs_spectrum
     for name, P in catalog.items():
         G = to_log(P, strict=False)
         if G.g_max <= 0.0:
             continue
-        dom = counting_domain(G, 1.0, -max(1e-9 * G.g_max, 1e-12), mode)
-        solved.append(_assert_matches_dense_pencil(G, mode, dom, name)[0])
-    assert len(solved) == 7 and max(solved) == 32
+        lam, meta = bs_spectrum(G, floor=1.0 / 800.0)
+        K, m = spectral1d._assemble(meta["pencil"])
+        assert K.shape == (len(m), len(m)) == (meta["n_nodes"],) * 2, name
+        assert np.array_equal(K, K.T) and np.all(m >= 0.0), name
+        np.linalg.cholesky(K)
+        assert meta["domain"] == spectral1d._span(G), name
+        above = lam[lam > 1.0 / 800.0]
+        alphas = [7.0, 31.0, 90.0] + list(2.0 / (above[:-1] + above[1:]))
+        for alpha in alphas:
+            want = int(np.sum(lam > 1.0 / alpha))
+            inertia = np.linalg.eigvalsh(K - alpha * np.diag(m)) < 0.0
+            assert int(np.sum(inertia)) == want, (name, alpha)
+            assert spectral1d._negative_inertia(meta["pencil"],
+                                                alpha) == want, (name, alpha)
+        reads = []
+        spy = dataclasses.replace(
+            G, _g_vec=lambda t, G=G: reads.append(t) or G.eval(t))
+        bs_spectrum(spy, floor=(1.0 - 1e-8) / 31.0)
+        alone = len(reads)
+        bs_duality_check(spy, 31.0)
+        assert len(reads) == 2 * alone, name
 
 
-@pytest.mark.parametrize("n_max", [80, 120, 200])
-@pytest.mark.parametrize("mode", [BoundaryMode.WHOLE_LINE,
-                                  BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0])
-def test_bs_spectrum_past_its_numerical_rank(catalog, mode, n_max):
-    # the gaussian's spectrum on 400 intervals (some 240 support nodes on
-    # the whole line) falls below 1e-16 lambda_1 within some 60 ranks, so
-    # Lanczos meets invariant subspaces long before n_max: the restart
-    # keeps every value within the dense pencil's tolerance, where running
-    # on from the rounding residue, or stopping at the first breakdown,
-    # puts spurious or lost values there
-    G = to_log(catalog["gaussian"])
-    dom = counting_domain(G, 1.0, -1e-9 * G.g_max, mode)
-    k, positive = _assert_matches_dense_pencil(G, mode, dom, mode,
-                                               n_max=n_max)
-    assert k == min(n_max, positive) and positive > n_max + 1
+@pytest.mark.parametrize("name", (
+    "square-well", "annulus", "gaussian", "bump", "counterexample",
+    "counterexample-damped", "counterexample-damped-strong"))
+def test_duality_direct_count_is_the_full_sweep(catalog, monkeypatch, name):
+    # the duality check's direct count, condensed element by element, is
+    # the negative inertia of the whole assembled K - alpha M, and equals
+    # the spectrum's count with nothing in doubt: at 50 couplings
+    # log-spaced over [1, 800], each on the pencil laid out for it
+    solved = []
+    solve = channels.bs_spectrum
+    monkeypatch.setattr(channels, "bs_spectrum", lambda G, **kw: (
+        solved.append(solve(G, **kw)) or solved[-1]))
+    for alpha in map(float, np.geomspace(1.0, 800.0, 50)):
+        rep = bs_duality_check(catalog[name], alpha)
+        assert rep["count_spectrum"] == rep["count_direct"], alpha
+        assert rep["ok"] and rep["uncertainty"] == 0, alpha
+        K, m = spectral1d._assemble(solved[-1][1]["pencil"])
+        full = np.linalg.eigvalsh(K - alpha * np.diag(m)) < 0.0
+        assert int(np.sum(full)) == rep["count_direct"], alpha
 
 
-@pytest.mark.parametrize("mode", list(BoundaryMode))
-def test_bs_spectrum_pads_past_the_support(mode):
-    # two boxes cover 20 of 399 nodes at h = 0.02: the pencil has 20
-    # nonzero eigenvalues, and the other n_max - 20 come back as zeros
-    G = boxes_G((50.0, -0.5, -0.3), (30.0, 0.2, 0.4))
-    k, positive = _assert_matches_dense_pencil(G, mode, (-4.0, 4.0), mode)
-    assert k == positive == 20
+@pytest.mark.parametrize("name", (
+    "square-well", "annulus", "gaussian", "bump", "counterexample",
+    "counterexample-damped", "counterexample-damped-strong"))
+def test_companion_count_is_the_phase_dirichlet_count(catalog, name):
+    # two independent engines on the paper's problem: at half the first
+    # companion threshold 1/lambda_1 and at the geometric midpoints between
+    # consecutive thresholds below 800, the spectrum count equals the phase
+    # engine's Dirichlet-at-0 count at the channel energy (one batch)
+    P = catalog[name]
+    G = to_log(P, strict=False)
+    lam, _ = bs_spectrum(G, floor=1.0 / 800.0)
+    th = 1.0 / lam[lam > 1.0 / 800.0]
+    alphas = [0.5 * th[0]] + list(np.sqrt(th[:-1] * th[1:]))
+    split = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    phase = count_batch_pruefer(
+        G, [(float(a), channel_energy(G, float(a)), split) for a in alphas])
+    assert len(alphas) >= 9
+    for k, (alpha, r) in enumerate(zip(alphas, phase)):
+        assert (r.count, r.uncertainty) == (k, 0), (alpha, r)
+        assert bs_duality_check(P, float(alpha))["count_spectrum"] == k, alpha
 
 
-@pytest.mark.parametrize("mode", list(BoundaryMode))
-def test_bs_spectrum_small_grid_keeps_every_eigenvalue(mode):
-    # 8 intervals, 7 nodes all with mass (6 in the split mode, where t = 0
-    # is a wall): n_max = 8 asks for all of them, the last two included
-    G = box_G(10.0, -1.0, 1.0)
-    k, _ = _assert_matches_dense_pencil(G, mode, (-0.5, 0.5), mode,
-                                        n_max=8, intervals=8)
-    assert k == (6 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else 7)
+def test_bs_spectrum_grid_stability(catalog, monkeypatch):
+    # convergence: doubling the element degree moves no value above the
+    # floor by more than 1e-8 relative, on every bundled spec at couplings
+    # shallow and deep; the bump, whose profile is not analytic at its
+    # support ends, by no more than 1e-6
+    for name, P in catalog.items():
+        G = to_log(P, strict=False)
+        if G.g_max <= 0.0:
+            continue
+        for alpha in (10.0, 50.0, 800.0, 3200.0):
+            lam, _ = bs_spectrum(G, floor=1.0 / alpha)
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral1d, "_BS_DEGREE",
+                           2 * spectral1d._BS_DEGREE)
+                fine, _ = bs_spectrum(G, floor=1.0 / alpha)
+            k = int(np.sum(lam > 1.0 / alpha))
+            assert k == int(np.sum(fine > 1.0 / alpha)) > 0, (name, alpha)
+            np.testing.assert_allclose(
+                lam[:k], fine[:k], rtol=1e-6 if name == "bump" else 1e-8,
+                atol=0.0, err_msg=f"{name} {alpha}")
 
 
-# h = 0.02 on (-4, 4): node j sits at t = -4 + 0.02 j, t = 0 is node 200,
-# and every box end lies halfway between two nodes. Each case is
-# (G, n_max, eigenvalues returned, nodes of support)
+# G = 0 between and beside the boxes, each case a layout where massless
+# nodes sit apart from the support, beside it or at t = 0
 ELIMINATION_CASES = {
-    # two boxes with a G = 0 gap between them: n_max past the support,
-    # where every eigenvalue is wanted, and n_max below it
-    "gap-dense": (boxes_G((50.0, -0.51, -0.31), (30.0, 0.19, 0.39)),
-                  32, 20, 20),
-    "gap-lanczos": (boxes_G((50.0, -0.51, -0.31), (30.0, 0.19, 0.39)),
-                    8, 8, 20),
-    # a box ending at the node next to t = 0, and one straddling it (in
-    # the split mode, node 200 is a wall, not support)
-    "ends-next-to-0": (box_G(40.0, -0.31, -0.01), 8, 8, 15),
-    "straddles-0": (box_G(40.0, -0.11, 0.13), 8, 8, 12),
-    # all the mass on the right of t = 0: the left Dirichlet side has none
-    "one-side-empty": (boxes_G((40.0, 0.29, 0.51), (20.0, 0.89, 1.11)),
-                       8, 8, 22),
-    # support of n_max + 1 and n_max + 2 nodes: Lanczos wants all but one
-    # of the m eigenvalues (k = m - 1), and fewer (k < m - 1)
-    "support-n_max+1": (box_G(40.0, 0.49, 0.67), 8, 8, 9),
-    "support-n_max+2": (box_G(40.0, 0.49, 0.69), 8, 8, 10),
+    "gap": boxes_G((50.0, -0.51, -0.31), (30.0, 0.19, 0.39)),
+    "ends-at-0": box_G(40.0, -0.31, 0.0),
+    "straddles-0": box_G(40.0, -0.11, 0.13),
+    "one-side-empty": boxes_G((40.0, 0.29, 0.51), (20.0, 0.89, 1.11)),
 }
 
 
-@pytest.mark.parametrize("case", list(ELIMINATION_CASES))
-@pytest.mark.parametrize("mode", list(BoundaryMode))
-def test_bs_spectrum_eliminates_massless_nodes(mode, case):
-    # the spectrum on the support of G is the full grid's dense pencil
-    G, n_max, want_k, support = ELIMINATION_CASES[case]
-    split = mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    if case == "straddles-0" and split:
-        support -= 1
-    assert _assert_matches_dense_pencil(G, mode, (-4.0, 4.0), case,
-                                        n_max=n_max) == (want_k, support)
+def test_bs_spectrum_matches_dense_pencil(catalog):
+    # the values are the nonzero spectrum of the whole pencil
+    # M u = lambda K u, massless nodes included, by scipy's dense
+    # generalized solver: one value per node with mass, each within 1e-10
+    # (eigenvalues far below the largest are roundoff in both solvers), on
+    # every nonzero bundled spec and on boxes with G = 0 between, beside
+    # and across t = 0; there the condensed count of K - alpha M is the
+    # assembled matrix's at couplings 1, 10 and 100
+    cases = {name: to_log(P, strict=False) for name, P in catalog.items()}
+    cases.update(ELIMINATION_CASES)
+    solved = 0
+    for name, G in cases.items():
+        if G.g_max <= 0.0:
+            continue
+        lam, meta = bs_spectrum(G)
+        K, m = spectral1d._assemble(meta["pencil"])
+        want = scipy.linalg.eigh(np.diag(m), K, eigvals_only=True)[::-1]
+        k = int(np.count_nonzero(m))
+        assert len(lam) == k, name
+        np.testing.assert_allclose(lam, want[:k], rtol=1e-10,
+                                   atol=1e-12 * want[0], err_msg=name)
+        assert np.all(np.abs(want[k:]) <= 1e-12 * want[0]), name
+        for alpha in (1.0, 10.0, 100.0):
+            inertia = np.linalg.eigvalsh(K - alpha * np.diag(m)) < 0.0
+            assert spectral1d._negative_inertia(meta["pencil"], alpha) == int(
+                np.sum(inertia)), (name, alpha)
+        solved += 1
+    assert solved == 11
 
 
 def test_bs_spectrum_support_at_verify_window(catalog):
-    # verify's companion spectra (48 values, counting window at E = 0):
-    # Lanczos wants every eigenvalue of the annulus's support, and 48 of
-    # the bump's
-    for name, n_support in (("annulus", 34), ("bump", 54)):
+    # verify's couplings 10 and 50 lie below _BS_ALPHA: both its duality
+    # checks solve bs_spectrum's layout without a floor, a small pencil
+    # (the annulus's 50 nodes with mass, the bump's 89)
+    for name, n_mass in (("annulus", 50), ("bump", 89)):
         G = to_log(catalog[name])
         lam, meta = bs_spectrum(G)
-        assert meta["n_support"] == n_support, name
-        assert meta["n_nodes"] == 3998, name
-        assert np.count_nonzero(lam) == min(48, n_support), name
+        m = spectral1d._assemble(meta["pencil"])[1]
+        assert np.count_nonzero(m) == len(lam) == n_mass
+        for alpha in (10.0, 50.0):
+            again, meta_a = bs_spectrum(G, floor=(1.0 - 1e-8) / alpha)
+            assert np.array_equal(again, lam), (name, alpha)
+            assert meta_a["n_nodes"] == meta["n_nodes"], (name, alpha)
 
 
 def test_bs_spectrum_rejects_negative_G():
-    # M^(1/2) needs G >= 0; a stub that dips below 0 on the grid is an
-    # error, not NaN eigenvalues
+    # M^(1/2) needs G >= 0; a stub that dips below 0 is an error, not NaN
+    # eigenvalues, in bs_spectrum and in the duality check that reads it
     G = boxes_G((10.0, -1.0, 1.0), (-1.0, 1.0, 2.0))
-    solve = spectral1d._companion_spectrum
-    for mode in BoundaryMode:
-        with pytest.raises(ValueError, match="G >= 0"):
-            solve(G, spectral1d._line_grid(-2.0, 3.0, 500, mode)[0], 32)
     with pytest.raises(ValueError, match="G >= 0"):
         bs_spectrum(G)
-    lam, _ = solve(G, spectral1d._line_grid(
-        -2.0, 0.5, 250, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)[0], 32)
+    with pytest.raises(ValueError, match="G >= 0"):
+        bs_duality_check(G, 5.0)
+    lam, _ = bs_spectrum(box_G(10.0, -1.0, 1.0))
     assert lam[0] > 0.0
 
 
 def test_bs_spectrum_rejects_n_max_below_1(catalog):
-    # the depth of bs_spectrum is a constant of 48 values: neither it nor
-    # either check that reads it takes an n_max, on a narrow support (the
-    # annulus's 34 nodes), a wide one and a zero potential alike, so none
-    # can be asked for fewer than 1; the solver under it keeps one value
-    # when asked for one
+    # bs_spectrum returns every value of its pencil, one per node with
+    # mass: neither it nor either check that reads it takes an n_max, on a
+    # narrow support (the annulus), a wide one and a zero potential alike,
+    # so none can be asked for fewer than 1
     for name in ("zero", "annulus", "gaussian"):
         G = to_log(catalog[name], strict=False)
         for n_max in (0, -3, 48):
@@ -601,119 +546,77 @@ def test_bs_spectrum_rejects_n_max_below_1(catalog):
             with pytest.raises(TypeError, match="n_max"):
                 delta_link_check(catalog[name], n_max=n_max)
         lam, meta = bs_spectrum(G)
-        assert lam.shape == (48,), name
-    G = to_log(catalog["gaussian"])
-    lam, _ = spectral1d._companion_spectrum(G, bs_spectrum(G)[1]["grid"], 1)
-    assert lam.shape == (1,) and lam[0] > 0.0
-
-
-@pytest.mark.parametrize("mode", list(BoundaryMode))
-def test_bs_spectrum_lanczos_keeps_every_eigenvalue(catalog, mode):
-    # Sylvester inertia on the spectrum's own grid (bs_spectrum's, in this
-    # mode): at the coupling alpha = 2/(lambda_k + lambda_k+1) between two
-    # computed eigenvalues, #{lambda > 1/alpha} is the Dirichlet count of
-    # K - alpha M at E = 0 there (the fd operator on that grid), so a
-    # Lanczos run that misses an eigenvalue, or adds a spurious one, fails
-    # this without any other solver to compare with
-    for name, P in catalog.items():
-        G = to_log(P, strict=False)
-        if G.g_max <= 0.0:
-            continue
-        grid = _companion_grid(G, mode)
-        lam, meta = spectral1d._companion_spectrum(G, grid, 48)
-        again, _ = spectral1d._companion_spectrum(G, grid, 48)
-        assert np.array_equal(lam, again), name
-        pos = lam[lam > 0.0]
-        for k in range(1, len(pos)):
-            alpha = 2.0 / (pos[k - 1] + pos[k])
-            counts, zero_hit, _ = spectral1d._fd_operator(G, alpha, grid)(0.0)
-            assert (sum(counts), zero_hit) == (
-                int(np.sum(lam > 1.0 / alpha)), False), (name, k)
-
-
-@pytest.mark.parametrize("mode", list(BoundaryMode))
-def test_bs_spectrum_floor_stops_past_one_over_alpha(catalog, mode):
-    # a floor-stopped run solves every eigenvalue above the duality floor
-    # and the first one at or below it (at least 8, or the whole support),
-    # each within 1e-13 lambda_1 of the full n_max = 48 run's, and pads the
-    # rest with zeros; on its grid (bs_spectrum's, in this mode)
-    # #{lambda > 1/alpha} is the Dirichlet count of K - alpha M at E = 0
-    # (Sylvester), so no eigenvalue above is missed, wherever the 48 values
-    # reach below 1/alpha
-    for name, P in catalog.items():
-        G = to_log(P, strict=False)
-        if G.g_max <= 0.0:
-            continue
-        grid = _companion_grid(G, mode)
-        full, meta_full = spectral1d._companion_spectrum(G, grid, 48)
-        assert meta_full["n_solved"] == min(48, meta_full["n_support"])
-        for alpha in (3.0, 10.0, 50.0, 800.0, 3200.0):
-            case = (name, alpha)
-            floor = (1.0 - 1e-8) / alpha
-            lam, meta = spectral1d._companion_spectrum(G, grid, 48, floor)
-            k = meta["n_solved"]
-            assert meta == {**meta_full, "n_solved": k}, case
-            above = int(np.sum(full > floor))
-            assert k in (min(48, max(8, above + 1)),
-                         min(48, meta["n_support"])), case
-            assert np.all(lam[k:] == 0.0), case
-            assert np.all(np.abs(lam[:k] - full[:k]) <= 1e-13 * full[0]), (
-                case, lam[:k] - full[:k])
-            counts, zero_hit, _ = spectral1d._fd_operator(G, alpha, grid)(0.0)
-            assert not zero_hit, case
-            if k == 48 and lam[-1] > 1.0 / alpha:
-                # past the 48 values, where the duality check holds the
-                # direct count to the one-sided bound
-                assert sum(counts) >= 48, case
-                continue
-            assert sum(counts) == int(np.sum(lam > 1.0 / alpha)), case
-
-
-def test_n_above_is_the_count_of_eigenvalues_above():
-    # the pivot count that spaces the floor-stopped Lanczos checks, against
-    # eigvalsh on random tridiagonals, a zero coupling included
-    rng = np.random.default_rng(5)
-    for size in (1, 2, 7, 40):
-        al = list(rng.normal(size=size))
-        be = list(rng.normal(size=size))
-        if size > 2:
-            be[1] = 0.0
-        T = np.diag(al) + np.diag(be[:size - 1], 1) + np.diag(be[:size - 1], -1)
-        ev = np.linalg.eigvalsh(T)
-        for x in rng.normal(size=8):
-            assert spectral1d._n_above(al, be, x) == int(np.sum(ev > x))
+        m = spectral1d._assemble(meta["pencil"])[1]
+        assert len(lam) == np.count_nonzero(m), name
 
 
 def test_bs_spectrum_reads_G_on_its_support_only(catalog):
-    # G = 0 off t_support: the spectrum and meta read at the support nodes
-    # and a margin node either side are the whole window's, bit for bit, on
-    # bs_spectrum's grid of every mode
+    # G = 0 off t_support, where u is constant: a solve over the whole
+    # counting window lays the same elements on the support, and drops its
+    # elements without mass between the support and a natural end, so the
+    # pencil and the values are the support's, bit for bit
+    wider = 0
     for name, P in catalog.items():
         G = to_log(P, strict=False)
+        if G.g_max <= 0.0:
+            continue
         whole = dataclasses.replace(G, t_support=(-math.inf, math.inf))
-        for mode in BoundaryMode:
-            grid = _companion_grid(G, mode)
-            lam, meta = spectral1d._companion_spectrum(G, grid, 32)
-            lam_whole, meta_whole = spectral1d._companion_spectrum(
-                whole, grid, 32)
-            assert np.array_equal(lam, lam_whole), (name, mode)
-            assert meta == meta_whole, (name, mode)
-        lam, meta = bs_spectrum(G)
-        lam_whole, meta_whole = bs_spectrum(whole)
-        assert np.array_equal(lam, lam_whole), name
-        assert meta == meta_whole, name
+        for floor in (None, 1.0 / 800.0):
+            lam, meta = bs_spectrum(G, floor=floor)
+            lam_w, meta_w = bs_spectrum(whole, floor=floor)
+            assert np.array_equal(lam, lam_w), name
+            assert meta_w["n_nodes"] == meta["n_nodes"], name
+            wider += meta_w["domain"] != meta["domain"]
+    assert wider == 12
+
+
+def test_phase_count_past_n_cap_is_refused(catalog, monkeypatch):
+    # a lead-in scan or a phase mesh of more than _N_CAP points is refused
+    # with a ValueError naming the coupling and the point count, before it
+    # is built: on the disk at 3200 the whole-line scan needs 7,789 points
+    # and the Dirichlet-at-0 passes, which have no lead-in, a mesh of 147
+    # nodes
+    G = to_log(catalog["square-well"])
+    monkeypatch.setattr(spectral1d, "_N_CAP", 7789)
+    assert count_below_pruefer(G, 3200.0, -1.0).count > 0
+    monkeypatch.setattr(spectral1d, "_N_CAP", 7788)
+    with pytest.raises(ValueError, match="alpha=3200.0: the lead-in scan "
+                       "needs 7.79e[+]03 points, past 7788"):
+        count_below_pruefer(G, 3200.0, -1.0)
+    split = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
+    monkeypatch.setattr(spectral1d, "_N_CAP", 147)
+    G.phase_mesh = None
+    assert count_below_pruefer(G, 3200.0, -1.0, split).count > 0
+    monkeypatch.setattr(spectral1d, "_N_CAP", 146)
+    G.phase_mesh = None
+    with pytest.raises(ValueError, match="alpha=3200.0: the phase mesh "
+                       "needs more than [0-9]+ nodes, past 146"):
+        count_below_pruefer(G, 3200.0, -1.0, split)
+
+
+def test_companion_pencil_past_n_cap_is_refused(catalog, monkeypatch):
+    # a pencil of more than _N_CAP entries is refused, with the coupling
+    # read and the node count, before it is built
+    G = to_log(catalog["gaussian"])
+    n = bs_spectrum(G, floor=1.0 / 800.0)[1]["n_nodes"]
+    monkeypatch.setattr(spectral1d, "_N_CAP", n * n)
+    bs_spectrum(G, floor=1.0 / 800.0)
+    monkeypatch.setattr(spectral1d, "_N_CAP", n * n - 1)
+    with pytest.raises(ValueError, match=f"alpha=800: .* {n} nodes"):
+        bs_spectrum(G, floor=1.0 / 800.0)
 
 
 @pytest.mark.parametrize("mode", list(BoundaryMode))
 def test_grid_capped_at_n_cap(monkeypatch, mode):
-    # with the cap at 256 intervals, the default grids of both the fd count
-    # (h <= 6e-3 here, over 1000 intervals) and bs_spectrum (4000
-    # intervals) are coarsened to 256 intervals of their windows: the count
-    # is flagged and equals the count on that grid asked for explicitly,
-    # and the spectrum, marked capped in its meta, equals its spectrum
+    # with the cap at 256 intervals, the default fd grid (h <= 6e-3 here,
+    # over 1000 intervals) is coarsened to 256 intervals of its window: the
+    # count is flagged and equals the count on that grid asked for
+    # explicitly
     monkeypatch.setattr(spectral1d, "_N_CAP", 256)
     G = boxes_G((400.0, -0.5, 0.5), (100.0, 0.5, 1.5))
     dom = counting_domain(G, 1.0, -50.0, mode)
+    grid, B, was_capped = spectral1d._fd_grid(G, 1.0, -50.0, mode)
+    assert was_capped and grid[2] == 256
     capped = count_below_fd(G, 1.0, -50.0, mode)
     with monkeypatch.context() as mp:
         mp.setattr(spectral1d, "_fd_grid", _fd_grid_on(dom, 256))
@@ -722,31 +625,7 @@ def test_grid_capped_at_n_cap(monkeypatch, mode):
     assert capped.count == explicit.count > 0
     assert (capped.domain, capped.h, capped.extras) == (
         explicit.domain, explicit.h, explicit.extras)
-    window = counting_domain(G, 1.0, 0.0, mode)
-    grid, B, was_capped = spectral1d._line_grid(*window, 4000, mode)
-    assert was_capped and grid[2] == 256
-    assert spectral1d._line_grid(*window, 256, mode) == (grid, B, False)
-    lam, meta = bs_spectrum(G)
-    split = BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0
-    want = spectral1d._line_grid(*counting_domain(G, 1.0, 0.0, split), 256,
-                                 split)
-    assert (meta["grid"], meta["domain"][1], meta["capped"]) == (
-        want[0], want[1], True)
-    lam_h, meta_h = spectral1d._companion_spectrum(G, want[0], 48)
-    assert meta_h.items() <= meta.items()
-    assert np.array_equal(lam, lam_h) and lam[0] > 0.0
-
-
-def test_duality_check_flags_a_coarsened_grid(monkeypatch):
-    # a companion spectrum on a grid coarsened to _N_CAP intervals puts the
-    # duality report in doubt, as it does the fd count on such a grid
-    G = boxes_G((400.0, -0.5, 0.5), (100.0, 0.5, 1.5))
-    full = bs_duality_check(G, 1.0)
-    assert full["ok"] and full["flags"] == []
-    monkeypatch.setattr(spectral1d, "_N_CAP", 256)
-    rep = bs_duality_check(G, 1.0)
-    assert rep["ok"] and rep["flags"] == ["grid-coarsened"]
-    assert rep["n_nodes"] < full["n_nodes"]
+    assert capped.domain == (grid[0], B)
 
 
 def test_threshold_eps_tracks_scale(catalog):
@@ -1473,7 +1352,7 @@ def _e_sweep_matches_full_window(monkeypatch, G, E, domain, n, case):
     on `domain` (_fd_operator's counts_at) against the full-window count on
     that grid with no probes: the same count, a zero pivot where that count
     flags pivot-shift, and no more pivots swept. Returns counts_at(E)."""
-    grid = spectral1d._line_grid(*domain, n, BoundaryMode.WHOLE_LINE)[0]
+    grid = _fd_grid_on(domain, n)(G, 1.0, E, BoundaryMode.WHOLE_LINE)[0]
     counts, zero_hit, steps = spectral1d._fd_operator(G, 1.0, grid)(E)
     monkeypatch.setattr(spectral1d, "_fd_grid", _fd_grid_on(domain, n))
     want = _full_window_fd(G, 1.0, E, near_threshold_check=False)

@@ -76,12 +76,12 @@ def cases() -> list[list[str]]:
                                  "-4.578909720634325e-10")):
         out.append(["count1d", "--spec", spec, "--alpha", alpha,
                     f"--energy={energy}", "--method", "both"])
-    # the companion spectrum on every spec, from the annulus's support of
-    # 35 nodes to the six wide ones, the annulus at couplings either side
-    # of 50; couplings whose counts need deep solves (square-well 9, 18
-    # and 29, gaussian 10 and 22, counterexample-damped 45, within 3 of
-    # n_max = 48), and couplings past the 48 values, where the direct count
-    # is held to the one-sided bound
+    # the companion pencil on every spec, from the annulus's 50 nodes to
+    # the slow tails' few hundred, the annulus at couplings either side of
+    # 50; deep counts (square-well 9, 18 and 26, gaussian 10 and 22,
+    # counterexample-damped 44), and counts past 48 (gaussian 126 at 1e5,
+    # counterexample 49 at 3200), each on the pencil laid out for its own
+    # coupling
     for spec in SPECS:
         out.append(["count", "--spec", spec, "--alpha", "50",
                     "--check", "duality"])
