@@ -25,9 +25,10 @@ from .potentials import LogPotential, RadialPotential, to_log
 from .spectral1d import (
     BoundaryMode,
     CountResult,
-    _negative_inertia,
+    _counters,
     bs_spectrum,
     channel_energy,
+    count_batch_fd,
     count_batch_pruefer,
     count_below,
 )
@@ -91,9 +92,9 @@ def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer"
     return count_below(G, alpha, E, BoundaryMode.WHOLE_LINE, engine=engine)
 
 
-# channels in the first pass batch of a phase-engine plane count; each
-# later batch holds 4 times as many, so that a narrow spike in G, with many
-# channels below alpha g_max and few that hold a state, sweeps few empty ones
+# channels in the first batch of a plane count; each later batch holds 4
+# times as many, so that a narrow spike in G, with many channels below
+# alpha g_max and few that hold a state, counts few empty ones
 _FIRST_CHANNELS = 16
 
 
@@ -102,22 +103,18 @@ def _channel_counts(G, alpha: float, engine: str
     """The counts of channels m = 0, 1, ... up to the first empty one, and
     the Dirichlet-at-0 count, at their channel energies.
 
-    The phase engine counts the channels in batches of passes
-    (count_batch_pruefer), the Dirichlet pair with the first: batch k holds
+    Either engine counts the channels in batches (count_batch_pruefer,
+    count_batch_fd), the Dirichlet-at-0 count with the first: batch k holds
     _FIRST_CHANNELS * 4^k channels, none past the first with
     m^2 + threshold_eps >= alpha g_max, which is below the spectrum and
-    costs no pass. Counts past the first empty channel are dropped, so the
-    result is that of counting one channel at a time. The FD engine counts
-    one channel at a time."""
-    E0 = channel_energy(G, alpha)
+    costs nothing. Counts past the first empty channel are dropped, so the
+    result is that of counting one channel at a time."""
+    batch = {"pruefer": count_batch_pruefer, "fd": count_batch_fd}.get(engine)
+    if batch is None:
+        raise ValueError(f"unknown engine {engine!r}; use 'pruefer' or 'fd'")
     per: list[CountResult] = []
-    if engine != "pruefer":
-        while not per or per[-1].count:
-            per.append(channel_count(G, alpha, len(per), engine=engine))
-        return per, count_below(G, alpha, E0,
-                                BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0,
-                                engine=engine)
-    queries = [(alpha, E0, BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)]
+    queries = [(alpha, channel_energy(G, alpha),
+                BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)]
     size, rd = _FIRST_CHANNELS, None
     while not per or per[-1].count:
         for m in range(len(per), len(per) + size):
@@ -125,7 +122,7 @@ def _channel_counts(G, alpha: float, engine: str
             queries.append((alpha, E, BoundaryMode.WHOLE_LINE))
             if alpha * G.g_max + E <= 0.0:
                 break
-        got = count_batch_pruefer(G, queries)
+        got = batch(G, queries)
         if rd is None:
             rd, *got = got
         for r in got:
@@ -143,8 +140,8 @@ def total_count(P, alpha: float, *, engine: str = "pruefer"
     Channels are counted m = 0, 1, 2, ... up to the first empty one, m = 0
     included (N_m is nonincreasing in m). The scan ends: a channel with
     m^2 >= alpha * g_max is below the spectrum and costs no integration.
-    The phase engine counts the channels, and the Dirichlet-at-0 route, in
-    batches of passes on the shared mesh (_channel_counts).
+    The channels, and the Dirichlet-at-0 route, are counted in batches
+    (_channel_counts).
     extras["m_scan"] is that first empty channel; extras["left"], ["right"]
     are the Dirichlet-at-0 route's sides, the right one the half-line count.
     """
@@ -210,8 +207,8 @@ def sandwich_check(P, alpha: float, *, engine: str = "pruefer",
 
 def bs_duality_check(P, alpha: float) -> dict:
     """Compare #{lambda_n > 1/alpha} with the direct count, the negative
-    inertia of K - alpha M on the pencil (K, M) that bs_spectrum solved
-    (_negative_inertia), where the identity is exact (Sylvester).
+    inertia of K - alpha M on the pencil that bs_spectrum solved (_counters
+    at E = 0), where the identity is exact (Sylvester).
 
     The spectrum is solved for the values above the floor
     (1 - 1e-8)/alpha, the lower edge of the lambda-near-threshold window.
@@ -226,7 +223,9 @@ def bs_duality_check(P, alpha: float) -> dict:
     thr = 1.0 / alpha
     lam, meta = bs_spectrum(G, floor=(1.0 - 1e-8) * thr)
     count_spec = int(np.sum(lam > thr))
-    count_dir = _negative_inertia(meta["pencil"], alpha)
+    counts_at, = _counters(meta["pencil"], [alpha])
+    (sides,), _, _ = counts_at(BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0, [0.0])
+    count_dir = sum(sides)
     n_near = int(np.sum(np.abs(lam - thr) < 1e-8 * thr))
     flags = [f for f, on in (("lambda-near-threshold", n_near),
                              ("domain-truncated", G.truncated)) if on]

@@ -34,8 +34,8 @@ from .potentials import (PotentialSpecError, RadialPotential, _moment,
                          bundled_spec_names, integral_J, integral_logweight,
                          load_bundled, load_spec, to_log)
 from .quadrature import QuadratureBudgetError
-from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_batch_pruefer,
-                         count_below, eigenvalues_below)
+from .spectral1d import (THRESHOLD_FRAC, BoundaryMode, count_batch_fd,
+                         count_batch_pruefer, count_below, eigenvalues_below)
 from .weakseq import classify, zeta_sequence
 
 _MODES = {m.value: m for m in BoundaryMode}
@@ -252,7 +252,7 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
         checks.append({"name": name, "ok": bool(ok), **details})
 
     # engine agreement on randomized (alpha, E, mode) instances, all drawn
-    # first: the phase engine counts them in one batch, on one mesh
+    # first: each engine counts them in one batch, on one mesh or layout
     instances = []
     for _ in range(n_random):
         a = float(np.exp(rng.uniform(np.log(5.0), np.log(80.0))))
@@ -262,9 +262,8 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
         instances.append((a, e, mode))
     bad = 0
     flagged = 0
-    for (a, e, mode), cp in zip(instances,
-                                count_batch_pruefer(G, instances)):
-        cf = count_below(G, a, e, mode, engine="fd")
+    for cp, cf in zip(count_batch_pruefer(G, instances),
+                      count_batch_fd(G, instances)):
         flags = cp.flags + cf.flags
         flagged += bool(flags)
         if not excused(abs(cp.count - cf.count), flags,
@@ -300,11 +299,9 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
         add("lieb-thirring-nonradial", b.nonradial <= lt + 1e-9,
             alpha=a, nonradial=b.nonradial, bound=lt)
         # the m = 0 line eigenvalues below the channel energy, bisected on
-        # the one fd operator whose count is read there (built once, G
-        # read once): the moment audit needs locations, not phase-accurate
-        # eigenvalues, and fd probes are far cheaper; it sums every one
-        ev, _ = eigenvalues_below(G, a, n_max=None, tol_eig=eig_tol,
-                                  engine="fd")
+        # the element pencil the duality check solved, condensed once: its
+        # probes are far cheaper than phase counts; it sums every one
+        ev = eigenvalues_below(G, a, tol_eig=eig_tol, engine="fd")
         moment = float(np.sum(np.sqrt(np.abs(ev))))
         lt_line = 0.5 * a * j
         add("lieb-thirring-line", moment <= lt_line * (1 + 1e-9) + 1e-9,

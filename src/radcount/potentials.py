@@ -457,6 +457,10 @@ class LogPotential:
     # the phase engine's mesh for the alpha last counted (spectral1d._mesh),
     # built by the first pass that needs it
     phase_mesh: tuple | None = field(compare=False, repr=False, default=None)
+    # the last element layout and the companion values solved on it
+    # (spectral1d._elements); a dataclasses.replace copy starts without
+    elements: tuple | None = field(init=False, compare=False, repr=False,
+                                   default=None)
 
     def eval(self, t) -> np.ndarray:
         return self._g_vec(np.asarray(t, dtype=float))

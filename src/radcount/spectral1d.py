@@ -1,6 +1,6 @@
 """Counting eigenvalues of -d^2/dt^2 - alpha G(t) below E < 0.
 
-Two independent engines with no shared discretization machinery:
+Two independent engines, which share only the mesh rule of G:
 
   * count_below_pruefer: phase-plane shooting. The phase solves
     theta' = cos^2 theta + (E + alpha G) sin^2 theta; solution zeros are the
@@ -49,43 +49,22 @@ Two independent engines with no shared discretization machinery:
     same phases; a batch at one coupling sweeps that coupling's mesh, as
     a count alone does.
 
-  * count_below_fd: three-point finite differences on a uniform grid and a
-    Sturm (LDL pivot) pass over the shifted tridiagonal matrix. Counts
-    negative pivots; never forms eigenvalues. The count is nondecreasing in
-    E: where the passes at E -/+ delta of the near-threshold flag agree, E
-    is not swept. The pass, too, runs only where the count is decided.
-    Where G = 0 the diagonal is the constant 2 - h^2 E > 2, and its pivots
-    have closed forms: a leading run from the Dirichlet end holds none that
-    is negative, a trailing run at most one; so G is read only on its
-    support and a node either side. While the diagonal is >= 2, every
-    pivot is >= 1, so the pass starts at a lead-in node left of the first
-    allowed one, from which an error in the entering pivot shrinks by
-    1e-12, and past the last allowed node it stops at the first pivot >= 1.
-    The sweeps read the numpy diagonal through memoryviews.
+  * count_below_fd: by Glazman's lemma, the negative inertia of the
+    quadratic form of -d^2/dt^2 - alpha G - E on Gauss-Lobatto-Legendre
+    spectral elements laid on the phase mesh at a fraction of the coupling
+    (_elements), with the decaying tail's Robin term at an open end
+    (_counters); fd is its historical name. A batch lays its elements out
+    once, for its largest coupling, and a plane count sends the phase
+    engine's batches.
 
-Both count the same problem, fd on its finite window with Dirichlet ends;
-the tests hold each to the other within the uncertainty either flags.
-
-The fd grid is sized once, by _fd_grid, and the fd operator on it
-(_fd_operator) serves both fd counts: count_below_fd and its eigenvalue
-bisection.
-
-A phase count whose lead-in scan or mesh would hold more than _N_CAP
-points is refused with a ValueError before anything is allocated.
+A count whose lead-in scan, mesh or element layout would hold more than
+_N_CAP points is refused with a ValueError before anything is allocated.
 
 On top of the counters: eigenvalue location by bisection of the counting
-function (with fd, the Sturm count of the one operator built at the top
-energy), and the quadratic-form spectrum of the Birman-Schwinger companion
-(G u, u) / (u', u') of the paper's problem, the whole line at E = 0 with
-u(0) = 0, whose eigenvalues above 1/alpha are as many as the bound states
-of that problem at coupling alpha. bs_spectrum solves it as one small
-symmetric eigenproblem: Gauss-Lobatto-Legendre spectral elements on the
-phase engine's own mesh at a fraction of the coupling read, so that every
-breakpoint of G and t = 0 are element ends, with natural ends past the
-support and the values those of S K^-1 S (stiffness K, lumped mass
-M = S^2). The duality check counts the same pencil directly, as the
-negative inertia of K - alpha M, each element's interior condensed
-(_negative_inertia).
+function, and on the same element layout the quadratic-form spectrum of
+the Birman-Schwinger companion (G u, u) / (u', u') (bs_spectrum), whose
+values above 1/alpha count the bound states with u(0) = 0 at coupling
+alpha; the duality check counts that pencil at E = 0 directly.
 """
 
 from __future__ import annotations
@@ -109,6 +88,7 @@ __all__ = [
     "count_below_pruefer",
     "count_batch_pruefer",
     "count_below_fd",
+    "count_batch_fd",
     "count_below",
     "eigenvalues_below",
     "bs_spectrum",
@@ -187,11 +167,11 @@ def _validate(alpha: float, E: float) -> None:
 # ---------------------------------------------------------------------------
 # phase (shooting) engine
 
-# an error in the phase or pivot entering the allowed region shrinks by
-# exp(-2 _LEAD_IN) = 1e-12 over the lead-in where either engine starts
+# an error in the phase entering the allowed region shrinks by
+# exp(-2 _LEAD_IN) = 1e-12 over the lead-in where a whole-line pass starts
 _LEAD_IN = 0.5 * math.log(1e12)
-# cells in the first chunk of a lead-in that either engine sums back from
-# the first allowed point (_sum_back: _lead_in, and _block_count's head)
+# cells in the first chunk of a lead-in that _lead_in sums back from the
+# first allowed point (_sum_back)
 _HEAD_CHUNK = 256
 
 # the mesh rule, absolute in w = E + alpha G: on every interval,
@@ -211,9 +191,9 @@ _BATCH_INTERVALS = 4096
 # commutator term of the fourth-order Magnus exponent
 _GAUSS = math.sqrt(3.0) / 6.0
 _MAGNUS_C = math.sqrt(3.0) / 12.0
-# the most points of a lead-in scan, a phase mesh or a uniform fd grid, and
-# the most entries of bs_spectrum's pencil: a phase count or a spectrum
-# that needs more is refused with a ValueError, an fd grid is coarsened
+# the most points of a lead-in scan, a phase mesh or an element layout,
+# and the most entries of bs_spectrum's pencil: a count or a spectrum that
+# needs more is refused with a ValueError
 _N_CAP = 3_000_000
 
 
@@ -225,7 +205,11 @@ def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
     so that the mesh grades with G, until none fails. The rule bounds w,
     not the change of G relative to G, so a tail where alpha G is small
     gets long intervals. A mesh of more than _N_CAP nodes is refused before
-    it is built."""
+    it is built, and so is one whose coupling scale alpha max G overflows,
+    before the first round."""
+    if not math.isfinite(alpha * G.g_max):
+        raise ValueError(f"alpha={alpha}: the phase mesh needs more than "
+                         f"{_N_CAP} nodes, past {_N_CAP}")
     cuts = [lo, hi] + [p for p in (*G.breakpoints, 0.0) if lo < p < hi]
     t = _unique_sorted(np.array(cuts, dtype=float))
     while True:
@@ -493,8 +477,8 @@ def _pass_phases(G, passes) -> list[tuple[float, int, bool]]:
 def _sum_back(cells, bottom: int, top: int, size: int
               ) -> tuple[int, float] | None:
     """(j, cell j) for the largest j in [bottom, top) whose cells j..top-1,
-    summed back from top, reach _LEAD_IN, or None: the lead-in start of
-    both engines. cells(j0, j1) gives cells j0..j1-1, asked for in chunks
+    summed back from top, reach _LEAD_IN, or None: a whole-line pass's
+    lead-in start. cells(j0, j1) gives cells j0..j1-1, asked for in chunks
     of `size`, then 4x longer each time, only as far as the sum needs."""
     run = 0.0
     while top > bottom:
@@ -734,357 +718,20 @@ def count_batch_pruefer(G, queries) -> list[CountResult]:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference (Sturm pivot) engine
+# the element pencil: one layout for the inertia engine and the companion
 
 
-def _sturm_pass(a, d: float = math.inf
-                ) -> tuple[int, bool, float]:
-    """Negative-pivot count for the scaled tridiagonal with unit off-diagonal
-    and diagonal `a` (floats: a list or memoryview); by Sylvester inertia
-    this is the eigenvalue count below the shift baked into `a`. d is the
-    pivot entering a[0] (inf at a Dirichlet end, where a[0] - 1/inf ==
-    a[0]). Returns (count,
-    hit_zero_pivot, last pivot)."""
-    neg = 0
-    hit_zero = False
-    for ai in a:
-        d = ai - 1.0 / d
-        if d == 0.0:
-            hit_zero = True
-            d = 1e-300
-        if d < 0.0:
-            neg += 1
-    return neg, hit_zero, d
-
-
-def _settle_pass(a, d: float) -> tuple[int, bool, float, int]:
-    """_sturm_pass over nodes where every a_i >= 2, stopped at the first
-    pivot >= 1: each later pivot a_i - 1/d is >= 1 too, so none is negative
-    or zero. A loop of its own, so that _sturm_pass, the hot one, tests
-    nothing more per pivot. Returns (count, hit_zero_pivot, last pivot,
-    pivots swept)."""
-    neg = 0
-    hit_zero = False
-    for k, ai in enumerate(a):
-        if d >= 1.0:
-            return neg, hit_zero, d, k
-        d = ai - 1.0 / d
-        if d == 0.0:
-            hit_zero = True
-            d = 1e-300
-        if d < 0.0:
-            neg += 1
-    return neg, hit_zero, d, len(a)
-
-
-def _run_pivot(theta: float, k: int) -> float:
-    """Pivot k (0-based) of a run of constant diagonal a = 2 cosh(theta)
-    from a Dirichlet end: sinh((k+2) theta)/sinh((k+1) theta), written as
-    r+ expm1(-2(k+2) theta)/expm1(-2(k+1) theta), r+ = e^theta."""
-    if theta == 0.0:
-        return (k + 2) / (k + 1)
-    return (math.exp(theta) * math.expm1(-2.0 * (k + 2) * theta)
-            / math.expm1(-2.0 * (k + 1) * theta))
-
-
-def _block_count(core: np.ndarray, first: int, n_tail: int, a_c: float
-                 ) -> tuple[int, bool, int]:
-    """Negative pivots of one Dirichlet block: a head of `first` nodes, the
-    varying `core`, and a tail of n_tail nodes, head and tail at
-    a_c = 2 - h^2 E >= 2. Returns (count, hit_zero_pivot, pivots swept), by
-    the four rules of count_below_fd.
-
-    In the tail the pivot products p_k = d d_1 ... d_k are
-    (d sinh((k+1) theta_c) - sinh(k theta_c))/sinh(theta_c), which change
-    sign at most once: a tail pivot is negative iff 0 < d and
-    p_(n_tail) < 0, i.e. (1 - d r+) r+^(2 n_tail) > 1 - d r-, i.e.
-    d < 1/_run_pivot(theta_c, n_tail - 1).
-
-    The rules need a_c >= 2 (theta_c = 0 at a_c = 2); at E > 0 (the
-    E + delta probe of an E just below 0) the whole block is swept from
-    its Dirichlet end."""
-    if a_c < 2.0:
-        arr = np.concatenate((np.full(first, a_c), core, np.full(n_tail, a_c)))
-        neg, hit_zero, _ = _sturm_pass(memoryview(arr))
-        return neg, hit_zero, arr.size
-    allowed = np.flatnonzero(core < 2.0)
-    if allowed.size == 0:
-        return 0, False, 0
-    # acosh(a/2) = 2 asinh(sqrt(a - 2)/2); a - 2 is exact for a in [2, 4].
-    # Summed back from the first allowed node (_sum_back) until _LEAD_IN:
-    # the whole head's running sums, in its order. G >= 0, so a
-    # node adds at most theta_c: fewer than `need` nodes, _LEAD_IN/theta_c
-    # less a rounding margin, never reach it
-    theta_c = 2.0 * math.asinh(0.5 * math.sqrt(a_c - 2.0))
-    need = 0.999999 * _LEAD_IN / max(theta_c, 1e-300)
-    start = _sum_back(
-        lambda j0, j1: 2.0 * np.arcsinh(0.5 * np.sqrt(core[j0:j1] - 2.0)),
-        0, int(allowed[0]) if allowed[0] >= need else 0,
-        max(_HEAD_CHUNK, int(need)))
-    if start is not None:
-        j, d = start[0], math.exp(start[1])
-    else:
-        j = 0
-        d = _run_pivot(theta_c, first - 1) if first else math.inf
-    last = int(allowed[-1]) + 1
-    neg, hit_zero, d = _sturm_pass(memoryview(core[j:last]), d)
-    n_set, hz_set, d, k = _settle_pass(memoryview(core[last:]), d)
-    if n_tail and 0.0 < d < 1.0 / _run_pivot(theta_c, n_tail - 1):
-        neg += 1
-    return neg + n_set, hit_zero or hz_set, last - j + k
-
-
-def _fd_grid(G, alpha: float, E: float, mode: BoundaryMode
-             ) -> tuple[tuple[float, float, int, int | None], float, bool]:
-    """The grid that count_below_fd counts on at E: n intervals of
-    counting_domain's window [A, B] at a step of at most 1e-3 of it and
-    1/(8 sqrt(alpha max G + |E| + 1)), at least 8 and at most _N_CAP.
-
-    In the Dirichlet-at-0 mode with 0 inside, [A, B] is shifted so t = 0 is
-    node k0 of 0..n; k0 is None when there is no interior node at 0.
-    Returns ((A, h, n, k0), B, capped): the grid, the end of its window and
-    whether n was cut to _N_CAP."""
-    A, B = counting_domain(G, alpha, E, mode)
-    h = min(1e-3 * (B - A),
-            1.0 / (8.0 * math.sqrt(alpha * G.g_max + abs(E) + 1.0)))
-    n = max(math.ceil((B - A) / h), 8)
-    capped = n > _N_CAP
-    n = min(n, _N_CAP)
-    h = (B - A) / n
-    k0 = None
-    if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 and A < 0.0 < B:
-        k = round(-A / h)
-        A = -k * h
-        B = A + n * h
-        if 0 < k < n:
-            k0 = k
-    return (A, h, n, k0), B, capped
-
-
-def _fd_operator(G, alpha: float, grid):
-    """The fd operator of -d^2/dt^2 - alpha G on the grid (A, h, n, k0) of
-    _fd_grid, with Dirichlet ends and, when k0 is not None, a Dirichlet
-    node k0: its blocks, with G read once, at the interior nodes in
-    G.t_support and one margin node either side (G = 0 at the others).
-    Returns counts_at(energy) -> (per-block counts, hit_zero_pivot, pivots
-    swept) of this one operator at any energy: count_below_fd counts it,
-    and eigenvalues_below bisects it."""
-    A, h, n, k0 = grid
-    t_lo, t_hi = G.t_support
-    k_lo = max(math.ceil(max((t_lo - A) / h, 0.0)) - 1, 1)
-    k_hi = min(math.floor(min((t_hi - A) / h, n)) + 1, n - 1)
-    gv = np.asarray(G.eval(A + h * np.arange(k_lo, k_hi + 1)), dtype=float)
-    # diagonals h^2*(2/h^2 - alpha G(t_i)); a block is a core between runs
-    # of `first` and n_tail nodes where the diagonal is 2 (G = 0, or too
-    # small to move it), which are 2 - h^2 E at every energy
-    base = 2.0 - (h * h) * (alpha * gv)
-    vary = np.flatnonzero(base != 2.0) + k_lo
-    blocks = []
-    for b0, b1 in ((1, n),) if k0 is None else ((1, k0), (k0 + 1, n)):
-        v = vary[(vary >= b0) & (vary < b1)]
-        f, t = (int(v[0]), int(v[-1]) + 1) if v.size else (b0, b0)
-        blocks.append((base[f - k_lo:t - k_lo], f - b0, b1 - t))
-
-    def counts_at(energy: float) -> tuple[list[int], bool, int]:
-        counts = []
-        zero_hit = False
-        swept = 0
-        a_c = 2.0 - (h * h) * energy
-        for core, first, n_tail in blocks:
-            arr = core - (h * h) * energy
-            cnt, hz, k = _block_count(arr, first, n_tail, a_c)
-            swept += k
-            if hz:
-                # retry once with an ulp-scale shift of the block's pivots
-                shift = 4.0 * np.finfo(float).eps * float(np.max(
-                    np.abs(arr), initial=abs(a_c) if first or n_tail else 0.0))
-                cnt, _, k = _block_count(arr + shift, first, n_tail,
-                                         a_c + shift)
-                swept += k
-                zero_hit = True
-            counts.append(cnt)
-        return counts, zero_hit, swept
-
-    return counts_at
-
-
-def count_below_fd(G, alpha: float, E: float,
-                   mode: BoundaryMode = BoundaryMode.WHOLE_LINE
-                   ) -> CountResult:
-    """Count eigenvalues below E of the Dirichlet problem on [A, B] via a
-    Sturm pivot pass; no eigenvalues are formed.
-
-    The count refers to counting_domain's window [A, B] with Dirichlet
-    ends, on the grid of _fd_grid. E -/+ delta (delta = threshold_eps)
-    are swept first: the count is nondecreasing in E, so where they agree
-    block by block and met no zero pivot, theirs is the count at E.
-    Otherwise E is swept too, and probes that disagree raise
-    `near-threshold`. A zero pivot triggers an ulp-scale retry, flagged
-    `pivot-shift` when the count is read from that sweep. `steps` counts
-    the pivots of every sweep run.
-
-    G is read only at the grid nodes in G.t_support and one node either
-    side: G = 0 elsewhere, so the diagonal is exactly 2 there. Each
-    Dirichlet block is swept, per energy, only from a start node up to its
-    last node where G moves the diagonal, or less (the settled sweep
-    below), through a memoryview of the shifted core. The rest has closed
-    forms:
-      * constant tail: past that node the diagonal is a = 2 - h^2 E >= 2,
-        and at most one pivot is negative: one is iff 0 < d and
-        (1 - d r+) r+^(2L) > 1 - d r-, with r+- = e^(+-theta),
-        theta = acosh(a/2) = 2 asinh(sqrt(a - 2)/2), d the last swept
-        pivot and L the number of tail nodes;
-      * constant head: pivot k (0-based) of a leading run of a is
-        r+ expm1(-2(k+2) theta)/expm1(-2(k+1) theta), never negative; the
-        sweep enters the rest with the last one;
-      * contracted lead-in: while a_i >= 2 every pivot is >= 1, so none is
-        negative, and an error in the entering pivot shrinks by about
-        exp(-2 sum acosh(a_k/2)). If that factor, from a node j past the
-        head to the first allowed node (a_i < 2), is 1e-12 or less, the
-        sweep starts at the latest such j instead, entering with the
-        decaying ratio r+(a_j); the head is read back only that far;
-      * settled sweep: past the last allowed node every a_i >= 2, so after
-        a pivot >= 1 every pivot is >= 1, and the tail adds nothing
-        (d >= 1 > 1/_run_pivot); the sweep stops at the first such pivot.
-    The rules need a = 2 - h^2 E >= 2; a block probed at an energy > 0 is
-    swept whole. The head and the lead-in are exact up to the rounding of
-    the entering pivot, and the lead-in up to its 1e-12 contraction, so the
-    count is the full sweep's unless a pivot or a bisection probe lies
-    within that distance of zero; a zero pivot in a closed-form run is not
-    seen, so it raises no `pivot-shift`.
-    """
-    _validate(alpha, E)
-    mode = BoundaryMode(mode)
-    flags: list[str] = ["domain-truncated"] if G.truncated else []
-    if alpha * G.g_max + E <= 0.0:
-        return CountResult(0, "fd", E, mode.value,
-                           counting_domain(G, alpha, E, mode),
-                           flags=tuple(flags + ["below-spectrum"]))
-    grid, B, capped = _fd_grid(G, alpha, E, mode)
-    A, h, n, k0 = grid
-    counts_at = _fd_operator(G, alpha, grid)
-    if capped:
-        flags.append("grid-coarsened")
-
-    delta = threshold_eps(G, alpha)
-    c_lo, z_lo, k_lo = counts_at(E - delta)
-    c_hi, z_hi, k_hi = counts_at(E + delta)
-    lo, hi, steps = sum(c_lo), sum(c_hi), k_lo + k_hi
-    per_block, zero_hit = c_lo, False
-    if c_lo != c_hi or z_lo or z_hi:
-        per_block, zero_hit, k = counts_at(E)
-        steps += k
-    count = sum(per_block)
-    uncertainty = int(zero_hit)
-    if zero_hit:
-        flags.append("pivot-shift")
-    if lo != hi:
-        flags.append("near-threshold")
-        uncertainty = max(uncertainty, abs(hi - lo))
-    sides = dict(zip(("left", "right"), per_block)) if k0 is not None else {}
-    return CountResult(count, "fd", E, mode.value, (A, B), h, steps,
-                       uncertainty, tuple(flags),
-                       {"n_nodes": n - 1 - (k0 is not None), **sides})
-
-
-def count_below(G, alpha: float, E: float,
-                mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
-                engine: str = "pruefer") -> CountResult:
-    if engine == "pruefer":
-        return count_below_pruefer(G, alpha, E, mode)
-    if engine == "fd":
-        return count_below_fd(G, alpha, E, mode)
-    raise ValueError(f"unknown engine {engine!r}; use 'pruefer' or 'fd'")
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue location
-
-
-def eigenvalues_below(G, alpha: float, *, E: float | None = None,
-                      n_max: int | None = 128,
-                      mode: BoundaryMode = BoundaryMode.WHOLE_LINE,
-                      engine: str = "pruefer", tol_eig: float = 1e-9
-                      ) -> tuple[np.ndarray, bool]:
-    """Locate the eigenvalues below E (by default the channel energy of
-    m = 0) by bisecting a counting function over [floor, E], floor just
-    below -alpha max G.
-
-    engine="pruefer" bisects count_below_pruefer. engine="fd" builds the fd
-    operator of count_below_fd(G, alpha, E, mode) once (its window, step
-    and Dirichlet blocks, G read once) and bisects its Sturm count: the
-    results are eigenvalues of that one tridiagonal matrix (Barth, Martin &
-    Wilkinson, Numer. Math. 9, 1967), as many as that count at E.
-
-    Returns (energies ascending, truncated): if more than n_max eigenvalues
-    lie below E only the n_max lowest are returned and truncated=True;
-    n_max=None returns every one (the bisection locates them all either
-    way). Bisection drives intervals below tol_eig * max(1, |floor|), or to
-    adjacent floats, whichever is wider; clustered eigenvalues within that
-    width come out as one midpoint with multiplicity. 0 < tol_eig < inf and
-    n_max >= 1 (or None), or ValueError.
-    """
-    if not 0.0 < tol_eig < math.inf:
-        raise ValueError(f"need finite tol_eig > 0, got {tol_eig}")
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    E = channel_energy(G, alpha) if E is None else E
-    if E is None:
-        return np.empty(0), False
-    _validate(alpha, E)
-    # nothing below E <= -alpha max G, where floor lies too
-    if alpha * G.g_max + E <= 0.0:
-        return np.empty(0), False
-    floor = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
-    mode = BoundaryMode(mode)
-    if engine == "fd":
-        counts_at = _fd_operator(G, alpha, _fd_grid(G, alpha, E, mode)[0])
-
-        def C(e: float) -> int:
-            return sum(counts_at(e)[0])
-    else:
-        def C(e: float) -> int:
-            return count_below(G, alpha, e, mode, engine=engine).count
-
-    total = C(E)
-    if total == 0:
-        return np.empty(0), False
-    width_tol = tol_eig * max(1.0, abs(floor))
-    out: list[float] = []
-    stack = [(floor, E, 0, total)]
-    while stack:
-        lo, hi, c_lo, c_hi = stack.pop()
-        k = c_hi - c_lo
-        if k <= 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        # adjacent floats have no midpoint strictly between them
-        if hi - lo < width_tol or not lo < mid < hi:
-            out.extend([mid] * k)
-            continue
-        c_mid = C(mid)
-        stack.append((lo, mid, c_lo, c_mid))
-        stack.append((mid, hi, c_mid, c_hi))
-    out.sort()
-    truncated = n_max is not None and len(out) > n_max
-    return np.array(out[:n_max]), truncated
-
-
-# ---------------------------------------------------------------------------
-# quadratic-form companion spectrum
-
-
-# bs_spectrum reads the coupling 1/floor, but at least _BS_ALPHA, so that a
-# profile that is not analytic at its support ends (the bump) gets elements
-# short enough there, and at least _BS_DEPTH / max G, so that a shallow
-# narrow one (a narrow gaussian) gets elements inside its peak. With
-# elements of degree _BS_DEGREE on the mesh at _BS_FRAC of it, doubling the
-# degree moves no value above the floor by more than 1e-9 relative on the
-# bundled specs, the bump's by 1e-7
+# The layout reads the coupling, but at least _BS_ALPHA, so that a profile
+# not analytic at its support ends (the bump) gets short elements there,
+# and at least _BS_DEPTH / max G, so that a shallow narrow one (a narrow
+# gaussian) gets elements inside its peak. On the mesh at _BS_FRAC of it,
+# doubling the degree _BS_DEGREE moves no companion value above the floor
+# by more than 1e-9 relative on the bundled specs, the bump's by 1e-7
 _BS_FRAC = 1.0 / 64.0
 _BS_DEGREE = 10
 _BS_ALPHA = 192.0
 _BS_DEPTH = 8.0
+_BS_MERGE = 1e-9
 
 
 _GLL_RULES: dict = {}
@@ -1118,48 +765,272 @@ def _gll(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _GLL_RULES[p]
 
 
+def _elements(G, alpha: float) -> tuple[float, tuple, np.ndarray | None]:
+    """(coupling a, pencil, companion values) of the element layout of G
+    for alpha: the phase mesh (_mesh_nodes) over _span at _BS_FRAC of
+    a = max(alpha, _BS_ALPHA, _BS_DEPTH / max G), monotone in alpha, with
+    degree-_BS_DEGREE Lagrange elements on Gauss-Lobatto-Legendre nodes,
+    less those without mass between the support and an outer end. The
+    pencil is (Ke, w, g, z): per element the stiffness, the lumped unit
+    mass and G at the nodes (one ulp inside at the ends), and z, the
+    vertex at t = 0. G keeps the last layout, with the values bs_spectrum
+    solved on it (None until then)."""
+    a = max(alpha, _BS_ALPHA)
+    if G.g_max > 0.0:
+        a = max(a, _BS_DEPTH / G.g_max)
+    if G.elements is not None and G.elements[0] == a:
+        return G.elements
+    t = _mesh_nodes(G, _BS_FRAC * a, *_span(G))
+    # nodes closer than _BS_MERGE / sqrt(a max G), around a sliver of G,
+    # are one vertex (t = 0 if it is one of them): so short an element
+    # would stiffen the pencil past double precision, and in the limit it
+    # ties its ends together. Its neighbours read G just past the sliver
+    gap = np.diff(t) >= _BS_MERGE / math.sqrt(a * max(G.g_max, 1e-300))
+    first, last = t[np.r_[True, gap]], t[np.r_[gap, True]]
+    t = np.where((first <= 0.0) & (last >= 0.0), 0.0, first)
+    x, w, Kr = _gll(_BS_DEGREE)
+    lo, hi = t[:-1, None], t[1:, None]
+    pts = lo + 0.5 * (hi - lo) * (x + 1.0)
+    pts[:, 0] = np.nextafter(last[:-1], first[1:])
+    pts[:, -1] = np.nextafter(first[1:], last[:-1])
+    g = np.asarray(G.eval(pts.ravel()), dtype=float).reshape(pts.shape)
+    if np.any(g < 0.0):
+        raise ValueError("the element pencil needs G >= 0; "
+                         f"min G = {float(np.min(g))!r}")
+    mass = np.any(g > 0.0, axis=1)
+    run = (((np.cumsum(mass) > 0) | (lo[:, 0] >= 0.0))
+           & ((np.cumsum(mass[::-1])[::-1] > 0) | (hi[:, 0] <= 0.0)))
+    L = (hi - lo)[run]
+    G.elements = (a, ((2.0 / L)[:, :, None] * Kr, 0.5 * L * w, g[run],
+                      int(np.searchsorted(lo[run, 0], 0.0))), None)
+    return G.elements
+
+
+def _blocks(pencil, mode: BoundaryMode) -> list[tuple[int, int, bool, bool]]:
+    """(e0, e1, open0, open1) of each block counted in `mode`: elements
+    e0..e1-1 and their vertices, an open end's kept, a Dirichlet end's (at
+    t = 0) deleted. The whole line spans the elements with mass."""
+    _, _, g, z = pencil
+    mass = np.flatnonzero(np.any(g > 0.0, axis=1))
+    f, l = (int(mass[0]), int(mass[-1]) + 1) if mass.size else (z, z)
+    if mode == BoundaryMode.WHOLE_LINE:
+        return [(f, l, True, True)]
+    right = (z, max(l, z), False, True)
+    if mode == BoundaryMode.HALF_LINE_DIRICHLET:
+        return [right]
+    return [(min(f, z), z, True, False), right]
+
+
+def _counters(pencil, alphas):
+    """counts_at(mode, energies) for each coupling of `alphas`: per energy
+    E <= 0, the negative inertia of each block (_blocks) of
+    K - alpha M_G - E M_1, with the decaying tail's Robin term sqrt(-E) at
+    an open end. Each element's interior is condensed once per coupling:
+    with D its unit mass, D^-1/2 (K_ii - alpha D_G) D^-1/2 = Q Lambda Q^T
+    (one batched eigh over every element and coupling), and by
+    Haynsworth's inertia additivity a block counts #{lambda_i < E} and the
+    negative LDL^T pivots of the vertex tridiagonal
+    S(E) = A_vv(E) - b^T (Lambda - E)^-1 b, b = Q^T D^-1/2 K_iv.
+    counts_at returns (per-block counts at each energy, whether each met a
+    zero pivot, the vertex pivots taken). A zero pivot is not retried: an
+    interior one is taken an ulp above E, a vertex one as +0."""
+    Ke, w, g, _ = pencil
+    p = w.shape[1] - 1
+    s = 1.0 / np.sqrt(w[:, 1:p])
+    A = Ke - np.asarray(alphas, dtype=float)[:, None, None, None] * (
+        (w * g)[:, :, None] * np.eye(p + 1))
+    lam, Q = np.linalg.eigh(s[:, :, None] * A[..., 1:p, 1:p] * s[:, None, :])
+    b = np.einsum("...ji,...jc->...ic", Q, s[:, :, None] * A[..., 1:p, ::p])
+    # per element (S_00, S_pp, S_0p): at E = 0 before the interior's share,
+    # the interior's share per lambda_i, and the slope in -E
+    vv = A[..., [0, p, 0], [0, p, p]]
+    bb = b[..., [0, 1, 0]] * b[..., [0, 1, 1]]
+    slope = w[:, [0, p, 0]] * [1.0, 1.0, 0.0]
+    by_mode = {m: _blocks(pencil, m) for m in BoundaryMode}
+
+    def counter(lam, vv, bb):
+        def counts_at(mode, energies):
+            E = np.asarray(energies, dtype=float)
+            gap = lam - E[:, None, None]
+            hit = gap == 0.0
+            zero = [False] * E.size
+            if hit.any():
+                zero = np.any(hit, axis=(1, 2)).tolist()
+                gap[hit] = np.spacing(np.maximum(np.abs(E), 1.0)).repeat(
+                    np.sum(hit, axis=(1, 2)))
+            S = (vv - E[:, None, None] * slope
+                 - np.einsum("kei,eic->kec", 1.0 / gap, bb))
+            counts = [[] for _ in zero]
+            pivots = 0
+            for e0, e1, open0, open1 in by_mode[mode]:
+                below = (gap[:, e0:e1] < 0.0).sum(axis=(1, 2)).tolist()
+                for k, rows in enumerate(S[:, e0:e1].tolist()):
+                    if not rows:
+                        counts[k].append(0)
+                        continue
+                    s0, s1, s01 = zip(*rows)
+                    kappa = math.sqrt(max(-energies[k], 0.0))
+                    # vertex j joins elements j-1 and j
+                    diag = [s0[0] + kappa, *map(sum, zip(s1, s0[1:])),
+                            s1[-1] + kappa][1 - open0:len(s0) + open1]
+                    off = [0.0, *(c * c for c in s01)][1 - open0:]
+                    neg, z, piv = below[k], False, math.inf
+                    for a, o in zip(diag, off):
+                        piv = a - (o / piv if piv else math.inf)
+                        neg += piv < 0.0
+                        z |= piv == 0.0
+                    counts[k].append(neg)
+                    zero[k] |= z
+                    pivots += len(diag)
+            return counts, zero, pivots
+        return counts_at
+
+    return [counter(*x) for x in zip(lam, vv, bb)]
+
+
+def count_below_fd(G, alpha: float, E: float,
+                   mode: BoundaryMode = BoundaryMode.WHOLE_LINE
+                   ) -> CountResult:
+    """Count eigenvalues below E by the inertia of the element pencil, a
+    batch of one (count_batch_fd); fd is the engine's historical name."""
+    return count_batch_fd(G, [(alpha, E, mode)])[0]
+
+
+def count_batch_fd(G, queries) -> list[CountResult]:
+    """count_below_fd at each (alpha, E, mode) of `queries`, on the layout
+    of the largest coupling (_elements), each coupling condensed once
+    (_counters). E -/+ delta (delta = threshold_eps, the upper at most 0)
+    are counted first: the count is nondecreasing in E, so where they
+    agree block by block and met no zero pivot, theirs is the count at E;
+    otherwise E is counted too, probes that disagree raise
+    `near-threshold` and a zero pivot at E `pivot-shift`. `steps` counts
+    the vertex pivots; extras hold the nodes counted and, in the
+    Dirichlet-at-0 mode, each side's count."""
+    plans = [(alpha, E, BoundaryMode(mode)) for alpha, E, mode in queries]
+    for alpha, E, _ in plans:
+        _validate(alpha, E)
+    live = sorted({alpha for alpha, E, _ in plans if alpha * G.g_max + E > 0.0})
+    if live:
+        _, pencil, _ = _elements(G, live[-1])
+        counters = dict(zip(live, _counters(pencil, live)))
+    out = []
+    for alpha, E, mode in plans:
+        flags = ["domain-truncated"] if G.truncated else []
+        domain = counting_domain(G, alpha, E, mode)
+        if alpha * G.g_max + E <= 0.0:
+            out.append(CountResult(0, "fd", E, mode.value, domain, flags=tuple(
+                flags + ["below-spectrum"])))
+            continue
+        delta = threshold_eps(G, alpha)
+        (c_lo, c_hi), zeros, steps = counters[alpha](
+            mode, [E - delta, min(E + delta, 0.0)])
+        per_block, zero_hit = c_lo, False
+        if c_lo != c_hi or any(zeros):
+            (per_block,), (zero_hit,), k = counters[alpha](mode, [E])
+            steps += k
+        flags += ["pivot-shift"] * zero_hit
+        flags += ["near-threshold"] * (sum(c_lo) != sum(c_hi))
+        sides = (dict(zip(("left", "right"), per_block))
+                 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else {})
+        p = pencil[1].shape[1] - 1
+        nodes = sum(p * (e1 - e0) - 1 + o0 + o1
+                    for e0, e1, o0, o1 in _blocks(pencil, mode) if e1 > e0)
+        out.append(CountResult(
+            sum(per_block), "fd", E, mode.value, domain, None, steps,
+            max(int(zero_hit), sum(c_hi) - sum(c_lo)), tuple(flags),
+            {"n_nodes": nodes, **sides}))
+    return out
+
+
+def count_below(G, alpha: float, E: float,
+                mode: BoundaryMode = BoundaryMode.WHOLE_LINE, *,
+                engine: str = "pruefer") -> CountResult:
+    if engine == "pruefer":
+        return count_below_pruefer(G, alpha, E, mode)
+    if engine == "fd":
+        return count_below_fd(G, alpha, E, mode)
+    raise ValueError(f"unknown engine {engine!r}; use 'pruefer' or 'fd'")
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue location
+
+
+def eigenvalues_below(G, alpha: float, *, E: float | None = None,
+                      mode: BoundaryMode = BoundaryMode.WHOLE_LINE,
+                      engine: str = "pruefer", tol_eig: float = 1e-9
+                      ) -> np.ndarray:
+    """Every eigenvalue below E (by default the channel energy of m = 0),
+    ascending, located by bisecting a counting function over [floor, E],
+    floor just below -alpha max G.
+
+    engine="pruefer" bisects count_below_pruefer; engine="fd" bisects the
+    inertia of the one pencil of count_below_fd, condensed once (_counters).
+
+    Bisection drives intervals below tol_eig * max(1, |floor|), or to
+    adjacent floats, whichever is wider; clustered eigenvalues within that
+    width come out as one midpoint with multiplicity. 0 < tol_eig < inf,
+    or ValueError.
+    """
+    if not 0.0 < tol_eig < math.inf:
+        raise ValueError(f"need finite tol_eig > 0, got {tol_eig}")
+    E = channel_energy(G, alpha) if E is None else E
+    if E is None:
+        return np.empty(0)
+    _validate(alpha, E)
+    # nothing below E <= -alpha max G, where floor lies too
+    if alpha * G.g_max + E <= 0.0:
+        return np.empty(0)
+    floor = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
+    mode = BoundaryMode(mode)
+    if engine == "fd":
+        counts_at, = _counters(_elements(G, alpha)[1], [alpha])
+
+        def C(e: float) -> int:
+            return sum(counts_at(mode, [e])[0][0])
+    else:
+        def C(e: float) -> int:
+            return count_below(G, alpha, e, mode, engine=engine).count
+
+    total = C(E)
+    if total == 0:
+        return np.empty(0)
+    width_tol = tol_eig * max(1.0, abs(floor))
+    out: list[float] = []
+    stack = [(floor, E, 0, total)]
+    while stack:
+        lo, hi, c_lo, c_hi = stack.pop()
+        k = c_hi - c_lo
+        if k <= 0:
+            continue
+        mid = 0.5 * (lo + hi)
+        # adjacent floats have no midpoint strictly between them
+        if hi - lo < width_tol or not lo < mid < hi:
+            out.extend([mid] * k)
+            continue
+        c_mid = C(mid)
+        stack.append((lo, mid, c_lo, c_mid))
+        stack.append((mid, hi, c_mid, c_hi))
+    return np.sort(out)
+
+
+# ---------------------------------------------------------------------------
+# quadratic-form companion spectrum
+
+
 def _assemble(pencil) -> tuple[np.ndarray, np.ndarray]:
-    """(K, diag M) of the element pencil (Ke, me, z): the element
-    stiffness matrices Ke and lumped masses me summed over shared vertices,
-    node z (the one at t = 0) deleted."""
-    Ke, me, z = pencil
-    n_el, q = me.shape
+    """(K, diag M) of the element pencil (Ke, w, g, z): the stiffness
+    matrices and lumped masses w g summed over shared vertices, vertex z
+    (t = 0) deleted."""
+    Ke, w, g, z = pencil
+    n_el, q = w.shape
     idx = (q - 1) * np.arange(n_el)[:, None] + np.arange(q)
     m = np.zeros(n_el * (q - 1) + 1)
-    np.add.at(m, idx, me)
+    np.add.at(m, idx, w * g)
     K = np.zeros((m.size, m.size))
     np.add.at(K, (idx[:, :, None], idx[:, None, :]), Ke)
-    keep = np.arange(m.size) != z
+    keep = np.arange(m.size) != (q - 1) * z
     return K[np.ix_(keep, keep)], m[keep]
-
-
-def _negative_inertia(pencil, alpha: float) -> int:
-    """The number of negative eigenvalues of K - alpha M on the element
-    pencil (Ke, me, z) of bs_spectrum, without assembling it. Each
-    element's interior nodes couple only to its two vertices, so by
-    Haynsworth's inertia additivity the count is that of the interior
-    blocks (their eigenvalues mu, eigenvectors Q) plus that of the Schur
-    complement on the vertices, a tridiagonal counted by its LDL^T pivots
-    with the vertex z deleted."""
-    Ke, me, z = pencil
-    p = me.shape[1] - 1
-    A = Ke - alpha * (me[:, :, None] * np.eye(p + 1))
-    mu, Q = np.linalg.eigh(A[:, 1:p, 1:p])
-    W = np.swapaxes(Q, 1, 2) @ A[:, 1:p, ::p]
-    S = A[:, ::p, ::p] - np.swapaxes(W, 1, 2) @ (W / mu[:, :, None])
-    diag = np.zeros(len(me) + 1)
-    diag[:-1] += S[:, 0, 0]
-    diag[1:] += S[:, 1, 1]
-    off = [0.0, *S[:, 0, 1].tolist()]
-    neg, d = int(np.sum(mu < 0.0)), math.inf
-    for j, a in enumerate(diag.tolist()):
-        if j * p == z:
-            d = math.inf    # the next vertex starts a block
-            continue
-        # a zero pivot is taken as +0, so that the next is -inf
-        d = a - (off[j] ** 2 / d if d else math.inf)
-        neg += d < 0.0
-    return neg
 
 
 def bs_spectrum(G, *, floor: float | None = None
@@ -1169,49 +1040,27 @@ def bs_spectrum(G, *, floor: float | None = None
     above 1/alpha are as many as the bound states of the coupling-alpha
     problem with a Dirichlet condition at t = 0.
 
-    Spectral elements: the phase mesh of G (_mesh_nodes) over _span at
-    _BS_FRAC of the coupling read (see _BS_ALPHA), so every breakpoint of G
-    and t = 0 are element ends, each with the Lagrange basis of degree
-    _BS_DEGREE on its Gauss-Lobatto-Legendre nodes. The outer ends are
-    natural: a finite (u', u') leaves u constant past the support, so the
-    elements without mass between the support and a natural end add
-    nothing, and are dropped. K is the stiffness, M the lumped mass w G (G
-    read at the nodes, one ulp inside at element ends), the node at t = 0
-    deleted; the values are those of S K^-1 S, S = M^(1/2), on the nodes
-    with mass: the nonzero spectrum of M u = lambda K u. A pencil of more
-    than _N_CAP entries is refused before it is built. Returns (values,
-    meta); meta holds n_nodes, the span as domain, and the element pencil
-    (Ke, me, z) that _assemble sums into (K, diag M), on which
-    #{lambda > 1/alpha} is the negative inertia of K - alpha M (Sylvester;
-    _negative_inertia)."""
-    lo, hi = _span(G)
-    alpha = max(_BS_ALPHA, 0.0 if floor is None else 1.0 / floor)
-    if G.g_max > 0.0:
-        alpha = max(alpha, _BS_DEPTH / G.g_max)
-    t = _mesh_nodes(G, _BS_FRAC * alpha, lo, hi)
-    p = _BS_DEGREE
-    x, w, Kr = _gll(p)
-    a, b = t[:-1, None], t[1:, None]
-    pts = a + 0.5 * (b - a) * (x + 1.0)
-    pts[:, 0], pts[:, -1] = np.nextafter(a[:, 0], b[:, 0]), np.nextafter(
-        b[:, 0], a[:, 0])
-    g = np.asarray(G.eval(pts.ravel()), dtype=float).reshape(pts.shape)
-    if np.any(g < 0.0):
-        raise ValueError("bs_spectrum needs G >= 0; "
-                         f"min G = {float(np.min(g))!r}")
-    mass = np.any(g > 0.0, axis=1)
-    run = (((np.cumsum(mass) > 0) | (a[:, 0] >= 0.0))
-           & ((np.cumsum(mass[::-1])[::-1] > 0) | (b[:, 0] <= 0.0)))
-    a, L, g = a[run], (b - a)[run], g[run]
-    n = L.size * p   # the nodes but the one at t = 0
+    On the element layout of G for the coupling 1/floor (_elements), with
+    natural outer ends (a finite (u', u') leaves u constant past the
+    support, where the dropped elements add nothing), the values are those
+    of S K^-1 S, S = M^(1/2), on the nodes with mass (_assemble): the
+    nonzero spectrum of M u = lambda K u. A pencil of more than _N_CAP
+    entries is refused before it is solved. The values are kept on G with
+    the layout, read-only. Returns (values, meta); meta holds n_nodes, the
+    span as domain, and the element pencil, on which #{lambda > 1/alpha}
+    is the negative inertia of K - alpha M (Sylvester): the inertia
+    engine's count at E = 0 in the Dirichlet-at-0 mode."""
+    alpha, pencil, lam = _elements(G, 0.0 if floor is None else 1.0 / floor)
+    n = (pencil[1].shape[1] - 1) * len(pencil[1])   # the nodes but t = 0
     if n * n > _N_CAP:
         raise ValueError(f"alpha={alpha:.6g}: the companion pencil needs {n} "
                          f"nodes, {n * n} entries, past {_N_CAP}")
-    z = p * int(np.searchsorted(a[:, 0], 0.0))
-    pencil = ((2.0 / L)[:, :, None] * Kr, 0.5 * L * w * g, z)
-    K, m = _assemble(pencil)
-    on = np.flatnonzero(m > 0.0)
-    s = np.sqrt(m[on])
-    C = s[:, None] * np.linalg.inv(K)[np.ix_(on, on)] * s
-    lam = np.linalg.eigvalsh(0.5 * (C + C.T))[::-1]
-    return lam, {"n_nodes": n, "domain": (lo, hi), "pencil": pencil}
+    if lam is None:
+        K, m = _assemble(pencil)
+        on = np.flatnonzero(m > 0.0)
+        s = np.sqrt(m[on])
+        C = s[:, None] * np.linalg.inv(K)[np.ix_(on, on)] * s
+        lam = np.linalg.eigvalsh(0.5 * (C + C.T))[::-1]
+        lam.flags.writeable = False
+        G.elements = (alpha, pencil, lam)
+    return lam, {"n_nodes": n, "domain": _span(G), "pencil": pencil}

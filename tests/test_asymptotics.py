@@ -100,6 +100,20 @@ def test_sweep_budget_cuts_rows(catalog):
     assert any("budget" in n for n in T.notes)
 
 
+def test_fd_sweep_rows_are_the_phase_engines_on_the_slow_tail(catalog):
+    # the slow tail at alpha 5..50, 4 per decade: every row's counts are
+    # the phase engine's, none in doubt, the rows at 8.89, 15.81 and 28.12
+    # included, where the FD grid's Dirichlet wall lost a state
+    grid = alpha_grid(5.0, 50.0, per_decade=4)
+    rows = [sweep(catalog["counterexample"], grid, engine=e).rows
+            for e in ("fd", "pruefer")]
+    assert [round(r.alpha, 2) for r in rows[0]] == [5.0, 8.89, 15.81, 28.12,
+                                                     50.0]
+    for fd, phase in zip(*rows):
+        assert (fd.N, fd.N_radial_dirichlet, fd.N_nonradial, fd.uncertainty) \
+            == (phase.N, phase.N_radial_dirichlet, phase.N_nonradial, 0)
+
+
 def test_sweep_truncation_note(catalog):
     T = sweep(catalog["counterexample"], [5.0, 10.0])
     assert any("truncated" in n for n in T.notes)

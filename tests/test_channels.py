@@ -31,9 +31,9 @@ from radcount import (
     total_count,
 )
 from radcount import channels, spectral1d
-from radcount.spectral1d import bs_spectrum, channel_energy, counting_domain
+from radcount.spectral1d import bs_spectrum, channel_energy
 from rk_phase import count_below_rk
-from test_spectral1d import _fd_grid_on, _random_profiles
+from test_spectral1d import _random_profiles
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -69,8 +69,9 @@ def test_disk_well_per_channel_matches_bessel(catalog):
 def test_phase_engine_matches_bessel_on_a_dense_sweep(catalog):
     # 200 log-spaced couplings in [25, 3200]: every channel count of the
     # phase engine is the Bessel oracle's, with uncertainty 0 and no flags.
-    # The fd engine stays out: its grid samples the jump of G at the disk
-    # edge from one side, and it misses at 32 of these couplings
+    # The inertia engine stays out: it counts these too, but at 74.89 its
+    # probes see the Dirichlet-at-0 state at -5.9e-8, within threshold_eps
+    # of the channel energy -7.5e-8, and it flags near-threshold
     P = catalog["square-well"]
     for alpha in np.geomspace(25.0, 3200.0, 200):
         b = total_count(P, float(alpha))
@@ -137,30 +138,52 @@ def test_disk_well_totals_both_engines(catalog):
                 (alpha, engine)
 
 
-def test_disk_well_alpha_400_needs_fine_grid_for_fd(catalog, monkeypatch):
-    # at alpha = 400 two channels bind only barely (the 2D binding energy
-    # near onset is exponentially small), and the default fd grid shifts
-    # them above the counting energy; the phase engine and a refined fd
-    # grid both recover the oracle total
+def test_disk_well_alpha_400_fd_matches_bessel(catalog):
+    # at alpha = 400 two channels bind only barely (channel 16 just below
+    # its threshold -256), which the uniform FD grid shifted above the
+    # counting energy (103); both engines count the oracle's 105, channel
+    # by channel
     P = catalog["square-well"]
-    _, oracle = disk_total_oracle(400.0)
+    per, oracle = disk_total_oracle(400.0)
     assert oracle == 105
-    assert total_count(P, 400.0).total == 105
-    coarse = total_count(P, 400.0, engine="fd")
-    assert 103 <= coarse.total <= 105
-    G = to_log(P)
+    for engine in ("pruefer", "fd"):
+        b = total_count(P, 400.0, engine=engine)
+        assert (b.total, b.uncertainty, b.flags) == (105, 0, ()), engine
+        assert b.per_channel == per, engine
 
-    def fine_grid(G, alpha, E, mode):
-        A, B = counting_domain(G, alpha, E, mode)
-        return _fd_grid_on((A, B), math.ceil((B - A) / 1e-3))(G, alpha, E,
-                                                                mode)
 
-    monkeypatch.setattr(spectral1d, "_fd_grid", fine_grid)
-    fine = []
-    while not fine or fine[-1]:
-        E = channel_energy(G, 400.0, len(fine))
-        fine.append(spectral1d.count_below_fd(G, 400.0, E).count)
-    assert fine[0] + 2 * sum(fine[1:]) == 105
+def test_fd_counts_bessel_on_both_sides_of_every_disk_threshold(catalog):
+    # the 106 couplings below 800 where a disk channel gains a state: the
+    # inertia engine's channel count on either side equals Bessel's at
+    # a relative offset 1e-3 in every channel, and at 1e-7 for m >= 1
+    # (an m = 0 state binds at a line energy quadratic in the offset, and
+    # the channel energy sits threshold_eps below 0). The FD grid missed
+    # 5 + 84 of these at 1e-3
+    P = catalog["square-well"]
+    thresholds = _disk_thresholds(800.0)
+    assert len(thresholds) == 106
+    for delta, ms in ((1e-3, 0), (1e-7, 1)):
+        for m, alpha in thresholds:
+            if m < ms:
+                continue
+            for a in (alpha * (1.0 - delta), alpha * (1.0 + delta)):
+                got = channel_count(P, a, m, engine="fd")
+                assert got.count == disk_channel_oracle(a, m), (m, a)
+
+
+@pytest.mark.parametrize("name", [
+    "square-well", "annulus", "gaussian", "bump", "counterexample",
+    "counterexample-damped", "counterexample-damped-strong"])
+def test_fd_plane_count_is_the_phase_engines_at_3200(catalog, name):
+    # at alpha 3200 the engines agree on every channel, the Dirichlet-at-0
+    # route and the total, none in doubt: the FD grid gave 2417 on the
+    # annulus (2415) and 98 on the counterexample (99)
+    fd, phase = (total_count(catalog[name], 3200.0, engine=e)
+                 for e in ("fd", "pruefer"))
+    assert fd.per_channel == phase.per_channel
+    assert (fd.total, fd.radial_dirichlet_count, fd.uncertainty) == (
+        phase.total, phase.radial_dirichlet_count, 0)
+    assert set(fd.flags) <= channels.INFORMATIONAL_FLAGS
 
 
 def test_disk_channel_count_at_alpha_1e7(catalog):
@@ -186,8 +209,7 @@ def test_m_scan_brackets_everything(catalog):
     assert b.m_max < m_scan
     # mu1, the magnitude of the lowest line eigenvalue, from both engines;
     # m_scan is the first m with m^2 >= mu1
-    mu1, mu1_fd = (-eigenvalues_below(to_log(P), alpha, n_max=1,
-                                      engine=engine)[0][0]
+    mu1, mu1_fd = (-eigenvalues_below(to_log(P), alpha, engine=engine)[0]
                    for engine in ("pruefer", "fd"))
     assert mu1 == pytest.approx(mu1_fd, rel=1e-3)
     assert m_scan == math.ceil(math.sqrt(mu1))
@@ -439,7 +461,7 @@ def test_breakdown_dataclass_shape(catalog):
     assert isinstance(b, ChannelBreakdown)
     assert b.total == b.per_channel[0] + b.nonradial
     assert b.extras["m_scan"] >= b.m_max
-    ev, _ = eigenvalues_below(to_log(P), 30.0, n_max=1)
+    ev = eigenvalues_below(to_log(P), 30.0)[:1]
     assert len(ev) == 1 and -ev[0] > 0.0
 
 
@@ -500,51 +522,54 @@ def test_total_count_phase_steps_slowtail_5(catalog, monkeypatch):
     assert sum(n for out in seen for _, n, _ in out) == 951
 
 
-def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
-    # the work of the fd engine at disk alpha=3200: the 53 counts sweep
-    # 150802 pivots in all (at E -/+ delta, whose counts agree, so none at
-    # E; 226203 with E swept too), only from the lead-in or the end of the
-    # constant head up to the support end t = 0, out of 2 x 581203 grid
-    # nodes; every channel count is the Bessel oracle's
+def _fd_batches(catalog, monkeypatch, name, alpha):
+    """total_count by the inertia engine, and the counts of each batch it
+    sent (count_batch_fd)."""
     seen = []
+    batch = channels.count_batch_fd
 
-    def counting(*args, **kw):
-        seen.append(count_below(*args, **kw))
+    def counting(*args):
+        seen.append(batch(*args))
         return seen[-1]
 
-    monkeypatch.setattr("radcount.channels.count_below", counting)
-    b = total_count(catalog["square-well"], 3200.0, engine="fd")
+    monkeypatch.setattr(channels, "count_batch_fd", counting)
+    return total_count(catalog[name], alpha, engine="fd"), seen
+
+
+def test_fd_sturm_work_disk_3200(catalog, monkeypatch):
+    # the work of the inertia engine at disk alpha=3200: two batches, of
+    # 16 channels and the Dirichlet-at-0 count, then of channels 16..56
+    # (51 is the first empty one), on one layout of 25 elements; the 59
+    # counts take 3014 vertex pivots in all (at E -/+ delta, whose counts
+    # agree, so none at E), where the FD grid's 53 counts swept 150802;
+    # every channel count is the Bessel oracle's
+    b, seen = _fd_batches(catalog, monkeypatch, "square-well", 3200.0)
     per, total = disk_total_oracle(3200.0)
     assert b.total == total == 806 and b.uncertainty == 0 and not b.flags
     assert b.per_channel == per
-    assert len(seen) == 53
-    assert sum(r.extras["n_nodes"] for r in seen) == 581203
-    assert sum(r.steps for r in seen) == 150802
+    assert [len(out) for out in seen] == [17, 42]
+    counts = [r for out in seen for r in out]
+    assert sum(r.extras.get("n_nodes", 0) for r in counts) == 14557
+    assert sum(r.steps for r in counts) == 3014
 
 
-@pytest.mark.parametrize("name, counts, total, nodes, pivots", [
-    ("counterexample", 7, 98, 696463, 361830),
-    ("bump", 125, 3874, 519945, 243089),
-])
-def test_fd_sturm_work_at_3200(catalog, monkeypatch, name, counts, total,
+@pytest.mark.parametrize("name, batches, total, nodes, pivots", [
+    ("counterexample", [8], 99, 3796, 770),
+    ("bump", [17, 64, 45], 3874, 37624, 7748),
+], ids=["counterexample-3200", "bump-3200"])
+def test_fd_sturm_work_at_3200(catalog, monkeypatch, name, batches, total,
                                nodes, pivots):
-    # past the last allowed node the sweep stops at the first pivot >= 1;
-    # on the slow tail, whose G > 0 runs to the window end, that cut the
-    # swept pivots of three sweeps from 2071755 to 542745 (bump: 394500 to
-    # 364632); the two agreeing probes alone sweep 361830 (bump: 243089)
-    seen = []
-
-    def counting(*args, **kw):
-        seen.append(count_below(*args, **kw))
-        return seen[-1]
-
-    monkeypatch.setattr("radcount.channels.count_below", counting)
-    b = total_count(catalog[name], 3200.0, engine="fd")
+    # the slow tail, whose G > 0 runs to the span's end, and the bump, with
+    # 124 channels: the counts of each batch, the nodes they count and the
+    # vertex pivots of their probes (the FD grid swept 361830 and 243089
+    # pivots)
+    b, seen = _fd_batches(catalog, monkeypatch, name, 3200.0)
     assert b.total == total and b.uncertainty == 0
     assert set(b.flags) <= channels.INFORMATIONAL_FLAGS
-    assert len(seen) == counts
-    assert sum(r.extras["n_nodes"] for r in seen) == nodes
-    assert sum(r.steps for r in seen) == pivots
+    assert [len(out) for out in seen] == batches
+    counts = [r for out in seen for r in out]
+    assert sum(r.extras.get("n_nodes", 0) for r in counts) == nodes
+    assert sum(r.steps for r in counts) == pivots
 
 
 def test_annulus_3200_has_no_step_floor(catalog):
@@ -556,8 +581,8 @@ def test_annulus_3200_has_no_step_floor(catalog):
 
 def _flag_literals(tree) -> set[str]:
     """String constants that a module puts into flags: appended to a
-    `flags` list, assigned to a name ending in `flags`, passed as `flags=`
-    or stored under a "flags" key."""
+    `flags` list, assigned or added to a name ending in `flags`, passed as
+    `flags=` or stored under a "flags" key."""
     found = set()
 
     def strings(node):
@@ -570,7 +595,7 @@ def _flag_literals(tree) -> set[str]:
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id == "flags"):
             found |= strings(node)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [
                 node.target]
             if node.value is not None and any(
@@ -596,7 +621,7 @@ def test_every_flag_is_in_the_readme_table():
     rows = re.findall(r"^\| `([a-z-]+)` \| (informational|doubt) \|",
                       (root / "README.md").read_text(), re.MULTILINE)
     table = dict(rows)
-    assert len(rows) == len(table) == 9
+    assert len(rows) == len(table) == 8
     assert emitted == set(table)
     assert {f for f, kind in rows if kind == "informational"} == \
         channels.INFORMATIONAL_FLAGS

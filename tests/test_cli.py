@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import radcount
 from radcount import __version__, cli
 from radcount.bounds import bound_weak
 from radcount.cli import _verify_checks, main
-from radcount.spectral1d import CountResult
+from radcount import eigenvalues_below, to_log
+from radcount.spectral1d import CountResult, channel_energy, count_below_fd
 
 
 def run(capsys, *argv):
@@ -268,21 +270,63 @@ def test_verify_integrates_log_weight_once(capsys, monkeypatch):
 def test_verify_sums_every_eigenvalue_below_the_channel_energy(
         capsys, monkeypatch):
     # the Lieb-Thirring moment is a sum over all line eigenvalues below
-    # the m = 0 channel energy: verify asks for them with no cap
+    # the m = 0 channel energy: as many as the inertia engine counts there,
+    # and their sqrt-moment is the check's
     real = cli.eigenvalues_below
-    caps = []
+    got = []
 
-    def spy(*args, **kw):
-        caps.append(kw["n_max"])
-        ev, truncated = real(*args, **kw)
-        assert not truncated
-        return ev, truncated
+    def spy(G, alpha, **kw):
+        ev = real(G, alpha, **kw)
+        got.append((len(ev), float(np.sum(np.sqrt(np.abs(ev)))),
+                    count_below_fd(G, alpha, channel_energy(G, alpha)).count))
+        return ev
 
     monkeypatch.setattr("radcount.cli.eigenvalues_below", spy)
     code, doc = run_json(capsys, "verify", "--spec", "gaussian",
                          "--n-random", "0", "--alpha", "10", "--alpha", "200")
     assert code == 0 and doc["report"]["ok"] is True
-    assert caps == [None, None]
+    moments = [c["sqrt_moment"] for c in doc["report"]["checks"]
+               if c["name"] == "lieb-thirring-line"]
+    assert [n for n, _, _ in got] == [n for _, _, n in got] == [1, 6]
+    assert [m for _, m, _ in got] == moments
+
+
+def test_verify_line_moment_is_the_phase_engines(capsys, catalog):
+    # the lieb-thirring-line moment sums the element pencil's line
+    # eigenvalues: on the annulus at alpha 50 within 1e-6 of the phase
+    # engine's (20.5103; the FD grid gave 20.3039), and on the disk at 10
+    # and 50 within 1e-6 of Bessel's, closer than the phase engine's own
+    # (1.2e-5 off at 10)
+    from test_spectral1d import _disk_line_levels
+
+    for spec, alphas, want in (
+            ("annulus", ["--alpha", "50"], lambda a: eigenvalues_below(
+                to_log(catalog["annulus"], strict=False), a)),
+            ("square-well", [], _disk_line_levels)):
+        code, doc = run_json(capsys, "verify", "--spec", spec,
+                             "--n-random", "0", *alphas)
+        assert code == 0
+        for c in doc["report"]["checks"]:
+            if c["name"] == "lieb-thirring-line":
+                moment = float(np.sum(np.sqrt(np.abs(want(c["alpha"])))))
+                assert c["sqrt_moment"] == pytest.approx(moment, rel=1e-6), (
+                    spec, c["alpha"])
+
+
+def test_verify_solves_the_companion_once(capsys, monkeypatch):
+    # verify's couplings 10 and 50 lie below _BS_ALPHA, so its engine
+    # batch, both duality checks and both eigenvalue bisections share one
+    # element layout, kept on G with the values solved on it: one companion
+    # eigvalsh (the GLL rule's own eigvalsh is built once per degree)
+    from radcount import spectral1d
+
+    spectral1d._gll(spectral1d._BS_DEGREE)
+    eigvalsh, solved = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: solved.append(a.shape) or eigvalsh(a))
+    code, doc = run_json(capsys, "verify", "--spec", "gaussian")
+    assert code == 0 and doc["report"]["ok"] is True
+    assert len(solved) == 1
 
 
 @pytest.mark.parametrize("pruefer, fd, bad", [
@@ -302,13 +346,13 @@ def test_oracle_equivalence_uses_the_shared_excuse(catalog, monkeypatch,
         return CountResult(count, engine, E, mode.value, (0.0, 1.0),
                            uncertainty=uncertainty, flags=flags)
 
-    def count_batch_pruefer(G, queries):
-        return [count_below(G, alpha, E, mode, engine="pruefer")
-                for alpha, E, mode in queries]
+    def batch(engine):
+        return lambda G, queries: [count_below(G, alpha, E, mode,
+                                               engine=engine)
+                                   for alpha, E, mode in queries]
 
-    monkeypatch.setattr("radcount.cli.count_below", count_below)
-    monkeypatch.setattr("radcount.cli.count_batch_pruefer",
-                        count_batch_pruefer)
+    monkeypatch.setattr("radcount.cli.count_batch_pruefer", batch("pruefer"))
+    monkeypatch.setattr("radcount.cli.count_batch_fd", batch("fd"))
     checks = _verify_checks(catalog["square-well"], [],
                             np.random.default_rng(7), 1, 1e-9)
     assert checks == [{"name": "oracle-equivalence", "ok": bad == 0,
@@ -317,10 +361,11 @@ def test_oracle_equivalence_uses_the_shared_excuse(catalog, monkeypatch,
 
 def test_verify_sweeps_its_instances_on_one_mesh(capsys, monkeypatch):
     # the 12 engine-agreement instances are one phase batch, on the mesh of
-    # its largest coupling; the plane counts at alpha 10 and 50 build their
-    # own: 3 meshes in all, where a mesh per instance made 12. The duality
-    # check at each lays its companion's elements on the mesh of
-    # _BS_FRAC * _BS_ALPHA, above both couplings
+    # its largest coupling, and one inertia batch, on the element layout
+    # of _BS_FRAC * _BS_ALPHA, above every coupling verify counts; the
+    # plane counts at alpha 10 and 50 build their own phase meshes: 4 in
+    # all. The duality checks and the eigenvalue bisections read the layout
+    # kept on G
     from radcount import spectral1d
 
     mesh_nodes = spectral1d._mesh_nodes
@@ -334,9 +379,9 @@ def test_verify_sweeps_its_instances_on_one_mesh(capsys, monkeypatch):
     code, doc = run_json(capsys, "verify", "--spec", "square-well")
     assert code == 0 and doc["report"]["ok"] is True
     layout = spectral1d._BS_FRAC * spectral1d._BS_ALPHA
-    assert len(built) == 5
+    assert len(built) == 4
     assert 5.0 <= built[0] <= 80.0
-    assert built[1:] == [10.0, layout, 50.0, layout]
+    assert built[1:] == [layout, 10.0, 50.0]
 
 
 def test_verify_passes_on_trivial_profile(capsys):
@@ -660,6 +705,21 @@ def test_huge_alpha_is_refused_before_allocating(capsys, spec, alpha,
     assert code == 2 and captured.out == ""
     assert captured.err == (f"radcount: alpha={float(alpha)}: the lead-in "
                             f"scan needs {points} points, past 3000000\n")
+
+
+def test_overflowing_coupling_is_refused_at_once(capsys):
+    # alpha max G overflows on the bump at 1e308: the Dirichlet-at-0 passes,
+    # which have no lead-in scan, are refused before the phase mesh's
+    # first round, with its wording and no numpy overflow warning (it
+    # halved every interval for about 22 rounds first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["count1d", "--spec", "bump", "--alpha", "1e308",
+                     "--energy", "-1", "--mode", "dirichlet0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("radcount: alpha=1e+308: the phase mesh needs "
+                            "more than 3000000 nodes, past 3000000\n")
 
 
 def test_negative_n_random_exits_2(capsys):
