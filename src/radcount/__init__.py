@@ -37,6 +37,7 @@ from .channels import (
     channel_count,
     sandwich_check,
     total_count,
+    total_counts,
 )
 from .bounds import BoundReport, bound_report, empirical_constant
 from .asymptotics import (
@@ -83,6 +84,7 @@ __all__ = [
     "sweep",
     "to_log",
     "total_count",
+    "total_counts",
     "weyl_coefficient",
     "weyl_verdict",
     "zeta_sequence",

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import _chad, _weak, _weak_q, bound_lt_nonradial
-from .channels import total_count
+from .channels import _decades, total_counts
 from .potentials import RadialPotential, integral_logweight, to_log
 from .spectral1d import bs_spectrum
 from .weakseq import (WeakVerdict, ZetaSequence, classify, level_sup,
@@ -157,9 +157,11 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
     Every bound is affine in alpha, so its integrals (J, the log weight at
     R = 1 and the K-window quasinorm) are computed once, and each row
     applies the `bounds` formulas at its alpha; z, when given, stands in
-    for zeta_sequence(G, K), as in `bound_weak`.  A budget, when given, is
-    checked before each row; rows past the cutoff are skipped with a note
-    rather than an error.
+    for zeta_sequence(G, K), as in `bound_weak`.  The rows are counted a
+    batch at a time (`total_counts`).  A budget, when given, is checked
+    before each batch of rows within a factor 10; the first batch always
+    lands, and rows past the cutoff are skipped with a note rather than an
+    error.
     """
     alphas = sorted(float(a) for a in alphas)
     if not alphas:
@@ -176,21 +178,21 @@ def sweep(P: RadialPotential, alphas: Sequence[float], *,
 
     table = SweepTable(P.kind, P.description, j,
                        weyl_coefficient(P), engine)
-    for a in alphas:
+    for batch in _decades(alphas):
         if (budget_seconds is not None
                 and time.monotonic() - t0 > budget_seconds
                 and table.rows):
-            notes.append(f"budget exhausted before alpha={a:g}; "
+            notes.append(f"budget exhausted before alpha={batch[0]:g}; "
                          f"{len(alphas) - len(table.rows)} rows skipped")
             break
-        weak = _weak(a, j, q, C)
-        b = total_count(P, a, engine=engine)
-        table.rows.append(SweepRow(a, b.total, b.total / a,
-                                   b.radial_dirichlet_count, b.nonradial,
-                                   _chad(a, w1, j), _chad(a, w1, j, 1.0),
-                                   bound_lt_nonradial(P, a), weak,
-                                   uncertainty=b.uncertainty,
-                                   flags=b.flags))
+        for a, b in zip(batch, total_counts(G, batch, engine=engine)):
+            table.rows.append(SweepRow(a, b.total, b.total / a,
+                                       b.radial_dirichlet_count, b.nonradial,
+                                       _chad(a, w1, j), _chad(a, w1, j, 1.0),
+                                       bound_lt_nonradial(P, a),
+                                       _weak(a, j, q, C),
+                                       uncertainty=b.uncertainty,
+                                       flags=b.flags))
     table.notes = tuple(notes)
     return table
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import total_count
+from .channels import total_counts
 from .potentials import (RadialPotential, integral_logweight,
                          integral_logweight_grid, to_log)
 from .spectral1d import _check_alpha
@@ -226,12 +226,12 @@ def empirical_constant(P_set: Sequence[RadialPotential],
         if math.isinf(q):
             continue  # J diverges: the right side is infinite for every C
         j = G.j_value
-        for k, alpha in enumerate(alpha_set):
+        for alpha in alpha_set:
             _check_alpha(alpha)
-            if counts is not None:
-                n = int(counts[i][k])
-            else:
-                n = total_count(P, alpha, engine=engine).total
+        ns = (counts[i] if counts is not None else
+              [b.total for b in total_counts(P, alpha_set, engine=engine)])
+        for k, alpha in enumerate(alpha_set):
+            n = int(ns[k])
             numer = n - 1.0 - alpha * j
             if numer <= 0.0:
                 c_req = 0.0

@@ -38,6 +38,7 @@ __all__ = [
     "ChannelBreakdown",
     "channel_count",
     "total_count",
+    "total_counts",
     "excused",
     "sandwich_check",
     "bs_duality_check",
@@ -92,45 +93,97 @@ def channel_count(P, alpha: float, m: int, *, engine: str = "pruefer"
     return count_below(G, alpha, E, BoundaryMode.WHOLE_LINE, engine=engine)
 
 
-# channels in the first batch of a plane count; each later batch holds 4
+# channels in the first round of a plane count; each later round holds 4
 # times as many, so that a narrow spike in G, with many channels below
 # alpha g_max and few that hold a state, counts few empty ones
 _FIRST_CHANNELS = 16
+# the widest ratio of couplings that one batch of plane counts spans
+_BATCH_SPAN = 10.0
 
 
-def _channel_counts(G, alpha: float, engine: str
-                    ) -> tuple[list[CountResult], CountResult]:
-    """The counts of channels m = 0, 1, ... up to the first empty one, and
-    the Dirichlet-at-0 count, at their channel energies.
+def _decades(alphas) -> list[list[float]]:
+    """Ascending `alphas` cut into batches, each within a factor
+    _BATCH_SPAN of its first coupling. A batch sweeps the phase mesh (or
+    lays out the elements) of its largest coupling, and the mesh rule
+    grows as sqrt(alpha), so no coupling of a batch is swept more than
+    sqrt(_BATCH_SPAN) times finer than on its own mesh."""
+    out: list[list[float]] = []
+    for a in alphas:
+        if out and a <= _BATCH_SPAN * out[-1][0]:
+            out[-1].append(a)
+        else:
+            out.append([a])
+    return out
 
-    Either engine counts the channels in batches (count_batch_pruefer,
-    count_batch_fd), the Dirichlet-at-0 count with the first: batch k holds
-    _FIRST_CHANNELS * 4^k channels, none past the first with
-    m^2 + threshold_eps >= alpha g_max, which is below the spectrum and
-    costs nothing. Counts past the first empty channel are dropped, so the
-    result is that of counting one channel at a time."""
+
+def _channel_counts(G, alphas, engine: str
+                    ) -> list[tuple[list[CountResult], CountResult]]:
+    """For each coupling of `alphas`, the counts of channels m = 0, 1, ...
+    up to the first empty one, and the Dirichlet-at-0 count, at their
+    channel energies.
+
+    Either engine counts the channels of every coupling in rounds, each
+    round one batch (count_batch_pruefer, count_batch_fd), the Dirichlet-
+    at-0 counts with the first: round k holds _FIRST_CHANNELS * 4^k
+    channels of each coupling that has not met an empty one, none past the
+    first with m^2 + threshold_eps >= alpha g_max, which is below the
+    spectrum and costs nothing. Counts past a coupling's first empty
+    channel are dropped, so each coupling's result is that of counting
+    its channels one at a time."""
     batch = {"pruefer": count_batch_pruefer, "fd": count_batch_fd}.get(engine)
     if batch is None:
         raise ValueError(f"unknown engine {engine!r}; use 'pruefer' or 'fd'")
-    per: list[CountResult] = []
-    queries = [(alpha, channel_energy(G, alpha),
-                BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0)]
-    size, rd = _FIRST_CHANNELS, None
-    while not per or per[-1].count:
-        for m in range(len(per), len(per) + size):
-            E = channel_energy(G, alpha, m)
-            queries.append((alpha, E, BoundaryMode.WHOLE_LINE))
-            if alpha * G.g_max + E <= 0.0:
-                break
+    per: list[list[CountResult]] = [[] for _ in alphas]
+    queries = [(a, channel_energy(G, a),
+                BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0) for a in alphas]
+    rd = None
+    live, size = range(len(alphas)), _FIRST_CHANNELS
+    while live:
+        owner = []
+        for i in live:
+            a = alphas[i]
+            for m in range(len(per[i]), len(per[i]) + size):
+                E = channel_energy(G, a, m)
+                queries.append((a, E, BoundaryMode.WHOLE_LINE))
+                owner.append(i)
+                if a * G.g_max + E <= 0.0:
+                    break
         got = batch(G, queries)
         if rd is None:
-            rd, *got = got
-        for r in got:
-            per.append(r)
-            if not r.count:
-                break
+            rd, got = got[:len(alphas)], got[len(alphas):]
+        for i, r in zip(owner, got):
+            if not per[i] or per[i][-1].count:
+                per[i].append(r)
+        live = [i for i in live if per[i][-1].count]
         queries, size = [], 4 * size
-    return per, rd
+    return list(zip(per, rd))
+
+
+def total_counts(P, alphas, *, engine: str = "pruefer"
+                 ) -> list[ChannelBreakdown]:
+    """total_count at each coupling of `alphas`, in their order. The
+    distinct couplings are counted in batches within a factor _BATCH_SPAN
+    (_decades), each batch's channels in rounds (_channel_counts); each
+    breakdown is that of its coupling counted alone."""
+    G = _as_log(P)
+    zero = {a for a in alphas if channel_energy(G, a) is None}
+    got = {a: ChannelBreakdown(a, {0: 0}, 0, 0, 0, engine,
+                               flags=("zero-potential",),
+                               extras={"m_scan": 0, "left": 0, "right": 0})
+           for a in zero}
+    for batch in _decades(sorted(set(alphas) - zero)):
+        for a, (per, rd) in zip(batch, _channel_counts(G, batch, engine)):
+            weight = [1] + [2] * (len(per) - 1)
+            m_scan = len(per) - 1
+            got[a] = ChannelBreakdown(
+                a, {m: r.count for m, r in enumerate(per)},
+                max(m_scan - 1, 0),
+                sum(w * r.count for w, r in zip(weight, per)), rd.count,
+                engine, sum(w * r.uncertainty for w, r in zip(weight, per)),
+                tuple(sorted(set(rd.flags).union(*(r.flags for r in per)))),
+                {"m_scan": m_scan, "left": rd.extras.get("left"),
+                 "right": rd.extras.get("right")})
+    return [got[a] for a in alphas]
 
 
 def total_count(P, alpha: float, *, engine: str = "pruefer"
@@ -140,31 +193,12 @@ def total_count(P, alpha: float, *, engine: str = "pruefer"
     Channels are counted m = 0, 1, 2, ... up to the first empty one, m = 0
     included (N_m is nonincreasing in m). The scan ends: a channel with
     m^2 >= alpha * g_max is below the spectrum and costs no integration.
-    The channels, and the Dirichlet-at-0 route, are counted in batches
-    (_channel_counts).
+    The channels, and the Dirichlet-at-0 route, are counted in rounds
+    (_channel_counts); the count is total_counts of one coupling.
     extras["m_scan"] is that first empty channel; extras["left"], ["right"]
     are the Dirichlet-at-0 route's sides, the right one the half-line count.
     """
-    G = _as_log(P)
-    if channel_energy(G, alpha) is None:
-        return ChannelBreakdown(alpha, {0: 0}, 0, 0, 0, engine,
-                                flags=("zero-potential",),
-                                extras={"m_scan": 0, "left": 0, "right": 0})
-    per, rd = _channel_counts(G, alpha, engine)
-    flags: set[str] = set(rd.flags)
-    uncertainty = 0
-    total = 0
-    for m, r in enumerate(per):
-        weight = 1 if m == 0 else 2
-        total += weight * r.count
-        uncertainty += weight * r.uncertainty
-        flags.update(r.flags)
-    m_scan = len(per) - 1
-    return ChannelBreakdown(alpha, {m: r.count for m, r in enumerate(per)},
-                            max(m_scan - 1, 0), total, rd.count, engine,
-                            uncertainty, tuple(sorted(flags)),
-                            {"m_scan": m_scan, "left": rd.extras.get("left"),
-                             "right": rd.extras.get("right")})
+    return total_counts(P, [alpha], engine=engine)[0]
 
 
 def excused(miss: int, flags, uncertainty: int) -> bool:

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import alpha_grid, limit_estimates, sweep, weyl_verdict
 from .bounds import _chad, bound_lt_nonradial, bound_report
-from .channels import bs_duality_check, excused, sandwich_check, total_count
+from .channels import (bs_duality_check, excused, sandwich_check, total_count,
+                       total_counts)
 from .potentials import (PotentialSpecError, RadialPotential, _moment,
                          bundled_spec_names, integral_J, integral_logweight,
                          load_bundled, load_spec, to_log)
@@ -282,8 +283,7 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
     # the alpha-independent input of the per-alpha checks: the log weight
     # at R = 1 of both chad bounds
     w1, _ = integral_logweight(P, 1.0)
-    for a in alphas:
-        b = total_count(P, a)
+    for a, b in zip(alphas, total_counts(P, alphas)):
         s = sandwich_check(P, a, breakdown=b)
         add("sandwich", s["ok"], alpha=a, diff=s["difference"])
         d = bs_duality_check(P, a)
@@ -307,7 +307,7 @@ def _verify_checks(P: RadialPotential, alphas: list[float], rng,
         add("lieb-thirring-line", moment <= lt_line * (1 + 1e-9) + 1e-9,
             alpha=a, sqrt_moment=moment, bound=lt_line)
         # the half-line Dirichlet count is the Dirichlet-at-0 route's right
-        # side, which total_count has just counted
+        # side, which total_counts has counted
         nh = b.extras["right"]
         add("bargmann-half-line", nh <= a * tmom + 1e-9,
             alpha=a, count=nh, bound=a * tmom)
@@ -406,7 +406,9 @@ def _build_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", default="pruefer", choices=("pruefer", "fd"))
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--K", type=int, default=200)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--budget-seconds", type=float, default=None,
+                   help="checked before each batch of rows within a factor "
+                        "10; the first batch always lands")
     p.add_argument("--csv", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_sweep)
 

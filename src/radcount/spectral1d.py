@@ -33,18 +33,20 @@ Two independent engines, which share only the mesh rule of G:
     runs per pass; a block holds at most _BATCH_INTERVALS intervals. Each
     pass keeps its own settle test. One scan of G finds the lead-in start
     of every whole-line pass of a batch. A count alone is a batch of one;
-    a plane count (channels.total_count) sends the channels with
-    m^2 < alpha g_max in batches that grow 4x, with the Dirichlet-at-0
-    passes in the first, and drops every count past the first empty
-    channel.
+    a plane count (channels.total_counts) sends the channels with
+    m^2 < alpha g_max of each of its couplings in rounds that grow 4x,
+    one batch per round, with the Dirichlet-at-0 passes in the first, and
+    drops every count past a coupling's first empty channel.
 
     A query carries its own coupling, and each pass forms w = E + alpha G
-    from the one read of G, so a batch may mix couplings (cli `verify`
-    sends its random engine-agreement instances as one). It sweeps the
-    mesh of its largest coupling. The mesh rule, h sqrt(alpha max |G|)
-    <= 1/2 and h^2 alpha (max G - min G) <= 1/4 on every interval, is
-    monotone in alpha: an interval that meets it at the largest coupling
-    meets it at every smaller one, so that mesh is only finer there. The
+    from the one read of G, so a batch may mix couplings: a plane count
+    batches couplings within a factor 10 (a `sweep`'s rows, `verify`'s
+    couplings), and cli `verify` sends its random engine-agreement
+    instances as one. It sweeps the mesh of its largest coupling. The
+    mesh rule, h sqrt(alpha max |G|) <= 1/2 and
+    h^2 alpha (max G - min G) <= 1/4 on every interval, is monotone in
+    alpha: an interval that meets it at the largest coupling meets it at
+    every smaller one, so that mesh is only finer there. The
     mesh depends on the batch alone, so the same batch always gives the
     same phases; a batch at one coupling sweeps that coupling's mesh, as
     a count alone does.
@@ -54,8 +56,9 @@ Two independent engines, which share only the mesh rule of G:
     spectral elements laid on the phase mesh at a fraction of the coupling
     (_elements), with the decaying tail's Robin term at an open end
     (_counters); fd is its historical name. A batch lays its elements out
-    once, for its largest coupling, and a plane count sends the phase
-    engine's batches.
+    once, for its largest coupling, and counts the probes of all its
+    queries at one (coupling, mode) in one call; a plane count sends the
+    phase engine's batches, couplings and rounds.
 
 A count whose lead-in scan, mesh or element layout would hold more than
 _N_CAP points is refused with a ValueError before anything is allocated.
@@ -197,7 +200,8 @@ _MAGNUS_C = math.sqrt(3.0) / 12.0
 _N_CAP = 3_000_000
 
 
-def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
+def _mesh_nodes(G, alpha: float, lo: float, hi: float, *,
+                named: float | None = None) -> np.ndarray:
     """Nodes on [lo, hi] that meet the mesh rule. Every breakpoint of G in
     (lo, hi) and t = 0 are nodes. An interval that fails the rule at its
     Gauss points and its ends (one ulp inside) is split evenly into as many
@@ -206,9 +210,11 @@ def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
     not the change of G relative to G, so a tail where alpha G is small
     gets long intervals. A mesh of more than _N_CAP nodes is refused before
     it is built, and so is one whose coupling scale alpha max G overflows,
-    before the first round."""
+    before the first round; the refusal names the coupling `named` (by
+    default alpha), the one the count was asked for."""
+    named = alpha if named is None else named
     if not math.isfinite(alpha * G.g_max):
-        raise ValueError(f"alpha={alpha}: the phase mesh needs more than "
+        raise ValueError(f"alpha={named}: the phase mesh needs more than "
                          f"{_N_CAP} nodes, past {_N_CAP}")
     cuts = [lo, hi] + [p for p in (*G.breakpoints, 0.0) if lo < p < hi]
     t = _unique_sorted(np.array(cuts, dtype=float))
@@ -227,7 +233,7 @@ def _mesh_nodes(G, alpha: float, lo: float, hi: float) -> np.ndarray:
             return t
         k = np.where(parts > 4.0, 2.0, np.maximum(parts, 1.0)).astype(np.int64)
         if k.sum() >= _N_CAP:
-            raise ValueError(f"alpha={alpha}: the phase mesh needs more than "
+            raise ValueError(f"alpha={named}: the phase mesh needs more than "
                              f"{int(k.sum())} nodes, past {_N_CAP}")
         at = np.repeat(np.arange(k.size), k)
         j = np.arange(at.size) - np.repeat(np.cumsum(k) - k, k)
@@ -774,13 +780,14 @@ def _elements(G, alpha: float) -> tuple[float, tuple, np.ndarray | None]:
     pencil is (Ke, w, g, z): per element the stiffness, the lumped unit
     mass and G at the nodes (one ulp inside at the ends), and z, the
     vertex at t = 0. G keeps the last layout, with the values bs_spectrum
-    solved on it (None until then)."""
+    solved on it (None until then). A layout past _N_CAP nodes is refused
+    in the words of _mesh_nodes, naming alpha."""
     a = max(alpha, _BS_ALPHA)
     if G.g_max > 0.0:
         a = max(a, _BS_DEPTH / G.g_max)
     if G.elements is not None and G.elements[0] == a:
         return G.elements
-    t = _mesh_nodes(G, _BS_FRAC * a, *_span(G))
+    t = _mesh_nodes(G, _BS_FRAC * a, *_span(G), named=alpha)
     # nodes closer than _BS_MERGE / sqrt(a max G), around a sliver of G,
     # are one vertex (t = 0 if it is one of them): so short an element
     # would stiffen the pencil past double precision, and in the limit it
@@ -900,45 +907,59 @@ def count_batch_fd(G, queries) -> list[CountResult]:
     """count_below_fd at each (alpha, E, mode) of `queries`, on the layout
     of the largest coupling (_elements), each coupling condensed once
     (_counters). E -/+ delta (delta = threshold_eps, the upper at most 0)
-    are counted first: the count is nondecreasing in E, so where they
-    agree block by block and met no zero pivot, theirs is the count at E;
-    otherwise E is counted too, probes that disagree raise
-    `near-threshold` and a zero pivot at E `pivot-shift`. `steps` counts
-    the vertex pivots; extras hold the nodes counted and, in the
-    Dirichlet-at-0 mode, each side's count."""
+    are counted first, those of every query at one (coupling, mode) in one
+    call: the count is nondecreasing in E, so where they agree block by
+    block and met no zero pivot, theirs is the count at E; the queries
+    whose probes do not are counted at E in a second call, probes that
+    disagree raise `near-threshold` and a zero pivot at E `pivot-shift`.
+    `steps` counts a query's vertex pivots; extras hold the nodes counted
+    and, in the Dirichlet-at-0 mode, each side's count."""
     plans = [(alpha, E, BoundaryMode(mode)) for alpha, E, mode in queries]
-    for alpha, E, _ in plans:
+    truncated = ["domain-truncated"] if G.truncated else []
+    out: list = [None] * len(plans)
+    groups: dict = {}   # (alpha, mode) -> indices of its live queries
+    for i, (alpha, E, mode) in enumerate(plans):
         _validate(alpha, E)
-    live = sorted({alpha for alpha, E, _ in plans if alpha * G.g_max + E > 0.0})
-    if live:
+        if alpha * G.g_max + E > 0.0:
+            groups.setdefault((alpha, mode), []).append(i)
+        else:
+            out[i] = CountResult(0, "fd", E, mode.value,
+                                 counting_domain(G, alpha, E, mode),
+                                 flags=tuple(truncated + ["below-spectrum"]))
+    if groups:
+        live = sorted({alpha for alpha, _ in groups})
         _, pencil, _ = _elements(G, live[-1])
         counters = dict(zip(live, _counters(pencil, live)))
-    out = []
-    for alpha, E, mode in plans:
-        flags = ["domain-truncated"] if G.truncated else []
-        domain = counting_domain(G, alpha, E, mode)
-        if alpha * G.g_max + E <= 0.0:
-            out.append(CountResult(0, "fd", E, mode.value, domain, flags=tuple(
-                flags + ["below-spectrum"])))
-            continue
-        delta = threshold_eps(G, alpha)
-        (c_lo, c_hi), zeros, steps = counters[alpha](
-            mode, [E - delta, min(E + delta, 0.0)])
-        per_block, zero_hit = c_lo, False
-        if c_lo != c_hi or any(zeros):
-            (per_block,), (zero_hit,), k = counters[alpha](mode, [E])
-            steps += k
-        flags += ["pivot-shift"] * zero_hit
-        flags += ["near-threshold"] * (sum(c_lo) != sum(c_hi))
-        sides = (dict(zip(("left", "right"), per_block))
-                 if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else {})
         p = pencil[1].shape[1] - 1
-        nodes = sum(p * (e1 - e0) - 1 + o0 + o1
-                    for e0, e1, o0, o1 in _blocks(pencil, mode) if e1 > e0)
-        out.append(CountResult(
-            sum(per_block), "fd", E, mode.value, domain, None, steps,
-            max(int(zero_hit), sum(c_hi) - sum(c_lo)), tuple(flags),
-            {"n_nodes": nodes, **sides}))
+        nodes = {mode: sum(p * (e1 - e0) - 1 + o0 + o1
+                           for e0, e1, o0, o1 in _blocks(pencil, mode)
+                           if e1 > e0)
+                 for mode in {mode for _, mode in groups}}
+    for (alpha, mode), idx in groups.items():
+        delta = threshold_eps(G, alpha)
+        energies = [plans[i][1] for i in idx]
+        counts, zeros, pivots = counters[alpha](mode, [
+            e for E in energies for e in (E - delta, min(E + delta, 0.0))])
+        lo, hi = counts[::2], counts[1::2]
+        piv = pivots // len(counts)   # the same at every energy
+        redo = [k for k, z in enumerate(zip(zeros[::2], zeros[1::2]))
+                if lo[k] != hi[k] or any(z)]
+        at = {}
+        if redo:
+            c, z, _ = counters[alpha](mode, [energies[k] for k in redo])
+            at = dict(zip(redo, zip(c, z)))
+        for k, (i, E) in enumerate(zip(idx, energies)):
+            per_block, zero_hit = at.get(k, (lo[k], False))
+            flags = (truncated + ["pivot-shift"] * zero_hit
+                     + ["near-threshold"] * (sum(lo[k]) != sum(hi[k])))
+            sides = (dict(zip(("left", "right"), per_block))
+                     if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else {})
+            out[i] = CountResult(
+                sum(per_block), "fd", E, mode.value,
+                counting_domain(G, alpha, E, mode), None,
+                piv * (2 + (k in at)),
+                max(int(zero_hit), sum(hi[k]) - sum(lo[k])), tuple(flags),
+                {"n_nodes": nodes[mode], **sides})
     return out
 
 

@@ -8,6 +8,7 @@ import pytest
 from radcount import (
     classify,
     delta_link_check,
+    load_bundled,
     sweep,
     to_log,
     weyl_coefficient,
@@ -94,10 +95,50 @@ def test_sweep_as_dict_shape(disk_sweep):
 
 
 def test_sweep_budget_cuts_rows(catalog):
-    T = sweep(catalog["square-well"], [5.0, 10.0, 20.0, 40.0],
+    # the budget is checked before each batch of rows within a factor 10:
+    # the first batch, 5 and 10, always lands, and the cut falls before
+    # the second, 100 and 1000
+    T = sweep(catalog["square-well"], [5.0, 10.0, 100.0, 1000.0],
               budget_seconds=1e-9)
-    assert len(T.rows) == 1     # the first row always lands
-    assert any("budget" in n for n in T.notes)
+    assert T.alphas == [5.0, 10.0]
+    assert T.notes == ("budget exhausted before alpha=100; 2 rows skipped",)
+
+
+def test_slowtail_sweep_is_one_batch(monkeypatch):
+    # the slow tail over 5..50, 4 per decade: the five rows lie within a
+    # factor 10, so they are one batch. The phase engine builds one mesh,
+    # that of 50, and one lead-in scan, where a count per row built five of
+    # each; the inertia engine condenses the five couplings in one call
+    from radcount import spectral1d
+
+    made = {"mesh": [], "lead-in": 0, "counters": []}
+    mesh_nodes, lead_in = spectral1d._mesh_nodes, spectral1d._lead_in
+    counters = spectral1d._counters
+
+    def mesh(G, alpha, lo, hi, **kw):
+        made["mesh"].append(alpha)
+        return mesh_nodes(G, alpha, lo, hi, **kw)
+
+    def lead(G, windows):
+        made["lead-in"] += 1
+        return lead_in(G, windows)
+
+    def condense(pencil, alphas):
+        made["counters"].append(len(alphas))
+        return counters(pencil, alphas)
+
+    monkeypatch.setattr(spectral1d, "_mesh_nodes", mesh)
+    monkeypatch.setattr(spectral1d, "_lead_in", lead)
+    monkeypatch.setattr(spectral1d, "_counters", condense)
+    grid = alpha_grid(5.0, 50.0, per_decade=4)
+    T = sweep(load_bundled("counterexample"), grid)
+    assert len(T.rows) == 5
+    assert made == {"mesh": [50.0], "lead-in": 1, "counters": []}
+    made.update(mesh=[], **{"lead-in": 0})
+    T = sweep(load_bundled("counterexample"), grid, engine="fd")
+    assert len(T.rows) == 5
+    assert len(made["mesh"]) == 1     # the element layout's
+    assert made["lead-in"] == 0 and made["counters"] == [5]
 
 
 def test_fd_sweep_rows_are_the_phase_engines_on_the_slow_tail(catalog):

@@ -25,15 +25,17 @@ from radcount import (
     channel_count,
     count_below,
     eigenvalues_below,
+    load_bundled,
     make_catalog_potential,
     sandwich_check,
     to_log,
     total_count,
+    total_counts,
 )
 from radcount import channels, spectral1d
 from radcount.spectral1d import bs_spectrum, channel_energy
 from rk_phase import count_below_rk
-from test_spectral1d import _random_profiles
+from test_spectral1d import _CATALOG_NAMES, _random_profiles
 
 
 def disk_channel_oracle(alpha: float, m: int) -> int:
@@ -570,6 +572,81 @@ def test_fd_sturm_work_at_3200(catalog, monkeypatch, name, batches, total,
     counts = [r for out in seen for r in out]
     assert sum(r.extras.get("n_nodes", 0) for r in counts) == nodes
     assert sum(r.steps for r in counts) == pivots
+
+
+@pytest.mark.parametrize("engine", ["pruefer", "fd"])
+@pytest.mark.parametrize("name", _CATALOG_NAMES)
+def test_total_counts_is_total_count_at_each_coupling(catalog, name,
+                                                      engine):
+    # couplings out of order, one repeated, over more than a decade (two
+    # batches), and one at which every channel m >= 1 is below the
+    # spectrum (alpha max G = 1/2): each breakdown is that of its coupling
+    # counted alone, field for field
+    P = catalog[name]
+    g_max = to_log(P, strict=False).g_max
+    alphas = [800.0, 3.0, 0.5 / (g_max or 1.0), 25.0, 3.0, 200.0]
+    got = total_counts(P, alphas, engine=engine)
+    assert len(got) == len(alphas)
+    for a, b in zip(alphas, got):
+        want = total_count(P, a, engine=engine)
+        assert dataclasses.asdict(b) == dataclasses.asdict(want), a
+
+
+def test_total_counts_batches_within_a_decade(catalog, monkeypatch):
+    # the distinct couplings, ascending, in batches within a factor 10 of
+    # their first: 3 with 25 (and 3 again), then 200 with 800
+    batches = []
+    rounds = channels._channel_counts
+
+    def spy(G, alphas, engine):
+        batches.append(list(alphas))
+        return rounds(G, alphas, engine)
+
+    monkeypatch.setattr(channels, "_channel_counts", spy)
+    total_counts(catalog["square-well"], [800.0, 3.0, 25.0, 3.0, 200.0])
+    assert batches == [[3.0, 25.0], [200.0, 800.0]]
+    assert channels._decades([1.0, 10.0, 10.0, 10.5, 100.0]) == [
+        [1.0, 10.0, 10.0], [10.5, 100.0]]
+
+
+def test_fd_batch_counts_each_coupling_and_mode_in_one_call(monkeypatch):
+    # a plane count's inertia batch counts the E -/+ delta probes of every
+    # query at one (coupling, mode) in one counts_at call, and counts again
+    # at E, in at most one more call, only the queries whose probes do not
+    # decide; the disk at 40, 100 and 400 is one batch, in two rounds
+    P = load_bundled("square-well")
+    asked, calls = [], []
+    batch, build = channels.count_batch_fd, spectral1d._counters
+
+    def counting(G, queries):
+        asked.append({})
+        for a, E, mode in queries:
+            if a * G.g_max + E > 0.0:
+                key = (a, BoundaryMode(mode))
+                asked[-1][key] = asked[-1].get(key, 0) + 1
+        return batch(G, queries)
+
+    def spy(pencil, alphas):
+        calls.append({})
+
+        def wrap(alpha, counts_at):
+            def at(mode, energies):
+                calls[-1].setdefault((alpha, mode), []).append(len(energies))
+                return counts_at(mode, energies)
+            return at
+        return [wrap(a, c) for a, c in zip(alphas, build(pencil, alphas))]
+
+    monkeypatch.setattr(channels, "count_batch_fd", counting)
+    monkeypatch.setattr(spectral1d, "_counters", spy)
+    got = total_counts(P, [400.0, 40.0, 100.0], engine="fd")
+    assert [b.total for b in got] == [disk_total_oracle(a)[1]
+                                      for a in (400.0, 40.0, 100.0)]
+    assert len(asked) == len(calls) == 2
+    for queries, made in zip(asked, calls):
+        assert set(made) == set(queries)
+        for key, n in queries.items():
+            assert made[key][0] == 2 * n and len(made[key]) <= 2, key
+            assert made[key][1:] <= [n], key
 
 
 def test_annulus_3200_has_no_step_floor(catalog):

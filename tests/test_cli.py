@@ -363,25 +363,25 @@ def test_verify_sweeps_its_instances_on_one_mesh(capsys, monkeypatch):
     # the 12 engine-agreement instances are one phase batch, on the mesh of
     # its largest coupling, and one inertia batch, on the element layout
     # of _BS_FRAC * _BS_ALPHA, above every coupling verify counts; the
-    # plane counts at alpha 10 and 50 build their own phase meshes: 4 in
-    # all. The duality checks and the eigenvalue bisections read the layout
-    # kept on G
+    # plane counts at alpha 10 and 50 are one batch, on the phase mesh of
+    # 50: 3 in all. The duality checks and the eigenvalue bisections read
+    # the layout kept on G
     from radcount import spectral1d
 
     mesh_nodes = spectral1d._mesh_nodes
     built = []
 
-    def spy(G, alpha, lo, hi):
+    def spy(G, alpha, lo, hi, **kw):
         built.append(alpha)
-        return mesh_nodes(G, alpha, lo, hi)
+        return mesh_nodes(G, alpha, lo, hi, **kw)
 
     monkeypatch.setattr(spectral1d, "_mesh_nodes", spy)
     code, doc = run_json(capsys, "verify", "--spec", "square-well")
     assert code == 0 and doc["report"]["ok"] is True
     layout = spectral1d._BS_FRAC * spectral1d._BS_ALPHA
-    assert len(built) == 4
+    assert len(built) == 3
     assert 5.0 <= built[0] <= 80.0
-    assert built[1:] == [layout, 10.0, 50.0]
+    assert built[1:] == [layout, 50.0]
 
 
 def test_verify_passes_on_trivial_profile(capsys):
@@ -720,6 +720,20 @@ def test_overflowing_coupling_is_refused_at_once(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == ("radcount: alpha=1e+308: the phase mesh needs "
                             "more than 3000000 nodes, past 3000000\n")
+
+
+def test_inertia_engine_refusal_names_the_coupling_counted(capsys):
+    # the element layout is the phase mesh at _BS_FRAC of the coupling; at
+    # 1e308 on the bump it needs too many nodes, and the refusal names the
+    # coupling the user asked for, not the layout's 1.5625e+306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["count1d", "--spec", "bump", "--alpha", "1e308",
+                     "--energy", "-1", "--method", "fd"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("radcount: alpha=1e+308: the phase mesh needs "
+                            "more than 4190830 nodes, past 3000000\n")
 
 
 def test_negative_n_random_exits_2(capsys):

@@ -244,8 +244,8 @@ def test_plane_count_batches_match_per_pass_counts(catalog, monkeypatch,
         return
     n_lead = 0
     for alpha in (3.0, 25.0, 200.0, 3200.0):
-        (per, rd), batches = _spied(
-            monkeypatch, lambda: _channel_counts(G, alpha, "pruefer"))
+        [(per, rd)], batches = _spied(
+            monkeypatch, lambda: _channel_counts(G, [alpha], "pruefer"))
         ran = {(ps[1], ps[2] == 0.0 and ps[4] == 0.0): out
                for passes, outs in batches
                for ps, out in zip(passes, outs)}

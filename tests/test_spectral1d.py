@@ -568,8 +568,9 @@ def test_companion_pencil_past_n_cap_is_refused(catalog, monkeypatch):
 def test_grid_capped_at_n_cap(monkeypatch, mode):
     # the element layout is the phase mesh at a fraction of the coupling,
     # so it is capped at _N_CAP nodes as that mesh is: a count that needs
-    # more is refused with the mesh's ValueError in every mode, not counted
-    # on a coarser layout
+    # more is refused with the mesh's ValueError in every mode, naming the
+    # coupling counted (1), not the layout's (3), and is not counted on a
+    # coarser layout
     G = boxes_G((400.0, -0.5, 0.5), (100.0, 0.5, 1.5))
     nodes = spectral1d._mesh_nodes(
         G, spectral1d._BS_FRAC * spectral1d._BS_ALPHA, *spectral1d._span(G))
@@ -577,7 +578,7 @@ def test_grid_capped_at_n_cap(monkeypatch, mode):
     assert count_below_fd(G, 1.0, -50.0, mode).count > 0
     G.elements = None
     monkeypatch.setattr(spectral1d, "_N_CAP", nodes.size - 1)
-    with pytest.raises(ValueError, match="alpha=3.0: the phase mesh needs "
+    with pytest.raises(ValueError, match="alpha=1.0: the phase mesh needs "
                        f"more than [0-9]+ nodes, past {nodes.size - 1}"):
         count_below_fd(G, 1.0, -50.0, mode)
 

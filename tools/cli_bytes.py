@@ -48,6 +48,11 @@ def cases() -> list[list[str]]:
                     "--alpha-max", "50", "--per-decade", "4"])
     out.append(["sweep", "--spec", "counterexample", "--alpha-min", "5",
                 "--alpha-max", "50", "--per-decade", "4", "--method", "fd"])
+    # a sweep over three decades, counted in batches of rows within a
+    # factor 10, by either engine
+    for method in ([], ["--method", "fd"]):
+        out.append(["sweep", "--spec", "square-well", "--alpha-min", "5",
+                    "--alpha-max", "3200", "--per-decade", "4", *method])
     for spec in ("zero", "square-well", "annulus", "gaussian", "bump",
                  "counterexample"):
         for seed in ("1234", "7"):
@@ -63,6 +68,9 @@ def cases() -> list[list[str]]:
     out.append(["verify", "--spec", "zero", "--n-random", "5"])
     out.append(["verify", "--spec", "gaussian", "--alpha", "3", "--alpha",
                 "200"])
+    # couplings out of order and more than a decade apart
+    out.append(["verify", "--spec", "gaussian", "--alpha", "400", "--alpha",
+                "3"])
     for spec, energy in (("square-well", "-1.5"), ("gaussian", "-1.5")):
         out.append(["count1d", "--spec", spec, "--alpha", "40",
                     "--energy", energy, "--method", "both"])
