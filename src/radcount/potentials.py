@@ -388,6 +388,8 @@ class RadialPotential:
     _prof: _Profile = field(init=False, compare=False, repr=False)
     _log_cache: dict = field(init=False, compare=False, repr=False,
                              default_factory=dict)
+    _j_cache: dict = field(init=False, compare=False, repr=False,
+                           default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in _KIND_BUILDERS:
@@ -647,14 +649,16 @@ def integral_J(P: RadialPotential, *, epsabs: float = _EPSABS,
                epsrel: float = _EPSREL) -> tuple[float, float]:
     """int_0^inf r F(r) dr, computed as int_R G dt. (inf, inf) if divergent.
 
-    `to_log(P, ...).j_value` is this call at the default tolerances,
-    cached on P.
+    The result is cached on P, one per (epsabs, epsrel); `to_log(P,
+    ...).j_value` is this call at the default tolerances.
     """
-    prof = P._prof
-    if prof.is_zero:
-        return 0.0, 0.0
-    return _moment(prof, 0, *_t_support(prof), epsabs=epsabs, epsrel=epsrel,
-                   name=f"J[{P.kind}]")
+    key = (epsabs, epsrel)
+    if key not in P._j_cache:
+        prof = P._prof
+        P._j_cache[key] = (0.0, 0.0) if prof.is_zero else _moment(
+            prof, 0, *_t_support(prof), epsabs=epsabs, epsrel=epsrel,
+            name=f"J[{P.kind}]")
+    return P._j_cache[key]
 
 
 def integral_logweight_grid(P: RadialPotential, R_grid, *,

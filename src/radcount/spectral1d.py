@@ -28,15 +28,17 @@ Two independent engines, which share only the mesh rule of G:
     Passes run in batches (count_batch_pruefer), since every channel is
     the same line operator at a shifted energy on the same mesh: at each
     bisection level G is read once, without alpha, at the Gauss points of
-    every live pass, the Magnus coefficients and the zero counts of every
-    pass come from one set of numpy calls, and only the (u, u') recurrence
-    runs per pass; a block holds at most _BATCH_INTERVALS intervals. Each
-    pass keeps its own settle test. One scan of G finds the lead-in start
-    of every whole-line pass of a batch. A count alone is a batch of one;
-    a plane count (channels.total_counts) sends the channels with
-    m^2 < alpha g_max of each of its couplings in rounds that grow 4x,
-    one batch per round, with the Dirichlet-at-0 passes in the first, and
-    drops every count past a coupling's first empty channel.
+    every live pass, and the Magnus coefficients, the products of the
+    maps of each bisected mesh interval and the zero counts of every pass
+    come from numpy calls; the (u, u') recurrence, the one loop left in
+    Python, steps once per mesh interval per level. A block holds at most
+    _BATCH_INTERVALS intervals. Each pass keeps its own settle test. One
+    scan of G finds the lead-in start of every whole-line pass of a batch.
+    A count alone is a batch of one; a plane count (channels.total_counts)
+    sends the channels with m^2 < alpha g_max of each of its couplings in
+    rounds that grow 4x, one batch per round, with the Dirichlet-at-0
+    passes in the first, and drops every count past a coupling's first
+    empty channel.
 
     A query carries its own coupling, and each pass forms w = E + alpha G
     from the one read of G, so a batch may mix couplings: a plane count
@@ -64,15 +66,15 @@ A count whose lead-in scan, mesh or element layout would hold more than
 _N_CAP points is refused with a ValueError before anything is allocated.
 
 On top of the counters: eigenvalue location by bisection of the counting
-function, and on the same element layout the quadratic-form spectrum of
-the Birman-Schwinger companion (G u, u) / (u', u') (bs_spectrum), whose
+function, in rounds, each round's midpoints counted in one call; and on
+the same element layout the quadratic-form spectrum of the
+Birman-Schwinger companion (G u, u) / (u', u') (bs_spectrum), whose
 values above 1/alpha count the bound states with u(0) = 0 at coupling
 alpha; the duality check counts that pencil at E = 0 directly.
 """
 
 from __future__ import annotations
 
-import array
 import bisect
 import math
 from dataclasses import dataclass, field
@@ -111,7 +113,6 @@ class CountResult:
     energy: float
     mode: str
     domain: tuple[float, float]
-    h: float | None = None
     steps: int = 0
     uncertainty: int = 0
     flags: tuple[str, ...] = ()
@@ -333,28 +334,34 @@ def _level_intervals(G, nodes: np.ndarray, passes, level: int
 
 
 def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                  cuts: list[int], theta0s: list[float]) -> list[float]:
+                  cuts: list[int], theta0s: list[float], g: int = 1
+                  ) -> list[float]:
     """Phase of each pass after its intervals of (h, w1, w2): pass i sweeps
-    intervals cuts[i]:cuts[i+1], from theta0s[i] in [0, pi).
+    intervals cuts[i]:cuts[i+1], from theta0s[i] in [0, pi). The intervals
+    come in groups of g, a mesh interval bisected log2 g times, in walking
+    order: g divides every cut and _BATCH_INTERVALS.
 
     Fourth-order Magnus: an interval maps (u, u') by exp(Omega),
     Omega = [[c, h], [-h wbar, -c]], with wbar = (w1 + w2)/2 and
     c = (sqrt(3)/12) h^2 (w2 - w1). Omega^2 = -mu^2 I, mu^2 = h^2 wbar - c^2,
     so exp(Omega) = cos(mu) I + (sin(mu)/mu) Omega; where mu^2 < 0 it is
     cosh and sinh of nu = sqrt(-mu^2), scaled by e^-nu so that nothing
-    overflows. (u, u') is normalised after each interval.
+    overflows. The maps of a group are multiplied together (_sweep_block),
+    and (u, u') steps once per group, normalised after each: one step per
+    mesh interval at every bisection level. u at each interval end inside
+    a group is read from those products and the state entering the group.
 
     On an interval u(s) = u cos(mu s) + (B/mu) sin(mu s), s in [0, 1],
     B = c u + h u', holds exactly, so where mu < pi (the mesh keeps mu
     near 1/2) the phase turns through at most one multiple of pi, and a
     hyperbolic or mu = 0 interval holds at most one zero too. Each zero is
-    counted where u changes sign or reaches 0; from u = 0 the next zero is
-    at s = pi/mu > 1. An oscillatory interval with mu >= pi raises: a
-    feature of G lies between mesh samples, and it must sit at a
-    breakpoint. The phase is pi * zeros + (atan2(u, u') mod pi). The
-    intervals are swept in blocks of _BATCH_INTERVALS, each holding whole
-    passes or parts of them, so that a batch holds the states and matrices
-    of one block at a time."""
+    counted where u changes sign or reaches 0 at an interval end; from
+    u = 0 the next zero is at s = pi/mu > 1. An oscillatory interval with
+    mu >= pi raises: a feature of G lies between mesh samples, and it must
+    sit at a breakpoint. The phase is pi * zeros + (atan2(u, u') mod pi).
+    The intervals are swept in blocks of _BATCH_INTERVALS, each holding
+    whole passes or parts of them, so that a batch holds the states and
+    matrices of one block at a time."""
     u = [math.sin(t) for t in theta0s]
     v = [math.cos(t) for t in theta0s]
     zeros = [0.0] * len(theta0s)
@@ -365,7 +372,7 @@ def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
         local = [0, *(c - lo for c in cuts[i + 1:j]), hi - lo]
         block = slice(lo, hi)
         out = _sweep_block(h[block], w1[block], w2[block], local,
-                           list(zip(u[i:j], v[i:j])))
+                           list(zip(u[i:j], v[i:j])), g)
         for k, (uk, vk, nk) in enumerate(out, i):
             u[k], v[k] = uk, vk
             zeros[k] += nk
@@ -375,13 +382,14 @@ def _magnus_sweep(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
 
 
 def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                 cuts: list[int], states: list[tuple[float, float]]
-                 ) -> list[tuple[float, float, float]]:
+                 cuts: list[int], states: list[tuple[float, float]],
+                 g: int = 1) -> list[tuple[float, float, float]]:
     """(u, u') of each pass after its intervals of a block of _magnus_sweep,
     normalised, and the zeros of u on them: pass i sweeps intervals
-    cuts[i]:cuts[i+1] from states[i]. The coefficients and the sign count
-    of every pass come from one set of numpy calls; only the recurrence
-    runs per pass."""
+    cuts[i]:cuts[i+1], in groups of g, from states[i]. The coefficients,
+    the products of each group's maps and the sign count of every pass
+    come from numpy calls; only the recurrence runs in Python, one step
+    per group. At g = 1 that is a step per interval."""
     wbar = 0.5 * (w1 + w2)
     c = _MAGNUS_C * h * h * (w2 - w1)
     mu2 = h * h * wbar - c * c
@@ -400,31 +408,44 @@ def _sweep_block(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     sn = np.where(osc, np.sin(mu), np.where(pos, -em, 1.0)) / safe
     snc = sn * c
     snh = sn * h
-    # memoryviews hand the loop Python floats one at a time, and the u
-    # history is kept as raw doubles: no list of floats per coefficient
-    P, Q = memoryview(cs + snc), memoryview(snh)
-    R, S = memoryview(-snh * wbar), memoryview(cs - snc)
-    us = array.array("d")
+    # the map [[P, Q], [R, S]] of each interval, a column per group, so that
+    # row j holds interval j of every group; after the round of step d,
+    # row j holds the product of the maps of intervals j - 2d + 1..j of
+    # its group, the later on the left
+    P, Q, R, S = (np.ascontiguousarray(x.reshape(-1, g).T)
+                  for x in (cs + snc, snh, -snh * wbar, cs - snc))
+    d = 1
+    while d < g:
+        P[d:], Q[d:], R[d:], S[d:] = (P[d:] * P[:-d] + Q[d:] * R[:-d],
+                                      P[d:] * Q[:-d] + Q[d:] * S[:-d],
+                                      R[d:] * P[:-d] + S[d:] * R[:-d],
+                                      R[d:] * Q[:-d] + S[d:] * S[:-d])
+        d *= 2
+    # memoryviews hand the loop Python floats one at a time; the state
+    # entering each group is kept for the sign count
+    Pg, Qg, Rg, Sg = (memoryview(x[-1]) for x in (P, Q, R, S))
+    groups = [k // g for k in cuts]
+    us, vs = [], []
     ends = []
-    for (u, v), lo, hi in zip(states, cuts, cuts[1:]):
-        us.append(u)
-        for p, q, r, s in zip(P[lo:hi], Q[lo:hi], R[lo:hi], S[lo:hi]):
+    for (u, v), lo, hi in zip(states, groups, groups[1:]):
+        for p, q, r, s in zip(Pg[lo:hi], Qg[lo:hi], Rg[lo:hi], Sg[lo:hi]):
+            us.append(u)
+            vs.append(v)
             u, v = p * u + q * v, r * u + s * v
             n = abs(u) + abs(v)
             u /= n
             v /= n
-            us.append(u)
         ends.append((u, v))
-    U = np.frombuffer(us)
-    u0, u1 = U[:-1], U[1:]
+    # u at each interval end, by a positive factor: at a group's end the
+    # recurrence's own u before it was normalised
+    u_in = np.fromiter(us, float, len(us))
+    u1 = P * u_in + Q * np.fromiter(vs, float, len(vs))
+    u0 = np.concatenate([u_in[None], u1[:-1]])
     # from u = 0 an interval holds no zero: u(s) keeps the sign of u' up
     # to s = pi/mu > 1
     odd = (u1 == 0.0) | (((u0 < 0.0) != (u1 < 0.0)) & (u0 != 0.0))
-    # pass i's u history starts at U[cuts[i] + i]; the pair before that
-    # joins two passes
-    first = np.array(cuts[:-1]) + np.arange(len(states))
-    odd[first[1:] - 1] = False
-    zeros = np.add.reduceat(odd.astype(np.int64), first).tolist()
+    zeros = np.add.reduceat(np.count_nonzero(odd, axis=0),
+                            groups[:-1]).tolist()
     return [(u, v, float(n)) for (u, v), n in zip(ends, zeros)]
 
 
@@ -464,7 +485,8 @@ def _pass_phases(G, passes) -> list[tuple[float, int, bool]]:
             break
         batch = [passes[i] for i in live]
         h, w1, w2, cuts = _level_intervals(G, nodes, batch, level)
-        thetas = _magnus_sweep(h, w1, w2, cuts, [ps[4] for ps in batch])
+        thetas = _magnus_sweep(h, w1, w2, cuts, [ps[4] for ps in batch],
+                               2 ** level)
         still = []
         for i, th, lo, hi in zip(live, thetas, cuts, cuts[1:]):
             fine = final(i, th)
@@ -718,8 +740,7 @@ def count_batch_pruefer(G, queries) -> list[CountResult]:
         extras = ({"left": counts[1], "right": counts[0]} if len(runs) == 2
                   else {"theta_end": th})
         out.append(CountResult(sum(counts), "pruefer", E, mode.value, (A, B),
-                               None, steps, uncertainty, tuple(flags),
-                               extras))
+                               steps, uncertainty, tuple(flags), extras))
     return out
 
 
@@ -838,9 +859,11 @@ def _counters(pencil, alphas):
     Haynsworth's inertia additivity a block counts #{lambda_i < E} and the
     negative LDL^T pivots of the vertex tridiagonal
     S(E) = A_vv(E) - b^T (Lambda - E)^-1 b, b = Q^T D^-1/2 K_iv.
-    counts_at returns (per-block counts at each energy, whether each met a
-    zero pivot, the vertex pivots taken). A zero pivot is not retried: an
-    interior one is taken an ulp above E, a vertex one as +0."""
+    The vertex rows of every energy of a call are formed together in
+    numpy; only the pivot recurrence runs per energy. counts_at returns
+    (per-block counts at each energy, whether each met a zero pivot, the
+    vertex pivots taken). A zero pivot is not retried: an interior one is
+    taken an ulp above E, a vertex one as +0."""
     Ke, w, g, _ = pencil
     p = w.shape[1] - 1
     s = 1.0 / np.sqrt(w[:, 1:p])
@@ -869,26 +892,28 @@ def _counters(pencil, alphas):
                  - np.einsum("kei,eic->kec", 1.0 / gap, bb))
             counts = [[] for _ in zero]
             pivots = 0
+            kappa = np.sqrt(np.maximum(-E, 0.0))[:, None]
+            lead = np.zeros_like(kappa)
             for e0, e1, open0, open1 in by_mode[mode]:
                 below = (gap[:, e0:e1] < 0.0).sum(axis=(1, 2)).tolist()
-                for k, rows in enumerate(S[:, e0:e1].tolist()):
-                    if not rows:
-                        counts[k].append(0)
-                        continue
-                    s0, s1, s01 = zip(*rows)
-                    kappa = math.sqrt(max(-energies[k], 0.0))
-                    # vertex j joins elements j-1 and j
-                    diag = [s0[0] + kappa, *map(sum, zip(s1, s0[1:])),
-                            s1[-1] + kappa][1 - open0:len(s0) + open1]
-                    off = [0.0, *(c * c for c in s01)][1 - open0:]
+                s0, s1, s01 = (S[:, e0:e1, c] for c in range(3))
+                # each energy's vertex rows: vertex j joins elements j-1
+                # and j, and an open end adds its Robin term
+                diag = np.concatenate([s0[:, :1] + kappa,
+                                       s1[:, :-1] + s0[:, 1:],
+                                       s1[:, -1:] + kappa], axis=1)
+                diag = diag[:, 1 - open0:e1 - e0 + open1]
+                off = np.concatenate([lead, s01 * s01], axis=1)[:, 1 - open0:]
+                for k, (row, sq) in enumerate(zip(diag.tolist(),
+                                                  off.tolist())):
                     neg, z, piv = below[k], False, math.inf
-                    for a, o in zip(diag, off):
+                    for a, o in zip(row, sq):
                         piv = a - (o / piv if piv else math.inf)
                         neg += piv < 0.0
                         z |= piv == 0.0
                     counts[k].append(neg)
                     zero[k] |= z
-                    pivots += len(diag)
+                pivots += diag.size
             return counts, zero, pivots
         return counts_at
 
@@ -956,8 +981,7 @@ def count_batch_fd(G, queries) -> list[CountResult]:
                      if mode == BoundaryMode.WHOLE_LINE_DIRICHLET_AT_0 else {})
             out[i] = CountResult(
                 sum(per_block), "fd", E, mode.value,
-                counting_domain(G, alpha, E, mode), None,
-                piv * (2 + (k in at)),
+                counting_domain(G, alpha, E, mode), piv * (2 + (k in at)),
                 max(int(zero_hit), sum(hi[k]) - sum(lo[k])), tuple(flags),
                 {"n_nodes": nodes[mode], **sides})
     return out
@@ -985,8 +1009,11 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
     ascending, located by bisecting a counting function over [floor, E],
     floor just below -alpha max G.
 
-    engine="pruefer" bisects count_below_pruefer; engine="fd" bisects the
-    inertia of the one pencil of count_below_fd, condensed once (_counters).
+    The bisection runs in rounds: every open interval of a round is split
+    at its midpoint, and the midpoints of a round are counted in one call.
+    engine="pruefer" counts them as one batch (count_batch_pruefer);
+    engine="fd" as the energies of one call of the inertia of the one
+    pencil of count_below_fd, condensed once (_counters).
 
     Bisection drives intervals below tol_eig * max(1, |floor|), or to
     adjacent floats, whichever is wider; clustered eigenvalues within that
@@ -1007,31 +1034,33 @@ def eigenvalues_below(G, alpha: float, *, E: float | None = None,
     if engine == "fd":
         counts_at, = _counters(_elements(G, alpha)[1], [alpha])
 
-        def C(e: float) -> int:
-            return sum(counts_at(mode, [e])[0][0])
+        def C(es: list[float]) -> list[int]:
+            return [sum(c) for c in counts_at(mode, es)[0]]
+    elif engine == "pruefer":
+        def C(es: list[float]) -> list[int]:
+            return [r.count for r in count_batch_pruefer(
+                G, [(alpha, e, mode) for e in es])]
     else:
-        def C(e: float) -> int:
-            return count_below(G, alpha, e, mode, engine=engine).count
+        raise ValueError(f"unknown engine {engine!r}; use 'pruefer' or 'fd'")
 
-    total = C(E)
-    if total == 0:
-        return np.empty(0)
+    total, = C([E])
     width_tol = tol_eig * max(1.0, abs(floor))
     out: list[float] = []
-    stack = [(floor, E, 0, total)]
-    while stack:
-        lo, hi, c_lo, c_hi = stack.pop()
-        k = c_hi - c_lo
-        if k <= 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        # adjacent floats have no midpoint strictly between them
-        if hi - lo < width_tol or not lo < mid < hi:
-            out.extend([mid] * k)
-            continue
-        c_mid = C(mid)
-        stack.append((lo, mid, c_lo, c_mid))
-        stack.append((mid, hi, c_mid, c_hi))
+    live = [(floor, E, 0, total)]
+    while live:
+        split = []
+        for lo, hi, c_lo, c_hi in live:
+            if c_hi <= c_lo:
+                continue
+            mid = 0.5 * (lo + hi)
+            # adjacent floats have no midpoint strictly between them
+            if hi - lo < width_tol or not lo < mid < hi:
+                out.extend([mid] * (c_hi - c_lo))
+            else:
+                split.append((lo, mid, hi, c_lo, c_hi))
+        c_mids = C([mid for _, mid, _, _, _ in split]) if split else []
+        live = [x for (lo, mid, hi, c_lo, c_hi), c_mid in zip(split, c_mids)
+                for x in ((lo, mid, c_lo, c_mid), (mid, hi, c_mid, c_hi))]
     return np.sort(out)
 
 

@@ -310,5 +310,5 @@ def count_below_rk(G, alpha: float, E: float,
             gs, a, B, theta0, G.breakpoints, t_hi)
         flags += fl
         extras = {"theta_end": th, "thetas": [th]}
-    return CountResult(count, "pruefer", E, mode.value, (A, B), None, steps,
+    return CountResult(count, "pruefer", E, mode.value, (A, B), steps,
                        uncertainty, tuple(flags), extras)

@@ -84,6 +84,28 @@ def test_potential_integrals_disk(capsys):
     assert rep["weyl_coefficient"] == pytest.approx(0.25, rel=1e-9)
 
 
+def test_potential_integrals_integrates_J_once(capsys, monkeypatch):
+    # to_log integrates J at the default tolerances and keeps it on the
+    # potential, so `potential integrals` at those tolerances reads it
+    # back; at another tolerance it integrates J once more. The report is
+    # the same either way
+    import radcount.potentials as potentials
+    moment, calls = potentials._moment, []
+
+    def spy(*args, **kw):
+        calls.append(kw.get("name", ""))
+        return moment(*args, **kw)
+
+    monkeypatch.setattr(potentials, "_moment", spy)
+    for spec in ("gaussian", "counterexample"):
+        for extra, n in (((), 1), (("--quad-rel-tol", "1e-9"), 2)):
+            calls.clear()
+            _, doc = run_json(capsys, "potential", "integrals", "--spec", spec,
+                              *extra)
+            assert sum(c.startswith("J[") for c in calls) == n, (spec, extra)
+            assert doc["report"]["J"]["value"] > 0.0
+
+
 def test_bundled_name_matching_is_forgiving(capsys):
     # punctuation and case in the spec name are ignored for bundled lookup
     for alias in ("SquareWell.json", "SQUARE_WELL", "square well"):

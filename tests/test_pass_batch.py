@@ -2,15 +2,19 @@
 
 `_per_pass_count` below is the phase count as it was written one pass at a
 time: each pass reads G on its own intervals, forms its own coefficients
-and sign count, and each whole-line pass scans G for its own lead-in. The
-batch (`count_batch_pruefer`, and the channel batches of `total_count`)
-must give the same counts, uncertainties, flags and side counts. A pass
-that does not start from a lead-in must end at the same phase after the
-same intervals, bit for bit; so must every pass of a batch of one, whose
-scan is its own. A channel pass of a plane count starts from a point of
-the batch's shared scan, so its final phase may move, within 1e-10. A
-batch that spans couplings sweeps the mesh of the largest, so a pass at a
-smaller coupling ends within 1e-8 of its phase alone.
+and sign count, steps (u, u') once per mesh interval over the products of
+its bisected maps (`_grouped_states`, as the engine associates them), and
+each whole-line pass scans G for its own lead-in. The batch
+(`count_batch_pruefer`, and the channel batches of `total_count`) must
+give the same counts, uncertainties, flags and side counts. A pass that
+does not start from a lead-in must end at the same phase after the same
+intervals, bit for bit; so must every pass of a batch of one, whose scan
+is its own. A channel pass of a plane count starts from a point of the
+batch's shared scan, so its final phase may move, within 1e-10. A batch
+that spans couplings sweeps the mesh of the largest, so a pass at a
+smaller coupling ends within 1e-8 of its phase alone. Stepped a mesh
+interval at a time, a pass meets the zeros of the sweep that steps once
+per sub-interval, and ends within 1e-12 of its phase.
 """
 import math
 
@@ -28,7 +32,11 @@ from radcount.spectral1d import (
     count_below_pruefer,
     counting_domain,
 )
-from test_spectral1d import _random_profiles
+from test_spectral1d import (
+    _grouped_states,
+    _interval_maps,
+    _random_profiles,
+)
 
 # ---------------------------------------------------------------------------
 # the per-pass path
@@ -50,39 +58,21 @@ def _pass_intervals(G, alpha, E, a, z, level):
     return h, w1, w2
 
 
-def _sweep_block(h, w1, w2, u, v):
-    wbar = 0.5 * (w1 + w2)
-    c = spectral1d._MAGNUS_C * h * h * (w2 - w1)
-    mu2 = h * h * wbar - c * c
-    osc = mu2 > 0.0
-    mu = np.sqrt(np.abs(mu2))
-    pos = mu > 0.0
-    safe = np.where(pos, mu, 1.0)
-    em = 0.5 * np.expm1(-2.0 * mu)
-    cs = np.where(osc, np.cos(mu), 1.0 + em)
-    sn = np.where(osc, np.sin(mu), np.where(pos, -em, 1.0)) / safe
-    snc = sn * c
-    snh = sn * h
-    us = [u]
-    for p, q, r, s in zip((cs + snc).tolist(), snh.tolist(),
-                          (-snh * wbar).tolist(), (cs - snc).tolist()):
-        u, v = p * u + q * v, r * u + s * v
-        n = abs(u) + abs(v)
-        u /= n
-        v /= n
-        us.append(u)
+def _sweep_block(h, w1, w2, u, v, g):
+    *_, maps = _interval_maps(h, w1, w2)
+    us, vs = _grouped_states(maps, g, u, v)
     U = np.array(us)
     u0, u1 = U[:-1], U[1:]
     odd = (u1 == 0.0) | (((u0 < 0.0) != (u1 < 0.0)) & (u0 != 0.0))
-    return u, v, float(np.count_nonzero(odd))
+    return us[-1], vs[-1], float(np.count_nonzero(odd))
 
 
-def _magnus_sweep(h, w1, w2, theta0):
+def _magnus_sweep(h, w1, w2, theta0, g):
     u, v = math.sin(theta0), math.cos(theta0)
     zeros = 0.0
     for i in range(0, h.size, 1024):
         block = slice(i, i + 1024)
-        u, v, n = _sweep_block(h[block], w1[block], w2[block], u, v)
+        u, v, n = _sweep_block(h[block], w1[block], w2[block], u, v, g)
         zeros += n
     return math.pi * zeros + math.atan2(u, v) % math.pi
 
@@ -98,7 +88,7 @@ def _pass_phase(G, alpha, E, a, z, theta0, tail):
     th, steps = None, 0
     for level in range(spectral1d._MAX_LEVEL + 1):
         h, w1, w2 = _pass_intervals(G, alpha, E, a, z, level)
-        fine = final(_magnus_sweep(h, w1, w2, theta0))
+        fine = final(_magnus_sweep(h, w1, w2, theta0, 2 ** level))
         steps += h.size
         if th is not None and abs(fine - th) <= spectral1d._SPREAD_TOL:
             return fine, steps, True
@@ -174,7 +164,7 @@ def _per_pass_count(G, alpha, E, mode=BoundaryMode.WHOLE_LINE):
         count, uncertainty, fl, th, steps = one_pass(a, B, theta0, lead)
         flags += fl
         extras = {"theta_end": th}
-    return CountResult(count, "pruefer", E, mode.value, (A, B), None, steps,
+    return CountResult(count, "pruefer", E, mode.value, (A, B), steps,
                        uncertainty, tuple(flags), extras), passes
 
 
@@ -441,3 +431,76 @@ def test_batch_across_couplings_random_profiles(P, log_alphas, draws):
             else:
                 assert abs(th - want[0]) <= 1e-10, (case, th, want[0])
     assert next(outs, None) is None
+
+
+def _sequential_sweep(h, w1, w2, theta0):
+    """(zeros, phase) of one pass swept a sub-interval at a time."""
+    u, v, n = _sweep_block(h, w1, w2, math.sin(theta0), math.cos(theta0), 1)
+    return n, math.pi * n + math.atan2(u, v) % math.pi
+
+
+def test_grouped_sweep_is_the_sequential_sweep(catalog, monkeypatch):
+    # every pass of the batches of the catalog's plane counts at alpha 25
+    # and of its m = 0 counts in every mode, at every level 0..8: stepped
+    # once per mesh interval, over the products of its 2^level maps, a
+    # pass meets the zeros of the sweep that steps once per sub-interval,
+    # and its final phase lies within 1e-12 of that sweep's, bit for bit
+    # at level 0. Mirrored passes and passes that straddle two blocks of
+    # _BATCH_INTERVALS are among them
+    block = spectral1d._BATCH_INTERVALS
+    kinds = set()
+    for name in _NAMES[1:]:
+        G = to_log(catalog[name], strict=False)
+        E = channel_energy(G, 25.0)
+        _, batches = _spied(monkeypatch, lambda: [total_count(G, 25.0)] + [
+            count_below_pruefer(G, 25.0, E, mode) for mode in BoundaryMode])
+        for passes, _ in batches:
+            live = [ps for ps in passes if ps[2] != ps[3]]
+            if not live:
+                continue
+            nodes = _batch_mesh(G, live)
+            for level in range(spectral1d._MAX_LEVEL + 1):
+                g = 2 ** level
+                h, w1, w2, cuts = spectral1d._level_intervals(G, nodes, live,
+                                                              level)
+                thetas = spectral1d._magnus_sweep(
+                    h, w1, w2, cuts, [ps[4] for ps in live], g)
+                for ps, th, lo, hi in zip(live, thetas, cuts, cuts[1:]):
+                    case = (name, ps, level)
+                    n, want = _sequential_sweep(h[lo:hi], w1[lo:hi],
+                                                w2[lo:hi], ps[4])
+                    (_, _, got_n), = spectral1d._sweep_block(
+                        h[lo:hi], w1[lo:hi], w2[lo:hi], [0, hi - lo],
+                        [(math.sin(ps[4]), math.cos(ps[4]))], g)
+                    assert got_n == n, case
+                    if level:
+                        assert abs(th - want) <= 1e-12, (case, th, want)
+                    else:
+                        assert th == want, case
+                    kinds.add((ps[3] < ps[2],
+                               lo // block != (hi - 1) // block))
+    assert kinds == {(False, False), (False, True), (True, False),
+                     (True, True)}
+
+
+def test_grouped_sweep_meets_u_zero_inside_a_group():
+    # over w = 0 and h = 1, (1/2, -1/2) maps to (0, -1), then to
+    # (-1/2, -1/2): u reaches 0 exactly at the end of the first interval,
+    # inside a group of 2, 4 or 8, where the group's first product puts it
+    # too. That end holds the one zero, as the sequential sweep has it
+    rng = np.random.default_rng(11)
+    h = np.concatenate([[1.0, 1.0], rng.uniform(0.05, 0.2, 62)])
+    w1, w2 = (np.concatenate([[0.0, 0.0], w])
+              for w in rng.uniform(-100.0, 6.0, (2, 62)))
+    *_, maps = _interval_maps(h, w1, w2)
+    want = _sweep_block(h, w1, w2, 0.5, -0.5, 1)
+    for g in (2, 4, 8):
+        us, _ = _grouped_states(maps, g, 0.5, -0.5)
+        assert us[1] == 0.0 and us[2] == -0.5, g
+        (u, v, n), = spectral1d._sweep_block(h, w1, w2, [0, h.size],
+                                             [(0.5, -0.5)], g)
+        assert n == want[2], g
+        assert (u, v) == pytest.approx(want[:2], abs=1e-14), g
+        (u, v, n), = spectral1d._sweep_block(h[:2], w1[:2], w2[:2], [0, 2],
+                                             [(0.5, -0.5)], 2)
+        assert (u, v, n) == (-0.5, -0.5, 1.0)

@@ -1293,6 +1293,99 @@ def test_fd_dirichlet_at_0_blocks(monkeypatch):
     assert got.extras["left"] > 0 and got.extras["right"] > 0
 
 
+@pytest.mark.parametrize("name", _CATALOG_NAMES[1:])
+def test_counts_at_many_energies_is_each_energy_alone(catalog, monkeypatch,
+                                                      name):
+    # couplings 10 and 400 condensed on one layout, every mode, energies
+    # across the spectrum, E = 0 and an interior eigenvalue of an element
+    # (a zero pivot): one call at all the energies gives each energy's
+    # per-block counts and zero flag, and their pivots, as one call per
+    # energy does, bit for bit
+    G = to_log(catalog[name], strict=False)
+    alphas = [10.0, 400.0]
+    _, pencil, _ = spectral1d._elements(G, alphas[-1])
+    eigh, lams = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: lams.append(eigh(a)) or lams[-1])
+    counters = spectral1d._counters(pencil, alphas)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    hit = False
+    for alpha, counts_at, lam in zip(alphas, counters, lams[0][0]):
+        depth = alpha * G.g_max
+        energies = [-depth * f for f in (1.1, 0.9, 0.5, 0.1, 1e-3, 1e-9)]
+        energies += [0.0, channel_energy(G, alpha, 1), float(np.min(lam))]
+        for mode in BoundaryMode:
+            counts, zero, pivots = counts_at(mode, energies)
+            alone = [counts_at(mode, [e]) for e in energies]
+            assert counts == [c for (c,), _, _ in alone], (alpha, mode)
+            assert zero == [z for _, (z,), _ in alone], (alpha, mode)
+            assert pivots == sum(p for _, _, p in alone), (alpha, mode)
+            hit |= zero[-1]
+    assert hit
+
+
+def _one_probe_levels(G, alpha, mode):
+    """eigenvalues_below(G, alpha, mode=mode, engine="fd") bisected one
+    probe at a time, depth first, and the number of probes at each depth
+    of the bisection."""
+    counts_at, = spectral1d._counters(spectral1d._elements(G, alpha)[1],
+                                      [alpha])
+
+    def C(e):
+        return sum(counts_at(mode, [e])[0][0])
+
+    E = channel_energy(G, alpha)
+    floor = -alpha * G.g_max * (1.0 + 1e-12) - 1e-12
+    width = 1e-9 * max(1.0, abs(floor))
+    out, probes = [], {}
+    stack = [(floor, E, 0, C(E), 0)]
+    while stack:
+        lo, hi, c_lo, c_hi, depth = stack.pop()
+        if c_hi <= c_lo:
+            continue
+        mid = 0.5 * (lo + hi)
+        if hi - lo < width or not lo < mid < hi:
+            out.extend([mid] * (c_hi - c_lo))
+            continue
+        c_mid = C(mid)
+        probes[depth] = probes.get(depth, 0) + 1
+        stack.append((lo, mid, c_lo, c_mid, depth + 1))
+        stack.append((mid, hi, c_mid, c_hi, depth + 1))
+    return np.sort(out), [probes[d] for d in range(len(probes))]
+
+
+@pytest.mark.parametrize("name", ("square-well", "annulus", "gaussian",
+                                  "bump", "counterexample-damped"))
+def test_fd_eigenvalue_rounds_are_the_one_probe_bisection(catalog,
+                                                          monkeypatch, name):
+    # engine="fd" bisects every open interval of a round together: the
+    # levels of the one-probe bisection, bit for bit, from one counts_at
+    # call for E and one per round, which counts that round's probes
+    G = to_log(catalog[name], strict=False)
+    sizes, rounds = [], []
+    build = spectral1d._counters
+
+    def spy(pencil, alphas):
+        def wrap(counts_at):
+            def at(mode, energies):
+                sizes.append(len(energies))
+                return counts_at(mode, energies)
+            return at
+        return [wrap(c) for c in build(pencil, alphas)]
+
+    for alpha in (10.0, 50.0):
+        for mode in BoundaryMode:
+            want, probes = _one_probe_levels(G, alpha, mode)
+            sizes.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral1d, "_counters", spy)
+                got = eigenvalues_below(G, alpha, mode=mode, engine="fd")
+            assert np.array_equal(got, want), (alpha, mode)
+            assert sizes == [1] + probes, (alpha, mode)
+            rounds.append(len(probes))
+    assert max(rounds) > 20
+
+
 @st.composite
 def _random_boxes(draw):
     n = draw(st.integers(1, 3))
@@ -1401,10 +1494,10 @@ def test_degenerate_windows_are_refused(catalog, kw):
             call()
 
 
-def _formula_sweep_block(h, w1, w2, u, v):
-    """_sweep_block with the zeros of every interval taken from the phase,
-    floor((phi + mu)/pi) - floor(phi/pi), phi = atan2(u, B/mu), with the
-    parity of the signs of u: the count that the sign count keeps."""
+def _interval_maps(h, w1, w2):
+    """(c, mu, osc, safe, maps) of each interval as _sweep_block forms
+    them: maps[i] = (P, Q, R, S), the map of (u, u') over interval i, as
+    Python floats."""
     wbar = 0.5 * (w1 + w2)
     c = spectral1d._MAGNUS_C * h * h * (w2 - w1)
     mu2 = h * h * wbar - c * c
@@ -1417,15 +1510,54 @@ def _formula_sweep_block(h, w1, w2, u, v):
     sn = np.where(osc, np.sin(mu), np.where(pos, -em, 1.0)) / safe
     snc = sn * c
     snh = sn * h
+    maps = list(zip((cs + snc).tolist(), snh.tolist(),
+                    (-snh * wbar).tolist(), (cs - snc).tolist()))
+    return c, mu, osc, safe, maps
+
+
+def _group_products(maps):
+    """The products of a group's maps, one float at a time, as _sweep_block
+    associates them: in the round of step d = 1, 2, 4, ... below the group
+    size, interval j >= d takes its product times that of interval j - d
+    (the later on the left), so that entry j ends as the map of intervals
+    0..j."""
+    T, d = list(maps), 1
+    while d < len(T):
+        T = T[:d] + [(p * P + q * R, p * Q + q * S, r * P + s * R,
+                      r * Q + s * S)
+                     for (p, q, r, s), (P, Q, R, S) in zip(T[d:], T)]
+        d *= 2
+    return T
+
+
+def _grouped_states(maps, g, u, v):
+    """(u, u') at the start of every interval and at the end of the last,
+    swept in groups of g intervals as _sweep_block sweeps them: the state
+    entering a group is carried to each interval end inside it by the
+    group's products (_group_products), and to the group's end by the
+    last, normalised there. At g = 1 this is a step per interval."""
     us, vs = [u], [v]
-    for p, q, r, s in zip((cs + snc).tolist(), snh.tolist(),
-                          (-snh * wbar).tolist(), (cs - snc).tolist()):
+    for k in range(0, len(maps), g):
+        *inner, (p, q, r, s) = _group_products(maps[k:k + g])
+        us += [a * u + b * v for a, b, _, _ in inner]
+        vs += [c * u + d * v for _, _, c, d in inner]
         u, v = p * u + q * v, r * u + s * v
         n = abs(u) + abs(v)
         u /= n
         v /= n
         us.append(u)
         vs.append(v)
+    return us, vs
+
+
+def _formula_sweep_block(h, w1, w2, u, v, g=1):
+    """_sweep_block with the zeros of every interval taken from the phase,
+    floor((phi + mu)/pi) - floor(phi/pi), phi = atan2(u, B/mu), with the
+    parity of the signs of u: the count that the sign count keeps. The
+    states at the interval ends are those of the sweep in groups of g
+    (_grouped_states)."""
+    c, mu, osc, safe, maps = _interval_maps(h, w1, w2)
+    us, vs = _grouped_states(maps, g, u, v)
     U = np.array(us)
     u0, u1 = U[:-1], U[1:]
     B = c * u0 + h * np.array(vs[:-1])
@@ -1434,26 +1566,27 @@ def _formula_sweep_block(h, w1, w2, u, v):
     phi = np.arctan2(u0, B / safe)
     y = (phi + mu) / math.pi - np.floor(phi / math.pi)
     zeros = np.where(osc, odd + 2.0 * np.rint(0.5 * (y - 0.5 - odd)), odd)
-    return u, v, float(np.sum(zeros))
+    return us[-1], vs[-1], float(np.sum(zeros))
 
 
 def test_sign_count_is_the_phase_formula_on_catalog_blocks(catalog,
                                                            monkeypatch):
     # every pass of every block that the plane counts of the catalog sweep
     # at alpha in {3, 200, 3200}, and the m = 0 passes of every mode (the
-    # Dirichlet ones from u = 0): the sign count of the block gives each
-    # pass the formula's zeros on its own intervals, and the same (u, u'),
-    # bit for bit
+    # Dirichlet ones from u = 0), at every bisection level they reach: the
+    # sign count of the block gives each pass the formula's zeros on its
+    # own intervals, and the same (u, u'), bit for bit, stepped a group at
+    # a time
     sweep = spectral1d._sweep_block
     seen = []
 
-    def spy(h, w1, w2, cuts, states):
-        got = sweep(h, w1, w2, cuts, states)
+    def spy(h, w1, w2, cuts, states, g=1):
+        got = sweep(h, w1, w2, cuts, states, g)
         assert len(got) == len(states) == len(cuts) - 1
         for (u, v), lo, hi, out in zip(states, cuts, cuts[1:], got):
             assert out == _formula_sweep_block(h[lo:hi], w1[lo:hi],
-                                               w2[lo:hi], u, v)
-            seen.append((u == 0.0, out[2]))
+                                               w2[lo:hi], u, v, g)
+            seen.append((u == 0.0, out[2], g))
         return got
 
     monkeypatch.setattr(spectral1d, "_sweep_block", spy)
@@ -1463,8 +1596,9 @@ def test_sign_count_is_the_phase_formula_on_catalog_blocks(catalog,
             total_count(catalog[name], alpha)
             for mode in BoundaryMode:
                 count_below_pruefer(G, alpha, channel_energy(G, alpha), mode)
-    assert any(z for z, _ in seen) and any(n for _, n in seen)
+    assert any(z for z, _, _ in seen) and any(n for _, n, _ in seen)
     assert len(seen) > 1000
+    assert {g for _, _, g in seen} >= {1, 2, 4}
 
 
 def _largest_turn(h, w1, w2):

@@ -43,6 +43,11 @@ def cases() -> list[list[str]]:
                         ("counterexample", "3200")):
         out.append(["count", "--spec", spec, "--alpha", alpha,
                     "--method", "fd", "--breakdown"])
+    # a channel pass that bisects seven times before it settles, and a
+    # verify whose eigenvalue bisections run deep
+    out.append(["count", "--spec", "square-well", "--alpha", "271.3",
+                "--breakdown"])
+    out.append(["verify", "--spec", "bump", "--alpha", "800"])
     for spec in SPECS:
         out.append(["sweep", "--spec", spec, "--alpha-min", "5",
                     "--alpha-max", "50", "--per-decade", "4"])
